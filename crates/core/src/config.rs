@@ -86,86 +86,13 @@ impl DequeBackend {
     ];
 }
 
-/// When the taskprivate workspace of a pushed task is cloned.
-///
-/// Under the work-first principle the overwhelming majority of pushed
-/// tasks are popped back by their owner, so an eager clone at every spawn
-/// is almost always wasted. [`WorkspacePolicy::CopyOnSteal`] defers the
-/// clone to the moment of a successful steal: the pushed frame borrows the
-/// owner's in-place workspace, an owner pop reuses it directly (counted in
-/// `workspace_copies_saved`), and the steal path materialises an isolated
-/// clone for the thief so stolen-task semantics are bit-identical.
-/// `Mode::Cilk`/`Mode::CilkSynched` always copy eagerly regardless of this
-/// setting — they are the faithful per-spawn-allocation baselines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum WorkspacePolicy {
-    /// Clone the workspace at every spawn (the paper's literal scheme).
-    EagerCopy,
-    /// Defer the clone until a thief actually steals the task — the
-    /// default.
-    #[default]
-    CopyOnSteal,
-}
-
-impl WorkspacePolicy {
-    /// Short name for reports and benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkspacePolicy::EagerCopy => "eager",
-            WorkspacePolicy::CopyOnSteal => "copy-on-steal",
-        }
-    }
-
-    /// All policies, for ablation sweeps.
-    pub const ALL: [WorkspacePolicy; 2] =
-        [WorkspacePolicy::EagerCopy, WorkspacePolicy::CopyOnSteal];
-}
-
-/// How a thief picks its next victim.
-///
-/// The paper steals from a uniformly random other worker; the
-/// alternatives here are the classic locality/occupancy refinements
-/// surveyed in *Configurable Strategies for Work-stealing* (Wimmer et
-/// al.). All policies skip the thief itself and avoid immediately
-/// re-probing the victim that just reported an empty deque.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum VictimPolicy {
-    /// Uniformly random victim — the paper's scheme and the default.
-    #[default]
-    Uniform,
-    /// Return to the victim of the last successful steal first (steal
-    /// affinity); fall back to uniform when it runs dry.
-    LastVictim,
-    /// Sample two distinct candidates and probe the one whose relaxed
-    /// occupancy hint reports the longer deque.
-    BestOfTwo,
-}
-
-impl VictimPolicy {
-    /// Short name for reports and benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            VictimPolicy::Uniform => "uniform",
-            VictimPolicy::LastVictim => "last-victim",
-            VictimPolicy::BestOfTwo => "best-of-two",
-        }
-    }
-
-    /// All policies, for ablation sweeps.
-    pub const ALL: [VictimPolicy; 3] = [
-        VictimPolicy::Uniform,
-        VictimPolicy::LastVictim,
-        VictimPolicy::BestOfTwo,
-    ];
-}
-
 /// When a spawn becomes a real (stealable) task instead of an inlined
 /// fake-task frame.
 ///
 /// Under `Mode::Adaptive` this selects the task-creation strategy; the
-/// Cilk baselines ignore it (they create a task at every spawn, exactly
-/// as they ignore the victim and workspace policies). The fixed-cut-off
-/// baseline modes always behave like [`CreationPolicy::Static`].
+/// Cilk baselines ignore it (they create a task at every spawn). The
+/// fixed-cut-off baseline modes always behave like
+/// [`CreationPolicy::Static`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CreationPolicy {
     /// `depth < cutoff`, constant for the whole run: the Figure 9
@@ -289,14 +216,8 @@ pub struct Config {
     /// Which deque substrate the threaded runtime uses (the simulator
     /// models the THE protocol only).
     pub backend: DequeBackend,
-    /// When the taskprivate workspace of a pushed task is cloned (the
-    /// threaded runtime and the simulator both honour this; the Cilk
-    /// baselines always copy eagerly).
-    pub workspace: WorkspacePolicy,
-    /// How thieves pick their victims.
-    pub victim: VictimPolicy,
     /// When a spawn becomes a real task under `Mode::Adaptive` (the
-    /// Cilk baselines ignore this, like `victim` and `workspace`).
+    /// Cilk baselines ignore this).
     pub creation: CreationPolicy,
     /// How much work a successful steal extracts.
     pub extraction: ExtractionPolicy,
@@ -342,8 +263,6 @@ impl Config {
             max_stolen_num: 20,
             deque_capacity: 4096,
             backend: DequeBackend::The,
-            workspace: WorkspacePolicy::CopyOnSteal,
-            victim: VictimPolicy::Uniform,
             creation: CreationPolicy::Adaptive,
             extraction: ExtractionPolicy::StealOne,
             threshold: ThresholdPolicy::Fixed,
@@ -377,18 +296,6 @@ impl Config {
     /// Set the deque backend.
     pub fn backend(mut self, backend: DequeBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Set the workspace-cloning policy.
-    pub fn workspace(mut self, workspace: WorkspacePolicy) -> Self {
-        self.workspace = workspace;
-        self
-    }
-
-    /// Set the victim-selection policy.
-    pub fn victim(mut self, victim: VictimPolicy) -> Self {
-        self.victim = victim;
         self
     }
 
@@ -527,8 +434,6 @@ mod tests {
             .max_stolen_num(3)
             .deque_capacity(64)
             .backend(DequeBackend::ChaseLev)
-            .workspace(WorkspacePolicy::EagerCopy)
-            .victim(VictimPolicy::BestOfTwo)
             .creation(CreationPolicy::Hybrid)
             .extraction(ExtractionPolicy::StealHalf)
             .threshold(ThresholdPolicy::Adaptive)
@@ -542,8 +447,6 @@ mod tests {
         assert_eq!(cfg.max_stolen_num, 3);
         assert_eq!(cfg.deque_capacity, 64);
         assert_eq!(cfg.backend, DequeBackend::ChaseLev);
-        assert_eq!(cfg.workspace, WorkspacePolicy::EagerCopy);
-        assert_eq!(cfg.victim, VictimPolicy::BestOfTwo);
         assert_eq!(cfg.creation, CreationPolicy::Hybrid);
         assert_eq!(cfg.extraction, ExtractionPolicy::StealHalf);
         assert_eq!(cfg.threshold, ThresholdPolicy::Adaptive);
@@ -600,20 +503,6 @@ mod tests {
         let cfg = Config::default();
         assert_eq!(cfg.threads, 1);
         assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.workspace, WorkspacePolicy::CopyOnSteal);
-        assert_eq!(cfg.victim, VictimPolicy::Uniform);
-    }
-
-    #[test]
-    fn policy_names_are_distinct() {
-        let mut names: Vec<_> = VictimPolicy::ALL.iter().map(|v| v.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), VictimPolicy::ALL.len());
-        let mut ws_names: Vec<_> = WorkspacePolicy::ALL.iter().map(|w| w.name()).collect();
-        ws_names.sort_unstable();
-        ws_names.dedup();
-        assert_eq!(ws_names.len(), WorkspacePolicy::ALL.len());
     }
 
     // Every config axis must expose the same surface: an `ALL` sweep
@@ -636,8 +525,6 @@ mod tests {
             );
         }
         axis(&DequeBackend::ALL, DequeBackend::name);
-        axis(&WorkspacePolicy::ALL, WorkspacePolicy::name);
-        axis(&VictimPolicy::ALL, VictimPolicy::name);
         axis(&CreationPolicy::ALL, CreationPolicy::name);
         axis(&ExtractionPolicy::ALL, ExtractionPolicy::name);
         axis(&ThresholdPolicy::ALL, ThresholdPolicy::name);

@@ -67,7 +67,6 @@ pub mod treeinfo;
 
 pub use config::{
     Config, CreationPolicy, CutoffPolicy, DequeBackend, ExtractionPolicy, ThresholdPolicy,
-    VictimPolicy, WorkspacePolicy,
 };
 pub use error::{ConfigError, SchedulerError};
 pub use problem::{Expansion, Problem};

@@ -90,7 +90,12 @@ pub struct RunStats {
     pub deque_pushes: u64,
     /// d-e-que pop operations that returned a task.
     pub deque_pops: u64,
-    /// Pop attempts that lost the THE race (task had been stolen).
+    /// Owner-side theft discoveries. Counts two events: a pop that lost
+    /// the THE race (the continuation had been stolen), and a special
+    /// task's `pop_special` reporting `ChildStolen`. A thief that takes a
+    /// special task's child is therefore seen twice by the victim — once
+    /// for the child frame's continuation, once for the special — so this
+    /// can exceed the thieves' `steals_ok` by the number of lost specials.
     pub pop_conflicts: u64,
     /// Extractions rejected by the claim layer because another party had
     /// already claimed the frame's epoch (multiplicity backends only;

@@ -50,8 +50,9 @@
 //!
 //! # Copy-on-steal workspaces
 //!
-//! Under [`WorkspacePolicy::CopyOnSteal`] (the default for every mode
-//! except the faithful `Cilk`/`CilkSynched` baselines) a spawn does **not**
+//! In every mode except the `Cilk`/`CilkSynched` baselines — which *are*
+//! the paper's eager clone-per-spawn scheme and keep their own
+//! [`Worker::exec_node`]/[`Worker::frame_loop`] pair — a spawn does **not**
 //! clone the taskprivate workspace. The worker executes children *in
 //! place* — `apply`, recurse, `undo` on one live workspace, exactly like
 //! the sequence version — and the pushed frame merely borrows it: the
@@ -77,16 +78,19 @@
 //! ~never-stolen majority of spawns pay no copy at all. Special-task
 //! children still clone eagerly (they run detached from the live
 //! workspace), each such clone seeding a fresh in-place region.
+//!
+//! Which of the two disciplines a run uses is a function of its [`Mode`]
+//! alone ([`Mode::clones_per_spawn`]), read where a worker enters a frame
+//! from outside — the root task and a stolen continuation.
 
 use crate::frame::{deliver, Frame, OutCell, Parent};
 use crate::fsm;
 use crate::pool::Pool;
 use crate::submit::CancelToken;
-use crate::sync::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::{AtomicBool, Ordering};
 use crate::trace::{tev, worker_tracer, TracerRef, WorkerTracer};
 use adaptivetc_core::{
-    Config, DequeBackend, Expansion, Problem, Reduce, RunReport, RunStats, VictimPolicy,
-    WorkspacePolicy, XorShift64,
+    Config, DequeBackend, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64,
 };
 use adaptivetc_deque::{
     ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
@@ -127,6 +131,16 @@ pub enum Mode {
     CutoffCopy,
     /// The AdaptiveTC five-version state machine.
     Adaptive,
+}
+
+impl Mode {
+    /// Whether every spawn clones the taskprivate workspace (the paper's
+    /// Cilk baselines). Every other mode runs children in place and copies
+    /// on steal.
+    #[inline]
+    fn clones_per_spawn(self) -> bool {
+        matches!(self, Mode::Cilk | Mode::CilkSynched)
+    }
 }
 
 /// How a frame travels through a deque backend.
@@ -256,10 +270,6 @@ pub(crate) struct Shared<'p, P: Problem, D> {
     /// Per-worker `need_task` signals. Padded: a thief hammering one
     /// worker's signal must not invalidate its neighbours' lines.
     signals: Vec<CachePadded<NeedTask>>,
-    /// Relaxed per-worker d-e-que occupancy hints, published by the owner
-    /// after every push/pop so `VictimPolicy::BestOfTwo` thieves can
-    /// compare victims without touching the deques' hot head/tail lines.
-    occupancy: Vec<CachePadded<AtomicUsize>>,
     /// Per-worker copy-on-steal doorbells: a thief waiting for a workspace
     /// deposit raises the owner's hint; the owner checks it at poll points.
     ws_hints: Vec<CachePadded<AtomicBool>>,
@@ -272,10 +282,6 @@ pub(crate) struct Shared<'p, P: Problem, D> {
     /// Cilk/cutoff comparison arms are never perturbed by strategy
     /// overrides.
     strategy: WorkerStrategy,
-    victim: VictimPolicy,
-    /// Copy-on-steal active (policy says so and the mode is not a
-    /// faithful eager-copy Cilk baseline).
-    pub(crate) cos: bool,
     timing: bool,
     /// Cooperative cancellation for `JobServer` jobs: when raised, the
     /// poll points below prune remaining expansions to identity leaves so
@@ -302,8 +308,6 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         E: Send,
         D: WsDeque<E>,
     {
-        let cos = cfg.workspace == WorkspacePolicy::CopyOnSteal
-            && !matches!(mode, Mode::Cilk | Mode::CilkSynched);
         let cutoff = cfg.cutoff_depth().max(1);
         let strategy = if matches!(mode, Mode::Adaptive) {
             WorkerStrategy::from_config(cfg, cutoff)
@@ -318,9 +322,6 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
             signals: (0..slots)
                 .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
                 .collect(),
-            occupancy: (0..slots)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect(),
             ws_hints: (0..slots)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
@@ -328,8 +329,6 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
             mode,
             cutoff,
             strategy,
-            victim: cfg.victim,
-            cos,
             timing: cfg.timing,
             cancel,
         }
@@ -469,17 +468,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         &self.shared.ws_hints[self.id]
     }
 
-    #[inline]
-    fn cos(&self) -> bool {
-        self.shared.cos
-    }
-
-    /// Publish this worker's d-e-que occupancy for `BestOfTwo` thieves.
-    #[inline]
-    fn publish_occupancy(&self) {
-        self.shared.occupancy[self.id].store(self.my_deque().len(), Ordering::Relaxed);
-    }
-
     /// Does this mode recycle workspace buffers? `Cilk` stays
     /// allocate-per-spawn (the paper's work-first baseline); every other
     /// copying mode draws from the pool.
@@ -605,7 +593,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             Ok(()) => {
                 self.stats.deque_pushes += 1;
                 self.stats.deque_peak = self.stats.deque_peak.max(self.my_deque().len() as u64);
-                self.publish_occupancy();
                 tev!(
                     self,
                     Deque,
@@ -636,7 +623,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             },
             None => false,
         };
-        self.publish_occupancy();
         if claimed {
             self.stats.deque_pops += 1;
             tev!(self, Deque, Ev::Pop);
@@ -665,16 +651,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Execute a node given an owned workspace, delivering its subtree
-    /// result to `parent`.
-    fn exec_node(
-        &mut self,
-        mut state: P::State,
-        logical: u32,
-        tdepth: u32,
-        parent: Parent<P>,
-        regime: Regime,
-    ) {
+    /// The Cilk baselines' node execution: every node with children becomes
+    /// a task that owns its workspace. Reached only under
+    /// [`Mode::clones_per_spawn`]; all other modes run
+    /// [`Worker::exec_node_inplace`].
+    fn exec_node(&mut self, state: P::State, logical: u32, tdepth: u32, parent: Parent<P>) {
         if self.cancelled() {
             // Prune: deliver an identity leaf so the chain completes.
             self.recycle(state);
@@ -688,55 +669,17 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 deliver(&parent, out);
             }
             Expansion::Children(choices) => {
-                if self.task_mode(tdepth, regime) {
-                    let frame = self.make_frame(parent, Some(state), choices, logical, tdepth);
-                    self.frame_loop(frame, regime);
-                } else {
-                    let out = match (self.shared.mode, regime) {
-                        (Mode::CutoffSequence, _) => self.sequence(&mut state, logical, choices),
-                        (Mode::CutoffCopy, _) => self.sequence_copy(&state, logical, choices),
-                        // Appendix C: the check version recurses into the
-                        // check version at every depth; only fast_2 falls
-                        // through to the sequence version.
-                        (Mode::Adaptive, Regime::Fast) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast,
-                                    to: Fs::Check,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.check(&mut state, logical, choices)
-                        }
-                        (Mode::Adaptive, Regime::Fast2) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast2,
-                                    to: Fs::Sequence,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.sequence(&mut state, logical, choices)
-                        }
-                        (Mode::Cilk | Mode::CilkSynched, _) => unreachable!("always task mode"),
-                    };
-                    self.recycle(state);
-                    deliver(&parent, out);
-                }
+                let frame = self.make_frame(parent, Some(state), choices, logical, tdepth);
+                self.frame_loop(frame);
             }
         }
     }
 
-    /// Run a frame's continuation: spawn each remaining child as a task.
-    ///
-    /// This is the loop body shared by the fast, fast_2 and slow versions;
-    /// stolen frames enter here with `Regime::Fast` (the slow version
-    /// "restores the program counter" — `inner.next` — and continues).
-    fn frame_loop(&mut self, frame: Arc<Frame<P>>, regime: Regime) {
+    /// Run a Cilk frame's continuation: spawn each remaining child as a
+    /// task with its own workspace clone. Stolen frames re-enter here (the
+    /// slow version "restores the program counter" — `inner.next` — and
+    /// continues).
+    fn frame_loop(&mut self, frame: Arc<Frame<P>>) {
         loop {
             let next = if self.cancelled() {
                 // Cancellation poll: stop spawning; already-spawned
@@ -784,7 +727,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 frame.logical + 1,
                 frame.depth + 1,
                 Parent::Frame(Arc::clone(&frame)),
-                regime,
             );
             if pushed && !self.pop_back() {
                 // Continuation stolen: a thief now runs this frame's
@@ -879,10 +821,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         self.recycle(state);
     }
 
-    /// Copy-on-steal counterpart of [`Worker::exec_node`]: execute a node
-    /// on the borrowed live workspace (choice already applied by the
-    /// caller). On return — normal completion *or* theft-driven unwind —
-    /// the workspace is restored to its value at entry.
+    /// Execute a node on the borrowed live workspace (choice already
+    /// applied by the caller) under the cut-off and AdaptiveTC modes. On
+    /// return — normal completion *or* theft-driven unwind — the workspace
+    /// is restored to its value at entry.
     fn exec_node_inplace(
         &mut self,
         state: &mut P::State,
@@ -904,8 +846,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     self.frame_loop_inplace(frame, state, regime);
                 } else {
                     let out = match (self.shared.mode, regime) {
-                        (Mode::CutoffSequence, _) => self.sequence(state, logical, choices),
                         (Mode::CutoffCopy, _) => self.sequence_copy(state, logical, choices),
+                        // Appendix C: the check version recurses into the
+                        // check version at every depth; only fast_2 falls
+                        // through to the sequence version.
                         (Mode::Adaptive, Regime::Fast) => {
                             tev!(
                                 self,
@@ -930,8 +874,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                             );
                             self.sequence(state, logical, choices)
                         }
-                        (Mode::Cilk | Mode::CilkSynched, _) => {
-                            unreachable!("Cilk modes never run copy-on-steal")
+                        // Cutoff-programmer. The Cilk baselines share the
+                        // arm only for exhaustiveness: they are always in
+                        // task mode and never run in place.
+                        (Mode::CutoffSequence | Mode::Cilk | Mode::CilkSynched, _) => {
+                            self.sequence(state, logical, choices)
                         }
                     };
                     deliver(&parent, out);
@@ -940,11 +887,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Copy-on-steal counterpart of [`Worker::frame_loop`]: spawn each
-    /// remaining child as a task *without* cloning the workspace — apply
-    /// the choice to the live workspace, dive in, undo on return. A pop
-    /// conflict deposits the (now frame-pristine) workspace for the thief
-    /// before unwinding.
+    /// Run an in-place frame's continuation: spawn each remaining child as
+    /// a task *without* cloning the workspace — apply the choice to the
+    /// live workspace, dive in, undo on return. A pop conflict deposits the
+    /// (now frame-pristine) workspace for the thief before unwinding.
     fn frame_loop_inplace(&mut self, frame: Arc<Frame<P>>, state: &mut P::State, regime: Regime) {
         frame.owner.store(self.id, Ordering::Release);
         self.spine.push(SpineSlot {
@@ -966,7 +912,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     let c = g.choices[g.next];
                     g.next += 1;
                     g.outstanding += 1;
-                    // Last-spawn elision, as in the eager loop.
+                    // Last-spawn elision, as in the Cilk loop.
                     Some((c, g.next < g.choices.len()))
                 }
             };
@@ -1027,12 +973,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Run a stolen continuation (the slow version). Under copy-on-steal
-    /// the thief first obtains an isolated workspace: it takes a deposit if
-    /// one is already published, otherwise it requests one from the owner
-    /// and spins — re-raising the owner's doorbell periodically, since the
-    /// owner may consume a hint while a different region is current — and
-    /// then runs the continuation in place on the materialised clone.
+    /// Run a stolen continuation (the slow version). A Cilk frame owns its
+    /// workspace and simply resumes. An in-place frame borrowed its
+    /// owner's, so the thief first obtains an isolated one: it takes a
+    /// deposit if one is already published, otherwise it requests one from
+    /// the owner and spins — re-raising the owner's doorbell periodically,
+    /// since the owner may consume a hint while a different region is
+    /// current — and then runs the continuation in place on the
+    /// materialised clone.
     fn run_stolen(&mut self, frame: Arc<Frame<P>>) {
         tev!(
             self,
@@ -1043,8 +991,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 depth: frame.depth,
             }
         );
-        if !self.cos() {
-            self.frame_loop(frame, Regime::Fast);
+        if self.shared.mode.clones_per_spawn() {
+            self.frame_loop(frame);
             tev!(
                 self,
                 Fsm,
@@ -1112,12 +1060,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     }
 
     /// The sequence version: plain recursion, no tasks, no copies, no polls
-    /// (under copy-on-steal it still services workspace requests once per
-    /// node, so thieves waiting on ancestor frames are fed promptly).
+    /// (it still services workspace requests once per node, so thieves
+    /// waiting on ancestor frames are fed promptly).
     fn sequence(&mut self, state: &mut P::State, logical: u32, choices: Vec<P::Choice>) -> P::Out {
-        if self.cos() {
-            self.service_ws(state);
-        }
+        self.service_ws(state);
         if self.cancelled() {
             // One cancellation poll per sequence node, matching the
             // copy-on-steal service cadence of the recursion.
@@ -1128,18 +1074,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         let mut acc = P::Out::identity();
         for c in choices {
             self.problem().apply(state, c);
-            if self.cos() {
-                self.trail.push(c);
-            }
+            self.trail.push(c);
             self.stats.nodes += 1;
             match self.problem().expand(state, logical + 1) {
                 Expansion::Leaf(out) => acc.combine(out),
                 Expansion::Children(cs) => acc.combine(self.sequence(state, logical + 1, cs)),
             }
             self.problem().undo(state, c);
-            if self.cos() {
-                self.trail.pop();
-            }
+            self.trail.pop();
         }
         acc
     }
@@ -1205,10 +1147,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// at every depth).
     fn check(&mut self, state: &mut P::State, logical: u32, choices: Vec<P::Choice>) -> P::Out {
         self.stats.polls += 1;
-        if self.cos() {
-            // The need_task poll is also the copy-on-steal service point.
-            self.service_ws(state);
-        }
+        // The need_task poll is also the copy-on-steal service point.
+        self.service_ws(state);
         if self.cancelled() {
             // The need_task poll doubles as the cancellation poll.
             return P::Out::identity();
@@ -1225,18 +1165,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             let mut acc = P::Out::identity();
             for c in choices {
                 self.problem().apply(state, c);
-                if self.cos() {
-                    self.trail.push(c);
-                }
+                self.trail.push(c);
                 self.stats.nodes += 1;
                 match self.problem().expand(state, logical + 1) {
                     Expansion::Leaf(out) => acc.combine(out),
                     Expansion::Children(cs) => acc.combine(self.check(state, logical + 1, cs)),
                 }
                 self.problem().undo(state, c);
-                if self.cos() {
-                    self.trail.pop();
-                }
+                self.trail.pop();
             }
             acc
         } else {
@@ -1273,9 +1209,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             self.stats.threshold_adjustments += 1;
             tev!(self, Strategy, Ev::ThresholdTune { threshold });
         }
-        if self.cos() {
-            self.seal_region(state);
-        }
+        self.seal_region(state);
         // The paper's special-task re-entry: the fake task's children run
         // as tasks again in fast_2 with the cut-off doubled and depth 0.
         tev!(
@@ -1307,19 +1241,15 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             }
             // Special children always clone eagerly: they run detached from
             // the live workspace while the special loop keeps using it.
-            // Under copy-on-steal the clone seeds a fresh in-place region,
-            // so the fast_2 subtree below it is copy-free again.
+            // The clone seeds a fresh in-place region, so the fast_2
+            // subtree below it is copy-free again.
             let mut child = self.clone_state(state);
             self.problem().apply(&mut child, c);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth: 0 });
             let pushed = self.push_entry(&special, true);
             let parent = Parent::Frame(Arc::clone(&special));
-            if self.cos() {
-                self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
-            } else {
-                self.exec_node(child, logical + 1, 0, parent, Regime::Fast2);
-            }
+            self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
             if pushed {
                 match self.my_deque().pop_special() {
                     PopSpecial::Reclaimed(_) => {
@@ -1331,7 +1261,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         tev!(self, Deque, Ev::SpecialConsume { reclaimed: false });
                     }
                 }
-                self.publish_occupancy();
             }
         }
         // sync_specialtask: the special task cannot be suspended — wait for
@@ -1344,18 +1273,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         self.stats.suspensions += 1;
         tev!(self, Sync, Ev::SyncSuspend);
         let t0 = now_if(self.shared.timing);
-        let out = if self.cos() {
-            // Keep servicing workspace requests while blocked: a thief that
-            // stole an ancestor frame of this special section must not wait
-            // out the whole sync for its deposit.
-            loop {
-                self.service_ws(state);
-                if let Some(out) = waiter.wait_timeout(WS_SERVICE_WAIT) {
-                    break out;
-                }
+        // Keep servicing workspace requests while blocked: a thief that
+        // stole an ancestor frame of this special section must not wait
+        // out the whole sync for its deposit.
+        let out = loop {
+            self.service_ws(state);
+            if let Some(out) = waiter.wait_timeout(WS_SERVICE_WAIT) {
+                break out;
             }
-        } else {
-            waiter.wait()
         };
         lap(&mut self.stats.time.wait_children_ns, t0);
         tev!(self, Sync, Ev::SyncResume);
@@ -1393,37 +1318,32 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Choose the next victim under the configured [`VictimPolicy`].
-    fn pick_victim(
-        &mut self,
-        n: usize,
-        last_victim: Option<usize>,
-        last_empty: Option<usize>,
-    ) -> usize {
-        match self.shared.victim {
-            VictimPolicy::Uniform => self.random_victim(n, last_empty),
-            VictimPolicy::LastVictim => match last_victim {
-                // Steal affinity: return to the last productive victim.
-                Some(v) => v,
-                None => self.random_victim(n, last_empty),
-            },
-            VictimPolicy::BestOfTwo => {
-                let a = self.random_victim(n, last_empty);
-                let b = self.random_victim(n, last_empty);
-                if a == b {
-                    a
-                } else {
-                    // Probe whichever hint reports the longer deque; ties
-                    // go to the first draw.
-                    let occ = &self.shared.occupancy;
-                    if occ[a].load(Ordering::Relaxed) >= occ[b].load(Ordering::Relaxed) {
-                        a
-                    } else {
-                        b
-                    }
+    /// Claim an entry just extracted from `victim`'s deque and record the
+    /// outcome: a successful steal, or — multiplicity backends only — a
+    /// duplicate of an entry some other extraction already claimed.
+    fn claim_stolen(&mut self, victim: usize, entry: E) -> Option<Arc<Frame<P>>> {
+        let frame = entry.claim();
+        if frame.is_some() {
+            self.shared.signals[victim].record_steal_success();
+            self.stats.steals_ok += 1;
+            tev!(
+                self,
+                Steal,
+                Ev::StealOk {
+                    victim: victim as u32
                 }
-            }
+            );
+        } else {
+            self.stats.dup_extractions += 1;
+            tev!(
+                self,
+                Steal,
+                Ev::StealDup {
+                    victim: victim as u32
+                }
+            );
         }
+        frame
     }
 
     /// Steal until the root result is ready.
@@ -1452,7 +1372,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
         let mut idle_since = now_if(self.shared.timing);
         let mut backoff = 0u32;
-        let mut last_victim: Option<usize> = None;
         let mut last_empty: Option<usize> = None;
         // Consecutive failed probes since the last success: a steal that
         // lands only after a long streak is a task-scarcity signal for
@@ -1463,7 +1382,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // abandon and root-done exits never strand claimed work.
         let mut loot: Vec<Arc<Frame<P>>> = Vec::new();
         while !self.shared.root.is_done() {
-            let victim = self.pick_victim(n, last_victim, last_empty);
+            let victim = self.random_victim(n, last_empty);
             tev!(
                 self,
                 Steal,
@@ -1473,31 +1392,12 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             );
             match self.shared.deques[victim].steal() {
                 StealOutcome::Stolen(entry) => {
-                    let Some(frame) = entry.claim() else {
-                        // A duplicate of an entry some other extraction
-                        // already claimed (multiplicity backends only).
+                    let Some(frame) = self.claim_stolen(victim, entry) else {
                         // Not a failed steal: the victim's deque was not
                         // empty, so neither the back-off nor the victim
                         // signal should react — just retry.
-                        self.stats.dup_extractions += 1;
-                        tev!(
-                            self,
-                            Steal,
-                            Ev::StealDup {
-                                victim: victim as u32
-                            }
-                        );
                         continue;
                     };
-                    self.shared.signals[victim].record_steal_success();
-                    self.stats.steals_ok += 1;
-                    tev!(
-                        self,
-                        Steal,
-                        Ev::StealOk {
-                            victim: victim as u32
-                        }
-                    );
                     if fail_streak >= HARD_STEAL_STREAK {
                         if let Some(eff) = self.strategy.creation.on_hard_steal() {
                             self.stats.cutoff_adjustments += 1;
@@ -1506,7 +1406,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     }
                     fail_streak = 0;
                     backoff = 0;
-                    last_victim = Some(victim);
                     last_empty = None;
                     lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
                     // Steal-half extraction: the first frame paid for the
@@ -1518,7 +1417,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         let batch = self
                             .strategy
                             .extraction
-                            .batch(self.shared.occupancy[victim].load(Ordering::Relaxed));
+                            .batch(self.shared.deques[victim].len());
                         while loot.len() + 1 < batch {
                             tev!(
                                 self,
@@ -1528,30 +1427,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                                 }
                             );
                             match self.shared.deques[victim].steal() {
-                                StealOutcome::Stolen(entry) => match entry.claim() {
-                                    Some(f) => {
-                                        self.shared.signals[victim].record_steal_success();
-                                        self.stats.steals_ok += 1;
-                                        tev!(
-                                            self,
-                                            Steal,
-                                            Ev::StealOk {
-                                                victim: victim as u32
-                                            }
-                                        );
-                                        loot.push(f);
-                                    }
-                                    None => {
-                                        self.stats.dup_extractions += 1;
-                                        tev!(
-                                            self,
-                                            Steal,
-                                            Ev::StealDup {
-                                                victim: victim as u32
-                                            }
-                                        );
-                                    }
-                                },
+                                StealOutcome::Stolen(entry) => {
+                                    loot.extend(self.claim_stolen(victim, entry));
+                                }
                                 StealOutcome::Empty => break,
                             }
                         }
@@ -1585,9 +1463,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         }
                     );
                     fail_streak = fail_streak.saturating_add(1);
-                    if last_victim == Some(victim) {
-                        last_victim = None; // the affinity victim ran dry
-                    }
                     last_empty = Some(victim);
                     if backoff < BACKOFF_SPIN_LIMIT {
                         for _ in 0..(1u32 << backoff) {
@@ -1635,10 +1510,10 @@ where
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
         let parent = Parent::Cell(Arc::clone(&shared.root));
-        if shared.cos {
-            w.run_region(root_state, 0, 0, parent, Regime::Fast);
+        if shared.mode.clones_per_spawn() {
+            w.exec_node(root_state, 0, 0, parent);
         } else {
-            w.exec_node(root_state, 0, 0, parent, Regime::Fast);
+            w.run_region(root_state, 0, 0, parent, Regime::Fast);
         }
     }
     w.steal_loop(abandon);

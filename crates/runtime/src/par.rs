@@ -5,9 +5,9 @@
 //! [`map_reduce`] bridges the two: it wraps a slice in a divide-and-conquer
 //! range problem (split-in-half choices, like the paper's `Comp`) and runs
 //! it under any scheduler. The [`Range`] workspace is two words, so these
-//! runs are where `Config::workspace` matters least — copy-on-steal still
-//! elides the clone per spawn (visible in `workspace_copies_saved`), but
-//! the paper-scale win needs a workload with a real taskprivate payload.
+//! runs are where copy-on-steal matters least — it still elides the clone
+//! per spawn (visible in `workspace_copies_saved`), but the paper-scale
+//! win needs a workload with a real taskprivate payload.
 
 use crate::Scheduler;
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, SchedulerError};

@@ -1,6 +1,6 @@
 //! Stress and edge-case tests for the threaded runtime.
 
-use adaptivetc_core::{Config, CutoffPolicy, DequeBackend, Expansion, Problem, WorkspacePolicy};
+use adaptivetc_core::{Config, CutoffPolicy, DequeBackend, Expansion, Problem};
 use adaptivetc_runtime::Scheduler;
 
 /// A bushy tree with a payload that checks apply/undo pairing at every
@@ -158,20 +158,10 @@ fn pools_report_reuse_on_all_backends() {
     };
     let want = expected(&p);
     for backend in DequeBackend::ALL {
-        // Pin the eager-copy policy: this test is about the pools, and
-        // copy-on-steal (the default) removes almost every copy the pools
-        // would recycle.
-        let cfg = Config::new(2)
-            .backend(backend)
-            .workspace(WorkspacePolicy::EagerCopy)
-            .seed(11);
-        let (got, report) = Scheduler::AdaptiveTc.run(&p, &cfg).expect("runs");
-        assert_eq!(got, want, "{}", backend.name());
-        assert!(
-            report.stats.state_reuse > 0,
-            "{}: adaptive runs recycle workspace buffers",
-            backend.name()
-        );
+        // Cilk-SYNCHED is the scheduler that clones per spawn *and*
+        // recycles: copy-on-steal removes almost every copy the pools
+        // would recycle from AdaptiveTC and the cut-off modes.
+        let cfg = Config::new(2).backend(backend).seed(11);
         let (got, report) = Scheduler::CilkSynched.run(&p, &cfg).expect("runs");
         assert_eq!(got, want, "{}", backend.name());
         if backend == DequeBackend::FenceFree {
@@ -191,7 +181,11 @@ fn pools_report_reuse_on_all_backends() {
                 backend.name()
             );
         }
-        assert!(report.stats.state_reuse > 0, "{}", backend.name());
+        assert!(
+            report.stats.state_reuse > 0,
+            "{}: Cilk-SYNCHED recycles workspace buffers",
+            backend.name()
+        );
         // The faithful Cilk baseline must keep allocating.
         let (_, report) = Scheduler::Cilk.run(&p, &cfg).expect("runs");
         assert_eq!(report.stats.state_reuse, 0, "{}", backend.name());

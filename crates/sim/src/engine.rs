@@ -12,7 +12,7 @@
 use crate::cost::CostModel;
 use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
-use adaptivetc_core::{Config, RunReport, RunStats, WorkspacePolicy, XorShift64};
+use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::{WorkerStrategy, HARD_STEAL_STREAK};
 #[cfg(feature = "trace")]
 use adaptivetc_trace::EventKind as Ev;
@@ -209,8 +209,9 @@ pub(crate) struct Sim<'t> {
     policy: Policy,
     cutoff: u32,
     /// Copy-on-steal workspaces: spawns skip the eager clone; thieves pay
-    /// one materialisation copy per stolen frame instead. Mirrors the
-    /// threaded engine's gating (never the faithful Cilk baselines). The
+    /// one materialisation copy per stolen frame instead. A function of
+    /// the policy alone, as in the threaded engine: the cut-off and
+    /// AdaptiveTC policies, never the eager-cloning Cilk baselines. The
     /// owner-side region seals around special sections are not modelled —
     /// they are a liveness device, not a steady-state cost.
     cos: bool,
@@ -271,11 +272,10 @@ impl<'t> Sim<'t> {
                 epoch: 0,
             })
             .collect();
-        let cos = cfg.workspace == WorkspacePolicy::CopyOnSteal
-            && matches!(
-                policy,
-                Policy::AdaptiveTc | Policy::CutoffProgrammer(_) | Policy::CutoffLibrary
-            );
+        let cos = matches!(
+            policy,
+            Policy::AdaptiveTc | Policy::CutoffProgrammer(_) | Policy::CutoffLibrary
+        );
         Sim {
             tree,
             cost,

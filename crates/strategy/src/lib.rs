@@ -17,7 +17,7 @@
 //!   [`CutoffController`]).
 //! * **Extraction** — how much a successful probe takes: [`StealOne`]
 //!   (the paper's unit steal) or [`StealHalf`] (loot up to half the
-//!   victim's published occupancy, bounded by [`MAX_LOOT`]).
+//!   victim's remaining deque length, bounded by [`MAX_LOOT`]).
 //! * **Threshold** — how the `need_task` trigger is tuned:
 //!   [`FixedThreshold`] or [`AdaptiveThreshold`] (the
 //!   [`ThresholdController`] feedback loop).
@@ -210,9 +210,9 @@ impl Creation {
 
 /// How many entries one successful probe takes.
 pub trait ExtractionStrategy {
-    /// Batch size for a probe against a victim whose published
-    /// occupancy is `victim_occupancy` (≥ 1; 1 = the paper's unit
-    /// steal).
+    /// Batch size (≥ 1; 1 = the paper's unit steal) for a probe against
+    /// a victim whose deque still holds `victim_occupancy` entries after
+    /// the first was taken.
     fn batch(&self, victim_occupancy: usize) -> usize;
 }
 

@@ -174,3 +174,59 @@ fn fig1_engine_matches_simulator_exactly() {
         }
     }
 }
+
+/// Which workspace discipline a scheduler runs is a function of the
+/// scheduler alone, and at one thread (no thieves, so no steal-time
+/// clones) the counters name it exactly. A change that routes a mode down
+/// the other path fails here by name instead of as a timing drift.
+#[test]
+fn one_thread_counters_name_the_workspace_path() {
+    use adaptivetc_suite::core::{CutoffPolicy, Problem};
+    use adaptivetc_suite::workloads::fig1::Fig1Tree;
+
+    fn check<P: Problem<Out = u64>>(problem: &P, label: &str) {
+        let (expected, serial_report) = serial::run(problem);
+        let cfg = Config::new(1).cutoff(CutoffPolicy::Fixed(2));
+        for scheduler in [
+            Scheduler::Cilk,
+            Scheduler::CilkSynched,
+            Scheduler::CutoffProgrammer(2),
+            Scheduler::CutoffLibrary,
+            Scheduler::AdaptiveTc,
+        ] {
+            let (got, report) = scheduler
+                .run(problem, &cfg)
+                .unwrap_or_else(|e| panic!("{label}/{scheduler}: {e}"));
+            assert_eq!(got, expected, "{label}/{scheduler}");
+            let s = &report.stats;
+            assert_eq!(s.nodes, serial_report.nodes, "{label}/{scheduler}: nodes");
+            // `tasks_created` counts the root task, which owns the root
+            // workspace outright: spawns are one fewer.
+            let spawns = s.tasks_created - 1;
+            let (copies, saved) = match scheduler {
+                // Clone per spawn, elide nothing.
+                Scheduler::Cilk | Scheduler::CilkSynched => (spawns, 0),
+                // In place above the cut-off; below it one clone per
+                // sequential node — every node that is not itself a task
+                // — and nowhere else.
+                Scheduler::CutoffLibrary => (s.nodes - s.tasks_created, spawns),
+                // In place throughout; with no thief, no copy at all.
+                _ => (0, spawns),
+            };
+            // Non-degenerate: a path that spawned nothing, or a library run
+            // with nothing below its cut-off, would match any row above.
+            assert!(spawns > 0, "{label}/{scheduler}: no spawns");
+            if matches!(scheduler, Scheduler::CutoffLibrary) {
+                assert!(s.copies > 0, "{label}/{scheduler}: no copies");
+            }
+            assert_eq!(
+                (s.copies, s.workspace_copies_saved),
+                (copies, saved),
+                "{label}/{scheduler}: (copies, copies saved)"
+            );
+        }
+    }
+
+    check(&Fig1Tree::new(), "fig1");
+    check(&NqueensArray::new(7), "nqueens-array(7)");
+}

@@ -7,7 +7,7 @@
 
 #![cfg(feature = "trace")]
 
-use adaptivetc_suite::core::{Config, CutoffPolicy, DequeBackend, WorkspacePolicy};
+use adaptivetc_suite::core::{Config, CutoffPolicy, DequeBackend};
 use adaptivetc_suite::runtime::Scheduler;
 use adaptivetc_suite::sim::{simulate_traced, CostModel, Policy, SimTree};
 use adaptivetc_suite::trace::{to_chrome_json, validate, TraceDiff};
@@ -80,11 +80,7 @@ fn trace_counts_equal_runstats() {
 #[test]
 fn trace_counts_equal_runstats_copy_on_steal() {
     let queens = NqueensArray::new(7);
-    let cfg = Config::new(4)
-        .trace(true)
-        .workspace(WorkspacePolicy::CopyOnSteal)
-        .max_stolen_num(2)
-        .seed(11);
+    let cfg = Config::new(4).trace(true).max_stolen_num(2).seed(11);
     let (out, report, trace) = Scheduler::AdaptiveTc
         .run_traced(&queens, &cfg)
         .expect("nqueens run");
