@@ -20,10 +20,6 @@
 //! * `fsm_transition.rs` — the fast→check→fast_2 walk of a miniature
 //!   worker (driven by `adaptivetc_runtime::fsm`) under a concurrent
 //!   thief;
-//! * `strategy_handshake.rs` — the adaptive-threshold handshake: the
-//!   owner's poll → acknowledge → retune loop (driving the *product*
-//!   `ThresholdController`, `#[path]`-included from `crates/strategy`)
-//!   racing a thief's `record_steal_failure`, exhaustive at 2 threads;
 //! * `jobserver_submit.rs` — the job-server submission kernel
 //!   (`runtime/src/submit.rs`, included below): no lost submission, no
 //!   double claim, and the cancel-vs-complete race resolving to exactly
@@ -73,12 +69,6 @@ pub mod signal;
 
 #[path = "../../runtime/src/submit.rs"]
 pub mod submit;
-
-// The online controllers are pure single-owner state (no `crate::sync`
-// imports to remap) — included so the handshake model drives the same
-// transition code the product runs.
-#[path = "../../strategy/src/controller.rs"]
-pub mod controller;
 
 pub mod scenarios;
 

@@ -18,7 +18,6 @@
 //! registry proves breadth per covered file.
 
 use crate::chase_lev::{ChaseLevDeque, ClSteal};
-use crate::controller::ThresholdController;
 use crate::fence_free::FenceFreeDeque;
 use crate::pool::PoolDeque;
 use crate::signal::NeedTask;
@@ -48,7 +47,6 @@ const FENCE_FREE: &str = "crates/deque/src/fence_free.rs";
 const POOL: &str = "crates/deque/src/pool.rs";
 const SIGNAL: &str = "crates/deque/src/signal.rs";
 const SUBMIT: &str = "crates/runtime/src/submit.rs";
-const CONTROLLER: &str = "crates/strategy/src/controller.rs";
 
 /// Every registered scenario. `tests/race_detector.rs` explores each
 /// with race checking on; the `ordering_audit` binary re-runs the ones
@@ -103,11 +101,6 @@ pub const SCENARIOS: &[Scenario] = &[
         name: "signal_delivery",
         covers: &[SIGNAL],
         run: signal_delivery,
-    },
-    Scenario {
-        name: "strategy_retune",
-        covers: &[SIGNAL, CONTROLLER],
-        run: strategy_retune,
     },
     Scenario {
         name: "submit_claim",
@@ -447,7 +440,7 @@ fn pool_locked() {
 }
 
 // ---------------------------------------------------------------------------
-// need_task signal + strategy handshake
+// need_task signal
 // ---------------------------------------------------------------------------
 
 fn signal_delivery() {
@@ -482,30 +475,6 @@ fn signal_delivery() {
     sig.record_steal_success();
     assert!(!sig.needs_task(), "success must clear need_task");
     assert_eq!(sig.stolen_num(), 0, "success must reset stolen_num");
-}
-
-fn strategy_retune() {
-    let sig = Arc::new(NeedTask::new(1));
-    let thief = {
-        let sig = Arc::clone(&sig);
-        shim_sync::thread::spawn(move || {
-            sig.record_steal_failure();
-            sig.record_steal_failure();
-            sig.record_steal_failure();
-        })
-    };
-    // Owner retunes mid-burst without acknowledging: the store races all
-    // three threshold loads, but three failures exceed both 1 and 2.
-    let mut ctl = ThresholdController::new(1);
-    let t = ctl.on_ack().expect("first back-off moves 1 -> 2");
-    assert!(t >= ctl.lo() && t <= ctl.hi(), "threshold escaped bounds");
-    sig.set_threshold(t);
-    thief.join().unwrap();
-    assert!(
-        sig.needs_task(),
-        "three failures exceed both the old and new threshold"
-    );
-    assert_eq!(sig.stolen_num(), 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -86,103 +86,6 @@ impl DequeBackend {
     ];
 }
 
-/// When a spawn becomes a real (stealable) task instead of an inlined
-/// fake-task frame.
-///
-/// Under `Mode::Adaptive` this selects the task-creation strategy; the
-/// Cilk baselines ignore it (they create a task at every spawn). The
-/// fixed-cut-off baseline modes always behave like
-/// [`CreationPolicy::Static`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum CreationPolicy {
-    /// `depth < cutoff`, constant for the whole run: the Figure 9
-    /// fixed-cut-off frontier. No `need_task` response, no fast_2
-    /// doubling — what you set is what you get.
-    Static,
-    /// Depth plus own-deque occupancy: `depth < cutoff`, extended to
-    /// `depth < 2 × cutoff` while the worker's own deque is nearly
-    /// empty. A cheap feedback rule with no cross-worker signals.
-    Hybrid,
-    /// The paper's adaptive strategy (fake tasks polling `need_task`,
-    /// special-task re-entry, fast_2 doubling), with the effective
-    /// cut-off additionally auto-tuned per worker by the online
-    /// controller (`adaptivetc-strategy`) — the default.
-    #[default]
-    Adaptive,
-}
-
-impl CreationPolicy {
-    /// Short name for reports and benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CreationPolicy::Static => "static",
-            CreationPolicy::Hybrid => "hybrid",
-            CreationPolicy::Adaptive => "adaptive",
-        }
-    }
-
-    /// All policies, for ablation sweeps.
-    pub const ALL: [CreationPolicy; 3] = [
-        CreationPolicy::Static,
-        CreationPolicy::Hybrid,
-        CreationPolicy::Adaptive,
-    ];
-}
-
-/// How much work a successful steal extracts from the victim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ExtractionPolicy {
-    /// Take the single oldest entry — the paper's scheme and the
-    /// default.
-    #[default]
-    StealOne,
-    /// Take up to half of the victim's visible backlog in one visit
-    /// (bounded multi-pop through `WsDeque::steal_many`); the thief runs
-    /// the extra loot before probing new victims.
-    StealHalf,
-}
-
-impl ExtractionPolicy {
-    /// Short name for reports and benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExtractionPolicy::StealOne => "steal-one",
-            ExtractionPolicy::StealHalf => "steal-half",
-        }
-    }
-
-    /// All policies, for ablation sweeps.
-    pub const ALL: [ExtractionPolicy; 2] =
-        [ExtractionPolicy::StealOne, ExtractionPolicy::StealHalf];
-}
-
-/// How the `need_task` trigger threshold behaves over the run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ThresholdPolicy {
-    /// [`Config::max_stolen_num`] for the whole run — the paper's
-    /// fixed threshold and the default.
-    #[default]
-    Fixed,
-    /// Each owner retunes its own trigger from live special-task
-    /// pressure: frequent acknowledgements raise the threshold (serving
-    /// is thrashing), quiet stretches decay it back toward the
-    /// configured base. Bounded to `[max(1, base/2), base × 8]`.
-    Adaptive,
-}
-
-impl ThresholdPolicy {
-    /// Short name for reports and benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ThresholdPolicy::Fixed => "fixed",
-            ThresholdPolicy::Adaptive => "adaptive",
-        }
-    }
-
-    /// All policies, for ablation sweeps.
-    pub const ALL: [ThresholdPolicy; 2] = [ThresholdPolicy::Fixed, ThresholdPolicy::Adaptive];
-}
-
 /// Configuration shared by all schedulers.
 ///
 /// Use the builder-style setters; [`Config::validate`] is called by the
@@ -216,14 +119,6 @@ pub struct Config {
     /// Which deque substrate the threaded runtime uses (the simulator
     /// models the THE protocol only).
     pub backend: DequeBackend,
-    /// When a spawn becomes a real task under `Mode::Adaptive` (the
-    /// Cilk baselines ignore this).
-    pub creation: CreationPolicy,
-    /// How much work a successful steal extracts.
-    pub extraction: ExtractionPolicy,
-    /// Whether the `need_task` trigger threshold is fixed at
-    /// `max_stolen_num` or retuned online per owner.
-    pub threshold: ThresholdPolicy,
     /// Seed for all scheduler-internal randomness.
     pub seed: u64,
     /// Measure per-activity times (adds instrumentation overhead to the
@@ -263,9 +158,6 @@ impl Config {
             max_stolen_num: 20,
             deque_capacity: 4096,
             backend: DequeBackend::The,
-            creation: CreationPolicy::Adaptive,
-            extraction: ExtractionPolicy::StealOne,
-            threshold: ThresholdPolicy::Fixed,
             seed: 0x5EED,
             timing: false,
             trace: false,
@@ -296,24 +188,6 @@ impl Config {
     /// Set the deque backend.
     pub fn backend(mut self, backend: DequeBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Set the task-creation policy.
-    pub fn creation(mut self, creation: CreationPolicy) -> Self {
-        self.creation = creation;
-        self
-    }
-
-    /// Set the steal-extraction policy.
-    pub fn extraction(mut self, extraction: ExtractionPolicy) -> Self {
-        self.extraction = extraction;
-        self
-    }
-
-    /// Set the `need_task` threshold policy.
-    pub fn threshold(mut self, threshold: ThresholdPolicy) -> Self {
-        self.threshold = threshold;
         self
     }
 
@@ -434,9 +308,6 @@ mod tests {
             .max_stolen_num(3)
             .deque_capacity(64)
             .backend(DequeBackend::ChaseLev)
-            .creation(CreationPolicy::Hybrid)
-            .extraction(ExtractionPolicy::StealHalf)
-            .threshold(ThresholdPolicy::Adaptive)
             .seed(77)
             .timing(true)
             .trace(true)
@@ -447,9 +318,6 @@ mod tests {
         assert_eq!(cfg.max_stolen_num, 3);
         assert_eq!(cfg.deque_capacity, 64);
         assert_eq!(cfg.backend, DequeBackend::ChaseLev);
-        assert_eq!(cfg.creation, CreationPolicy::Hybrid);
-        assert_eq!(cfg.extraction, ExtractionPolicy::StealHalf);
-        assert_eq!(cfg.threshold, ThresholdPolicy::Adaptive);
         assert_eq!(cfg.seed, 77);
         assert!(cfg.timing);
         assert!(cfg.trace);
@@ -503,38 +371,5 @@ mod tests {
         let cfg = Config::default();
         assert_eq!(cfg.threads, 1);
         assert!(cfg.validate().is_ok());
-    }
-
-    // Every config axis must expose the same surface: an `ALL` sweep
-    // constant covering each variant, distinct `name()`s, and a default
-    // that appears in the sweep. This is what keeps the ablation benches
-    // and EXPERIMENTS.md's axis tables honest as axes are added.
-    #[test]
-    fn config_axes_are_uniform() {
-        fn axis<T: Copy + PartialEq + std::fmt::Debug + Default>(
-            all: &[T],
-            name: impl Fn(&T) -> &'static str,
-        ) {
-            let mut names: Vec<_> = all.iter().map(&name).collect();
-            names.sort_unstable();
-            names.dedup();
-            assert_eq!(names.len(), all.len(), "duplicate names in {all:?}");
-            assert!(
-                all.contains(&T::default()),
-                "default of {all:?} missing from ALL"
-            );
-        }
-        axis(&DequeBackend::ALL, DequeBackend::name);
-        axis(&CreationPolicy::ALL, CreationPolicy::name);
-        axis(&ExtractionPolicy::ALL, ExtractionPolicy::name);
-        axis(&ThresholdPolicy::ALL, ThresholdPolicy::name);
-    }
-
-    #[test]
-    fn strategy_defaults_preserve_the_paper_policy() {
-        let cfg = Config::new(4);
-        assert_eq!(cfg.creation, CreationPolicy::Adaptive);
-        assert_eq!(cfg.extraction, ExtractionPolicy::StealOne);
-        assert_eq!(cfg.threshold, ThresholdPolicy::Fixed);
     }
 }

@@ -65,9 +65,7 @@ pub mod serial;
 pub mod stats;
 pub mod treeinfo;
 
-pub use config::{
-    Config, CreationPolicy, CutoffPolicy, DequeBackend, ExtractionPolicy, ThresholdPolicy,
-};
+pub use config::{Config, CutoffPolicy, DequeBackend};
 pub use error::{ConfigError, SchedulerError};
 pub use problem::{Expansion, Problem};
 pub use reduce::Reduce;

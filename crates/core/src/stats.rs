@@ -135,11 +135,12 @@ pub struct RunStats {
     /// Tasks suspended at a synchronization point.
     pub suspensions: u64,
     /// Online retunes of a worker's effective task-creation cut-off
-    /// (`CreationPolicy::Adaptive`'s controller; zero when the cut-off
-    /// never moved).
+    /// (AdaptiveTC's cut-off controller; zero in every other mode and
+    /// whenever the cut-off never moved).
     pub cutoff_adjustments: u64,
-    /// Online retunes of an owner's `need_task` trigger threshold
-    /// (`ThresholdPolicy::Adaptive`; zero under the fixed threshold).
+    /// Always 0: the `need_task` threshold is fixed at
+    /// `Config::max_stolen_num` and nothing retunes it. The field remains
+    /// only because the repo benchmark (`benchmark/src/common.rs`) reads it.
     pub threshold_adjustments: u64,
     /// Peak d-e-que occupancy observed.
     pub deque_peak: u64,

@@ -116,27 +116,6 @@ pub trait WsDeque<T: Send>: Send + Sync {
     /// stealable.
     fn steal(&self) -> StealOutcome<T>;
 
-    /// Thief: steal up to `max` entries in one probe (multi-pop for
-    /// steal-half extraction), appending them to `out` oldest-first and
-    /// returning how many were taken. The default repeats
-    /// [`steal`](WsDeque::steal) and stops at the first empty outcome,
-    /// which every backend supports; backends with a cheaper batched
-    /// head CAS may override it. Partial batches are normal — the
-    /// caller gets whatever was stealable, never an error.
-    fn steal_many(&self, max: usize, out: &mut Vec<T>) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            match self.steal() {
-                StealOutcome::Stolen(v) => {
-                    out.push(v);
-                    taken += 1;
-                }
-                StealOutcome::Empty => break,
-            }
-        }
-        taken
-    }
-
     /// Entries currently present (racy; for statistics).
     fn len(&self) -> usize;
 
@@ -380,27 +359,6 @@ mod tests {
         WsDeque::push(&d, 8).unwrap();
         assert_eq!(WsDeque::pop(&d), Some(8));
         assert_eq!(WsDeque::pop_special(&d), PopSpecial::Reclaimed(44));
-    }
-
-    #[test]
-    fn steal_many_takes_oldest_first_and_stops_at_empty() {
-        fn check<D: WsDeque<u32>>() {
-            let d = D::with_capacity(16);
-            for v in 1..=5u32 {
-                WsDeque::push(&d, v).unwrap();
-            }
-            let mut out = Vec::new();
-            assert_eq!(d.steal_many(3, &mut out), 3);
-            assert_eq!(out, vec![1, 2, 3]);
-            // Asking for more than remains takes what is there.
-            assert_eq!(d.steal_many(10, &mut out), 2);
-            assert_eq!(out, vec![1, 2, 3, 4, 5]);
-            assert_eq!(d.steal_many(4, &mut out), 0);
-        }
-        check::<TheDeque<u32>>();
-        check::<ChaseLevDeque<u32>>();
-        check::<PoolDeque<u32>>();
-        check::<FenceFreeDeque<u32>>();
     }
 
     #[test]

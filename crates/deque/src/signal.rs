@@ -28,10 +28,7 @@ use crate::sync::{AtomicBool, AtomicU32, Ordering};
 pub struct NeedTask {
     stolen_num: AtomicU32,
     need_task: AtomicBool,
-    /// The threshold. Atomic so an adaptive owner can retune it mid-run
-    /// ([`set_threshold`](NeedTask::set_threshold)); fixed-threshold
-    /// runs never store to it after construction.
-    max_stolen_num: AtomicU32,
+    max_stolen_num: u32,
 }
 
 impl NeedTask {
@@ -41,7 +38,7 @@ impl NeedTask {
         NeedTask {
             stolen_num: AtomicU32::new(0),
             need_task: AtomicBool::new(false),
-            max_stolen_num: AtomicU32::new(max_stolen_num),
+            max_stolen_num,
         }
     }
 
@@ -51,10 +48,7 @@ impl NeedTask {
     /// specific thief, e.g. in an event trace).
     pub fn record_steal_failure(&self) -> bool {
         let n = self.stolen_num.fetch_add(1, Ordering::Relaxed) + 1;
-        // Relaxed: the threshold is a tuning knob, not a synchronization
-        // edge — a thief observing the owner's retune a few failures
-        // late merely shifts *when* the flag rises.
-        if n > self.max_stolen_num.load(Ordering::Relaxed) {
+        if n > self.max_stolen_num {
             // swap, not store: the return value tells exactly one caller
             // that its failure performed the lowered→raised transition.
             !self.need_task.swap(true, Ordering::Relaxed)
@@ -86,17 +80,9 @@ impl NeedTask {
         self.stolen_num.load(Ordering::Relaxed)
     }
 
-    /// The current threshold.
+    /// The threshold, fixed for the signal's lifetime.
     pub fn max_stolen_num(&self) -> u32 {
-        self.max_stolen_num.load(Ordering::Relaxed)
-    }
-
-    /// Retune the threshold (adaptive threshold policy). Called only by
-    /// the owning worker; `Relaxed` because the new value only shifts
-    /// when future failures raise the flag (see
-    /// [`record_steal_failure`](NeedTask::record_steal_failure)).
-    pub fn set_threshold(&self, max_stolen_num: u32) {
-        self.max_stolen_num.store(max_stolen_num, Ordering::Relaxed);
+        self.max_stolen_num
     }
 }
 
@@ -157,18 +143,5 @@ mod tests {
     #[test]
     fn exposes_threshold() {
         assert_eq!(NeedTask::new(20).max_stolen_num(), 20);
-    }
-
-    #[test]
-    fn retuned_threshold_governs_future_failures() {
-        let s = NeedTask::new(1);
-        s.set_threshold(3);
-        assert_eq!(s.max_stolen_num(), 3);
-        for _ in 0..3 {
-            assert!(!s.record_steal_failure());
-        }
-        assert!(!s.needs_task(), "raised threshold delays the signal");
-        assert!(s.record_steal_failure());
-        assert!(s.needs_task());
     }
 }

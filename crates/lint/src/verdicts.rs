@@ -39,7 +39,6 @@ pub const COVERED_FILES: &[&str] = &[
     "crates/deque/src/signal.rs",
     "crates/deque/src/the.rs",
     "crates/runtime/src/submit.rs",
-    "crates/strategy/src/controller.rs",
 ];
 
 /// Name of the verdict report at the workspace root.

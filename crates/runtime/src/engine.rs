@@ -95,7 +95,7 @@ use adaptivetc_core::{
 use adaptivetc_deque::{
     ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
 };
-use adaptivetc_strategy::{WorkerStrategy, HARD_STEAL_STREAK};
+use adaptivetc_strategy::{CutoffController, HARD_STEAL_STREAK};
 #[cfg(feature = "trace")]
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
@@ -276,12 +276,6 @@ pub(crate) struct Shared<'p, P: Problem, D> {
     pub(crate) root: Arc<OutCell<P::Out>>,
     mode: Mode,
     cutoff: u32,
-    /// Prototype strategy bundle each worker clones privately. Built
-    /// from the config's strategy axes only under [`Mode::Adaptive`];
-    /// every other mode pins the paper-default baseline so the
-    /// Cilk/cutoff comparison arms are never perturbed by strategy
-    /// overrides.
-    strategy: WorkerStrategy,
     timing: bool,
     /// Cooperative cancellation for `JobServer` jobs: when raised, the
     /// poll points below prune remaining expansions to identity leaves so
@@ -308,12 +302,6 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         E: Send,
         D: WsDeque<E>,
     {
-        let cutoff = cfg.cutoff_depth().max(1);
-        let strategy = if matches!(mode, Mode::Adaptive) {
-            WorkerStrategy::from_config(cfg, cutoff)
-        } else {
-            WorkerStrategy::baseline(cutoff, cfg.max_stolen_num)
-        };
         Shared {
             problem,
             deques: (0..slots)
@@ -327,8 +315,7 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
                 .collect(),
             root: OutCell::new(),
             mode,
-            cutoff,
-            strategy,
+            cutoff: cfg.cutoff_depth().max(1),
             timing: cfg.timing,
             cancel,
         }
@@ -382,12 +369,10 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     id: usize,
     stats: RunStats,
     rng: XorShift64,
-    /// This worker's private strategy state (cloned from the shared
-    /// prototype): creation cutoff controller, extraction batch rule,
-    /// threshold controller. Mutating it never touches shared memory —
-    /// publishing a threshold retune is one relaxed store into this
-    /// worker's own `NeedTask` signal.
-    strategy: WorkerStrategy,
+    /// This worker's private cut-off controller, resting at
+    /// `shared.cutoff`. Consulted and fed under [`Mode::Adaptive`] only;
+    /// mutating it never touches shared memory.
+    cutoff_ctl: CutoffController,
     /// Recycled workspace buffers (all copying modes except `Cilk`).
     freelist: Pool<P::State>,
     /// Recycled frame shells whose `Arc` became unique after a synchronous
@@ -418,7 +403,7 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
 impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D> {
     fn new(shared: &'s Shared<'p, P, D>, id: usize, rng: XorShift64, tr: WorkerTracer<'s>) -> Self {
         Worker {
-            strategy: shared.strategy.clone(),
+            cutoff_ctl: CutoffController::new(shared.cutoff),
             shared,
             id,
             stats: RunStats::default(),
@@ -638,16 +623,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         match self.shared.mode {
             Mode::Cilk | Mode::CilkSynched => true,
             Mode::CutoffSequence | Mode::CutoffCopy => tdepth < self.shared.cutoff,
-            // The creation policy: with the default adaptive policy at
-            // rest this is exactly `fsm::task_mode` on the base cutoff;
-            // under pressure the worker's controller may have raised it.
-            Mode::Adaptive => {
-                self.strategy
-                    .creation
-                    .real_task(tdepth, matches!(regime, Regime::Fast2), || {
-                        self.my_deque().len()
-                    })
-            }
+            // At rest this is exactly `fsm::task_mode` on the base
+            // cutoff; under pressure the controller may have raised it.
+            Mode::Adaptive => self
+                .cutoff_ctl
+                .real_task(tdepth, matches!(regime, Regime::Fast2)),
         }
     }
 
@@ -1109,35 +1089,31 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         acc
     }
 
-    /// Close the strategy feedback loops at a `need_task` poll. Every
-    /// input is a value this worker already owns or reads relaxed on the
-    /// existing poll path — no new fences. A pressured poll is a raise
-    /// signal for the cutoff controller; a calm poll feeds both decay
-    /// loops (the occupancy read happens only while the cutoff is
-    /// actually boosted). Threshold retunes publish with one relaxed
-    /// store into this worker's own signal.
-    fn strategy_poll(&mut self, pressured: bool) {
-        let shared = self.shared;
-        let id = self.id;
-        if pressured {
-            if let Some(eff) = self.strategy.creation.on_pressure() {
-                self.stats.cutoff_adjustments += 1;
-                tev!(self, Strategy, Ev::CutoffTune { eff, up: true });
-            }
+    /// Feed the cut-off controller at a `need_task` poll. Every input is
+    /// a value this worker already owns or reads relaxed on the existing
+    /// poll path — no new fences. A pressured poll is a raise signal; a
+    /// calm poll feeds the decay loop (the occupancy read happens only
+    /// while the cutoff is actually boosted).
+    fn cutoff_poll(&mut self, pressured: bool) {
+        let tuned = if pressured {
+            self.cutoff_ctl.on_pressure()
+        } else if self.cutoff_ctl.boosted() {
+            let occupancy = self.my_deque().len();
+            self.cutoff_ctl.on_calm_poll(occupancy)
         } else {
-            if let Some(eff) = self
-                .strategy
-                .creation
-                .on_calm_poll(|| shared.deques[id].len())
-            {
-                self.stats.cutoff_adjustments += 1;
-                tev!(self, Strategy, Ev::CutoffTune { eff, up: false });
-            }
-            if let Some(threshold) = self.strategy.threshold.retune_on_quiet() {
-                shared.signals[id].set_threshold(threshold);
-                self.stats.threshold_adjustments += 1;
-                tev!(self, Strategy, Ev::ThresholdTune { threshold });
-            }
+            None
+        };
+        self.note_cutoff(tuned, pressured);
+    }
+
+    /// Record the controller's answer: `Some(eff)` if the effective
+    /// cut-off moved (to `eff`), `None` if it stayed put.
+    fn note_cutoff(&mut self, tuned: Option<u32>, up: bool) {
+        if let Some(eff) = tuned {
+            self.stats.cutoff_adjustments += 1;
+            tev!(self, Strategy, Ev::CutoffTune { eff, up });
+            #[cfg(not(feature = "trace"))]
+            let _ = (eff, up);
         }
     }
 
@@ -1154,12 +1130,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             return P::Out::identity();
         }
         let pressured = self.my_signal().needs_task();
-        self.strategy_poll(pressured);
-        // Only a creation policy that responds to `need_task` diverts a
-        // raised poll into the special transition; the static and hybrid
-        // arms stay in the check version regardless.
-        let respond = pressured && self.strategy.creation.responds_to_need_task();
-        if fsm::after_poll(respond) == fsm::Version::Check {
+        self.cutoff_poll(pressured);
+        if fsm::after_poll(pressured) == fsm::Version::Check {
             self.stats.fake_tasks += 1;
             tev!(self, Fake, Ev::FakeTask { depth: logical });
             let mut acc = P::Out::identity();
@@ -1202,13 +1174,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         tev!(self, Special, Ev::SpecialBegin { depth: logical });
         self.my_signal().acknowledge();
         tev!(self, Signal, Ev::NeedTaskAck);
-        // Adaptive threshold back-off: the burst this special is about to
-        // spawn should not immediately re-trigger another special.
-        if let Some(threshold) = self.strategy.threshold.retune_on_ack() {
-            self.my_signal().set_threshold(threshold);
-            self.stats.threshold_adjustments += 1;
-            tev!(self, Strategy, Ev::ThresholdTune { threshold });
-        }
         self.seal_region(state);
         // The paper's special-task re-entry: the fake task's children run
         // as tasks again in fast_2 with the cut-off doubled and depth 0.
@@ -1377,10 +1342,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // lands only after a long streak is a task-scarcity signal for
         // the cutoff controller.
         let mut fail_streak = 0u32;
-        // Extra frames a steal-half probe looted beyond the first. Always
-        // empty at the loop head (drained inside the success arm), so the
-        // abandon and root-done exits never strand claimed work.
-        let mut loot: Vec<Arc<Frame<P>>> = Vec::new();
         while !self.shared.root.is_done() {
             let victim = self.random_victim(n, last_empty);
             tev!(
@@ -1398,49 +1359,19 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         // signal should react — just retry.
                         continue;
                     };
-                    if fail_streak >= HARD_STEAL_STREAK {
-                        if let Some(eff) = self.strategy.creation.on_hard_steal() {
-                            self.stats.cutoff_adjustments += 1;
-                            tev!(self, Strategy, Ev::CutoffTune { eff, up: true });
-                        }
+                    // Only AdaptiveTC reads the controller's cut-off, so
+                    // only it reports scarcity to it.
+                    if fail_streak >= HARD_STEAL_STREAK && self.shared.mode == Mode::Adaptive {
+                        let tuned = self.cutoff_ctl.on_pressure();
+                        self.note_cutoff(tuned, true);
                     }
                     fail_streak = 0;
                     backoff = 0;
                     last_empty = None;
                     lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
-                    // Steal-half extraction: the first frame paid for the
-                    // probe; loot up to `batch − 1` more from the same
-                    // victim before running anything. A dry victim simply
-                    // ends the loot round — no failure is recorded and no
-                    // signal touched, the probe as a whole succeeded.
-                    if !self.strategy.extraction.is_unit() {
-                        let batch = self
-                            .strategy
-                            .extraction
-                            .batch(self.shared.deques[victim].len());
-                        while loot.len() + 1 < batch {
-                            tev!(
-                                self,
-                                Steal,
-                                Ev::StealAttempt {
-                                    victim: victim as u32,
-                                }
-                            );
-                            match self.shared.deques[victim].steal() {
-                                StealOutcome::Stolen(entry) => {
-                                    loot.extend(self.claim_stolen(victim, entry));
-                                }
-                                StealOutcome::Empty => break,
-                            }
-                        }
-                    }
                     // The slow version: resume the stolen continuation under
-                    // fast/check rules, then drain the loot (newest first —
-                    // the deepest frames, closest to this thief's cache).
+                    // fast/check rules.
                     self.run_stolen(frame);
-                    while let Some(f) = loot.pop() {
-                        self.run_stolen(f);
-                    }
                     idle_since = now_if(self.shared.timing);
                 }
                 StealOutcome::Empty => {

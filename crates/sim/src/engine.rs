@@ -13,7 +13,7 @@ use crate::cost::CostModel;
 use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
-use adaptivetc_strategy::{WorkerStrategy, HARD_STEAL_STREAK};
+use adaptivetc_strategy::{CutoffController, HARD_STEAL_STREAK};
 #[cfg(feature = "trace")]
 use adaptivetc_trace::EventKind as Ev;
 use std::cell::RefCell;
@@ -183,12 +183,9 @@ struct WorkerSim {
     deque: VecDeque<DqEntry>,
     stolen_num: u32,
     need_task: bool,
-    /// This worker's `need_task` threshold; the adaptive threshold
-    /// policy retunes it mid-run (mirrors `NeedTask::set_threshold`).
-    max_stolen: u32,
-    /// Worker-private strategy state, mirroring the threaded engine's
-    /// per-worker bundle clone.
-    strategy: WorkerStrategy,
+    /// Worker-private cut-off controller, consulted and fed under
+    /// `Policy::AdaptiveTc` only, as in the threaded engine.
+    cutoff_ctl: CutoffController,
     /// Consecutive failed steal probes since this worker's last success.
     fail_streak: u32,
     stats: RunStats,
@@ -208,6 +205,8 @@ pub(crate) struct Sim<'t> {
     cost: CostModel,
     policy: Policy,
     cutoff: u32,
+    /// Failed steals against one victim before its `need_task` is raised.
+    max_stolen: u32,
     /// Copy-on-steal workspaces: spawns skip the eager clone; thieves pay
     /// one materialisation copy per stolen frame instead. A function of
     /// the policy alone, as in the threaded engine: the cut-off and
@@ -246,21 +245,13 @@ impl<'t> Sim<'t> {
             Policy::CutoffProgrammer(d) => d.max(1),
             _ => cfg.cutoff_depth().max(1),
         };
-        // Strategy overrides parameterise the AdaptiveTC policy only;
-        // every comparison arm pins the paper-default baseline.
-        let strategy = if matches!(policy, Policy::AdaptiveTc) {
-            WorkerStrategy::from_config(cfg, cutoff)
-        } else {
-            WorkerStrategy::baseline(cutoff, cfg.max_stolen_num)
-        };
         let workers = (0..cfg.threads)
             .map(|_| WorkerSim {
                 stack: Vec::new(),
                 deque: VecDeque::new(),
                 stolen_num: 0,
                 need_task: false,
-                max_stolen: cfg.max_stolen_num,
-                strategy: strategy.clone(),
+                cutoff_ctl: CutoffController::new(cutoff),
                 fail_streak: 0,
                 stats: RunStats::default(),
                 rng: seeder.split(),
@@ -281,6 +272,7 @@ impl<'t> Sim<'t> {
             cost,
             policy,
             cutoff,
+            max_stolen: cfg.max_stolen_num,
             cos,
             backend: cfg.backend,
             workers,
@@ -303,15 +295,11 @@ impl<'t> Sim<'t> {
         match self.policy {
             Policy::Cilk | Policy::CilkSynched => true,
             Policy::CutoffProgrammer(_) | Policy::CutoffLibrary => tdepth < self.cutoff,
-            // The creation policy, mirroring the threaded engine: the
-            // default adaptive bundle at rest is exactly the fast /
-            // fast_2 cutoff pair on `self.cutoff`.
-            Policy::AdaptiveTc => {
-                let w = &self.workers[wid];
-                w.strategy
-                    .creation
-                    .real_task(tdepth, matches!(regime, Regime::Fast2), || w.deque.len())
-            }
+            // Mirrors the threaded engine: at rest this is exactly the
+            // fast / fast_2 cutoff pair on `self.cutoff`.
+            Policy::AdaptiveTc => self.workers[wid]
+                .cutoff_ctl
+                .real_task(tdepth, matches!(regime, Regime::Fast2)),
             Policy::HelpFirst => true,
             Policy::Tascell => unreachable!("Tascell runs in its own interpreter"),
         }
@@ -747,41 +735,31 @@ impl<'t> Sim<'t> {
         self.cost.poll_ns
     }
 
-    /// Close the strategy feedback loops at a `need_task` poll,
-    /// mirroring the threaded engine's `strategy_poll`.
-    fn strategy_poll(&mut self, wid: usize, pressured: bool) {
-        if pressured {
-            if let Some(eff) = self.workers[wid].strategy.creation.on_pressure() {
-                self.workers[wid].stats.cutoff_adjustments += 1;
-                sev!(self, wid, Ev::CutoffTune { eff, up: true });
-            }
-        } else {
-            let occ = self.workers[wid].deque.len();
-            if let Some(eff) = self.workers[wid].strategy.creation.on_calm_poll(|| occ) {
-                self.workers[wid].stats.cutoff_adjustments += 1;
-                sev!(self, wid, Ev::CutoffTune { eff, up: false });
-            }
-            if let Some(threshold) = self.workers[wid].strategy.threshold.retune_on_quiet() {
-                self.workers[wid].max_stolen = threshold;
-                self.workers[wid].stats.threshold_adjustments += 1;
-                sev!(self, wid, Ev::ThresholdTune { threshold });
-            }
+    /// Record the controller's answer, mirroring the threaded engine's
+    /// `note_cutoff`.
+    fn note_cutoff(&mut self, wid: usize, tuned: Option<u32>, up: bool) {
+        if let Some(eff) = tuned {
+            self.workers[wid].stats.cutoff_adjustments += 1;
+            sev!(self, wid, Ev::CutoffTune { eff, up });
+            #[cfg(not(feature = "trace"))]
+            let _ = (eff, up);
         }
     }
 
+    /// The check version's `need_task` poll: feed the cut-off controller,
+    /// and acknowledge a raised signal.
     fn take_need_task(&mut self, wid: usize) -> bool {
-        let pressured = self.workers[wid].need_task;
-        self.strategy_poll(wid, pressured);
-        // Only a creation policy that responds to need_task diverts a
-        // raised poll into the special transition.
-        if pressured && self.workers[wid].strategy.creation.responds_to_need_task() {
-            let w = &mut self.workers[wid];
+        let w = &mut self.workers[wid];
+        let pressured = w.need_task;
+        let tuned = if pressured {
             w.need_task = false;
             w.stolen_num = 0;
-            true
+            w.cutoff_ctl.on_pressure()
         } else {
-            false
-        }
+            w.cutoff_ctl.on_calm_poll(w.deque.len())
+        };
+        self.note_cutoff(wid, tuned, pressured);
+        pressured
     }
 
     fn start_special(&mut self, wid: usize, node: u32, depth: u32, out: Deliver) -> u64 {
@@ -789,13 +767,6 @@ impl<'t> Sim<'t> {
         sev!(self, wid, Ev::SpecialBegin { depth });
         #[cfg(not(feature = "trace"))]
         let _ = depth;
-        // Adaptive threshold back-off on the acknowledge, mirroring the
-        // threaded engine's special section.
-        if let Some(threshold) = self.workers[wid].strategy.threshold.retune_on_ack() {
-            self.workers[wid].max_stolen = threshold;
-            self.workers[wid].stats.threshold_adjustments += 1;
-            sev!(self, wid, Ev::ThresholdTune { threshold });
-        }
         let sframe = Frame::new(node, 0, Deliver::Wake(wid));
         self.workers[wid].stack.push(Entry::SpecialLoop {
             node,
@@ -895,11 +866,13 @@ impl<'t> Sim<'t> {
                         victim: victim as u32
                     }
                 );
-                if self.workers[wid].fail_streak >= HARD_STEAL_STREAK {
-                    if let Some(eff) = self.workers[wid].strategy.creation.on_hard_steal() {
-                        self.workers[wid].stats.cutoff_adjustments += 1;
-                        sev!(self, wid, Ev::CutoffTune { eff, up: true });
-                    }
+                // Only AdaptiveTC reads the controller's cut-off, so only
+                // it reports scarcity to it.
+                if self.workers[wid].fail_streak >= HARD_STEAL_STREAK
+                    && self.policy == Policy::AdaptiveTc
+                {
+                    let tuned = self.workers[wid].cutoff_ctl.on_pressure();
+                    self.note_cutoff(wid, tuned, true);
                 }
                 self.workers[wid].fail_streak = 0;
                 let mut cost = self.cost.steal_ns;
@@ -910,48 +883,6 @@ impl<'t> Sim<'t> {
                             // Copy-on-steal: the deferred workspace clone
                             // is materialised for the thief now.
                             cost += self.charge_copy(wid, self.tree.bytes(frame.node));
-                        }
-                        // Steal-half extraction: loot up to `batch − 1`
-                        // more plain task entries from the same victim's
-                        // top. Looted frames go under the primary frame on
-                        // the stack, so the thief runs the primary first,
-                        // then the loot newest-first — the threaded
-                        // engine's drain order.
-                        if !self.workers[wid].strategy.extraction.is_unit() {
-                            let batch = self.workers[wid]
-                                .strategy
-                                .extraction
-                                .batch(self.workers[victim].deque.len());
-                            let mut looted = 0usize;
-                            while looted + 1 < batch {
-                                match self.workers[victim].deque.front() {
-                                    Some(DqEntry::Task(_)) => {
-                                        let Some(DqEntry::Task(f)) =
-                                            self.workers[victim].deque.pop_front()
-                                        else {
-                                            unreachable!("just matched")
-                                        };
-                                        looted += 1;
-                                        cost += self.cost.steal_ns;
-                                        self.workers[wid].stats.steals_ok += 1;
-                                        sev!(
-                                            self,
-                                            wid,
-                                            Ev::StealOk {
-                                                victim: victim as u32
-                                            }
-                                        );
-                                        if self.cos {
-                                            cost += self.charge_copy(wid, self.tree.bytes(f.node));
-                                        }
-                                        self.workers[wid].stack.push(Entry::Loop {
-                                            frame: f,
-                                            regime: Regime::Fast,
-                                        });
-                                    }
-                                    _ => break,
-                                }
-                            }
                         }
                         self.workers[wid].stack.push(Entry::Loop {
                             frame,
@@ -974,7 +905,7 @@ impl<'t> Sim<'t> {
                 {
                     let v = &mut self.workers[victim];
                     v.stolen_num += 1;
-                    if v.stolen_num > v.max_stolen {
+                    if v.stolen_num > self.max_stolen {
                         v.need_task = true;
                     }
                 }

@@ -303,6 +303,28 @@ mod tests {
     }
 
     #[test]
+    fn only_adaptivetc_feeds_the_cutoff_controller() {
+        // A bare spine publishes one tiny stealable continuation per
+        // spine node, so 8 workers fight over a single frame at a time
+        // and steals land only after long failed streaks (the deep fixed
+        // cut-off keeps Cutoff-library publishing for 64 levels). Only
+        // AdaptiveTC reads the controller's cut-off, so only it may report
+        // such a streak to it.
+        let tree = spine_tree(1000, 0);
+        let cfg = Config::new(8).cutoff(adaptivetc_core::CutoffPolicy::Fixed(64));
+        let adjustments = |policy| {
+            let stats = simulate(&tree, policy, &cfg, CostModel::calibrated())
+                .report
+                .stats;
+            assert!(stats.steals_ok > 0 && stats.steals_failed > stats.steals_ok);
+            stats.cutoff_adjustments
+        };
+        assert_eq!(adjustments(Policy::Cilk), 0);
+        assert_eq!(adjustments(Policy::CutoffLibrary), 0);
+        assert!(adjustments(Policy::AdaptiveTc) > 0);
+    }
+
+    #[test]
     fn help_first_deque_grows_with_breadth_not_depth() {
         // Work-first deque occupancy tracks spawn depth; help-first tracks
         // sibling breadth. On a wide flat tree the contrast is stark.

@@ -60,8 +60,6 @@ pub struct TraceCounts {
     pub resumes: u64,
     /// `CutoffTune` events (== `cutoff_adjustments`).
     pub cutoff_tunes: u64,
-    /// `ThresholdTune` events (== `threshold_adjustments`).
-    pub threshold_tunes: u64,
 }
 
 impl TraceCounts {
@@ -97,7 +95,6 @@ impl TraceCounts {
                 // counter, so the tally ignores them.
                 EventKind::JobBegin { .. } | EventKind::JobEnd { .. } => {}
                 EventKind::CutoffTune { .. } => c.cutoff_tunes += 1,
-                EventKind::ThresholdTune { .. } => c.threshold_tunes += 1,
             }
         }
         c

@@ -207,16 +207,10 @@ pub enum EventKind {
         /// `true` for an increase (pressure), `false` for decay.
         up: bool,
     },
-    /// The owner retuned its adaptive `need_task` threshold
-    /// (`RunStats::threshold_adjustments`).
-    ThresholdTune {
-        /// The new `max_stolen_num` threshold after the adjustment.
-        threshold: u32,
-    },
 }
 
 /// Event codes of the compact binary encoding, one per [`EventKind`]
-/// variant.
+/// variant. Code 25 (a retired threshold-retune event) is not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
@@ -246,7 +240,6 @@ pub enum Code {
     JobBegin = 22,
     JobEnd = 23,
     CutoffTune = 24,
-    ThresholdTune = 25,
 }
 
 /// The 16-byte wire format: one timestamp, one code, two small arguments.
@@ -315,7 +308,6 @@ impl RawEvent {
             EventKind::JobBegin { job, slot } => (Code::JobBegin, 0, slot, job),
             EventKind::JobEnd { job } => (Code::JobEnd, 0, 0, job),
             EventKind::CutoffTune { eff, up } => (Code::CutoffTune, up as u8, 0, eff),
-            EventKind::ThresholdTune { threshold } => (Code::ThresholdTune, 0, 0, threshold),
         };
         RawEvent {
             ts,
@@ -375,7 +367,6 @@ impl RawEvent {
                 eff: self.c,
                 up: self.a != 0,
             },
-            25 => EventKind::ThresholdTune { threshold: self.c },
             _ => EventKind::StealDup {
                 victim: self.b as u32,
             },
@@ -421,7 +412,6 @@ impl EventKind {
             EventKind::JobBegin { .. } => "job_begin",
             EventKind::JobEnd { .. } => "job_end",
             EventKind::CutoffTune { .. } => "cutoff_tune",
-            EventKind::ThresholdTune { .. } => "threshold_tune",
         }
     }
 }
@@ -461,7 +451,6 @@ mod tests {
             EventKind::JobEnd { job: u32::MAX },
             EventKind::CutoffTune { eff: 12, up: true },
             EventKind::CutoffTune { eff: 4, up: false },
-            EventKind::ThresholdTune { threshold: 16 },
         ];
         for from in FsmState::ALL {
             for to in FsmState::ALL {
@@ -510,8 +499,8 @@ mod tests {
         let mut names: Vec<_> = all_kinds().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 25 non-FSM variants + the single "fsm" name.
-        assert_eq!(names.len(), 26);
+        // 24 non-FSM variants + the single "fsm" name.
+        assert_eq!(names.len(), 25);
         let mut state_names: Vec<_> = FsmState::ALL.iter().map(|s| s.name()).collect();
         state_names.sort_unstable();
         state_names.dedup();

@@ -53,9 +53,8 @@ pub enum Category {
     /// forces this bit on because [`crate::Trace::split_jobs`] needs the
     /// brackets to attribute every other event.
     Job = 9,
-    /// Strategy-engine adjustments: cutoff tunes and threshold tunes
-    /// from the online controllers. Sampled like the hot trio so a
-    /// pathological oscillation cannot flood the rings.
+    /// Cut-off tunes from the online controller. Sampled like the hot
+    /// trio so a pathological oscillation cannot flood the rings.
     Strategy = 10,
 }
 
@@ -150,7 +149,7 @@ impl EventKind {
             | EventKind::CopySaved => Category::Workspace,
             EventKind::SyncSuspend | EventKind::SyncResume => Category::Sync,
             EventKind::JobBegin { .. } | EventKind::JobEnd { .. } => Category::Job,
-            EventKind::CutoffTune { .. } | EventKind::ThresholdTune { .. } => Category::Strategy,
+            EventKind::CutoffTune { .. } => Category::Strategy,
         }
     }
 }

@@ -148,13 +148,6 @@ impl Checker<'_> {
             c.cutoff_tunes,
             s.cutoff_adjustments,
         );
-        self.check(
-            worker,
-            "threshold_adjustments",
-            Cat::Strategy,
-            c.threshold_tunes,
-            s.threshold_adjustments,
-        );
     }
 }
 

@@ -13,7 +13,6 @@
 //! | [`comp`] | Comp(n) | none |
 //! | [`tree`] | unbalanced search trees (Figs. 8–10, Table 3) | path stack |
 //! | [`fig1`] | the Figure 1 worked-example call tree | path stack |
-//! | [`dag`] | phase-skewed layered dataflow DAGs (strategy ablation) | vertex path |
 //!
 //! # Examples
 //!
@@ -29,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod comp;
-pub mod dag;
 pub mod fib;
 pub mod fig1;
 pub mod knights;
