@@ -45,8 +45,8 @@ impl CutoffPolicy {
 /// All backends expose the same owner/thief protocol (including the
 /// special-task operations AdaptiveTC needs), so every [`Config`] ×
 /// scheduler combination is valid; they differ in synchronization cost and
-/// overflow behaviour, which is exactly what the `ablation_backend` harness
-/// measures.
+/// overflow behaviour, which the repo benchmark's `deque.<backend>.*` rungs
+/// measure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DequeBackend {
     /// The simplified THE protocol of Frigo et al. (fixed capacity,
@@ -116,8 +116,9 @@ pub struct Config {
     /// Capacity of each fixed-size d-e-que (initial capacity for growable
     /// backends).
     pub deque_capacity: usize,
-    /// Which deque substrate the threaded runtime uses (the simulator
-    /// models the THE protocol only).
+    /// Which deque substrate the threaded runtime uses (the simulator's
+    /// deques are exact regardless; it reads this for the owner's pop
+    /// cost only).
     pub backend: DequeBackend,
     /// Seed for all scheduler-internal randomness.
     pub seed: u64,
@@ -126,26 +127,19 @@ pub struct Config {
     pub timing: bool,
     /// Record per-worker event traces (spawns, deque traffic, steals, FSM
     /// transitions, workspace handshake). Works in every mode, including
-    /// the Cilk baselines. Requires the runtime's `trace` cargo feature;
-    /// with the feature compiled out this flag is ignored.
+    /// the Cilk baselines. Off by default; this is the one off switch.
     pub trace: bool,
     /// Per-worker event-ring capacity (events, rounded up to a power of
     /// two). Full rings drop their oldest events and count the loss.
     pub trace_capacity: usize,
-    /// Category bitmask selecting which event categories are recorded
-    /// (bit layout defined by `adaptivetc_trace::Category`; this is a
-    /// raw `u64` so the core crate carries no trace dependency). The
-    /// default records everything; the collector additionally clamps to
-    /// the categories compiled into the build and always keeps
-    /// job-epoch markers.
-    pub trace_filter: u64,
     /// Record only 1 in N events of the high-frequency categories (deque
-    /// traffic, fake tasks, spawns). The default of 16 keeps traced-on
-    /// overhead in low single digits (production flight-recorder mode);
-    /// set `1` to record everything — required when a consumer needs
-    /// exhaustive streams, e.g. the trace-vs-sim diff. `RunStats` keeps
-    /// exact counts regardless, so the trace/stats differential stays
-    /// meaningful — sampled categories are checked as bounds.
+    /// traffic, fake tasks, spawns) — the one volume control. The
+    /// default of 16 keeps traced-on overhead in low single digits
+    /// (production flight-recorder mode); set `1` to record everything —
+    /// required when a consumer needs exhaustive streams, e.g. the
+    /// trace-vs-sim diff. `RunStats` keeps exact counts regardless, so
+    /// the trace/stats differential stays meaningful — sampled categories
+    /// are checked as bounds.
     pub trace_sample: u32,
 }
 
@@ -162,7 +156,6 @@ impl Config {
             timing: false,
             trace: false,
             trace_capacity: 1 << 16,
-            trace_filter: u64::MAX,
             trace_sample: 16,
         }
     }
@@ -212,12 +205,6 @@ impl Config {
     /// Set the per-worker event-ring capacity.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Set the trace category filter mask.
-    pub fn trace_filter(mut self, mask: u64) -> Self {
-        self.trace_filter = mask;
         self
     }
 
@@ -312,7 +299,6 @@ mod tests {
             .timing(true)
             .trace(true)
             .trace_capacity(1 << 10)
-            .trace_filter(0b1010)
             .trace_sample(8);
         assert_eq!(cfg.cutoff_depth(), 9);
         assert_eq!(cfg.max_stolen_num, 3);
@@ -322,7 +308,6 @@ mod tests {
         assert!(cfg.timing);
         assert!(cfg.trace);
         assert_eq!(cfg.trace_capacity, 1 << 10);
-        assert_eq!(cfg.trace_filter, 0b1010);
         assert_eq!(cfg.trace_sample, 8);
         assert!(cfg.validate().is_ok());
     }
@@ -336,11 +321,9 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, crate::ConfigError::ZeroTraceSample);
-        // The defaults record every category, hot ones sampled 1-in-16
-        // (flight-recorder mode); exhaustive recording is opt-in.
-        let cfg = Config::new(1);
-        assert_eq!(cfg.trace_filter, u64::MAX);
-        assert_eq!(cfg.trace_sample, 16);
+        // The default samples hot categories 1-in-16 (flight-recorder
+        // mode); exhaustive recording is opt-in.
+        assert_eq!(Config::new(1).trace_sample, 16);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! thieves, plus AdaptiveTC's special-task operations. [`WsDeque`] captures
 //! that protocol so the runtime engine can be instantiated over any
 //! backend ([`TheDeque`], [`ChaseLevDeque`], [`PoolDeque`],
-//! [`FenceFreeDeque`]) and the ablation harness can compare them under
+//! [`FenceFreeDeque`]) and the repo benchmark can compare them under
 //! identical workloads.
 //!
 //! # Protocol contract

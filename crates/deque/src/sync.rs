@@ -10,7 +10,7 @@
 //! adaptivetc-check` explores schedules with no special flags.
 //!
 //! A third arm, behind the `count-sync` cargo feature, wraps the real
-//! primitives in counting shims so the ablation harness can report *how
+//! primitives in counting shims so `tests/sync_profile.rs` can check *how
 //! many* fences, SeqCst operations and RMWs each backend performs per
 //! push/pop (the Table-2 cost the fence-free backend eliminates). The
 //! counters are process-global `Relaxed` statics — cheap, but still a
@@ -149,7 +149,7 @@ pub mod sync_counts {
         }
     }
 
-    /// Zero all counters (single-threaded phases of the harness only).
+    /// Zero all counters (while no other thread touches a deque).
     pub fn reset() {
         FENCES.store(0, Ordering::Relaxed);
         SEQCST_OPS.store(0, Ordering::Relaxed);

@@ -1,4 +1,4 @@
-//! Fixture: a clock read on a hot-path file outside the `trace` gate.
+//! Fixture: a clock read on a hot-path file outside `now_if`.
 use std::time::Instant;
 
 pub fn hot() -> u128 {

@@ -15,8 +15,9 @@
 //!    [`manifest`].
 //! 3. **Unsafe hygiene** — every `unsafe` needs an adjacent `// SAFETY:`
 //!    comment.
-//! 4. **Trace discipline** — clock reads and trace emission on hot paths
-//!    must be compiled out with the `trace` feature.
+//! 4. **Trace discipline** — the only clock reads on hot paths are the
+//!    allow-listed ones: the `Config::timing`-gated `now_if` and the
+//!    once-per-run wall-clock sites.
 //!
 //! Run as `cargo run -p adaptivetc-lint` (checks, exits non-zero on
 //! findings) or with `--bless` to regenerate `ORDERINGS.toml` skeleton

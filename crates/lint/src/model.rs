@@ -18,8 +18,8 @@ pub enum Rule {
     Ordering,
     /// An `unsafe` block/fn/impl without an adjacent `// SAFETY:` comment.
     UnsafeHygiene,
-    /// Trace emission or `Instant::now` on a hot path outside the `trace`
-    /// feature gate.
+    /// `Instant::now` on a hot path outside an allow-listed symbol (the
+    /// `Config::timing`-gated `now_if`, or a once-per-run site).
     TraceGate,
     /// A problem in `LINT_ALLOW.toml` itself (stale or unjustified entry).
     Allowlist,

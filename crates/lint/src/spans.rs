@@ -3,11 +3,10 @@
 //!
 //! The scanner is deliberately lightweight — it brace-matches the token
 //! stream (strings and comments are already gone, so every `{`/`}` token
-//! is structural) and interprets only the `cfg` predicates the rules care
+//! is structural) and interprets only the `cfg` predicate the rules care
 //! about. Predicates are evaluated *conservatively*: a region counts as
-//! test-only or trace-gated only when the predicate provably requires the
-//! atom (`test`, `feature = "trace"` directly or under `all(...)`);
-//! `any(...)` and `not(...)` never qualify.
+//! test-only only when the predicate provably requires `test` (directly or
+//! under `all(...)`); `any(...)` and `not(...)` never qualify.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -45,8 +44,6 @@ pub struct FnSpan {
 pub struct Spans {
     /// Regions gated by `#[cfg]` predicates requiring `test`.
     pub cfg_test: Vec<LineSpan>,
-    /// Regions gated by `#[cfg]` predicates requiring `feature = "trace"`.
-    pub cfg_trace: Vec<LineSpan>,
     /// Function bodies, outermost first (scan order).
     pub fns: Vec<FnSpan>,
 }
@@ -55,11 +52,6 @@ impl Spans {
     /// Whether `line` is inside a test-only region.
     pub fn in_test(&self, line: u32) -> bool {
         self.cfg_test.iter().any(|s| s.contains(line))
-    }
-
-    /// Whether `line` is inside a trace-feature-gated region.
-    pub fn in_trace_gate(&self, line: u32) -> bool {
-        self.cfg_trace.iter().any(|s| s.contains(line))
     }
 
     /// Innermost function containing `line` (smallest enclosing body).
@@ -85,13 +77,6 @@ impl Spans {
             .iter()
             .any(|f| f.is_unsafe && f.start < line && line <= f.end)
     }
-}
-
-/// Which atom a cfg predicate must require for a span to qualify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Atom {
-    Test,
-    TraceFeature,
 }
 
 /// Compute all spans for a token stream.
@@ -123,7 +108,7 @@ fn scan_attrs(toks: &[Tok], spans: &mut Spans) {
             continue;
         }
         // `#[` outer attribute; `#![...]` inner attributes gate the whole
-        // enclosing item and never carry cfg(test)/cfg(feature) here, skip.
+        // enclosing item and never carry cfg(test) here, skip.
         let Some(open) = toks.get(i + 1) else { break };
         if !is_punct(open, '[') {
             i += 1;
@@ -143,18 +128,9 @@ fn scan_attrs(toks: &[Tok], spans: &mut Spans) {
         }
         let attr = &toks[attr_start..j.saturating_sub(1)];
         let is_cfg = attr.first().and_then(ident) == Some("cfg");
-        if is_cfg {
-            let requires_test = predicate_requires(attr, Atom::Test);
-            let requires_trace = predicate_requires(attr, Atom::TraceFeature);
-            if requires_test || requires_trace {
-                if let Some(span) = attached_span(toks, j) {
-                    if requires_test {
-                        spans.cfg_test.push(span);
-                    }
-                    if requires_trace {
-                        spans.cfg_trace.push(span);
-                    }
-                }
+        if is_cfg && requires_test(attr) {
+            if let Some(span) = attached_span(toks, j) {
+                spans.cfg_test.push(span);
             }
         }
         i = j;
@@ -162,9 +138,9 @@ fn scan_attrs(toks: &[Tok], spans: &mut Spans) {
 }
 
 /// Whether the cfg predicate (tokens between `cfg(` and `)`) provably
-/// requires `atom`. Handles `test`, `feature = "trace"`, and `all(...)`
-/// containing either at any depth; `any`/`not` subtrees never qualify.
-fn predicate_requires(attr: &[Tok], atom: Atom) -> bool {
+/// requires `test`: bare, or inside `all(...)` at any depth; `any`/`not`
+/// subtrees never qualify.
+fn requires_test(attr: &[Tok]) -> bool {
     // Walk the token list; treat `all(` as transparent, and skip balanced
     // parens after `any` / `not` / unknown functions entirely.
     let mut i = 0usize;
@@ -188,16 +164,7 @@ fn predicate_requires(attr: &[Tok], atom: Atom) -> bool {
                 }
                 i = j;
             }
-            Some("test") if atom == Atom::Test => return true,
-            Some("feature") if atom == Atom::TraceFeature => {
-                // feature = "trace"
-                if let (Some(eq), Some(val)) = (attr.get(i + 1), attr.get(i + 2)) {
-                    if is_punct(eq, '=') && val.kind == TokKind::Str("trace".to_string()) {
-                        return true;
-                    }
-                }
-                i += 1;
-            }
+            Some("test") => return true,
             _ => i += 1,
         }
     }
@@ -341,19 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn cfg_trace_item_and_use_spans() {
-        let src = "#[cfg(feature = \"trace\")]\nuse other::Thing;\n#[cfg(feature = \"trace\")]\nfn traced() {\n x();\n}\nfn plain() {}";
+    fn cfg_test_item_and_use_spans() {
+        let src =
+            "#[cfg(test)]\nuse other::Thing;\n#[cfg(test)]\nfn helper() {\n x();\n}\nfn plain() {}";
         let s = spans_of(src);
-        assert!(s.in_trace_gate(2));
-        assert!(s.in_trace_gate(5));
-        assert!(!s.in_trace_gate(7));
+        assert!(s.in_test(2));
+        assert!(s.in_test(5));
+        assert!(!s.in_test(7));
     }
 
     #[test]
     fn negated_and_any_predicates_do_not_gate() {
-        let src = "#[cfg(not(feature = \"trace\"))]\nfn a() { x(); }\n#[cfg(any(test, feature = \"x\"))]\nfn b() { y(); }\n#[cfg(all(test, unix))]\nfn c() { z(); }";
+        let src = "#[cfg(not(test))]\nfn a() { x(); }\n#[cfg(any(test, feature = \"x\"))]\nfn b() { y(); }\n#[cfg(all(test, unix))]\nfn c() { z(); }";
         let s = spans_of(src);
-        assert!(!s.in_trace_gate(2));
+        assert!(!s.in_test(2));
         assert!(!s.in_test(4));
         assert!(s.in_test(6)); // all(test, ..) requires test
     }
@@ -378,10 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn block_level_trace_gate() {
-        let src = "fn hot() {\n #[cfg(feature = \"trace\")]\n {\n  emit();\n }\n cold();\n}";
+    fn block_level_test_gate() {
+        let src = "fn hot() {\n #[cfg(test)]\n {\n  probe();\n }\n cold();\n}";
         let s = spans_of(src);
-        assert!(s.in_trace_gate(4));
-        assert!(!s.in_trace_gate(6));
+        assert!(s.in_test(4));
+        assert!(!s.in_test(6));
     }
 }

@@ -96,7 +96,6 @@ use adaptivetc_deque::{
     ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
 };
 use adaptivetc_strategy::{CutoffController, HARD_STEAL_STREAK};
-#[cfg(feature = "trace")]
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::marker::PhantomData;
@@ -244,9 +243,9 @@ pub(crate) enum Regime {
 }
 
 /// How the engine's shared state holds the problem: borrowed for the
-/// one-shot [`run`] entry points (the problem outlives the scoped worker
-/// threads), owned for [`crate::server`] jobs (the job context must be
-/// `'static` to be shared across long-lived pool workers).
+/// one-shot [`run_traced`] entry point (the problem outlives the scoped
+/// worker threads), owned for [`crate::server`] jobs (the job context must
+/// be `'static` to be shared across long-lived pool workers).
 pub(crate) enum ProblemRef<'p, P> {
     /// Borrowed from the caller (`Scheduler::run`).
     Borrowed(&'p P),
@@ -330,23 +329,16 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
     }
 }
 
-/// Per-op timing probe. Compiled down to a constant `None` without the
-/// `trace` feature so untraced builds carry zero clock reads on the hot
-/// path even when `Config::timing` is (uselessly) set.
-#[cfg(feature = "trace")]
+/// Per-op timing probe, shared with the Tascell engine: the one clock
+/// read on the hot path, taken only under `Config::timing`.
 #[inline]
-fn now_if(enabled: bool) -> Option<Instant> {
+pub(crate) fn now_if(enabled: bool) -> Option<Instant> {
     enabled.then(Instant::now)
 }
 
-#[cfg(not(feature = "trace"))]
+/// Add the time since `start` (a [`now_if`] probe) to `field`.
 #[inline]
-fn now_if(_enabled: bool) -> Option<Instant> {
-    None
-}
-
-#[inline]
-fn lap(field: &mut u64, start: Option<Instant>) {
+pub(crate) fn lap(field: &mut u64, start: Option<Instant>) {
     if let Some(t0) = start {
         *field += t0.elapsed().as_nanos() as u64;
     }
@@ -392,9 +384,8 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     /// as nested regions; only current-region frames can be serviced from
     /// the current live workspace.
     region_base: usize,
-    /// Event-trace recording endpoint (`()` when the `trace` feature is
-    /// compiled out; `None` when `Config::trace` is off).
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
+    /// Event-trace recording endpoint (`None` when `Config::trace` is
+    /// off).
     tr: WorkerTracer<'s>,
     /// The deque-entry representation this engine instantiation uses.
     _entry: PhantomData<E>,
@@ -1112,8 +1103,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         if let Some(eff) = tuned {
             self.stats.cutoff_adjustments += 1;
             tev!(self, Strategy, Ev::CutoffTune { eff, up });
-            #[cfg(not(feature = "trace"))]
-            let _ = (eff, up);
         }
     }
 
@@ -1457,8 +1446,9 @@ where
 /// every backend (the Chase-Lev and pool deques support the special-task
 /// protocol `Mode::Adaptive` needs).
 ///
-/// Returns the reduced result and a [`RunReport`] with per-worker
-/// statistics.
+/// Returns the reduced result, a [`RunReport`] with per-worker statistics,
+/// and the drained event trace when `cfg.trace` is set (`None` when it is
+/// not).
 ///
 /// # Errors
 ///
@@ -1466,24 +1456,6 @@ where
 /// configurations and `WorkerPanicked` if a worker thread panics. Deque
 /// overflow is tolerated (the child runs inline, unstealable) and surfaced
 /// via `RunStats::deque_overflows`.
-pub fn run<P: Problem>(
-    problem: &P,
-    cfg: &Config,
-    mode: Mode,
-) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
-    #[cfg(feature = "trace")]
-    {
-        run_traced(problem, cfg, mode).map(|(out, report, _trace)| (out, report))
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        dispatch(problem, cfg, mode, ())
-    }
-}
-
-/// As [`run`], but additionally returns the drained event trace when
-/// `cfg.trace` is set (and `None` when it is not).
-#[cfg(feature = "trace")]
 pub fn run_traced<P: Problem>(
     problem: &P,
     cfg: &Config,
@@ -1491,10 +1463,9 @@ pub fn run_traced<P: Problem>(
 ) -> Result<(P::Out, RunReport, Option<adaptivetc_trace::Trace>), adaptivetc_core::SchedulerError> {
     cfg.validate()?;
     let collector = cfg.trace.then(|| {
-        adaptivetc_trace::TraceCollector::with_options(
+        adaptivetc_trace::TraceCollector::with_sample(
             cfg.threads,
             cfg.trace_capacity,
-            cfg.trace_filter,
             cfg.trace_sample,
         )
     });
@@ -1545,8 +1516,6 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
         let mut handles = Vec::with_capacity(threads);
         for (id, rng) in seeds.into_iter().enumerate() {
             let shared = &shared;
-            // Collapses to a unit binding when tracing is compiled out.
-            #[cfg_attr(not(feature = "trace"), allow(clippy::let_unit_value))]
             let tr = worker_tracer(tracer, id);
             handles
                 .push(s.spawn(move || participate::<P, E, D>(shared, id, rng, tr, id == 0, None)));

@@ -55,9 +55,7 @@ pub(crate) mod sync;
 pub mod tascell;
 mod trace;
 
-#[cfg(feature = "trace")]
-pub use engine::run_traced;
-pub use engine::Mode;
+pub use engine::{run_traced, Mode};
 pub use server::{
     JobHandle, JobOutcome, JobServer, RejectReason, ServerConfig, ServerReport, ServerStats,
     SubmitError,
@@ -112,6 +110,20 @@ impl Scheduler {
         }
     }
 
+    /// The engine mode and effective configuration this policy runs
+    /// under, or `None` for the two schedulers that bypass the engine.
+    fn on_engine(&self, cfg: &Config) -> Option<(Mode, Config)> {
+        let (mode, cutoff) = match self {
+            Scheduler::Serial | Scheduler::Tascell => return None,
+            Scheduler::Cilk => (Mode::Cilk, cfg.cutoff),
+            Scheduler::CilkSynched => (Mode::CilkSynched, cfg.cutoff),
+            Scheduler::CutoffProgrammer(d) => (Mode::CutoffSequence, CutoffPolicy::Fixed(*d)),
+            Scheduler::CutoffLibrary => (Mode::CutoffCopy, CutoffPolicy::Auto),
+            Scheduler::AdaptiveTc => (Mode::Adaptive, cfg.cutoff),
+        };
+        Some((mode, cfg.clone().cutoff(cutoff)))
+    }
+
     /// Execute `problem` under this policy.
     ///
     /// # Errors
@@ -123,30 +135,8 @@ impl Scheduler {
         problem: &P,
         cfg: &Config,
     ) -> Result<(P::Out, RunReport), SchedulerError> {
-        match self {
-            Scheduler::Serial => {
-                cfg.validate()?;
-                let (out, sr) = serial::run(problem);
-                let stats = RunStats {
-                    nodes: sr.nodes,
-                    fake_tasks: sr.nodes,
-                    ..RunStats::default()
-                };
-                Ok((out, RunReport::from_workers(vec![stats], sr.wall_ns)))
-            }
-            Scheduler::Cilk => engine::run(problem, cfg, Mode::Cilk),
-            Scheduler::CilkSynched => engine::run(problem, cfg, Mode::CilkSynched),
-            Scheduler::Tascell => tascell::run(problem, cfg),
-            Scheduler::CutoffProgrammer(d) => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Fixed(*d));
-                engine::run(problem, &cfg, Mode::CutoffSequence)
-            }
-            Scheduler::CutoffLibrary => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Auto);
-                engine::run(problem, &cfg, Mode::CutoffCopy)
-            }
-            Scheduler::AdaptiveTc => engine::run(problem, cfg, Mode::Adaptive),
-        }
+        self.run_traced(problem, cfg)
+            .map(|(out, report, _trace)| (out, report))
     }
 
     /// As [`Scheduler::run`], but additionally returns the drained event
@@ -154,34 +144,32 @@ impl Scheduler {
     /// the traced engine and always return `None` (their counters remain
     /// available through the report).
     ///
-    /// Only available with the `trace` cargo feature (on by default).
-    ///
     /// # Errors
     ///
     /// As [`Scheduler::run`].
-    #[cfg(feature = "trace")]
     pub fn run_traced<P: Problem>(
         &self,
         problem: &P,
         cfg: &Config,
     ) -> Result<(P::Out, RunReport, Option<adaptivetc_trace::Trace>), SchedulerError> {
-        match self {
-            Scheduler::Serial | Scheduler::Tascell => {
-                let (out, report) = self.run(problem, cfg)?;
-                Ok((out, report, None))
-            }
-            Scheduler::Cilk => engine::run_traced(problem, cfg, Mode::Cilk),
-            Scheduler::CilkSynched => engine::run_traced(problem, cfg, Mode::CilkSynched),
-            Scheduler::CutoffProgrammer(d) => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Fixed(*d));
-                engine::run_traced(problem, &cfg, Mode::CutoffSequence)
-            }
-            Scheduler::CutoffLibrary => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Auto);
-                engine::run_traced(problem, &cfg, Mode::CutoffCopy)
-            }
-            Scheduler::AdaptiveTc => engine::run_traced(problem, cfg, Mode::Adaptive),
+        if let Some((mode, cfg)) = self.on_engine(cfg) {
+            return engine::run_traced(problem, &cfg, mode);
         }
+        let (out, report) = match self {
+            Scheduler::Tascell => tascell::run(problem, cfg)?,
+            // Only `Serial` is left: every other policy is on the engine.
+            _ => {
+                cfg.validate()?;
+                let (out, sr) = serial::run(problem);
+                let stats = RunStats {
+                    nodes: sr.nodes,
+                    fake_tasks: sr.nodes,
+                    ..RunStats::default()
+                };
+                (out, RunReport::from_workers(vec![stats], sr.wall_ns))
+            }
+        };
+        Ok((out, report, None))
     }
 }
 

@@ -47,40 +47,20 @@ use adaptivetc_core::{
     Config, ConfigError, DequeBackend, Problem, RunReport, RunStats, XorShift64,
 };
 use adaptivetc_deque::{ChaseLevDeque, FenceFreeDeque, PoolDeque, TheDeque, WsDeque};
+use adaptivetc_trace::EventKind as Ev;
 use std::any::Any;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "trace")]
-use adaptivetc_trace::EventKind as Ev;
-
-/// The pool-wide trace collector, shared by every worker thread. Collapses
-/// to `()` when tracing is compiled out.
-#[cfg(feature = "trace")]
+/// The pool-wide trace collector, shared by every worker thread; `None`
+/// unless [`ServerConfig::trace`] is set.
 type SharedCollector = Option<Arc<adaptivetc_trace::TraceCollector>>;
-#[cfg(not(feature = "trace"))]
-type SharedCollector = ();
 
-/// Borrow a [`TracerRef`] out of a worker's collector clone.
-#[cfg(feature = "trace")]
-fn tracer_ref(c: &SharedCollector) -> TracerRef<'_> {
-    c.as_deref()
-}
-#[cfg(not(feature = "trace"))]
-fn tracer_ref(_c: &SharedCollector) -> TracerRef<'_> {}
-
-/// Emit a job-epoch marker from pool worker `$worker`. Expands to nothing
-/// when the `trace` feature is off (the tokens are removed before name
-/// resolution, like `tev!`).
-macro_rules! jmark {
-    ($tracer:expr, $worker:expr, $kind:expr) => {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(c) = $tracer {
-                c.handle($worker).emit($kind);
-            }
-        }
-    };
+/// Emit a job-epoch marker from pool worker `worker`.
+fn jmark(tracer: TracerRef<'_>, worker: usize, kind: Ev) {
+    if let Some(c) = tracer {
+        c.handle(worker).emit(kind);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -99,15 +79,11 @@ pub struct ServerConfig {
     /// Allow idle pool workers to join running multi-slot jobs and steal
     /// within them. Off by default: strict job isolation.
     pub work_sharing: bool,
-    /// Record a pool-wide event trace (requires the `trace` cargo
-    /// feature; ignored without it). Drained by [`JobServer::shutdown`].
+    /// Record a pool-wide event trace, drained by
+    /// [`JobServer::shutdown`] (or mid-run by [`JobServer::drain_trace`]).
     pub trace: bool,
     /// Per-worker trace ring capacity when `trace` is set.
     pub trace_capacity: usize,
-    /// Category bitmask for the pool trace (see
-    /// `adaptivetc_trace::Category`); the job-bracket category is always
-    /// kept on so traces stay splittable per job.
-    pub trace_filter: u64,
     /// Record 1 in `n` events for the highest-frequency categories
     /// (default 16, the production flight-recorder rate; `1` = record
     /// everything; see `Config::trace_sample`).
@@ -124,7 +100,6 @@ impl ServerConfig {
             work_sharing: false,
             trace: false,
             trace_capacity: 1 << 14,
-            trace_filter: u64::MAX,
             trace_sample: 16,
         }
     }
@@ -144,12 +119,6 @@ impl ServerConfig {
     /// Builder-style setter for [`ServerConfig::trace`].
     pub fn trace(mut self, on: bool) -> ServerConfig {
         self.trace = on;
-        self
-    }
-
-    /// Builder-style setter for [`ServerConfig::trace_filter`].
-    pub fn trace_filter(mut self, mask: u64) -> ServerConfig {
-        self.trace_filter = mask;
         self
     }
 
@@ -459,15 +428,14 @@ where
             self.participants.fetch_sub(1, Ordering::Release);
             return false;
         }
-        jmark!(
+        jmark(
             tracer,
             worker,
             Ev::JobBegin {
                 job: self.id as u32,
                 slot: slot as u16,
-            }
+            },
         );
-        #[cfg_attr(not(feature = "trace"), allow(clippy::let_unit_value))]
         let tr = worker_tracer(tracer, worker);
         let abandon = || ctx.shutdown.load(Ordering::Acquire) || !ctx.queue.is_empty();
         let stats = participate::<P, E, D>(
@@ -478,12 +446,12 @@ where
             false,
             Some(&abandon),
         );
-        jmark!(
+        jmark(
             tracer,
             worker,
             Ev::JobEnd {
-                job: self.id as u32
-            }
+                job: self.id as u32,
+            },
         );
         self.stats[slot].lock().merge(&stats);
         self.taken[slot].store(false, Ordering::Release);
@@ -534,18 +502,17 @@ fn run_job<P, E, D>(
         ctx.active.lock().push(job.clone());
         ctx.wake_all();
     }
-    jmark!(
+    jmark(
         tracer,
         worker,
         Ev::JobBegin {
             job: job.id as u32,
             slot: 0,
-        }
+        },
     );
-    #[cfg_attr(not(feature = "trace"), allow(clippy::let_unit_value))]
     let tr = worker_tracer(tracer, worker);
     let lead_stats = participate::<P, E, D>(&job.eng, 0, job.seeds[0].clone(), tr, true, None);
-    jmark!(tracer, worker, Ev::JobEnd { job: job.id as u32 });
+    jmark(tracer, worker, Ev::JobEnd { job: job.id as u32 });
     job.stats[0].lock().merge(&lead_stats);
     if registered {
         let id = job.id;
@@ -632,7 +599,6 @@ pub struct ServerReport {
     pub stats: ServerStats,
     /// The pool-wide event trace, when [`ServerConfig::trace`] was set.
     /// Split it per job with `adaptivetc_trace::Trace::split_jobs`.
-    #[cfg(feature = "trace")]
     pub trace: Option<adaptivetc_trace::Trace>,
 }
 
@@ -641,7 +607,6 @@ pub struct ServerReport {
 pub struct JobServer {
     ctx: Arc<ServerCtx>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     collector: SharedCollector,
 }
 
@@ -664,24 +629,17 @@ impl JobServer {
             workers,
             work_sharing: cfg.work_sharing,
         });
-        #[cfg(feature = "trace")]
         let collector: SharedCollector = cfg.trace.then(|| {
-            Arc::new(adaptivetc_trace::TraceCollector::with_options(
+            Arc::new(adaptivetc_trace::TraceCollector::with_sample(
                 workers,
                 cfg.trace_capacity,
-                cfg.trace_filter,
                 cfg.trace_sample,
             ))
         });
-        #[cfg(not(feature = "trace"))]
-        let collector: SharedCollector = ();
         let threads = (0..workers)
             .map(|id| {
                 let ctx = Arc::clone(&ctx);
-                #[cfg(feature = "trace")]
                 let collector = collector.clone();
-                #[cfg(not(feature = "trace"))]
-                let collector = ();
                 std::thread::Builder::new()
                     .name(format!("jobserver-{id}"))
                     .spawn(move || worker_loop(&ctx, id, &collector))
@@ -785,7 +743,6 @@ impl JobServer {
     /// expectations: a drain returns at least the events a worker had
     /// published before the call began (minus at most one in-flight
     /// block near ring overflow).
-    #[cfg(feature = "trace")]
     pub fn drain_trace(&self) -> Option<adaptivetc_trace::Trace> {
         self.collector.as_deref().map(|c| c.drain_published())
     }
@@ -794,7 +751,6 @@ impl JobServer {
     /// (up to one in-flight block) on what the next
     /// [`drain_trace`](JobServer::drain_trace) returns for that ring.
     /// `None` without tracing or for an out-of-range worker id.
-    #[cfg(feature = "trace")]
     pub fn published_len(&self, worker: usize) -> Option<usize> {
         let c = self.collector.as_deref()?;
         (worker < self.ctx.workers).then(|| c.published_len(worker))
@@ -819,10 +775,7 @@ impl JobServer {
         // can still be parked here. Every accepted job must reach a
         // terminal state, so drain inline on this thread (the pool is
         // joined — worker id 0's trace ring has a single producer again).
-        #[cfg(feature = "trace")]
         let tracer: TracerRef<'_> = self.collector.as_deref();
-        #[cfg(not(feature = "trace"))]
-        let tracer: TracerRef<'_> = ();
         while let Some((_prio, job)) = self.ctx.queue.try_pop() {
             job.lead(&self.ctx, 0, tracer);
         }
@@ -837,7 +790,6 @@ impl JobServer {
         };
         ServerReport {
             stats,
-            #[cfg(feature = "trace")]
             trace: self
                 .collector
                 .take()
@@ -861,7 +813,7 @@ impl Drop for JobServer {
 /// sharing); otherwise park.
 fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
     loop {
-        let tracer = tracer_ref(collector);
+        let tracer = collector.as_deref();
         if let Some((_prio, job)) = ctx.queue.try_pop() {
             job.lead(ctx, id, tracer);
             continue;
@@ -1327,7 +1279,6 @@ mod tests {
     /// blocked mid-job — and check the snapshot against `published_len`,
     /// then that the mid-run drain and the shutdown trace partition the
     /// job markers with no loss and no duplication.
-    #[cfg(feature = "trace")]
     #[test]
     fn drain_trace_mid_run_without_stopping_the_pool() {
         use adaptivetc_trace::EventKind;

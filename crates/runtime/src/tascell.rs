@@ -15,6 +15,7 @@
 //! gave away has delivered its result — the `wait_children` overhead of
 //! Figures 6 and 7.
 
+use crate::engine::{lap, now_if};
 use crate::frame::OutCell;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, Ordering};
@@ -81,28 +82,6 @@ struct Worker<'s, 'p, P: Problem> {
     stack: Vec<ShadowFrame<P::Choice>>,
     /// Present while the worker is running a task.
     task_children: Option<TaskChildren<P::Out>>,
-}
-
-/// Per-op timing probe. Compiled down to a constant `None` without the
-/// `trace` feature so untraced builds carry zero clock reads on the hot
-/// path even when `Config::timing` is (uselessly) set.
-#[cfg(feature = "trace")]
-#[inline]
-fn now_if(enabled: bool) -> Option<Instant> {
-    enabled.then(Instant::now)
-}
-
-#[cfg(not(feature = "trace"))]
-#[inline]
-fn now_if(_enabled: bool) -> Option<Instant> {
-    None
-}
-
-#[inline]
-fn lap(field: &mut u64, start: Option<Instant>) {
-    if let Some(t0) = start {
-        *field += t0.elapsed().as_nanos() as u64;
-    }
 }
 
 impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {

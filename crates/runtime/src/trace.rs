@@ -1,52 +1,26 @@
-//! Feature-gated tracing plumbing for the engine.
-//!
-//! With the `trace` cargo feature **on**, these aliases carry an optional
-//! `adaptivetc-trace` collector / per-worker handle through the engine;
-//! with the feature **off** they collapse to `()` and every `tev!` call
-//! site expands to nothing, so the hot path is byte-identical to an
-//! untraced build. All instrumentation goes through [`tev!`] — never call
-//! trace APIs directly from the engine, or the feature-off build breaks.
+//! Tracing plumbing for the engine: an optional `adaptivetc-trace`
+//! collector / per-worker handle, `None` unless `Config::trace` is set.
 
-#[cfg(feature = "trace")]
 pub(crate) type TracerRef<'a> = Option<&'a adaptivetc_trace::TraceCollector>;
-#[cfg(not(feature = "trace"))]
-pub(crate) type TracerRef<'a> = ();
-
-#[cfg(feature = "trace")]
 pub(crate) type WorkerTracer<'a> = Option<adaptivetc_trace::WorkerHandle<'a>>;
-#[cfg(not(feature = "trace"))]
-pub(crate) type WorkerTracer<'a> = ();
 
-/// The per-worker recording endpoint for worker `id`, or the unit value
-/// when tracing is compiled out.
-#[cfg(feature = "trace")]
+/// The per-worker recording endpoint for worker `id`.
 pub(crate) fn worker_tracer(tracer: TracerRef<'_>, id: usize) -> WorkerTracer<'_> {
     tracer.map(|c| c.handle(id))
 }
-#[cfg(not(feature = "trace"))]
-pub(crate) fn worker_tracer(_tracer: TracerRef<'_>, _id: usize) -> WorkerTracer<'_> {}
 
 /// Emit a trace event from a [`Worker`](crate::engine):
 /// `tev!(self, <Category>, <expr>)` where `<Category>` is a bare
 /// `adaptivetc_trace::Category` variant name and `<expr>` evaluates to an
 /// `adaptivetc_trace::EventKind` (the engine imports it as `Ev`).
 ///
-/// The category is named statically at the call site so the filter check
-/// (`WorkerHandle::enabled`, one relaxed load against the run's category
-/// mask) happens **before** the event expression is evaluated — a masked
-/// category costs the load and a predicted branch, nothing else. Expands
-/// to nothing when the `trace` feature is off — the expression tokens are
-/// removed before name resolution, so they may freely reference
-/// trace-only types.
+/// `<expr>` is evaluated only when the run is traced; an untraced run
+/// pays the `None` test and a predicted branch, nothing else. The
+/// category is named statically so the sampling test folds per site.
 macro_rules! tev {
     ($worker:expr, $cat:ident, $kind:expr) => {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(h) = $worker.tr.as_ref() {
-                if h.enabled(adaptivetc_trace::Category::$cat) {
-                    h.emit_in(adaptivetc_trace::Category::$cat, $kind);
-                }
-            }
+        if let Some(h) = $worker.tr.as_ref() {
+            h.emit_in(adaptivetc_trace::Category::$cat, $kind);
         }
     };
 }

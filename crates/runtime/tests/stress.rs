@@ -261,6 +261,12 @@ fn timing_instrumentation_does_not_change_results() {
         if matches!(s, Scheduler::Cilk) {
             assert!(report.stats.time.copy_ns > 0);
         }
+        // And conversely: with timing off no per-op clock is ever read,
+        // so every category stays zero (the lint's hot-path rule, pinned
+        // dynamically).
+        let (got, report) = s.run(&p, &Config::new(2).timing(false)).expect("runs");
+        assert_eq!(got, want, "{s}");
+        assert_eq!(report.stats.time.total_ns(), 0, "{s}");
     }
 }
 

@@ -14,7 +14,6 @@ use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::{CutoffController, HARD_STEAL_STREAK};
-#[cfg(feature = "trace")]
 use adaptivetc_trace::EventKind as Ev;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -37,10 +36,6 @@ pub enum Policy {
     AdaptiveTc,
     /// Tascell request-driven backtracking (its own interpreter).
     Tascell,
-    /// Help-first Cilk (SLAW's other pole, discussed in the paper's §2):
-    /// every spawn pushes the *child* and the parent keeps running; deque
-    /// occupancy grows with breadth instead of depth.
-    HelpFirst,
 }
 
 impl Policy {
@@ -53,7 +48,6 @@ impl Policy {
             Policy::CutoffLibrary => "Cutoff-library",
             Policy::AdaptiveTc => "AdaptiveTC",
             Policy::Tascell => "Tascell",
-            Policy::HelpFirst => "Help-first",
         }
     }
 }
@@ -152,13 +146,6 @@ enum Entry {
 enum DqEntry {
     Task(FrameRef),
     Special(FrameRef),
-    /// A spawned child task (help-first policy): the node itself, not a
-    /// continuation.
-    Child {
-        node: u32,
-        tdepth: u32,
-        out: Deliver,
-    },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,9 +213,8 @@ pub(crate) struct Sim<'t> {
     root_value: u64,
     root_done: Option<u64>,
     now: u64,
-    /// Event sink stamping the virtual clock (`()` when the `trace`
-    /// feature is compiled out; `None` when `Config::trace` is off).
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
+    /// Event sink stamping the virtual clock (`None` when `Config::trace`
+    /// is off).
     tracer: SimTracer<'t>,
 }
 
@@ -300,7 +286,6 @@ impl<'t> Sim<'t> {
             Policy::AdaptiveTc => self.workers[wid]
                 .cutoff_ctl
                 .real_task(tdepth, matches!(regime, Regime::Fast2)),
-            Policy::HelpFirst => true,
             Policy::Tascell => unreachable!("Tascell runs in its own interpreter"),
         }
     }
@@ -308,7 +293,7 @@ impl<'t> Sim<'t> {
     /// Which sequential version a non-task node runs: the check version
     /// recurses at every depth in the fast regime (Appendix C); the fast_2
     /// regime falls through to the sequence version.
-    fn seq_kind(&self, regime: Regime, _tdepth: u32) -> SeqKind {
+    fn seq_kind(&self, regime: Regime) -> SeqKind {
         match self.policy {
             Policy::CutoffProgrammer(_) => SeqKind::Plain,
             Policy::CutoffLibrary => SeqKind::Copy,
@@ -427,7 +412,7 @@ impl<'t> Sim<'t> {
                     self.workers[wid].stack.push(Entry::Loop { frame, regime });
                     return Flow::Pay(cost);
                 }
-                match self.seq_kind(regime, tdepth) {
+                match self.seq_kind(regime) {
                     SeqKind::Check => {
                         cost += self.poll(wid);
                         if self.take_need_task(wid) {
@@ -564,23 +549,6 @@ impl<'t> Sim<'t> {
                             cost += self.charge_copy(wid, self.tree.bytes(frame.node));
                         }
                         let parent = Deliver::Frame(Rc::clone(&frame));
-                        if self.policy == Policy::HelpFirst {
-                            // Help-first: enqueue the child, keep running the
-                            // parent's loop.
-                            cost += self.cost.deque_op_ns;
-                            sev!(self, wid, Ev::Push);
-                            let w = &mut self.workers[wid];
-                            w.stats.deque_pushes += 1;
-                            w.stats.time.deque_ns += self.cost.deque_op_ns;
-                            w.deque.push_back(DqEntry::Child {
-                                node: child,
-                                tdepth,
-                                out: parent,
-                            });
-                            w.stats.deque_peak = w.stats.deque_peak.max(w.deque.len() as u64);
-                            w.stack.push(Entry::Loop { frame, regime });
-                            return Flow::Pay(cost);
-                        }
                         if stealable {
                             sev!(self, wid, Ev::Push);
                         }
@@ -741,8 +709,6 @@ impl<'t> Sim<'t> {
         if let Some(eff) = tuned {
             self.workers[wid].stats.cutoff_adjustments += 1;
             sev!(self, wid, Ev::CutoffTune { eff, up });
-            #[cfg(not(feature = "trace"))]
-            let _ = (eff, up);
         }
     }
 
@@ -765,8 +731,6 @@ impl<'t> Sim<'t> {
     fn start_special(&mut self, wid: usize, node: u32, depth: u32, out: Deliver) -> u64 {
         self.workers[wid].stats.special_tasks += 1;
         sev!(self, wid, Ev::SpecialBegin { depth });
-        #[cfg(not(feature = "trace"))]
-        let _ = depth;
         let sframe = Frame::new(node, 0, Deliver::Wake(wid));
         self.workers[wid].stack.push(Entry::SpecialLoop {
             node,
@@ -778,22 +742,12 @@ impl<'t> Sim<'t> {
     }
 
     /// One steal attempt (the worker's stack is empty).
+    ///
+    /// Out of line on purpose: this is the idle path, and folded into
+    /// `run` with `step` and `exec` it costs the per-node interpreter loop
+    /// about 3 % on the `sim_8w` workload (code layout, measured in PR 17).
+    #[inline(never)]
     fn steal_step(&mut self, wid: usize) -> Option<u64> {
-        // Help-first: pending local children run before any stealing.
-        if let Some(DqEntry::Child { .. }) = self.workers[wid].deque.back() {
-            if let Some(DqEntry::Child { node, tdepth, out }) = self.workers[wid].deque.pop_back() {
-                sev!(self, wid, Ev::Pop);
-                let w = &mut self.workers[wid];
-                w.stats.deque_pops += 1;
-                w.stack.push(Entry::Node {
-                    node,
-                    tdepth,
-                    regime: Regime::Fast,
-                    out,
-                });
-                return Some(self.cost.deque_op_ns);
-            }
-        }
         if self.root_done.is_some() {
             self.finish_idle(wid);
             self.workers[wid].state = WState::Done;
@@ -815,25 +769,11 @@ impl<'t> Sim<'t> {
             }
             v
         };
-        enum Booty {
-            Frame(FrameRef),
-            Child {
-                node: u32,
-                tdepth: u32,
-                out: Deliver,
-            },
-        }
-        let stolen: Option<Booty> = {
+        let stolen: Option<FrameRef> = {
             let vd = &mut self.workers[victim].deque;
             match vd.front() {
                 Some(DqEntry::Task(_)) => match vd.pop_front() {
-                    Some(DqEntry::Task(f)) => Some(Booty::Frame(f)),
-                    _ => unreachable!("just matched"),
-                },
-                Some(DqEntry::Child { .. }) => match vd.pop_front() {
-                    Some(DqEntry::Child { node, tdepth, out }) => {
-                        Some(Booty::Child { node, tdepth, out })
-                    }
+                    Some(DqEntry::Task(f)) => Some(f),
                     _ => unreachable!("just matched"),
                 },
                 Some(DqEntry::Special(_)) => match vd.get(1) {
@@ -842,7 +782,7 @@ impl<'t> Sim<'t> {
                         // child.
                         vd.pop_front();
                         match vd.pop_front() {
-                            Some(DqEntry::Task(f)) => Some(Booty::Frame(f)),
+                            Some(DqEntry::Task(f)) => Some(f),
                             _ => unreachable!("just matched"),
                         }
                     }
@@ -852,7 +792,7 @@ impl<'t> Sim<'t> {
             }
         };
         match stolen {
-            Some(booty) => {
+            Some(frame) => {
                 {
                     let v = &mut self.workers[victim];
                     v.stolen_num = 0;
@@ -876,28 +816,16 @@ impl<'t> Sim<'t> {
                 }
                 self.workers[wid].fail_streak = 0;
                 let mut cost = self.cost.steal_ns;
-                match booty {
-                    // The slow version resumes under fast/check rules.
-                    Booty::Frame(frame) => {
-                        if self.cos {
-                            // Copy-on-steal: the deferred workspace clone
-                            // is materialised for the thief now.
-                            cost += self.charge_copy(wid, self.tree.bytes(frame.node));
-                        }
-                        self.workers[wid].stack.push(Entry::Loop {
-                            frame,
-                            regime: Regime::Fast,
-                        });
-                    }
-                    Booty::Child { node, tdepth, out } => {
-                        self.workers[wid].stack.push(Entry::Node {
-                            node,
-                            tdepth,
-                            regime: Regime::Fast,
-                            out,
-                        });
-                    }
+                if self.cos {
+                    // Copy-on-steal: the deferred workspace clone is
+                    // materialised for the thief now.
+                    cost += self.charge_copy(wid, self.tree.bytes(frame.node));
                 }
+                // The slow version resumes under fast/check rules.
+                self.workers[wid].stack.push(Entry::Loop {
+                    frame,
+                    regime: Regime::Fast,
+                });
                 self.finish_idle_at(wid, self.now + cost);
                 Some(cost)
             }

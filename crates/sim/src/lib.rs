@@ -66,14 +66,7 @@ pub struct SimOutcome {
 ///
 /// Panics if the configuration is invalid (zero workers).
 pub fn simulate(tree: &SimTree, policy: Policy, cfg: &Config, cost: CostModel) -> SimOutcome {
-    #[cfg(feature = "trace")]
-    {
-        simulate_traced(tree, policy, cfg, cost).0
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        sim_inner(tree, policy, cfg, cost, ())
-    }
+    simulate_traced(tree, policy, cfg, cost).0
 }
 
 /// Simulate a policy and also return the event trace, stamped with the
@@ -89,7 +82,6 @@ pub fn simulate(tree: &SimTree, policy: Policy, cfg: &Config, cost: CostModel) -
 ///
 /// Panics if the configuration is invalid (zero workers, undersized
 /// trace ring).
-#[cfg(feature = "trace")]
 pub fn simulate_traced(
     tree: &SimTree,
     policy: Policy,
@@ -97,37 +89,20 @@ pub fn simulate_traced(
     cost: CostModel,
 ) -> (SimOutcome, Option<adaptivetc_trace::Trace>) {
     cfg.validate().expect("invalid simulation configuration");
-    // The simulator honours the category filter but never samples: its
-    // streams stay exhaustive so real-vs-sim diffs remain exact.
-    let collector = (cfg.trace && policy != Policy::Tascell).then(|| {
-        adaptivetc_trace::TraceCollector::with_options(
-            cfg.threads,
-            cfg.trace_capacity,
-            cfg.trace_filter,
-            1,
-        )
-    });
-    let out = sim_inner(tree, policy, cfg, cost, collector.as_ref());
-    (out, collector.map(|c| c.finish()))
-}
-
-fn sim_inner(
-    tree: &SimTree,
-    policy: Policy,
-    cfg: &Config,
-    cost: CostModel,
-    tracer: trace::SimTracer<'_>,
-) -> SimOutcome {
-    cfg.validate().expect("invalid simulation configuration");
+    // The simulator never samples: its streams stay exhaustive so
+    // real-vs-sim diffs remain exact.
+    let collector = (cfg.trace && policy != Policy::Tascell)
+        .then(|| adaptivetc_trace::TraceCollector::new(cfg.threads, cfg.trace_capacity));
     let (leaves, report) = match policy {
         Policy::Tascell => tascell::TascellSim::new(tree, cfg, cost).run(),
-        _ => engine::Sim::new(tree, cfg, cost, policy, tracer).run(),
+        _ => engine::Sim::new(tree, cfg, cost, policy, collector.as_ref()).run(),
     };
-    SimOutcome {
+    let out = SimOutcome {
         leaves,
         wall_ns: report.wall_ns,
         report,
-    }
+    };
+    (out, collector.map(|c| c.finish()))
 }
 
 /// The serial baseline in virtual time: pure node work, no scheduling
@@ -183,7 +158,6 @@ mod tests {
             Policy::CutoffLibrary,
             Policy::AdaptiveTc,
             Policy::Tascell,
-            Policy::HelpFirst,
         ]
     }
 
@@ -325,29 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn help_first_deque_grows_with_breadth_not_depth() {
-        // Work-first deque occupancy tracks spawn depth; help-first tracks
-        // sibling breadth. On a wide flat tree the contrast is stark.
-        let wide = SimTree::from_lists(
-            std::iter::once((1..=4000u32).collect::<Vec<_>>())
-                .chain((0..4000).map(|_| Vec::new()))
-                .collect(),
-            1,
-            16,
-        );
-        let cfg = Config::new(2);
-        let wf = simulate(&wide, Policy::Cilk, &cfg, CostModel::calibrated());
-        let hf = simulate(&wide, Policy::HelpFirst, &cfg, CostModel::calibrated());
-        assert_eq!(hf.leaves, wide.leaf_count());
-        assert!(
-            hf.report.stats.deque_peak > 100 * wf.report.stats.deque_peak.max(1),
-            "help-first peak {} vs work-first {}",
-            hf.report.stats.deque_peak,
-            wf.report.stats.deque_peak
-        );
-    }
-
-    #[test]
     fn tascell_records_wait_children() {
         let tree = binary_tree(12);
         let out = simulate(
@@ -366,7 +317,6 @@ mod tests {
     /// Every simulated event stream must satisfy the same trace↔stats
     /// count identities the threaded runtime's differential validator
     /// enforces — per worker and in aggregate.
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_counts_match_stats() {
         let tree = binary_tree(10);
@@ -377,7 +327,6 @@ mod tests {
             Policy::CutoffProgrammer(3),
             Policy::CutoffLibrary,
             Policy::AdaptiveTc,
-            Policy::HelpFirst,
         ] {
             let (out, trace) = simulate_traced(&tree, policy, &cfg, CostModel::calibrated());
             let trace = trace.expect("tracing enabled for deque-based policies");
@@ -388,7 +337,6 @@ mod tests {
     }
 
     /// Tracing is opt-in (`Config::trace`) and never instruments Tascell.
-    #[cfg(feature = "trace")]
     #[test]
     fn tracing_is_opt_in() {
         let tree = binary_tree(6);

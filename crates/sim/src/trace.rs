@@ -1,26 +1,16 @@
-//! Feature-gated tracing plumbing for the simulator, mirroring
-//! `adaptivetc-runtime`'s pattern: with the `trace` cargo feature **on**
-//! the alias carries an optional collector reference through the
-//! interpreter; with the feature **off** it collapses to `()` and every
-//! `sev!` call site expands to nothing.
+//! Tracing plumbing for the simulator, mirroring `adaptivetc-runtime`'s:
+//! an optional collector reference, `None` unless `Config::trace` is set.
 
-#[cfg(feature = "trace")]
 pub(crate) type SimTracer<'a> = Option<&'a adaptivetc_trace::TraceCollector>;
-#[cfg(not(feature = "trace"))]
-pub(crate) type SimTracer<'a> = ();
 
 /// Emit a simulator trace event at the current virtual time:
 /// `sev!(self, wid, <expr>)` inside `Sim` methods, where `<expr>`
-/// evaluates to an `adaptivetc_trace::EventKind` (imported as `Ev`).
-/// Expands to nothing when the `trace` feature is off — the expression
-/// tokens are removed before name resolution.
+/// evaluates to an `adaptivetc_trace::EventKind` (imported as `Ev`) and
+/// is evaluated only when the run is traced.
 macro_rules! sev {
     ($sim:expr, $wid:expr, $kind:expr) => {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(t) = $sim.tracer {
-                t.emit_at($wid, $sim.now, $kind);
-            }
+        if let Some(t) = $sim.tracer {
+            t.emit_at($wid, $sim.now, $kind);
         }
     };
 }

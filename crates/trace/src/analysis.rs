@@ -575,10 +575,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn dwell_brackets_spans() {
         let c = TraceCollector::new(1, 64);
         c.emit_at(0, 0, EventKind::Spawn { depth: 0 });
@@ -625,10 +621,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn occupancy_replay_counts_all_deque_traffic() {
         let c = TraceCollector::new(2, 64);
         c.emit_at(0, 10, EventKind::Push);
@@ -643,10 +635,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn counts_tally_every_kind() {
         let c = TraceCollector::new(1, 256);
         c.emit_at(0, 1, EventKind::Spawn { depth: 0 });

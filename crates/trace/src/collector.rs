@@ -1,28 +1,20 @@
 //! The collector: one ring per worker, handed out as per-worker handles,
 //! drained into an immutable [`Trace`] once the run has quiesced.
 //!
-//! The collector also owns the run's **category filter** — one
-//! `AtomicU64` holding the effective mask (runtime `Config::trace_filter`
-//! ∧ [`compiled_mask`], with the [`Category::Job`] bit forced on so
-//! job-server epoch brackets always survive) — and its **sampling rate**
-//! (`trace_sample`, applied only to [`Category::SAMPLED_MASK`]
-//! categories). Handles check the filter with a single `Relaxed` load
-//! *before* an event is even constructed (see
-//! [`WorkerHandle::enabled`]); sampling countdowns live producer-private
-//! inside each ring, so neither mechanism adds shared-write traffic to
-//! the hot path.
+//! The collector also owns the run's **sampling rate** (`trace_sample`,
+//! applied only to [`Category::SAMPLED_MASK`] categories). Sampling
+//! countdowns live producer-private inside each ring, so sampling adds no
+//! shared-write traffic to the hot path.
 
 use crate::clock::TraceClock;
 use crate::event::{Event, EventKind, RawEvent};
-use crate::filter::{compiled_mask, Category};
+use crate::filter::Category;
 use crate::ring::EventRing;
-use crate::sync::{AtomicU64, Ordering};
 
-/// Owns the per-worker rings, the run-epoch clock and the category
-/// filter for one traced run.
+/// Owns the per-worker rings and the run-epoch clock for one traced run.
 ///
 /// Lifecycle: create with [`TraceCollector::new`] (or
-/// [`TraceCollector::with_options`] for a filter/sampling setup), hand
+/// [`TraceCollector::with_sample`] for a sampled run), hand
 /// each worker its [`WorkerHandle`] (the handles borrow the collector,
 /// so workers must be scoped threads or the collector must be shared via
 /// `Arc`), then — after every worker has been joined — call
@@ -30,8 +22,6 @@ use crate::sync::{AtomicU64, Ordering};
 pub struct TraceCollector {
     rings: Vec<EventRing>,
     clock: TraceClock,
-    /// Effective category mask; runtime-adjustable via `set_filter`.
-    filter: AtomicU64,
     /// 1-in-N rate for [`Category::SAMPLED_MASK`] categories (1 = all).
     sample: u32,
     /// Serialises mid-run readers ([`TraceCollector::drain_published`])
@@ -47,36 +37,20 @@ pub struct TraceCollector {
 pub struct WorkerHandle<'a> {
     ring: &'a EventRing,
     clock: TraceClock,
-    filter: &'a AtomicU64,
     sample: u32,
 }
 
 impl WorkerHandle<'_> {
-    /// Is `cat` currently recorded? One `Relaxed` load; when the
-    /// category is compiled out this constant-folds to `false` and the
-    /// caller's whole emit site is dead-code-eliminated. Call this
-    /// *before* constructing an [`EventKind`] — that is the entire point
-    /// of the filter.
-    #[inline]
-    pub fn enabled(&self, cat: Category) -> bool {
-        compiled_mask() & cat.bit() != 0 && self.filter.load(Ordering::Relaxed) & cat.bit() != 0
-    }
-
-    /// Record `kind` now if its category passes the filter and — for
-    /// sampled categories — the 1-in-N countdown. Wait-free (mask load +
-    /// clock read + ring push).
+    /// Record `kind` now, subject — for sampled categories — to the
+    /// 1-in-N countdown. Wait-free (clock read + ring push).
     #[inline]
     pub fn emit(&self, kind: EventKind) {
-        let cat = kind.category();
-        if self.enabled(cat) {
-            self.emit_in(cat, kind);
-        }
+        self.emit_in(kind.category(), kind);
     }
 
-    /// Filter-free emission for call sites that already checked
-    /// [`WorkerHandle::enabled`] for `cat` (the engine's `tev!` macro,
-    /// which names the category statically so the event expression is
-    /// only evaluated behind the mask check).
+    /// As [`WorkerHandle::emit`] for call sites that name `cat`
+    /// statically (the engine's `tev!` macro), so the sampling test
+    /// constant-folds per site.
     #[inline]
     pub fn emit_in(&self, cat: Category, kind: EventKind) {
         debug_assert_eq!(kind.category(), cat);
@@ -91,33 +65,23 @@ impl WorkerHandle<'_> {
 }
 
 impl TraceCollector {
-    /// A collector with one ring of `capacity` events per worker, all
-    /// categories enabled and no sampling.
+    /// A collector with one ring of `capacity` events per worker and no
+    /// sampling.
     pub fn new(workers: usize, capacity: usize) -> TraceCollector {
-        TraceCollector::with_options(workers, capacity, u64::MAX, 1)
+        TraceCollector::with_sample(workers, capacity, 1)
     }
 
-    /// A collector with a runtime category `filter` (a
-    /// [`Category`]-bitmask; `u64::MAX` = everything) and a 1-in-`sample`
-    /// rate for the hot categories (`0`/`1` = record every event).
+    /// A collector with a 1-in-`sample` rate for the hot categories
+    /// (`0`/`1` = record every event).
     ///
-    /// The stored mask is `filter` ∧ [`compiled_mask`] with
-    /// [`Category::Job`] forced on (job-epoch brackets must survive for
-    /// [`Trace::split_jobs`]). Creating the first collector in the
-    /// process also runs the one-time TSC calibration handshake — see
-    /// [`TraceClock`].
-    pub fn with_options(
-        workers: usize,
-        capacity: usize,
-        filter: u64,
-        sample: u32,
-    ) -> TraceCollector {
+    /// Creating the first collector in the process also runs the
+    /// one-time TSC calibration handshake — see [`TraceClock`].
+    pub fn with_sample(workers: usize, capacity: usize, sample: u32) -> TraceCollector {
         TraceCollector {
             rings: (0..workers)
                 .map(|_| EventRing::with_capacity(capacity))
                 .collect(),
             clock: TraceClock::start(),
-            filter: AtomicU64::new(effective_mask(filter)),
             sample: sample.max(1),
             reader: std::sync::Mutex::new(()),
         }
@@ -126,11 +90,6 @@ impl TraceCollector {
     /// Number of worker rings.
     pub fn workers(&self) -> usize {
         self.rings.len()
-    }
-
-    /// The current effective category mask.
-    pub fn filter(&self) -> u64 {
-        self.filter.load(Ordering::Relaxed)
     }
 
     /// The 1-in-N sampling rate for hot categories.
@@ -144,22 +103,12 @@ impl TraceCollector {
         self.clock
     }
 
-    /// Swap the runtime category mask mid-run (subject to the same
-    /// clamping as [`TraceCollector::with_options`]). `Relaxed` on both
-    /// sides: a worker may record a few more events of a just-masked
-    /// category while the store propagates, which only shifts *when* the
-    /// filter cut takes effect, never what a recorded event means.
-    pub fn set_filter(&self, filter: u64) {
-        self.filter.store(effective_mask(filter), Ordering::Relaxed);
-    }
-
     /// The recording endpoint for `worker`. Each worker must use only its
     /// own handle — that is what makes the rings single-producer.
     pub fn handle(&self, worker: usize) -> WorkerHandle<'_> {
         WorkerHandle {
             ring: &self.rings[worker],
             clock: self.clock,
-            filter: &self.filter,
             sample: self.sample,
         }
     }
@@ -169,13 +118,11 @@ impl TraceCollector {
     /// uses [`WorkerHandle::emit`] instead. Not safe to mix with a live
     /// handle on another thread for the same worker.
     ///
-    /// Respects the category filter but **not** sampling: virtual-time
-    /// streams are deterministic and cheap, and keeping them exhaustive
-    /// preserves exact real-vs-sim diffing at any sampling rate.
+    /// Never sampled: virtual-time streams are deterministic and cheap,
+    /// and keeping them exhaustive preserves exact real-vs-sim diffing
+    /// at any sampling rate.
     pub fn emit_at(&self, worker: usize, ts: u64, kind: EventKind) {
-        if self.filter.load(Ordering::Relaxed) & kind.category().bit() != 0 {
-            self.rings[worker].push(RawEvent::encode(ts, kind));
-        }
+        self.rings[worker].push(RawEvent::encode(ts, kind));
     }
 
     /// Events `worker` has published so far and not yet consumed — the
@@ -207,7 +154,6 @@ impl TraceCollector {
             .collect();
         Trace {
             workers,
-            filter: self.filter.load(Ordering::Relaxed),
             sample: self.sample,
             clock_backend: self.clock.backend(),
         }
@@ -229,16 +175,10 @@ impl TraceCollector {
             .collect();
         Trace {
             workers,
-            filter: self.filter.load(Ordering::Relaxed),
             sample: self.sample,
             clock_backend: self.clock.backend(),
         }
     }
-}
-
-/// Clamp a requested runtime mask to the effective one.
-fn effective_mask(filter: u64) -> u64 {
-    (filter & compiled_mask()) | Category::Job.bit()
 }
 
 /// The drained event stream of one worker, oldest-first.
@@ -253,15 +193,13 @@ pub struct WorkerTrace {
 }
 
 /// A complete drained trace: one stream per worker plus the run epoch
-/// implied by timestamp zero, and the filter/sampling setup it was
-/// recorded under (consumers like [`validate`](crate::validate) use
-/// those to know which counters the trace can be exact about).
+/// implied by timestamp zero, and the sampling rate it was recorded
+/// under (consumers like [`validate`](crate::validate) use it to know
+/// which counters the trace can be exact about).
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// Per-worker streams, indexed by worker id.
     pub workers: Vec<WorkerTrace>,
-    /// The effective category mask the run recorded under.
-    pub filter: u64,
     /// The 1-in-N sampling rate for [`Category::SAMPLED_MASK`]
     /// categories (1 = exhaustive).
     pub sample: u32,
@@ -271,21 +209,15 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// An exhaustive trace (all categories, no sampling) from bare
+    /// An exhaustive trace (no sampling) from bare
     /// per-worker streams. Handy for tests and for consumers that
     /// assemble traces by hand.
     pub fn from_workers(workers: Vec<WorkerTrace>) -> Trace {
         Trace {
             workers,
-            filter: u64::MAX,
             sample: 1,
             clock_backend: "virtual",
         }
-    }
-
-    /// Is `cat` recorded in this trace (its filter bit set)?
-    pub fn records(&self, cat: Category) -> bool {
-        self.filter & cat.bit() != 0
     }
 
     /// Is `cat` subject to 1-in-N sampling in this trace (so its event
@@ -327,13 +259,8 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::filter::compiled_mask;
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn handles_record_into_their_own_rings() {
         let collector = TraceCollector::new(3, 64);
         collector.handle(0).emit(EventKind::Push);
@@ -345,15 +272,10 @@ mod tests {
         assert_eq!(trace.workers[2].events.len(), 2);
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.total_dropped(), 0);
-        assert_eq!(trace.filter, compiled_mask());
         assert_eq!(trace.sample, 1);
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn emit_at_uses_the_given_timestamp() {
         let collector = TraceCollector::new(1, 64);
         collector.emit_at(0, 12345, EventKind::FakeTask { depth: 2 });
@@ -362,10 +284,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn merged_is_sorted_by_timestamp() {
         let collector = TraceCollector::new(2, 64);
         collector.emit_at(0, 30, EventKind::Push);
@@ -377,59 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn masked_categories_emit_nothing() {
-        let collector =
-            TraceCollector::with_options(1, 64, Category::Steal.bit() | Category::Fsm.bit(), 1);
-        let h = collector.handle(0);
-        assert!(h.enabled(Category::Steal));
-        assert!(!h.enabled(Category::Deque));
-        h.emit(EventKind::Push); // masked
-        h.emit(EventKind::Spawn { depth: 0 }); // masked
-        h.emit(EventKind::StealOk { victim: 0 }); // recorded
-        let trace = collector.finish();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(
-            trace.workers[0].events[0].kind,
-            EventKind::StealOk { victim: 0 }
-        );
-        assert!(trace.records(Category::Steal));
-        assert!(!trace.records(Category::Deque));
-    }
-
-    #[test]
-    fn job_brackets_survive_any_filter() {
-        let collector = TraceCollector::with_options(1, 64, 0, 1);
-        collector
-            .handle(0)
-            .emit(EventKind::JobBegin { job: 1, slot: 0 });
-        collector.emit_at(0, 5, EventKind::JobEnd { job: 1 });
-        let trace = collector.finish();
-        assert_eq!(trace.len(), 2);
-    }
-
-    #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
-    fn set_filter_swaps_the_mask_mid_run() {
-        let collector = TraceCollector::new(1, 64);
-        let h = collector.handle(0);
-        h.emit(EventKind::Push);
-        collector.set_filter(Category::Steal.bit());
-        h.emit(EventKind::Push); // now masked
-        h.emit(EventKind::StealOk { victim: 0 });
-        let trace = collector.finish();
-        assert_eq!(trace.len(), 2);
-    }
-
-    #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn sampling_keeps_one_in_n_of_hot_categories() {
-        let collector = TraceCollector::with_options(1, 1 << 12, u64::MAX, 4);
+        let collector = TraceCollector::with_sample(1, 1 << 12, 4);
         let h = collector.handle(0);
         for _ in 0..100 {
             h.emit(EventKind::Push);
@@ -451,25 +318,16 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
-    fn emit_at_respects_the_filter_but_not_sampling() {
-        let collector = TraceCollector::with_options(1, 256, !Category::Deque.bit(), 8);
+    fn emit_at_is_never_sampled() {
+        let collector = TraceCollector::with_sample(1, 256, 8);
         for i in 0..20 {
-            collector.emit_at(0, i, EventKind::Push); // masked
-            collector.emit_at(0, i, EventKind::Spawn { depth: 0 }); // unsampled in virtual time
+            collector.emit_at(0, i, EventKind::Spawn { depth: 0 });
         }
         let trace = collector.finish();
         assert_eq!(trace.len(), 20);
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn drain_published_snapshots_without_losing_events() {
         let collector = TraceCollector::new(2, 1 << 12);
         for i in 0..200 {
@@ -480,7 +338,6 @@ mod tests {
         let snap = collector.drain_published();
         assert_eq!(snap.workers[0].events.len(), announced);
         assert!(snap.workers[0].events.len() <= 200);
-        assert_eq!(snap.filter, collector.filter());
         // Snapshot + final trace partition the stream exactly.
         let rest = collector.finish();
         for w in 0..2 {
@@ -493,10 +350,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn concurrent_workers_then_finish() {
         let collector = std::sync::Arc::new(TraceCollector::new(4, 4096));
         let mut joins = Vec::new();

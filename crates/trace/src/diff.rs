@@ -198,10 +198,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn mismatch_is_reported() {
         let real = trace_with(&[EventKind::Push, EventKind::Push]);
         let sim = trace_with(&[EventKind::Push]);

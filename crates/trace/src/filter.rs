@@ -1,31 +1,20 @@
-//! Event categories and the two-level category filter.
+//! Event categories.
 //!
-//! Every [`EventKind`] belongs to exactly one [`Category`]; a trace
-//! filter is a bitmask of category bits. Filtering happens at **two**
-//! levels, both resolved before an event is constructed:
+//! Every [`EventKind`] belongs to exactly one [`Category`], and the
+//! partition deliberately follows the `RunStats` counters: each counter
+//! that [`validate`](crate::validate) checks derives from events of
+//! exactly one category, so 1-in-N sampling of a category turns exactly
+//! its counters into bounds and leaves the rest exact.
 //!
-//! * **Compile time** — [`compiled_mask`] removes whole categories from
-//!   the build when the `no-hot-events` cargo feature is enabled (the
-//!   hot trio: deque traffic, fake tasks, spawns). The emit macros still
-//!   type-check; the mask test constant-folds to `false` and the whole
-//!   site is dead-code-eliminated.
-//! * **Run time** — `Config::trace_filter` (a raw `u64` so the core
-//!   crate needs no dependency on this one) is ANDed with the compiled
-//!   mask in the collector and checked with a single `Relaxed` load per
-//!   emission.
-//!
-//! The category partition deliberately follows the `RunStats` counters:
-//! each counter that [`validate`](crate::validate) checks derives from
-//! events of exactly one category, so masking a category cleanly skips
-//! its counters instead of corrupting the differential.
-//!
-//! Categories in [`Category::SAMPLED_MASK`] (the same hot trio) are
-//! additionally subject to 1-in-N sampling when `Config::trace_sample`
-//! is above 1; see [`crate::collector`].
+//! Categories in [`Category::SAMPLED_MASK`] (the hot trio plus strategy
+//! tunes) are subject to 1-in-N sampling when `Config::trace_sample` is
+//! above 1; see [`crate::collector`]. Sampling is the one volume
+//! control: a traced run records every category.
 
 use crate::event::EventKind;
 
-/// An event category — one bit of a trace filter mask.
+/// An event category. Each owns one bit ([`Category::bit`]), so a set of
+/// categories such as [`Category::SAMPLED_MASK`] is a mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Category {
@@ -49,9 +38,8 @@ pub enum Category {
     Workspace = 7,
     /// Suspension brackets of special syncs.
     Sync = 8,
-    /// Job-server participation brackets. Never maskable: the collector
-    /// forces this bit on because [`crate::Trace::split_jobs`] needs the
-    /// brackets to attribute every other event.
+    /// Job-server participation brackets, which
+    /// [`crate::Trace::split_jobs`] uses to attribute every other event.
     Job = 9,
     /// Cut-off tunes from the online controller. Sampled like the hot
     /// trio so a pathological oscillation cannot flood the rings.
@@ -74,9 +62,6 @@ impl Category {
         Category::Strategy,
     ];
 
-    /// Mask with every category enabled.
-    pub const ALL_MASK: u64 = (1 << Category::ALL.len()) - 1;
-
     /// The categories subject to 1-in-N sampling when
     /// `Config::trace_sample > 1`: the high-frequency trio whose events
     /// scale with the task tree rather than with scheduling decisions,
@@ -87,41 +72,10 @@ impl Category {
         | Category::Spawn.bit()
         | Category::Strategy.bit();
 
-    /// This category's filter bit.
+    /// This category's mask bit.
     #[inline]
     pub const fn bit(self) -> u64 {
         1 << (self as u8)
-    }
-
-    /// Short stable name for reports and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Category::Spawn => "spawn",
-            Category::Deque => "deque",
-            Category::Steal => "steal",
-            Category::Fake => "fake",
-            Category::Fsm => "fsm",
-            Category::Special => "special",
-            Category::Signal => "signal",
-            Category::Workspace => "workspace",
-            Category::Sync => "sync",
-            Category::Job => "job",
-            Category::Strategy => "strategy",
-        }
-    }
-}
-
-/// The categories compiled into this build. All of them normally; the
-/// `no-hot-events` cargo feature statically removes the hot trio so
-/// their emit sites vanish entirely (the strongest form of "disabled").
-pub const fn compiled_mask() -> u64 {
-    #[cfg(feature = "no-hot-events")]
-    {
-        Category::ALL_MASK & !Category::SAMPLED_MASK
-    }
-    #[cfg(not(feature = "no-hot-events"))]
-    {
-        Category::ALL_MASK
     }
 }
 
@@ -159,13 +113,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bits_are_distinct_and_cover_all_mask() {
+    fn bits_are_distinct() {
         let mut acc = 0u64;
         for c in Category::ALL {
-            assert_eq!(acc & c.bit(), 0, "{} reuses a bit", c.name());
+            assert_eq!(acc & c.bit(), 0, "{c:?} reuses a bit");
             acc |= c.bit();
         }
-        assert_eq!(acc, Category::ALL_MASK);
     }
 
     #[test]
@@ -176,25 +129,6 @@ mod tests {
                 | Category::Fake.bit()
                 | Category::Spawn.bit()
                 | Category::Strategy.bit()
-        );
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let mut names: Vec<_> = Category::ALL.iter().map(|c| c.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Category::ALL.len());
-    }
-
-    #[test]
-    fn compiled_mask_defaults_to_everything() {
-        #[cfg(not(feature = "no-hot-events"))]
-        assert_eq!(compiled_mask(), Category::ALL_MASK);
-        #[cfg(feature = "no-hot-events")]
-        assert_eq!(
-            compiled_mask(),
-            Category::ALL_MASK & !Category::SAMPLED_MASK
         );
     }
 

@@ -114,7 +114,6 @@ impl Trace {
                     job,
                     Trace {
                         workers,
-                        filter: self.filter,
                         sample: self.sample,
                         clock_backend: self.clock_backend,
                     },
@@ -198,10 +197,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn split_rekeys_by_job_and_slot() {
         let split = interleaved().split_jobs();
         assert_eq!(split.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
@@ -229,10 +224,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn validate_concurrent_checks_each_job_against_its_own_report() {
         let trace = interleaved();
         let r1 = RunReport::from_workers(
@@ -287,10 +278,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn unfilled_slot_is_padded_with_an_empty_stream() {
         let c = TraceCollector::new(1, 64);
         c.emit_at(0, 1, EventKind::JobBegin { job: 7, slot: 0 });
@@ -311,10 +298,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn dropped_events_poison_contributing_slots() {
         // Drop-oldest overflow swallows the JobBegin marker; the surviving
         // JobEnd must still get job 3 poisoned.

@@ -15,24 +15,22 @@
 //! * [`clock`] — run-epoch monotonic timestamps: calibrated invariant-TSC
 //!   reads on x86_64, `Instant` elsewhere (the sim stamps virtual time
 //!   instead).
-//! * [`filter`] — event categories and the compile-time + runtime
-//!   category filter mask.
+//! * [`filter`] — event categories and the sampled subset.
 //! * [`collector`] — one ring per worker, per-worker [`WorkerHandle`]s
-//!   with mask-gated, optionally sampled emission, drained into an
-//!   immutable [`Trace`].
+//!   with optionally sampled emission, drained into an immutable
+//!   [`Trace`].
 //! * [`chrome`] — `chrome://tracing` / Perfetto JSON export.
 //! * [`analysis`] — steal-provenance tree, per-state dwell times,
 //!   steal-latency and deque-occupancy histograms, steal-latency and
 //!   need_task→delivery response-time CDFs, aggregate counts.
 //! * [`validate`] — the differential oracle: trace-derived counts must
 //!   equal `RunStats` exactly, per worker and in aggregate, for every
-//!   category the trace recorded unsampled.
+//!   category the trace recorded unsampled (a bound for sampled ones).
 //! * [`diff`] — real-vs-simulated stream comparison over the shared
 //!   schema subset.
 //!
-//! The runtime integration lives in `adaptivetc-runtime` behind its
-//! `trace` cargo feature and the `Config::trace` runtime flag; with the
-//! feature off this crate is not even compiled.
+//! The runtime integration lives in `adaptivetc-runtime` behind the
+//! `Config::trace` runtime flag.
 
 #![warn(missing_docs)]
 
@@ -57,6 +55,6 @@ pub use clock::TraceClock;
 pub use collector::{Trace, TraceCollector, WorkerHandle, WorkerTrace};
 pub use diff::TraceDiff;
 pub use event::{legal_fsm_edge, Event, EventKind, FsmState, RawEvent};
-pub use filter::{compiled_mask, Category};
+pub use filter::Category;
 pub use jobs::{validate_concurrent, JobMismatch};
 pub use validate::{assert_valid, validate, Mismatch};

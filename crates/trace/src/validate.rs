@@ -5,17 +5,14 @@
 //! counter the engine bumps has a twin event, so any missed or spurious
 //! emission shows up as a mismatch here.
 //!
-//! The oracle is **filter- and sampling-aware**. Each checked counter
-//! derives from events of exactly one [`Category`] (the partition in
-//! [`crate::filter`] is designed around this), so:
+//! The oracle is **sampling-aware**. Each checked counter derives from
+//! events of exactly one [`Category`] (the partition in [`crate::filter`]
+//! is designed around this), so:
 //!
-//! * a counter whose category the trace's filter masked is skipped — the
-//!   trace legitimately contains no evidence either way;
 //! * a counter whose category was 1-in-N *sampled* is checked as a bound
 //!   (`traced ≤ stats`): sampling drops events but never invents them,
 //!   and `RunStats` keeps the exact count regardless;
-//! * every other counter — all categories recorded unsampled — is
-//!   checked exactly, as before.
+//! * every other counter is checked exactly.
 
 use crate::analysis::TraceCounts;
 use crate::collector::Trace;
@@ -60,7 +57,7 @@ struct Checker<'a> {
 impl Checker<'_> {
     /// Check one counter against its single source category: exact when
     /// the category was recorded unsampled, `traced ≤ stats` when
-    /// sampled, skipped when masked.
+    /// sampled.
     fn check(
         &mut self,
         worker: Option<usize>,
@@ -69,9 +66,6 @@ impl Checker<'_> {
         traced: u64,
         stats: u64,
     ) {
-        if !self.trace.records(cat) {
-            return;
-        }
         let mismatch = if self.trace.sampled(cat) {
             traced > stats
         } else {
@@ -242,10 +236,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn mismatch_is_reported_per_worker_and_aggregate() {
         let c = TraceCollector::new(1, 256);
         c.emit_at(0, 1, EventKind::Spawn { depth: 0 });
@@ -263,10 +253,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "trace/stats differential failed")]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn assert_valid_panics_on_mismatch() {
         let c = TraceCollector::new(1, 256);
         c.emit_at(0, 1, EventKind::Spawn { depth: 0 });
@@ -274,29 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn masked_categories_are_skipped_not_mismatched() {
-        // Deque masked: the stats can claim any push/pop counts without
-        // the (empty) trace contradicting them — but spawns stay exact.
-        let c = TraceCollector::with_options(1, 256, !Category::Deque.bit(), 1);
-        c.emit_at(0, 1, EventKind::Spawn { depth: 0 });
-        c.emit_at(0, 2, EventKind::Push); // filtered out
-        let s = RunStats {
-            tasks_created: 1,
-            deque_pushes: 7,
-            deque_pops: 7,
-            ..Default::default()
-        };
-        let mismatches = validate(&c.finish(), &report_for(vec![s]));
-        assert!(mismatches.is_empty(), "{mismatches:?}");
-    }
-
-    #[test]
-    #[cfg_attr(
-        feature = "no-hot-events",
-        ignore = "exercises hot categories that this feature compiles out"
-    )]
     fn sampled_categories_are_bounded_not_exact() {
-        let c = TraceCollector::with_options(1, 256, u64::MAX, 4);
+        let c = TraceCollector::with_sample(1, 256, 4);
         let h = c.handle(0);
         for _ in 0..16 {
             h.emit(EventKind::Push); // 4 survive the 1-in-4 sampling
@@ -325,7 +290,7 @@ mod tests {
     #[test]
     fn unsampled_categories_stay_exact_under_sampling() {
         // With sampling on, a missed suspension event must still fail.
-        let c = TraceCollector::with_options(1, 256, u64::MAX, 8);
+        let c = TraceCollector::with_sample(1, 256, 8);
         let s = RunStats {
             suspensions: 1,
             ..Default::default()

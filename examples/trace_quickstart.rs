@@ -4,7 +4,6 @@
 //!
 //! Run with `cargo run --release --example trace_quickstart`.
 
-#[cfg(feature = "trace")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     use adaptivetc_suite::core::Config;
     use adaptivetc_suite::runtime::Scheduler;
@@ -27,9 +26,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("wrote trace_nqueens.json — open it in chrome://tracing");
     Ok(())
-}
-
-#[cfg(not(feature = "trace"))]
-fn main() {
-    eprintln!("rebuild with the default `trace` feature to run this example");
 }

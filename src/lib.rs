@@ -42,6 +42,5 @@ pub use adaptivetc_core as core;
 pub use adaptivetc_deque as deque;
 pub use adaptivetc_runtime as runtime;
 pub use adaptivetc_sim as sim;
-#[cfg(feature = "trace")]
 pub use adaptivetc_trace as trace;
 pub use adaptivetc_workloads as workloads;

@@ -6,7 +6,6 @@
 //! gate, job B starts and finishes while A is parked, then A is released.
 //! Both jobs' events therefore share the server's single collector and
 //! the pool-wide trace carries genuinely interleaved epochs.
-#![cfg(feature = "trace")]
 
 use adaptivetc_suite::core::{Config, CutoffPolicy, Expansion, Problem};
 use adaptivetc_suite::runtime::{run_traced, JobOutcome, JobServer, Mode, Priority, ServerConfig};

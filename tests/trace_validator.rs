@@ -5,8 +5,6 @@
 //! simulator's stream must diff exactly against the threaded engine's
 //! over the shared schema at one thread.
 
-#![cfg(feature = "trace")]
-
 use adaptivetc_suite::core::{Config, CutoffPolicy, DequeBackend};
 use adaptivetc_suite::runtime::Scheduler;
 use adaptivetc_suite::sim::{simulate_traced, CostModel, Policy, SimTree};
