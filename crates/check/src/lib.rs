@@ -24,7 +24,12 @@
 //!   (`runtime/src/submit.rs`, included below): no lost submission, no
 //!   double claim, and the cancel-vs-complete race resolving to exactly
 //!   one terminal state, exhaustive at 2 workers × 2 jobs, with a pinned
-//!   replayable race-window schedule.
+//!   replayable race-window schedule;
+//! * `join_protocol.rs` — the work-first frame's join cell
+//!   (`runtime/src/join.rs`, included below) under the miniature engine
+//!   of [`join_model`]: exactly one completion carrying every child's
+//!   result, across steal-before/after-return, re-steal and detached
+//!   children, plus the seeded missing-token meta-test.
 //!
 //! Payloads in model-checked scenarios should be `Copy` integers: a
 //! violation tears the execution down by unwinding every model thread, and
@@ -69,6 +74,11 @@ pub mod signal;
 
 #[path = "../../runtime/src/submit.rs"]
 pub mod submit;
+
+#[path = "../../runtime/src/join.rs"]
+pub mod join;
+
+pub mod join_model;
 
 pub mod scenarios;
 

@@ -19,6 +19,7 @@
 
 use crate::chase_lev::{ChaseLevDeque, ClSteal};
 use crate::fence_free::FenceFreeDeque;
+use crate::join_model;
 use crate::pool::PoolDeque;
 use crate::signal::NeedTask;
 use crate::submit::{
@@ -47,6 +48,7 @@ const FENCE_FREE: &str = "crates/deque/src/fence_free.rs";
 const POOL: &str = "crates/deque/src/pool.rs";
 const SIGNAL: &str = "crates/deque/src/signal.rs";
 const SUBMIT: &str = "crates/runtime/src/submit.rs";
+const JOIN: &str = "crates/runtime/src/join.rs";
 
 /// Every registered scenario. `tests/race_detector.rs` explores each
 /// with race checking on; the `ordering_audit` binary re-runs the ones
@@ -116,6 +118,16 @@ pub const SCENARIOS: &[Scenario] = &[
         name: "submit_prio",
         covers: &[SUBMIT],
         run: submit_prio,
+    },
+    Scenario {
+        name: "join_restolen",
+        covers: &[JOIN, THE],
+        run: join_restolen,
+    },
+    Scenario {
+        name: "join_detached",
+        covers: &[JOIN, THE],
+        run: join_detached,
     },
 ];
 
@@ -555,4 +567,21 @@ fn submit_prio() {
     assert_eq!(q.try_pop(), Some((Priority::High, 1)));
     assert_eq!(q.try_pop(), Some((Priority::Low, 3)));
     assert_eq!(q.try_pop(), None);
+}
+
+// ---------------------------------------------------------------------------
+// Work-first join cell (runtime/src/join.rs under the miniature engine)
+// ---------------------------------------------------------------------------
+
+/// A stolen continuation stolen again: three workers, one frame. Unlike
+/// the deque scenarios above, every push here happens *after* the thieves
+/// were spawned, so no spawn edge hides a missing release.
+fn join_restolen() {
+    join_model::owner_vs_two_thieves(&join_model::FLAT);
+}
+
+/// Root then inner frame stolen from one victim: a child detached under
+/// a stolen parent, and a thief reading `tail` from the owner's pop.
+fn join_detached() {
+    join_model::owner_vs_thief(&join_model::NESTED_STOLEN, 2, true);
 }

@@ -134,6 +134,12 @@ pub struct RunStats {
     pub polls: u64,
     /// Tasks suspended at a synchronization point.
     pub suspensions: u64,
+    /// Child results that reached their parent frame through its shared
+    /// join cell instead of on the spawning worker's stack. The runtime's
+    /// frames are work-first: only a theft sends a result this way, so the
+    /// count is zero on one thread and bounded by steals times tree height
+    /// (DESIGN.md §6), never by nodes.
+    pub async_joins: u64,
     /// Online retunes of a worker's effective task-creation cut-off
     /// (AdaptiveTC's cut-off controller; zero in every other mode and
     /// whenever the cut-off never moved).
@@ -176,6 +182,7 @@ impl RunStats {
         self.steal_backoffs += other.steal_backoffs;
         self.polls += other.polls;
         self.suspensions += other.suspensions;
+        self.async_joins += other.async_joins;
         self.cutoff_adjustments += other.cutoff_adjustments;
         self.threshold_adjustments += other.threshold_adjustments;
         self.deque_peak = self.deque_peak.max(other.deque_peak);
@@ -325,6 +332,7 @@ mod tests {
             steal_backoffs: 1,
             polls: 1,
             suspensions: 1,
+            async_joins: 1,
             cutoff_adjustments: 1,
             threshold_adjustments: 1,
             deque_peak: 1,
@@ -362,6 +370,7 @@ mod tests {
         expect(merged.steal_backoffs, "steal_backoffs");
         expect(merged.polls, "polls");
         expect(merged.suspensions, "suspensions");
+        expect(merged.async_joins, "async_joins");
         expect(merged.cutoff_adjustments, "cutoff_adjustments");
         expect(merged.threshold_adjustments, "threshold_adjustments");
         expect(merged.deque_overflows, "deque_overflows");

@@ -222,10 +222,16 @@ impl<T> TheDeque<T> {
     /// corrupt the next push).
     pub fn pop(&self) -> Option<T> {
         let t = self.tail.load(Ordering::Relaxed) - 1;
-        // Relaxed: the SeqCst fence below globally orders this store
-        // against the subsequent `head` read — the Dekker arbitration
-        // needs the store→fence→load *shape*, not a SeqCst store.
-        self.tail.store(t, Ordering::Relaxed);
+        // The SeqCst fence below globally orders this store against the
+        // subsequent `head` read — the Dekker arbitration needs the
+        // store→fence→load *shape*, not a SeqCst store. Release (KEPT),
+        // not Relaxed: a thief may read `tail` from *this* store rather
+        // than from the push that published the entries below `t`, and a
+        // same-thread Relaxed store does not continue that push's release
+        // sequence — the thief's slot read would be unordered with the
+        // push's slot write (found by the `join_detached` scenario under
+        // `check_races`). Free on x86, where every store is a release.
+        self.tail.store(t, Ordering::Release);
         fence(Ordering::SeqCst);
         // Relaxed: ordered by the fence above. A stale (lower) `head` only
         // sends the owner into the locked slow path — conservative.

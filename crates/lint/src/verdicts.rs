@@ -38,6 +38,7 @@ pub const COVERED_FILES: &[&str] = &[
     "crates/deque/src/pool.rs",
     "crates/deque/src/signal.rs",
     "crates/deque/src/the.rs",
+    "crates/runtime/src/join.rs",
     "crates/runtime/src/submit.rs",
 ];
 

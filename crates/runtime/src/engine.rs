@@ -29,8 +29,21 @@
 //! [`WsDeque`] backend (selected by
 //! [`Config::backend`](adaptivetc_core::Config)): a spawn pushes the parent
 //! frame, the worker dives into the child, and the matched pop detects theft
-//! (the THE race, or the Chase-Lev bottom CAS). Results flow through the
-//! asynchronous delivery chain in [`crate::frame`].
+//! (the THE race, or the Chase-Lev bottom CAS).
+//!
+//! # Work-first joins
+//!
+//! A child that finishes on the worker that spawned it hands its result
+//! back on the stack ([`Outcome::Done`]); after a successful pop the
+//! parent's loop folds it into the continuation-private accumulator. A
+//! frame that is never stolen therefore takes no lock, performs no atomic
+//! read-modify-write on its own fields and completes by returning. Only a
+//! failed pop — the continuation was stolen under the child — or a frame
+//! that already went asynchronous sends a result through the shared join
+//! cell and the cascading delivery chain in [`crate::frame`]
+//! (`RunStats::async_joins` counts those). The loops never hold a borrow
+//! of the continuation's fields across a push: from its push to its
+//! successful pop the owner does not own them.
 //!
 //! # Hot-path object pools
 //!
@@ -42,11 +55,12 @@
 //!   the paper's Cilk numbers) draws from a [`Pool`] of dead buffers and
 //!   overwrites them with `clone_from`; `RunStats::state_reuse` counts the
 //!   hits.
-//! * **frames** — a completed frame whose `Arc` has become unique again is
-//!   scrubbed and parked in a frame pool; the next spawn reuses the
+//! * **frames** — a frame that completed without ever going asynchronous
+//!   was used by this worker alone, so it is scrubbed and parked in a frame
+//!   pool without probing its reference count; the next spawn reuses the
 //!   allocation (`RunStats::frame_reuse`). Frames that complete
-//!   asynchronously (delivered by a thief's last child) bypass the pool and
-//!   simply drop.
+//!   asynchronously bypass the pool and simply drop, and so does every
+//!   shell under weak deque entries ([`DequeEntry::POOLS_SHELLS`]).
 //!
 //! # Copy-on-steal workspaces
 //!
@@ -56,7 +70,7 @@
 //! clone the taskprivate workspace. The worker executes children *in
 //! place* — `apply`, recurse, `undo` on one live workspace, exactly like
 //! the sequence version — and the pushed frame merely borrows it: the
-//! frame's `inner.state` stays `None` and the owner records the frame on a
+//! frame carries no workspace and the owner records the frame on a
 //! **spine** alongside a mark into a **trail** of every choice currently
 //! applied to the live workspace. An owner pop reuses the workspace
 //! directly (`RunStats::workspace_copies_saved`); only when a thief
@@ -83,7 +97,7 @@
 //! alone ([`Mode::clones_per_spawn`]), read where a worker enters a frame
 //! from outside — the root task and a stolen continuation.
 
-use crate::frame::{deliver, Frame, OutCell, Parent};
+use crate::frame::{deliver, Frame, OutCell, Outcome, Parent};
 use crate::fsm;
 use crate::pool::Pool;
 use crate::submit::CancelToken;
@@ -158,6 +172,11 @@ impl Mode {
 ///
 /// [`claim`]: DequeEntry::claim
 pub(crate) trait DequeEntry<P: Problem>: Send + Sync + Sized {
+    /// Whether a retired frame shell may be pooled and reused. Not under
+    /// weak entries: the log keeps one per push for the whole run, and a
+    /// stale one may still be upgrading the shell when it is reused.
+    const POOLS_SHELLS: bool;
+
     /// Build the entry pushed for `frame`.
     fn make(frame: &Arc<Frame<P>>) -> Self;
 
@@ -168,6 +187,8 @@ pub(crate) trait DequeEntry<P: Problem>: Send + Sync + Sized {
 }
 
 impl<P: Problem> DequeEntry<P> for Arc<Frame<P>> {
+    const POOLS_SHELLS: bool = true;
+
     #[inline]
     fn make(frame: &Arc<Frame<P>>) -> Self {
         Arc::clone(frame)
@@ -201,6 +222,8 @@ impl<P: Problem> Clone for FfEntry<P> {
 }
 
 impl<P: Problem> DequeEntry<P> for FfEntry<P> {
+    const POOLS_SHELLS: bool = false;
+
     fn make(frame: &Arc<Frame<P>>) -> Self {
         // Relaxed: the owner is the only writer of its frames' epochs
         // between push and claim, and the push's Release publication
@@ -367,12 +390,9 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     cutoff_ctl: CutoffController,
     /// Recycled workspace buffers (all copying modes except `Cilk`).
     freelist: Pool<P::State>,
-    /// Recycled frame shells whose `Arc` became unique after a synchronous
-    /// completion.
+    /// Recycled shells of frames that completed without ever being
+    /// stolen — nobody else ever used them.
     frames: Pool<Arc<Frame<P>>>,
-    /// Sink parent installed into pooled frames so they hold no live
-    /// references while parked.
-    dummy: Arc<OutCell<P::Out>>,
     /// Copy-on-steal bookkeeping: every choice currently applied to the
     /// live in-place workspace, in application order.
     trail: Vec<P::Choice>,
@@ -401,7 +421,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             rng,
             freelist: Pool::new(POOL_CAP),
             frames: Pool::new(POOL_CAP),
-            dummy: OutCell::new(),
             trail: Vec::new(),
             spine: Vec::new(),
             region_base: 0,
@@ -416,11 +435,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     }
 
     /// Whether this worker's job has been cancelled. Pruning is purely
-    /// cooperative: the node that observes the raised token delivers an
-    /// identity leaf instead of expanding, so the result-delivery chain
-    /// (and with it every waiting sync and the root cell) still completes
-    /// normally — cancellation never bypasses the deposit handshake or
-    /// the outstanding-children accounting.
+    /// cooperative: the node that observes the raised token yields an
+    /// identity leaf instead of expanding, so every join (and with it
+    /// every waiting sync and the root cell) still completes normally —
+    /// cancellation never bypasses the deposit handshake or the join
+    /// cells' token accounting.
     #[inline]
     fn cancelled(&self) -> bool {
         match &self.shared.cancel {
@@ -494,66 +513,82 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         logical: u32,
         depth: u32,
     ) -> Arc<Frame<P>> {
-        let arc = match self.frames.take() {
-            Some(mut arc) => {
-                let f = Arc::get_mut(&mut arc).expect("pooled frames hold the only reference");
-                f.parent = parent;
-                f.depth = depth;
-                f.logical = logical;
-                // New incarnation of the shell: any thief still observing
-                // the old generation across a steal handshake is a bug
-                // (checked in debug builds on the thief side).
-                f.generation.fetch_add(1, Ordering::Relaxed);
-                f.ws_requested.store(false, Ordering::Relaxed);
-                f.ws_ready.store(false, Ordering::Relaxed);
-                let inner = f.inner.get_mut();
-                inner.state = state;
-                inner.choices = choices;
-                inner.next = 0;
-                inner.acc = P::Out::identity();
-                inner.outstanding = 1; // the continuation itself
-                self.stats.frame_reuse += 1;
-                arc
-            }
-            None => Frame::new(parent, state, choices, logical, depth),
+        let Some(frame) = self.frames.take() else {
+            return Frame::new(parent, state, choices, logical, depth, self.id);
         };
-        arc.owner.store(self.id, Ordering::Release);
-        arc
+        // SAFETY: a pooled shell was retired by its holder — this worker,
+        // which also made it (`owner` still names us) — after a life in
+        // which no deque extraction ever handed it to another thread, and
+        // it is not republished yet.
+        let cont = unsafe { frame.cont() };
+        cont.parent = parent;
+        cont.state = state;
+        cont.choices = choices;
+        cont.depth = depth;
+        cont.logical = logical;
+        // `next`, `acc` and the deposit were reset at retirement, and the
+        // join cell of a never-stolen frame is still fresh. New
+        // incarnation of the shell: any thief still observing the old
+        // generation across a steal handshake is a bug (checked in debug
+        // builds on the thief side).
+        let generation = frame.generation.load(Ordering::Relaxed);
+        frame
+            .generation
+            .store(generation.wrapping_add(1), Ordering::Relaxed);
+        self.stats.frame_reuse += 1;
+        frame
     }
 
-    /// Park a completed frame for reuse if this worker holds the only
-    /// reference; otherwise let it drop (a thief or late child still holds
-    /// it).
-    fn retire_frame(&mut self, mut frame: Arc<Frame<P>>) {
-        if Arc::get_mut(&mut frame).is_none() {
-            // Multiplicity backends keep a `Weak` per log entry for the
-            // whole run, so `get_mut` (which demands weak_count == 0) never
-            // succeeds there and shells are freed instead of pooled. Still
-            // recycle the workspace buffer — that is the allocation that
-            // actually matters — when no other strong holder remains.
-            // A stale entry may `upgrade` concurrently, but it only reads
-            // `claim_seq` (and loses the CAS), never the inner state.
-            if Arc::strong_count(&frame) == 1 {
-                if let Some(state) = frame.inner.lock().state.take() {
-                    self.recycle(state);
-                }
-            }
-            return;
+    /// Dispose of a frame that completed on this worker's stack without
+    /// ever going asynchronous. No extraction ever moved it and every
+    /// child returned on the stack, so no other thread has used it: its
+    /// workspace goes back to the free list and — where the deque entries
+    /// allow — the scrubbed shell to the frame pool, without probing the
+    /// reference count.
+    fn retire_frame(&mut self, frame: Arc<Frame<P>>) {
+        // SAFETY: the caller holds the continuation (it just ran its sync).
+        let cont = unsafe { frame.cont() };
+        if let Some(state) = cont.state.take().or_else(|| frame.take_unclaimed_ws()) {
+            self.recycle(state);
         }
-        if let Some(f) = Arc::get_mut(&mut frame) {
-            // Scrub every live reference so the parked frame keeps nothing
-            // alive: the parent chain, leftover choices, the workspace.
-            f.parent = Parent::Cell(Arc::clone(&self.dummy));
-            let inner = f.inner.get_mut();
-            if let Some(state) = inner.state.take() {
-                self.recycle(state);
-            }
-            inner.choices.clear();
-            inner.next = 0;
-            inner.acc = P::Out::identity();
-            inner.outstanding = 0;
+        if E::POOLS_SHELLS {
+            // Scrub every live reference so the parked frame keeps
+            // nothing alive: the parent chain, leftover choices.
+            cont.parent = Parent::None;
+            cont.choices.clear();
+            cont.next = 0;
             self.frames.put(frame);
         }
+    }
+
+    /// The sync of a continuation this worker holds. A frame that never
+    /// went asynchronous (`!shared`) completes by returning; otherwise the
+    /// holder's tokens are released and the frame completes here only if
+    /// every detached child has already arrived.
+    #[inline]
+    fn sync(&mut self, frame: Arc<Frame<P>>, shared: bool) -> Outcome<P::Out> {
+        // SAFETY: the caller holds the continuation.
+        let acc = std::mem::replace(&mut unsafe { frame.cont() }.acc, P::Out::identity());
+        if !shared {
+            self.retire_frame(frame);
+            return Outcome::Done(acc);
+        }
+        match frame.join.release(acc, P::Out::combine) {
+            Some(total) => {
+                // SAFETY: the cell handed the total — and with it the
+                // frame — back to this thread.
+                if let Some(state) = unsafe { frame.cont() }.state.take() {
+                    self.recycle(state);
+                }
+                Outcome::Done(total)
+            }
+            None => Outcome::Detached,
+        }
+    }
+
+    /// Hand `out` to `parent` through the asynchronous delivery chain.
+    fn deliver(&mut self, parent: Parent<P>, out: P::Out) {
+        self.stats.async_joins += deliver(parent, out);
     }
 
     /// Push a continuation entry, tolerating overflow by leaving the child
@@ -625,93 +660,87 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// The Cilk baselines' node execution: every node with children becomes
     /// a task that owns its workspace. Reached only under
     /// [`Mode::clones_per_spawn`]; all other modes run
-    /// [`Worker::exec_node_inplace`].
-    fn exec_node(&mut self, state: P::State, logical: u32, tdepth: u32, parent: Parent<P>) {
+    /// [`Worker::exec_node_inplace`]. `parent` is called only if the node
+    /// gets a frame: a leaf costs its spawner no reference count.
+    fn exec_node(
+        &mut self,
+        state: P::State,
+        logical: u32,
+        tdepth: u32,
+        parent: impl FnOnce() -> Parent<P>,
+    ) -> Outcome<P::Out> {
         if self.cancelled() {
-            // Prune: deliver an identity leaf so the chain completes.
+            // Prune to an identity leaf so every join still completes.
             self.recycle(state);
-            deliver(&parent, P::Out::identity());
-            return;
+            return Outcome::Done(P::Out::identity());
         }
         self.stats.nodes += 1;
         match self.problem().expand(&state, logical) {
             Expansion::Leaf(out) => {
                 self.recycle(state);
-                deliver(&parent, out);
+                Outcome::Done(out)
             }
             Expansion::Children(choices) => {
-                let frame = self.make_frame(parent, Some(state), choices, logical, tdepth);
-                self.frame_loop(frame);
+                let frame = self.make_frame(parent(), Some(state), choices, logical, tdepth);
+                self.frame_loop(frame, false)
             }
         }
     }
 
     /// Run a Cilk frame's continuation: spawn each remaining child as a
     /// task with its own workspace clone. Stolen frames re-enter here (the
-    /// slow version "restores the program counter" — `inner.next` — and
-    /// continues).
-    fn frame_loop(&mut self, frame: Arc<Frame<P>>) {
-        loop {
-            let next = if self.cancelled() {
-                // Cancellation poll: stop spawning; already-spawned
-                // children still deliver, completing the frame normally.
-                None
-            } else {
-                let mut g = frame.inner.lock();
-                if g.next >= g.choices.len() {
-                    None
-                } else {
-                    let c = g.choices[g.next];
-                    g.next += 1;
-                    g.outstanding += 1;
-                    // After the last spawn the continuation holds nothing
-                    // stealable (only the sync), so its entry is elided —
-                    // otherwise chain-shaped trees fill deques with dead
-                    // continuations that satisfy thieves without feeding
-                    // them.
-                    Some((c, g.next < g.choices.len()))
-                }
-            };
-            let Some((choice, stealable)) = next else {
+    /// slow version "restores the program counter" — `cont.next` — and
+    /// continues) with `shared` set: their join cell is live.
+    fn frame_loop(&mut self, frame: Arc<Frame<P>>, mut shared: bool) -> Outcome<P::Out> {
+        // Cancellation poll: stop spawning; already-spawned children
+        // still join, completing the frame normally.
+        while !self.cancelled() {
+            // SAFETY: this worker holds the continuation — it made the
+            // frame or claimed it from a deque, and every entry it pushed
+            // since was popped back. The borrow ends before the next push.
+            let cont = unsafe { frame.cont() };
+            let Some(&choice) = cont.choices.get(cont.next) else {
                 break;
             };
-            // Workspace copy for the spawned child (taskprivate), taken
-            // outside the lock: thieves contending for this frame only need
-            // the lock briefly.
-            let mut child_state = {
-                let g = frame.inner.lock();
-                let src = g.state.as_ref().expect("regular frames own a workspace");
-                self.clone_state(src)
-            };
+            cont.next += 1;
+            // After the last spawn the continuation holds nothing
+            // stealable (only the sync), so its entry is elided —
+            // otherwise chain-shaped trees fill deques with dead
+            // continuations that satisfy thieves without feeding them.
+            let stealable = cont.next < cont.choices.len();
+            let (logical, depth) = (cont.logical + 1, cont.depth + 1);
+            // Workspace copy for the spawned child (taskprivate).
+            let src = cont.state.as_ref().expect("Cilk frames own a workspace");
+            let mut child_state = self.clone_state(src);
             self.problem().apply(&mut child_state, choice);
             self.stats.tasks_created += 1;
-            tev!(
-                self,
-                Spawn,
-                Ev::Spawn {
-                    depth: frame.depth + 1
-                }
-            );
+            tev!(self, Spawn, Ev::Spawn { depth });
             let pushed = stealable && self.push_entry(&frame, false);
-            self.exec_node(
-                child_state,
-                frame.logical + 1,
-                frame.depth + 1,
-                Parent::Frame(Arc::clone(&frame)),
-            );
+            let child = self.exec_node(child_state, logical, depth, || {
+                Parent::Frame(Arc::clone(&frame))
+            });
             if pushed && !self.pop_back() {
                 // Continuation stolen: a thief now runs this frame's
-                // remaining children; unwind to the steal loop.
-                return;
+                // remaining children. A child that finished here spends
+                // the in-flight token it was spawned under; a detached
+                // one will when it lands. Unwind to the steal loop.
+                if let Outcome::Done(out) = child {
+                    self.deliver(Parent::Frame(frame), out);
+                }
+                return Outcome::Detached;
+            }
+            match child {
+                // SAFETY: the pop (or the elided push) left the
+                // continuation with this worker.
+                Outcome::Done(out) => unsafe { frame.cont() }.acc.combine(out),
+                Outcome::Detached => {
+                    // The child keeps the in-flight token it left under.
+                    frame.join.add_in_flight();
+                    shared = true;
+                }
             }
         }
-        if let Some(out) = frame.finish_continuation() {
-            // Completed synchronously: the workspace buffer and the frame
-            // itself are dead; both go back to this worker's pools.
-            let parent = frame.parent.clone();
-            self.retire_frame(frame);
-            deliver(&parent, out);
-        }
+        self.sync(frame, shared)
     }
 
     /// Service pending copy-on-steal workspace requests for frames of the
@@ -722,7 +751,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// hint and are guaranteed a deposit at the owner's pop conflict at
     /// the latest.
     fn service_ws(&mut self, live: &P::State) {
-        if !self.my_ws_hint().swap(false, Ordering::AcqRel) {
+        // The hint is raised only by a thief waiting on a deposit, and this
+        // runs at every spawn, check and sequence node: test with a plain
+        // load and pay the locked swap only when it is up.
+        let hint = self.my_ws_hint();
+        if !hint.load(Ordering::Relaxed) || !hint.swap(false, Ordering::AcqRel) {
             return;
         }
         let spine = std::mem::take(&mut self.spine);
@@ -775,13 +808,13 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         mut state: P::State,
         logical: u32,
         tdepth: u32,
-        parent: Parent<P>,
+        parent: impl FnOnce() -> Parent<P>,
         regime: Regime,
-    ) {
+    ) -> Outcome<P::Out> {
         let saved_base = self.region_base;
         self.region_base = self.spine.len();
         let trail_mark = self.trail.len();
-        self.exec_node_inplace(&mut state, logical, tdepth, parent, regime);
+        let out = self.exec_node_inplace(&mut state, logical, tdepth, parent, regime);
         debug_assert_eq!(
             self.spine.len(),
             self.region_base,
@@ -790,6 +823,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         debug_assert_eq!(self.trail.len(), trail_mark, "region left trail entries");
         self.region_base = saved_base;
         self.recycle(state);
+        out
     }
 
     /// Execute a node on the borrowed live workspace (choice already
@@ -801,22 +835,21 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         state: &mut P::State,
         logical: u32,
         tdepth: u32,
-        parent: Parent<P>,
+        parent: impl FnOnce() -> Parent<P>,
         regime: Regime,
-    ) {
+    ) -> Outcome<P::Out> {
         if self.cancelled() {
-            deliver(&parent, P::Out::identity());
-            return;
+            return Outcome::Done(P::Out::identity());
         }
         self.stats.nodes += 1;
         match self.problem().expand(state, logical) {
-            Expansion::Leaf(out) => deliver(&parent, out),
+            Expansion::Leaf(out) => Outcome::Done(out),
             Expansion::Children(choices) => {
                 if self.task_mode(tdepth, regime) {
-                    let frame = self.make_frame(parent, None, choices, logical, tdepth);
-                    self.frame_loop_inplace(frame, state, regime);
+                    let frame = self.make_frame(parent(), None, choices, logical, tdepth);
+                    self.frame_loop_inplace(frame, state, regime, false)
                 } else {
-                    let out = match (self.shared.mode, regime) {
+                    Outcome::Done(match (self.shared.mode, regime) {
                         (Mode::CutoffCopy, _) => self.sequence_copy(state, logical, choices),
                         // Appendix C: the check version recurses into the
                         // check version at every depth; only fast_2 falls
@@ -851,8 +884,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         (Mode::CutoffSequence | Mode::Cilk | Mode::CilkSynched, _) => {
                             self.sequence(state, logical, choices)
                         }
-                    };
-                    deliver(&parent, out);
+                    })
                 }
             }
         }
@@ -862,8 +894,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// a task *without* cloning the workspace — apply the choice to the
     /// live workspace, dive in, undo on return. A pop conflict deposits the
     /// (now frame-pristine) workspace for the thief before unwinding.
-    fn frame_loop_inplace(&mut self, frame: Arc<Frame<P>>, state: &mut P::State, regime: Regime) {
-        frame.owner.store(self.id, Ordering::Release);
+    /// `shared` as in [`Worker::frame_loop`].
+    fn frame_loop_inplace(
+        &mut self,
+        frame: Arc<Frame<P>>,
+        state: &mut P::State,
+        regime: Regime,
+        mut shared: bool,
+    ) -> Outcome<P::Out> {
         self.spine.push(SpineSlot {
             frame: Arc::clone(&frame),
             mark: self.trail.len(),
@@ -871,35 +909,26 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         });
         loop {
             self.service_ws(state);
-            let next = if self.cancelled() {
-                // Cancellation poll, co-located with the copy-on-steal
-                // service point: no new spawns after the token is raised.
-                None
-            } else {
-                let mut g = frame.inner.lock();
-                if g.next >= g.choices.len() {
-                    None
-                } else {
-                    let c = g.choices[g.next];
-                    g.next += 1;
-                    g.outstanding += 1;
-                    // Last-spawn elision, as in the Cilk loop.
-                    Some((c, g.next < g.choices.len()))
-                }
-            };
-            let Some((choice, stealable)) = next else {
+            // Cancellation poll, co-located with the copy-on-steal
+            // service point: no new spawns after the token is raised.
+            if self.cancelled() {
+                break;
+            }
+            // SAFETY: this worker holds the continuation — it made the
+            // frame or claimed it from a deque, and every entry it pushed
+            // since was popped back. The borrow ends before the next push.
+            let cont = unsafe { frame.cont() };
+            let Some(&choice) = cont.choices.get(cont.next) else {
                 break;
             };
+            cont.next += 1;
+            // Last-spawn elision, as in the Cilk loop.
+            let stealable = cont.next < cont.choices.len();
+            let (logical, depth) = (cont.logical + 1, cont.depth + 1);
             self.problem().apply(state, choice);
             self.trail.push(choice);
             self.stats.tasks_created += 1;
-            tev!(
-                self,
-                Spawn,
-                Ev::Spawn {
-                    depth: frame.depth + 1
-                }
-            );
+            tev!(self, Spawn, Ev::Spawn { depth });
             // The spawn that eager copying would have paid a clone for.
             self.stats.workspace_copies_saved += 1;
             tev!(self, Workspace, Ev::CopySaved);
@@ -907,11 +936,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             if let Some(slot) = self.spine.last_mut() {
                 slot.live_entry = pushed;
             }
-            self.exec_node_inplace(
+            let child = self.exec_node_inplace(
                 state,
-                frame.logical + 1,
-                frame.depth + 1,
-                Parent::Frame(Arc::clone(&frame)),
+                logical,
+                depth,
+                || Parent::Frame(Arc::clone(&frame)),
                 regime,
             );
             self.problem().undo(state, choice);
@@ -932,49 +961,85 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         tev!(self, Workspace, Ev::WsDeposit);
                     }
                     self.spine.pop();
-                    return;
+                    // Token handling as in the Cilk loop.
+                    if let Outcome::Done(out) = child {
+                        self.deliver(Parent::Frame(frame), out);
+                    }
+                    return Outcome::Detached;
+                }
+            }
+            match child {
+                // SAFETY: the pop (or the elided push) left the
+                // continuation with this worker.
+                Outcome::Done(out) => unsafe { frame.cont() }.acc.combine(out),
+                Outcome::Detached => {
+                    frame.join.add_in_flight();
+                    shared = true;
                 }
             }
         }
         self.spine.pop();
-        if let Some(out) = frame.finish_continuation() {
-            let parent = frame.parent.clone();
-            self.retire_frame(frame);
-            deliver(&parent, out);
-        }
+        self.sync(frame, shared)
     }
 
     /// Run a stolen continuation (the slow version). A Cilk frame owns its
-    /// workspace and simply resumes. An in-place frame borrowed its
-    /// owner's, so the thief first obtains an isolated one: it takes a
-    /// deposit if one is already published, otherwise it requests one from
-    /// the owner and spins — re-raising the owner's doorbell periodically,
-    /// since the owner may consume a hint while a different region is
-    /// current — and then runs the continuation in place on the
-    /// materialised clone.
+    /// workspace and simply resumes; an in-place frame borrowed its
+    /// owner's, so the thief first obtains an isolated one
+    /// ([`Worker::obtain_ws`]) and runs the continuation in place on that.
     fn run_stolen(&mut self, frame: Arc<Frame<P>>) {
+        // SAFETY: the claimed extraction made this worker the holder.
+        let cont = unsafe { frame.cont() };
+        // Nothing above a stolen continuation is on this stack: if the
+        // frame completes at our sync, its total travels by `deliver`.
+        let parent = match &cont.parent {
+            Parent::Cell(c) => Parent::Cell(Arc::clone(c)),
+            Parent::Frame(f) => Parent::Frame(Arc::clone(f)),
+            Parent::None => unreachable!("stole a scrubbed frame"),
+        };
         tev!(
             self,
             Fsm,
             Ev::Fsm {
                 from: Fs::Idle,
                 to: Fs::Slow,
-                depth: frame.depth,
+                depth: cont.depth,
             }
         );
-        if self.shared.mode.clones_per_spawn() {
-            self.frame_loop(frame);
-            tev!(
-                self,
-                Fsm,
-                Ev::Fsm {
-                    from: Fs::Slow,
-                    to: Fs::Idle,
-                    depth: 0,
-                }
-            );
-            return;
+        // The victim's child still owns the in-flight token the frame was
+        // pushed under; the children spawned from here need their own.
+        frame.join.add_in_flight();
+        let outcome = if self.shared.mode.clones_per_spawn() {
+            self.frame_loop(frame, true)
+        } else {
+            let mut ws = self.obtain_ws(&frame);
+            // Entries re-pushed from here borrow *this* worker's workspace.
+            frame.owner.store(self.id, Ordering::Release);
+            let saved_base = self.region_base;
+            self.region_base = self.spine.len();
+            let outcome = self.frame_loop_inplace(frame, &mut ws, Regime::Fast, true);
+            self.region_base = saved_base;
+            self.recycle(ws);
+            outcome
+        };
+        if let Outcome::Done(out) = outcome {
+            self.deliver(parent, out);
         }
+        tev!(
+            self,
+            Fsm,
+            Ev::Fsm {
+                from: Fs::Slow,
+                to: Fs::Idle,
+                depth: 0,
+            }
+        );
+    }
+
+    /// Thief side of the copy-on-steal handshake: take the deposit if one
+    /// is already published, otherwise request one from the owner and spin
+    /// — re-raising the owner's doorbell periodically, since the owner may
+    /// consume a hint while a different region is current.
+    fn obtain_ws(&mut self, frame: &Frame<P>) -> P::State {
         #[cfg(debug_assertions)]
         let generation = frame.generation.load(Ordering::Acquire);
         let state = match frame.try_take_ws() {
@@ -1013,21 +1078,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             generation,
             "frame shell recycled during a steal handshake"
         );
-        let saved_base = self.region_base;
-        self.region_base = self.spine.len();
-        let mut ws = state;
-        self.frame_loop_inplace(frame, &mut ws, Regime::Fast);
-        self.region_base = saved_base;
-        self.recycle(ws);
-        tev!(
-            self,
-            Fsm,
-            Ev::Fsm {
-                from: Fs::Slow,
-                to: Fs::Idle,
-                depth: 0,
-            }
-        );
+        state
     }
 
     /// The sequence version: plain recursion, no tasks, no copies, no polls
@@ -1183,15 +1234,16 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             logical,
             0,
         );
+        // The special task's continuation never leaves this worker (thieves
+        // take the entry above a special one), so it joins on the stack.
+        let mut acc = P::Out::identity();
+        let mut shared = false;
         for c in choices {
             if self.cancelled() {
-                // Stop spawning special children; the ones already in
-                // flight deliver into `special` and the sync below still
+                // Stop spawning special children; the ones already
+                // detached arrive at `special` and the sync below still
                 // resolves.
                 break;
-            }
-            {
-                special.inner.lock().outstanding += 1;
             }
             // Special children always clone eagerly: they run detached from
             // the live workspace while the special loop keeps using it.
@@ -1202,8 +1254,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth: 0 });
             let pushed = self.push_entry(&special, true);
-            let parent = Parent::Frame(Arc::clone(&special));
-            self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
+            let parent = || Parent::Frame(Arc::clone(&special));
+            let outcome = self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
             if pushed {
                 match self.my_deque().pop_special() {
                     PopSpecial::Reclaimed(_) => {
@@ -1216,11 +1268,23 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     }
                 }
             }
+            match outcome {
+                Outcome::Done(out) => acc.combine(out),
+                Outcome::Detached => {
+                    special.join.add_in_flight();
+                    shared = true;
+                }
+            }
         }
         // sync_specialtask: the special task cannot be suspended — wait for
-        // every child to deliver before resuming the fake task.
-        if let Some(out) = special.finish_continuation() {
+        // every detached child to arrive before resuming the fake task.
+        let joined = if shared {
+            special.join.release(acc, P::Out::combine)
+        } else {
             self.retire_frame(special);
+            Some(acc)
+        };
+        if let Some(out) = joined {
             tev!(self, Special, Ev::SpecialEnd);
             return out;
         }
@@ -1238,9 +1302,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         };
         lap(&mut self.stats.time.wait_children_ns, t0);
         tev!(self, Sync, Ev::SyncResume);
-        // The last child completed the frame; if its thief has unwound
-        // already, the shell is unique again and can be pooled.
-        self.retire_frame(special);
         tev!(self, Special, Ev::SpecialEnd);
         out
     }
@@ -1429,11 +1490,14 @@ where
         let root_state = shared.problem.get().root();
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
-        let parent = Parent::Cell(Arc::clone(&shared.root));
-        if shared.mode.clones_per_spawn() {
-            w.exec_node(root_state, 0, 0, parent);
+        let parent = || Parent::Cell(Arc::clone(&shared.root));
+        let root = if shared.mode.clones_per_spawn() {
+            w.exec_node(root_state, 0, 0, parent)
         } else {
-            w.run_region(root_state, 0, 0, parent, Regime::Fast);
+            w.run_region(root_state, 0, 0, parent, Regime::Fast)
+        };
+        if let Outcome::Done(out) = root {
+            shared.root.deliver(out);
         }
     }
     w.steal_loop(abandon);

@@ -6,18 +6,30 @@
 //! fast version (saved program counter = `next`, saved live variables =
 //! `state` + `acc`).
 //!
-//! Results flow bottom-up: every spawned child eventually delivers its
-//! subtree result into its parent frame. The frame completes when its
-//! continuation has finished *and* all children have delivered; completion
-//! delivers the frame's own accumulated result one level up, cascading until
-//! a root/waiter [`OutCell`] is reached. Suspension at a `sync` is implicit:
-//! the continuation finishes with children outstanding, the worker walks
-//! away, and the last delivering child performs the completion (the paper's
-//! Terminate rule (3)).
+//! Frames are work-first, as in Cilk-5: joining costs nothing until a theft.
+//! A child that finishes on the worker that spawned it returns its result
+//! on the stack ([`Outcome::Done`]) and the parent's continuation folds it
+//! into [`Cont::acc`], a field only the continuation's current *holder*
+//! touches. A frame that is never stolen therefore takes no lock, performs
+//! no atomic read-modify-write and completes by returning.
+//!
+//! Only when a continuation is stolen do results flow asynchronously: the
+//! victim's finished child, and later every frame that completes off its
+//! parent's stack, [`deliver`] into the parent's shared [`JoinCell`] (token
+//! rule in [`crate::join`]). The frame completes when its holder has
+//! reached the sync *and* every such child has arrived; whoever brings the
+//! cell to zero carries the total one level up, cascading until a frame
+//! still waiting or a root/waiter [`OutCell`] is reached. Suspension at a
+//! `sync` is implicit: the holder releases its tokens with children
+//! outstanding and walks away ([`Outcome::Detached`]), and the last
+//! arriving child performs the completion (the paper's Terminate rule
+//! (3)).
 
+use crate::join::JoinCell;
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
 use adaptivetc_core::{Problem, Reduce};
+use std::cell::UnsafeCell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,47 +93,51 @@ pub(crate) enum Parent<P: Problem> {
     Cell(Arc<OutCell<P::Out>>),
     /// An enclosing frame.
     Frame(Arc<Frame<P>>),
+    /// Scrubbed: a pooled shell, or a completed frame whose link was
+    /// consumed by the cascade.
+    None,
 }
 
-impl<P: Problem> Clone for Parent<P> {
-    fn clone(&self) -> Self {
-        match self {
-            Parent::Cell(c) => Parent::Cell(Arc::clone(c)),
-            Parent::Frame(f) => Parent::Frame(Arc::clone(f)),
-        }
-    }
+/// What running a subtree produced on this worker's stack.
+pub(crate) enum Outcome<O> {
+    /// The subtree finished here; the caller joins the result itself.
+    Done(O),
+    /// A continuation below was stolen: the result reaches the parent
+    /// through its join cell (or has already), not through this return.
+    Detached,
 }
 
-/// The mutable core of a frame, guarded by the frame lock.
-pub(crate) struct Inner<P: Problem> {
-    /// The node's taskprivate workspace (the *parent's* copy; children get
-    /// clones). `None` for special tasks, which never spawn from their own
-    /// workspace — their children are cloned from the enclosing fake
-    /// task's in-place workspace — and for copy-on-steal frames, which
-    /// borrow the owner's in-place workspace until a thief requests a
-    /// materialised clone (deposited here, published via `ws_ready`).
+/// The continuation of a frame: everything only its *holder* — the
+/// worker currently running the continuation — may touch.
+pub(crate) struct Cont<P: Problem> {
+    pub parent: Parent<P>,
+    /// The node's taskprivate workspace under the Cilk modes (the
+    /// *parent's* copy; children get clones). `None` for in-place frames,
+    /// which borrow the owner's live workspace, and for special tasks.
     pub state: Option<P::State>,
     /// Choices at this node, in order.
     pub choices: Vec<P::Choice>,
     /// Index of the next choice to spawn (the saved program counter).
     pub next: usize,
-    /// Partial reduction of delivered child results.
+    /// Fold of the child results joined on the holder's stack.
     pub acc: P::Out,
-    /// Children spawned but not yet delivered, plus 1 for the running
-    /// continuation itself.
-    pub outstanding: u32,
-}
-
-/// A heap-allocated task continuation.
-pub(crate) struct Frame<P: Problem> {
-    pub parent: Parent<P>,
-    pub inner: Mutex<Inner<P>>,
     /// Task depth (the paper's cut-off counter; reset to 0 under a special
     /// task).
     pub depth: u32,
     /// Logical depth of the node in the problem tree (always root-relative;
     /// passed to `Problem::expand`).
     pub logical: u32,
+}
+
+/// A heap-allocated task continuation.
+pub(crate) struct Frame<P: Problem> {
+    /// Holder-private; see [`Frame::cont`] for who the holder is.
+    cont: UnsafeCell<Cont<P>>,
+    /// The shared half of the join: untouched until a theft.
+    pub join: JoinCell<P::Out>,
+    /// Copy-on-steal deposit slot, guarded by `ws_ready`: it is only ever
+    /// locked after a steal or a seal, so its lock stays.
+    deposit: Mutex<Option<P::State>>,
     /// Copy-on-steal handshake. `owner` is the worker whose in-place
     /// workspace this frame borrows; a thief that steals the frame before a
     /// workspace was materialised sets `ws_requested` and waits for the
@@ -147,6 +163,14 @@ pub(crate) struct Frame<P: Problem> {
     pub claim_seq: AtomicU64,
 }
 
+// SAFETY: every field but `cont` is an atomic or a lock. `cont` is only
+// reached through `Frame::cont`, whose contract makes the accessing
+// thread the single holder; holdership moves between threads only through
+// a Release/Acquire edge (deque extraction or the join cell's lock), so
+// the values inside merely move between threads and need `Send`, which
+// `Problem` demands of `State`, `Choice` and `Out`.
+unsafe impl<P: Problem> Sync for Frame<P> {}
+
 impl<P: Problem> Frame<P> {
     /// Create a frame for a node whose continuation is about to run.
     pub(crate) fn new(
@@ -155,19 +179,21 @@ impl<P: Problem> Frame<P> {
         choices: Vec<P::Choice>,
         logical: u32,
         depth: u32,
+        owner: usize,
     ) -> Arc<Self> {
         Arc::new(Frame {
-            parent,
-            inner: Mutex::new(Inner {
+            cont: UnsafeCell::new(Cont {
+                parent,
                 state,
                 choices,
                 next: 0,
                 acc: P::Out::identity(),
-                outstanding: 1, // the continuation itself
+                depth,
+                logical,
             }),
-            depth,
-            logical,
-            owner: AtomicUsize::new(usize::MAX),
+            join: JoinCell::new(),
+            deposit: Mutex::new(None),
+            owner: AtomicUsize::new(owner),
             ws_requested: AtomicBool::new(false),
             ws_ready: AtomicBool::new(false),
             generation: AtomicU32::new(0),
@@ -175,13 +201,30 @@ impl<P: Problem> Frame<P> {
         })
     }
 
+    /// The continuation's fields.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the frame's *holder* and must not keep the
+    /// borrow across a point where holdership can move. The holder is the
+    /// worker that made the frame, until a deque extraction hands the
+    /// continuation to a thief (push-Release → steal-Acquire; on the
+    /// fence-free backend the `claim_seq` CAS decides): from its push to
+    /// its successful pop the owner is *not* the holder. After the
+    /// holder's `JoinCell::release`, the holder is whoever the join cell
+    /// returned the completed total to (ordered by the cell's lock).
+    #[allow(clippy::mut_from_ref)] // the point of the cell: see `# Safety`
+    pub(crate) unsafe fn cont(&self) -> &mut Cont<P> {
+        &mut *self.cont.get()
+    }
+
     /// Owner side of the copy-on-steal handshake: store a materialised
     /// workspace clone and publish it. Idempotent — a deposit racing with a
     /// pop-conflict backstop deposit keeps the first clone.
     pub(crate) fn deposit_ws(&self, state: P::State) {
-        let mut g = self.inner.lock();
-        if g.state.is_none() {
-            g.state = Some(state);
+        let mut g = self.deposit.lock();
+        if g.is_none() {
+            *g = Some(state);
             drop(g);
             self.ws_ready.store(true, Ordering::Release);
         }
@@ -199,63 +242,52 @@ impl<P: Problem> Frame<P> {
             return None;
         }
         self.ws_requested.store(false, Ordering::Release);
-        self.inner.lock().state.take()
+        self.deposit.lock().take()
     }
 
-    /// Merge a child's result; returns the frame's completed result if this
-    /// was the last outstanding obligation.
-    fn absorb(&self, out: P::Out) -> Option<P::Out> {
-        let mut g = self.inner.lock();
-        g.acc.combine(out);
-        g.outstanding -= 1;
-        if g.outstanding == 0 {
-            Some(std::mem::replace(&mut g.acc, P::Out::identity()))
-        } else {
-            None
+    /// A sealed-but-never-stolen frame retires with its deposit untaken;
+    /// the common case (no deposit) costs one load and no lock. Leaves the
+    /// handshake as a fresh frame has it.
+    pub(crate) fn take_unclaimed_ws(&self) -> Option<P::State> {
+        // Relaxed: the retiring owner made the deposit itself, and no
+        // thief ever saw the frame (`ws_requested` was never raised).
+        if !self.ws_ready.load(Ordering::Relaxed) {
+            return None;
         }
-    }
-
-    /// The continuation finished its loop (reached the sync point); returns
-    /// the completed result if no children are outstanding, otherwise the
-    /// frame is left suspended for the last child to complete.
-    pub(crate) fn finish_continuation(&self) -> Option<P::Out> {
-        let mut g = self.inner.lock();
-        g.outstanding -= 1;
-        if g.outstanding == 0 {
-            Some(std::mem::replace(&mut g.acc, P::Out::identity()))
-        } else {
-            None
-        }
+        self.ws_ready.store(false, Ordering::Relaxed);
+        self.deposit.lock().take()
     }
 }
 
-/// Deliver `out` produced by a child of `parent`, cascading completions
-/// upward. Iterative to keep completion chains off the call stack.
-pub(crate) fn deliver<P: Problem>(parent: &Parent<P>, out: P::Out) {
-    let mut current = parent.clone();
+/// Deliver `out`, produced by a child of `parent`, through the shared join
+/// cells, cascading completions upward: whoever empties a cell owns that
+/// frame and carries its total one level up. Iterative to keep completion
+/// chains off the call stack. Returns the number of frame cells the value
+/// passed through (`RunStats::async_joins`).
+pub(crate) fn deliver<P: Problem>(parent: Parent<P>, out: P::Out) -> u64 {
+    let mut current = parent;
     let mut value = out;
+    let mut joins = 0;
     loop {
         match current {
             Parent::Cell(cell) => {
                 cell.deliver(value);
-                return;
+                return joins;
             }
-            Parent::Frame(f) => match f.absorb(value) {
-                None => return,
-                Some(completed) => {
-                    value = completed;
-                    current = f.parent.clone();
+            Parent::Frame(f) => {
+                joins += 1;
+                match f.join.arrive(value, P::Out::combine) {
+                    None => return joins,
+                    Some(total) => {
+                        value = total;
+                        // SAFETY: `arrive` returned the total, so this
+                        // thread emptied the cell and is now the holder.
+                        current = std::mem::replace(&mut unsafe { f.cont() }.parent, Parent::None);
+                    }
                 }
-            },
+            }
+            Parent::None => unreachable!("result delivered to a scrubbed frame"),
         }
-    }
-}
-
-/// As [`deliver`], but for a continuation that has just finished its loop.
-#[cfg(test)]
-pub(crate) fn finish_and_deliver<P: Problem>(frame: &Arc<Frame<P>>) {
-    if let Some(completed) = frame.finish_continuation() {
-        deliver(&frame.parent, completed);
     }
 }
 
@@ -277,10 +309,16 @@ mod tests {
         fn undo(&self, _: &mut (), _: u8) {}
     }
 
-    fn leaf_frame(parent: Parent<Nop>, children: u32) -> Arc<Frame<Nop>> {
-        let f = Frame::new(parent, Some(()), vec![0; children as usize], 0, 0);
-        f.inner.lock().outstanding += children; // pretend children were spawned
+    /// A frame as its thief sees it: the continuation taken over, the
+    /// victim's child still to arrive.
+    fn stolen_frame(parent: Parent<Nop>) -> Arc<Frame<Nop>> {
+        let f = Frame::new(parent, Some(()), vec![0], 0, 0, 0);
+        f.join.add_in_flight();
         f
+    }
+
+    fn release(f: &Arc<Frame<Nop>>, local: u64) -> Option<u64> {
+        f.join.release(local, u64::combine)
     }
 
     #[test]
@@ -295,33 +333,34 @@ mod tests {
     #[test]
     fn frame_completes_after_children_and_continuation() {
         let cell = OutCell::new();
-        let f = leaf_frame(Parent::Cell(Arc::clone(&cell)), 2);
-        deliver(&Parent::Frame(Arc::clone(&f)), 10);
+        let f = stolen_frame(Parent::Cell(Arc::clone(&cell)));
+        f.join.add_in_flight(); // a second child went asynchronous
+        assert_eq!(deliver(Parent::Frame(Arc::clone(&f)), 10), 1);
         assert!(!cell.is_done());
-        finish_and_deliver(&f); // continuation done, one child pending
+        assert_eq!(release(&f, 0), None); // holder synced, one child pending
         assert!(!cell.is_done());
-        deliver(&Parent::Frame(Arc::clone(&f)), 5); // last child completes it
+        deliver(Parent::Frame(f), 5); // last child completes it
         assert_eq!(cell.wait(), 15);
     }
 
     #[test]
     fn completion_cascades_through_nested_frames() {
         let cell = OutCell::new();
-        let top = leaf_frame(Parent::Cell(Arc::clone(&cell)), 1);
-        let mid = leaf_frame(Parent::Frame(Arc::clone(&top)), 1);
-        finish_and_deliver(&top);
-        finish_and_deliver(&mid);
-        deliver(&Parent::Frame(mid), 7); // completes mid, cascades into top
-        assert_eq!(cell.wait(), 7);
+        let top = stolen_frame(Parent::Cell(Arc::clone(&cell)));
+        let mid = stolen_frame(Parent::Frame(Arc::clone(&top)));
+        assert_eq!(release(&top, 1), None);
+        assert_eq!(release(&mid, 2), None);
+        // Completes mid, cascades into top, lands in the cell: two frame
+        // cells crossed.
+        assert_eq!(deliver(Parent::Frame(mid), 7), 2);
+        assert_eq!(cell.wait(), 10);
     }
 
     #[test]
-    fn continuation_finishing_last_completes() {
-        let cell = OutCell::new();
-        let f = leaf_frame(Parent::Cell(Arc::clone(&cell)), 1);
-        deliver(&Parent::Frame(Arc::clone(&f)), 3);
-        finish_and_deliver(&f);
-        assert_eq!(cell.wait(), 3);
+    fn holder_releasing_last_receives_the_total() {
+        let f = stolen_frame(Parent::None);
+        assert_eq!(deliver(Parent::Frame(Arc::clone(&f)), 3), 1);
+        assert_eq!(release(&f, 4), Some(7));
     }
 
     #[test]

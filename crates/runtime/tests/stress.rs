@@ -1,7 +1,9 @@
 //! Stress and edge-case tests for the threaded runtime.
 
+use adaptivetc_core::treeinfo::TreeInfo;
 use adaptivetc_core::{Config, CutoffPolicy, DequeBackend, Expansion, Problem};
 use adaptivetc_runtime::Scheduler;
+use adaptivetc_workloads::tree::UnbalancedTree;
 
 /// A bushy tree with a payload that checks apply/undo pairing at every
 /// node (any workspace corruption changes the result).
@@ -45,6 +47,15 @@ impl Problem for Checked {
 fn expected(p: &Checked) -> u64 {
     adaptivetc_core::serial::run(p).0
 }
+
+/// The five modes that run on the frame engine.
+const ENGINE_MODES: [Scheduler; 5] = [
+    Scheduler::Cilk,
+    Scheduler::CilkSynched,
+    Scheduler::CutoffProgrammer(3),
+    Scheduler::CutoffLibrary,
+    Scheduler::AdaptiveTc,
+];
 
 #[test]
 fn adaptive_stress_with_aggressive_signalling() {
@@ -105,13 +116,7 @@ fn every_scheduler_on_every_backend_matches_serial() {
     };
     let want = expected(&p);
     for backend in DequeBackend::ALL {
-        for scheduler in [
-            Scheduler::Cilk,
-            Scheduler::CilkSynched,
-            Scheduler::CutoffProgrammer(3),
-            Scheduler::CutoffLibrary,
-            Scheduler::AdaptiveTc,
-        ] {
+        for scheduler in ENGINE_MODES {
             for threads in [2, 4, 8] {
                 let cfg = Config::new(threads).backend(backend).seed(7);
                 let (got, report) = scheduler.run(&p, &cfg).expect("runs");
@@ -190,6 +195,71 @@ fn pools_report_reuse_on_all_backends() {
         let (_, report) = Scheduler::Cilk.run(&p, &cfg).expect("runs");
         assert_eq!(report.stats.state_reuse, 0, "{}", backend.name());
     }
+}
+
+#[test]
+fn one_thread_joins_every_child_on_the_stack() {
+    // The work-first property: without a theft no result ever goes
+    // through a frame's shared join cell, whatever the mode or backend.
+    let p = Checked {
+        height: 7,
+        fanout: 3,
+    };
+    let want = expected(&p);
+    for backend in DequeBackend::ALL {
+        for scheduler in ENGINE_MODES {
+            let cfg = Config::new(1).backend(backend);
+            let (got, report) = scheduler.run(&p, &cfg).expect("runs");
+            assert_eq!(got, want, "{scheduler} on {}", backend.name());
+            assert_eq!(
+                report.stats.async_joins,
+                0,
+                "{scheduler} on {}: a never-stolen frame touched its join cell",
+                backend.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn async_joins_are_bounded_by_steals_not_nodes() {
+    // DESIGN.md §6: each steal sends at most one finished child through
+    // the stolen frame's cell, and makes at most one frame per tree level
+    // above it complete asynchronously (one arrival each at its parent).
+    let mut steals = 0;
+    for seed in 0..200u64 {
+        let tree = UnbalancedTree::new(3000, seed).skew(3.0).work(2);
+        let want = adaptivetc_core::serial::run(&tree).0;
+        let levels = u64::from(TreeInfo::measure(&tree).depth) + 1;
+        let backend = DequeBackend::ALL[(seed % 4) as usize];
+        for threads in [2, 4] {
+            for scheduler in ENGINE_MODES {
+                // A tiny max_stolen_num keeps AdaptiveTC's special tasks hot.
+                let cfg = Config::new(threads)
+                    .backend(backend)
+                    .max_stolen_num(1)
+                    .seed(seed);
+                let (got, report) = scheduler.run(&tree, &cfg).expect("runs");
+                let ctx = format!(
+                    "{scheduler}, {threads} threads, {}, seed {seed}",
+                    backend.name()
+                );
+                assert_eq!(got, want, "{ctx}");
+                let s = &report.stats;
+                assert!(
+                    s.async_joins <= levels * s.steals_ok,
+                    "{ctx}: {} async joins from {} steals on {levels} levels",
+                    s.async_joins,
+                    s.steals_ok
+                );
+                steals += s.steals_ok;
+            }
+        }
+    }
+    assert!(
+        steals > 0,
+        "no run stole anything: the bound was never tested"
+    );
 }
 
 #[test]
