@@ -25,7 +25,7 @@
 use adaptivetc_check::scenarios::{covering, Scenario};
 use adaptivetc_check::sync::Ordering;
 use adaptivetc_check::Config;
-use adaptivetc_lint::manifest::SiteKey;
+use adaptivetc_lint::sites::SiteKey;
 use adaptivetc_lint::verdicts::{self, VerdictEntry};
 use shim_sync::{OpKind, OverrideRule, OverrideSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,14 +1,16 @@
 //! Bounded model checking of the fast→check→fast_2 transition: a
-//! miniature adaptive worker — driven by the same pure FSM kernel the
-//! threaded engine uses (`adaptivetc_runtime::fsm`) — walks fake tasks,
-//! reacts to a concurrent starving thief via the real `NeedTask` signal,
-//! and hands a child over through the real THE deque's special-task
-//! protocol. Every interleaving at preemption bound 3 is explored.
+//! miniature adaptive worker — driven by the FSM kernel the threaded
+//! engine uses (`adaptivetc_runtime::fsm`) and the task rule both engines
+//! execute (`CutoffController::real_task`) — walks fake tasks, reacts to a
+//! concurrent starving thief via the real `NeedTask` signal, and hands a
+//! child over through the real THE deque's special-task protocol. Every
+//! interleaving at preemption bound 3 is explored.
 
 use adaptivetc_check::signal::NeedTask;
 use adaptivetc_check::the::{PopSpecial, StealOutcome, TheDeque};
 use adaptivetc_check::{explore, Config};
 use adaptivetc_runtime::fsm::{self, Version};
+use adaptivetc_strategy::CutoffController;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -55,7 +57,8 @@ fn fast_check_fast2_walk_under_thief() {
 
         // The owner starts past the cut-off: fast has fallen through to
         // the check version (fake tasks polling need_task per node).
-        assert!(!fsm::task_mode(BASE_CUTOFF, BASE_CUTOFF, false));
+        let cutoff = CutoffController::new(BASE_CUTOFF);
+        assert!(!cutoff.real_task(BASE_CUTOFF, false));
         assert_eq!(fsm::fallthrough(false), Version::Check);
         let mut version = Version::Check;
         let mut fake_tasks = 0u32;
@@ -71,10 +74,12 @@ fn fast_check_fast2_walk_under_thief() {
                 let (reentry, depth) = fsm::special_reentry();
                 assert_eq!(reentry, Version::Fast2);
                 assert!(
-                    fsm::task_mode(depth, BASE_CUTOFF, true),
+                    cutoff.real_task(depth, true),
                     "fast_2 must create tasks again at the reset depth"
                 );
-                assert_eq!(fsm::effective_cutoff(BASE_CUTOFF, true), 2 * BASE_CUTOFF);
+                // At rest the rule is `depth < base`, doubled in fast_2.
+                assert!(cutoff.real_task(2 * BASE_CUTOFF - 1, true));
+                assert!(!cutoff.real_task(2 * BASE_CUTOFF, true));
                 deque.push_special(SPECIAL).unwrap();
                 deque.push(CHILD).unwrap();
                 // The child's subtree runs; its continuation entry may be

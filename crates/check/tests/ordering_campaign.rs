@@ -11,7 +11,8 @@
 //! removing the ordering that site still relies on makes the exploration
 //! panic with a double extraction.
 //!
-//! Site → profile map (orderings as landed; see ORDERINGS.toml):
+//! Site → profile map (orderings as landed; each site's comment in `the.rs`
+//! gives its reason):
 //!
 //! | `the.rs` site                      | landed      | guarded by        | refutation            |
 //! |------------------------------------|-------------|-------------------|-----------------------|

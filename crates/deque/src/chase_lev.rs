@@ -189,6 +189,8 @@ impl<T> ChaseLevDeque<T> {
 
     /// Entries currently present (racy; for statistics).
     pub fn len(&self) -> usize {
+        // Relaxed: a racy size estimate for statistics and the owner's
+        // cut-off controller; staleness is benign.
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Relaxed);
         (b - t).max(0) as usize
@@ -204,12 +206,20 @@ impl<T> ChaseLevDeque<T> {
         // SAFETY: `buffer` always points to a live allocation — buffers
         // are only retired in `drop`, which has `&mut self`, so no
         // concurrent call can observe a dangling pointer.
+        // Relaxed: `cap` is written before the buffer is published and any
+        // published buffer is a valid answer.
         unsafe { (*self.buffer.load(Ordering::Relaxed)).cap }
     }
 
     fn push_entry(&self, entry: Entry<T>) {
+        // Relaxed: the owner is the only writer of `bottom`.
         let b = self.bottom.load(Ordering::Relaxed);
+        // Acquire (KEPT): pairs with thieves' claim CASes so the fullness
+        // check (`b - t >= cap`) never under-counts claims and recycles a
+        // slot a thief is still reading. The single bounded thief's SeqCst
+        // CAS hands the edge over for free; a second thief breaks that.
         let t = self.top.load(Ordering::Acquire);
+        // Relaxed: the owner is the only writer of `buffer`.
         let mut buf = self.buffer.load(Ordering::Relaxed);
         // SAFETY: the owner is the only mutator of `buffer`.
         unsafe {
@@ -218,6 +228,11 @@ impl<T> ChaseLevDeque<T> {
             }
             (*buf).write(b, entry);
         }
+        // Release (KEPT): the classic Chase-Lev publish — a thief that
+        // observes the new bottom must also observe the plain slot write.
+        // Bounded SC with one thief routes visibility through the shared
+        // SeqCst top CAS; on Arm with a thief that reads `bottom` before
+        // any CAS, Relaxed loses the entry.
         self.bottom.store(b + 1, Ordering::Release);
     }
 
@@ -253,6 +268,12 @@ impl<T> ChaseLevDeque<T> {
                 (*new).write(i, v);
                 i += 1;
             }
+            // Release (KEPT): publishes the copied slots with the new
+            // buffer pointer; thieves load `buffer` with Acquire and then
+            // read slots plainly. The 2-thread bound orders the lone thief
+            // through its SeqCst top CAS anyway; with several thieves (or
+            // one parked pre-claim) this is the only edge making the copy
+            // visible.
             self.buffer.store(new, Ordering::Release);
             self.retired.lock().push(old);
             new
@@ -261,13 +282,23 @@ impl<T> ChaseLevDeque<T> {
 
     /// The standard Chase-Lev bottom pop, returning the raw tagged entry.
     fn pop_entry(&self) -> Option<Entry<T>> {
+        // Relaxed: the owner is the only writer of `bottom` and `buffer`;
+        // the decrement is ordered against the `top` read by the fence
+        // below, not by the store itself.
         let b = self.bottom.load(Ordering::Relaxed) - 1;
         let buf = self.buffer.load(Ordering::Relaxed);
         self.bottom.store(b, Ordering::Relaxed);
+        // SeqCst: the size-one race — this fence totally orders the
+        // `bottom` store above and the `top` read below against the
+        // thief's top-load→fence→bottom-load (Chase-Lev, SPAA 2005; Lê et
+        // al.). The audit refutes AcqRel in `chase_lev_special` under TSO.
         fence(Ordering::SeqCst);
+        // Relaxed: ordered by the fence above; a stale `top` only sends the
+        // owner to the CAS below, which re-validates.
         let t = self.top.load(Ordering::Relaxed);
         if t > b {
             // Empty: restore the canonical shape.
+            // Relaxed: thieves read `bottom` behind their own SeqCst fence.
             self.bottom.store(b + 1, Ordering::Relaxed);
             return None;
         }
@@ -276,6 +307,9 @@ impl<T> ChaseLevDeque<T> {
         let entry = unsafe { (*buf).read(b) };
         if t == b {
             // Last element: race thieves for it.
+            // SeqCst: the claim must be totally ordered with the thieves'
+            // SeqCst claim CASes so exactly one party takes index `t`.
+            // Relaxed: a failed claim reads nothing through `top`.
             if self
                 .top
                 .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -283,9 +317,11 @@ impl<T> ChaseLevDeque<T> {
             {
                 // Lost: a thief took it; forget our read (the thief owns it).
                 std::mem::forget(entry);
+                // Relaxed: restores the canonical empty shape, as above.
                 self.bottom.store(b + 1, Ordering::Relaxed);
                 return None;
             }
+            // Relaxed: restores the canonical empty shape, as above.
             self.bottom.store(b + 1, Ordering::Relaxed);
             return Some(entry);
         }
@@ -330,12 +366,27 @@ impl<T> ChaseLevDeque<T> {
     /// left in place and reported as [`ClSteal::Empty`].
     pub fn steal(&self) -> ClSteal<T> {
         loop {
+            // Acquire (KEPT): the top/bottom/buffer loads pair with the
+            // owner's Release stores (push's bottom bump, grow's buffer
+            // publish) to order the plain slot read below. At the explored
+            // bound the SeqCst fence and CAS of the same iteration supply
+            // the edges; the Acquire loads are what the protocol proof
+            // actually names.
             let t = self.top.load(Ordering::Acquire);
+            // SeqCst (KEPT): Lê et al.'s argument needs the thief's fence
+            // and claim CAS totally ordered with the owner's pop-side
+            // fence; otherwise owner and thief can both take the last
+            // entry. Refuting AcqRel needs the owner's pop racing the CAS
+            // in a window the pb-2, 2-thread exploration did not reach.
             fence(Ordering::SeqCst);
+            // Acquire (KEPT): pairs with push's Release bottom bump, as
+            // above.
             let b = self.bottom.load(Ordering::Acquire);
             if t >= b {
                 return ClSteal::Empty;
             }
+            // Acquire (KEPT): pairs with grow's Release buffer publish, as
+            // above.
             let buf = self.buffer.load(Ordering::Acquire);
             // SAFETY: speculative read of index `t`, which `t < b` proved
             // initialised; the claim is validated by the CAS below, and on
@@ -364,6 +415,9 @@ impl<T> ChaseLevDeque<T> {
                     std::mem::forget(entry);
                     return ClSteal::Empty;
                 }
+                // SeqCst (KEPT): the claim CAS; see the fence above.
+                // Relaxed: a failed claim abandons the speculation and
+                // retries from fresh Acquire loads.
                 if self
                     .top
                     .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -378,6 +432,8 @@ impl<T> ChaseLevDeque<T> {
                 std::mem::forget(entry);
                 return ClSteal::Retry;
             }
+            // SeqCst (KEPT): the claim CAS; see the fence above.
+            // Relaxed: a failed claim abandons the speculation, as above.
             if self
                 .top
                 .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -400,6 +456,7 @@ impl<T> Default for ChaseLevDeque<T> {
 impl<T> Drop for ChaseLevDeque<T> {
     fn drop(&mut self) {
         // Drain live entries.
+        // Relaxed: `&mut self` — no other thread can touch the deque.
         let t = self.top.load(Ordering::Relaxed);
         let b = self.bottom.load(Ordering::Relaxed);
         let buf = self.buffer.load(Ordering::Relaxed);
@@ -421,6 +478,8 @@ impl<T> Drop for ChaseLevDeque<T> {
 
 impl<T> fmt::Debug for ChaseLevDeque<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Relaxed: an advisory racy snapshot; torn top/bottom pairs are
+        // acceptable.
         f.debug_struct("ChaseLevDeque")
             .field("top", &self.top.load(Ordering::Relaxed))
             .field("bottom", &self.bottom.load(Ordering::Relaxed))

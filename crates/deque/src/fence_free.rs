@@ -189,13 +189,22 @@ impl<T> FenceFreeDeque<T> {
     /// Thief-side slot access: `idx` must be below an `Acquire`-loaded
     /// `tail`, which makes both the directory entry and the slot write
     /// visible.
+    ///
+    /// The thief's directory load stays `Acquire` although the audit finds
+    /// it weakenable: it pairs with the owner's Release directory store so
+    /// the segment's slots are fully visible before the plain read. TSO
+    /// store order and the 2-thread bound mask the reorder; weak memory
+    /// with a thief touching a just-allocated segment does not. (The reason
+    /// lives here because the audit's override matches a ±5-line window
+    /// around each ordering token, which must still reach the `load`.)
     #[inline]
     fn slot(&self, idx: u64, owner: bool) -> &Slot<T> {
         let (s, off) = self.locate(idx);
         let order = if owner {
-            // The owner reads back its own directory stores.
+            // Relaxed: the owner reads back its own directory stores.
             Ordering::Relaxed
         } else {
+            // Acquire (KEPT): weak memory needs it — see the doc comment.
             Ordering::Acquire
         };
         let seg = self.dir[s].load(order);
@@ -211,9 +220,12 @@ impl<T> FenceFreeDeque<T> {
     /// entries the owner has not duplicate-popped yet); for statistics
     /// and the adaptive policy's emptiness signal only.
     pub fn len(&self) -> usize {
+        // Relaxed: racy statistics reads of head/tail/live; callers treat
+        // `len` as an estimate (backend contract).
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Relaxed);
         let window = t.saturating_sub(h);
+        // Relaxed: the same racy estimate.
         window.min(self.live.load(Ordering::Relaxed)) as usize
     }
 
@@ -227,11 +239,15 @@ impl<T> FenceFreeDeque<T> {
         let st = unsafe { &mut *self.owner.write() };
         let idx = st.next;
         let (s, off) = self.locate(idx);
+        // Relaxed: the owner reads back its own directory stores.
         let mut seg = self.dir[s].load(Ordering::Relaxed);
         if seg.is_null() {
             seg = Segment::alloc(1usize << (self.base_shift + s as u32));
-            // Publish the segment before any index inside it: paired with
-            // the thief's `Acquire` directory load.
+            // Release (KEPT): publishes the segment before any index inside
+            // it; pairs with the thief's Acquire directory load. The single
+            // bounded thief synchronises through its head CAS chain;
+            // concurrent thieves entering `slot()` on a fresh segment rely
+            // on exactly this edge.
             self.dir[s].store(seg, Ordering::Release);
         }
         // SAFETY: slot `idx` has never been written (the log is
@@ -244,9 +260,14 @@ impl<T> FenceFreeDeque<T> {
         }
         st.stack.push(idx);
         st.next = idx + 1;
+        // Relaxed: `live` is an owner-written statistic (see `len`).
         self.live.store(st.stack.len() as u64, Ordering::Relaxed);
         // The owner's whole push: two plain stores. No fence, no RMW,
-        // no SeqCst — the `Release` store of `tail` publishes the slot.
+        // no SeqCst.
+        // Release (KEPT): the monotone `tail` store publishes the plainly
+        // initialised slot; pairs with the thief's Acquire `tail` load.
+        // The bound's lone thief also synchronises through its head CAS
+        // chain; concurrent thieves rely on this edge alone.
         self.tail.store(idx + 1, Ordering::Release);
     }
 
@@ -273,6 +294,9 @@ impl<T: Clone> FenceFreeDeque<T> {
         // SAFETY: owner-only method (protocol contract).
         let st = unsafe { &mut *self.owner.write() };
         let idx = st.stack.pop()?;
+        // Relaxed: owner-written statistic; pop publishes nothing (thieves
+        // may re-extract, the claim layer arbitrates), so it needs no
+        // release edge.
         self.live.store(st.stack.len() as u64, Ordering::Relaxed);
         let slot = self.slot(idx, true);
         // SAFETY: write-once slot published by this same thread.
@@ -315,8 +339,11 @@ impl<T: Clone> FenceFreeDeque<T> {
                 .pop()
                 .expect("pop_special found a task with no special beneath");
             slot = self.slot(idx, true);
+            // Relaxed: debug-only; the cursor passed `idx` before the
+            // caller learnt the child was stolen.
             debug_assert!(self.head.load(Ordering::Relaxed) > idx);
         }
+        // Relaxed: owner-written statistic, as in `pop`.
         self.live.store(st.stack.len() as u64, Ordering::Relaxed);
         // SAFETY: write-once slot published by this same thread's push.
         unsafe {
@@ -325,6 +352,9 @@ impl<T: Clone> FenceFreeDeque<T> {
                 KIND_SPECIAL,
                 "pop_special must match a push_special (LIFO discipline violated)"
             );
+            // Relaxed: the cursor only picks between Reclaimed and the
+            // conservative ChildStolen, both safe — a lagging read is
+            // arbitrated by the claim layer (see the doc comment).
             if self.head.load(Ordering::Relaxed) > idx {
                 PopSpecial::ChildStolen
             } else {
@@ -344,7 +374,14 @@ impl<T: Clone> FenceFreeDeque<T> {
     /// the owner's pop can duplicate an extraction.
     pub fn steal(&self) -> StealOutcome<T> {
         loop {
+            // Acquire (KEPT): pairs with the owner's Release tail bump in
+            // `push_kind`; it is the thief's only ordering for the slot
+            // contents it claims (the head CASes are deliberately Relaxed
+            // — that is the paper's point). The bound happens to order the
+            // lone thief; more thieves or weak memory need the Acquire.
             let t = self.tail.load(Ordering::Acquire);
+            // Relaxed: the cursor is monotone and a stale value only loses
+            // the CAS below.
             let h = self.head.load(Ordering::Relaxed);
             if h >= t {
                 return StealOutcome::Empty;
@@ -366,6 +403,7 @@ impl<T: Clone> FenceFreeDeque<T> {
                     // cursor is dead — already reclaimed by the owner,
                     // whose pops never advance the cursor. Skip it so a
                     // dead special can never wall off live entries.
+                    // Relaxed: cursor arbitration only, as argued below.
                     let _ =
                         self.head
                             .compare_exchange(h, h + 1, Ordering::Relaxed, Ordering::Relaxed);
@@ -375,7 +413,7 @@ impl<T: Clone> FenceFreeDeque<T> {
                 // write-once initialised; cloning by shared ref never
                 // conflicts with other readers.
                 let v = unsafe { (*child.value.read()).assume_init_ref().clone() };
-                // Relaxed suffices: the CAS only arbitrates the cursor
+                // Relaxed: the CAS only arbitrates the cursor
                 // between thieves — the clone above was already made safe
                 // by the Acquire load of `tail`, and exactly-once
                 // *execution* is the claim layer's job, not the cursor's.
@@ -390,6 +428,7 @@ impl<T: Clone> FenceFreeDeque<T> {
                 // SAFETY: slot h < t is published (Acquire `tail`) and
                 // write-once initialised; cloning by shared ref is safe.
                 let v = unsafe { (*slot.value.read()).assume_init_ref().clone() };
+                // Relaxed: cursor arbitration only, as argued above.
                 if self
                     .head
                     .compare_exchange(h, h + 1, Ordering::Relaxed, Ordering::Relaxed)
@@ -414,9 +453,11 @@ impl<T> Drop for FenceFreeDeque<T> {
         // Extraction clones and never moves out, so every written slot
         // `[0, tail)` still owns a live value: drop each exactly once,
         // then free the segments.
+        // Relaxed: `&mut self` — no other thread holds a reference.
         let t = self.tail.load(Ordering::Relaxed);
         for idx in 0..t {
             let (s, off) = self.locate(idx);
+            // Relaxed: exclusive access, as above.
             let seg = self.dir[s].load(Ordering::Relaxed);
             // SAFETY: exclusive access in Drop; slots [0, t) are
             // initialised and segments live until freed below.
@@ -425,6 +466,7 @@ impl<T> Drop for FenceFreeDeque<T> {
             }
         }
         for d in &self.dir {
+            // Relaxed: exclusive access, as above.
             let seg = d.load(Ordering::Relaxed);
             if !seg.is_null() {
                 // SAFETY: allocated via Box::into_raw, freed exactly once.
@@ -436,6 +478,7 @@ impl<T> Drop for FenceFreeDeque<T> {
 
 impl<T> fmt::Debug for FenceFreeDeque<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Relaxed: debug formatting of racy cursors; values are advisory.
         f.debug_struct("FenceFreeDeque")
             .field("head", &self.head.load(Ordering::Relaxed))
             .field("tail", &self.tail.load(Ordering::Relaxed))

@@ -47,10 +47,15 @@ impl NeedTask {
     /// victim's `need_task` flag (so callers can attribute the signal to a
     /// specific thief, e.g. in an event trace).
     pub fn record_steal_failure(&self) -> bool {
+        // Relaxed: advisory bookkeeping — no payload is published through
+        // the signal (the deque steal carries the data synchronisation),
+        // and a stale value only delays task creation.
         let n = self.stolen_num.fetch_add(1, Ordering::Relaxed) + 1;
         if n > self.max_stolen_num {
             // swap, not store: the return value tells exactly one caller
             // that its failure performed the lowered→raised transition.
+            // Relaxed: advisory flag, as above; the swap's atomicity alone
+            // picks the one caller.
             !self.need_task.swap(true, Ordering::Relaxed)
         } else {
             false
@@ -59,24 +64,30 @@ impl NeedTask {
 
     /// A thief successfully stole from this victim: clear the signal.
     pub fn record_steal_success(&self) {
+        // Relaxed: advisory bookkeeping; observers tolerate staleness.
         self.stolen_num.store(0, Ordering::Relaxed);
         self.need_task.store(false, Ordering::Relaxed);
     }
 
     /// Polled by the victim's check version.
     pub fn needs_task(&self) -> bool {
+        // Relaxed: an advisory poll on the owner's hot path; a stale read
+        // delays adaptation but can never break safety.
         self.need_task.load(Ordering::Relaxed)
     }
 
     /// Acknowledge the signal after pushing a special task, so one request
     /// produces one transition.
     pub fn acknowledge(&self) {
+        // Relaxed: advisory bookkeeping; a racing failure that re-raises
+        // the flag just asks again.
         self.stolen_num.store(0, Ordering::Relaxed);
         self.need_task.store(false, Ordering::Relaxed);
     }
 
     /// Current consecutive-failure count (for statistics).
     pub fn stolen_num(&self) -> u32 {
+        // Relaxed: a statistics read; staleness is benign.
         self.stolen_num.load(Ordering::Relaxed)
     }
 

@@ -142,6 +142,8 @@ pub mod sync_counts {
     /// Read the current counter values.
     pub fn snapshot() -> Counts {
         Counts {
+            // Relaxed: process-global op counters read for reporting; no
+            // synchronisation intended.
             fences: FENCES.load(Ordering::Relaxed),
             seqcst_ops: SEQCST_OPS.load(Ordering::Relaxed),
             rmw_ops: RMW_OPS.load(Ordering::Relaxed),
@@ -151,6 +153,7 @@ pub mod sync_counts {
 
     /// Zero all counters (while no other thread touches a deque).
     pub fn reset() {
+        // Relaxed: zeroed between single-threaded harness phases.
         FENCES.store(0, Ordering::Relaxed);
         SEQCST_OPS.store(0, Ordering::Relaxed);
         RMW_OPS.store(0, Ordering::Relaxed);
@@ -171,6 +174,8 @@ mod counting {
 
     #[inline]
     fn note(o: Ordering, rmw: bool) {
+        // SeqCst: a comparison that classifies the counted operation, not
+        // a memory-ordering choice.
         if o == Ordering::SeqCst {
             SEQCST_OPS.fetch_add(1, Real::Relaxed);
             if rmw {
@@ -185,6 +190,7 @@ mod counting {
     /// Counting replacement for [`std::sync::atomic::fence`].
     pub fn fence(o: Ordering) {
         FENCES.fetch_add(1, Real::Relaxed);
+        // SeqCst: classifies the counted fence, as in `note`.
         if o == Ordering::SeqCst {
             SEQCST_OPS.fetch_add(1, Real::Relaxed);
         }

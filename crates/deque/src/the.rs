@@ -150,6 +150,8 @@ impl<T> TheDeque<T> {
 
     /// Entries currently in `[H, T)`. Racy by nature; for statistics only.
     pub fn len(&self) -> usize {
+        // Relaxed: a racy size estimate for statistics and the owner's
+        // cut-off controller; a torn H/T pair is benign.
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Relaxed);
         t.saturating_sub(h) as usize
@@ -166,15 +168,17 @@ impl<T> TheDeque<T> {
     }
 
     fn push_kind(&self, value: T, kind: u8) -> Result<(), Overflow> {
+        // Relaxed: the owner is the only writer of `tail`.
         let t = self.tail.load(Ordering::Relaxed);
         // `cleaned` is a lower bound on consumed indices (it only grows at
         // quiescence), so `t - c` over-estimates occupancy: conservative,
         // never overwrites a slot whose last reader has not finished.
-        // Acquire (KEPT): pairs with the thief's Release store of `cleaned`
+        // Acquire: pairs with the thief's Release store of `cleaned`
         // after its value reads — reusing the physical slot of index
         // `t - capacity` is safe only once that steal's read is ordered
         // before this push's write. (`head` cannot stand in: thieves raise
-        // it Relaxed *before* reading the slot.)
+        // it Relaxed *before* reading the slot.) The audit refutes Relaxed
+        // in `the_wraparound`.
         let c = self.cleaned.load(Ordering::Acquire);
         if t.wrapping_sub(c) >= self.slots.len() as u64 {
             return Err(Overflow(self.slots.len()));
@@ -187,7 +191,12 @@ impl<T> TheDeque<T> {
         unsafe {
             (*slot.value.write()).write(value);
         }
+        // Relaxed: the kind byte is published, like the value, by the
+        // `tail` store below.
         slot.kind.store(kind, Ordering::Relaxed);
+        // Release: publishes the slot's value and kind; pairs with the
+        // thief's `tail` load (SeqCst, so at least Acquire). The audit
+        // refutes Relaxed in `join_restolen`.
         self.tail.store(t + 1, Ordering::Release);
         Ok(())
     }
@@ -221,17 +230,22 @@ impl<T> TheDeque<T> {
     /// paper's condensed pseudo-code leaves `T` decremented, which would
     /// corrupt the next push).
     pub fn pop(&self) -> Option<T> {
+        // Relaxed: the owner is the only writer of `tail`.
         let t = self.tail.load(Ordering::Relaxed) - 1;
-        // The SeqCst fence below globally orders this store against the
-        // subsequent `head` read — the Dekker arbitration needs the
-        // store→fence→load *shape*, not a SeqCst store. Release (KEPT),
-        // not Relaxed: a thief may read `tail` from *this* store rather
-        // than from the push that published the entries below `t`, and a
-        // same-thread Relaxed store does not continue that push's release
-        // sequence — the thief's slot read would be unordered with the
-        // push's slot write (found by the `join_detached` scenario under
-        // `check_races`). Free on x86, where every store is a release.
+        // Release: not Relaxed, because a thief may read `tail` from *this*
+        // store rather than from the push that published the entries below
+        // `t`, and a same-thread Relaxed store does not continue that
+        // push's release sequence — the thief's slot read would be
+        // unordered with the push's slot write (found by the
+        // `join_detached` scenario under `check_races`). Free on x86,
+        // where every store is a release. Not SeqCst either: the Dekker
+        // arbitration needs the store→fence→load *shape*, which the fence
+        // below supplies.
         self.tail.store(t, Ordering::Release);
+        // SeqCst: the THE protocol's one owner-side fence — it globally
+        // orders the `tail` store above against the `head` read below, the
+        // dual of the thief's head-store→fence→tail-load. The audit refutes
+        // AcqRel in `the_linearizable` under TSO.
         fence(Ordering::SeqCst);
         // Relaxed: ordered by the fence above. A stale (lower) `head` only
         // sends the owner into the locked slow path — conservative.
@@ -253,6 +267,7 @@ impl<T> TheDeque<T> {
             // Won the race while a thief backed off.
         }
         let slot = self.slot(t);
+        // Relaxed: debug-only read of a slot this thread now owns.
         debug_assert_eq!(slot.kind.load(Ordering::Relaxed), KIND_TASK);
         // SAFETY: index `t` is now exclusively claimed by the owner.
         Some(unsafe { (*slot.value.read()).assume_init_read() })
@@ -266,15 +281,16 @@ impl<T> TheDeque<T> {
     /// [`push_special`](TheDeque::push_special) (unmatched pops corrupt the
     /// protocol).
     pub fn pop_special(&self) -> PopSpecial<T> {
-        // The whole operation runs under the THE lock, so every access
-        // below is Relaxed: `head` is lock-protected, and `tail` is
-        // owner-written (this thread) and read by thieves only after the
-        // lock hand-off or behind their own SeqCst fence.
         let _guard = self.lock.lock();
+        // Relaxed: the whole operation runs under the THE lock — `head` is
+        // lock-protected, and `tail` is owner-written (this thread) and
+        // read by thieves only after the lock hand-off or behind their own
+        // SeqCst fence.
         debug_assert!(
             self.tail.load(Ordering::Relaxed) > INDEX_BASE,
             "pop_special without a matching push_special"
         );
+        // Relaxed: under the lock, as above.
         let t = self.tail.load(Ordering::Relaxed) - 1;
         self.tail.store(t, Ordering::Relaxed);
         let h = self.head.load(Ordering::Relaxed);
@@ -292,6 +308,7 @@ impl<T> TheDeque<T> {
             return PopSpecial::ChildStolen;
         }
         let slot = self.slot(t);
+        // Relaxed: debug-only read of a slot this thread now owns.
         debug_assert_eq!(slot.kind.load(Ordering::Relaxed), KIND_SPECIAL);
         // SAFETY: index `t` is exclusively claimed (no thief passed it: h <= t).
         PopSpecial::Reclaimed(unsafe { (*slot.value.read()).assume_init_read() })
@@ -308,7 +325,7 @@ impl<T> TheDeque<T> {
         // Relaxed: `head` is only written under this lock (mutual
         // exclusion gives the thief the latest value).
         let h = self.head.load(Ordering::Relaxed);
-        // SeqCst (KEPT): pairs with the owner's unlocked pop — a weaker
+        // SeqCst: pairs with the owner's unlocked pop — a weaker
         // load here could miss the owner's tail decrement and let the
         // thief claim an entry the owner already took. The Dekker
         // re-validation below depends on this anchor.
@@ -316,14 +333,17 @@ impl<T> TheDeque<T> {
         if h >= t {
             return StealOutcome::Empty;
         }
+        // Relaxed: `h < t`, so the slot was published by the push whose
+        // `tail` store the SeqCst load above read (or a later one).
         let head_kind = self.slot(h).kind.load(Ordering::Relaxed);
         if head_kind == KIND_SPECIAL {
             // steal_specialtask: claim the special entry and its child.
             // Relaxed: the SeqCst fence below orders this store before
             // the tail re-read; the owner's pop fence does the dual.
             self.head.store(h + 2, Ordering::Relaxed);
+            // SeqCst: the thief-side fence of the Dekker pair (see `pop`).
             fence(Ordering::SeqCst);
-            // SeqCst (KEPT): the Dekker re-validation against the owner's
+            // SeqCst: the Dekker re-validation against the owner's
             // unlocked tail decrement.
             let t = self.tail.load(Ordering::SeqCst);
             if h + 2 > t {
@@ -334,9 +354,11 @@ impl<T> TheDeque<T> {
                 return StealOutcome::Empty;
             }
             let child = self.slot(h + 1);
+            // Relaxed: `h + 1 < t`, published like `head_kind` above.
             if child.kind.load(Ordering::Relaxed) == KIND_SPECIAL {
                 // Two adjacent specials cannot arise from the five-version
                 // FSM; refuse defensively rather than steal a special.
+                // Relaxed: the same conservative restore as above.
                 self.head.store(h, Ordering::Relaxed);
                 return StealOutcome::Empty;
             }
@@ -347,7 +369,7 @@ impl<T> TheDeque<T> {
                 drop((*self.slot(h).value.read()).assume_init_read());
                 (*child.value.read()).assume_init_read()
             };
-            // Release (KEPT): publishes the value reads above to the
+            // Release: publishes the value reads above to the
             // owner's push (`cleaned` Acquire load) before the physical
             // slots can be recycled at indices h + capacity, h + 1 +
             // capacity. Still under the lock, so thieves stay serialised.
@@ -357,8 +379,9 @@ impl<T> TheDeque<T> {
             // Relaxed: ordered by the SeqCst fence below (see the
             // special-path store above for the argument).
             self.head.store(h + 1, Ordering::Relaxed);
+            // SeqCst: the thief-side fence of the Dekker pair (see `pop`).
             fence(Ordering::SeqCst);
-            // SeqCst (KEPT): Dekker re-validation anchor.
+            // SeqCst: Dekker re-validation anchor.
             let t = self.tail.load(Ordering::SeqCst);
             if h + 1 > t {
                 // Lost the race against the owner's pop of the last entry.
@@ -368,7 +391,7 @@ impl<T> TheDeque<T> {
             }
             // SAFETY: index h is exclusively claimed by this thief.
             let stolen = unsafe { (*self.slot(h).value.read()).assume_init_read() };
-            // Release (KEPT): publishes the value read above to the owner's
+            // Release: publishes the value read above to the owner's
             // push (`cleaned` Acquire load) before the physical slot can be
             // recycled at index h + capacity. Still under the lock.
             self.cleaned.store(h + 1, Ordering::Release);
@@ -380,6 +403,7 @@ impl<T> TheDeque<T> {
 impl<T> Drop for TheDeque<T> {
     fn drop(&mut self) {
         // At rest every index in [H, T) holds a live value.
+        // Relaxed: `&mut self` — no other thread can touch the deque.
         let h = self.head.load(Ordering::Relaxed);
         let t = self.tail.load(Ordering::Relaxed);
         let mut i = h;
@@ -396,6 +420,7 @@ impl<T> Drop for TheDeque<T> {
 
 impl<T> fmt::Debug for TheDeque<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Relaxed: an advisory racy snapshot; torn H/T pairs are acceptable.
         f.debug_struct("TheDeque")
             .field("head", &self.head.load(Ordering::Relaxed))
             .field("tail", &self.tail.load(Ordering::Relaxed))

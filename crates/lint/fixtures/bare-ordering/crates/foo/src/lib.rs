@@ -1,4 +1,4 @@
-//! Fixture: an `Ordering::` site the manifest does not know about.
+//! Fixture: an `Ordering::` site with no comment giving its reason.
 pub mod sync {
     pub use std::sync::atomic::{AtomicU64, Ordering};
 }

@@ -5,6 +5,7 @@ pub mod sync {
 use sync::{AtomicU64, Ordering};
 
 pub fn bump(c: &AtomicU64) -> u64 {
+    // Relaxed: independent counter bump; aggregated after join.
     c.fetch_add(1, Ordering::Relaxed)
 }
 

@@ -34,7 +34,7 @@ pub struct Allowlist {
 }
 
 /// Rules an allowlist entry may suppress. The ordering audit is
-/// deliberately absent: its exception mechanism is the manifest itself.
+/// deliberately absent: its exception mechanism is the comment at the site.
 const ALLOWABLE: &[&str] = &["facade", "trace-gate", "unsafe-safety"];
 
 /// Name of the allowlist file at the workspace root.

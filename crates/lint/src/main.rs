@@ -2,10 +2,7 @@
 //!
 //! ```text
 //! cargo run -p adaptivetc-lint                        # check; exit 1 on findings
-//! cargo run -p adaptivetc-lint -- --bless             # regenerate ORDERINGS.toml + DESIGN table
 //! cargo run -p adaptivetc-lint -- --orderings-verify  # cross-check ORDERING_VERDICTS.toml
-//! cargo run -p adaptivetc-lint -- --orderings-verify --bless
-//!                                                     # rewrite MINIMIZE.toml skeletons
 //! cargo run -p adaptivetc-lint -- --root P            # analyze the workspace at P
 //! ```
 
@@ -14,12 +11,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let mut bless = false;
     let mut orderings_verify = false;
     let mut root: Option<PathBuf> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--bless" => bless = true,
             "--orderings-verify" => orderings_verify = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -31,14 +26,13 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "adaptivetc-lint: concurrency-invariant static analyzer\n\n\
-                     USAGE: adaptivetc-lint [--root PATH] [--bless] [--orderings-verify]\n\n\
-                     Default mode checks facade integrity, the ORDERINGS.toml memory-ordering\n\
-                     audit, unsafe hygiene and trace discipline; exits 1 on findings.\n\
-                     --bless regenerates ORDERINGS.toml (preserving justifications) and the\n\
-                     generated DESIGN.md audit table.\n\
+                     USAGE: adaptivetc-lint [--root PATH] [--orderings-verify]\n\n\
+                     Default mode checks facade integrity, the `// X: reason` comment at\n\
+                     every `Ordering::X` site, unsafe hygiene and trace discipline; exits 1\n\
+                     on findings.\n\
                      --orderings-verify cross-checks ORDERING_VERDICTS.toml (from the\n\
-                     crates/check ordering_audit binary) and MINIMIZE.toml against the tree;\n\
-                     with --bless it rewrites MINIMIZE.toml skeletons instead."
+                     crates/check ordering_audit binary) against the tree: every weakenable\n\
+                     group must be marked `// X (KEPT): reason` at its sites."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -63,99 +57,29 @@ fn main() -> ExitCode {
         }
     };
 
-    if orderings_verify && bless {
-        return match adaptivetc_lint::bless_minimize(&root) {
-            Ok(report) => {
-                println!(
-                    "blessed {}: {} weakenable verdict(s) → [[keep]] skeletons ({} still unjustified)",
-                    adaptivetc_lint::MINIMIZE_FILE,
-                    report.weakenable,
-                    report.unjustified
-                );
-                if report.unjustified > 0 {
-                    println!(
-                        "fill in every empty `why = \"\"` in {} — --orderings-verify fails on unjustified entries",
-                        adaptivetc_lint::MINIMIZE_FILE
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bless failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if orderings_verify {
-        return match adaptivetc_lint::verify_orderings(&root) {
-            Ok(findings) if findings.is_empty() => {
-                println!(
-                    "adaptivetc-lint --orderings-verify: clean ({})",
-                    root.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(findings) => {
-                for f in &findings {
-                    println!("{f}");
-                }
-                println!(
-                    "adaptivetc-lint --orderings-verify: {} finding(s)",
-                    findings.len()
-                );
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("analysis failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    if bless {
-        match adaptivetc_lint::bless(&root) {
-            Ok(report) => {
-                println!(
-                    "blessed: {} Ordering:: sites → {} manifest entries ({} still unjustified){}",
-                    report.sites,
-                    report.entries,
-                    report.unjustified,
-                    if report.design_updated {
-                        "; DESIGN.md audit table rewritten"
-                    } else {
-                        ""
-                    }
-                );
-                if report.unjustified > 0 {
-                    println!(
-                        "fill in every empty `why = \"\"` in {} — the check mode fails on unjustified entries",
-                        adaptivetc_lint::ORDERINGS_FILE
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bless failed: {e}");
-                ExitCode::from(2)
-            }
-        }
+    let (mode, result) = if orderings_verify {
+        (
+            "adaptivetc-lint --orderings-verify",
+            adaptivetc_lint::verify_orderings(&root),
+        )
     } else {
-        match adaptivetc_lint::analyze(&root) {
-            Ok(findings) if findings.is_empty() => {
-                println!("adaptivetc-lint: clean ({})", root.display());
-                ExitCode::SUCCESS
+        ("adaptivetc-lint", adaptivetc_lint::analyze(&root))
+    };
+    match result {
+        Ok(findings) if findings.is_empty() => {
+            println!("{mode}: clean ({})", root.display());
+            ExitCode::SUCCESS
+        }
+        Ok(findings) => {
+            for f in &findings {
+                println!("{f}");
             }
-            Ok(findings) => {
-                for f in &findings {
-                    println!("{f}");
-                }
-                println!("adaptivetc-lint: {} finding(s)", findings.len());
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("analysis failed: {e}");
-                ExitCode::from(2)
-            }
+            println!("{mode}: {} finding(s)", findings.len());
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("analysis failed: {e}");
+            ExitCode::from(2)
         }
     }
 }

@@ -13,8 +13,8 @@ pub enum Rule {
     /// Raw `std::sync::atomic` / `std::thread::spawn` / `parking_lot`
     /// outside a `crate::sync` facade.
     Facade,
-    /// An `Ordering::` site missing from, or disagreeing with,
-    /// `ORDERINGS.toml`.
+    /// An `Ordering::X` site without an adjacent comment that names `X`
+    /// and gives the reason.
     Ordering,
     /// An `unsafe` block/fn/impl without an adjacent `// SAFETY:` comment.
     UnsafeHygiene,
@@ -23,17 +23,14 @@ pub enum Rule {
     TraceGate,
     /// A problem in `LINT_ALLOW.toml` itself (stale or unjustified entry).
     Allowlist,
-    /// A problem in `ORDERINGS.toml` itself (stale or unjustified entry).
-    Manifest,
-    /// The generated DESIGN.md audit section is out of sync.
-    Design,
     /// An `ORDERING_VERDICTS.toml` problem from the ordering-minimization
     /// audit: a covered site with no verdict, a stale verdict, or an
     /// `unexercised` site no bounded suite reaches.
     Verdict,
-    /// A `weakenable` verdict not yet applied or justified in
-    /// `MINIMIZE.toml` (advisory), or a stale `MINIMIZE.toml` entry.
-    Minimize,
+    /// A site of a `weakenable` group neither weakened nor marked
+    /// `// X (KEPT): …`, or a keep marker on a group that is not
+    /// `weakenable`.
+    Keep,
 }
 
 impl Rule {
@@ -45,10 +42,8 @@ impl Rule {
             Rule::UnsafeHygiene => "unsafe-safety",
             Rule::TraceGate => "trace-gate",
             Rule::Allowlist => "allowlist",
-            Rule::Manifest => "manifest",
-            Rule::Design => "design",
             Rule::Verdict => "verdict",
-            Rule::Minimize => "minimize",
+            Rule::Keep => "keep",
         }
     }
 }
@@ -61,7 +56,8 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     /// 1-based byte column; `1` when the finding is about a whole line
-    /// (manifest/allowlist entries) rather than a specific token.
+    /// (allowlist and verdict entries, ordering sites) rather than a
+    /// specific token.
     pub col: u32,
     /// Violated invariant.
     pub rule: Rule,

@@ -1,6 +1,6 @@
 //! The per-file token rules: facade integrity, unsafe hygiene, and trace
-//! discipline. (The memory-ordering audit lives in `manifest`, since it is
-//! a cross-file diff against `ORDERINGS.toml`.)
+//! discipline. (The memory-ordering audit is the fourth; it lives in
+//! `sites` with the site collector the verdict cross-check shares.)
 
 use crate::allowlist::Allowlist;
 use crate::lexer::{Tok, TokKind};
@@ -12,9 +12,11 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/runtime/src/engine.rs",
     "crates/runtime/src/tascell.rs",
     "crates/runtime/src/frame.rs",
+    "crates/runtime/src/join.rs",
     "crates/runtime/src/pool.rs",
     "crates/deque/src/the.rs",
     "crates/deque/src/chase_lev.rs",
+    "crates/deque/src/fence_free.rs",
     "crates/deque/src/pool.rs",
     "crates/deque/src/signal.rs",
     "crates/deque/src/backend.rs",

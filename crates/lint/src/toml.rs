@@ -1,10 +1,11 @@
 //! A minimal TOML-subset reader/writer for the lint's two data files.
 //!
-//! Supports exactly what `ORDERINGS.toml` and `LINT_ALLOW.toml` use:
-//! `[[table]]` array-of-tables headers, `key = "string"` (with `\"` and
-//! `\\` escapes) and `key = integer` pairs, blank lines and `#` comments.
-//! Anything else is a hard parse error — the files are machine-written
-//! (`--bless`) or short and hand-curated, so strictness beats leniency.
+//! Supports exactly what `ORDERING_VERDICTS.toml` and `LINT_ALLOW.toml`
+//! use: `[[table]]` array-of-tables headers, `key = "string"` (with `\"`
+//! and `\\` escapes) and `key = integer` pairs, blank lines and `#`
+//! comments. Anything else is a hard parse error — one file is
+//! machine-written (the audit binary), the other short and hand-curated,
+//! so strictness beats leniency.
 
 use std::collections::BTreeMap;
 use std::fmt;

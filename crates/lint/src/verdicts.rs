@@ -12,8 +12,8 @@
 //!   explored bounds.
 //! - `weakenable` — every one-step-weaker candidate survived exhaustive
 //!   bounded exploration; the site is a minimization candidate and must be
-//!   either weakened (and re-proved) or kept with a justification in
-//!   `MINIMIZE.toml`.
+//!   either weakened (and re-proved) or kept, with the reason in a
+//!   `// X (KEPT): …` comment at each of its sites ([`crate::sites`]).
 //! - `minimal` — already `Relaxed`; there is nothing weaker to try.
 //! - `unexercised` — no covering suite ever executed the site, so the
 //!   audit proved nothing; this is a hard failure (grow a suite or drop
@@ -21,10 +21,11 @@
 //!
 //! This module cross-checks the committed verdicts against the live tree:
 //! every site group in a covered file needs a fresh verdict, stale
-//! verdicts must go, and `weakenable` verdicts must be justified.
+//! verdicts must go, `weakenable` groups must be marked kept at their
+//! sites, and a keep marker on any other group is stale.
 
-use crate::manifest::SiteKey;
 use crate::model::{Finding, Rule, SourceFile};
+use crate::sites::SiteKey;
 use crate::toml::{self, quote};
 use std::collections::BTreeMap;
 
@@ -45,16 +46,13 @@ pub const COVERED_FILES: &[&str] = &[
 /// Name of the verdict report at the workspace root.
 pub const VERDICTS_FILE: &str = "ORDERING_VERDICTS.toml";
 
-/// Name of the weakenable-justification file at the workspace root.
-pub const MINIMIZE_FILE: &str = "MINIMIZE.toml";
-
 /// The verdict classes the audit binary may emit.
 pub const VERDICT_KINDS: &[&str] = &["required", "weakenable", "minimal", "unexercised"];
 
 /// One `[[verdict]]` from `ORDERING_VERDICTS.toml`.
 #[derive(Debug, Clone)]
 pub struct VerdictEntry {
-    /// Site identity (same key space as `ORDERINGS.toml`).
+    /// Site identity.
     pub key: SiteKey,
     /// `required` | `weakenable` | `minimal` | `unexercised`.
     pub verdict: String,
@@ -68,24 +66,13 @@ pub struct VerdictEntry {
     pub line: u32,
 }
 
-/// One `[[keep]]` from `MINIMIZE.toml`: a deliberately-unweakened site.
-#[derive(Debug, Clone)]
-pub struct MinimizeEntry {
-    /// Site identity.
-    pub key: SiteKey,
-    /// Why the stronger ordering is kept despite the `weakenable` verdict.
-    pub why: String,
-    /// Line of the entry header in `MINIMIZE.toml`.
-    pub line: u32,
-}
-
-fn parse_key(t: &toml::Table, file_name: &str, findings: &mut Vec<Finding>) -> Option<SiteKey> {
+fn parse_key(t: &toml::Table, findings: &mut Vec<Finding>) -> Option<SiteKey> {
     let file = t.get_str("file").unwrap_or_default().to_string();
     let symbol = t.get_str("symbol").unwrap_or_default().to_string();
     let ordering = t.get_str("ordering").unwrap_or_default().to_string();
     if file.is_empty() || symbol.is_empty() || ordering.is_empty() {
         findings.push(Finding {
-            file: file_name.to_string(),
+            file: VERDICTS_FILE.to_string(),
             line: t.line,
             col: 1,
             rule: Rule::Verdict,
@@ -127,7 +114,7 @@ pub fn parse_verdicts(text: &str, findings: &mut Vec<Finding>) -> Vec<VerdictEnt
             });
             continue;
         }
-        let Some(key) = parse_key(&t, VERDICTS_FILE, findings) else {
+        let Some(key) = parse_key(&t, findings) else {
             continue;
         };
         let verdict = t.get_str("verdict").unwrap_or_default().to_string();
@@ -156,149 +143,82 @@ pub fn parse_verdicts(text: &str, findings: &mut Vec<Finding>) -> Vec<VerdictEnt
     entries
 }
 
-/// Parse `MINIMIZE.toml`. Structural problems become findings.
-pub fn parse_minimize(text: &str, findings: &mut Vec<Finding>) -> Vec<MinimizeEntry> {
-    let tables = match toml::parse(text) {
-        Ok(t) => t,
-        Err(e) => {
-            findings.push(Finding {
-                file: MINIMIZE_FILE.to_string(),
-                line: e.line,
-                col: 1,
-                rule: Rule::Minimize,
-                msg: format!("parse error: {}", e.msg),
-            });
-            return Vec::new();
-        }
-    };
-    let mut entries = Vec::new();
-    for t in tables {
-        if t.name != "keep" {
-            findings.push(Finding {
-                file: MINIMIZE_FILE.to_string(),
-                line: t.line,
-                col: 1,
-                rule: Rule::Minimize,
-                msg: format!("unknown table `[[{}]]` (expected `[[keep]]`)", t.name),
-            });
-            continue;
-        }
-        let Some(key) = parse_key(&t, MINIMIZE_FILE, findings) else {
-            continue;
-        };
-        entries.push(MinimizeEntry {
-            key,
-            why: t.get_str("why").unwrap_or_default().to_string(),
-            line: t.line,
-        });
-    }
-    entries
-}
-
-/// Cross-check the committed verdicts (and `MINIMIZE.toml`) against the
-/// `Ordering::` sites observed in the tree.
+/// Cross-check the committed verdicts and the keep markers (`kept`, from
+/// [`crate::sites::keep_marked`]) against the `Ordering::` sites observed
+/// in the tree.
 ///
 /// Hard failures: a covered site group with no verdict, a verdict for a
-/// site that no longer exists, an `unexercised` verdict, a `weakenable`
-/// verdict with neither an applied weakening nor a justified
-/// `MINIMIZE.toml` entry, and stale or unjustified `MINIMIZE.toml`
-/// entries.
+/// site that no longer exists, an `unexercised` verdict, a site of a
+/// `weakenable` group that is neither weakened nor marked
+/// `// X (KEPT): reason`, and a keep marker on a group the audit does not
+/// call `weakenable`.
 pub fn check(
     sites: &BTreeMap<SiteKey, Vec<u32>>,
     verdicts: &[VerdictEntry],
-    minimize: &[MinimizeEntry],
+    kept: &BTreeMap<SiteKey, Vec<u32>>,
     findings: &mut Vec<Finding>,
 ) {
     let by_key: BTreeMap<&SiteKey, &VerdictEntry> = verdicts.iter().map(|v| (&v.key, v)).collect();
-    let kept: BTreeMap<&SiteKey, &MinimizeEntry> = minimize.iter().map(|m| (&m.key, m)).collect();
+    let mut push = |file: &str, line: u32, rule: Rule, msg: String| {
+        findings.push(Finding {
+            file: file.to_string(),
+            line,
+            col: 1,
+            rule,
+            msg,
+        })
+    };
 
     for (key, lines) in sites {
         if !COVERED_FILES.contains(&key.file.as_str()) {
             continue;
         }
+        let (o, sym) = (&key.ordering, &key.symbol);
         let Some(v) = by_key.get(key) else {
-            findings.push(Finding {
-                file: key.file.clone(),
-                line: lines[0],
-                col: 1,
-                rule: Rule::Verdict,
-                msg: format!(
-                    "Ordering::{} in `{}` has no {VERDICTS_FILE} entry; run `cargo run -p adaptivetc-check --bin ordering_audit`",
-                    key.ordering, key.symbol
-                ),
-            });
+            let msg = format!(
+                "Ordering::{o} in `{sym}` has no {VERDICTS_FILE} entry; run `cargo run -p adaptivetc-check --bin ordering_audit`"
+            );
+            push(&key.file, lines[0], Rule::Verdict, msg);
             continue;
         };
         match v.verdict.as_str() {
-            "unexercised" => findings.push(Finding {
-                file: key.file.clone(),
-                line: lines[0],
-                col: 1,
-                rule: Rule::Verdict,
-                msg: format!(
-                    "Ordering::{} in `{}` is unexercised: no bounded suite reaches it — add coverage or drop the file from the audit scope",
-                    key.ordering, key.symbol
-                ),
-            }),
-            "weakenable" => match kept.get(key) {
-                None => findings.push(Finding {
-                    file: key.file.clone(),
-                    line: lines[0],
-                    col: 1,
-                    rule: Rule::Minimize,
-                    msg: format!(
-                        "Ordering::{} in `{}` is weakenable at the explored bounds: weaken it (and re-run the audit) or justify keeping it in {MINIMIZE_FILE} (`--orderings-verify --bless` writes the skeleton)",
-                        key.ordering, key.symbol
-                    ),
-                }),
-                Some(m) if m.why.trim().is_empty() || m.why.trim_start().starts_with("TODO") => {
-                    findings.push(Finding {
-                        file: MINIMIZE_FILE.to_string(),
-                        line: m.line,
-                        col: 1,
-                        rule: Rule::Minimize,
-                        msg: format!(
-                            "entry for {} `{}` Ordering::{} has no justification (`why`)",
-                            key.file, key.symbol, key.ordering
-                        ),
-                    });
+            "unexercised" => {
+                let msg = format!(
+                    "Ordering::{o} in `{sym}` is unexercised: no bounded suite reaches it — add coverage or drop the file from the audit scope"
+                );
+                push(&key.file, lines[0], Rule::Verdict, msg);
+            }
+            "weakenable" => {
+                let marked = kept.get(key).map_or(&[][..], Vec::as_slice);
+                for &line in lines.iter().filter(|l| !marked.contains(l)) {
+                    let msg = format!(
+                        "Ordering::{o} in `{sym}` is weakenable at the explored bounds: weaken it (and re-run the audit) or mark it `// {o} (KEPT): <what the bounds cannot see>` here"
+                    );
+                    push(&key.file, line, Rule::Keep, msg);
                 }
-                Some(_) => {}
-            },
+            }
             _ => {}
         }
     }
 
     for v in verdicts {
         if !sites.contains_key(&v.key) {
-            findings.push(Finding {
-                file: VERDICTS_FILE.to_string(),
-                line: v.line,
-                col: 1,
-                rule: Rule::Verdict,
-                msg: format!(
-                    "stale verdict: {} `{}` Ordering::{} no longer exists in the tree — re-run the audit",
-                    v.key.file, v.key.symbol, v.key.ordering
-                ),
-            });
+            let msg = format!(
+                "stale verdict: {} `{}` Ordering::{} no longer exists in the tree — re-run the audit",
+                v.key.file, v.key.symbol, v.key.ordering
+            );
+            push(VERDICTS_FILE, v.line, Rule::Verdict, msg);
         }
     }
 
-    for m in minimize {
-        let still_weakenable = by_key
-            .get(&m.key)
-            .is_some_and(|v| v.verdict == "weakenable");
-        if !still_weakenable {
-            findings.push(Finding {
-                file: MINIMIZE_FILE.to_string(),
-                line: m.line,
-                col: 1,
-                rule: Rule::Minimize,
-                msg: format!(
-                    "stale entry: {} `{}` Ordering::{} has no `weakenable` verdict any more",
-                    m.key.file, m.key.symbol, m.key.ordering
-                ),
-            });
+    for (key, lines) in kept {
+        if by_key.get(key).is_none_or(|v| v.verdict != "weakenable") {
+            let msg = format!(
+                "stale keep marker: Ordering::{o} in `{}` has no `weakenable` verdict — write `// {o}: <reason>`",
+                key.symbol,
+                o = key.ordering
+            );
+            push(&key.file, lines[0], Rule::Keep, msg);
         }
     }
 }
@@ -317,8 +237,8 @@ pub fn render_verdicts(entries: &[VerdictEntry]) -> String {
          #   cargo run -p adaptivetc-check --bin ordering_audit\n\
          # (check-shim build; see DESIGN.md §16 for verdict semantics).\n\
          # `cargo run -p adaptivetc-lint -- --orderings-verify` cross-checks\n\
-         # this file against the live tree and fails on unexercised or\n\
-         # unjustified-weakenable sites. Do not edit by hand.\n",
+         # this file against the live tree and fails on unexercised sites\n\
+         # and on weakenable sites not marked (KEPT). Do not edit by hand.\n",
     );
     let mut last_file = String::new();
     for v in sorted {
@@ -339,61 +259,16 @@ pub fn render_verdicts(entries: &[VerdictEntry]) -> String {
     out
 }
 
-/// Render a fresh `MINIMIZE.toml` holding one `[[keep]]` skeleton per
-/// `weakenable` verdict, preserving existing justifications by key.
-pub fn render_minimize(verdicts: &[VerdictEntry], old: &[MinimizeEntry]) -> String {
-    let old_why: BTreeMap<&SiteKey, &str> = old
-        .iter()
-        .filter(|m| !m.why.trim().is_empty())
-        .map(|m| (&m.key, m.why.as_str()))
-        .collect();
-    let mut weak: Vec<&VerdictEntry> = verdicts
-        .iter()
-        .filter(|v| v.verdict == "weakenable")
-        .collect();
-    weak.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut out = String::new();
-    out.push_str(
-        "# MINIMIZE.toml — justified decisions to KEEP orderings the audit\n\
-         # proved weakenable at the explored bounds.\n\
-         #\n\
-         # One [[keep]] per `weakenable` verdict in ORDERING_VERDICTS.toml.\n\
-         # `why` must say what the bounded exploration cannot see (larger\n\
-         # thread counts, unbounded preemptions, non-TSO targets, ...) that\n\
-         # makes the stronger ordering worth its cost. Regenerate skeletons\n\
-         # (preserving justifications) with:\n\
-         #   cargo run -p adaptivetc-lint -- --orderings-verify --bless\n",
-    );
-    for v in weak {
-        out.push('\n');
-        out.push_str("[[keep]]\n");
-        out.push_str(&format!("file = {}\n", quote(&v.key.file)));
-        out.push_str(&format!("symbol = {}\n", quote(&v.key.symbol)));
-        out.push_str(&format!("ordering = {}\n", quote(&v.key.ordering)));
-        let why = old_why.get(&v.key).copied().unwrap_or("");
-        out.push_str(&format!("why = {}\n", quote(why)));
-    }
-    out
-}
-
 /// Collect the ordering sites of the covered files only — what the audit
-/// binary iterates. Sites inside `#[cfg(test)]` context are dropped:
-/// the bounded scenarios run the *product* protocol paths, and a unit
-/// test's own atomics are exercised by that unit test, not the audit.
+/// binary iterates. `#[cfg(test)]` code is not a site: the bounded
+/// scenarios run the *product* protocol paths, and a unit test's own
+/// atomics are exercised by that unit test.
 pub fn covered_sites(files: &[SourceFile]) -> BTreeMap<SiteKey, Vec<u32>> {
-    let mut map = BTreeMap::new();
-    for f in files {
-        if !COVERED_FILES.contains(&f.rel.as_str()) {
-            continue;
-        }
-        for (key, lines) in crate::manifest::collect_sites(std::slice::from_ref(f)) {
-            let live: Vec<u32> = lines.into_iter().filter(|&l| !f.spans.in_test(l)).collect();
-            if !live.is_empty() {
-                map.insert(key, live);
-            }
-        }
-    }
-    map
+    files
+        .iter()
+        .filter(|f| COVERED_FILES.contains(&f.rel.as_str()))
+        .flat_map(crate::sites::collect_sites)
+        .collect()
 }
 
 #[cfg(test)]
@@ -426,7 +301,7 @@ mod tests {
         sites.insert(key("Acquire"), vec![20]);
         let verdicts = vec![verdict("Acquire", "unexercised")];
         let mut findings = Vec::new();
-        check(&sites, &verdicts, &[], &mut findings);
+        check(&sites, &verdicts, &BTreeMap::new(), &mut findings);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings
             .iter()
@@ -435,55 +310,41 @@ mod tests {
     }
 
     #[test]
-    fn weakenable_requires_justified_keep() {
+    fn weakenable_requires_a_keep_marker_at_every_site() {
         let mut sites = BTreeMap::new();
-        sites.insert(key("SeqCst"), vec![10]);
+        sites.insert(key("SeqCst"), vec![10, 30]);
         let verdicts = vec![verdict("SeqCst", "weakenable")];
+        let mut kept = BTreeMap::new();
+        kept.insert(key("SeqCst"), vec![10]);
         let mut findings = Vec::new();
-        check(&sites, &verdicts, &[], &mut findings);
+        check(&sites, &verdicts, &kept, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 30);
         assert!(findings[0].msg.contains("weakenable"));
 
-        let keep = MinimizeEntry {
-            key: key("SeqCst"),
-            why: "paper's proof assumes SC for this edge".to_string(),
-            line: 3,
-        };
+        kept.insert(key("SeqCst"), vec![10, 30]);
         findings.clear();
-        check(&sites, &verdicts, &[keep], &mut findings);
+        check(&sites, &verdicts, &kept, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn stale_verdict_and_stale_keep_are_flagged() {
-        let sites = BTreeMap::new();
-        let verdicts = vec![verdict("SeqCst", "required")];
-        let keep = MinimizeEntry {
-            key: key("Relaxed"),
-            why: "w".to_string(),
-            line: 9,
-        };
+        let mut sites = BTreeMap::new();
+        sites.insert(key("Release"), vec![7]);
+        let verdicts = vec![
+            verdict("SeqCst", "required"),
+            verdict("Release", "required"),
+        ];
+        let mut kept = BTreeMap::new();
+        kept.insert(key("Release"), vec![7]);
         let mut findings = Vec::new();
-        check(&sites, &verdicts, &[keep], &mut findings);
+        check(&sites, &verdicts, &kept, &mut findings);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().any(|f| f.msg.contains("stale verdict")));
-        assert!(findings.iter().any(|f| f.msg.contains("stale entry")));
-    }
-
-    #[test]
-    fn minimize_roundtrip_preserves_why() {
-        let verdicts = vec![verdict("SeqCst", "weakenable")];
-        let old = vec![MinimizeEntry {
-            key: key("SeqCst"),
-            why: "kept for portability".to_string(),
-            line: 1,
-        }];
-        let text = render_minimize(&verdicts, &old);
-        let mut findings = Vec::new();
-        let back = parse_minimize(&text, &mut findings);
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].why, "kept for portability");
+        assert!(findings
+            .iter()
+            .any(|f| f.msg.contains("stale keep marker") && f.line == 7));
     }
 
     #[test]

@@ -225,22 +225,24 @@ impl<P: Problem> DequeEntry<P> for FfEntry<P> {
     const POOLS_SHELLS: bool = false;
 
     fn make(frame: &Arc<Frame<P>>) -> Self {
-        // Relaxed: the owner is the only writer of its frames' epochs
-        // between push and claim, and the push's Release publication
-        // orders the snapshot for thieves.
         FfEntry {
             frame: Arc::downgrade(frame),
+            // Relaxed: the owner is the only writer of its frames' epochs
+            // between push and claim, and the push's Release publication
+            // orders the snapshot for thieves.
             epoch: frame.claim_seq.load(Ordering::Relaxed),
         }
     }
 
     fn claim(self) -> Option<Arc<Frame<P>>> {
         let frame = self.frame.upgrade()?;
-        // AcqRel success: the winner's claim synchronizes with whatever
-        // the loser does next. Acquire on *failure* is load-bearing: a
-        // losing owner pop must observe the winning thief's prior deque
-        // cursor CAS, so the owner's subsequent `pop_special` reliably
-        // reports `ChildStolen` for the special the thief passed.
+        // AcqRel: the claim-layer epoch CAS — Acquire orders the winner
+        // after the extraction it claims, Release publishes the claim to
+        // whatever the loser does next.
+        // Acquire: on *failure*, and load-bearing — a losing owner pop must
+        // observe the winning thief's prior deque cursor CAS, so the
+        // owner's subsequent `pop_special` reliably reports `ChildStolen`
+        // for the special the thief passed.
         frame
             .claim_seq
             .compare_exchange(
@@ -531,6 +533,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // incarnation of the shell: any thief still observing the old
         // generation across a steal handshake is a bug (checked in debug
         // builds on the thief side).
+        // Relaxed: a load + store, not an RMW, on a pooled shell only this
+        // worker has used and has not republished yet; the deque push's
+        // Release publishes the bump, and the thief's debug-only Acquire
+        // re-read is the sole other reader.
         let generation = frame.generation.load(Ordering::Relaxed);
         frame
             .generation
@@ -649,8 +655,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         match self.shared.mode {
             Mode::Cilk | Mode::CilkSynched => true,
             Mode::CutoffSequence | Mode::CutoffCopy => tdepth < self.shared.cutoff,
-            // At rest this is exactly `fsm::task_mode` on the base
-            // cutoff; under pressure the controller may have raised it.
+            // At rest this is `tdepth < cutoff`, doubled in fast_2; under
+            // pressure the controller may have raised the cutoff.
             Mode::Adaptive => self
                 .cutoff_ctl
                 .real_task(tdepth, matches!(regime, Regime::Fast2)),
@@ -751,15 +757,24 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// hint and are guaranteed a deposit at the owner's pop conflict at
     /// the latest.
     fn service_ws(&mut self, live: &P::State) {
+        let hint = self.my_ws_hint();
         // The hint is raised only by a thief waiting on a deposit, and this
         // runs at every spawn, check and sequence node: test with a plain
         // load and pay the locked swap only when it is up.
-        let hint = self.my_ws_hint();
+        // Relaxed: the hint is only a doorbell (the request itself is
+        // `frame.ws_requested`, read Acquire below) — a stale false is
+        // re-rung by the spinning thief every 64 spins and covered by the
+        // pop-conflict backstop deposit, and a true is confirmed by the
+        // swap, so the pre-test publishes and acquires nothing.
+        // AcqRel: acquires the thief's published request, and releases the
+        // cleared hint so a new request re-arms it.
         if !hint.load(Ordering::Relaxed) || !hint.swap(false, Ordering::AcqRel) {
             return;
         }
         let spine = std::mem::take(&mut self.spine);
         for slot in &spine[self.region_base..] {
+            // Acquire: pairs with the thief's Release request in
+            // `obtain_ws`, before the owner clones its workspace.
             if slot.frame.ws_requested.load(Ordering::Acquire) {
                 let snap = self.materialise(live, slot.mark);
                 slot.frame.deposit_ws(snap);
@@ -791,6 +806,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     fn seal_region(&mut self, live: &P::State) {
         let spine = std::mem::take(&mut self.spine);
         for slot in &spine[self.region_base..] {
+            // Acquire: pairs with the thief's AcqRel take, so sealing never
+            // deposits over a workspace a thief is taking.
             if slot.live_entry && !slot.frame.ws_ready.load(Ordering::Acquire) {
                 let snap = self.materialise(live, slot.mark);
                 slot.frame.deposit_ws(snap);
@@ -955,6 +972,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     // frame-pristine right now (the child's choice was
                     // just undone): deposit a clone for the thief
                     // unless a seal or service round already did.
+                    // Acquire: pairs with the Release in `deposit_ws` and
+                    // the thief's AcqRel take, so the owner sees whether
+                    // a deposit is already there or was consumed.
                     if !frame.ws_ready.load(Ordering::Acquire) {
                         let snap = self.clone_state(state);
                         frame.deposit_ws(snap);
@@ -1013,6 +1033,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         } else {
             let mut ws = self.obtain_ws(&frame);
             // Entries re-pushed from here borrow *this* worker's workspace.
+            // Release: pairs with the next thief's Acquire owner load in
+            // `obtain_ws` (the deque push's Release publishes it as well).
             frame.owner.store(self.id, Ordering::Release);
             let saved_base = self.region_base;
             self.region_base = self.spine.len();
@@ -1040,13 +1062,22 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// — re-raising the owner's doorbell periodically, since the owner may
     /// consume a hint while a different region is current.
     fn obtain_ws(&mut self, frame: &Frame<P>) -> P::State {
+        // Acquire: debug-only snapshot of the generation the owner bumped
+        // before the push that published this frame.
         #[cfg(debug_assertions)]
         let generation = frame.generation.load(Ordering::Acquire);
         let state = match frame.try_take_ws() {
             Some(s) => s,
             None => {
+                // Release: the request must be visible before the doorbell
+                // below; pairs with the owner's Acquire poll in
+                // `service_ws`.
                 frame.ws_requested.store(true, Ordering::Release);
+                // Acquire: pairs with the Release store in `run_stolen`, so
+                // a re-stolen frame rings its current holder.
                 let owner = frame.owner.load(Ordering::Acquire);
+                // Release: the doorbell; pairs with the owner's AcqRel swap,
+                // which then finds the request above.
                 self.shared.ws_hints[owner].store(true, Ordering::Release);
                 tev!(
                     self,
@@ -1062,6 +1093,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     }
                     spins = spins.wrapping_add(1);
                     if spins & 0x3F == 0 {
+                        // Acquire: the current holder, as above.
+                        // Release: re-rings the doorbell, as above — the
+                        // owner may have consumed a hint while a different
+                        // region was current.
                         self.shared.ws_hints[frame.owner.load(Ordering::Acquire)]
                             .store(true, Ordering::Release);
                         std::thread::yield_now();
@@ -1072,6 +1107,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             }
         };
         tev!(self, Workspace, Ev::WsTake);
+        // Acquire: debug-only re-read against the snapshot above.
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             frame.generation.load(Ordering::Acquire),

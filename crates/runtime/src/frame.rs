@@ -57,12 +57,16 @@ impl<O: Send> OutCell<O> {
         let mut g = self.slot.lock();
         debug_assert!(g.is_none(), "OutCell delivered twice");
         *g = Some(out);
+        // Release: publishes the output written under the mutex before
+        // `done` flips; pairs with `is_done`'s Acquire.
         self.done.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
     /// Non-blocking readiness check (workers poll this to terminate).
     pub(crate) fn is_done(&self) -> bool {
+        // Acquire: pairs with `deliver`'s Release, so a worker that sees
+        // `done` also sees the delivered value.
         self.done.load(Ordering::Acquire)
     }
 
@@ -226,8 +230,12 @@ impl<P: Problem> Frame<P> {
         if g.is_none() {
             *g = Some(state);
             drop(g);
+            // Release: publishes the cloned workspace before `ws_ready`;
+            // pairs with the thief's AcqRel swap in `try_take_ws`.
             self.ws_ready.store(true, Ordering::Release);
         }
+        // Release: the request is lowered only after the deposit above, so
+        // an owner that polls it (Acquire) starts a fresh handshake.
         self.ws_requested.store(false, Ordering::Release);
     }
 
@@ -238,9 +246,13 @@ impl<P: Problem> Frame<P> {
     /// later (a thief that materialised a frame re-pushes it, and *its*
     /// thief starts a fresh handshake).
     pub(crate) fn try_take_ws(&self) -> Option<P::State> {
+        // AcqRel: acquires the deposited workspace, and releases the claim
+        // so the owner cannot deposit twice.
         if !self.ws_ready.swap(false, Ordering::AcqRel) {
             return None;
         }
+        // Release: lowers the request after a successful take, so the
+        // owner's next Acquire poll starts a fresh handshake.
         self.ws_requested.store(false, Ordering::Release);
         self.deposit.lock().take()
     }
@@ -254,6 +266,8 @@ impl<P: Problem> Frame<P> {
         if !self.ws_ready.load(Ordering::Relaxed) {
             return None;
         }
+        // Relaxed: as above — there is no other thread to order against;
+        // a later deque push's Release republishes the shell.
         self.ws_ready.store(false, Ordering::Relaxed);
         self.deposit.lock().take()
     }

@@ -3,14 +3,15 @@
 //! The adaptive scheduler compiles five versions of every task-creating
 //! function — fast, check, special task, fast_2 and sequence (§3.2, Fig. 4)
 //! — and the engine's control flow is the walk between them. This module
-//! isolates the *decisions* of that walk (which version handles a node,
-//! what the check version does after a poll, what the special section
-//! re-enters with) as pure functions with no synchronization, so that the
-//! threaded engine and the model-checking harness in `crates/check` drive
-//! the exact same transition logic: the harness explores interleavings of
-//! a miniature worker built on these functions and the real deque/signal
-//! protocols, and any divergence between the two call sites is a test
-//! failure rather than a silent fork of the FSM.
+//! names the *edges* of that walk (what a node falls through to past the
+//! cut-off, what the check version does after a poll, what the special
+//! section re-enters with) as pure functions with no synchronization. The
+//! engine calls [`after_poll`]; the trace validator's legal-edge table and
+//! the `crates/check` miniature worker are built from all three.
+//!
+//! The one rule not here is *whether a node is a task at all* (`depth <
+//! cut-off`, doubled in fast_2): that is `CutoffController::real_task` in
+//! `adaptivetc-strategy`, which is what both engines execute.
 
 /// The five compiled versions of a task-creating function. `Fast` also
 /// stands for the slow version: a stolen frame re-enters the same code
@@ -30,25 +31,7 @@ pub enum Version {
     Sequence,
 }
 
-/// The effective cut-off: fast_2 doubles the base cut-off depth (§3.2:
-/// "with a cut-off depth twice the original").
-#[must_use]
-pub fn effective_cutoff(base: u32, fast2: bool) -> u32 {
-    if fast2 {
-        base * 2
-    } else {
-        base
-    }
-}
-
-/// Does a node at task depth `tdepth` still create a real task (run with a
-/// frame), given the base cut-off and whether the worker is in fast_2?
-#[must_use]
-pub fn task_mode(tdepth: u32, base: u32, fast2: bool) -> bool {
-    tdepth < effective_cutoff(base, fast2)
-}
-
-/// Which version a node falls through to once `task_mode` is false: the
+/// Which version a node falls through to past the cut-off: the
 /// fast version hands over to the check version (fake tasks), while fast_2
 /// runs the rest of the subtree sequentially (Appendix C).
 #[must_use]
@@ -83,13 +66,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fast2_doubles_cutoff_and_resets_depth() {
-        assert_eq!(effective_cutoff(3, false), 3);
-        assert_eq!(effective_cutoff(3, true), 6);
+    fn special_section_reenters_fast2_at_depth_zero() {
         assert_eq!(special_reentry(), (Version::Fast2, 0));
-        // Depth reset + doubled cut-off: the special task's children are
-        // always tasks again, whatever depth the fake task had reached.
-        assert!(task_mode(special_reentry().1, 3, true));
     }
 
     #[test]

@@ -48,7 +48,6 @@ mod engine;
 mod frame;
 pub mod fsm;
 mod join;
-pub mod par;
 pub mod pool;
 pub mod server;
 pub mod submit;

@@ -231,6 +231,8 @@ impl<O: Send> JobShared<O> {
     }
 
     fn publish(&self, outcome: JobOutcome<O>) {
+        // Relaxed: the stamp is written before the mutex-guarded outcome
+        // below, which is the edge `latency` and `wait` synchronise on.
         self.latency_ns.store(
             self.submitted.elapsed().as_nanos() as u64,
             Ordering::Relaxed,
@@ -302,6 +304,8 @@ impl<O: Send> JobHandle<O> {
     /// Submission-to-terminal latency, `None` until the job is terminal.
     pub fn latency(&self) -> Option<Duration> {
         if self.shared.outcome.lock().is_some() {
+            // Relaxed: ordered by the outcome mutex just taken — `publish`
+            // stamps before it locks.
             Some(Duration::from_nanos(
                 self.shared.latency_ns.load(Ordering::Relaxed),
             ))
@@ -352,6 +356,7 @@ impl<P: Problem + 'static> QueuedJob for Pending<P> {
         if !shared.lifecycle.claim() {
             // Cancelled while queued: never executes.
             shared.publish(JobOutcome::Cancelled { report: None });
+            // Relaxed: a `ServerStats` counter; the snapshot is advisory.
             ctx.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -412,18 +417,27 @@ where
         }
         // Claim a free joiner slot (slot 0 is the lead's).
         let Some(slot) = (1..self.taken.len()).find(|&i| {
+            // AcqRel: the slot claim acquires the lead's engine
+            // initialisation (and the slot's previous joiner's release)
+            // before this joiner touches it.
+            // Relaxed: a lost claim moves on to the next slot without
+            // reading any job state.
             self.taken[i]
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
         }) else {
             return false;
         };
+        // AcqRel: the announcement may neither sink below the slot claim
+        // nor hoist above the `done()` recheck.
         self.participants.fetch_add(1, Ordering::AcqRel);
         // Recheck after announcing ourselves: the lead may have observed
         // participants == 0 and started collecting stats. `done` is
         // monotone, so if it is still false here the lead is guaranteed
         // to wait for our decrement.
         if self.done() {
+            // Release: the bail-out frees the slot and withdraws the
+            // announcement; pairs with the lead's Acquire spin in `run_job`.
             self.taken[slot].store(false, Ordering::Release);
             self.participants.fetch_sub(1, Ordering::Release);
             return false;
@@ -437,6 +451,8 @@ where
             },
         );
         let tr = worker_tracer(tracer, worker);
+        // Acquire: pairs with `shutdown_inner`'s Release store, so an
+        // abandoning joiner also sees the submissions that preceded it.
         let abandon = || ctx.shutdown.load(Ordering::Acquire) || !ctx.queue.is_empty();
         let stats = participate::<P, E, D>(
             &self.eng,
@@ -454,6 +470,8 @@ where
             },
         );
         self.stats[slot].lock().merge(&stats);
+        // Release: frees the slot and publishes the merged `RunStats` to
+        // the lead's Acquire spin in `run_job`.
         self.taken[slot].store(false, Ordering::Release);
         self.participants.fetch_sub(1, Ordering::Release);
         true
@@ -520,7 +538,10 @@ fn run_job<P, E, D>(
     }
     // Wait for every joiner to finish merging its slot stats. They exit
     // promptly: the root is done, so their steal loops terminate.
+    // Release: the lead's own decrement publishes its stats merge above.
     job.participants.fetch_sub(1, Ordering::Release);
+    // Acquire: pairs with each joiner's Release decrement, so the lead
+    // reads every merged per-slot `RunStats` below.
     while job.participants.load(Ordering::Acquire) != 0 {
         std::thread::yield_now();
     }
@@ -533,11 +554,13 @@ fn run_job<P, E, D>(
     // reasonably expect `stats()` to reflect a job whose `wait()` returned.
     if cancelled {
         drop(out);
+        // Relaxed: a `ServerStats` counter; the snapshot is advisory.
         ctx.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
         shared.publish(JobOutcome::Cancelled {
             report: Some(report),
         });
     } else {
+        // Relaxed: a `ServerStats` counter; the snapshot is advisory.
         ctx.jobs_completed.fetch_add(1, Ordering::Relaxed);
         shared.publish(JobOutcome::Completed { out, report });
     }
@@ -680,12 +703,16 @@ impl JobServer {
                 reason: RejectReason::Config(e),
             });
         }
+        // Acquire: pairs with `shutdown_inner`'s Release store; a submission
+        // that still slips past a racing shutdown is drained there, inline.
         if !self.ctx.accepting.load(Ordering::Acquire) {
             return Err(SubmitError {
                 problem,
                 reason: RejectReason::ShuttingDown,
             });
         }
+        // Relaxed: job-id uniqueness needs only atomicity; the queue push
+        // below publishes the job.
         let id = self.ctx.next_job.fetch_add(1, Ordering::Relaxed);
         let shared = JobShared::<P::Out>::new(id);
         let pending = Box::new(Pending {
@@ -700,11 +727,13 @@ impl JobServer {
             .try_push(priority, pending as Box<dyn QueuedJob>)
         {
             Ok(()) => {
+                // Relaxed: a `ServerStats` counter; the snapshot is advisory.
                 self.ctx.jobs_submitted.fetch_add(1, Ordering::Relaxed);
                 self.ctx.wake_all();
                 Ok(JobHandle { shared })
             }
             Err(rejected) => {
+                // Relaxed: a `ServerStats` counter; the snapshot is advisory.
                 self.ctx.jobs_rejected.fetch_add(1, Ordering::Relaxed);
                 let pending = rejected
                     .into_any()
@@ -721,6 +750,8 @@ impl JobServer {
     /// A point-in-time health snapshot.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
+            // Relaxed: an advisory snapshot; torn combinations across the
+            // counters are acceptable by the `ServerStats` contract.
             submitted: self.ctx.jobs_submitted.load(Ordering::Relaxed),
             completed: self.ctx.jobs_completed.load(Ordering::Relaxed),
             cancelled: self.ctx.jobs_cancelled.load(Ordering::Relaxed),
@@ -764,6 +795,8 @@ impl JobServer {
     }
 
     fn shutdown_inner(&mut self) -> ServerReport {
+        // Release: publishes the shutdown decision to `submit`'s gate and
+        // to the workers' and joiners' Acquire loads before they exit.
         self.ctx.accepting.store(false, Ordering::Release);
         self.ctx.shutdown.store(true, Ordering::Release);
         self.ctx.wake_all();
@@ -780,6 +813,8 @@ impl JobServer {
             job.lead(&self.ctx, 0, tracer);
         }
         let stats = ServerStats {
+            // Relaxed: every worker thread has been joined; the joins
+            // supply the happens-before for the final snapshot.
             submitted: self.ctx.jobs_submitted.load(Ordering::Relaxed),
             completed: self.ctx.jobs_completed.load(Ordering::Relaxed),
             cancelled: self.ctx.jobs_cancelled.load(Ordering::Relaxed),
@@ -824,6 +859,8 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
                 continue;
             }
         }
+        // Acquire: pairs with `shutdown_inner`'s Release store, so an
+        // exiting worker also sees every submission that preceded it.
         if ctx.shutdown.load(Ordering::Acquire) {
             break;
         }
@@ -831,6 +868,7 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
         // Re-check under the park lock to close the submit/park race, then
         // sleep with a timeout as a backstop for the conservative queue
         // verdicts.
+        // Acquire: the same shutdown edge, re-read under the park lock.
         if ctx.queue.is_empty() && !ctx.shutdown.load(Ordering::Acquire) {
             let _ = ctx.wake.wait_for(&mut g, Duration::from_millis(1));
         }

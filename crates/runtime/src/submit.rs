@@ -171,13 +171,19 @@ impl CancelToken {
     /// Raise the token (idempotent).
     #[inline]
     pub fn set(&self) {
+        // Release (KEPT): publishes everything the canceller wrote before
+        // raising the flag; `get` polls Relaxed by design, so this is the
+        // pair's only edge. The bounded worker checks the flag but never
+        // reads canceller data behind it.
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the token has been raised. Relaxed: pruning is a monotone
-    /// hint, not a synchronization edge.
+    /// Whether the token has been raised.
     #[inline]
     pub fn get(&self) -> bool {
+        // Relaxed: a pruning hint polled on the engine's hot path — the
+        // flag is monotone and eventual visibility suffices, it is not a
+        // synchronisation edge (model-checked in `jobserver_submit.rs`).
         self.flag.load(Ordering::Relaxed)
     }
 }
@@ -203,17 +209,27 @@ impl JobLifecycle {
         }
     }
 
-    /// Current state. Acquire: a terminal observation must also see the
-    /// result the finishing worker published before the transition.
+    /// Current state.
     #[inline]
     pub fn status(&self) -> JobStatus {
+        // Acquire (KEPT): pairs with `finish`'s release so an observer that
+        // sees a terminal state also sees the result published before the
+        // transition. The scenarios assert on the status value alone; any
+        // real caller that reads job output after Completed needs the edge.
         decode(self.state.load(Ordering::Acquire))
     }
 
     /// Worker side: claim the job for execution (`Queued → Running`).
     /// `false` means a client cancelled the job first — it must not run.
-    /// Acquire on failure orders the loser after the cancel.
     pub fn claim(&self) -> bool {
+        // AcqRel (KEPT): acquires the submitter's job payload before the
+        // worker executes it and releases the claim to racing cancellers.
+        // The exploration's worker only asserts on the outcome enum, not
+        // the payload, so the missing edge has no witness at this bound.
+        // Acquire (KEPT): a failed claim means a client's cancel moved the
+        // state; the failure ordering makes that cancel's writes visible
+        // before the worker skips the job. Unobservable in the bounded
+        // assertions, load-bearing for real callers.
         self.state
             .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -226,6 +242,17 @@ impl JobLifecycle {
     /// error.
     pub fn finish(&self, cancelled: bool) -> bool {
         let terminal = if cancelled { CANCELLED } else { COMPLETED };
+        // AcqRel (KEPT): the Release half publishes the worker's result
+        // writes to `status()` observers; the scenarios check state-machine
+        // shape, not result payloads, so a Relaxed CAS survives the bound
+        // while breaking the result handoff. The Acquire half has nothing
+        // to pair with today — the last writer of `state` is this worker's
+        // own claim, and a cancel of a running job raises the token, not
+        // `state` — and is the harvest step's to weaken to Release.
+        // Acquire (KEPT): failure is a logic error the writer partition
+        // rules out; the ordering is kept so a caller that does hit it
+        // sees the writes of whoever moved the state. No bounded assertion
+        // reads across that edge.
         self.state
             .compare_exchange(RUNNING, terminal, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -239,8 +266,20 @@ impl JobLifecycle {
     /// [`finish`]: JobLifecycle::finish
     pub fn cancel(&self, token: &CancelToken) -> CancelOutcome {
         loop {
+            // Acquire (KEPT): orders the client after whichever claim or
+            // finish moved the state, before it reports Requested or
+            // AlreadyTerminal. At the bound nothing dereferences job data
+            // after this load; client code that reads the result after
+            // AlreadyTerminal does.
             match self.state.load(Ordering::Acquire) {
                 QUEUED => {
+                    // AcqRel (KEPT): acquires the submitter's payload
+                    // writes (the canceller may drop the job) and releases
+                    // the cancel decision to a racing `claim`. The bound's
+                    // single worker never re-reads payload after a lost
+                    // race, so Relaxed survives it — barely.
+                    // Acquire (KEPT): on failure the retry's load above
+                    // re-reads anyway; kept with it for the same reason.
                     if self
                         .state
                         .compare_exchange(QUEUED, CANCELLED, Ordering::AcqRel, Ordering::Acquire)
@@ -306,6 +345,7 @@ impl<T> SubmitQueue<T> {
     /// Approximate occupancy (torn cursor pairs are acceptable: the value
     /// is advisory, for `ServerStats` and parking heuristics).
     pub fn len(&self) -> usize {
+        // Relaxed: an advisory estimate from torn cursor reads.
         let enq = self.enq.load(Ordering::Relaxed);
         let deq = self.deq.load(Ordering::Relaxed);
         enq.saturating_sub(deq) as usize
@@ -325,10 +365,14 @@ impl<T> SubmitQueue<T> {
     pub fn try_push(&self, value: T) -> Result<(), T> {
         let cap = self.slots.len() as u64;
         loop {
-            // Relaxed cursor read: the slot's Acquire sequence load below
-            // is what orders this producer against the slot's last user.
+            // Relaxed: the slot's Acquire sequence load below is what orders
+            // this producer against the slot's last user, not the cursor.
             let pos = self.enq.load(Ordering::Relaxed);
             let slot = &self.slots[(pos % cap) as usize];
+            // Acquire (KEPT): pairs with the consumer's Release hand-back
+            // before the slot is overwritten (Vyukov ring). With one
+            // producer and one consumer inside the bound the enq CAS
+            // supplies the order; multi-producer laps do not.
             let seq = slot.seq.load(Ordering::Acquire);
             if seq == pos {
                 // Our turn; claim the ticket. Relaxed: the ticket CAS only
@@ -340,8 +384,11 @@ impl<T> SubmitQueue<T> {
                     .is_ok()
                 {
                     *slot.item.lock() = Some(value);
-                    // Release: publishes the payload to the consumer's
-                    // Acquire sequence load.
+                    // Release (KEPT): publishes the payload to the
+                    // consumer's Acquire sequence load. The race detector
+                    // misses it at the bound because the lone consumer
+                    // also syncs on the deq CAS; a second consumer removes
+                    // that crutch.
                     slot.seq.store(pos + 1, Ordering::Release);
                     return Ok(());
                 }
@@ -359,13 +406,18 @@ impl<T> SubmitQueue<T> {
     pub fn try_pop(&self) -> Option<T> {
         let cap = self.slots.len() as u64;
         loop {
+            // Relaxed: the cursor only arbitrates, as in `try_push`.
             let pos = self.deq.load(Ordering::Relaxed);
             let slot = &self.slots[(pos % cap) as usize];
-            // Acquire: pairs with the producer's Release publish, making
-            // the payload write visible before the take below.
+            // Acquire (KEPT): pairs with the producer's Release publish,
+            // making the payload write visible before the take below. The
+            // 1p1c bounded run orders the pair through the deq-counter
+            // CAS; multiple producers lapping the ring rely on the seq
+            // edge alone.
             let seq = slot.seq.load(Ordering::Acquire);
             if seq == pos + 1 {
-                // Relaxed ticket CAS, as in `try_push`.
+                // Relaxed: the ticket CAS only arbitrates consumers, as in
+                // `try_push`.
                 if self
                     .deq
                     .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
@@ -373,8 +425,12 @@ impl<T> SubmitQueue<T> {
                 {
                     let value = slot.item.lock().take();
                     debug_assert!(value.is_some(), "claimed ticket found an empty slot");
-                    // Release: recycles the slot for the producer one lap
-                    // ahead, ordering our take before its store.
+                    // Release (KEPT): hands the emptied slot to the producer
+                    // one lap ahead, ordering our take before its store;
+                    // Relaxed lets it overwrite an element still being
+                    // moved out. Needs a wrap-around (cap + 1 operations
+                    // per slot) under contention — outside the bounded
+                    // window.
                     slot.seq.store(pos + cap, Ordering::Release);
                     return value;
                 }

@@ -169,6 +169,8 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     fn node(&mut self, state: &mut P::State, logical: u32) -> P::Out {
         self.stats.nodes += 1;
         self.stats.polls += 1;
+        // Relaxed: an advisory request-flag poll on the victim's hot path;
+        // the mailbox mutex carries the actual task hand-off.
         if self.shared.boxes[self.id].flag.load(Ordering::Relaxed) {
             self.respond(state, logical);
         }
@@ -187,11 +189,14 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         let Some((_, responder)) = self.shared.boxes[self.id].slot.lock().take() else {
             // Raced with a timed-out requester that retracted its request;
             // clear the flag.
+            // Relaxed: the mailbox lock just taken provides the ordering,
+            // the atomic only the poll.
             self.shared.boxes[self.id]
                 .flag
                 .store(false, Ordering::Relaxed);
             return;
         };
+        // Relaxed: cleared after servicing under the mailbox lock, as above.
         self.shared.boxes[self.id]
             .flag
             .store(false, Ordering::Relaxed);
@@ -271,10 +276,12 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         while !self.shared.root.is_done() {
             // Serve (reject) requests aimed at us while we are idle, so
             // requesters don't wait out their timeout on an empty worker.
+            // Relaxed: advisory poll, as in `node`.
             if self.shared.boxes[self.id].flag.load(Ordering::Relaxed) {
                 if let Some((_, r)) = self.shared.boxes[self.id].slot.lock().take() {
                     let _ = r.send(None);
                 }
+                // Relaxed: cleared after the mailbox lock, as in `respond`.
                 self.shared.boxes[self.id]
                     .flag
                     .store(false, Ordering::Relaxed);
@@ -288,6 +295,9 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                 v
             };
             let vbox = &self.shared.boxes[victim];
+            // Relaxed: the flag CAS only arbitrates requesters (one request
+            // per victim at a time); the request itself is written under
+            // the mailbox mutex, which the victim locks after its poll.
             if vbox
                 .flag
                 .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
@@ -312,6 +322,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                     let still_ours = matches!(*slot, Some((id, _)) if id == self.id);
                     if still_ours {
                         *slot = None;
+                        // Relaxed: retracted under the mailbox lock.
                         vbox.flag.store(false, Ordering::Relaxed);
                         drop(slot);
                         None

@@ -26,8 +26,9 @@
 //!   and global (CLOCK_MONOTONIC / QueryPerformanceCounter) but a vDSO
 //!   call per stamp — an order of magnitude slower than a TSC read.
 //!   Used on non-x86_64 targets, when CPUID lacks the invariant-TSC
-//!   bit, when calibration fails a sanity check, or when
-//!   `ADAPTIVETC_TRACE_CLOCK=instant` forces it.
+//!   bit, or when calibration fails a sanity check. There is no override:
+//!   the two checks choose the backend (tests cover the fallback through
+//!   `TraceClock::start_instant`).
 //!
 //! **Calibration handshake.** The first `TraceClock::start()` in the
 //! process fits cycles→ns against `Instant`: it brackets a ~2 ms
@@ -72,8 +73,7 @@ impl TraceClock {
     }
 
     /// Capture the run epoch with the `Instant` backend unconditionally.
-    /// Used by tests (to cover both backends on one machine) and by the
-    /// bench harness (to measure the backends against each other).
+    /// Used by tests, to cover both backends on one machine.
     pub fn start_instant() -> TraceClock {
         TraceClock {
             epoch: Instant::now(),
@@ -112,15 +112,7 @@ impl TraceClock {
 /// The process-global cycles→ns multiplier (32.32 fixed point), or
 /// `None` when the TSC backend must not be used.
 fn tsc_mult() -> Option<u64> {
-    *TSC_MULT.get_or_init(|| {
-        if std::env::var("ADAPTIVETC_TRACE_CLOCK").as_deref() == Ok("instant") {
-            return None;
-        }
-        if !tsc_usable() {
-            return None;
-        }
-        calibrate()
-    })
+    *TSC_MULT.get_or_init(|| tsc_usable().then(calibrate).flatten())
 }
 
 /// Fit cycles→ns against `Instant` over a short busy-wait. Returns the

@@ -134,6 +134,9 @@ impl EventRing {
         self.prod.tail.set(next);
         if next == self.prod.block_end.get() {
             // Block boundary: publish the claimed block in one go.
+            // Release: publishes a whole block of slot payloads at once;
+            // pairs with the Acquire loads in `published_len` and
+            // `drain_published`.
             self.published.store(next, Ordering::Release);
             self.prod.block_end.set(next + self.block);
         }
@@ -159,6 +162,8 @@ impl EventRing {
     /// observer on another thread may safely see. Lags the true count by
     /// less than the block size.
     pub fn published_len(&self) -> usize {
+        // Acquire: pairs with the producer's per-block Release store, so a
+        // mid-run observer sees every payload up to the published boundary.
         let published = self.published.load(Ordering::Acquire);
         let consumed = self.consumed.get();
         let head = consumed.max(published.saturating_sub(self.slots.len() as u64));
@@ -220,6 +225,8 @@ impl EventRing {
     /// race the quiescent drain — the collector serialises both behind a
     /// reader lock.
     pub fn drain_published(&self) -> Vec<Event> {
+        // Acquire: pairs with the producer's per-block Release store, so
+        // every event below the cursor is fully written before it is copied.
         let published = self.published.load(Ordering::Acquire);
         let consumed = self.consumed.get();
         let guard = (published + self.block).saturating_sub(self.slots.len() as u64);
@@ -266,6 +273,8 @@ impl EventRing {
         self.consumed.set(tail);
         // Catch the published tail up so observers agree the ring is
         // empty again.
+        // Release: `&mut self` means the producer is quiescent, but a later
+        // `published_len` observer must still see the drained state.
         self.published.store(tail, Ordering::Release);
         out
     }

@@ -1,8 +1,8 @@
 //! Tier-1 gate: the concurrency-invariant analyzer must report a clean
 //! tree. This is the same engine as `cargo run -p adaptivetc-lint`, run in
-//! the test suite so a facade leak, an unaudited memory ordering, a bare
-//! `unsafe` or an ungated hot-path clock read fails `cargo test` with a
-//! `file:line` diagnostic — not just CI.
+//! the test suite so a facade leak, an `Ordering::X` whose adjacent comment
+//! does not name `X`, a bare `unsafe` or an ungated hot-path clock read
+//! fails `cargo test` with a `file:line` diagnostic — not just CI.
 
 use std::path::Path;
 
@@ -13,8 +13,8 @@ fn workspace_passes_the_concurrency_lint() {
     assert!(
         findings.is_empty(),
         "adaptivetc-lint found {} violation(s):\n{}\n\
-         (if an ordering changed intentionally, run \
-         `cargo run -p adaptivetc-lint -- --bless` and justify the new entry)",
+         (if an ordering changed intentionally, say why in a `// X: reason` \
+         comment at the site)",
         findings.len(),
         findings
             .iter()

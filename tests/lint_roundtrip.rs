@@ -1,26 +1,22 @@
-//! Property-based round-trips for the lint's machine-written data files.
+//! Property-based round-trips for the lint's data files.
 //!
-//! `ORDERINGS.toml`, `ORDERING_VERDICTS.toml`, `MINIMIZE.toml` and
-//! `LINT_ALLOW.toml` all flow through the minimal TOML subset in
-//! `adaptivetc_lint::toml`. Three properties keep the bless/audit loop
-//! trustworthy for arbitrary (printable) justification text:
+//! `ORDERING_VERDICTS.toml` (machine-written by the audit binary) and
+//! `LINT_ALLOW.toml` (hand-edited) both flow through the minimal TOML
+//! subset in `adaptivetc_lint::toml`. Two properties keep that trustworthy
+//! for arbitrary (printable) text:
 //!
-//! 1. **Parse inverts render** — rendering a site map / verdict list /
-//!    keep list and parsing it back yields the same entries, findings-free,
-//!    even when strings contain quotes, backslashes and `#`.
-//! 2. **Bless is idempotent** — rendering again with the parsed entries as
-//!    the "old" justification source reproduces the file byte-for-byte, so
-//!    a second `--bless` (or `--orderings-verify --bless`) is a no-op.
-//! 3. **The allowlist parser accepts what the documented format says** —
+//! 1. **Parse inverts render** — rendering a verdict list and parsing it
+//!    back yields the same entries, findings-free, even when strings
+//!    contain quotes, backslashes and `#`.
+//! 2. **The allowlist parser accepts what the documented format says** —
 //!    any entry with a known rule and a non-empty justification parses
 //!    without findings.
 
 use adaptivetc_lint::allowlist::Allowlist;
-use adaptivetc_lint::manifest::{self, ManifestEntry, SiteKey};
+use adaptivetc_lint::sites::SiteKey;
 use adaptivetc_lint::toml::quote;
-use adaptivetc_lint::verdicts::{self, MinimizeEntry, VerdictEntry, VERDICT_KINDS};
+use adaptivetc_lint::verdicts::{self, VerdictEntry, VERDICT_KINDS};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// Printable ASCII with no newline — the single-line-value TOML subset's
 /// whole domain. Deliberately includes `"`, `\` and `#` to stress the
@@ -34,8 +30,8 @@ fn field() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[!-~][ -~]{0,24}").expect("valid regex")
 }
 
-/// One of the five real ordering names — `parse_manifest` rejects
-/// anything else, so only file and symbol get adversarial text.
+/// One of the five real ordering names; file and symbol get the
+/// adversarial text.
 fn ordering() -> impl Strategy<Value = String> {
     (0usize..5).prop_map(|i| ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"][i].to_string())
 }
@@ -48,73 +44,7 @@ fn site_key() -> impl Strategy<Value = SiteKey> {
     })
 }
 
-/// A site map plus an "old" manifest carrying justifications for a
-/// (generated) subset of the keys.
-fn sites_and_old() -> impl Strategy<Value = (BTreeMap<SiteKey, Vec<u32>>, Vec<ManifestEntry>)> {
-    proptest::collection::btree_map(
-        site_key(),
-        (
-            proptest::collection::vec(1u32..5000, 1..5),
-            proptest::option::of(printable()),
-        ),
-        1..8,
-    )
-    .prop_map(|m| {
-        let mut sites = BTreeMap::new();
-        let mut old = Vec::new();
-        for (key, (lines, why)) in m {
-            if let Some(why) = why {
-                old.push(ManifestEntry {
-                    key: key.clone(),
-                    count: lines.len() as u64,
-                    why,
-                    line: 0,
-                });
-            }
-            sites.insert(key, lines);
-        }
-        (sites, old)
-    })
-}
-
 proptest! {
-    // Render → parse over ORDERINGS.toml recovers every key, count and
-    // preserved justification without a single finding.
-    #[test]
-    fn orderings_parse_inverts_render(input in sites_and_old()) {
-        let (sites, old) = input;
-        let text = manifest::render(&sites, &old);
-        let mut findings = Vec::new();
-        let entries = manifest::parse_manifest(&text, &mut findings);
-        prop_assert!(findings.is_empty(), "{findings:?}");
-        prop_assert_eq!(entries.len(), sites.len());
-        let whys: BTreeMap<&SiteKey, &str> =
-            old.iter().map(|e| (&e.key, e.why.as_str())).collect();
-        for e in &entries {
-            let lines = sites.get(&e.key).expect("rendered an unknown key");
-            prop_assert_eq!(e.count, lines.len() as u64);
-            let expected = whys
-                .get(&e.key)
-                .copied()
-                .filter(|w| !w.trim().is_empty())
-                .unwrap_or("");
-            prop_assert_eq!(e.why.as_str(), expected);
-        }
-    }
-
-    // A second bless is a byte-for-byte no-op: re-rendering with the
-    // just-parsed entries as the justification source changes nothing.
-    #[test]
-    fn orderings_bless_is_idempotent(input in sites_and_old()) {
-        let (sites, old) = input;
-        let first = manifest::render(&sites, &old);
-        let mut findings = Vec::new();
-        let parsed = manifest::parse_manifest(&first, &mut findings);
-        prop_assert!(findings.is_empty(), "{findings:?}");
-        let second = manifest::render(&sites, &parsed);
-        prop_assert_eq!(first, second);
-    }
-
     // Render → parse over ORDERING_VERDICTS.toml recovers every field.
     #[test]
     fn verdicts_parse_inverts_render(
@@ -147,54 +77,6 @@ proptest! {
             prop_assert_eq!(&a.suites, &b.suites);
             prop_assert_eq!(&a.detail, &b.detail);
         }
-    }
-
-    // MINIMIZE.toml blessing keeps one justified `[[keep]]` per
-    // weakenable verdict and is idempotent.
-    #[test]
-    fn minimize_bless_preserves_whys_and_is_idempotent(
-        raw in proptest::collection::btree_map(
-            site_key(),
-            (0usize..VERDICT_KINDS.len(), proptest::option::of(printable())),
-            1..8,
-        )
-    ) {
-        let mut vs = Vec::new();
-        let mut old = Vec::new();
-        for (key, (kind, why)) in raw {
-            if let Some(why) = why {
-                old.push(MinimizeEntry { key: key.clone(), why, line: 0 });
-            }
-            vs.push(VerdictEntry {
-                key,
-                verdict: VERDICT_KINDS[kind].to_string(),
-                exercised: 1,
-                suites: String::new(),
-                detail: String::new(),
-                line: 0,
-            });
-        }
-        let first = verdicts::render_minimize(&vs, &old);
-        let mut findings = Vec::new();
-        let parsed = verdicts::parse_minimize(&first, &mut findings);
-        prop_assert!(findings.is_empty(), "{findings:?}");
-
-        let weak: Vec<&VerdictEntry> =
-            vs.iter().filter(|v| v.verdict == "weakenable").collect();
-        prop_assert_eq!(parsed.len(), weak.len());
-        let whys: BTreeMap<&SiteKey, &str> =
-            old.iter().map(|m| (&m.key, m.why.as_str())).collect();
-        for m in &parsed {
-            let expected = whys
-                .get(&m.key)
-                .copied()
-                .filter(|w| !w.trim().is_empty())
-                .unwrap_or("");
-            prop_assert_eq!(m.why.as_str(), expected);
-        }
-
-        let second = verdicts::render_minimize(&vs, &parsed);
-        prop_assert_eq!(first, second);
     }
 
     // Any LINT_ALLOW.toml entry with a known rule and a real
