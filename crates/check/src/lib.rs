@@ -24,7 +24,10 @@
 //!   (`runtime/src/submit.rs`, included below): no lost submission, no
 //!   double claim, and the cancel-vs-complete race resolving to exactly
 //!   one terminal state, exhaustive at 2 workers × 2 jobs, with a pinned
-//!   replayable race-window schedule;
+//!   replayable race-window schedule; and, under the miniature server of
+//!   [`park_model`], the two wake hand-shakes — no job stays queued while
+//!   every worker sleeps, a registered waiter is always notified — plus
+//!   the seeded missing-recheck meta-test;
 //! * `join_protocol.rs` — the work-first frame's join cell
 //!   (`runtime/src/join.rs`, included below) under the miniature engine
 //!   of [`join_model`]: exactly one completion carrying every child's
@@ -79,6 +82,8 @@ pub mod submit;
 pub mod join;
 
 pub mod join_model;
+
+pub mod park_model;
 
 pub mod scenarios;
 

@@ -20,6 +20,7 @@
 use crate::chase_lev::{ChaseLevDeque, ClSteal};
 use crate::fence_free::FenceFreeDeque;
 use crate::join_model;
+use crate::park_model;
 use crate::pool::PoolDeque;
 use crate::signal::NeedTask;
 use crate::submit::{
@@ -118,6 +119,16 @@ pub const SCENARIOS: &[Scenario] = &[
         name: "submit_prio",
         covers: &[SUBMIT],
         run: submit_prio,
+    },
+    Scenario {
+        name: "submit_park",
+        covers: &[SUBMIT],
+        run: submit_park,
+    },
+    Scenario {
+        name: "submit_outcome",
+        covers: &[SUBMIT],
+        run: submit_outcome,
     },
     Scenario {
         name: "join_restolen",
@@ -567,6 +578,17 @@ fn submit_prio() {
     assert_eq!(q.try_pop(), Some((Priority::High, 1)));
     assert_eq!(q.try_pop(), Some((Priority::Low, 3)));
     assert_eq!(q.try_pop(), None);
+}
+
+/// One submission racing one worker on its way to sleep, and a timeout
+/// racing the submitter's wake of that sleeper.
+fn submit_park() {
+    park_model::pool_never_strands_a_job(1, 1, true, true);
+}
+
+/// The lead's publish racing the client's wait over one outcome cell.
+fn submit_outcome() {
+    park_model::registered_waiter_is_notified();
 }
 
 // ---------------------------------------------------------------------------

@@ -12,14 +12,21 @@
 //! * **cancel vs. complete** — a client cancel racing a worker resolves
 //!   to exactly one terminal state, never runs a cancelled-before-claim
 //!   job, and the race window (cancel landing between `claim` and the
-//!   token read at finish) is pinned with a replayable schedule.
+//!   token read at finish) is pinned with a replayable schedule;
+//! * **nobody sleeps through an event** — under the miniature server of
+//!   `park_model` (sleeps are flags a waker must clear, and nothing times
+//!   out): no job stays queued while every worker sleeps with no wake
+//!   pending, and a waiter that registered is always notified. A seeded
+//!   worker that sleeps without rechecking the queue is caught, with a
+//!   trail that replays to the same stranded job.
 
 use adaptivetc_check::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority, SubmitQueue,
 };
 use adaptivetc_check::sync::{AtomicBool, Ordering};
-use adaptivetc_check::{current_trail, explore, replay, Config};
+use adaptivetc_check::{current_trail, explore, park_model, replay, Config};
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// One job as the model sees it: the lifecycle word, the cancel token,
@@ -328,4 +335,108 @@ fn high_lane_is_claimed_before_low_after_publication() {
         assert_eq!(q.try_pop(), None);
     });
     assert!(report.complete, "priority space not exhausted: {report:?}");
+}
+
+/// The park hand-shake at 2 workers × 2 submissions: the submitter's
+/// pushes race both workers' announce → fence → recheck → sleep, and every
+/// woken worker's continuation races the rest. Whatever the interleaving,
+/// both jobs have been led once everything is quiet.
+#[test]
+fn no_job_stays_queued_while_every_worker_sleeps() {
+    let report = explore(Config::with_preemption_bound(2), || {
+        park_model::pool_never_strands_a_job(2, 2, true, false);
+    });
+    assert!(report.complete, "park space not exhausted: {report:?}");
+    println!("jobserver_submit::park_handshake: {report:?}");
+}
+
+/// A sleep that times out while a submitter takes the sleeper off the
+/// count: the count of parked workers may end high, never low, so the job
+/// is led whichever of the two ends the sleep (one worker, two
+/// submissions, and a timer).
+#[test]
+fn a_timeout_racing_a_wake_strands_nothing() {
+    let report = explore(Config::with_preemption_bound(2), || {
+        park_model::pool_never_strands_a_job(1, 2, true, true);
+    });
+    assert!(report.complete, "timeout space not exhausted: {report:?}");
+}
+
+/// One worker, one submission and a timer under the x86-TSO store-buffer
+/// model, where only fences and locked operations keep both sides of a
+/// hand-shake from reading the other's old value.
+#[test]
+fn park_handshake_holds_under_store_buffering() {
+    let report = explore(
+        Config {
+            tso: true,
+            ..Config::with_preemption_bound(2)
+        },
+        || park_model::pool_never_strands_a_job(1, 1, true, true),
+    );
+    assert!(report.complete, "TSO park space not exhausted: {report:?}");
+}
+
+/// The outcome cell: the lead's publish against the client's wait, under
+/// sequential consistency and under store buffering.
+#[test]
+fn a_registered_waiter_is_always_notified() {
+    for tso in [false, true] {
+        let report = explore(
+            Config {
+                tso,
+                ..Config::with_preemption_bound(2)
+            },
+            park_model::registered_waiter_is_notified,
+        );
+        assert!(
+            report.complete,
+            "outcome space not exhausted (tso {tso}): {report:?}"
+        );
+    }
+}
+
+/// Meta-test: a worker that announces and sleeps *without* rechecking the
+/// queue strands a job pushed just before its announcement — the
+/// submitter saw nobody parked. The explorer must find that schedule and
+/// hand back a trail that replays to the same stranded job.
+#[test]
+fn seeded_missing_recheck_is_caught_with_a_replayable_trail() {
+    fn seeded() {
+        park_model::pool_never_strands_a_job(1, 1, false, false);
+    }
+    let message = |e: Box<dyn std::any::Any + Send>| {
+        e.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("violation panics carry a message")
+    };
+    let found = message(
+        catch_unwind(AssertUnwindSafe(|| {
+            explore(Config::with_preemption_bound(2), seeded);
+        }))
+        .expect_err("the explorer missed a sleep with no recheck"),
+    );
+    assert!(
+        found.contains("stayed queued while every worker slept"),
+        "wrong violation: {found}"
+    );
+    let trail: Vec<usize> = found
+        .split("shim_sync::replay): [")
+        .nth(1)
+        .and_then(|tail| tail.split(']').next())
+        .expect("violation message carries a trail")
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().expect("trail entries are numeric"))
+        .collect();
+    let replayed = message(
+        catch_unwind(AssertUnwindSafe(|| replay(&trail, seeded)))
+            .expect_err("replaying the trail did not strand the job again"),
+    );
+    assert!(
+        replayed.contains("stayed queued while every worker slept"),
+        "replay failed for a different reason: {replayed}"
+    );
 }

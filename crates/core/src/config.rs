@@ -114,7 +114,10 @@ pub struct Config {
     /// (the paper's default is 20).
     pub max_stolen_num: u32,
     /// Capacity of each fixed-size d-e-que (initial capacity for growable
-    /// backends).
+    /// backends). A solo run allocates its deques at this size; on a
+    /// `JobServer` it is a lease key instead — a pool worker keeps the
+    /// deques of the last job it led and a job allocates only when its
+    /// capacity (or backend, or slot count) differs from theirs.
     pub deque_capacity: usize,
     /// Which deque substrate the threaded runtime uses (the simulator's
     /// deques are exact regardless; it reads this for the owner's pop

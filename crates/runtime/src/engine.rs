@@ -309,28 +309,25 @@ pub(crate) struct Shared<'p, P: Problem, D> {
 }
 
 impl<'p, P: Problem, D> Shared<'p, P, D> {
-    /// Build the engine's shared state for `slots` worker slots.
+    /// Build the engine's shared state around one deque per worker slot
+    /// — fresh from [`Shared::deques`], or a pool worker's lease (see
+    /// `crate::server`), which must be empty.
     ///
-    /// `slots` may be smaller than `cfg.threads` (a server job clamped to
-    /// the pool size); the cut-off still derives from `cfg.threads`, so a
-    /// job's task-creation frontier is a function of its own configuration
-    /// only, never of pool occupancy.
-    pub(crate) fn new<E>(
+    /// There may be fewer slots than `cfg.threads` (a server job clamped
+    /// to the pool size); the cut-off still derives from `cfg.threads`, so
+    /// a job's task-creation frontier is a function of its own
+    /// configuration only, never of pool occupancy.
+    pub(crate) fn new(
         problem: ProblemRef<'p, P>,
         cfg: &Config,
         mode: Mode,
-        slots: usize,
+        deques: Vec<D>,
         cancel: Option<CancelToken>,
-    ) -> Self
-    where
-        E: Send,
-        D: WsDeque<E>,
-    {
+    ) -> Self {
+        let slots = deques.len();
         Shared {
             problem,
-            deques: (0..slots)
-                .map(|_| D::with_capacity(cfg.deque_capacity))
-                .collect(),
+            deques,
             signals: (0..slots)
                 .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
                 .collect(),
@@ -343,6 +340,23 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
             timing: cfg.timing,
             cancel,
         }
+    }
+
+    /// `slots` fresh deques at `cfg.deque_capacity`.
+    pub(crate) fn deques<E>(cfg: &Config, slots: usize) -> Vec<D>
+    where
+        E: Send,
+        D: WsDeque<E>,
+    {
+        (0..slots)
+            .map(|_| D::with_capacity(cfg.deque_capacity))
+            .collect()
+    }
+
+    /// Release the region — the problem reference, signals, root cell —
+    /// and keep its deques (for a pool worker's lease).
+    pub(crate) fn into_deques(self) -> Vec<D> {
+        self.deques
     }
 
     /// The per-slot deterministic RNG streams `cfg.seed` expands to —
@@ -1608,7 +1622,8 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
 ) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
     cfg.validate()?;
     let threads = cfg.threads;
-    let shared = Shared::new::<E>(ProblemRef::Borrowed(problem), cfg, mode, threads, None);
+    let deques = Shared::<P, D>::deques::<E>(cfg, threads);
+    let shared = Shared::new(ProblemRef::Borrowed(problem), cfg, mode, deques, None);
     let seeds = Shared::<P, D>::seeds(cfg, threads);
 
     let start = Instant::now();

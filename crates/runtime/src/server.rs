@@ -24,23 +24,48 @@
 //!
 //! # Isolation and work sharing
 //!
-//! Each job owns a complete engine [`Shared`] region: its own root frame,
-//! deques, `need_task` signals and per-slot `RunStats`. The "job id tag" on
-//! deque entries and signals is therefore structural — an entry physically
-//! cannot migrate across jobs because no other job's workers ever probe
-//! these deques. By default a job runs entirely on the pool worker that
-//! claimed it (lead at job slot 0), so N concurrent single-thread jobs
-//! behave bit-identically to N solo runs. With
-//! [`ServerConfig::work_sharing`] enabled, idle pool workers additionally
-//! *join* running multi-slot jobs: they claim a free job slot, steal within
-//! that job only, and abandon it again between tasks when new submissions
-//! are queued. Every participant brackets its engine entry with
-//! `JobBegin`/`JobEnd` trace markers so a server trace can be split back
-//! into per-job run-epochs (`adaptivetc_trace::jobs`).
+//! Each job runs in an engine [`Shared`] region of its own: its own root
+//! frame, `need_task` signals and per-slot `RunStats`, around deques it
+//! *leases* from the pool worker that leads it. That worker keeps the
+//! deques of the last job it led and hands them to the next job of the
+//! same deque type, capacity and slot count; any other job builds its own,
+//! as a solo run does. A deque goes back into the lease only after every
+//! slot has been checked empty at the job's terminal — the join implies
+//! it, and the check is asserted — so between jobs a leased deque holds
+//! nothing. The "job id tag" on deque entries and signals is therefore
+//! still structural: an entry physically cannot migrate across jobs,
+//! because no other job's workers ever probe these deques *while this job
+//! runs*, and nothing is left in them for the job that leases them next.
+//! (The fence-free backend is never leased: its log is append-only, so a
+//! lease would grow with every job and keep every stale entry
+//! extractable.)
+//!
+//! By default a job runs entirely on the pool worker that claimed it (lead
+//! at job slot 0) and asks for no team — no slot board, no shared stats —
+//! so N concurrent single-thread jobs behave bit-identically to N solo
+//! runs. With [`ServerConfig::work_sharing`] enabled, idle pool workers
+//! additionally *join* running multi-slot jobs: they claim a free job
+//! slot, steal within that job only, and abandon it again between tasks
+//! when new submissions are queued. Every participant brackets its engine
+//! entry with `JobBegin`/`JobEnd` trace markers so a server trace can be
+//! split back into per-job run-epochs (`adaptivetc_trace::jobs`).
+//!
+//! # Who frees what, and who is woken
+//!
+//! The problem is freed by the thread that built it: the [`JobHandle`]
+//! keeps a reference to it, and the lead drops the engine region — and with
+//! it the pool's reference — *before* it publishes the outcome, so the last
+//! reference normally dies in [`JobHandle::wait`] on the submitting side
+//! (a detached handle leaves the free to the worker). Nobody is notified
+//! who is not asleep: a submission wakes a worker only when the
+//! [`ParkGate`] counts one parked, and a terminal wakes a waiter only when
+//! the [`OutcomeGate`] says one registered.
 
 use crate::engine::{participate, DequeEntry, FfEntry, Mode, ProblemRef, Shared};
 use crate::frame::Frame;
-use crate::submit::{CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority};
+use crate::submit::{
+    CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
+};
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
 use adaptivetc_core::{
@@ -210,6 +235,8 @@ struct JobShared<O> {
     lifecycle: JobLifecycle,
     cancel: CancelToken,
     outcome: Mutex<Option<JobOutcome<O>>>,
+    /// Whether `outcome` is published, and whether a waiter sleeps on `cv`.
+    gate: OutcomeGate,
     cv: Condvar,
     submitted: Instant,
     /// Submission-to-terminal latency, stored at publication (so `wait`
@@ -218,45 +245,64 @@ struct JobShared<O> {
 }
 
 impl<O: Send> JobShared<O> {
-    fn new(id: u64) -> Arc<JobShared<O>> {
-        Arc::new(JobShared {
+    fn new(id: u64) -> JobShared<O> {
+        JobShared {
             id,
             lifecycle: JobLifecycle::new(),
             cancel: CancelToken::new(),
             outcome: Mutex::new(None),
+            gate: OutcomeGate::new(),
             cv: Condvar::new(),
             submitted: Instant::now(),
             latency_ns: AtomicU64::new(0),
-        })
+        }
     }
 
     fn publish(&self, outcome: JobOutcome<O>) {
-        // Relaxed: the stamp is written before the mutex-guarded outcome
-        // below, which is the edge `latency` and `wait` synchronise on.
+        debug_assert!(!self.gate.is_published(), "job outcome published twice");
+        // Relaxed: the stamp is written before the gate's Release store
+        // below, which is the edge `latency` reads it across.
         self.latency_ns.store(
             self.submitted.elapsed().as_nanos() as u64,
             Ordering::Relaxed,
         );
-        let mut g = self.outcome.lock();
-        debug_assert!(g.is_none(), "job outcome published twice");
-        *g = Some(outcome);
-        self.cv.notify_all();
+        *self.outcome.lock() = Some(outcome);
+        if self.gate.publish() {
+            // The waiter registered holding the outcome mutex and keeps it
+            // until its wait releases it: once through, it is asleep, and
+            // the notification cannot fall before the sleep.
+            drop(self.outcome.lock());
+            self.cv.notify_all();
+        }
     }
+}
+
+/// What a [`JobHandle`] sees of a [`Job`]: everything but the problem type.
+trait JobView<O>: Send + Sync {
+    fn shared(&self) -> &JobShared<O>;
 }
 
 /// A typed handle to a submitted job.
 ///
+/// The handle keeps the submitted problem alive until it is consumed
+/// ([`wait`](JobHandle::wait), [`try_result`](JobHandle::try_result)) or
+/// dropped, so the problem is normally freed on the thread that holds the
+/// handle — the one that built it — and not on a pool worker.
+///
 /// Dropping the handle detaches the job: it still runs (or is cancelled at
-/// shutdown drain) but its outcome is discarded.
+/// shutdown drain) but its outcome is discarded, and the pool frees the
+/// problem when the job is over.
 pub struct JobHandle<O> {
-    shared: Arc<JobShared<O>>,
+    job: Arc<dyn JobView<O>>,
+    _problem: Arc<dyn Any + Send + Sync>,
 }
 
 impl<O> std::fmt::Debug for JobHandle<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let shared = self.job.shared();
         f.debug_struct("JobHandle")
-            .field("id", &self.shared.id)
-            .field("status", &self.shared.lifecycle.status())
+            .field("id", &shared.id)
+            .field("status", &shared.lifecycle.status())
             .finish()
     }
 }
@@ -264,12 +310,12 @@ impl<O> std::fmt::Debug for JobHandle<O> {
 impl<O: Send> JobHandle<O> {
     /// The server-assigned job id (also the trace epoch tag).
     pub fn id(&self) -> u64 {
-        self.shared.id
+        self.job.shared().id
     }
 
     /// The job's current lifecycle state.
     pub fn status(&self) -> JobStatus {
-        self.shared.lifecycle.status()
+        self.job.shared().lifecycle.status()
     }
 
     /// Request cancellation. Queued jobs are cancelled before ever
@@ -277,41 +323,48 @@ impl<O: Send> JobHandle<O> {
     /// poll points (the same points that service the copy-on-steal
     /// deposit handshake, so cancellation never wedges a thief).
     pub fn cancel(&self) -> CancelOutcome {
-        self.shared.lifecycle.cancel(&self.shared.cancel)
+        let shared = self.job.shared();
+        shared.lifecycle.cancel(&shared.cancel)
     }
 
     /// Block until the job reaches its terminal state.
+    ///
+    /// A job that is already terminal costs a flag and a lock; otherwise
+    /// the caller registers as the job's waiter and sleeps at once (a
+    /// bounded poll before the sleep was measured: spinning bought
+    /// nothing, yielding bought throughput and cost run-to-run steadiness
+    /// — DESIGN.md §13).
     pub fn wait(self) -> JobOutcome<O> {
-        let mut g = self.shared.outcome.lock();
-        while g.is_none() {
-            self.shared.cv.wait(&mut g);
+        let shared = self.job.shared();
+        let mut g = shared.outcome.lock();
+        if !shared.gate.is_published() && shared.gate.register_waiter() {
+            while !shared.gate.is_published() {
+                shared.cv.wait(&mut g);
+            }
         }
-        g.take().expect("guarded by loop")
+        g.take().expect("published outcomes are taken once")
     }
 
     /// Non-blocking poll: the outcome if terminal, otherwise the handle
     /// back.
     pub fn try_result(self) -> Result<JobOutcome<O>, JobHandle<O>> {
-        {
-            let mut g = self.shared.outcome.lock();
-            if g.is_some() {
-                return Ok(g.take().expect("checked"));
-            }
+        let shared = self.job.shared();
+        if !shared.gate.is_published() {
+            return Err(self);
         }
-        Err(self)
+        let outcome = shared.outcome.lock().take();
+        Ok(outcome.expect("published outcomes are taken once"))
     }
 
     /// Submission-to-terminal latency, `None` until the job is terminal.
     pub fn latency(&self) -> Option<Duration> {
-        if self.shared.outcome.lock().is_some() {
-            // Relaxed: ordered by the outcome mutex just taken — `publish`
-            // stamps before it locks.
-            Some(Duration::from_nanos(
-                self.shared.latency_ns.load(Ordering::Relaxed),
-            ))
-        } else {
-            None
-        }
+        let shared = self.job.shared();
+        // Relaxed: ordered by the gate's Acquire just before — `publish`
+        // stamps before it releases the gate.
+        shared
+            .gate
+            .is_published()
+            .then(|| Duration::from_nanos(shared.latency_ns.load(Ordering::Relaxed)))
     }
 }
 
@@ -321,10 +374,14 @@ impl<O: Send> JobHandle<O> {
 
 /// A type-erased queued job: `lead` claims and runs it to a terminal
 /// state on the calling pool worker.
-trait QueuedJob: Send + 'static {
-    fn lead(self: Box<Self>, ctx: &Arc<ServerCtx>, worker: usize, tracer: TracerRef<'_>);
-    /// Recover the concrete `Pending<P>` on queue-full rejection.
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
+trait QueuedJob: Send + Sync + 'static {
+    fn lead(
+        self: Arc<Self>,
+        ctx: &Arc<ServerCtx>,
+        worker: usize,
+        tracer: TracerRef<'_>,
+        lease: &mut DequeLease,
+    );
 }
 
 /// A type-erased running job an idle worker can join (work sharing).
@@ -337,52 +394,87 @@ trait ActiveJob: Send + Sync {
     fn try_join(&self, ctx: &ServerCtx, worker: usize, tracer: TracerRef<'_>) -> bool;
 }
 
-/// A submission waiting in the queue.
-struct Pending<P: Problem> {
-    problem: P,
+/// One submission, in one allocation: the client half the [`JobHandle`]
+/// sees, and what the lead needs to run it.
+struct Job<P: Problem> {
+    shared: JobShared<P::Out>,
     cfg: Config,
     mode: Mode,
-    shared: Arc<JobShared<P::Out>>,
+    /// The queue's reference to the problem (the handle holds the other).
+    /// The lead moves it into the engine region and drops it with the
+    /// region, before it publishes; a rejected submission takes it back.
+    problem: Mutex<Option<Arc<P>>>,
 }
 
-impl<P: Problem + 'static> QueuedJob for Pending<P> {
-    fn lead(self: Box<Self>, ctx: &Arc<ServerCtx>, worker: usize, tracer: TracerRef<'_>) {
-        let Pending {
-            problem,
-            cfg,
-            mode,
-            shared,
-        } = *self;
-        if !shared.lifecycle.claim() {
-            // Cancelled while queued: never executes.
-            shared.publish(JobOutcome::Cancelled { report: None });
+impl<P: Problem + 'static> JobView<P::Out> for Job<P> {
+    fn shared(&self) -> &JobShared<P::Out> {
+        &self.shared
+    }
+}
+
+impl<P: Problem + 'static> QueuedJob for Job<P> {
+    fn lead(
+        self: Arc<Self>,
+        ctx: &Arc<ServerCtx>,
+        worker: usize,
+        tracer: TracerRef<'_>,
+        lease: &mut DequeLease,
+    ) {
+        let problem = self.problem.lock().take().expect("a job is led once");
+        if !self.shared.lifecycle.claim() {
+            // Cancelled while queued: never executes. The pool lets go of
+            // the problem before it publishes, as for a job that ran.
+            drop(problem);
             // Relaxed: a `ServerStats` counter; the snapshot is advisory.
             ctx.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+            self.shared.publish(JobOutcome::Cancelled { report: None });
             return;
         }
-        match cfg.backend {
+        match self.cfg.backend {
             DequeBackend::The => run_job::<P, Arc<Frame<P>>, TheDeque<Arc<Frame<P>>>>(
-                problem, cfg, mode, shared, ctx, worker, tracer,
+                &self, problem, ctx, worker, tracer, lease,
             ),
             DequeBackend::ChaseLev => run_job::<P, Arc<Frame<P>>, ChaseLevDeque<Arc<Frame<P>>>>(
-                problem, cfg, mode, shared, ctx, worker, tracer,
+                &self, problem, ctx, worker, tracer, lease,
             ),
             DequeBackend::Pool => run_job::<P, Arc<Frame<P>>, PoolDeque<Arc<Frame<P>>>>(
-                problem, cfg, mode, shared, ctx, worker, tracer,
+                &self, problem, ctx, worker, tracer, lease,
             ),
             DequeBackend::FenceFree => run_job::<P, FfEntry<P>, FenceFreeDeque<FfEntry<P>>>(
-                problem, cfg, mode, shared, ctx, worker, tracer,
+                &self, problem, ctx, worker, tracer, lease,
             ),
         }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
-        self
     }
 }
 
-/// One job's engine region plus the slot bookkeeping work sharing needs.
-struct JobCtx<P: Problem + 'static, E: DequeEntry<P>, D: WsDeque<E>> {
+/// The deques a pool worker keeps between the jobs it leads (see the
+/// [module docs](self)): what the last job it led handed back, keyed by
+/// the deques' concrete type, their capacity and their number.
+#[derive(Default)]
+struct DequeLease {
+    /// `Config::deque_capacity` the deques were built at, and the
+    /// `Vec<D>` itself.
+    held: Option<(usize, Box<dyn Any>)>,
+}
+
+impl DequeLease {
+    /// The held deques, if they are `slots` deques of type `D` built at
+    /// `capacity`; whatever else is held is dropped.
+    fn take<D: 'static>(&mut self, capacity: usize, slots: usize) -> Option<Vec<D>> {
+        let (built_at, held) = self.held.take()?;
+        let deques = held.downcast::<Vec<D>>().ok()?;
+        (built_at == capacity && deques.len() == slots).then_some(*deques)
+    }
+
+    /// Keep `deques`, every one of them empty, for the next job.
+    fn put<D: 'static>(&mut self, capacity: usize, deques: Vec<D>) {
+        self.held = Some((capacity, Box::new(deques)));
+    }
+}
+
+/// The slot board of a multi-slot job: its engine region plus the
+/// bookkeeping joiners need.
+struct Team<P: Problem + 'static, E: DequeEntry<P>, D: WsDeque<E>> {
     id: u64,
     eng: Shared<'static, P, D>,
     /// Slot claim flags; slot 0 is pre-taken by the lead.
@@ -397,7 +489,7 @@ struct JobCtx<P: Problem + 'static, E: DequeEntry<P>, D: WsDeque<E>> {
     _entry: std::marker::PhantomData<fn() -> E>,
 }
 
-impl<P, E, D> ActiveJob for JobCtx<P, E, D>
+impl<P, E, D> ActiveJob for Team<P, E, D>
 where
     P: Problem + 'static,
     E: DequeEntry<P> + 'static,
@@ -437,7 +529,7 @@ where
         // to wait for our decrement.
         if self.done() {
             // Release: the bail-out frees the slot and withdraws the
-            // announcement; pairs with the lead's Acquire spin in `run_job`.
+            // announcement; pairs with the lead's Acquire spin in `lead_team`.
             self.taken[slot].store(false, Ordering::Release);
             self.participants.fetch_sub(1, Ordering::Release);
             return false;
@@ -471,83 +563,143 @@ where
         );
         self.stats[slot].lock().merge(&stats);
         // Release: frees the slot and publishes the merged `RunStats` to
-        // the lead's Acquire spin in `run_job`.
+        // the lead's Acquire spin in `lead_team`.
         self.taken[slot].store(false, Ordering::Release);
         self.participants.fetch_sub(1, Ordering::Release);
         true
     }
 }
 
-/// Lead a claimed job to its terminal state on the calling worker.
-#[allow(clippy::needless_pass_by_value)]
-fn run_job<P, E, D>(
-    problem: P,
-    cfg: Config,
-    mode: Mode,
-    shared: Arc<JobShared<P::Out>>,
+/// Run slot 0 of a job on the calling worker: the root task, then steal
+/// until the root completes.
+fn lead_slot<P, E, D>(
+    eng: &Shared<'static, P, D>,
+    id: u64,
+    rng: XorShift64,
+    worker: usize,
+    tracer: TracerRef<'_>,
+) -> RunStats
+where
+    P: Problem + 'static,
+    E: DequeEntry<P>,
+    D: WsDeque<E>,
+{
+    let job = id as u32;
+    jmark(tracer, worker, Ev::JobBegin { job, slot: 0 });
+    let tr = worker_tracer(tracer, worker);
+    let stats = participate::<P, E, D>(eng, 0, rng, tr, true, None);
+    jmark(tracer, worker, Ev::JobEnd { job });
+    stats
+}
+
+/// Lead a multi-slot job: put up its slot board (registered for joiners
+/// under work sharing), run slot 0, and collect every slot's stats. Returns
+/// the result, the region's deques unless a joiner's snapshot still holds
+/// the board, and the per-slot stats.
+fn lead_team<P, E, D>(
+    eng: Shared<'static, P, D>,
+    seeds: Vec<XorShift64>,
+    id: u64,
     ctx: &Arc<ServerCtx>,
     worker: usize,
     tracer: TracerRef<'_>,
-) where
+) -> (P::Out, Option<Vec<D>>, Vec<RunStats>)
+where
     P: Problem + 'static,
     E: DequeEntry<P> + 'static,
     D: WsDeque<E> + 'static,
 {
-    // A job never gets more slots than the pool has workers; the cut-off
-    // still derives from cfg.threads (see Shared::new), so clamping only
-    // bounds parallelism, never changes the task-creation frontier.
-    let slots = cfg.threads.min(ctx.workers).max(1);
-    let t0 = Instant::now();
-    let job = Arc::new(JobCtx::<P, E, D> {
-        id: shared.id,
-        eng: Shared::new::<E>(
-            ProblemRef::Owned(Arc::new(problem)),
-            &cfg,
-            mode,
-            slots,
-            Some(shared.cancel.clone()),
-        ),
+    let slots = seeds.len();
+    let team = Arc::new(Team::<P, E, D> {
+        id,
+        eng,
         taken: (0..slots).map(|i| AtomicBool::new(i == 0)).collect(),
         participants: AtomicU32::new(1),
         stats: (0..slots)
             .map(|_| Mutex::new(RunStats::default()))
             .collect(),
-        seeds: Shared::<P, D>::seeds(&cfg, slots),
+        seeds,
         _entry: std::marker::PhantomData,
     });
-    let registered = ctx.work_sharing && slots > 1;
-    if registered {
-        ctx.active.lock().push(job.clone());
-        ctx.wake_all();
+    if ctx.work_sharing {
+        ctx.active.lock().push(team.clone());
+        ctx.wake(true);
     }
-    jmark(
-        tracer,
-        worker,
-        Ev::JobBegin {
-            job: job.id as u32,
-            slot: 0,
-        },
-    );
-    let tr = worker_tracer(tracer, worker);
-    let lead_stats = participate::<P, E, D>(&job.eng, 0, job.seeds[0].clone(), tr, true, None);
-    jmark(tracer, worker, Ev::JobEnd { job: job.id as u32 });
-    job.stats[0].lock().merge(&lead_stats);
-    if registered {
-        let id = job.id;
+    let lead_stats = lead_slot::<P, E, D>(&team.eng, id, team.seeds[0].clone(), worker, tracer);
+    team.stats[0].lock().merge(&lead_stats);
+    if ctx.work_sharing {
         ctx.active.lock().retain(|j| j.id() != id);
     }
     // Wait for every joiner to finish merging its slot stats. They exit
     // promptly: the root is done, so their steal loops terminate.
     // Release: the lead's own decrement publishes its stats merge above.
-    job.participants.fetch_sub(1, Ordering::Release);
+    team.participants.fetch_sub(1, Ordering::Release);
     // Acquire: pairs with each joiner's Release decrement, so the lead
     // reads every merged per-slot `RunStats` below.
-    while job.participants.load(Ordering::Acquire) != 0 {
+    while team.participants.load(Ordering::Acquire) != 0 {
         std::thread::yield_now();
     }
-    let per_slot: Vec<RunStats> = job.stats.iter().map(|m| m.lock().clone()).collect();
+    let per_slot = team.stats.iter().map(|m| m.lock().clone()).collect();
+    let out = team.eng.root.wait();
+    // A worker that snapshotted `active` may still hold the board; then
+    // the region goes when it lets go, and its deques are not leased.
+    let deques = Arc::try_unwrap(team).ok().map(|t| t.eng.into_deques());
+    (out, deques, per_slot)
+}
+
+/// Lead a claimed job to its terminal state on the calling worker.
+fn run_job<P, E, D>(
+    job: &Job<P>,
+    problem: Arc<P>,
+    ctx: &Arc<ServerCtx>,
+    worker: usize,
+    tracer: TracerRef<'_>,
+    lease: &mut DequeLease,
+) where
+    P: Problem + 'static,
+    E: DequeEntry<P> + 'static,
+    D: WsDeque<E> + 'static,
+{
+    let (shared, cfg) = (&job.shared, &job.cfg);
+    // A job never gets more slots than the pool has workers; the cut-off
+    // still derives from cfg.threads (see Shared::new), so clamping only
+    // bounds parallelism, never changes the task-creation frontier.
+    let slots = cfg.threads.min(ctx.workers).max(1);
+    let t0 = Instant::now();
+    let deques = lease
+        .take::<D>(cfg.deque_capacity, slots)
+        .unwrap_or_else(|| Shared::<P, D>::deques::<E>(cfg, slots));
+    let eng = Shared::new(
+        ProblemRef::Owned(problem),
+        cfg,
+        job.mode,
+        deques,
+        Some(shared.cancel.clone()),
+    );
+    let mut seeds = Shared::<P, D>::seeds(cfg, slots);
+    let (out, deques, per_slot) = if slots == 1 {
+        // A single-slot job asks for no team, so it gets none: no slot
+        // board, no registration, the lead's stats are the job's.
+        let rng = seeds.pop().expect("one slot, one seed");
+        let stats = lead_slot::<P, E, D>(&eng, shared.id, rng, worker, tracer);
+        (eng.root.wait(), Some(eng.into_deques()), vec![stats])
+    } else {
+        lead_team::<P, E, D>(eng, seeds, shared.id, ctx, worker, tracer)
+    };
     let report = RunReport::from_workers(per_slot, t0.elapsed().as_nanos() as u64);
-    let out = job.eng.root.wait();
+    // The region — and with it the pool's reference to the problem — is
+    // gone; what is left of the job on this worker is its deques. The join
+    // implies they are empty, and only empty deques are leased on: anything
+    // else is dropped here and reported below, after the client has its
+    // outcome.
+    let clean = deques
+        .as_ref()
+        .is_none_or(|d| d.iter().all(WsDeque::is_empty));
+    match deques {
+        Some(deques) if clean && !D::CAN_DUPLICATE => lease.put(cfg.deque_capacity, deques),
+        // Not empty, never leased (fence-free), or a joiner's to drop.
+        _ => {}
+    }
     let cancelled = shared.cancel.get();
     shared.lifecycle.finish(cancelled);
     // Count before publishing: `publish` releases the waiter, and callers
@@ -564,6 +716,11 @@ fn run_job<P, E, D>(
         ctx.jobs_completed.fetch_add(1, Ordering::Relaxed);
         shared.publish(JobOutcome::Completed { out, report });
     }
+    assert!(
+        clean,
+        "job {} reached its terminal with entries left in its deques",
+        shared.id
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -572,9 +729,12 @@ fn run_job<P, E, D>(
 
 /// Shared server state, one `Arc` per worker thread plus the front end.
 struct ServerCtx {
-    queue: PrioQueue<Box<dyn QueuedJob>>,
+    queue: PrioQueue<Arc<dyn QueuedJob>>,
     /// Running multi-slot jobs joinable under work sharing.
     active: Mutex<Vec<Arc<dyn ActiveJob>>>,
+    /// Counts the workers asleep on `wake` (or about to be) that nobody
+    /// has notified yet.
+    gate: ParkGate,
     park: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
@@ -584,14 +744,48 @@ struct ServerCtx {
     jobs_completed: AtomicU64,
     jobs_cancelled: AtomicU64,
     jobs_rejected: AtomicU64,
+    parks: AtomicU64,
+    wakes: AtomicU64,
     workers: usize,
     work_sharing: bool,
 }
 
 impl ServerCtx {
-    fn wake_all(&self) {
-        let _g = self.park.lock();
-        self.wake.notify_all();
+    /// Notify parked workers — one, or all of them — of an event already
+    /// written (a push, a registration, the shutdown flag), if the gate
+    /// counts any that nobody has notified yet; otherwise nobody sleeps
+    /// and nothing is done.
+    fn wake(&self, all: bool) {
+        if self.gate.rouse(all) == 0 {
+            return;
+        }
+        // A parking worker holds `park` from its announcement until its
+        // wait releases it: once through, it is asleep (or awake again),
+        // and the notification cannot fall before the sleep.
+        drop(self.park.lock());
+        // Relaxed: a `ServerStats` counter; the snapshot is advisory.
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        if all {
+            self.wake.notify_all();
+        } else {
+            self.wake.notify_one();
+        }
+    }
+
+    fn stats(&self) -> ServerStats {
+        ServerStats {
+            // Relaxed: an advisory snapshot; torn combinations across the
+            // counters are acceptable by the `ServerStats` contract.
+            submitted: self.jobs_submitted.load(Ordering::Relaxed),
+            completed: self.jobs_completed.load(Ordering::Relaxed),
+            cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
+            rejected: self.jobs_rejected.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            wakes: self.wakes.load(Ordering::Relaxed),
+            queue_depth: self.queue.len(),
+            active_jobs: self.active.lock().len(),
+            workers: self.workers,
+        }
     }
 }
 
@@ -607,6 +801,12 @@ pub struct ServerStats {
     /// Submissions rejected by admission control (`QueueFull` only;
     /// config and shutdown rejections are the caller's bug, not load).
     pub rejected: u64,
+    /// Times a pool worker found nothing to do and went to sleep.
+    pub parks: u64,
+    /// Times a submission, a work-sharing registration or shutdown found
+    /// workers parked and notified them — at most once per park. A pool
+    /// that keeps up with its clients shows few of either.
+    pub wakes: u64,
     /// Submissions currently waiting in the queue (advisory, summed over
     /// priority lanes).
     pub queue_depth: usize,
@@ -640,6 +840,7 @@ impl JobServer {
         let ctx = Arc::new(ServerCtx {
             queue: PrioQueue::with_capacity(cfg.queue_capacity.max(1)),
             active: Mutex::new(Vec::new()),
+            gate: ParkGate::new(),
             park: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -649,6 +850,8 @@ impl JobServer {
             jobs_completed: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
             workers,
             work_sharing: cfg.work_sharing,
         });
@@ -714,33 +917,42 @@ impl JobServer {
         // Relaxed: job-id uniqueness needs only atomicity; the queue push
         // below publishes the job.
         let id = self.ctx.next_job.fetch_add(1, Ordering::Relaxed);
-        let shared = JobShared::<P::Out>::new(id);
-        let pending = Box::new(Pending {
-            problem,
+        // Three allocations, all on this thread: the problem, in the `Arc`
+        // the engine wants; the job; the job's cancel token. The handle's
+        // reference to the problem is what makes the submitting side the
+        // one that frees it.
+        let problem = Arc::new(problem);
+        let keep: Arc<dyn Any + Send + Sync> = Arc::clone(&problem) as _;
+        let job = Arc::new(Job {
+            shared: JobShared::new(id),
             cfg,
             mode,
-            shared: Arc::clone(&shared),
+            problem: Mutex::new(Some(problem)),
         });
         match self
             .ctx
             .queue
-            .try_push(priority, pending as Box<dyn QueuedJob>)
+            .try_push(priority, Arc::clone(&job) as Arc<dyn QueuedJob>)
         {
             Ok(()) => {
                 // Relaxed: a `ServerStats` counter; the snapshot is advisory.
                 self.ctx.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-                self.ctx.wake_all();
-                Ok(JobHandle { shared })
+                // One job, one lead: wake one worker, if one is parked.
+                self.ctx.wake(false);
+                Ok(JobHandle {
+                    job,
+                    _problem: keep,
+                })
             }
             Err(rejected) => {
                 // Relaxed: a `ServerStats` counter; the snapshot is advisory.
                 self.ctx.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                let pending = rejected
-                    .into_any()
-                    .downcast::<Pending<P>>()
-                    .expect("a lane rejects the value it was offered");
+                // A lane rejects the value it was offered: nobody else has
+                // seen the job, so these are the problem's only references.
+                drop((rejected, keep));
+                let problem = job.problem.lock().take().and_then(Arc::into_inner);
                 Err(SubmitError {
-                    problem: pending.problem,
+                    problem: problem.expect("a rejected submission is unshared"),
                     reason: RejectReason::QueueFull,
                 })
             }
@@ -749,17 +961,7 @@ impl JobServer {
 
     /// A point-in-time health snapshot.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            // Relaxed: an advisory snapshot; torn combinations across the
-            // counters are acceptable by the `ServerStats` contract.
-            submitted: self.ctx.jobs_submitted.load(Ordering::Relaxed),
-            completed: self.ctx.jobs_completed.load(Ordering::Relaxed),
-            cancelled: self.ctx.jobs_cancelled.load(Ordering::Relaxed),
-            rejected: self.ctx.jobs_rejected.load(Ordering::Relaxed),
-            queue_depth: self.ctx.queue.len(),
-            active_jobs: self.ctx.active.lock().len(),
-            workers: self.ctx.workers,
-        }
+        self.ctx.stats()
     }
 
     /// Drain every event the pool's workers have *published* so far into
@@ -799,7 +1001,7 @@ impl JobServer {
         // to the workers' and joiners' Acquire loads before they exit.
         self.ctx.accepting.store(false, Ordering::Release);
         self.ctx.shutdown.store(true, Ordering::Release);
-        self.ctx.wake_all();
+        self.ctx.wake(true);
         for t in std::mem::take(&mut self.threads) {
             let _ = t.join();
         }
@@ -809,22 +1011,14 @@ impl JobServer {
         // terminal state, so drain inline on this thread (the pool is
         // joined — worker id 0's trace ring has a single producer again).
         let tracer: TracerRef<'_> = self.collector.as_deref();
+        let mut lease = DequeLease::default();
         while let Some((_prio, job)) = self.ctx.queue.try_pop() {
-            job.lead(&self.ctx, 0, tracer);
+            job.lead(&self.ctx, 0, tracer, &mut lease);
         }
-        let stats = ServerStats {
-            // Relaxed: every worker thread has been joined; the joins
-            // supply the happens-before for the final snapshot.
-            submitted: self.ctx.jobs_submitted.load(Ordering::Relaxed),
-            completed: self.ctx.jobs_completed.load(Ordering::Relaxed),
-            cancelled: self.ctx.jobs_cancelled.load(Ordering::Relaxed),
-            rejected: self.ctx.jobs_rejected.load(Ordering::Relaxed),
-            queue_depth: self.ctx.queue.len(),
-            active_jobs: self.ctx.active.lock().len(),
-            workers: self.ctx.workers,
-        };
         ServerReport {
-            stats,
+            // Every worker thread has been joined; the joins supply the
+            // happens-before for the final snapshot.
+            stats: self.ctx.stats(),
             trace: self
                 .collector
                 .take()
@@ -847,14 +1041,25 @@ impl Drop for JobServer {
 /// One pool worker: lead queued jobs; otherwise join active jobs (work
 /// sharing); otherwise park.
 fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
+    let mut lease = DequeLease::default();
     loop {
         let tracer = collector.as_deref();
         if let Some((_prio, job)) = ctx.queue.try_pop() {
-            job.lead(ctx, id, tracer);
+            job.lead(ctx, id, tracer, &mut lease);
             continue;
         }
         if ctx.work_sharing {
-            let snapshot: Vec<Arc<dyn ActiveJob>> = ctx.active.lock().clone();
+            // Join outside the lock, from a snapshot taken under it — and
+            // take none (no allocation, no `Arc` traffic) while nothing is
+            // registered, which is every idle pass of a quiet pool.
+            let snapshot: Vec<Arc<dyn ActiveJob>> = {
+                let active = ctx.active.lock();
+                if active.is_empty() {
+                    Vec::new()
+                } else {
+                    active.clone()
+                }
+            };
             if snapshot.iter().any(|j| j.try_join(ctx, id, tracer)) {
                 continue;
             }
@@ -864,13 +1069,28 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
         if ctx.shutdown.load(Ordering::Acquire) {
             break;
         }
+        // Announce, recheck, sleep — all under the park lock, which a
+        // waker passes through before it notifies (see `ServerCtx::wake`).
+        // The timeout is a backstop for the queue's conservative verdicts
+        // and for a registration that lands between the scan above and
+        // the announcement.
         let mut g = ctx.park.lock();
-        // Re-check under the park lock to close the submit/park race, then
-        // sleep with a timeout as a backstop for the conservative queue
-        // verdicts.
         // Acquire: the same shutdown edge, re-read under the park lock.
-        if ctx.queue.is_empty() && !ctx.shutdown.load(Ordering::Acquire) {
-            let _ = ctx.wake.wait_for(&mut g, Duration::from_millis(1));
+        if ctx
+            .gate
+            .announce(|| ctx.queue.is_empty() && !ctx.shutdown.load(Ordering::Acquire))
+        {
+            // Relaxed: a `ServerStats` counter; the snapshot is advisory.
+            ctx.parks.fetch_add(1, Ordering::Relaxed);
+            // A notified worker was taken off the count by its waker;
+            // one that timed out withdraws itself.
+            if ctx
+                .wake
+                .wait_for(&mut g, Duration::from_millis(1))
+                .timed_out()
+            {
+                ctx.gate.retract();
+            }
         }
     }
 }
@@ -966,6 +1186,27 @@ mod tests {
             .expect("submit gate job");
         wait_started(&started);
         (h, gate)
+    }
+
+    #[test]
+    fn lease_hands_back_only_what_matches_its_key() {
+        let held = |cap| vec![TheDeque::<u32>::new(cap), TheDeque::<u32>::new(cap)];
+        let mut lease = DequeLease::default();
+        assert!(lease.take::<TheDeque<u32>>(8, 2).is_none(), "nothing held");
+        lease.put(8, held(8));
+        assert_eq!(lease.take::<TheDeque<u32>>(8, 2).map(|d| d.len()), Some(2));
+        assert!(lease.take::<TheDeque<u32>>(8, 2).is_none(), "taken is gone");
+        // Another capacity, slot count or deque type misses, and a miss
+        // drops what was held.
+        for miss in 0..3 {
+            lease.put(8, held(8));
+            match miss {
+                0 => assert!(lease.take::<TheDeque<u32>>(16, 2).is_none()),
+                1 => assert!(lease.take::<TheDeque<u32>>(8, 1).is_none()),
+                _ => assert!(lease.take::<ChaseLevDeque<u32>>(8, 2).is_none()),
+            }
+            assert!(lease.held.is_none(), "a miss keeps nothing");
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! `adaptivetc-check` crate, where its `crate::sync` imports resolve to the
 //! `shim-sync` model primitives instead of the real ones — so everything
 //! here must restrict itself to the facade subset the shim provides
-//! (`AtomicBool`/`AtomicU32`/`AtomicU64`, `Mutex`, `Ordering`; no
-//! `Condvar`, no `AtomicUsize`, no clocks, no OS threads). Parking,
-//! notification and timing live in `server.rs`, outside the kernel.
+//! (`AtomicBool`/`AtomicU32`/`AtomicU64`, `Mutex`, `Ordering`, `fence`; no
+//! `Condvar`, no `AtomicUsize`, no clocks, no OS threads). Sleeping,
+//! notification and timing live in `server.rs`, outside the kernel; the
+//! decision *whether* anyone has to be notified is made here, by
+//! [`ParkGate`] and [`OutcomeGate`].
 //!
 //! # Submission queue
 //!
@@ -47,8 +49,36 @@
 //! raises the token — the poll points of the engine prune the remaining
 //! subtree — and the race against completion is resolved by the single
 //! terminal writer: exactly one terminal state, always.
+//!
+//! # Who has to be woken
+//!
+//! A wake-up is a system call, and a 49-node job cannot amortise one. Both
+//! sleepers of the server therefore announce themselves before they sleep,
+//! and both wakers look for an announcement before they notify — two
+//! store → fence → load hand-shakes of the Dekker shape, one per pair:
+//!
+//! ```text
+//!   pool worker (ParkGate::announce)      submitter (ParkGate::rouse)
+//!     parked += 1                           push the job
+//!     fence(SeqCst)                         fence(SeqCst)
+//!     queue still empty? ── yes: sleep      parked != 0? ── yes: parked -= 1,
+//!                                                            notify
+//!
+//!   waiter (OutcomeGate::register_waiter) lead (OutcomeGate::publish)
+//!     waiter = true                         published = true
+//!     fence(SeqCst)                         fence(SeqCst)
+//!     published? ── no: sleep               waiter? ── yes: notify
+//! ```
+//!
+//! The fences make it impossible for both sides to read the other's old
+//! value, so a sleeper that misses the event is always seen by the waker.
+//! The sleeper holds the mutex of its condition variable from before the
+//! announcement until the wait releases it, and the waker passes through
+//! that mutex before it notifies, so the notification cannot fall between
+//! the recheck and the sleep. `adaptivetc-check` models the sleep as a flag
+//! the waker must clear (`jobserver_submit.rs`).
 
-use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
+use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 use std::sync::Arc;
 
 /// Scheduling class of a submitted job. Workers drain submission lanes in
@@ -242,19 +272,18 @@ impl JobLifecycle {
     /// error.
     pub fn finish(&self, cancelled: bool) -> bool {
         let terminal = if cancelled { CANCELLED } else { COMPLETED };
-        // AcqRel (KEPT): the Release half publishes the worker's result
-        // writes to `status()` observers; the scenarios check state-machine
-        // shape, not result payloads, so a Relaxed CAS survives the bound
-        // while breaking the result handoff. The Acquire half has nothing
-        // to pair with today — the last writer of `state` is this worker's
-        // own claim, and a cancel of a running job raises the token, not
-        // `state` — and is the harvest step's to weaken to Release.
+        // Release (KEPT): publishes the worker's result writes to
+        // `status()` observers; the scenarios check state-machine shape,
+        // not result payloads, so a Relaxed CAS survives the bound while
+        // breaking the result handoff. There is no Acquire half: the last
+        // writer of `state` is this worker's own claim, and a cancel of a
+        // running job raises the token, not `state`.
         // Acquire (KEPT): failure is a logic error the writer partition
         // rules out; the ordering is kept so a caller that does hit it
         // sees the writes of whoever moved the state. No bounded assertion
         // reads across that edge.
         self.state
-            .compare_exchange(RUNNING, terminal, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(RUNNING, terminal, Ordering::Release, Ordering::Acquire)
             .is_ok()
     }
 
@@ -297,6 +326,161 @@ impl JobLifecycle {
                 _ => return CancelOutcome::AlreadyTerminal,
             }
         }
+    }
+}
+
+/// The atomics half of the pool's park hand-shake (see the module docs):
+/// a count of workers that are asleep, or about to be, and that nobody has
+/// notified yet — so that a submitter notifies (a system call) only when
+/// the count says someone sleeps, and only once per sleeper.
+///
+/// The count may run high, never low: a sleeper whose wait ends at the
+/// very moment a waker takes it off stays counted, and the next waker's
+/// notification, finding nobody, takes the surplus away.
+#[derive(Debug)]
+pub struct ParkGate {
+    parked: AtomicU32,
+}
+
+impl Default for ParkGate {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ParkGate {
+    /// A gate with nobody parked.
+    pub fn new() -> Self {
+        ParkGate {
+            parked: AtomicU32::new(0),
+        }
+    }
+
+    /// Worker side, before sleeping: announce, fence, recheck. `still_idle`
+    /// is the recheck (is there really nothing to do?). `true` means sleep
+    /// — the worker stays counted until a waker [`rouse`]s it or, its sleep
+    /// having timed out, it [`retract`]s; `false` means the recheck found
+    /// work and the announcement is already withdrawn. The caller holds
+    /// its condition variable's mutex from before this call until the wait
+    /// releases it.
+    ///
+    /// [`rouse`]: ParkGate::rouse
+    /// [`retract`]: ParkGate::retract
+    pub fn announce(&self, still_idle: impl FnOnce() -> bool) -> bool {
+        // Relaxed: the fence below orders the announcement.
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        // SeqCst (KEPT): the announcement may not pass the recheck's loads;
+        // pairs with the fence in `rouse`. x86's locked increment just
+        // above already drains the store buffer, which is all the bounded
+        // TSO run can see; a weaker machine has only this fence.
+        fence(Ordering::SeqCst);
+        let idle = still_idle();
+        if !idle {
+            self.retract();
+        }
+        idle
+    }
+
+    /// Worker side: withdraw an announcement no waker took — the recheck
+    /// found work, or the sleep timed out. If a waker did take it in the
+    /// meantime the count is already gone, and stays where it is.
+    pub fn retract(&self) {
+        self.take(false);
+    }
+
+    /// Submitter side, *after* the event a parked worker has to see (a
+    /// push, a registration, the shutdown flag) is written: take one
+    /// counted worker, or all of them, off the count and return how many —
+    /// the caller now owes them a notification. Zero means nobody sleeps
+    /// and nobody is to be notified.
+    pub fn rouse(&self, all: bool) -> u32 {
+        // SeqCst (KEPT): the event's stores may not pass the load below;
+        // pairs with the fence in `announce`. On x86 the recheck reads a
+        // queue cursor the push advanced with a locked CAS, so the bounded
+        // TSO run finds the fence idle; a weaker machine, or an event that
+        // is a plain store (the shutdown flag), has only this fence.
+        fence(Ordering::SeqCst);
+        self.take(all)
+    }
+
+    /// Take one off the count, or everything, never going below zero.
+    fn take(&self, all: bool) -> u32 {
+        // Relaxed: the count is ordered against the events it guards by
+        // the two fences; among its own writers it needs only atomicity.
+        let mut parked = self.parked.load(Ordering::Relaxed);
+        while parked != 0 {
+            let taken = if all { parked } else { 1 };
+            // Relaxed: as above, on success and on failure.
+            match self.parked.compare_exchange_weak(
+                parked,
+                parked - taken,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return taken,
+                Err(now) => parked = now,
+            }
+        }
+        0
+    }
+}
+
+/// The published / waiter pair of a job's outcome cell (see the module
+/// docs): the lead notifies only when a waiter has registered, and a
+/// waiter sleeps only when the outcome is not published.
+#[derive(Debug)]
+pub struct OutcomeGate {
+    published: AtomicBool,
+    waiter: AtomicBool,
+}
+
+impl Default for OutcomeGate {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl OutcomeGate {
+    /// Nothing published, nobody waiting.
+    pub fn new() -> Self {
+        OutcomeGate {
+            published: AtomicBool::new(false),
+            waiter: AtomicBool::new(false),
+        }
+    }
+
+    /// Lead side, after the outcome is stored: mark it published and
+    /// return whether a waiter registered and has to be notified.
+    pub fn publish(&self) -> bool {
+        // Release (KEPT): publishes the latency stamp written before it to
+        // `is_published`'s Acquire. The model's outcome travels under a
+        // mutex and it has no stamp, so Relaxed survives the bound.
+        self.published.store(true, Ordering::Release);
+        // SeqCst: the flag may not pass the waiter load below; pairs with
+        // the fence in `register_waiter`.
+        fence(Ordering::SeqCst);
+        // Relaxed: ordered by the fence.
+        self.waiter.load(Ordering::Relaxed)
+    }
+
+    /// Whether the outcome has been published.
+    #[inline]
+    pub fn is_published(&self) -> bool {
+        // Acquire (KEPT): pairs with `publish`'s Release, so a reader that
+        // sees the flag also sees the latency stamp; see there.
+        self.published.load(Ordering::Acquire)
+    }
+
+    /// Waiter side: register, then report whether the waiter has to sleep
+    /// (`false`: the outcome is already there). The caller holds its
+    /// condition variable's mutex from before this call until it sleeps.
+    pub fn register_waiter(&self) -> bool {
+        // Relaxed: the fence below orders the registration.
+        self.waiter.store(true, Ordering::Relaxed);
+        // SeqCst: the registration may not pass the recheck; pairs with
+        // the fence in `publish`.
+        fence(Ordering::SeqCst);
+        !self.is_published()
     }
 }
 

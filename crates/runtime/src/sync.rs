@@ -10,4 +10,4 @@
 //! editing a single file.
 
 pub use parking_lot::{Condvar, Mutex};
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};

@@ -2,19 +2,23 @@
 //! be indistinguishable — in results *and* in per-slot statistics — from
 //! the same problems run solo through `Scheduler`.
 //!
-//! The structural argument (each job owns a private engine region: its own
-//! deques, signals, root frame and `RunStats`) predicts *bit-identical*
-//! counters for single-slot jobs: the job's one worker consumes the same
-//! seeded RNG stream as a solo one-thread run, so any divergence means
-//! state leaked between jobs. Multi-slot (work-sharing) jobs have
-//! scheduling-dependent counters, so they are checked against the serial
-//! reference for results and node conservation instead.
+//! The structural argument (each job runs in a private engine region: its
+//! own signals, root frame and `RunStats`, around deques that are empty
+//! when it gets them) predicts *bit-identical* counters for single-slot
+//! jobs: the job's one worker consumes the same seeded RNG stream as a
+//! solo one-thread run, so any divergence means state leaked between
+//! jobs. Multi-slot (work-sharing) jobs have scheduling-dependent
+//! counters, so they are checked against the serial reference for results
+//! and node conservation instead.
 
 use adaptivetc_suite::core::{
     serial, Config, CutoffPolicy, DequeBackend, Expansion, Problem, RunReport,
 };
-use adaptivetc_suite::runtime::{JobOutcome, JobServer, Mode, Priority, Scheduler, ServerConfig};
+use adaptivetc_suite::runtime::{JobServer, Mode, Priority, Scheduler, ServerConfig};
 use proptest::prelude::*;
+
+mod common;
+use common::{assert_bit_identical, completed};
 
 /// A tree defined by explicit child lists whose leaves reduce a hash of
 /// the full root path — the same cross-job leak oracle the copy-on-steal
@@ -79,28 +83,6 @@ fn tree_strategy(max_nodes: usize) -> impl Strategy<Value = PathHashTree> {
             PathHashTree { children }
         })
     })
-}
-
-/// Unwrap a completed outcome.
-fn completed(outcome: JobOutcome<u64>) -> (u64, RunReport) {
-    match outcome {
-        JobOutcome::Completed { out, report } => (out, report),
-        JobOutcome::Cancelled { .. } => panic!("job was never cancelled"),
-    }
-}
-
-/// Assert a job's report matches a solo run's bit-for-bit, ignoring only
-/// the wall clock.
-fn assert_bit_identical(ctx: &str, job: &RunReport, solo: &RunReport) {
-    assert_eq!(job.threads, solo.threads, "{ctx}: slot count diverged");
-    assert_eq!(
-        job.per_worker, solo.per_worker,
-        "{ctx}: per-slot stats diverged from the solo run"
-    );
-    assert_eq!(
-        job.stats, solo.stats,
-        "{ctx}: aggregate stats diverged from the solo run"
-    );
 }
 
 /// The acceptance matrix: every deque backend × pool sizes 1/2/4, three
