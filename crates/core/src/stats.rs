@@ -198,7 +198,11 @@ pub struct RunReport {
     pub stats: RunStats,
     /// Per-worker statistics, indexed by worker id.
     pub per_worker: Vec<RunStats>,
-    /// Wall-clock (threaded) or virtual (simulated) duration in ns.
+    /// Wall-clock (threaded) or virtual (simulated) duration in ns. A
+    /// threaded run's clock starts once its engine region exists — deques
+    /// built, or leased by a `JobServer` worker — and stops when every
+    /// worker has finished: building the region is set-up, not run time,
+    /// for a solo run and a server job alike.
     pub wall_ns: u64,
     /// Number of workers used.
     pub threads: usize,

@@ -97,7 +97,7 @@
 //! alone ([`Mode::clones_per_spawn`]), read where a worker enters a frame
 //! from outside — the root task and a stolen continuation.
 
-use crate::frame::{deliver, Frame, OutCell, Outcome, Parent};
+use crate::frame::{deliver, Frame, OutCell, Outcome, Parent, RootCell};
 use crate::fsm;
 use crate::pool::Pool;
 use crate::submit::CancelToken;
@@ -288,16 +288,68 @@ impl<P> ProblemRef<'_, P> {
     }
 }
 
+/// A region's slot board: per worker slot, its deque, its `need_task`
+/// signal and its copy-on-steal doorbell.
+pub(crate) struct Slots<D> {
+    deques: Vec<D>,
+    /// Padded: a thief hammering one worker's signal must not invalidate
+    /// its neighbours' lines.
+    signals: Vec<CachePadded<NeedTask>>,
+    /// A thief waiting for a workspace deposit raises the owner's hint;
+    /// the owner checks it at poll points.
+    ws_hints: Vec<CachePadded<AtomicBool>>,
+}
+
+impl<D> Slots<D> {
+    /// A fresh board of `slots` slots: deques at `cfg.deque_capacity`,
+    /// signals at `cfg.max_stolen_num`.
+    pub(crate) fn new<E>(cfg: &Config, slots: usize) -> Self
+    where
+        E: Send,
+        D: WsDeque<E>,
+    {
+        Slots {
+            deques: (0..slots)
+                .map(|_| D::with_capacity(cfg.deque_capacity))
+                .collect(),
+            signals: (0..slots)
+                .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
+                .collect(),
+            ws_hints: (0..slots)
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.deques.len()
+    }
+
+    /// After a run, with every participant gone: lower what thieves may
+    /// rightly have left raised — a `need_task` request nobody answered, a
+    /// doorbell rung after the deposit it asked for — and report whether
+    /// every deque is empty, as the join implies.
+    pub(crate) fn settle<E>(&self) -> bool
+    where
+        E: Send,
+        D: WsDeque<E>,
+    {
+        for signal in &self.signals {
+            signal.acknowledge();
+        }
+        for hint in &self.ws_hints {
+            // Relaxed: nobody else is on the board; whoever runs on it
+            // next receives it through the lease's own hand-over.
+            hint.store(false, Ordering::Relaxed);
+        }
+        self.deques.iter().all(WsDeque::is_empty)
+    }
+}
+
 pub(crate) struct Shared<'p, P: Problem, D> {
     pub(crate) problem: ProblemRef<'p, P>,
-    pub(crate) deques: Vec<D>,
-    /// Per-worker `need_task` signals. Padded: a thief hammering one
-    /// worker's signal must not invalidate its neighbours' lines.
-    signals: Vec<CachePadded<NeedTask>>,
-    /// Per-worker copy-on-steal doorbells: a thief waiting for a workspace
-    /// deposit raises the owner's hint; the owner checks it at poll points.
-    ws_hints: Vec<CachePadded<AtomicBool>>,
-    pub(crate) root: Arc<OutCell<P::Out>>,
+    slots: Slots<D>,
+    pub(crate) root: Arc<RootCell<P::Out>>,
     mode: Mode,
     cutoff: u32,
     timing: bool,
@@ -309,9 +361,10 @@ pub(crate) struct Shared<'p, P: Problem, D> {
 }
 
 impl<'p, P: Problem, D> Shared<'p, P, D> {
-    /// Build the engine's shared state around one deque per worker slot
-    /// — fresh from [`Shared::deques`], or a pool worker's lease (see
-    /// `crate::server`), which must be empty.
+    /// Build the engine's shared state on a slot board and a root cell —
+    /// fresh ones, or those a pool worker keeps from job to job (see
+    /// `crate::server`), which must be as a fresh one is: deques empty,
+    /// signals and doorbells down, the cell armed.
     ///
     /// There may be fewer slots than `cfg.threads` (a server job clamped
     /// to the pool size); the cut-off still derives from `cfg.threads`, so
@@ -321,20 +374,14 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         problem: ProblemRef<'p, P>,
         cfg: &Config,
         mode: Mode,
-        deques: Vec<D>,
+        slots: Slots<D>,
+        root: Arc<RootCell<P::Out>>,
         cancel: Option<CancelToken>,
     ) -> Self {
-        let slots = deques.len();
         Shared {
             problem,
-            deques,
-            signals: (0..slots)
-                .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
-                .collect(),
-            ws_hints: (0..slots)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            root: OutCell::new(),
+            slots,
+            root,
             mode,
             cutoff: cfg.cutoff_depth().max(1),
             timing: cfg.timing,
@@ -342,29 +389,18 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         }
     }
 
-    /// `slots` fresh deques at `cfg.deque_capacity`.
-    pub(crate) fn deques<E>(cfg: &Config, slots: usize) -> Vec<D>
-    where
-        E: Send,
-        D: WsDeque<E>,
-    {
-        (0..slots)
-            .map(|_| D::with_capacity(cfg.deque_capacity))
-            .collect()
+    /// Release the region — the problem reference, the root cell — and
+    /// hand back its slot board (for a pool worker's lease).
+    pub(crate) fn into_slots(self) -> Slots<D> {
+        self.slots
     }
 
-    /// Release the region — the problem reference, signals, root cell —
-    /// and keep its deques (for a pool worker's lease).
-    pub(crate) fn into_deques(self) -> Vec<D> {
-        self.deques
-    }
-
-    /// The per-slot deterministic RNG streams `cfg.seed` expands to —
-    /// shared by [`run_on`] and the job server so a job's slot `i` sees
-    /// exactly the stream worker `i` of a solo run would.
-    pub(crate) fn seeds(cfg: &Config, slots: usize) -> Vec<XorShift64> {
+    /// The per-slot deterministic RNG streams `cfg.seed` expands to, slot
+    /// 0 first — shared by [`run_on`] and the job server so a job's slot
+    /// `i` sees exactly the stream worker `i` of a solo run would.
+    pub(crate) fn seeds(cfg: &Config) -> impl Iterator<Item = XorShift64> {
         let mut seeder = XorShift64::new(cfg.seed);
-        (0..slots).map(|_| seeder.split()).collect()
+        std::iter::repeat_with(move || seeder.split())
     }
 }
 
@@ -393,6 +429,37 @@ struct SpineSlot<P: Problem> {
     /// is outstanding (pushed and not yet popped back). Only such frames
     /// can be stolen, so only they need deposits when the region is sealed.
     live_entry: bool,
+}
+
+/// What a worker allocates for itself and a later run can use again: the
+/// slot vectors of its two pools, its trail and its spine. Empty between
+/// runs — the vectors keep their capacity, nothing else is kept — so a run
+/// on a used scratch counts what a run on a fresh one counts.
+pub(crate) struct Scratch<P: Problem> {
+    freelist: Pool<P::State>,
+    frames: Pool<Arc<Frame<P>>>,
+    trail: Vec<P::Choice>,
+    spine: Vec<SpineSlot<P>>,
+}
+
+impl<P: Problem> Default for Scratch<P> {
+    fn default() -> Self {
+        Scratch {
+            freelist: Pool::new(POOL_CAP),
+            frames: Pool::new(POOL_CAP),
+            trail: Vec::new(),
+            spine: Vec::new(),
+        }
+    }
+}
+
+impl<P: Problem> Scratch<P> {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.freelist.is_empty()
+            && self.frames.is_empty()
+            && self.trail.is_empty()
+            && self.spine.is_empty()
+    }
 }
 
 pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
@@ -428,21 +495,58 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
 }
 
 impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D> {
-    fn new(shared: &'s Shared<'p, P, D>, id: usize, rng: XorShift64, tr: WorkerTracer<'s>) -> Self {
+    /// A worker on `scratch`'s vectors; [`Worker::retire`] puts them back.
+    fn new(
+        shared: &'s Shared<'p, P, D>,
+        id: usize,
+        rng: XorShift64,
+        tr: WorkerTracer<'s>,
+        scratch: &mut Scratch<P>,
+    ) -> Self {
+        let Scratch {
+            freelist,
+            frames,
+            trail,
+            spine,
+        } = std::mem::take(scratch);
         Worker {
             cutoff_ctl: CutoffController::new(shared.cutoff),
             shared,
             id,
             stats: RunStats::default(),
             rng,
-            freelist: Pool::new(POOL_CAP),
-            frames: Pool::new(POOL_CAP),
-            trail: Vec::new(),
-            spine: Vec::new(),
+            freelist,
+            frames,
+            trail,
+            spine,
             region_base: 0,
             tr,
             _entry: PhantomData,
         }
+    }
+
+    /// The end of this worker's run: its counters, and its vectors back
+    /// into `scratch`. The pools die with the run — what they hold is
+    /// dropped here — so that `frame_reuse`, `state_reuse` and
+    /// `allocations` of the next run on this scratch are a cold start's.
+    fn retire(self, scratch: &mut Scratch<P>) -> RunStats {
+        let Worker {
+            stats,
+            mut freelist,
+            mut frames,
+            trail,
+            spine,
+            ..
+        } = self;
+        freelist.clear();
+        frames.clear();
+        *scratch = Scratch {
+            freelist,
+            frames,
+            trail,
+            spine,
+        };
+        stats
     }
 
     #[inline]
@@ -466,17 +570,17 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
 
     #[inline]
     fn my_deque(&self) -> &D {
-        &self.shared.deques[self.id]
+        &self.shared.slots.deques[self.id]
     }
 
     #[inline]
     fn my_signal(&self) -> &NeedTask {
-        &self.shared.signals[self.id]
+        &self.shared.slots.signals[self.id]
     }
 
     #[inline]
     fn my_ws_hint(&self) -> &AtomicBool {
-        &self.shared.ws_hints[self.id]
+        &self.shared.slots.ws_hints[self.id]
     }
 
     /// Does this mode recycle workspace buffers? `Cilk` stays
@@ -1026,6 +1130,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // Nothing above a stolen continuation is on this stack: if the
         // frame completes at our sync, its total travels by `deliver`.
         let parent = match &cont.parent {
+            Parent::Root(c) => Parent::Root(Arc::clone(c)),
             Parent::Cell(c) => Parent::Cell(Arc::clone(c)),
             Parent::Frame(f) => Parent::Frame(Arc::clone(f)),
             Parent::None => unreachable!("stole a scrubbed frame"),
@@ -1092,7 +1197,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 let owner = frame.owner.load(Ordering::Acquire);
                 // Release: the doorbell; pairs with the owner's AcqRel swap,
                 // which then finds the request above.
-                self.shared.ws_hints[owner].store(true, Ordering::Release);
+                self.shared.slots.ws_hints[owner].store(true, Ordering::Release);
                 tev!(
                     self,
                     Workspace,
@@ -1111,7 +1216,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         // Release: re-rings the doorbell, as above — the
                         // owner may have consumed a hint while a different
                         // region was current.
-                        self.shared.ws_hints[frame.owner.load(Ordering::Acquire)]
+                        self.shared.slots.ws_hints[frame.owner.load(Ordering::Acquire)]
                             .store(true, Ordering::Release);
                         std::thread::yield_now();
                     } else {
@@ -1389,7 +1494,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     fn claim_stolen(&mut self, victim: usize, entry: E) -> Option<Arc<Frame<P>>> {
         let frame = entry.claim();
         if frame.is_some() {
-            self.shared.signals[victim].record_steal_success();
+            self.shared.slots.signals[victim].record_steal_success();
             self.stats.steals_ok += 1;
             tev!(
                 self,
@@ -1431,7 +1536,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// completes the job. One-shot runs pass `None` and exit only on root
     /// completion.
     fn steal_loop(&mut self, abandon: Option<&dyn Fn() -> bool>) {
-        let n = self.shared.deques.len();
+        let n = self.shared.slots.deques.len();
         if n == 1 {
             return;
         }
@@ -1451,7 +1556,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     victim: victim as u32,
                 }
             );
-            match self.shared.deques[victim].steal() {
+            match self.shared.slots.deques[victim].steal() {
                 StealOutcome::Stolen(entry) => {
                     let Some(frame) = self.claim_stolen(victim, entry) else {
                         // Not a failed steal: the victim's deque was not
@@ -1475,7 +1580,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     idle_since = now_if(self.shared.timing);
                 }
                 StealOutcome::Empty => {
-                    let raised = self.shared.signals[victim].record_steal_failure();
+                    let raised = self.shared.slots.signals[victim].record_steal_failure();
                     if raised {
                         tev!(
                             self,
@@ -1521,7 +1626,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
 /// fires, see [`Worker::steal_loop`]). This is the body both [`run_on`]
 /// workers and `JobServer` participants execute — keeping them the same
 /// code path is what makes a single-slot server job bit-identical in
-/// counters to a solo single-thread run.
+/// counters to a solo single-thread run. `scratch` is the worker's to use
+/// for the run and comes back empty (see [`Scratch`]).
 pub(crate) fn participate<'s, 'p, P, E, D>(
     shared: &'s Shared<'p, P, D>,
     slot: usize,
@@ -1529,18 +1635,19 @@ pub(crate) fn participate<'s, 'p, P, E, D>(
     tr: WorkerTracer<'s>,
     lead: bool,
     abandon: Option<&dyn Fn() -> bool>,
+    scratch: &mut Scratch<P>,
 ) -> RunStats
 where
     P: Problem,
     E: DequeEntry<P>,
     D: WsDeque<E>,
 {
-    let mut w = Worker::<P, E, D>::new(shared, slot, rng, tr);
+    let mut w = Worker::<P, E, D>::new(shared, slot, rng, tr, scratch);
     if lead {
         let root_state = shared.problem.get().root();
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
-        let parent = || Parent::Cell(Arc::clone(&shared.root));
+        let parent = || Parent::Root(Arc::clone(&shared.root));
         let root = if shared.mode.clones_per_spawn() {
             w.exec_node(root_state, 0, 0, parent)
         } else {
@@ -1551,7 +1658,7 @@ where
         }
     }
     w.steal_loop(abandon);
-    w.stats
+    w.retire(scratch)
 }
 
 /// Run `problem` under `mode` with the given configuration.
@@ -1622,18 +1729,25 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
 ) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
     cfg.validate()?;
     let threads = cfg.threads;
-    let deques = Shared::<P, D>::deques::<E>(cfg, threads);
-    let shared = Shared::new(ProblemRef::Borrowed(problem), cfg, mode, deques, None);
-    let seeds = Shared::<P, D>::seeds(cfg, threads);
+    let shared = Shared::new(
+        ProblemRef::Borrowed(problem),
+        cfg,
+        mode,
+        Slots::<D>::new::<E>(cfg, threads),
+        RootCell::new(),
+        None,
+    );
 
     let start = Instant::now();
     let per_worker = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
-        for (id, rng) in seeds.into_iter().enumerate() {
+        for (id, rng) in Shared::<P, D>::seeds(cfg).take(threads).enumerate() {
             let shared = &shared;
             let tr = worker_tracer(tracer, id);
-            handles
-                .push(s.spawn(move || participate::<P, E, D>(shared, id, rng, tr, id == 0, None)));
+            handles.push(s.spawn(move || {
+                let scratch = &mut Scratch::default();
+                participate::<P, E, D>(shared, id, rng, tr, id == 0, None, scratch)
+            }));
         }
         handles
             .into_iter()
@@ -1645,6 +1759,29 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
             .collect::<Result<Vec<_>, _>>()
     })?;
     let wall_ns = start.elapsed().as_nanos() as u64;
-    let out = shared.root.wait();
+    let out = shared.root.take();
     Ok((out, RunReport::from_workers(per_worker, wall_ns)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn settling_a_board_lowers_what_thieves_left_raised() {
+        let cfg = Config::new(2).max_stolen_num(1).deque_capacity(4);
+        let board = Slots::<TheDeque<u32>>::new::<u32>(&cfg, 2);
+        assert_eq!(board.len(), 2);
+        board.signals[1].record_steal_failure();
+        assert!(board.signals[1].record_steal_failure(), "raised");
+        // Relaxed: a single-threaded test.
+        board.ws_hints[0].store(true, Ordering::Relaxed);
+        assert!(board.settle::<u32>(), "both deques are empty");
+        assert!(!board.signals[1].needs_task());
+        assert_eq!(board.signals[1].stolen_num(), 0);
+        assert!(!board.ws_hints[0].load(Ordering::Relaxed));
+
+        board.deques[1].push(7).expect("room for one");
+        assert!(!board.settle::<u32>(), "an entry is left in a deque");
+    }
 }

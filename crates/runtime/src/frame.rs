@@ -19,11 +19,11 @@
 //! rule in [`crate::join`]). The frame completes when its holder has
 //! reached the sync *and* every such child has arrived; whoever brings the
 //! cell to zero carries the total one level up, cascading until a frame
-//! still waiting or a root/waiter [`OutCell`] is reached. Suspension at a
-//! `sync` is implicit: the holder releases its tokens with children
-//! outstanding and walks away ([`Outcome::Detached`]), and the last
-//! arriving child performs the completion (the paper's Terminate rule
-//! (3)).
+//! still waiting, the [`RootCell`] or a special task's [`OutCell`] is
+//! reached. Suspension at a `sync` is implicit: the holder releases its
+//! tokens with children outstanding and walks away
+//! ([`Outcome::Detached`]), and the last arriving child performs the
+//! completion (the paper's Terminate rule (3)).
 
 use crate::join::JoinCell;
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -33,15 +33,12 @@ use std::cell::UnsafeCell;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A one-shot result mailbox with blocking wait.
-///
-/// Used for the root task's final result and for the special task's
-/// `sync_specialtask` wait.
+/// The special task's result mailbox: `sync_specialtask` sleeps on it in
+/// bounded naps, so a delivery notifies.
 #[derive(Debug)]
 pub(crate) struct OutCell<O> {
     slot: Mutex<Option<O>>,
     cv: Condvar,
-    done: AtomicBool,
 }
 
 impl<O: Send> OutCell<O> {
@@ -49,7 +46,6 @@ impl<O: Send> OutCell<O> {
         Arc::new(OutCell {
             slot: Mutex::new(None),
             cv: Condvar::new(),
-            done: AtomicBool::new(false),
         })
     }
 
@@ -57,31 +53,12 @@ impl<O: Send> OutCell<O> {
         let mut g = self.slot.lock();
         debug_assert!(g.is_none(), "OutCell delivered twice");
         *g = Some(out);
-        // Release: publishes the output written under the mutex before
-        // `done` flips; pairs with `is_done`'s Acquire.
-        self.done.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
-    /// Non-blocking readiness check (workers poll this to terminate).
-    pub(crate) fn is_done(&self) -> bool {
-        // Acquire: pairs with `deliver`'s Release, so a worker that sees
-        // `done` also sees the delivered value.
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Block until the value arrives.
-    pub(crate) fn wait(&self) -> O {
-        let mut g = self.slot.lock();
-        while g.is_none() {
-            self.cv.wait(&mut g);
-        }
-        g.take().expect("guarded by loop")
-    }
-
-    /// Block for at most `timeout`; `Some` if the value arrived. Used by
-    /// waiters that must keep servicing copy-on-steal workspace requests
-    /// while blocked (see `engine::special_section`).
+    /// Block for at most `timeout`; `Some` if the value arrived. The
+    /// waiter must keep servicing copy-on-steal workspace requests while
+    /// blocked (see `engine::special_section`).
     pub(crate) fn wait_timeout(&self, timeout: Duration) -> Option<O> {
         let mut g = self.slot.lock();
         if g.is_none() {
@@ -91,9 +68,67 @@ impl<O: Send> OutCell<O> {
     }
 }
 
+/// The root task's result cell. Nobody sleeps on it — workers poll
+/// [`is_done`](RootCell::is_done) between steals, and whoever collects the
+/// result does so after it saw `done` or joined the workers — so a
+/// delivery makes no futex call. Reusable: a job-server region keeps one
+/// cell for all the jobs its pool worker leads.
+#[derive(Debug)]
+pub(crate) struct RootCell<O> {
+    slot: Mutex<Option<O>>,
+    done: AtomicBool,
+}
+
+impl<O: Send> RootCell<O> {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(RootCell {
+            slot: Mutex::new(None),
+            done: AtomicBool::new(false),
+        })
+    }
+
+    pub(crate) fn deliver(&self, out: O) {
+        let mut g = self.slot.lock();
+        debug_assert!(g.is_none(), "root cell delivered twice");
+        *g = Some(out);
+        drop(g);
+        // Release: publishes the output written under the mutex before
+        // `done` flips; pairs with `is_done`'s Acquire.
+        self.done.store(true, Ordering::Release);
+    }
+
+    /// Non-blocking readiness check (workers poll this to terminate).
+    pub(crate) fn is_done(&self) -> bool {
+        // Acquire: pairs with `deliver`'s Release, so a worker that sees
+        // `done` also sees the delivered value.
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// The delivered result. `done` stays up: a late joiner of a finished
+    /// job must keep seeing it finished.
+    pub(crate) fn take(&self) -> O {
+        self.slot
+            .lock()
+            .take()
+            .expect("the root result is collected once, after the run")
+    }
+
+    /// Make the cell ready for another run. `false` — and nothing reset —
+    /// if a result is still in it.
+    pub(crate) fn rearm(&mut self) -> bool {
+        let empty = self.slot.get_mut().is_none();
+        if empty {
+            *self.done.get_mut() = false;
+        }
+        empty
+    }
+}
+
 /// Where a frame delivers its completed result.
 pub(crate) enum Parent<P: Problem> {
-    /// A root or special-task waiter mailbox.
+    /// The run's root cell.
+    Root(Arc<RootCell<P::Out>>),
+    /// A special task's waiter mailbox.
     Cell(Arc<OutCell<P::Out>>),
     /// An enclosing frame.
     Frame(Arc<Frame<P>>),
@@ -284,6 +319,10 @@ pub(crate) fn deliver<P: Problem>(parent: Parent<P>, out: P::Out) -> u64 {
     let mut joins = 0;
     loop {
         match current {
+            Parent::Root(cell) => {
+                cell.deliver(value);
+                return joins;
+            }
             Parent::Cell(cell) => {
                 cell.deliver(value);
                 return joins;
@@ -336,38 +375,43 @@ mod tests {
     }
 
     #[test]
-    fn out_cell_roundtrip() {
-        let cell: Arc<OutCell<u64>> = OutCell::new();
+    fn root_cell_roundtrip_and_rearm() {
+        let mut cell: Arc<RootCell<u64>> = RootCell::new();
         assert!(!cell.is_done());
         cell.deliver(42);
         assert!(cell.is_done());
-        assert_eq!(cell.wait(), 42);
+        let cell_mut = Arc::get_mut(&mut cell).expect("unshared");
+        assert!(!cell_mut.rearm(), "a result is still in it");
+        assert_eq!(cell.take(), 42);
+        assert!(cell.is_done(), "taking the result leaves the run finished");
+        assert!(Arc::get_mut(&mut cell).expect("unshared").rearm());
+        assert!(!cell.is_done());
     }
 
     #[test]
     fn frame_completes_after_children_and_continuation() {
-        let cell = OutCell::new();
-        let f = stolen_frame(Parent::Cell(Arc::clone(&cell)));
+        let cell = RootCell::new();
+        let f = stolen_frame(Parent::Root(Arc::clone(&cell)));
         f.join.add_in_flight(); // a second child went asynchronous
         assert_eq!(deliver(Parent::Frame(Arc::clone(&f)), 10), 1);
         assert!(!cell.is_done());
         assert_eq!(release(&f, 0), None); // holder synced, one child pending
         assert!(!cell.is_done());
         deliver(Parent::Frame(f), 5); // last child completes it
-        assert_eq!(cell.wait(), 15);
+        assert_eq!(cell.take(), 15);
     }
 
     #[test]
     fn completion_cascades_through_nested_frames() {
-        let cell = OutCell::new();
-        let top = stolen_frame(Parent::Cell(Arc::clone(&cell)));
+        let cell = RootCell::new();
+        let top = stolen_frame(Parent::Root(Arc::clone(&cell)));
         let mid = stolen_frame(Parent::Frame(Arc::clone(&top)));
         assert_eq!(release(&top, 1), None);
         assert_eq!(release(&mid, 2), None);
         // Completes mid, cascades into top, lands in the cell: two frame
         // cells crossed.
         assert_eq!(deliver(Parent::Frame(mid), 7), 2);
-        assert_eq!(cell.wait(), 10);
+        assert_eq!(cell.take(), 10);
     }
 
     #[test]
@@ -378,15 +422,24 @@ mod tests {
     }
 
     #[test]
-    fn blocking_wait_wakes_from_another_thread() {
+    fn waiter_nap_is_cut_short_by_a_delivery() {
         let cell: Arc<OutCell<u64>> = OutCell::new();
         let c2 = Arc::clone(&cell);
         std::thread::scope(|s| {
             s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                std::thread::sleep(Duration::from_millis(10));
                 c2.deliver(9);
             });
-            assert_eq!(cell.wait(), 9);
+            // Naps far longer than the test may take (a spurious wake-up
+            // starts another): only the notification ends one in time.
+            let t0 = std::time::Instant::now();
+            let out = loop {
+                if let Some(out) = cell.wait_timeout(Duration::from_secs(60)) {
+                    break out;
+                }
+            };
+            assert_eq!(out, 9);
+            assert!(t0.elapsed() < Duration::from_secs(30), "not notified");
         });
     }
 }

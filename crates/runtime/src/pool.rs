@@ -69,6 +69,11 @@ impl<T> Pool<T> {
         }
     }
 
+    /// Drop every pooled object; the pool keeps its slot storage.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+
     /// Objects currently pooled.
     pub fn len(&self) -> usize {
         self.slots.len()

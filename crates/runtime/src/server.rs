@@ -24,21 +24,30 @@
 //!
 //! # Isolation and work sharing
 //!
-//! Each job runs in an engine [`Shared`] region of its own: its own root
-//! frame, `need_task` signals and per-slot `RunStats`, around deques it
-//! *leases* from the pool worker that leads it. That worker keeps the
-//! deques of the last job it led and hands them to the next job of the
-//! same deque type, capacity and slot count; any other job builds its own,
-//! as a solo run does. A deque goes back into the lease only after every
-//! slot has been checked empty at the job's terminal — the join implies
-//! it, and the check is asserted — so between jobs a leased deque holds
-//! nothing. The "job id tag" on deque entries and signals is therefore
-//! still structural: an entry physically cannot migrate across jobs,
-//! because no other job's workers ever probe these deques *while this job
-//! runs*, and nothing is left in them for the job that leases them next.
-//! (The fence-free backend is never leased: its log is append-only, so a
-//! lease would grow with every job and keep every stale entry
-//! extractable.)
+//! Each job runs in an engine [`Shared`] of its own — its own problem
+//! reference, cancel token and per-slot `RunStats` — built on an engine
+//! *region* it leases from the pool worker that leads it: the slot board
+//! (one deque, one `need_task` signal and one copy-on-steal doorbell per
+//! slot), the root cell, and the lead worker's scratch (trail, spine and
+//! the slot vectors of its two pools). The worker builds a region once and
+//! every job it leads after that runs on it, as long as the key stays the
+//! same: problem and deque type, `deque_capacity`, `max_stolen_num` and
+//! slot count. Any other job drops what is held and builds its own, as a
+//! solo run does.
+//!
+//! What is kept is storage, never content. At a job's terminal, with every
+//! participant gone, the signals and doorbells thieves may have left raised
+//! are lowered, the pools are emptied — their frames and workspaces dropped,
+//! so `frame_reuse`, `state_reuse` and `allocations` of the next job are
+//! those of a cold solo run — and the rest is checked, and asserted, to be
+//! what the join implies: every deque empty, trail and spine empty, the
+//! root cell empty and referenced by nobody else. Only then is the region
+//! kept. The "job id tag" on deque entries and signals is therefore still
+//! structural: an entry physically cannot migrate across jobs, because no
+//! other job's workers ever probe these deques *while this job runs*, and
+//! nothing is left in them for the job that leases them next. (A fence-free
+//! board is never kept: its log is append-only, so it would grow with every
+//! job and keep every stale entry extractable.)
 //!
 //! By default a job runs entirely on the pool worker that claimed it (lead
 //! at job slot 0) and asks for no team — no slot board, no shared stats —
@@ -53,7 +62,7 @@
 //! # Who frees what, and who is woken
 //!
 //! The problem is freed by the thread that built it: the [`JobHandle`]
-//! keeps a reference to it, and the lead drops the engine region — and with
+//! keeps a reference to it, and the lead drops the job's `Shared` — and with
 //! it the pool's reference — *before* it publishes the outcome, so the last
 //! reference normally dies in [`JobHandle::wait`] on the submitting side
 //! (a detached handle leaves the free to the worker). Nobody is notified
@@ -61,8 +70,8 @@
 //! [`ParkGate`] counts one parked, and a terminal wakes a waiter only when
 //! the [`OutcomeGate`] says one registered.
 
-use crate::engine::{participate, DequeEntry, FfEntry, Mode, ProblemRef, Shared};
-use crate::frame::Frame;
+use crate::engine::{participate, DequeEntry, FfEntry, Mode, ProblemRef, Scratch, Shared, Slots};
+use crate::frame::{Frame, RootCell};
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
 };
@@ -380,7 +389,7 @@ trait QueuedJob: Send + Sync + 'static {
         ctx: &Arc<ServerCtx>,
         worker: usize,
         tracer: TracerRef<'_>,
-        lease: &mut DequeLease,
+        lease: &mut RegionLease,
     );
 }
 
@@ -418,7 +427,7 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
         ctx: &Arc<ServerCtx>,
         worker: usize,
         tracer: TracerRef<'_>,
-        lease: &mut DequeLease,
+        lease: &mut RegionLease,
     ) {
         let problem = self.problem.lock().take().expect("a job is led once");
         if !self.shared.lifecycle.claim() {
@@ -447,28 +456,97 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
     }
 }
 
-/// The deques a pool worker keeps between the jobs it leads (see the
-/// [module docs](self)): what the last job it led handed back, keyed by
-/// the deques' concrete type, their capacity and their number.
-#[derive(Default)]
-struct DequeLease {
-    /// `Config::deque_capacity` the deques were built at, and the
-    /// `Vec<D>` itself.
-    held: Option<(usize, Box<dyn Any>)>,
+/// What a pool worker keeps of the engine between the jobs it leads (see
+/// the [module docs](self)): the slot board, the root cell and the lead
+/// worker's scratch, built once and used by every job of the same key —
+/// this type, `Config::deque_capacity`, `Config::max_stolen_num` and the
+/// slot count.
+struct Region<P: Problem, D> {
+    capacity: usize,
+    max_stolen_num: u32,
+    /// Out while a job runs on it; a job that does not hand it back — a
+    /// joiner still held it, it was not clean, or its deques are
+    /// fence-free — leaves the region without one, and the next job builds
+    /// afresh.
+    slots: Option<Slots<D>>,
+    root: Arc<RootCell<P::Out>>,
+    scratch: Scratch<P>,
 }
 
-impl DequeLease {
-    /// The held deques, if they are `slots` deques of type `D` built at
-    /// `capacity`; whatever else is held is dropped.
-    fn take<D: 'static>(&mut self, capacity: usize, slots: usize) -> Option<Vec<D>> {
-        let (built_at, held) = self.held.take()?;
-        let deques = held.downcast::<Vec<D>>().ok()?;
-        (built_at == capacity && deques.len() == slots).then_some(*deques)
+impl<P: Problem, D> Region<P, D> {
+    fn new<E>(cfg: &Config, slots: usize) -> Self
+    where
+        E: Send,
+        D: WsDeque<E>,
+    {
+        Region {
+            capacity: cfg.deque_capacity,
+            max_stolen_num: cfg.max_stolen_num,
+            slots: Some(Slots::new::<E>(cfg, slots)),
+            root: RootCell::new(),
+            scratch: Scratch::default(),
+        }
     }
 
-    /// Keep `deques`, every one of them empty, for the next job.
-    fn put<D: 'static>(&mut self, capacity: usize, deques: Vec<D>) {
-        self.held = Some((capacity, Box::new(deques)));
+    fn fits(&self, cfg: &Config, slots: usize) -> bool {
+        self.capacity == cfg.deque_capacity
+            && self.max_stolen_num == cfg.max_stolen_num
+            && self.slots.as_ref().is_some_and(|s| s.len() == slots)
+    }
+
+    /// Take the board of a finished job back. Whether the region is as a
+    /// fresh one again — which the join implies: every deque empty, trail,
+    /// spine and pools empty, the root cell empty and nobody else's — and
+    /// only then is the board kept, unless its deques are fence-free: their
+    /// log is append-only, so a kept one would grow with every job and keep
+    /// every stale entry extractable. No board (a joiner's snapshot still
+    /// holds it) is nothing to check and nothing to keep.
+    fn hand_back<E>(&mut self, board: Option<Slots<D>>) -> bool
+    where
+        E: Send,
+        D: WsDeque<E>,
+    {
+        let Some(board) = board else {
+            return true;
+        };
+        let clean = board.settle::<E>()
+            && self.scratch.is_empty()
+            && Arc::get_mut(&mut self.root).is_some_and(RootCell::rearm);
+        if clean && !D::CAN_DUPLICATE {
+            self.slots = Some(board);
+        }
+        clean
+    }
+}
+
+/// The one region a pool worker holds, whatever its type.
+#[derive(Default)]
+struct RegionLease {
+    held: Option<Box<dyn Any>>,
+}
+
+impl RegionLease {
+    /// The held region if it fits `cfg` and `slots` — a hit, `true`;
+    /// otherwise whatever is held is dropped and a fresh one built in its
+    /// place.
+    fn region<P, E, D>(&mut self, cfg: &Config, slots: usize) -> (&mut Region<P, D>, bool)
+    where
+        P: Problem + 'static,
+        E: Send,
+        D: WsDeque<E> + 'static,
+    {
+        let hit = self
+            .held
+            .as_ref()
+            .and_then(|held| held.downcast_ref::<Region<P, D>>())
+            .is_some_and(|region| region.fits(cfg, slots));
+        if !hit {
+            // Dropped before its replacement is built, not after.
+            self.held = None;
+            self.held = Some(Box::new(Region::<P, D>::new::<E>(cfg, slots)));
+        }
+        let region = self.held.as_mut().and_then(|held| held.downcast_mut());
+        (region.expect("just found or built"), hit)
     }
 }
 
@@ -553,6 +631,7 @@ where
             tr,
             false,
             Some(&abandon),
+            &mut Scratch::default(),
         );
         jmark(
             tracer,
@@ -578,6 +657,7 @@ fn lead_slot<P, E, D>(
     rng: XorShift64,
     worker: usize,
     tracer: TracerRef<'_>,
+    scratch: &mut Scratch<P>,
 ) -> RunStats
 where
     P: Problem + 'static,
@@ -587,15 +667,15 @@ where
     let job = id as u32;
     jmark(tracer, worker, Ev::JobBegin { job, slot: 0 });
     let tr = worker_tracer(tracer, worker);
-    let stats = participate::<P, E, D>(eng, 0, rng, tr, true, None);
+    let stats = participate::<P, E, D>(eng, 0, rng, tr, true, None, scratch);
     jmark(tracer, worker, Ev::JobEnd { job });
     stats
 }
 
 /// Lead a multi-slot job: put up its slot board (registered for joiners
 /// under work sharing), run slot 0, and collect every slot's stats. Returns
-/// the result, the region's deques unless a joiner's snapshot still holds
-/// the board, and the per-slot stats.
+/// the result, the region's slot board unless a joiner's snapshot still
+/// holds the team, and the per-slot stats.
 fn lead_team<P, E, D>(
     eng: Shared<'static, P, D>,
     seeds: Vec<XorShift64>,
@@ -603,7 +683,8 @@ fn lead_team<P, E, D>(
     ctx: &Arc<ServerCtx>,
     worker: usize,
     tracer: TracerRef<'_>,
-) -> (P::Out, Option<Vec<D>>, Vec<RunStats>)
+    scratch: &mut Scratch<P>,
+) -> (P::Out, Option<Slots<D>>, Vec<RunStats>)
 where
     P: Problem + 'static,
     E: DequeEntry<P> + 'static,
@@ -625,7 +706,8 @@ where
         ctx.active.lock().push(team.clone());
         ctx.wake(true);
     }
-    let lead_stats = lead_slot::<P, E, D>(&team.eng, id, team.seeds[0].clone(), worker, tracer);
+    let rng = team.seeds[0].clone();
+    let lead_stats = lead_slot::<P, E, D>(&team.eng, id, rng, worker, tracer, scratch);
     team.stats[0].lock().merge(&lead_stats);
     if ctx.work_sharing {
         ctx.active.lock().retain(|j| j.id() != id);
@@ -640,11 +722,11 @@ where
         std::thread::yield_now();
     }
     let per_slot = team.stats.iter().map(|m| m.lock().clone()).collect();
-    let out = team.eng.root.wait();
-    // A worker that snapshotted `active` may still hold the board; then
-    // the region goes when it lets go, and its deques are not leased.
-    let deques = Arc::try_unwrap(team).ok().map(|t| t.eng.into_deques());
-    (out, deques, per_slot)
+    let out = team.eng.root.take();
+    // A worker that snapshotted `active` may still hold the team; then the
+    // region goes when it lets go, and its board is not leased.
+    let board = Arc::try_unwrap(team).ok().map(|t| t.eng.into_slots());
+    (out, board, per_slot)
 }
 
 /// Lead a claimed job to its terminal state on the calling worker.
@@ -654,7 +736,7 @@ fn run_job<P, E, D>(
     ctx: &Arc<ServerCtx>,
     worker: usize,
     tracer: TracerRef<'_>,
-    lease: &mut DequeLease,
+    lease: &mut RegionLease,
 ) where
     P: Problem + 'static,
     E: DequeEntry<P> + 'static,
@@ -665,41 +747,44 @@ fn run_job<P, E, D>(
     // still derives from cfg.threads (see Shared::new), so clamping only
     // bounds parallelism, never changes the task-creation frontier.
     let slots = cfg.threads.min(ctx.workers).max(1);
-    let t0 = Instant::now();
-    let deques = lease
-        .take::<D>(cfg.deque_capacity, slots)
-        .unwrap_or_else(|| Shared::<P, D>::deques::<E>(cfg, slots));
+    let (region, hit) = lease.region::<P, E, D>(cfg, slots);
+    let counter = if hit {
+        &ctx.lease_hits
+    } else {
+        &ctx.lease_misses
+    };
+    // Relaxed: a `ServerStats` counter; the snapshot is advisory.
+    counter.fetch_add(1, Ordering::Relaxed);
+    let board = region.slots.take().expect("a fitting region has its board");
     let eng = Shared::new(
         ProblemRef::Owned(problem),
         cfg,
         job.mode,
-        deques,
+        board,
+        Arc::clone(&region.root),
         Some(shared.cancel.clone()),
     );
-    let mut seeds = Shared::<P, D>::seeds(cfg, slots);
-    let (out, deques, per_slot) = if slots == 1 {
+    let mut seeds = Shared::<P, D>::seeds(cfg);
+    // The job's clock starts where a solo run's does: the region exists.
+    let t0 = Instant::now();
+    let scratch = &mut region.scratch;
+    let (out, board, per_slot) = if slots == 1 {
         // A single-slot job asks for no team, so it gets none: no slot
-        // board, no registration, the lead's stats are the job's.
-        let rng = seeds.pop().expect("one slot, one seed");
-        let stats = lead_slot::<P, E, D>(&eng, shared.id, rng, worker, tracer);
-        (eng.root.wait(), Some(eng.into_deques()), vec![stats])
+        // board registered, the lead's stats are the job's.
+        let rng = seeds.next().expect("the seed stream is endless");
+        let stats = lead_slot::<P, E, D>(&eng, shared.id, rng, worker, tracer, scratch);
+        (eng.root.take(), Some(eng.into_slots()), vec![stats])
     } else {
-        lead_team::<P, E, D>(eng, seeds, shared.id, ctx, worker, tracer)
+        let seeds = seeds.take(slots).collect();
+        lead_team::<P, E, D>(eng, seeds, shared.id, ctx, worker, tracer, scratch)
     };
     let report = RunReport::from_workers(per_slot, t0.elapsed().as_nanos() as u64);
-    // The region — and with it the pool's reference to the problem — is
-    // gone; what is left of the job on this worker is its deques. The join
-    // implies they are empty, and only empty deques are leased on: anything
-    // else is dropped here and reported below, after the client has its
-    // outcome.
-    let clean = deques
-        .as_ref()
-        .is_none_or(|d| d.iter().all(WsDeque::is_empty));
-    match deques {
-        Some(deques) if clean && !D::CAN_DUPLICATE => lease.put(cfg.deque_capacity, deques),
-        // Not empty, never leased (fence-free), or a joiner's to drop.
-        _ => {}
-    }
+    // The engine's `Shared` — and with it the pool's reference to the
+    // problem — is gone; what is left of the job on this worker is what the
+    // region keeps. The join implies it is as a fresh one, and only then is
+    // it leased on: anything else is dropped here and reported below, after
+    // the client has its outcome.
+    let clean = region.hand_back::<E>(board);
     let cancelled = shared.cancel.get();
     shared.lifecycle.finish(cancelled);
     // Count before publishing: `publish` releases the waiter, and callers
@@ -718,7 +803,8 @@ fn run_job<P, E, D>(
     }
     assert!(
         clean,
-        "job {} reached its terminal with entries left in its deques",
+        "job {} reached its terminal with something left in its region: \
+         a deque entry, a trail or spine entry, or a root cell still in use",
         shared.id
     );
 }
@@ -746,6 +832,8 @@ struct ServerCtx {
     jobs_rejected: AtomicU64,
     parks: AtomicU64,
     wakes: AtomicU64,
+    lease_hits: AtomicU64,
+    lease_misses: AtomicU64,
     workers: usize,
     work_sharing: bool,
 }
@@ -782,6 +870,8 @@ impl ServerCtx {
             rejected: self.jobs_rejected.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             wakes: self.wakes.load(Ordering::Relaxed),
+            lease_hits: self.lease_hits.load(Ordering::Relaxed),
+            lease_misses: self.lease_misses.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
             active_jobs: self.active.lock().len(),
             workers: self.workers,
@@ -807,6 +897,14 @@ pub struct ServerStats {
     /// workers parked and notified them — at most once per park. A pool
     /// that keeps up with its clients shows few of either.
     pub wakes: u64,
+    /// Jobs led on the engine region their pool worker kept from the job
+    /// before (see the [module docs](self)).
+    pub lease_hits: u64,
+    /// Jobs whose lead built their region: a worker's first job, a job of
+    /// another problem or deque type, deque capacity, `max_stolen_num` or
+    /// slot count than the one before it, the job after one that did not
+    /// hand its region back, and every job on fence-free deques.
+    pub lease_misses: u64,
     /// Submissions currently waiting in the queue (advisory, summed over
     /// priority lanes).
     pub queue_depth: usize,
@@ -852,6 +950,8 @@ impl JobServer {
             jobs_rejected: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
+            lease_hits: AtomicU64::new(0),
+            lease_misses: AtomicU64::new(0),
             workers,
             work_sharing: cfg.work_sharing,
         });
@@ -1011,7 +1111,7 @@ impl JobServer {
         // terminal state, so drain inline on this thread (the pool is
         // joined — worker id 0's trace ring has a single producer again).
         let tracer: TracerRef<'_> = self.collector.as_deref();
-        let mut lease = DequeLease::default();
+        let mut lease = RegionLease::default();
         while let Some((_prio, job)) = self.ctx.queue.try_pop() {
             job.lead(&self.ctx, 0, tracer, &mut lease);
         }
@@ -1041,7 +1141,7 @@ impl Drop for JobServer {
 /// One pool worker: lead queued jobs; otherwise join active jobs (work
 /// sharing); otherwise park.
 fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
-    let mut lease = DequeLease::default();
+    let mut lease = RegionLease::default();
     loop {
         let tracer = collector.as_deref();
         if let Some((_prio, job)) = ctx.queue.try_pop() {
@@ -1189,24 +1289,69 @@ mod tests {
     }
 
     #[test]
-    fn lease_hands_back_only_what_matches_its_key() {
-        let held = |cap| vec![TheDeque::<u32>::new(cap), TheDeque::<u32>::new(cap)];
-        let mut lease = DequeLease::default();
-        assert!(lease.take::<TheDeque<u32>>(8, 2).is_none(), "nothing held");
-        lease.put(8, held(8));
-        assert_eq!(lease.take::<TheDeque<u32>>(8, 2).map(|d| d.len()), Some(2));
-        assert!(lease.take::<TheDeque<u32>>(8, 2).is_none(), "taken is gone");
-        // Another capacity, slot count or deque type misses, and a miss
-        // drops what was held.
-        for miss in 0..3 {
-            lease.put(8, held(8));
-            match miss {
-                0 => assert!(lease.take::<TheDeque<u32>>(16, 2).is_none()),
-                1 => assert!(lease.take::<TheDeque<u32>>(8, 1).is_none()),
-                _ => assert!(lease.take::<ChaseLevDeque<u32>>(8, 2).is_none()),
-            }
-            assert!(lease.held.is_none(), "a miss keeps nothing");
+    fn region_lease_hands_back_only_what_matches_its_key() {
+        type E<P> = Arc<Frame<P>>;
+        type The<P> = TheDeque<E<P>>;
+        fn hit<P: Problem + 'static, D: WsDeque<E<P>> + 'static>(
+            lease: &mut RegionLease,
+            cfg: &Config,
+            slots: usize,
+        ) -> bool {
+            lease.region::<P, E<P>, D>(cfg, slots).1
         }
+        let cfg = Config::new(2).deque_capacity(8);
+        let mut lease = RegionLease::default();
+        assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "nothing held");
+        assert!(hit::<Tern, The<Tern>>(&mut lease, &cfg, 2));
+        // Every part of the key misses on its own, and a miss keeps nothing
+        // of what was held: going back to the first key misses again.
+        for part in 0..5 {
+            let missed = match part {
+                0 => hit::<Tern, The<Tern>>(&mut lease, &cfg.clone().deque_capacity(16), 2),
+                1 => hit::<Tern, The<Tern>>(&mut lease, &cfg.clone().max_stolen_num(3), 2),
+                2 => hit::<Tern, The<Tern>>(&mut lease, &cfg, 1),
+                3 => hit::<Tern, ChaseLevDeque<E<Tern>>>(&mut lease, &cfg, 2),
+                _ => hit::<LogTern, The<LogTern>>(&mut lease, &cfg, 2),
+            };
+            assert!(!missed, "key part {part} did not miss");
+            assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "part {part}");
+            assert!(hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "part {part}");
+        }
+
+        // A board that is out, or came back with an entry in a deque, is
+        // not leased on; one that came back clean is.
+        let (region, _) = lease.region::<Tern, E<Tern>, The<Tern>>(&cfg, 2);
+        let board = region.slots.take().expect("held with its board");
+        assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "board is out");
+        let (region, _) = lease.region::<Tern, E<Tern>, The<Tern>>(&cfg, 2);
+        assert!(region.hand_back::<E<Tern>>(Some(board)));
+        assert!(hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "clean board");
+
+        let (region, _) = lease.region::<Tern, E<Tern>, The<Tern>>(&cfg, 2);
+        let root = Arc::clone(&region.root);
+        let board = region.slots.take().expect("held with its board");
+        let eng = Shared::new(
+            ProblemRef::Owned(Arc::new(Tern { h: 1 })),
+            &cfg,
+            Mode::Cilk,
+            board,
+            root,
+            None,
+        );
+        let board = eng.into_slots();
+        region.root.deliver(7);
+        assert!(
+            !region.hand_back::<E<Tern>>(Some(board)),
+            "result not taken"
+        );
+        assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "dirty region");
+
+        // Fence-free boards are never kept, clean or not.
+        type Ff = FenceFreeDeque<FfEntry<Tern>>;
+        let (region, _) = lease.region::<Tern, FfEntry<Tern>, Ff>(&cfg, 2);
+        let board = region.slots.take();
+        assert!(region.hand_back::<FfEntry<Tern>>(board));
+        assert!(!lease.region::<Tern, FfEntry<Tern>, Ff>(&cfg, 2).1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! Figures 6 and 7.
 
 use crate::engine::{lap, now_if};
-use crate::frame::OutCell;
+use crate::frame::RootCell;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, Ordering};
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
@@ -55,7 +55,7 @@ struct RequestBox<P: Problem> {
 struct Shared<'p, P: Problem> {
     problem: &'p P,
     boxes: Vec<RequestBox<P>>,
-    root: Arc<OutCell<P::Out>>,
+    root: Arc<RootCell<P::Out>>,
     timing: bool,
 }
 
@@ -369,7 +369,7 @@ pub fn run<P: Problem>(
                 slot: Mutex::new(None),
             })
             .collect(),
-        root: OutCell::new(),
+        root: RootCell::new(),
         timing: cfg.timing,
     };
     let mut seeder = XorShift64::new(cfg.seed);
@@ -409,6 +409,6 @@ pub fn run<P: Problem>(
             .collect::<Result<Vec<_>, _>>()
     })?;
     let wall_ns = start.elapsed().as_nanos() as u64;
-    let out = shared.root.wait();
+    let out = shared.root.take();
     Ok((out, RunReport::from_workers(per_worker, wall_ns)))
 }

@@ -3,9 +3,11 @@
 //!
 //! * the **problem** is freed by the thread that holds the handle, exactly
 //!   once, whatever becomes of the submission;
-//! * a pool worker's **leased deques** carry nothing from one job into the
-//!   next — through a cancellation, an overflowing capacity and a change
-//!   of backend, every completed job stays bit-identical to its solo run;
+//! * a pool worker's **leased engine region** carries nothing from one job
+//!   into the next — through a cancellation, an overflowing capacity and a
+//!   change of problem type, signal threshold or backend, every completed
+//!   job stays bit-identical to its solo run, and the region is kept
+//!   exactly when its key says so;
 //! * **nobody is woken who is not asleep**: a flooded pool issues almost
 //!   no wake-ups, a parked one gets a real wake-up and not the timeout.
 
@@ -13,6 +15,8 @@ use adaptivetc_suite::core::{Config, DequeBackend, Expansion, Problem};
 use adaptivetc_suite::runtime::{
     CancelOutcome, JobOutcome, JobServer, Mode, Priority, RejectReason, Scheduler, ServerConfig,
 };
+use adaptivetc_suite::workloads::fig1::Fig1Tree;
+use adaptivetc_suite::workloads::nqueens::NqueensArray;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
@@ -249,54 +253,99 @@ fn rejected_problem_comes_back_undropped() {
 }
 
 // ---------------------------------------------------------------------------
-// The leased deques
+// The leased region
 // ---------------------------------------------------------------------------
 
-/// One pool worker leads the whole sequence, so every job but the first
-/// meets the lease: same-type jobs borrow the deques of the job before,
-/// the job after a mid-flight cancellation borrows the cancelled job's,
-/// a two-slot capacity, another backend and another slot count each miss
-/// and rebuild. Whatever the lease did, every completed job's report is
-/// bit-identical to its solo run.
-#[test]
-fn leased_deques_carry_nothing_from_job_to_job() {
-    fn scheduler(mode: Mode) -> Scheduler {
-        match mode {
+/// The lease walk on one backend: every job runs solo and on `server`,
+/// the two must be bit-identical, and the job must have met the lease as
+/// its step says.
+struct Walk<'a> {
+    server: &'a JobServer,
+    backend: DequeBackend,
+}
+
+impl Walk<'_> {
+    /// `kept`: whether the region of the job before serves this one —
+    /// which it never does on fence-free deques.
+    fn job<P: Problem<Out = u64> + 'static>(
+        &self,
+        step: &str,
+        make: impl Fn() -> P,
+        cfg: Config,
+        mode: Mode,
+        kept: bool,
+    ) -> adaptivetc_suite::core::RunReport {
+        let ctx = format!("{} / {step}", self.backend.name());
+        let hit = kept && self.backend != DequeBackend::FenceFree;
+        let scheduler = match mode {
             Mode::Cilk => Scheduler::Cilk,
             _ => Scheduler::AdaptiveTc,
-        }
+        };
+        let (solo_out, solo) = scheduler.run(&make(), &cfg).expect("solo run");
+        let hits = self.server.stats().lease_hits;
+        let h = self
+            .server
+            .submit(make(), cfg, mode, Priority::Normal)
+            .expect("submit");
+        let (out, report) = completed(h.wait());
+        assert_eq!(out, solo_out, "{ctx}: result diverged");
+        assert_bit_identical(&ctx, &report, &solo);
+        assert_eq!(
+            self.server.stats().lease_hits - hits,
+            u64::from(hit),
+            "{ctx}: lease hits"
+        );
+        report
     }
+}
+
+/// One pool worker leads the whole sequence, so every job but the first
+/// meets the lease. A job of the key of the job before it is served by the
+/// kept region — also after a mid-flight cancellation and after
+/// overflowing deques; another problem type, signal threshold, deque
+/// capacity or backend misses and builds afresh (as every job on
+/// fence-free deques does). Whatever the lease did, every completed job's
+/// report is bit-identical to its solo run.
+#[test]
+fn leased_deques_carry_nothing_from_job_to_job() {
     for backend in DequeBackend::ALL {
         let other = DequeBackend::ALL
             .into_iter()
             .find(|b| *b != backend)
             .expect("there are four backends");
         let server = JobServer::new(ServerConfig::new(1));
-        let run = |step: &str, height: u32, tag: u32, cfg: Config, mode: Mode| {
-            let ctx = format!("{} / {step}", backend.name());
-            let (solo_out, solo) = scheduler(mode)
-                .run(&Bush::new(height, tag), &cfg)
-                .expect("solo run");
-            let h = server
-                .submit(Bush::new(height, tag), cfg, mode, Priority::Normal)
-                .expect("submit");
-            let (out, report) = completed(h.wait());
-            assert_eq!(out, solo_out, "{ctx}: result diverged");
-            assert_bit_identical(&ctx, &report, &solo);
-            report
+        let w = Walk {
+            server: &server,
+            backend,
         };
         let base = || Config::new(1).backend(backend);
+        let bush = |tag| move || Bush::new(7, tag);
+        let adaptive = Mode::Adaptive;
 
-        run("first", 7, 1, base().seed(1), Mode::Adaptive);
-        run("same type", 7, 2, base().seed(2), Mode::Adaptive);
+        w.job("first", bush(1), base().seed(1), adaptive, false);
+        w.job("same type", bush(2), base().seed(2), adaptive, true);
+
+        // Another problem type on the same backend is another region.
+        w.job("fig1", Fig1Tree::new, base(), adaptive, false);
+        w.job("fig1 again", Fig1Tree::new, base(), adaptive, true);
+        w.job("nqueens", || NqueensArray::new(6), base(), adaptive, false);
+        w.job("fig1 after nqueens", Fig1Tree::new, base(), adaptive, false);
+        w.job("back to bush", bush(3), base().seed(3), adaptive, false);
+
+        // The signals are built at `max_stolen_num`.
+        let eager = || base().max_stolen_num(3);
+        w.job("max_stolen_num 3", bush(4), eager(), adaptive, false);
+        w.job("max_stolen_num 3 again", bush(5), eager(), adaptive, true);
+        w.job("max_stolen_num back", bush(6), base(), adaptive, false);
 
         // Cancelled mid-flight: pruned, partial counters, and whatever it
-        // had pushed is popped again before its terminal.
+        // had pushed is popped again before its terminal — the region it
+        // ran on serves the next job.
         let gate = Arc::new(Gate::default());
         let h = server
             .submit(
-                Bush::new(9, 3).gated(&gate),
-                base().seed(3),
+                Bush::new(9, 7).gated(&gate),
+                base().seed(7),
                 Mode::Cilk,
                 Priority::Normal,
             )
@@ -308,43 +357,43 @@ fn leased_deques_carry_nothing_from_job_to_job() {
             JobOutcome::Cancelled { report } => assert!(report.is_some(), "it had started"),
             JobOutcome::Completed { .. } => panic!("{}: cancel lost", backend.name()),
         }
-        run("after a cancel", 7, 4, base().seed(4), Mode::Adaptive);
+        w.job("after a cancel", bush(8), base().seed(8), adaptive, true);
 
         // Two slots of capacity: Cilk pushes at every level, so the
         // fixed-size backend overflows and runs the children inline.
-        let tiny = run("capacity 2", 7, 5, base().deque_capacity(2), Mode::Cilk);
+        let tiny = || base().deque_capacity(2);
+        let report = w.job("capacity 2", bush(9), tiny(), Mode::Cilk, false);
         if backend == DequeBackend::The {
             assert!(
-                tiny.stats.deque_overflows > 0,
+                report.stats.deque_overflows > 0,
                 "capacity 2 never overflowed"
             );
         }
-        run(
-            "capacity 2 again",
-            7,
-            6,
-            base().deque_capacity(2),
-            Mode::Cilk,
-        );
+        w.job("capacity 2 again", bush(10), tiny(), Mode::Cilk, true);
 
-        run(
-            "other backend",
-            7,
-            7,
-            Config::new(1).backend(other),
-            Mode::Adaptive,
+        let elsewhere = Config::new(1).backend(other);
+        w.job("other backend", bush(13), elsewhere, adaptive, false);
+        w.job(
+            "first type again",
+            bush(14),
+            base().seed(14),
+            adaptive,
+            false,
         );
-        run("same type again", 7, 8, base().seed(8), Mode::Adaptive);
-        run("and again", 7, 9, base().seed(9), Mode::Adaptive);
+        w.job("and again", bush(15), base().seed(15), adaptive, true);
 
         let stats = server.shutdown().stats;
-        assert_eq!((stats.completed, stats.cancelled), (8, 1));
+        assert_eq!((stats.completed, stats.cancelled), (16, 1));
+        assert_eq!(stats.lease_hits + stats.lease_misses, 17);
     }
 }
 
-/// The same with a team in the mix: on a two-worker work-sharing pool a
-/// two-slot job (scheduling-dependent counters: result and node count
-/// only) runs between single-slot jobs that must stay bit-identical.
+/// The same with teams in the mix: on a two-worker work-sharing pool two
+/// two-slot jobs (scheduling-dependent counters: result and node count
+/// only) run between single-slot jobs that must stay bit-identical. A
+/// team is what leaves `need_task` signals and doorbells raised at its
+/// terminal; the second one runs on the first one's board whenever the
+/// same worker leads both and no joiner's snapshot kept the board.
 #[test]
 fn a_two_slot_job_between_leases_leaves_no_trace() {
     for backend in DequeBackend::ALL {
@@ -370,20 +419,23 @@ fn a_two_slot_job_between_leases_leaves_no_trace() {
             assert_eq!(out, solo_out, "{ctx}: result diverged");
             assert_bit_identical(&ctx, &report, &solo);
 
-            let h = server
-                .submit(
-                    Bush::new(9, 2),
-                    Config::new(2).backend(backend),
-                    Mode::Adaptive,
-                    Priority::Normal,
-                )
-                .expect("submit");
-            let (out, report) = completed(h.wait());
-            assert_eq!(out, team_out, "{ctx}: team result diverged");
-            assert_eq!(report.threads, 2, "{ctx}: two job slots");
-            assert_eq!(report.stats.nodes, team_ref.stats.nodes, "{ctx}: nodes");
+            for _ in 0..2 {
+                let h = server
+                    .submit(
+                        Bush::new(9, 2),
+                        Config::new(2).backend(backend),
+                        Mode::Adaptive,
+                        Priority::Normal,
+                    )
+                    .expect("submit");
+                let (out, report) = completed(h.wait());
+                assert_eq!(out, team_out, "{ctx}: team result diverged");
+                assert_eq!(report.threads, 2, "{ctx}: two job slots");
+                assert_eq!(report.stats.nodes, team_ref.stats.nodes, "{ctx}: nodes");
+            }
         }
-        server.shutdown();
+        let stats = server.shutdown().stats;
+        assert_eq!(stats.lease_hits + stats.lease_misses, 18);
     }
 }
 
@@ -425,6 +477,11 @@ fn a_flooded_pool_is_hardly_ever_woken() {
     }
     let stats = server.shutdown().stats;
     assert_eq!(stats.submitted, JOBS as u64);
+    assert_eq!(
+        (stats.lease_hits, stats.lease_misses),
+        (JOBS as u64 - 1, 1),
+        "one region serves a stream of jobs of one type"
+    );
     assert!(
         stats.wakes * 8 <= stats.submitted,
         "{} wakes for {} submissions ({} parks)",
