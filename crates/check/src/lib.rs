@@ -18,7 +18,7 @@
 //!   pinned-schedule regression replay;
 //! * `signal_delivery.rs` — `need_task` delivery and acknowledgement;
 //! * `fsm_transition.rs` — the fast→check→fast_2 walk of a miniature
-//!   worker (driven by `adaptivetc_runtime::fsm`) under a concurrent
+//!   worker (driven by `adaptivetc_strategy::fsm`) under a concurrent
 //!   thief;
 //! * `jobserver_submit.rs` — the job-server submission kernel
 //!   (`runtime/src/submit.rs`, included below): no lost submission, no

@@ -1,6 +1,6 @@
 //! Bounded model checking of the fast→check→fast_2 transition: a
 //! miniature adaptive worker — driven by the FSM kernel the threaded
-//! engine uses (`adaptivetc_runtime::fsm`) and the task rule both engines
+//! engine uses (`adaptivetc_strategy::fsm`) and the task rule both engines
 //! execute (`CutoffController::real_task`) — walks fake tasks, reacts to a
 //! concurrent starving thief via the real `NeedTask` signal, and hands a
 //! child over through the real THE deque's special-task protocol. Every
@@ -9,7 +9,7 @@
 use adaptivetc_check::signal::NeedTask;
 use adaptivetc_check::the::{PopSpecial, StealOutcome, TheDeque};
 use adaptivetc_check::{explore, Config};
-use adaptivetc_runtime::fsm::{self, Version};
+use adaptivetc_strategy::fsm::{self, Version};
 use adaptivetc_strategy::CutoffController;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};

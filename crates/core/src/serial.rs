@@ -14,7 +14,7 @@ use std::time::Instant;
 pub struct SerialReport {
     /// Tree nodes visited (leaves + interior).
     pub nodes: u64,
-    /// Leaf nodes visited.
+    /// Leaf nodes visited (`Expansion::Leaf`; a dead end is interior).
     pub leaves: u64,
     /// Maximum depth reached (root = 0).
     pub max_depth: u32,
@@ -73,14 +73,9 @@ fn visit<P: Problem>(
             out
         }
         Expansion::Children(choices) => {
+            // A dead end (no legal moves) is an interior node like any
+            // other: it reduces to the identity and is not a leaf.
             let mut acc = P::Out::identity();
-            if choices.is_empty() {
-                // A dead end: an interior node with no legal moves counts as
-                // a leaf contributing the identity (a failed backtracking
-                // branch).
-                report.leaves += 1;
-                return acc;
-            }
             for c in choices {
                 problem.apply(state, c);
                 acc.combine(visit(problem, state, depth + 1, report));
@@ -185,7 +180,7 @@ mod tests {
         let (out, r) = run(&DeadEnd);
         assert_eq!(out, 0);
         assert_eq!(r.nodes, 1);
-        assert_eq!(r.leaves, 1);
+        assert_eq!(r.leaves, 0, "a dead end is not a leaf");
     }
 
     #[test]

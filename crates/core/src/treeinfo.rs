@@ -37,7 +37,7 @@ use crate::problem::{Expansion, Problem};
 pub struct TreeInfo {
     /// Total node count.
     pub size: u64,
-    /// Leaf node count (includes dead-end interior nodes with no choices).
+    /// Leaf node count (`Expansion::Leaf`; a dead end is interior).
     pub leaves: u64,
     /// Maximum depth (root = 0).
     pub depth: u32,
@@ -60,9 +60,6 @@ impl TreeInfo {
             }
             Expansion::Children(choices) => {
                 info.size = 1;
-                if choices.is_empty() {
-                    info.leaves = 1;
-                }
                 for c in choices {
                     problem.apply(&mut state, c);
                     let (sz, lv, dp) = subtree(problem, &mut state, 1);
@@ -103,9 +100,6 @@ fn subtree<P: Problem>(problem: &P, state: &mut P::State, depth: u32) -> (u64, u
     match problem.expand(state, depth) {
         Expansion::Leaf(_) => (1, 1, depth),
         Expansion::Children(choices) => {
-            if choices.is_empty() {
-                return (1, 1, depth);
-            }
             let mut size = 1;
             let mut leaves = 0;
             let mut max_depth = depth;

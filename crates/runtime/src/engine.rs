@@ -94,11 +94,14 @@
 //! workspace), each such clone seeding a fresh in-place region.
 //!
 //! Which of the two disciplines a run uses is a function of its [`Mode`]
-//! alone ([`Mode::clones_per_spawn`]), read where a worker enters a frame
+//! alone ([`Kernel::copies_per_spawn`]), read where a worker enters a frame
 //! from outside — the root task and a stolen continuation.
+//!
+//! Every scheduling decision is the worker's [`Kernel`]'s
+//! (`adaptivetc-strategy`), the same code the simulator runs; this module
+//! is the mechanism around it: deques, frames, atomics and the clock.
 
 use crate::frame::{deliver, Frame, OutCell, Outcome, Parent, RootCell};
-use crate::fsm;
 use crate::pool::Pool;
 use crate::submit::CancelToken;
 use crate::sync::{AtomicBool, Ordering};
@@ -109,7 +112,8 @@ use adaptivetc_core::{
 use adaptivetc_deque::{
     ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
 };
-use adaptivetc_strategy::{CutoffController, HARD_STEAL_STREAK};
+use adaptivetc_strategy::fsm::Version;
+use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, Tune};
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::marker::PhantomData;
@@ -128,33 +132,6 @@ const BACKOFF_SPIN_LIMIT: u32 = 6;
 /// How long a special task's sync wait sleeps between servicing rounds of
 /// pending copy-on-steal workspace requests.
 const WS_SERVICE_WAIT: Duration = Duration::from_micros(50);
-
-/// Which scheduling policy the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Mode {
-    /// Work-first Cilk: every spawn is a task with a workspace copy.
-    Cilk,
-    /// Cilk with `SYNCHED`-style workspace buffer reuse.
-    CilkSynched,
-    /// Fixed cut-off, sequential (copy-free) recursion below it
-    /// ("Cutoff-programmer").
-    CutoffSequence,
-    /// Fixed cut-off, but workspace copies at every node below it
-    /// ("Cutoff-library").
-    CutoffCopy,
-    /// The AdaptiveTC five-version state machine.
-    Adaptive,
-}
-
-impl Mode {
-    /// Whether every spawn clones the taskprivate workspace (the paper's
-    /// Cilk baselines). Every other mode runs children in place and copies
-    /// on steal.
-    #[inline]
-    fn clones_per_spawn(self) -> bool {
-        matches!(self, Mode::Cilk | Mode::CilkSynched)
-    }
-}
 
 /// How a frame travels through a deque backend.
 ///
@@ -254,17 +231,6 @@ impl<P: Problem> DequeEntry<P> for FfEntry<P> {
             .ok()?;
         Some(frame)
     }
-}
-
-/// The code-version regime a frame's children are spawned under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Regime {
-    /// fast / slow versions: cut-off = `cutoff`; beyond it, the check
-    /// version.
-    Fast,
-    /// fast_2 version: cut-off = `2 * cutoff`; beyond it, the sequence
-    /// version.
-    Fast2,
 }
 
 /// How the engine's shared state holds the problem: borrowed for the
@@ -383,7 +349,7 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
             slots,
             root,
             mode,
-            cutoff: cfg.cutoff_depth().max(1),
+            cutoff: cfg.cutoff_depth(),
             timing: cfg.timing,
             cancel,
         }
@@ -466,11 +432,9 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     shared: &'s Shared<'p, P, D>,
     id: usize,
     stats: RunStats,
-    rng: XorShift64,
-    /// This worker's private cut-off controller, resting at
-    /// `shared.cutoff`. Consulted and fed under [`Mode::Adaptive`] only;
-    /// mutating it never touches shared memory.
-    cutoff_ctl: CutoffController,
+    /// This worker's scheduling decisions; private, so taking one never
+    /// touches shared memory.
+    kernel: Kernel,
     /// Recycled workspace buffers (all copying modes except `Cilk`).
     freelist: Pool<P::State>,
     /// Recycled shells of frames that completed without ever being
@@ -510,11 +474,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             spine,
         } = std::mem::take(scratch);
         Worker {
-            cutoff_ctl: CutoffController::new(shared.cutoff),
+            kernel: Kernel::new(shared.mode, shared.cutoff, rng),
             shared,
             id,
             stats: RunStats::default(),
-            rng,
             freelist,
             frames,
             trail,
@@ -768,22 +731,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         claimed
     }
 
-    /// Does a child at task depth `tdepth` run as a task (with a frame)?
-    fn task_mode(&self, tdepth: u32, regime: Regime) -> bool {
-        match self.shared.mode {
-            Mode::Cilk | Mode::CilkSynched => true,
-            Mode::CutoffSequence | Mode::CutoffCopy => tdepth < self.shared.cutoff,
-            // At rest this is `tdepth < cutoff`, doubled in fast_2; under
-            // pressure the controller may have raised the cutoff.
-            Mode::Adaptive => self
-                .cutoff_ctl
-                .real_task(tdepth, matches!(regime, Regime::Fast2)),
-        }
-    }
-
     /// The Cilk baselines' node execution: every node with children becomes
     /// a task that owns its workspace. Reached only under
-    /// [`Mode::clones_per_spawn`]; all other modes run
+    /// [`Kernel::copies_per_spawn`]; all other modes run
     /// [`Worker::exec_node_inplace`]. `parent` is called only if the node
     /// gets a frame: a leaf costs its spawner no reference count.
     fn exec_node(
@@ -980,28 +930,27 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         match self.problem().expand(state, logical) {
             Expansion::Leaf(out) => Outcome::Done(out),
             Expansion::Children(choices) => {
-                if self.task_mode(tdepth, regime) {
+                if self.kernel.real_task(tdepth, regime) {
                     let frame = self.make_frame(parent(), None, choices, logical, tdepth);
-                    self.frame_loop_inplace(frame, state, regime, false)
-                } else {
-                    Outcome::Done(match (self.shared.mode, regime) {
-                        (Mode::CutoffCopy, _) => self.sequence_copy(state, logical, choices),
-                        // Appendix C: the check version recurses into the
-                        // check version at every depth; only fast_2 falls
-                        // through to the sequence version.
-                        (Mode::Adaptive, Regime::Fast) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast,
-                                    to: Fs::Check,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.check(state, logical, choices)
-                        }
-                        (Mode::Adaptive, Regime::Fast2) => {
+                    return self.frame_loop_inplace(frame, state, regime, false);
+                }
+                Outcome::Done(match self.kernel.fallthrough(regime) {
+                    Fallthrough::SequenceCopy => self.sequence_copy(state, logical, choices),
+                    Fallthrough::Check => {
+                        tev!(
+                            self,
+                            Fsm,
+                            Ev::Fsm {
+                                from: Fs::Fast,
+                                to: Fs::Check,
+                                depth: tdepth,
+                            }
+                        );
+                        self.check(state, logical, choices)
+                    }
+                    Fallthrough::Sequence => {
+                        // Cutoff-programmer's recursion is no FSM edge.
+                        if regime == Regime::Fast2 {
                             tev!(
                                 self,
                                 Fsm,
@@ -1011,16 +960,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                                     depth: tdepth,
                                 }
                             );
-                            self.sequence(state, logical, choices)
                         }
-                        // Cutoff-programmer. The Cilk baselines share the
-                        // arm only for exhaustiveness: they are always in
-                        // task mode and never run in place.
-                        (Mode::CutoffSequence | Mode::Cilk | Mode::CilkSynched, _) => {
-                            self.sequence(state, logical, choices)
-                        }
-                    })
-                }
+                        self.sequence(state, logical, choices)
+                    }
+                })
             }
         }
     }
@@ -1147,7 +1090,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // The victim's child still owns the in-flight token the frame was
         // pushed under; the children spawned from here need their own.
         frame.join.add_in_flight();
-        let outcome = if self.shared.mode.clones_per_spawn() {
+        let outcome = if self.kernel.copies_per_spawn() {
             self.frame_loop(frame, true)
         } else {
             let mut ws = self.obtain_ws(&frame);
@@ -1286,27 +1229,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         acc
     }
 
-    /// Feed the cut-off controller at a `need_task` poll. Every input is
-    /// a value this worker already owns or reads relaxed on the existing
-    /// poll path — no new fences. A pressured poll is a raise signal; a
-    /// calm poll feeds the decay loop (the occupancy read happens only
-    /// while the cutoff is actually boosted).
-    fn cutoff_poll(&mut self, pressured: bool) {
-        let tuned = if pressured {
-            self.cutoff_ctl.on_pressure()
-        } else if self.cutoff_ctl.boosted() {
-            let occupancy = self.my_deque().len();
-            self.cutoff_ctl.on_calm_poll(occupancy)
-        } else {
-            None
-        };
-        self.note_cutoff(tuned, pressured);
-    }
-
-    /// Record the controller's answer: `Some(eff)` if the effective
-    /// cut-off moved (to `eff`), `None` if it stayed put.
-    fn note_cutoff(&mut self, tuned: Option<u32>, up: bool) {
-        if let Some(eff) = tuned {
+    /// Record a cut-off move the kernel reports.
+    fn note_tune(&mut self, tune: Option<Tune>) {
+        if let Some(Tune { eff, up }) = tune {
             self.stats.cutoff_adjustments += 1;
             tev!(self, Strategy, Ev::CutoffTune { eff, up });
         }
@@ -1324,9 +1249,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             // The need_task poll doubles as the cancellation poll.
             return P::Out::identity();
         }
-        let pressured = self.my_signal().needs_task();
-        self.cutoff_poll(pressured);
-        if fsm::after_poll(pressured) == fsm::Version::Check {
+        let slots = &self.shared.slots;
+        let (next, tune) = self
+            .kernel
+            .check_poll(slots.signals[self.id].needs_task(), || {
+                slots.deques[self.id].len()
+            });
+        self.note_tune(tune);
+        if next == Version::Check {
             self.stats.fake_tasks += 1;
             tev!(self, Fake, Ev::FakeTask { depth: logical });
             let mut acc = P::Out::identity();
@@ -1461,33 +1391,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         out
     }
 
-    /// Pick a victim uniformly at random, never this worker itself and —
-    /// when at least three workers exist, so a choice remains — never
-    /// `avoid` (the victim that just reported an empty deque).
-    fn random_victim(&mut self, n: usize, avoid: Option<usize>) -> usize {
-        match avoid {
-            Some(av) if n >= 3 && av != self.id => {
-                let mut v = self.rng.below_usize(n - 2);
-                // Remap over the two excluded ids in ascending order.
-                let (lo, hi) = (self.id.min(av), self.id.max(av));
-                if v >= lo {
-                    v += 1;
-                }
-                if v >= hi {
-                    v += 1;
-                }
-                v
-            }
-            _ => {
-                let mut v = self.rng.below_usize(n - 1);
-                if v >= self.id {
-                    v += 1;
-                }
-                v
-            }
-        }
-    }
-
     /// Claim an entry just extracted from `victim`'s deque and record the
     /// outcome: a successful steal, or — multiplicity backends only — a
     /// duplicate of an entry some other extraction already claimed.
@@ -1516,16 +1419,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         frame
     }
 
-    /// Steal until the root result is ready.
+    /// Steal until the root result is ready, from the victims the kernel
+    /// picks.
     ///
     /// Idle thieves back off exponentially: after the k-th consecutive
     /// failed round a thief spins `2^k` pause hints (capped at
     /// `2^BACKOFF_SPIN_LIMIT`), then starts yielding the CPU between
     /// attempts. Any success resets the back-off, so a thief that finds
-    /// work is immediately aggressive again. A victim that just reported
-    /// an empty deque is never re-probed on the immediately following
-    /// attempt (a wasted probe that would also inflate the idle victim's
-    /// `stolen_num`).
+    /// work is immediately aggressive again.
     ///
     /// `abandon` is the job-server joiner hook: a worker that volunteered
     /// into another job's free slot consults it after every *failed* round
@@ -1542,13 +1443,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
         let mut idle_since = now_if(self.shared.timing);
         let mut backoff = 0u32;
-        let mut last_empty: Option<usize> = None;
-        // Consecutive failed probes since the last success: a steal that
-        // lands only after a long streak is a task-scarcity signal for
-        // the cutoff controller.
-        let mut fail_streak = 0u32;
         while !self.shared.root.is_done() {
-            let victim = self.random_victim(n, last_empty);
+            let victim = self.kernel.victim(self.id, n);
             tev!(
                 self,
                 Steal,
@@ -1564,15 +1460,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         // signal should react — just retry.
                         continue;
                     };
-                    // Only AdaptiveTC reads the controller's cut-off, so
-                    // only it reports scarcity to it.
-                    if fail_streak >= HARD_STEAL_STREAK && self.shared.mode == Mode::Adaptive {
-                        let tuned = self.cutoff_ctl.on_pressure();
-                        self.note_cutoff(tuned, true);
-                    }
-                    fail_streak = 0;
+                    let tune = self.kernel.on_steal();
+                    self.note_tune(tune);
                     backoff = 0;
-                    last_empty = None;
                     lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
                     // The slow version: resume the stolen continuation under
                     // fast/check rules.
@@ -1598,8 +1488,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                             victim: victim as u32
                         }
                     );
-                    fail_streak = fail_streak.saturating_add(1);
-                    last_empty = Some(victim);
+                    self.kernel.on_steal_empty(victim);
                     if backoff < BACKOFF_SPIN_LIMIT {
                         for _ in 0..(1u32 << backoff) {
                             std::hint::spin_loop();
@@ -1648,7 +1537,7 @@ where
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
         let parent = || Parent::Root(Arc::clone(&shared.root));
-        let root = if shared.mode.clones_per_spawn() {
+        let root = if w.kernel.copies_per_spawn() {
             w.exec_node(root_state, 0, 0, parent)
         } else {
             w.run_region(root_state, 0, 0, parent, Regime::Fast)

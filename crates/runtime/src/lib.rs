@@ -46,7 +46,6 @@
 
 mod engine;
 mod frame;
-pub mod fsm;
 mod join;
 pub mod pool;
 pub mod server;
@@ -55,14 +54,16 @@ pub(crate) mod sync;
 pub mod tascell;
 mod trace;
 
-pub use engine::{run_traced, Mode};
+pub use adaptivetc_strategy::{fsm, Mode};
+pub use engine::run_traced;
 pub use server::{
     JobHandle, JobOutcome, JobServer, RejectReason, ServerConfig, ServerReport, ServerStats,
     SubmitError,
 };
 pub use submit::{CancelOutcome, JobStatus, Priority};
 
-use adaptivetc_core::{serial, Config, CutoffPolicy, Problem, RunReport, RunStats, SchedulerError};
+use adaptivetc_core::{serial, Config, Problem, RunReport, RunStats, SchedulerError};
+use adaptivetc_strategy::Policy;
 
 /// A scheduling policy from the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,31 +98,23 @@ impl Scheduler {
         ]
     }
 
-    /// A short display name matching the paper's figure legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheduler::Serial => "Serial",
-            Scheduler::Cilk => "Cilk",
-            Scheduler::CilkSynched => "Cilk-SYNCHED",
-            Scheduler::Tascell => "Tascell",
-            Scheduler::CutoffProgrammer(_) => "Cutoff-programmer",
-            Scheduler::CutoffLibrary => "Cutoff-library",
-            Scheduler::AdaptiveTc => "AdaptiveTC",
-        }
+    /// The parallel policy this scheduler runs; `None` for the serial
+    /// baseline.
+    fn policy(&self) -> Option<Policy> {
+        Some(match self {
+            Scheduler::Serial => return None,
+            Scheduler::Cilk => Policy::Cilk,
+            Scheduler::CilkSynched => Policy::CilkSynched,
+            Scheduler::Tascell => Policy::Tascell,
+            Scheduler::CutoffProgrammer(d) => Policy::CutoffProgrammer(*d),
+            Scheduler::CutoffLibrary => Policy::CutoffLibrary,
+            Scheduler::AdaptiveTc => Policy::AdaptiveTc,
+        })
     }
 
-    /// The engine mode and effective configuration this policy runs
-    /// under, or `None` for the two schedulers that bypass the engine.
-    fn on_engine(&self, cfg: &Config) -> Option<(Mode, Config)> {
-        let (mode, cutoff) = match self {
-            Scheduler::Serial | Scheduler::Tascell => return None,
-            Scheduler::Cilk => (Mode::Cilk, cfg.cutoff),
-            Scheduler::CilkSynched => (Mode::CilkSynched, cfg.cutoff),
-            Scheduler::CutoffProgrammer(d) => (Mode::CutoffSequence, CutoffPolicy::Fixed(*d)),
-            Scheduler::CutoffLibrary => (Mode::CutoffCopy, CutoffPolicy::Auto),
-            Scheduler::AdaptiveTc => (Mode::Adaptive, cfg.cutoff),
-        };
-        Some((mode, cfg.clone().cutoff(cutoff)))
+    /// A short display name matching the paper's figure legends.
+    pub fn name(&self) -> &'static str {
+        self.policy().map_or("Serial", |p| p.name())
     }
 
     /// Execute `problem` under this policy.
@@ -152,7 +145,7 @@ impl Scheduler {
         problem: &P,
         cfg: &Config,
     ) -> Result<(P::Out, RunReport, Option<adaptivetc_trace::Trace>), SchedulerError> {
-        if let Some((mode, cfg)) = self.on_engine(cfg) {
+        if let Some((mode, cfg)) = self.policy().and_then(|p| p.on_engine(cfg)) {
             return engine::run_traced(problem, &cfg, mode);
         }
         let (out, report) = match self {

@@ -70,13 +70,14 @@
 //! [`ParkGate`] counts one parked, and a terminal wakes a waiter only when
 //! the [`OutcomeGate`] says one registered.
 
-use crate::engine::{participate, DequeEntry, FfEntry, Mode, ProblemRef, Scratch, Shared, Slots};
+use crate::engine::{participate, DequeEntry, FfEntry, ProblemRef, Scratch, Shared, Slots};
 use crate::frame::{Frame, RootCell};
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
 };
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
+use crate::Mode;
 use adaptivetc_core::{
     Config, ConfigError, DequeBackend, Problem, RunReport, RunStats, XorShift64,
 };

@@ -20,6 +20,7 @@ use crate::frame::RootCell;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, Ordering};
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
+use adaptivetc_strategy::{tascell_give, uniform_victim};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -224,8 +225,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         let child_logical = _logical - path.len() as u32 + 1;
         let handed_choices: Vec<P::Choice> = {
             let f = &mut self.stack[level];
-            let remaining = f.choices.len() - f.next;
-            let give = (remaining / 2).max(1);
+            let give = tascell_give(f.choices.len() - f.next);
             f.choices.drain(f.choices.len() - give..).collect()
         };
         let t0 = now_if(self.shared.timing);
@@ -287,13 +287,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                     .store(false, Ordering::Relaxed);
             }
 
-            let victim = {
-                let mut v = self.rng.below_usize(n - 1);
-                if v >= self.id {
-                    v += 1;
-                }
-                v
-            };
+            let victim = uniform_victim(&mut self.rng, self.id, n);
             let vbox = &self.shared.boxes[victim];
             // Relaxed: the flag CAS only arbitrates requesters (one request
             // per victim at a time); the request itself is written under

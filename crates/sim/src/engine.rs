@@ -8,62 +8,22 @@
 //! special-task section). A binary heap of `(virtual time, sequence,
 //! worker)` events drives the interleaving deterministically; every costed
 //! activity advances only the acting worker's clock.
+//!
+//! Every scheduling decision is the virtual worker's [`Kernel`]'s
+//! (`adaptivetc-strategy`), the same code the threaded engine runs; this
+//! module supplies the deques, frames and virtual time.
 
 use crate::cost::CostModel;
 use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
-use adaptivetc_strategy::{CutoffController, HARD_STEAL_STREAK};
+use adaptivetc_strategy::fsm::Version;
+use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, Tune};
 use adaptivetc_trace::EventKind as Ev;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
-
-/// Scheduling policies the simulator can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Policy {
-    /// Work-first Cilk: every spawn is a task with a workspace copy.
-    Cilk,
-    /// Cilk with workspace-buffer reuse (allocation cost elided).
-    CilkSynched,
-    /// Fixed cut-off with copy-free sequential recursion below.
-    CutoffProgrammer(u32),
-    /// Runtime cut-off (`⌈log₂ N⌉`) with a workspace copy at every
-    /// sequential node.
-    CutoffLibrary,
-    /// The AdaptiveTC five-version state machine.
-    AdaptiveTc,
-    /// Tascell request-driven backtracking (its own interpreter).
-    Tascell,
-}
-
-impl Policy {
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::Cilk => "Cilk",
-            Policy::CilkSynched => "Cilk-SYNCHED",
-            Policy::CutoffProgrammer(_) => "Cutoff-programmer",
-            Policy::CutoffLibrary => "Cutoff-library",
-            Policy::AdaptiveTc => "AdaptiveTC",
-            Policy::Tascell => "Tascell",
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Regime {
-    Fast,
-    Fast2,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeqKind {
-    Plain,
-    Copy,
-    Check,
-}
 
 struct FrameMut {
     next: usize,
@@ -92,6 +52,15 @@ impl Frame {
                 acc: 0,
             }),
         })
+    }
+
+    /// One expected arrival, carrying `value`: the frame's total once
+    /// nothing is outstanding any more.
+    fn arrive(&self, value: u64) -> Option<u64> {
+        let mut m = self.m.borrow_mut();
+        m.acc += value;
+        m.outstanding -= 1;
+        (m.outstanding == 0).then_some(m.acc)
     }
 }
 
@@ -126,9 +95,8 @@ enum Entry {
         node: u32,
         kid: usize,
         acc: u64,
-        kind: SeqKind,
-        /// Task depth of `node` (meaningful for `SeqKind::Check`, whose band
-        /// is bounded by `2 * cutoff`).
+        kind: Fallthrough,
+        /// Task depth of `node`.
         tdepth: u32,
         out: Deliver,
     },
@@ -170,13 +138,8 @@ struct WorkerSim {
     deque: VecDeque<DqEntry>,
     stolen_num: u32,
     need_task: bool,
-    /// Worker-private cut-off controller, consulted and fed under
-    /// `Policy::AdaptiveTc` only, as in the threaded engine.
-    cutoff_ctl: CutoffController,
-    /// Consecutive failed steal probes since this worker's last success.
-    fail_streak: u32,
+    kernel: Kernel,
     stats: RunStats,
-    rng: XorShift64,
     state: WState,
     /// Pending wake value for a special-task sync.
     wake: Option<(u64, Deliver)>,
@@ -190,17 +153,9 @@ struct WorkerSim {
 pub(crate) struct Sim<'t> {
     tree: &'t SimTree,
     cost: CostModel,
-    policy: Policy,
-    cutoff: u32,
+    mode: Mode,
     /// Failed steals against one victim before its `need_task` is raised.
     max_stolen: u32,
-    /// Copy-on-steal workspaces: spawns skip the eager clone; thieves pay
-    /// one materialisation copy per stolen frame instead. A function of
-    /// the policy alone, as in the threaded engine: the cut-off and
-    /// AdaptiveTC policies, never the eager-cloning Cilk baselines. The
-    /// owner-side region seals around special sections are not modelled —
-    /// they are a liveness device, not a steady-state cost.
-    cos: bool,
     /// The deque backend being simulated. The sim's deques are exact
     /// (`VecDeque`) regardless — multiplicity and the claim layer are a
     /// memory-protocol concern, not a virtual-time one — but the owner's
@@ -223,24 +178,18 @@ impl<'t> Sim<'t> {
         tree: &'t SimTree,
         cfg: &Config,
         cost: CostModel,
-        policy: Policy,
+        mode: Mode,
         tracer: SimTracer<'t>,
     ) -> Self {
         let mut seeder = XorShift64::new(cfg.seed);
-        let cutoff = match policy {
-            Policy::CutoffProgrammer(d) => d.max(1),
-            _ => cfg.cutoff_depth().max(1),
-        };
         let workers = (0..cfg.threads)
             .map(|_| WorkerSim {
                 stack: Vec::new(),
                 deque: VecDeque::new(),
                 stolen_num: 0,
                 need_task: false,
-                cutoff_ctl: CutoffController::new(cutoff),
-                fail_streak: 0,
+                kernel: Kernel::new(mode, cfg.cutoff_depth(), seeder.split()),
                 stats: RunStats::default(),
-                rng: seeder.split(),
                 state: WState::Active,
                 wake: None,
                 wait_out: None,
@@ -249,17 +198,11 @@ impl<'t> Sim<'t> {
                 epoch: 0,
             })
             .collect();
-        let cos = matches!(
-            policy,
-            Policy::AdaptiveTc | Policy::CutoffProgrammer(_) | Policy::CutoffLibrary
-        );
         Sim {
             tree,
             cost,
-            policy,
-            cutoff,
+            mode,
             max_stolen: cfg.max_stolen_num,
-            cos,
             backend: cfg.backend,
             workers,
             heap: BinaryHeap::new(),
@@ -277,37 +220,9 @@ impl<'t> Sim<'t> {
         self.heap.push(Reverse((at, self.seq, wid, epoch)));
     }
 
-    fn task_mode(&self, wid: usize, tdepth: u32, regime: Regime) -> bool {
-        match self.policy {
-            Policy::Cilk | Policy::CilkSynched => true,
-            Policy::CutoffProgrammer(_) | Policy::CutoffLibrary => tdepth < self.cutoff,
-            // Mirrors the threaded engine: at rest this is exactly the
-            // fast / fast_2 cutoff pair on `self.cutoff`.
-            Policy::AdaptiveTc => self.workers[wid]
-                .cutoff_ctl
-                .real_task(tdepth, matches!(regime, Regime::Fast2)),
-            Policy::Tascell => unreachable!("Tascell runs in its own interpreter"),
-        }
-    }
-
-    /// Which sequential version a non-task node runs: the check version
-    /// recurses at every depth in the fast regime (Appendix C); the fast_2
-    /// regime falls through to the sequence version.
-    fn seq_kind(&self, regime: Regime) -> SeqKind {
-        match self.policy {
-            Policy::CutoffProgrammer(_) => SeqKind::Plain,
-            Policy::CutoffLibrary => SeqKind::Copy,
-            Policy::AdaptiveTc => match regime {
-                Regime::Fast => SeqKind::Check,
-                Regime::Fast2 => SeqKind::Plain,
-            },
-            _ => unreachable!("Cilk-style policies never leave task mode"),
-        }
-    }
-
     /// The paper's workspace copy, charged and recorded.
     fn charge_copy(&mut self, wid: usize, bytes: u64) -> u64 {
-        let alloc = self.policy != Policy::CilkSynched;
+        let alloc = self.mode != Mode::CilkSynched;
         let ns = self.cost.copy_ns(bytes, alloc);
         let st = &mut self.workers[wid].stats;
         st.copies += 1;
@@ -351,21 +266,13 @@ impl<'t> Sim<'t> {
                     self.schedule(target, at);
                     return;
                 }
-                Deliver::Frame(f) => {
-                    let completed = {
-                        let mut m = f.m.borrow_mut();
-                        m.acc += value;
-                        m.outstanding -= 1;
-                        (m.outstanding == 0).then_some(m.acc)
-                    };
-                    match completed {
-                        Some(v) => {
-                            value = v;
-                            out = f.parent.clone();
-                        }
-                        None => return,
+                Deliver::Frame(f) => match f.arrive(value) {
+                    Some(v) => {
+                        value = v;
+                        out = f.parent.clone();
                     }
-                }
+                    None => return,
+                },
             }
         }
     }
@@ -400,50 +307,21 @@ impl<'t> Sim<'t> {
                 regime,
                 out,
             } => {
-                let mut cost = self.cost.work_ns(self.tree.work(node));
+                let cost = self.cost.work_ns(self.tree.work(node));
                 self.workers[wid].stats.nodes += 1;
                 self.workers[wid].stats.time.busy_ns += cost;
                 if self.tree.is_leaf(node) {
                     self.deliver(out, 1, wid);
                     return Flow::Pay(cost);
                 }
-                if self.task_mode(wid, tdepth, regime) {
+                let kernel = &self.workers[wid].kernel;
+                if kernel.real_task(tdepth, regime) {
                     let frame = Frame::new(node, tdepth, out);
                     self.workers[wid].stack.push(Entry::Loop { frame, regime });
                     return Flow::Pay(cost);
                 }
-                match self.seq_kind(regime) {
-                    SeqKind::Check => {
-                        cost += self.poll(wid);
-                        if self.take_need_task(wid) {
-                            cost += self.start_special(wid, node, tdepth, out);
-                        } else {
-                            self.workers[wid].stats.fake_tasks += 1;
-                            sev!(self, wid, Ev::FakeTask { depth: tdepth });
-                            self.workers[wid].stack.push(Entry::SeqLoop {
-                                node,
-                                kid: 0,
-                                acc: 0,
-                                kind: SeqKind::Check,
-                                tdepth,
-                                out,
-                            });
-                        }
-                    }
-                    kind => {
-                        self.workers[wid].stats.fake_tasks += 1;
-                        sev!(self, wid, Ev::FakeTask { depth: tdepth });
-                        self.workers[wid].stack.push(Entry::SeqLoop {
-                            node,
-                            kid: 0,
-                            acc: 0,
-                            kind,
-                            tdepth,
-                            out,
-                        });
-                    }
-                }
-                Flow::Pay(cost)
+                let kind = kernel.fallthrough(regime);
+                Flow::Pay(cost + self.enter_inline(wid, node, tdepth, kind, out))
             }
 
             Entry::SeqLoop {
@@ -471,46 +349,14 @@ impl<'t> Sim<'t> {
                 let mut cost = self.cost.work_ns(self.tree.work(child));
                 self.workers[wid].stats.nodes += 1;
                 self.workers[wid].stats.time.busy_ns += cost;
-                if kind == SeqKind::Copy {
+                if kind == Fallthrough::SequenceCopy {
                     cost += self.charge_copy(wid, self.tree.bytes(node));
                 }
                 if self.tree.is_leaf(child) {
                     self.deliver(Deliver::Below, 1, wid);
                     return Flow::Pay(cost);
                 }
-                let child_kind = kind;
-                match child_kind {
-                    SeqKind::Check => {
-                        cost += self.poll(wid);
-                        if self.take_need_task(wid) {
-                            cost += self.start_special(wid, child, tdepth + 1, Deliver::Below);
-                        } else {
-                            self.workers[wid].stats.fake_tasks += 1;
-                            sev!(self, wid, Ev::FakeTask { depth: tdepth + 1 });
-                            self.workers[wid].stack.push(Entry::SeqLoop {
-                                node: child,
-                                kid: 0,
-                                acc: 0,
-                                kind: child_kind,
-                                tdepth: tdepth + 1,
-                                out: Deliver::Below,
-                            });
-                        }
-                    }
-                    _ => {
-                        self.workers[wid].stats.fake_tasks += 1;
-                        sev!(self, wid, Ev::FakeTask { depth: tdepth + 1 });
-                        self.workers[wid].stack.push(Entry::SeqLoop {
-                            node: child,
-                            kid: 0,
-                            acc: 0,
-                            kind: child_kind,
-                            tdepth: tdepth + 1,
-                            out: Deliver::Below,
-                        });
-                    }
-                }
-                Flow::Pay(cost)
+                Flow::Pay(cost + self.enter_inline(wid, child, tdepth + 1, kind, Deliver::Below))
             }
 
             Entry::Loop { frame, regime } => {
@@ -540,13 +386,16 @@ impl<'t> Sim<'t> {
                         }
                         let tdepth = frame.tdepth + 1;
                         sev!(self, wid, Ev::Spawn { depth: tdepth });
-                        if self.cos {
-                            // The child borrows the live workspace; the
-                            // clone is deferred to a thief, if any.
+                        if self.workers[wid].kernel.copies_per_spawn() {
+                            cost += self.charge_copy(wid, self.tree.bytes(frame.node));
+                        } else {
+                            // Copy-on-steal: the child borrows the live
+                            // workspace; the clone is deferred to a thief,
+                            // if any. (The owner-side region seals around
+                            // special sections are a liveness device, not
+                            // a steady-state cost, and are not modelled.)
                             self.workers[wid].stats.workspace_copies_saved += 1;
                             sev!(self, wid, Ev::CopySaved);
-                        } else {
-                            cost += self.charge_copy(wid, self.tree.bytes(frame.node));
                         }
                         let parent = Deliver::Frame(Rc::clone(&frame));
                         if stealable {
@@ -577,12 +426,7 @@ impl<'t> Sim<'t> {
                         Flow::Pay(cost)
                     }
                     None => {
-                        let completed = {
-                            let mut m = frame.m.borrow_mut();
-                            m.outstanding -= 1;
-                            (m.outstanding == 0).then_some(m.acc)
-                        };
-                        if let Some(v) = completed {
+                        if let Some(v) = frame.arrive(0) {
                             self.deliver(frame.parent.clone(), v, wid);
                         } else {
                             self.workers[wid].stats.suspensions += 1;
@@ -653,12 +497,7 @@ impl<'t> Sim<'t> {
                     Flow::Pay(cost)
                 } else {
                     // sync_specialtask.
-                    let completed = {
-                        let mut m = sframe.m.borrow_mut();
-                        m.outstanding -= 1;
-                        (m.outstanding == 0).then_some(m.acc)
-                    };
-                    match completed {
+                    match sframe.arrive(0) {
                         Some(v) => {
                             self.deliver(out, v, wid);
                             Flow::Free
@@ -696,40 +535,58 @@ impl<'t> Sim<'t> {
         }
     }
 
-    fn poll(&mut self, wid: usize) -> u64 {
-        let w = &mut self.workers[wid];
-        w.stats.polls += 1;
-        w.stats.time.poll_ns += self.cost.poll_ns;
-        self.cost.poll_ns
-    }
-
-    /// Record the controller's answer, mirroring the threaded engine's
-    /// `note_cutoff`.
-    fn note_cutoff(&mut self, wid: usize, tuned: Option<u32>, up: bool) {
-        if let Some(eff) = tuned {
+    /// Record a cut-off move the kernel reports.
+    fn note_tune(&mut self, wid: usize, tune: Option<Tune>) {
+        if let Some(Tune { eff, up }) = tune {
             self.workers[wid].stats.cutoff_adjustments += 1;
             sev!(self, wid, Ev::CutoffTune { eff, up });
         }
     }
 
-    /// The check version's `need_task` poll: feed the cut-off controller,
-    /// and acknowledge a raised signal.
-    fn take_need_task(&mut self, wid: usize) -> bool {
-        let w = &mut self.workers[wid];
-        let pressured = w.need_task;
-        let tuned = if pressured {
-            w.need_task = false;
-            w.stolen_num = 0;
-            w.cutoff_ctl.on_pressure()
-        } else {
-            w.cutoff_ctl.on_calm_poll(w.deque.len())
-        };
-        self.note_cutoff(wid, tuned, pressured);
-        pressured
+    /// Enter an interior node that is not a real task, as `kind`: the
+    /// check version polls `need_task` first and may divert into a
+    /// special task; otherwise the node is a fake task whose children a
+    /// `SeqLoop` walks. Returns the cost beyond the node's own work.
+    fn enter_inline(
+        &mut self,
+        wid: usize,
+        node: u32,
+        tdepth: u32,
+        kind: Fallthrough,
+        out: Deliver,
+    ) -> u64 {
+        let mut cost = 0;
+        if kind == Fallthrough::Check {
+            cost = self.cost.poll_ns;
+            let w = &mut self.workers[wid];
+            w.stats.polls += 1;
+            w.stats.time.poll_ns += cost;
+            let (next, tune) = w.kernel.check_poll(w.need_task, || w.deque.len());
+            self.note_tune(wid, tune);
+            if next == Version::Special {
+                return cost + self.start_special(wid, node, tdepth, out);
+            }
+        }
+        self.workers[wid].stats.fake_tasks += 1;
+        sev!(self, wid, Ev::FakeTask { depth: tdepth });
+        self.workers[wid].stack.push(Entry::SeqLoop {
+            node,
+            kid: 0,
+            acc: 0,
+            kind,
+            tdepth,
+            out,
+        });
+        cost
     }
 
+    /// The special-task section: acknowledge `need_task`, then spawn
+    /// every child of `node` as a special task's child under fast_2.
     fn start_special(&mut self, wid: usize, node: u32, depth: u32, out: Deliver) -> u64 {
-        self.workers[wid].stats.special_tasks += 1;
+        let w = &mut self.workers[wid];
+        w.need_task = false;
+        w.stolen_num = 0;
+        w.stats.special_tasks += 1;
         sev!(self, wid, Ev::SpecialBegin { depth });
         let sframe = Frame::new(node, 0, Deliver::Wake(wid));
         self.workers[wid].stack.push(Entry::SpecialLoop {
@@ -749,7 +606,7 @@ impl<'t> Sim<'t> {
     #[inline(never)]
     fn steal_step(&mut self, wid: usize) -> Option<u64> {
         if self.root_done.is_some() {
-            self.finish_idle(wid);
+            self.finish_idle_at(wid, self.now);
             self.workers[wid].state = WState::Done;
             return None;
         }
@@ -761,14 +618,7 @@ impl<'t> Sim<'t> {
             // Nothing to steal from; spin until done.
             return Some(self.cost.steal_backoff_ns);
         }
-        let victim = {
-            let w = &mut self.workers[wid];
-            let mut v = w.rng.below_usize(n - 1);
-            if v >= wid {
-                v += 1;
-            }
-            v
-        };
+        let victim = self.workers[wid].kernel.victim(wid, n);
         let stolen: Option<FrameRef> = {
             let vd = &mut self.workers[victim].deque;
             match vd.front() {
@@ -806,17 +656,10 @@ impl<'t> Sim<'t> {
                         victim: victim as u32
                     }
                 );
-                // Only AdaptiveTC reads the controller's cut-off, so only
-                // it reports scarcity to it.
-                if self.workers[wid].fail_streak >= HARD_STEAL_STREAK
-                    && self.policy == Policy::AdaptiveTc
-                {
-                    let tuned = self.workers[wid].cutoff_ctl.on_pressure();
-                    self.note_cutoff(wid, tuned, true);
-                }
-                self.workers[wid].fail_streak = 0;
+                let tune = self.workers[wid].kernel.on_steal();
+                self.note_tune(wid, tune);
                 let mut cost = self.cost.steal_ns;
-                if self.cos {
+                if !self.workers[wid].kernel.copies_per_spawn() {
                     // Copy-on-steal: the deferred workspace clone is
                     // materialised for the thief now.
                     cost += self.charge_copy(wid, self.tree.bytes(frame.node));
@@ -837,7 +680,7 @@ impl<'t> Sim<'t> {
                         v.need_task = true;
                     }
                 }
-                self.workers[wid].fail_streak += 1;
+                self.workers[wid].kernel.on_steal_empty(victim);
                 self.workers[wid].stats.steals_failed += 1;
                 sev!(
                     self,
@@ -849,10 +692,6 @@ impl<'t> Sim<'t> {
                 Some(self.cost.steal_ns + self.cost.steal_backoff_ns)
             }
         }
-    }
-
-    fn finish_idle(&mut self, wid: usize) {
-        self.finish_idle_at(wid, self.now);
     }
 
     fn finish_idle_at(&mut self, wid: usize, end: u64) {

@@ -41,8 +41,8 @@ mod tascell;
 mod trace;
 mod tree;
 
+pub use adaptivetc_strategy::Policy;
 pub use cost::CostModel;
-pub use engine::Policy;
 pub use tree::SimTree;
 
 use adaptivetc_core::{Config, RunReport};
@@ -93,9 +93,9 @@ pub fn simulate_traced(
     // real-vs-sim diffs remain exact.
     let collector = (cfg.trace && policy != Policy::Tascell)
         .then(|| adaptivetc_trace::TraceCollector::new(cfg.threads, cfg.trace_capacity));
-    let (leaves, report) = match policy {
-        Policy::Tascell => tascell::TascellSim::new(tree, cfg, cost).run(),
-        _ => engine::Sim::new(tree, cfg, cost, policy, collector.as_ref()).run(),
+    let (leaves, report) = match policy.on_engine(cfg) {
+        Some((mode, cfg)) => engine::Sim::new(tree, &cfg, cost, mode, collector.as_ref()).run(),
+        None => tascell::TascellSim::new(tree, cfg, cost).run(),
     };
     let out = SimOutcome {
         leaves,
@@ -281,7 +281,7 @@ mod tests {
         // A bare spine publishes one tiny stealable continuation per
         // spine node, so 8 workers fight over a single frame at a time
         // and steals land only after long failed streaks (the deep fixed
-        // cut-off keeps Cutoff-library publishing for 64 levels). Only
+        // cut-off keeps Cutoff-programmer publishing for 64 levels). Only
         // AdaptiveTC reads the controller's cut-off, so only it may report
         // such a streak to it.
         let tree = spine_tree(1000, 0);
@@ -294,7 +294,7 @@ mod tests {
             stats.cutoff_adjustments
         };
         assert_eq!(adjustments(Policy::Cilk), 0);
-        assert_eq!(adjustments(Policy::CutoffLibrary), 0);
+        assert_eq!(adjustments(Policy::CutoffProgrammer(64)), 0);
         assert!(adjustments(Policy::AdaptiveTc) > 0);
     }
 

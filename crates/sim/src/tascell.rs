@@ -13,6 +13,7 @@
 use crate::cost::CostModel;
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
+use adaptivetc_strategy::{tascell_give, uniform_victim};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -210,13 +211,9 @@ impl<'t> TascellSim<'t> {
             return 0;
         };
         let depth = self.workers[wid].stack.len();
-        // Tascell's parallel-for split: hand away the second half of the
-        // untried range, keep the first half.
         let (node, from, to, bytes) = {
             let f = &mut self.workers[wid].stack[level];
-            let remaining = f.end - f.kid;
-            let give = (remaining / 2).max(1);
-            let from = f.end - give;
+            let from = f.end - tascell_give(f.end - f.kid);
             let to = f.end;
             f.end = from;
             (f.node, from, to, self.tree.bytes(f.node))
@@ -305,14 +302,7 @@ impl<'t> TascellSim<'t> {
                 if n == 1 {
                     return Some(self.cost.steal_backoff_ns);
                 }
-                let victim = {
-                    let w = &mut self.workers[wid];
-                    let mut v = w.rng.below_usize(n - 1);
-                    if v >= wid {
-                        v += 1;
-                    }
-                    v
-                };
+                let victim = uniform_victim(&mut self.workers[wid].rng, wid, n);
                 let victim_busy = matches!(
                     self.workers[victim].state,
                     TState::Busy | TState::WaitingChildren

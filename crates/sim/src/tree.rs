@@ -21,6 +21,10 @@ pub struct SimTree {
     /// uniform.
     bytes: Vec<u32>,
     uniform_bytes: u32,
+    /// One bit per node, set on a dead end — an interior node with no
+    /// children, which the engines run as a task or fake task like any
+    /// other. Empty when the tree has none.
+    dead_ends: Vec<u64>,
     leaves: u64,
     total_work: u64,
     depth: u32,
@@ -37,6 +41,7 @@ impl SimTree {
             kids: Vec<Vec<u32>>,
             work: Vec<u32>,
             bytes: Vec<u32>,
+            dead_ends: Vec<u64>,
             leaves: u64,
             total_work: u64,
             depth: u32,
@@ -45,6 +50,7 @@ impl SimTree {
             kids: Vec::new(),
             work: Vec::new(),
             bytes: Vec::new(),
+            dead_ends: Vec::new(),
             leaves: 0,
             total_work: 0,
             depth: 0,
@@ -65,7 +71,9 @@ impl SimTree {
                 }
                 Expansion::Children(cs) => {
                     if cs.is_empty() {
-                        b.leaves += 1;
+                        let (word, bit) = (id as usize / 64, id % 64);
+                        b.dead_ends.resize(b.dead_ends.len().max(word + 1), 0);
+                        b.dead_ends[word] |= 1 << bit;
                     }
                     for c in cs {
                         p.apply(st, c);
@@ -96,13 +104,15 @@ impl SimTree {
             work: b.work,
             bytes: b.bytes,
             uniform_bytes: 0,
+            dead_ends: b.dead_ends,
             leaves: b.leaves,
             total_work: b.total_work,
             depth: b.depth,
         }
     }
 
-    /// A synthetic tree built directly from child lists (tests, examples).
+    /// A synthetic tree built directly from child lists (tests, examples);
+    /// an empty list is a leaf.
     ///
     /// # Panics
     ///
@@ -129,6 +139,7 @@ impl SimTree {
             work: vec![uniform_work; n],
             bytes: Vec::new(),
             uniform_bytes,
+            dead_ends: Vec::new(),
             leaves,
             total_work: u64::from(uniform_work) * n as u64,
             depth: 0, // unknown for hand-built lists; not used by the engine
@@ -152,10 +163,14 @@ impl SimTree {
         &self.kids[self.kid_start[i] as usize..self.kid_start[i + 1] as usize]
     }
 
-    /// Whether a node is a leaf (no children).
+    /// Whether a node is a leaf: no children, and not a dead end.
     #[inline]
     pub fn is_leaf(&self, node: u32) -> bool {
         self.children(node).is_empty()
+            && self
+                .dead_ends
+                .get(node as usize / 64)
+                .is_none_or(|word| word >> (node % 64) & 1 == 0)
     }
 
     /// Work units at a node.
@@ -237,6 +252,46 @@ mod tests {
         // DFS numbering: first child of the root is node 1.
         assert_eq!(t.children(0)[0], 1);
         assert!(t.is_leaf(t.children(t.children(0)[0])[0]));
+    }
+
+    /// A left spine of height `h` whose right children are all dead ends.
+    struct DeadSpine(u32);
+    impl Problem for DeadSpine {
+        type State = Vec<u8>;
+        type Choice = u8;
+        type Out = u64;
+        fn root(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn expand(&self, path: &Vec<u8>, d: u32) -> Expansion<u8, u64> {
+            if path.last() == Some(&1) {
+                Expansion::Children(vec![])
+            } else if d == self.0 {
+                Expansion::Leaf(1)
+            } else {
+                Expansion::Children(vec![0, 1])
+            }
+        }
+        fn apply(&self, path: &mut Vec<u8>, c: u8) {
+            path.push(c);
+        }
+        fn undo(&self, path: &mut Vec<u8>, _: u8) {
+            path.pop();
+        }
+    }
+
+    #[test]
+    fn a_dead_end_is_interior_as_in_serial() {
+        let p = DeadSpine(70);
+        let t = SimTree::from_problem(&p);
+        let (_, r) = serial::run(&p);
+        assert_eq!(t.len() as u64, r.nodes);
+        assert_eq!((t.leaf_count(), r.leaves), (1, 1));
+        let childless: Vec<u32> = (0..t.len() as u32)
+            .filter(|&n| t.children(n).is_empty())
+            .collect();
+        assert_eq!(childless.len(), 71, "70 dead ends and the one leaf");
+        assert_eq!(childless.iter().filter(|&&n| t.is_leaf(n)).count(), 1);
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! The online cut-off controller both AdaptiveTC engines share.
+//! The scheduling kernel under the AdaptiveTC threaded engine and its
+//! simulator: every decision a work-stealing worker takes, written once —
+//! the per-worker [`Kernel`], the FSM edges of [`fsm`], the policy table
+//! ([`Policy`] → [`Mode`]) and Tascell's split and victim rules. The
+//! two engines keep only mechanism and feed the kernel what it observed;
+//! nothing here reads a clock or touches shared memory.
 //!
-//! The paper creates tasks down to the static `⌈log₂N⌉` cut-off. The
-//! threaded engine and the simulator additionally let each worker raise
-//! that cut-off a few levels while thieves starve and shed the raise
-//! again once they stop. [`CutoffController`] is that state: a plain
-//! struct a worker owns privately — no atomics, no shared state. Every
-//! input it consumes is a value the worker already read on its existing
-//! hot path (the relaxed `need_task` poll, its own deque occupancy, its
-//! own failed-steal streak), so closing the feedback loop adds **zero**
-//! fences or shared-memory traffic.
+//! # The online cut-off controller
 //!
-//! # The rule and why it is stable
+//! The paper creates tasks down to the static `⌈log₂N⌉` cut-off. Both
+//! engines additionally let each worker raise that cut-off a few levels
+//! while thieves starve and shed the raise again once they stop.
+//! [`CutoffController`] is that state: a plain struct a worker owns
+//! privately. Every input it consumes is a value the worker already read
+//! on its existing hot path (the relaxed `need_task` poll, its own deque
+//! occupancy, its own failed-steal streak), so closing the feedback loop
+//! adds **zero** fences or shared-memory traffic.
+//!
+//! ## The rule and why it is stable
 //!
 //! The effective cut-off is `base + boost` with
 //! `boost ∈ [0, MAX_BOOST]` (additive-increase/additive-decrease):
@@ -34,6 +40,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+pub mod fsm;
+mod kernel;
+mod policy;
+
+pub use kernel::{tascell_give, uniform_victim, Fallthrough, Kernel, Regime, Tune};
+pub use policy::{Mode, Policy};
 
 /// Most the adaptive cutoff may exceed its static base: deep enough to
 /// multiply the stealable frontier by up to 2^8 on binary trees, small
@@ -73,6 +86,7 @@ impl CutoffController {
     }
 
     /// The current effective cutoff, `base + boost`.
+    #[inline]
     pub fn effective(&self) -> u32 {
         self.base + self.boost
     }
@@ -90,6 +104,7 @@ impl CutoffController {
     /// Is the cutoff currently above its base (i.e. could a calm poll
     /// decay it)? Lets the caller skip gathering the occupancy signal
     /// entirely while the controller rests at base.
+    #[inline]
     pub fn boosted(&self) -> bool {
         self.boost > 0
     }
@@ -98,6 +113,7 @@ impl CutoffController {
     /// worker's own steal landed only after [`HARD_STEAL_STREAK`] failed
     /// probes. Returns the new effective cutoff if the adjustment moved
     /// it.
+    #[inline]
     pub fn on_pressure(&mut self) -> Option<u32> {
         self.calm = 0;
         if self.boost < MAX_BOOST {
@@ -111,6 +127,7 @@ impl CutoffController {
     /// A poll observed no pressure; `occupancy` is the worker's own
     /// deque length at the poll. Returns the new effective cutoff if a
     /// decay step fired.
+    #[inline]
     pub fn on_calm_poll(&mut self, occupancy: usize) -> Option<u32> {
         if occupancy < COMFORT_OCCUPANCY {
             self.calm = 0;

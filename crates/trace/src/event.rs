@@ -16,7 +16,7 @@
 /// scheduler-level states a *worker* (rather than a task) can be in:
 /// `Slow` (executing a stolen continuation) and `Idle` (the steal loop).
 ///
-/// This is the trace-side mirror of `adaptivetc_runtime::fsm::Version`;
+/// This is the trace-side mirror of `adaptivetc_strategy::fsm::Version`;
 /// the suite's integration tests assert the two stay in sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -71,7 +71,7 @@ impl FsmState {
 /// interpreted by Appendix C, plus the slow-version entry/exit a steal
 /// performs)?
 ///
-/// The legal edges are exactly the decisions `adaptivetc_runtime::fsm`
+/// The legal edges are exactly the decisions `adaptivetc_strategy::fsm`
 /// encodes: `fast → check` (falling below the cut-off), `check → special`
 /// (a raised `need_task` poll), `special → fast_2` (re-entry with reset
 /// depth), `fast_2 → sequence` (below the doubled cut-off), and the

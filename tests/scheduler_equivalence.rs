@@ -13,6 +13,8 @@ use adaptivetc_suite::workloads::strimko::Strimko;
 use adaptivetc_suite::workloads::sudoku::Sudoku;
 use adaptivetc_suite::workloads::tree::UnbalancedTree;
 
+mod table1;
+
 fn schedulers() -> Vec<Scheduler> {
     vec![
         Scheduler::Cilk,
@@ -120,59 +122,68 @@ fn unbalanced_tree_left_and_right() {
     check_all(&UnbalancedTree::tree3(30_000).reversed(), "tree3R(30k)");
 }
 
-/// Differential test on the shared Figure 1 call tree: at one thread the
-/// threaded engine is deterministic (no thieves), so its task-accounting
-/// counters — real tasks, fake tasks, special tasks — must agree *exactly*
-/// with the discrete-event simulator's, for every deque backend. Any drift
-/// between the two engines' task-creation logic shows up here first.
+/// Differential test on Figure 1 and every Table-1 problem: at one
+/// thread the threaded engine is deterministic (no thieves), so its
+/// task-accounting counters — real tasks, fake tasks, special tasks — must
+/// agree *exactly* with the discrete-event simulator's, for every deque
+/// backend. Any drift between the two engines — in what they decide, or
+/// in what they take a node to be (a dead end is interior, not a leaf) —
+/// shows up here first.
 #[test]
 fn fig1_engine_matches_simulator_exactly() {
-    use adaptivetc_suite::core::{CutoffPolicy, DequeBackend};
-    use adaptivetc_suite::workloads::fig1::Fig1Tree;
+    use adaptivetc_suite::core::{CutoffPolicy, DequeBackend, Problem};
 
-    let tree = Fig1Tree::new();
-    let sim_tree = SimTree::from_problem(&tree);
-    for (scheduler, policy) in [
-        (Scheduler::Cilk, Policy::Cilk),
-        (Scheduler::AdaptiveTc, Policy::AdaptiveTc),
-        (Scheduler::Tascell, Policy::Tascell),
-    ] {
-        let cfg = Config::new(1).cutoff(CutoffPolicy::Fixed(2)).seed(42);
-        let sim = simulate(&sim_tree, policy, &cfg, CostModel::calibrated());
-        assert_eq!(sim.leaves, Fig1Tree::LEAVES, "sim {}", policy.name());
-        for backend in DequeBackend::ALL {
-            let cfg = cfg.clone().backend(backend);
-            let (out, report) = scheduler
-                .run(&tree, &cfg)
-                .unwrap_or_else(|e| panic!("fig1/{scheduler}/{}: {e}", backend.name()));
-            assert_eq!(out, Fig1Tree::LEAVES, "{scheduler}/{}", backend.name());
-            for (name, engine, simulated) in [
-                (
-                    "tasks_created",
-                    report.stats.tasks_created,
-                    sim.report.stats.tasks_created,
-                ),
-                (
-                    "fake_tasks",
-                    report.stats.fake_tasks,
-                    sim.report.stats.fake_tasks,
-                ),
-                (
-                    "special_tasks",
-                    report.stats.special_tasks,
-                    sim.report.stats.special_tasks,
-                ),
+    struct Differential;
+    impl table1::Visit for Differential {
+        fn visit<P: Problem<Out = u64>>(&mut self, label: &str, problem: &P) {
+            let (expected, serial_report) = serial::run(problem);
+            let sim_tree = SimTree::from_problem(problem);
+            assert_eq!(sim_tree.leaf_count(), serial_report.leaves, "{label}");
+            for (scheduler, policy) in [
+                (Scheduler::Cilk, Policy::Cilk),
+                (Scheduler::CutoffLibrary, Policy::CutoffLibrary),
+                (Scheduler::AdaptiveTc, Policy::AdaptiveTc),
+                (Scheduler::Tascell, Policy::Tascell),
             ] {
-                assert_eq!(
-                    engine,
-                    simulated,
-                    "fig1: {scheduler} ({}) vs simulated {}: {name} diverged",
-                    backend.name(),
-                    policy.name()
-                );
+                let cfg = Config::new(1).cutoff(CutoffPolicy::Fixed(2)).seed(42);
+                let sim = simulate(&sim_tree, policy, &cfg, CostModel::calibrated());
+                assert_eq!(sim.leaves, sim_tree.leaf_count(), "{label}: sim {policy:?}");
+                for backend in DequeBackend::ALL {
+                    let cfg = cfg.clone().backend(backend);
+                    let (out, report) = scheduler
+                        .run(problem, &cfg)
+                        .unwrap_or_else(|e| panic!("{label}/{scheduler}/{}: {e}", backend.name()));
+                    assert_eq!(out, expected, "{label}/{scheduler}/{}", backend.name());
+                    for (name, engine, simulated) in [
+                        (
+                            "tasks_created",
+                            report.stats.tasks_created,
+                            sim.report.stats.tasks_created,
+                        ),
+                        (
+                            "fake_tasks",
+                            report.stats.fake_tasks,
+                            sim.report.stats.fake_tasks,
+                        ),
+                        (
+                            "special_tasks",
+                            report.stats.special_tasks,
+                            sim.report.stats.special_tasks,
+                        ),
+                    ] {
+                        assert_eq!(
+                            engine,
+                            simulated,
+                            "{label}: {scheduler} ({}) vs simulated {}: {name} diverged",
+                            backend.name(),
+                            policy.name()
+                        );
+                    }
+                }
             }
         }
     }
+    table1::each(&mut Differential);
 }
 
 /// Which workspace discipline a scheduler runs is a function of the
