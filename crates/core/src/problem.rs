@@ -91,6 +91,8 @@ impl<C, O> Expansion<C, O> {
 /// its long-lived pool threads.
 pub trait Problem: Send + Sync {
     /// The taskprivate workspace. Cloning it is the paper's workspace copy.
+    /// Make it a fixed-size value so that `Clone` is one `memcpy`; a
+    /// heap-backed workspace also pays an allocation per clone.
     type State: Clone + Send;
     /// One branch out of an interior node.
     type Choice: Copy + Send + 'static;

@@ -10,23 +10,41 @@
 //! * [`NqueensCompute`] keeps only the list of placed queens (one byte per
 //!   row) and re-scans it for conflicts — *memory efficient* with a heavier
 //!   per-node compute share.
+//!
+//! Both workspaces are fixed-size values sized for [`MAX_N`], so copying one
+//! is a single `memcpy`, as the paper's `Cilk_alloca + memcpy` is.
 
 use adaptivetc_core::{Expansion, Problem};
 
+/// The largest board either variant accepts (the paper's largest instance;
+/// bigger boards are impractical here). It sizes both workspaces.
+pub const MAX_N: u8 = 16;
+
+const MAX: usize = MAX_N as usize;
+
 /// Known solution counts for `n = 0..=16` (OEIS A000170).
-pub const SOLUTIONS: [u64; 17] = [
+pub const SOLUTIONS: [u64; MAX + 1] = [
     1, 1, 0, 0, 2, 10, 4, 40, 92, 352, 724, 2680, 14200, 73712, 365_596, 2_279_184, 14_772_512,
 ];
 
-/// The conflict-array workspace of [`NqueensArray`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The conflict-array workspace of [`NqueensArray`]. Entries beyond the
+/// board's `n` columns and `2n - 1` diagonals stay `false`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayState {
     row: u8,
-    cols: Vec<bool>,
+    cols: [bool; MAX],
     /// Diagonal `row + col`.
-    diag_a: Vec<bool>,
+    diag_a: [bool; 2 * MAX - 1],
     /// Anti-diagonal `row - col + n - 1`.
-    diag_b: Vec<bool>,
+    diag_b: [bool; 2 * MAX - 1],
+}
+
+/// The workspace of [`NqueensCompute`]: the columns of the queens placed so
+/// far, one per row. `cols[..len]` is live; the rest stays 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placed {
+    cols: [u8; MAX],
+    len: u8,
 }
 
 /// `Nqueen-array(n)`: conflict bookkeeping in three boolean arrays.
@@ -50,10 +68,12 @@ impl NqueensArray {
     ///
     /// # Panics
     ///
-    /// Panics if `n > 16` (the paper's largest instance; bigger boards are
-    /// impractical here).
+    /// Panics if `n > MAX_N`.
     pub fn new(n: u8) -> Self {
-        assert!(n <= 16, "n-queens instances above 16 are impractical here");
+        assert!(
+            n <= MAX_N,
+            "n-queens instances above {MAX_N} are impractical here"
+        );
         NqueensArray { n }
     }
 
@@ -69,12 +89,11 @@ impl Problem for NqueensArray {
     type Out = u64;
 
     fn root(&self) -> ArrayState {
-        let n = self.n as usize;
         ArrayState {
             row: 0,
-            cols: vec![false; n],
-            diag_a: vec![false; 2 * n.max(1) - 1],
-            diag_b: vec![false; 2 * n.max(1) - 1],
+            cols: [false; MAX],
+            diag_a: [false; 2 * MAX - 1],
+            diag_b: [false; 2 * MAX - 1],
         }
     }
 
@@ -109,8 +128,11 @@ impl Problem for NqueensArray {
         st.diag_b[r + n - 1 - c] = false;
     }
 
-    fn state_bytes(&self, st: &ArrayState) -> usize {
-        st.cols.len() + st.diag_a.len() + st.diag_b.len() + 1
+    /// The paper's workspace for this board: `n` columns, two sets of
+    /// `2n - 1` diagonals and the row.
+    fn state_bytes(&self, _: &ArrayState) -> usize {
+        let n = usize::from(self.n);
+        n + 2 * (2 * n.max(1) - 1) + 1
     }
 }
 
@@ -135,9 +157,12 @@ impl NqueensCompute {
     ///
     /// # Panics
     ///
-    /// Panics if `n > 16`.
+    /// Panics if `n > MAX_N`.
     pub fn new(n: u8) -> Self {
-        assert!(n <= 16, "n-queens instances above 16 are impractical here");
+        assert!(
+            n <= MAX_N,
+            "n-queens instances above {MAX_N} are impractical here"
+        );
         NqueensCompute { n }
     }
 
@@ -148,23 +173,26 @@ impl NqueensCompute {
 }
 
 impl Problem for NqueensCompute {
-    /// Columns of the queens placed so far, one per row.
-    type State = Vec<u8>;
+    type State = Placed;
     type Choice = u8;
     type Out = u64;
 
-    fn root(&self) -> Vec<u8> {
-        Vec::with_capacity(self.n as usize)
+    fn root(&self) -> Placed {
+        Placed {
+            cols: [0; MAX],
+            len: 0,
+        }
     }
 
-    fn expand(&self, placed: &Vec<u8>, _depth: u32) -> Expansion<u8, u64> {
-        if placed.len() == self.n as usize {
+    fn expand(&self, placed: &Placed, _depth: u32) -> Expansion<u8, u64> {
+        if placed.len == self.n {
             return Expansion::Leaf(1);
         }
-        let row = placed.len();
+        let row = usize::from(placed.len);
+        let live = &placed.cols[..row];
         let free: Vec<u8> = (0..self.n)
             .filter(|&c| {
-                placed.iter().enumerate().all(|(pr, &pc)| {
+                live.iter().enumerate().all(|(pr, &pc)| {
                     pc != c && (row - pr) as i32 != (i32::from(c) - i32::from(pc)).abs()
                 })
             })
@@ -172,16 +200,19 @@ impl Problem for NqueensCompute {
         Expansion::Children(free)
     }
 
-    fn apply(&self, placed: &mut Vec<u8>, c: u8) {
-        placed.push(c);
+    fn apply(&self, placed: &mut Placed, c: u8) {
+        placed.cols[usize::from(placed.len)] = c;
+        placed.len += 1;
     }
 
-    fn undo(&self, placed: &mut Vec<u8>, _c: u8) {
-        placed.pop();
+    fn undo(&self, placed: &mut Placed, _c: u8) {
+        placed.len -= 1;
+        placed.cols[usize::from(placed.len)] = 0;
     }
 
-    fn state_bytes(&self, placed: &Vec<u8>) -> usize {
-        placed.capacity().max(self.n as usize)
+    /// The paper's workspace for this board: one byte per row.
+    fn state_bytes(&self, _: &Placed) -> usize {
+        usize::from(self.n)
     }
 }
 
@@ -225,7 +256,7 @@ mod tests {
     fn apply_undo_roundtrip() {
         let p = NqueensArray::new(6);
         let mut st = p.root();
-        let orig = st.clone();
+        let orig = st;
         if let Expansion::Children(cs) = p.expand(&st, 0) {
             for c in cs {
                 p.apply(&mut st, c);
@@ -239,5 +270,11 @@ mod tests {
     #[should_panic(expected = "impractical")]
     fn oversized_instance_rejected() {
         NqueensArray::new(17);
+    }
+
+    #[test]
+    #[should_panic(expected = "impractical")]
+    fn oversized_compute_instance_rejected() {
+        NqueensCompute::new(17);
     }
 }

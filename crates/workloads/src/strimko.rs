@@ -4,18 +4,25 @@
 //! A Strimko instance is a stream assignment (a partition of the grid into
 //! `n` regions of `n` cells) plus given digits. The solver counts all
 //! completions — a classic backtracking search whose taskprivate workspace
-//! is the grid plus row/column/stream candidate masks.
+//! is the grid plus row/column/stream candidate masks, a fixed-size value
+//! sized for [`MAX_SIDE`] so that copying it is one `memcpy`.
 
 use adaptivetc_core::{Expansion, Problem};
 
-/// The solver workspace: grid contents and used-digit masks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The widest grid [`Strimko::new`] accepts. It sizes the workspace.
+pub const MAX_SIDE: u8 = 9;
+
+const SIDE: usize = MAX_SIDE as usize;
+
+/// The solver workspace: grid contents and used-digit masks. Only the first
+/// `n * n` cells and `n` masks are live; the rest stay 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrimkoState {
-    /// 0 = empty, 1..=n = digit.
-    grid: Vec<u8>,
-    row_mask: Vec<u16>,
-    col_mask: Vec<u16>,
-    stream_mask: Vec<u16>,
+    /// 0 = empty, 1..=n = digit, row-major.
+    grid: [u8; SIDE * SIDE],
+    row_mask: [u16; SIDE],
+    col_mask: [u16; SIDE],
+    stream_mask: [u16; SIDE],
 }
 
 /// Placing `digit` into `cell` (the first empty cell at expansion time).
@@ -52,11 +59,14 @@ impl Strimko {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not in `2..=9`, the vectors have the wrong length,
-    /// the stream map is not a partition into `n` regions of `n` cells, or a
-    /// given digit is out of range.
+    /// Panics if `n` is not in `2..=MAX_SIDE`, the vectors have the wrong
+    /// length, the stream map is not a partition into `n` regions of `n`
+    /// cells, or a given digit is out of range.
     pub fn new(n: u8, streams: Vec<u8>, givens: Vec<u8>) -> Self {
-        assert!((2..=9).contains(&n), "grid side must be in 2..=9");
+        assert!(
+            (2..=MAX_SIDE).contains(&n),
+            "grid side must be in 2..={MAX_SIDE}"
+        );
         let nn = usize::from(n) * usize::from(n);
         assert_eq!(streams.len(), nn, "stream map must cover the grid");
         assert_eq!(givens.len(), nn, "givens must cover the grid");
@@ -129,10 +139,10 @@ impl Problem for Strimko {
     fn root(&self) -> StrimkoState {
         let n = usize::from(self.n);
         let mut st = StrimkoState {
-            grid: vec![0; n * n],
-            row_mask: vec![0; n],
-            col_mask: vec![0; n],
-            stream_mask: vec![0; n],
+            grid: [0; SIDE * SIDE],
+            row_mask: [0; SIDE],
+            col_mask: [0; SIDE],
+            stream_mask: [0; SIDE],
         };
         for (i, &d) in self.givens.iter().enumerate() {
             if d != 0 {
@@ -148,7 +158,7 @@ impl Problem for Strimko {
 
     fn expand(&self, st: &StrimkoState, _depth: u32) -> Expansion<Placement, u64> {
         let n = usize::from(self.n);
-        let Some(cell) = st.grid.iter().position(|&d| d == 0) else {
+        let Some(cell) = st.grid[..n * n].iter().position(|&d| d == 0) else {
             return Expansion::Leaf(1);
         };
         let used = st.row_mask[cell / n]
@@ -184,8 +194,11 @@ impl Problem for Strimko {
         st.stream_mask[usize::from(self.streams[cell])] &= !bit;
     }
 
-    fn state_bytes(&self, st: &StrimkoState) -> usize {
-        st.grid.len() + 2 * (st.row_mask.len() + st.col_mask.len() + st.stream_mask.len())
+    /// The paper's workspace for this grid: `n * n` cells and three sets of
+    /// `n` two-byte masks.
+    fn state_bytes(&self, _: &StrimkoState) -> usize {
+        let n = usize::from(self.n);
+        n * n + 2 * 3 * n
     }
 }
 
@@ -248,10 +261,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "grid side must be in 2..=9")]
+    fn oversized_grid_rejected() {
+        Strimko::linear(10, 1, 1, vec![0; 100]);
+    }
+
+    #[test]
     fn apply_undo_roundtrip() {
         let p = Strimko::paper_default();
         let mut st = p.root();
-        let orig = st.clone();
+        let orig = st;
         if let Expansion::Children(cs) = p.expand(&st, 0) {
             for c in cs {
                 p.apply(&mut st, c);

@@ -16,13 +16,48 @@ use adaptivetc_core::{Expansion, Problem};
 use std::fmt;
 use std::str::FromStr;
 
-/// The solver workspace: board plus row/column/box candidate masks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Rows, columns, boxes and digits per grid.
+const SIDE: usize = 9;
+
+/// Cells per grid.
+const CELLS: usize = SIDE * SIDE;
+
+/// The solver workspace: board plus row/column/box candidate masks, a
+/// fixed-size value so that copying it is one `memcpy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SudokuState {
-    grid: Vec<u8>,
-    rows: Vec<u16>,
-    cols: Vec<u16>,
-    boxes: Vec<u16>,
+    grid: [u8; CELLS],
+    rows: [u16; SIDE],
+    cols: [u16; SIDE],
+    boxes: [u16; SIDE],
+}
+
+impl SudokuState {
+    /// The workspace with `givens` placed, or `None` if two of them
+    /// conflict.
+    fn with_givens(givens: &[u8; CELLS]) -> Option<SudokuState> {
+        let mut st = SudokuState {
+            grid: *givens,
+            rows: [0; SIDE],
+            cols: [0; SIDE],
+            boxes: [0; SIDE],
+        };
+        for (i, &d) in givens.iter().enumerate() {
+            if d == 0 {
+                continue;
+            }
+            let bit = 1u16 << (d - 1);
+            let (r, c) = (i / SIDE, i % SIDE);
+            let b = (r / 3) * 3 + c / 3;
+            if (st.rows[r] | st.cols[c] | st.boxes[b]) & bit != 0 {
+                return None;
+            }
+            st.rows[r] |= bit;
+            st.cols[c] |= bit;
+            st.boxes[b] |= bit;
+        }
+        Some(st)
+    }
 }
 
 /// Placing `digit` into `cell`.
@@ -72,7 +107,7 @@ impl std::error::Error for ParseSudokuError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sudoku {
-    givens: Vec<u8>,
+    givens: [u8; CELLS],
 }
 
 /// The classic solved grid used to derive the named instances.
@@ -147,40 +182,20 @@ impl FromStr for Sudoku {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let cells: Vec<char> = s.chars().filter(|c| !c.is_whitespace()).collect();
-        if cells.len() != 81 {
+        if cells.len() != CELLS {
             return Err(ParseSudokuError::WrongLength(cells.len()));
         }
-        let mut givens = Vec::with_capacity(81);
-        for (i, c) in cells.into_iter().enumerate() {
+        let mut givens = [0; CELLS];
+        for (i, (g, c)) in givens.iter_mut().zip(cells).enumerate() {
             match c {
-                '.' | '0' => givens.push(0),
-                '1'..='9' => givens.push(c as u8 - b'0'),
+                '.' | '0' => {}
+                '1'..='9' => *g = c as u8 - b'0',
                 other => return Err(ParseSudokuError::BadCell(other, i)),
             }
         }
-        let p = Sudoku { givens };
         // Reject conflicting givens up front.
-        let mut st = SudokuState {
-            grid: vec![0; 81],
-            rows: vec![0; 9],
-            cols: vec![0; 9],
-            boxes: vec![0; 9],
-        };
-        for (i, &d) in p.givens.iter().enumerate() {
-            if d == 0 {
-                continue;
-            }
-            let bit = 1u16 << (d - 1);
-            let (r, c) = (i / 9, i % 9);
-            let b = (r / 3) * 3 + c / 3;
-            if st.rows[r] & bit != 0 || st.cols[c] & bit != 0 || st.boxes[b] & bit != 0 {
-                return Err(ParseSudokuError::Contradiction);
-            }
-            st.rows[r] |= bit;
-            st.cols[c] |= bit;
-            st.boxes[b] |= bit;
-        }
-        Ok(p)
+        SudokuState::with_givens(&givens).ok_or(ParseSudokuError::Contradiction)?;
+        Ok(Sudoku { givens })
     }
 }
 
@@ -190,21 +205,7 @@ impl Problem for Sudoku {
     type Out = u64;
 
     fn root(&self) -> SudokuState {
-        let mut st = SudokuState {
-            grid: self.givens.clone(),
-            rows: vec![0; 9],
-            cols: vec![0; 9],
-            boxes: vec![0; 9],
-        };
-        for (i, &d) in self.givens.iter().enumerate() {
-            if d != 0 {
-                let bit = 1u16 << (d - 1);
-                st.rows[i / 9] |= bit;
-                st.cols[i % 9] |= bit;
-                st.boxes[(i / 9 / 3) * 3 + (i % 9) / 3] |= bit;
-            }
-        }
-        st
+        SudokuState::with_givens(&self.givens).expect("parsing rejected conflicting givens")
     }
 
     fn expand(&self, st: &SudokuState, _depth: u32) -> Expansion<Fill, u64> {
@@ -245,9 +246,9 @@ impl Problem for Sudoku {
         st.boxes[(r / 3) * 3 + c / 3] &= !bit;
     }
 
-    fn state_bytes(&self, st: &SudokuState) -> usize {
+    fn state_bytes(&self, _: &SudokuState) -> usize {
         // The paper's Status_t: board + three placed arrays (9×9 each).
-        st.grid.len() * 4
+        CELLS * 4
     }
 }
 
@@ -326,7 +327,7 @@ mod tests {
     fn apply_undo_roundtrip() {
         let p = Sudoku::balanced();
         let mut st = p.root();
-        let orig = st.clone();
+        let orig = st;
         if let Expansion::Children(cs) = p.expand(&st, 0) {
             for f in cs {
                 p.apply(&mut st, f);
