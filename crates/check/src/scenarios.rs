@@ -605,5 +605,5 @@ fn join_restolen() {
 /// Root then inner frame stolen from one victim: a child detached under
 /// a stolen parent, and a thief reading `tail` from the owner's pop.
 fn join_detached() {
-    join_model::owner_vs_thief(&join_model::NESTED_STOLEN, 2, true);
+    join_model::owner_vs_thief(&join_model::NESTED_STOLEN, 2, join_model::Mutant::None);
 }

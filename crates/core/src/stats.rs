@@ -121,8 +121,8 @@ pub struct RunStats {
     /// Thieves still pay a clone (counted in `copies`) when they actually
     /// steal such a task.
     pub workspace_copies_saved: u64,
-    /// Frame shells recycled from a worker's frame pool instead of being
-    /// allocated fresh.
+    /// Frames taken from a worker's free list of retired frames instead of
+    /// being carved fresh from its slot's frame slab.
     pub frame_reuse: u64,
     /// Workspace buffers recycled from a worker's state pool instead of
     /// being allocated fresh.

@@ -111,7 +111,7 @@ struct OwnerState {
 /// [`steal`](FenceFreeDeque::steal). Entries must be `Clone` because
 /// extraction never moves a value out of the log (a duplicate extraction
 /// of a moved-out slot would be a use-after-move) — the engine stores
-/// cheap `Weak`-handle entries.
+/// `Copy` frame-handle entries.
 ///
 /// # Examples
 ///

@@ -47,20 +47,22 @@
 //!
 //! # Hot-path object pools
 //!
-//! Each worker privately recycles the two allocations the hot path would
-//! otherwise make per task:
+//! Each worker privately recycles what the hot path would otherwise
+//! allocate per task:
 //!
-//! * **workspace buffers** — every mode that copies except the faithful
-//!   [`Mode::Cilk`] baseline (which must allocate per spawn to reproduce
-//!   the paper's Cilk numbers) draws from a [`Pool`] of dead buffers and
-//!   overwrites them with `clone_from`; `RunStats::state_reuse` counts the
-//!   hits.
-//! * **frames** — a frame that completed without ever going asynchronous
-//!   was used by this worker alone, so it is scrubbed and parked in a frame
-//!   pool without probing its reference count; the next spawn reuses the
-//!   allocation (`RunStats::frame_reuse`). Frames that complete
-//!   asynchronously bypass the pool and simply drop, and so does every
-//!   shell under weak deque entries ([`DequeEntry::POOLS_SHELLS`]).
+//! * **workspace buffers** — every mode that copies except [`Mode::Cilk`]
+//!   draws from a [`Pool`] of dead buffers and overwrites them with
+//!   `clone_from`; `RunStats::state_reuse` counts the hits. Cilk does not
+//!   pool (the paper's `SYNCHED` is the mode that does), and a Table-1
+//!   workspace copy allocates nothing anyway.
+//! * **frames** — come from the slot's [`FrameSlab`] on the slot board and
+//!   are named by [`FrameRef`]s, so no spawn touches a reference count. A
+//!   completed frame goes to a bounded LIFO free list of whoever may reuse
+//!   it — the holder of one that never went asynchronous, at its sync;
+//!   otherwise whoever emptied its join cell — and the next spawn takes it
+//!   from there (`RunStats::frame_reuse`). Slots the list has no room for
+//!   wait on a spare list and count as fresh when taken, like slots carved
+//!   from the slab.
 //!
 //! # Copy-on-steal workspaces
 //!
@@ -101,7 +103,7 @@
 //! (`adaptivetc-strategy`), the same code the simulator runs; this module
 //! is the mechanism around it: deques, frames, atomics and the clock.
 
-use crate::frame::{deliver, Frame, OutCell, Outcome, Parent, RootCell};
+use crate::frame::{deliver, Frame, FrameRef, FrameSlab, OutCell, Outcome, Parent, RootCell};
 use crate::pool::Pool;
 use crate::submit::CancelToken;
 use crate::sync::{AtomicBool, Ordering};
@@ -117,11 +119,11 @@ use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, Tune};
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::marker::PhantomData;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Objects each worker's pools retain at most (dead workspace buffers and
-/// scrubbed frames). Bounds the steady-state footprint while covering the
+/// retired frames). Bounds the steady-state footprint while covering the
 /// spawn working set of every paper workload.
 const POOL_CAP: usize = 128;
 
@@ -135,84 +137,70 @@ const WS_SERVICE_WAIT: Duration = Duration::from_micros(50);
 
 /// How a frame travels through a deque backend.
 ///
-/// Exactly-once backends carry strong [`Arc<Frame>`] handles and a claim
-/// is infallible — the pop/steal race itself decides who runs the frame,
-/// and a strong handle is required so an entry that loses the race on an
-/// unwinding owner cannot drop the last reference to a continuation a
-/// thief is about to resume. Multiplicity backends
-/// ([`WsDeque::CAN_DUPLICATE`]) may hand the *same* logical entry to both
-/// the owner's pop and a thief's steal, so their entries carry a weak
-/// handle stamped with the frame's claim epoch, and [`claim`] performs
-/// the dedup-at-extraction CAS: exactly one extraction of an entry wins
-/// the right to run the frame, every duplicate gets `None` (counted in
-/// `RunStats::dup_extractions`).
+/// Exactly-once backends carry bare [`FrameRef`]s and a claim is
+/// infallible: the pop/steal race itself decides who runs the frame.
+/// Multiplicity backends ([`WsDeque::CAN_DUPLICATE`]) may hand the *same*
+/// logical entry to both the owner's pop and a thief's steal, so their
+/// entries are stamped with the frame's claim epoch, and [`claim`]
+/// performs the dedup-at-extraction CAS: exactly one extraction of an
+/// entry wins the right to run the frame, every duplicate gets `None`
+/// (counted in `RunStats::dup_extractions`).
 ///
 /// [`claim`]: DequeEntry::claim
 pub(crate) trait DequeEntry<P: Problem>: Send + Sync + Sized {
-    /// Whether a retired frame shell may be pooled and reused. Not under
-    /// weak entries: the log keeps one per push for the whole run, and a
-    /// stale one may still be upgrading the shell when it is reused.
-    const POOLS_SHELLS: bool;
-
-    /// Build the entry pushed for `frame`.
-    fn make(frame: &Arc<Frame<P>>) -> Self;
+    /// Build the entry pushed for `frame`, which the caller holds.
+    fn make(frame: FrameRef<P>) -> Self;
 
     /// Claim the right to run the referenced frame; `None` means another
-    /// extraction already claimed this entry (a duplicate) or the frame
-    /// is gone.
-    fn claim(self) -> Option<Arc<Frame<P>>>;
+    /// extraction already claimed this entry (a duplicate).
+    fn claim(self) -> Option<FrameRef<P>>;
 }
 
-impl<P: Problem> DequeEntry<P> for Arc<Frame<P>> {
-    const POOLS_SHELLS: bool = true;
-
+impl<P: Problem> DequeEntry<P> for FrameRef<P> {
     #[inline]
-    fn make(frame: &Arc<Frame<P>>) -> Self {
-        Arc::clone(frame)
+    fn make(frame: FrameRef<P>) -> Self {
+        frame
     }
 
     #[inline]
-    fn claim(self) -> Option<Arc<Frame<P>>> {
+    fn claim(self) -> Option<FrameRef<P>> {
         Some(self)
     }
 }
 
-/// Entry type for the fence-free (multiplicity) backend: a weak frame
-/// handle plus the claim epoch snapshotted at push time. Weak, because
-/// duplicate extractions outlive the frame's synchronous lifecycle and a
-/// strong handle would keep retired shells (and their whole parent
-/// chains) alive from dead log slots; the epoch CAS in `claim` also makes
-/// a stale entry harmless after the shell is pooled and reused, since
-/// `Frame::claim_seq` is never reset.
+/// Entry type for the fence-free (multiplicity) backend: a frame handle
+/// plus the claim epoch snapshotted at push time. The log keeps every
+/// entry for the whole run, so a duplicate may be extracted long after its
+/// frame was retired and its slot reused; slab memory outlives the log,
+/// and `claim_seq` is never reset, so such a stale entry simply loses the
+/// epoch CAS.
 pub(crate) struct FfEntry<P: Problem> {
-    frame: Weak<Frame<P>>,
+    frame: FrameRef<P>,
     epoch: u64,
 }
 
 impl<P: Problem> Clone for FfEntry<P> {
     fn clone(&self) -> Self {
-        FfEntry {
-            frame: Weak::clone(&self.frame),
-            epoch: self.epoch,
-        }
+        FfEntry { ..*self }
     }
 }
 
 impl<P: Problem> DequeEntry<P> for FfEntry<P> {
-    const POOLS_SHELLS: bool = false;
-
-    fn make(frame: &Arc<Frame<P>>) -> Self {
+    fn make(frame: FrameRef<P>) -> Self {
         FfEntry {
-            frame: Arc::downgrade(frame),
+            frame,
+            // SAFETY: the slab outlives the run's handles.
             // Relaxed: the owner is the only writer of its frames' epochs
             // between push and claim, and the push's Release publication
             // orders the snapshot for thieves.
-            epoch: frame.claim_seq.load(Ordering::Relaxed),
+            epoch: unsafe { frame.claim_seq() }.load(Ordering::Relaxed),
         }
     }
 
-    fn claim(self) -> Option<Arc<Frame<P>>> {
-        let frame = self.frame.upgrade()?;
+    fn claim(self) -> Option<FrameRef<P>> {
+        // SAFETY: the slab outlives every log entry of its run, stale ones
+        // included; a stale epoch loses the CAS below.
+        let claim_seq = unsafe { self.frame.claim_seq() };
         // AcqRel: the claim-layer epoch CAS — Acquire orders the winner
         // after the extraction it claims, Release publishes the claim to
         // whatever the loser does next.
@@ -220,8 +208,7 @@ impl<P: Problem> DequeEntry<P> for FfEntry<P> {
         // observe the winning thief's prior deque cursor CAS, so the
         // owner's subsequent `pop_special` reliably reports `ChildStolen`
         // for the special the thief passed.
-        frame
-            .claim_seq
+        claim_seq
             .compare_exchange(
                 self.epoch,
                 self.epoch + 1,
@@ -229,7 +216,7 @@ impl<P: Problem> DequeEntry<P> for FfEntry<P> {
                 Ordering::Acquire,
             )
             .ok()?;
-        Some(frame)
+        Some(self.frame)
     }
 }
 
@@ -255,8 +242,8 @@ impl<P> ProblemRef<'_, P> {
 }
 
 /// A region's slot board: per worker slot, its deque, its `need_task`
-/// signal and its copy-on-steal doorbell.
-pub(crate) struct Slots<D> {
+/// signal, its copy-on-steal doorbell and the slab its frames come from.
+pub(crate) struct Slots<P: Problem, D> {
     deques: Vec<D>,
     /// Padded: a thief hammering one worker's signal must not invalidate
     /// its neighbours' lines.
@@ -264,11 +251,14 @@ pub(crate) struct Slots<D> {
     /// A thief waiting for a workspace deposit raises the owner's hint;
     /// the owner checks it at poll points.
     ws_hints: Vec<CachePadded<AtomicBool>>,
+    /// Frame memory, on the board rather than with the worker: a joiner
+    /// may abandon its slot while its frames still run elsewhere.
+    slabs: Vec<FrameSlab<P>>,
 }
 
-impl<D> Slots<D> {
+impl<P: Problem, D> Slots<P, D> {
     /// A fresh board of `slots` slots: deques at `cfg.deque_capacity`,
-    /// signals at `cfg.max_stolen_num`.
+    /// signals at `cfg.max_stolen_num`, slabs empty.
     pub(crate) fn new<E>(cfg: &Config, slots: usize) -> Self
     where
         E: Send,
@@ -284,6 +274,7 @@ impl<D> Slots<D> {
             ws_hints: (0..slots)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
+            slabs: (0..slots).map(|_| FrameSlab::new()).collect(),
         }
     }
 
@@ -293,9 +284,10 @@ impl<D> Slots<D> {
 
     /// After a run, with every participant gone: lower what thieves may
     /// rightly have left raised — a `need_task` request nobody answered, a
-    /// doorbell rung after the deposit it asked for — and report whether
-    /// every deque is empty, as the join implies.
-    pub(crate) fn settle<E>(&self) -> bool
+    /// doorbell rung after the deposit it asked for — rewind the slabs so
+    /// the next run carves their frames afresh, and report whether every
+    /// deque is empty, as the join implies.
+    pub(crate) fn settle<E>(&mut self) -> bool
     where
         E: Send,
         D: WsDeque<E>,
@@ -308,13 +300,16 @@ impl<D> Slots<D> {
             // next receives it through the lease's own hand-over.
             hint.store(false, Ordering::Relaxed);
         }
+        for slab in &mut self.slabs {
+            slab.rewind();
+        }
         self.deques.iter().all(WsDeque::is_empty)
     }
 }
 
 pub(crate) struct Shared<'p, P: Problem, D> {
     pub(crate) problem: ProblemRef<'p, P>,
-    slots: Slots<D>,
+    slots: Slots<P, D>,
     pub(crate) root: Arc<RootCell<P::Out>>,
     mode: Mode,
     cutoff: u32,
@@ -340,7 +335,7 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         problem: ProblemRef<'p, P>,
         cfg: &Config,
         mode: Mode,
-        slots: Slots<D>,
+        slots: Slots<P, D>,
         root: Arc<RootCell<P::Out>>,
         cancel: Option<CancelToken>,
     ) -> Self {
@@ -357,7 +352,7 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
 
     /// Release the region — the problem reference, the root cell — and
     /// hand back its slot board (for a pool worker's lease).
-    pub(crate) fn into_slots(self) -> Slots<D> {
+    pub(crate) fn into_slots(self) -> Slots<P, D> {
         self.slots
     }
 
@@ -387,7 +382,7 @@ pub(crate) fn lap(field: &mut u64, start: Option<Instant>) {
 
 /// One in-place frame on a worker's copy-on-steal spine.
 struct SpineSlot<P: Problem> {
-    frame: Arc<Frame<P>>,
+    frame: FrameRef<P>,
     /// Trail length at frame entry: undoing `trail[mark..]` on a clone of
     /// the live workspace reconstructs this frame's pristine workspace.
     mark: usize,
@@ -395,15 +390,23 @@ struct SpineSlot<P: Problem> {
     /// is outstanding (pushed and not yet popped back). Only such frames
     /// can be stolen, so only they need deposits when the region is sealed.
     live_entry: bool,
+    /// Whether this worker deposited a workspace for the frame while it
+    /// held it. It deposits at most once: the one thief that can take the
+    /// frame from it takes that deposit, and a second would be a clone
+    /// nobody takes — made, at a pop conflict, into a frame whose child
+    /// came back detached and whose thief may already have completed it.
+    deposited: bool,
 }
 
 /// What a worker allocates for itself and a later run can use again: the
-/// slot vectors of its two pools, its trail and its spine. Empty between
-/// runs — the vectors keep their capacity, nothing else is kept — so a run
-/// on a used scratch counts what a run on a fresh one counts.
+/// slot vectors of its pools, its trail and its spine. Empty between runs —
+/// the vectors keep their capacity, nothing else is kept — so a run on a
+/// used scratch counts what a run on a fresh one counts. Frames are not
+/// kept here: they live on the slot board (see [`Slots`]).
 pub(crate) struct Scratch<P: Problem> {
     freelist: Pool<P::State>,
-    frames: Pool<Arc<Frame<P>>>,
+    frames: Pool<FrameRef<P>>,
+    spare: Vec<FrameRef<P>>,
     trail: Vec<P::Choice>,
     spine: Vec<SpineSlot<P>>,
 }
@@ -413,6 +416,7 @@ impl<P: Problem> Default for Scratch<P> {
         Scratch {
             freelist: Pool::new(POOL_CAP),
             frames: Pool::new(POOL_CAP),
+            spare: Vec::new(),
             trail: Vec::new(),
             spine: Vec::new(),
         }
@@ -423,6 +427,7 @@ impl<P: Problem> Scratch<P> {
     pub(crate) fn is_empty(&self) -> bool {
         self.freelist.is_empty()
             && self.frames.is_empty()
+            && self.spare.is_empty()
             && self.trail.is_empty()
             && self.spine.is_empty()
     }
@@ -437,9 +442,15 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     kernel: Kernel,
     /// Recycled workspace buffers (all copying modes except `Cilk`).
     freelist: Pool<P::State>,
-    /// Recycled shells of frames that completed without ever being
-    /// stolen — nobody else ever used them.
-    frames: Pool<Arc<Frame<P>>>,
+    /// Frames this worker retired — at a sync that never went
+    /// asynchronous, or by emptying their join cell — from any slab of
+    /// the board.
+    frames: Pool<FrameRef<P>>,
+    /// Retired frames `frames` had no room for; taken before carving, and
+    /// counted as fresh.
+    spare: Vec<FrameRef<P>>,
+    /// What is left to carve of the slab chunk this worker took last.
+    fresh: std::slice::Iter<'s, Frame<P>>,
     /// Copy-on-steal bookkeeping: every choice currently applied to the
     /// live in-place workspace, in application order.
     trail: Vec<P::Choice>,
@@ -470,6 +481,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         let Scratch {
             freelist,
             frames,
+            spare,
             trail,
             spine,
         } = std::mem::take(scratch);
@@ -480,6 +492,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             stats: RunStats::default(),
             freelist,
             frames,
+            spare,
+            fresh: [].iter(),
             trail,
             spine,
             region_base: 0,
@@ -489,23 +503,27 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     }
 
     /// The end of this worker's run: its counters, and its vectors back
-    /// into `scratch`. The pools die with the run — what they hold is
-    /// dropped here — so that `frame_reuse`, `state_reuse` and
-    /// `allocations` of the next run on this scratch are a cold start's.
+    /// into `scratch`. The pools die with the run — workspaces are dropped
+    /// here, frames stay in their slabs — so that `frame_reuse`,
+    /// `state_reuse` and `allocations` of the next run on this scratch are
+    /// a cold start's.
     fn retire(self, scratch: &mut Scratch<P>) -> RunStats {
         let Worker {
             stats,
             mut freelist,
             mut frames,
+            mut spare,
             trail,
             spine,
             ..
         } = self;
         freelist.clear();
         frames.clear();
+        spare.clear();
         *scratch = Scratch {
             freelist,
             frames,
+            spare,
             trail,
             spine,
         };
@@ -586,8 +604,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Create (or revive from the frame pool) a frame for a node whose
-    /// continuation is about to run.
+    /// A frame for a node whose continuation is about to run: the last one
+    /// this worker retired, else a spare, else a fresh one carved from its
+    /// slot's slab.
     fn make_frame(
         &mut self,
         parent: Parent<P>,
@@ -595,56 +614,59 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         choices: Vec<P::Choice>,
         logical: u32,
         depth: u32,
-    ) -> Arc<Frame<P>> {
-        let Some(frame) = self.frames.take() else {
-            return Frame::new(parent, state, choices, logical, depth, self.id);
+    ) -> FrameRef<P> {
+        let frame = match self.frames.take() {
+            Some(frame) => {
+                self.stats.frame_reuse += 1;
+                frame
+            }
+            None => match self.spare.pop() {
+                Some(frame) => frame,
+                None => self.carve(),
+            },
         };
-        // SAFETY: a pooled shell was retired by its holder — this worker,
-        // which also made it (`owner` still names us) — after a life in
-        // which no deque extraction ever handed it to another thread, and
-        // it is not republished yet.
-        let cont = unsafe { frame.cont() };
-        cont.parent = parent;
-        cont.state = state;
-        cont.choices = choices;
-        cont.depth = depth;
-        cont.logical = logical;
-        // `next`, `acc` and the deposit were reset at retirement, and the
-        // join cell of a never-stolen frame is still fresh. New
-        // incarnation of the shell: any thief still observing the old
-        // generation across a steal handshake is a bug (checked in debug
-        // builds on the thief side).
-        // Relaxed: a load + store, not an RMW, on a pooled shell only this
-        // worker has used and has not republished yet; the deque push's
-        // Release publishes the bump, and the thief's debug-only Acquire
-        // re-read is the sole other reader.
-        let generation = frame.generation.load(Ordering::Relaxed);
-        frame
-            .generation
-            .store(generation.wrapping_add(1), Ordering::Relaxed);
-        self.stats.frame_reuse += 1;
+        // SAFETY: a free slot — this worker retired it or carved it — that
+        // no other thread can reach before its first push.
+        unsafe { frame.start(parent, state, choices, logical, depth, self.id) };
         frame
     }
 
-    /// Dispose of a frame that completed on this worker's stack without
-    /// ever going asynchronous. No extraction ever moved it and every
-    /// child returned on the stack, so no other thread has used it: its
-    /// workspace goes back to the free list and — where the deque entries
-    /// allow — the scrubbed shell to the frame pool, without probing the
-    /// reference count.
-    fn retire_frame(&mut self, frame: Arc<Frame<P>>) {
-        // SAFETY: the caller holds the continuation (it just ran its sync).
-        let cont = unsafe { frame.cont() };
-        if let Some(state) = cont.state.take().or_else(|| frame.take_unclaimed_ws()) {
+    /// The next unused frame of this worker's slab chunk, taking a new
+    /// chunk from its slot's slab when this one is used up.
+    #[cold]
+    fn carve(&mut self) -> FrameRef<P> {
+        let frame = match self.fresh.next() {
+            Some(frame) => frame,
+            None => {
+                self.fresh = self.shared.slots.slabs[self.id].chunk().iter();
+                self.fresh.next().expect("a slab chunk holds frames")
+            }
+        };
+        FrameRef::new(frame)
+    }
+
+    /// Scrub a completed frame this worker owns and put it on its free
+    /// list: a frame whose sync never went asynchronous (its join cell is
+    /// untouched), or one whose join cell this worker emptied (`rearm`).
+    /// Whatever workspace it still carries — its own under the Cilk modes,
+    /// a deposit no thief took — goes back to the workspace pool.
+    fn retire_frame(&mut self, frame: FrameRef<P>, rearm: bool) {
+        // SAFETY: the caller owns the completed frame (see above).
+        let (f, cont) = unsafe { (frame.get(), frame.cont()) };
+        if let Some(state) = cont.state.take().or_else(|| f.take_unclaimed_ws()) {
             self.recycle(state);
         }
-        if E::POOLS_SHELLS {
-            // Scrub every live reference so the parked frame keeps
-            // nothing alive: the parent chain, leftover choices.
-            cont.parent = Parent::None;
-            cont.choices.clear();
-            cont.next = 0;
-            self.frames.put(frame);
+        // Scrub every live reference so the idle slot keeps nothing
+        // alive: the parent chain, the choices.
+        cont.parent = Parent::None;
+        cont.choices = Vec::new();
+        if rearm {
+            f.join.rearm();
+        }
+        // SAFETY: owned and scrubbed, as above.
+        let frame = unsafe { frame.recycle() };
+        if !self.frames.put(frame) {
+            self.spare.push(frame);
         }
     }
 
@@ -653,34 +675,35 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// holder's tokens are released and the frame completes here only if
     /// every detached child has already arrived.
     #[inline]
-    fn sync(&mut self, frame: Arc<Frame<P>>, shared: bool) -> Outcome<P::Out> {
-        // SAFETY: the caller holds the continuation.
+    fn sync(&mut self, frame: FrameRef<P>, shared: bool) -> Outcome<P::Out> {
+        // SAFETY: holder: the caller runs the continuation.
         let acc = std::mem::replace(&mut unsafe { frame.cont() }.acc, P::Out::identity());
         if !shared {
-            self.retire_frame(frame);
+            self.retire_frame(frame, false);
             return Outcome::Done(acc);
         }
-        match frame.join.release(acc, P::Out::combine) {
+        // SAFETY: holder, up to the release below.
+        match unsafe { frame.get() }.join.release(acc, P::Out::combine) {
             Some(total) => {
-                // SAFETY: the cell handed the total — and with it the
-                // frame — back to this thread.
-                if let Some(state) = unsafe { frame.cont() }.state.take() {
-                    self.recycle(state);
-                }
+                // The cell handed the total — and with it the frame — back
+                // to this thread.
+                self.retire_frame(frame, true);
                 Outcome::Done(total)
             }
             None => Outcome::Detached,
         }
     }
 
-    /// Hand `out` to `parent` through the asynchronous delivery chain.
+    /// Hand `out` to `parent` through the asynchronous delivery chain,
+    /// retiring every frame whose cell it empties on the way.
     fn deliver(&mut self, parent: Parent<P>, out: P::Out) {
-        self.stats.async_joins += deliver(parent, out);
+        let joins = deliver(parent, out, |frame| self.retire_frame(frame, true));
+        self.stats.async_joins += joins;
     }
 
     /// Push a continuation entry, tolerating overflow by leaving the child
     /// unstealable (executed inline); returns whether the entry was pushed.
-    fn push_entry(&mut self, frame: &Arc<Frame<P>>, special: bool) -> bool {
+    fn push_entry(&mut self, frame: FrameRef<P>, special: bool) -> bool {
         let entry = E::make(frame);
         let result = if special {
             self.my_deque().push_special(entry)
@@ -735,7 +758,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// a task that owns its workspace. Reached only under
     /// [`Kernel::copies_per_spawn`]; all other modes run
     /// [`Worker::exec_node_inplace`]. `parent` is called only if the node
-    /// gets a frame: a leaf costs its spawner no reference count.
+    /// gets a frame.
     fn exec_node(
         &mut self,
         state: P::State,
@@ -765,7 +788,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// task with its own workspace clone. Stolen frames re-enter here (the
     /// slow version "restores the program counter" — `cont.next` — and
     /// continues) with `shared` set: their join cell is live.
-    fn frame_loop(&mut self, frame: Arc<Frame<P>>, mut shared: bool) -> Outcome<P::Out> {
+    fn frame_loop(&mut self, frame: FrameRef<P>, mut shared: bool) -> Outcome<P::Out> {
         // Cancellation poll: stop spawning; already-spawned children
         // still join, completing the frame normally.
         while !self.cancelled() {
@@ -789,10 +812,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             self.problem().apply(&mut child_state, choice);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth });
-            let pushed = stealable && self.push_entry(&frame, false);
-            let child = self.exec_node(child_state, logical, depth, || {
-                Parent::Frame(Arc::clone(&frame))
-            });
+            let pushed = stealable && self.push_entry(frame, false);
+            let child = self.exec_node(child_state, logical, depth, || Parent::Frame(frame));
             if pushed && !self.pop_back() {
                 // Continuation stolen: a thief now runs this frame's
                 // remaining children. A child that finished here spends
@@ -809,7 +830,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 Outcome::Done(out) => unsafe { frame.cont() }.acc.combine(out),
                 Outcome::Detached => {
                     // The child keeps the in-flight token it left under.
-                    frame.join.add_in_flight();
+                    // SAFETY: holder, as above.
+                    unsafe { frame.get() }.join.add_in_flight();
                     shared = true;
                 }
             }
@@ -839,13 +861,17 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         if !hint.load(Ordering::Relaxed) || !hint.swap(false, Ordering::AcqRel) {
             return;
         }
-        let spine = std::mem::take(&mut self.spine);
-        for slot in &spine[self.region_base..] {
+        let mut spine = std::mem::take(&mut self.spine);
+        for slot in &mut spine[self.region_base..] {
+            // SAFETY: a spine frame is this worker's to hold, or protected
+            // by the in-flight token of the child it is running under it.
+            let frame = unsafe { slot.frame.get() };
             // Acquire: pairs with the thief's Release request in
             // `obtain_ws`, before the owner clones its workspace.
-            if slot.frame.ws_requested.load(Ordering::Acquire) {
+            if !slot.deposited && frame.ws_requested.load(Ordering::Acquire) {
                 let snap = self.materialise(live, slot.mark);
-                slot.frame.deposit_ws(snap);
+                frame.deposit_ws(snap);
+                slot.deposited = true;
                 tev!(self, Workspace, Ev::WsDeposit);
             }
         }
@@ -872,13 +898,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// special syncs. Sealing up front keeps every possible request
     /// targeted at a *current* region, which its owner always services.
     fn seal_region(&mut self, live: &P::State) {
-        let spine = std::mem::take(&mut self.spine);
-        for slot in &spine[self.region_base..] {
-            // Acquire: pairs with the thief's AcqRel take, so sealing never
-            // deposits over a workspace a thief is taking.
-            if slot.live_entry && !slot.frame.ws_ready.load(Ordering::Acquire) {
+        let mut spine = std::mem::take(&mut self.spine);
+        for slot in &mut spine[self.region_base..] {
+            if slot.live_entry && !slot.deposited {
                 let snap = self.materialise(live, slot.mark);
-                slot.frame.deposit_ws(snap);
+                // SAFETY: a live entry's frame is protected by the
+                // in-flight token of the child running under it.
+                unsafe { slot.frame.get() }.deposit_ws(snap);
+                slot.deposited = true;
                 tev!(self, Workspace, Ev::WsDeposit);
             }
         }
@@ -971,19 +998,21 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// Run an in-place frame's continuation: spawn each remaining child as
     /// a task *without* cloning the workspace — apply the choice to the
     /// live workspace, dive in, undo on return. A pop conflict deposits the
-    /// (now frame-pristine) workspace for the thief before unwinding.
-    /// `shared` as in [`Worker::frame_loop`].
+    /// (now frame-pristine) workspace for the thief before unwinding, unless
+    /// this worker already deposited one. `shared` as in
+    /// [`Worker::frame_loop`].
     fn frame_loop_inplace(
         &mut self,
-        frame: Arc<Frame<P>>,
+        frame: FrameRef<P>,
         state: &mut P::State,
         regime: Regime,
         mut shared: bool,
     ) -> Outcome<P::Out> {
         self.spine.push(SpineSlot {
-            frame: Arc::clone(&frame),
+            frame,
             mark: self.trail.len(),
             live_entry: false,
+            deposited: false,
         });
         loop {
             self.service_ws(state);
@@ -1010,17 +1039,12 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             // The spawn that eager copying would have paid a clone for.
             self.stats.workspace_copies_saved += 1;
             tev!(self, Workspace, Ev::CopySaved);
-            let pushed = stealable && self.push_entry(&frame, false);
+            let pushed = stealable && self.push_entry(frame, false);
             if let Some(slot) = self.spine.last_mut() {
                 slot.live_entry = pushed;
             }
-            let child = self.exec_node_inplace(
-                state,
-                logical,
-                depth,
-                || Parent::Frame(Arc::clone(&frame)),
-                regime,
-            );
+            let child =
+                self.exec_node_inplace(state, logical, depth, || Parent::Frame(frame), regime);
             self.problem().undo(state, choice);
             self.trail.pop();
             if pushed {
@@ -1029,19 +1053,19 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         slot.live_entry = false;
                     }
                 } else {
-                    // Continuation stolen. The live workspace is
-                    // frame-pristine right now (the child's choice was
-                    // just undone): deposit a clone for the thief
-                    // unless a seal or service round already did.
-                    // Acquire: pairs with the Release in `deposit_ws` and
-                    // the thief's AcqRel take, so the owner sees whether
-                    // a deposit is already there or was consumed.
-                    if !frame.ws_ready.load(Ordering::Acquire) {
+                    // Continuation stolen. Its thief takes the deposit a
+                    // seal or service round made; failing that, deposit
+                    // the live workspace, frame-pristine right now (the
+                    // child's choice was just undone).
+                    let slot = self.spine.pop().expect("this frame's spine slot");
+                    if !slot.deposited {
                         let snap = self.clone_state(state);
-                        frame.deposit_ws(snap);
+                        // SAFETY: nothing was deposited, so the thief, which
+                        // holds the continuation token, cannot run — let
+                        // alone complete — the frame before this deposit.
+                        unsafe { frame.get() }.deposit_ws(snap);
                         tev!(self, Workspace, Ev::WsDeposit);
                     }
-                    self.spine.pop();
                     // Token handling as in the Cilk loop.
                     if let Outcome::Done(out) = child {
                         self.deliver(Parent::Frame(frame), out);
@@ -1054,7 +1078,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 // continuation with this worker.
                 Outcome::Done(out) => unsafe { frame.cont() }.acc.combine(out),
                 Outcome::Detached => {
-                    frame.join.add_in_flight();
+                    // SAFETY: holder, as above.
+                    unsafe { frame.get() }.join.add_in_flight();
                     shared = true;
                 }
             }
@@ -1067,15 +1092,16 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// workspace and simply resumes; an in-place frame borrowed its
     /// owner's, so the thief first obtains an isolated one
     /// ([`Worker::obtain_ws`]) and runs the continuation in place on that.
-    fn run_stolen(&mut self, frame: Arc<Frame<P>>) {
-        // SAFETY: the claimed extraction made this worker the holder.
-        let cont = unsafe { frame.cont() };
+    fn run_stolen(&mut self, frame: FrameRef<P>) {
+        // SAFETY: the claimed extraction made this worker the holder; the
+        // borrows end before the frame loop below.
+        let (f, cont) = unsafe { (frame.get(), frame.cont()) };
         // Nothing above a stolen continuation is on this stack: if the
         // frame completes at our sync, its total travels by `deliver`.
         let parent = match &cont.parent {
             Parent::Root(c) => Parent::Root(Arc::clone(c)),
             Parent::Cell(c) => Parent::Cell(Arc::clone(c)),
-            Parent::Frame(f) => Parent::Frame(Arc::clone(f)),
+            Parent::Frame(p) => Parent::Frame(*p),
             Parent::None => unreachable!("stole a scrubbed frame"),
         };
         tev!(
@@ -1089,15 +1115,15 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         );
         // The victim's child still owns the in-flight token the frame was
         // pushed under; the children spawned from here need their own.
-        frame.join.add_in_flight();
+        f.join.add_in_flight();
         let outcome = if self.kernel.copies_per_spawn() {
             self.frame_loop(frame, true)
         } else {
-            let mut ws = self.obtain_ws(&frame);
+            let mut ws = self.obtain_ws(f);
             // Entries re-pushed from here borrow *this* worker's workspace.
             // Release: pairs with the next thief's Acquire owner load in
             // `obtain_ws` (the deque push's Release publishes it as well).
-            frame.owner.store(self.id, Ordering::Release);
+            f.owner.store(self.id, Ordering::Release);
             let saved_base = self.region_base;
             self.region_base = self.spine.len();
             let outcome = self.frame_loop_inplace(frame, &mut ws, Regime::Fast, true);
@@ -1124,10 +1150,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// — re-raising the owner's doorbell periodically, since the owner may
     /// consume a hint while a different region is current.
     fn obtain_ws(&mut self, frame: &Frame<P>) -> P::State {
-        // Acquire: debug-only snapshot of the generation the owner bumped
-        // before the push that published this frame.
-        #[cfg(debug_assertions)]
-        let generation = frame.generation.load(Ordering::Acquire);
         let state = match frame.try_take_ws() {
             Some(s) => s,
             None => {
@@ -1169,13 +1191,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             }
         };
         tev!(self, Workspace, Ev::WsTake);
-        // Acquire: debug-only re-read against the snapshot above.
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            frame.generation.load(Ordering::Acquire),
-            generation,
-            "frame shell recycled during a steal handshake"
-        );
         state
     }
 
@@ -1338,8 +1353,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             self.problem().apply(&mut child, c);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth: 0 });
-            let pushed = self.push_entry(&special, true);
-            let parent = || Parent::Frame(Arc::clone(&special));
+            let pushed = self.push_entry(special, true);
+            let parent = || Parent::Frame(special);
             let outcome = self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
             if pushed {
                 match self.my_deque().pop_special() {
@@ -1356,7 +1371,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             match outcome {
                 Outcome::Done(out) => acc.combine(out),
                 Outcome::Detached => {
-                    special.join.add_in_flight();
+                    // SAFETY: holder: the special continuation never
+                    // leaves this worker.
+                    unsafe { special.get() }.join.add_in_flight();
                     shared = true;
                 }
             }
@@ -1364,9 +1381,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // sync_specialtask: the special task cannot be suspended — wait for
         // every detached child to arrive before resuming the fake task.
         let joined = if shared {
-            special.join.release(acc, P::Out::combine)
+            // SAFETY: holder, as above, up to this release.
+            let total = unsafe { special.get() }.join.release(acc, P::Out::combine);
+            if total.is_some() {
+                self.retire_frame(special, true);
+            }
+            total
         } else {
-            self.retire_frame(special);
+            self.retire_frame(special, false);
             Some(acc)
         };
         if let Some(out) = joined {
@@ -1394,7 +1416,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// Claim an entry just extracted from `victim`'s deque and record the
     /// outcome: a successful steal, or — multiplicity backends only — a
     /// duplicate of an entry some other extraction already claimed.
-    fn claim_stolen(&mut self, victim: usize, entry: E) -> Option<Arc<Frame<P>>> {
+    fn claim_stolen(&mut self, victim: usize, entry: E) -> Option<FrameRef<P>> {
         let frame = entry.claim();
         if frame.is_some() {
             self.shared.slots.signals[victim].record_steal_success();
@@ -1592,15 +1614,15 @@ fn dispatch<'a, P: Problem>(
 ) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
     match cfg.backend {
         DequeBackend::The => {
-            run_on::<P, Arc<Frame<P>>, TheDeque<Arc<Frame<P>>>>(problem, cfg, mode, tracer)
+            run_on::<P, FrameRef<P>, TheDeque<FrameRef<P>>>(problem, cfg, mode, tracer)
         }
         DequeBackend::ChaseLev => {
-            run_on::<P, Arc<Frame<P>>, ChaseLevDeque<Arc<Frame<P>>>>(problem, cfg, mode, tracer)
+            run_on::<P, FrameRef<P>, ChaseLevDeque<FrameRef<P>>>(problem, cfg, mode, tracer)
         }
         DequeBackend::Pool => {
-            run_on::<P, Arc<Frame<P>>, PoolDeque<Arc<Frame<P>>>>(problem, cfg, mode, tracer)
+            run_on::<P, FrameRef<P>, PoolDeque<FrameRef<P>>>(problem, cfg, mode, tracer)
         }
-        // The multiplicity backend stores (weak-ref, epoch) entries so that
+        // The multiplicity backend stores (handle, epoch) entries so that
         // duplicate extractions can be rejected by the claim layer instead
         // of running a task twice.
         DequeBackend::FenceFree => {
@@ -1622,7 +1644,7 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
         ProblemRef::Borrowed(problem),
         cfg,
         mode,
-        Slots::<D>::new::<E>(cfg, threads),
+        Slots::<P, D>::new::<E>(cfg, threads),
         RootCell::new(),
         None,
     );
@@ -1656,19 +1678,35 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
 mod tests {
     use super::*;
 
+    /// A one-node problem: the board's frame type needs one.
+    struct Leaf;
+    impl Problem for Leaf {
+        type State = ();
+        type Choice = u8;
+        type Out = u64;
+        fn root(&self) {}
+        fn expand(&self, _: &(), _: u32) -> Expansion<u8, u64> {
+            Expansion::Leaf(1)
+        }
+        fn apply(&self, _: &mut (), _: u8) {}
+        fn undo(&self, _: &mut (), _: u8) {}
+    }
+
     #[test]
     fn settling_a_board_lowers_what_thieves_left_raised() {
         let cfg = Config::new(2).max_stolen_num(1).deque_capacity(4);
-        let board = Slots::<TheDeque<u32>>::new::<u32>(&cfg, 2);
+        let mut board = Slots::<Leaf, TheDeque<u32>>::new::<u32>(&cfg, 2);
         assert_eq!(board.len(), 2);
         board.signals[1].record_steal_failure();
         assert!(board.signals[1].record_steal_failure(), "raised");
         // Relaxed: a single-threaded test.
         board.ws_hints[0].store(true, Ordering::Relaxed);
+        let carved = board.slabs[1].chunk().as_ptr();
         assert!(board.settle::<u32>(), "both deques are empty");
         assert!(!board.signals[1].needs_task());
         assert_eq!(board.signals[1].stolen_num(), 0);
         assert!(!board.ws_hints[0].load(Ordering::Relaxed));
+        assert_eq!(board.slabs[1].chunk().as_ptr(), carved, "slabs rewound");
 
         board.deques[1].push(7).expect("room for one");
         assert!(!board.settle::<u32>(), "an entry is left in a deque");

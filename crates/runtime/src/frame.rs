@@ -1,4 +1,5 @@
-//! Task frames and the asynchronous result-delivery chain.
+//! Task frames, the slab they live in, and the asynchronous result-delivery
+//! chain.
 //!
 //! A [`Frame`] is the runtime representation of a *task*: the continuation of
 //! a node whose children are being spawned. It corresponds to the
@@ -24,14 +25,34 @@
 //! tokens with children outstanding and walks away
 //! ([`Outcome::Detached`]), and the last arriving child performs the
 //! completion (the paper's Terminate rule (3)).
+//!
+//! # Where frames live
+//!
+//! Frames are not reference-counted. They live in [`FrameSlab`]s, one per
+//! slot of the run's slot board: chunks of frames that are never returned
+//! to the allocator while the run can reach them. A frame is named by a
+//! [`FrameRef`], a plain pointer (debug builds add the slot's generation),
+//! and every dereference names the right that makes it safe: the caller is
+//! the continuation's *holder*, won the extraction that claims it, or
+//! carries an *in-flight token* of its join cell. The same token rule
+//! decides who may reuse a frame: the holder of one that never went
+//! asynchronous, at its sync; otherwise whoever emptied its join cell.
+//! Either way the frame goes to that worker's free list, whichever slab it
+//! came from.
 
 use crate::join::JoinCell;
-use crate::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+#[cfg(debug_assertions)]
+use crate::sync::AtomicU32;
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
 use adaptivetc_core::{Problem, Reduce};
 use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Frames a slab allocates at a time.
+const CHUNK_FRAMES: usize = 32;
 
 /// The special task's result mailbox: `sync_specialtask` sleeps on it in
 /// bounded naps, so a delivery notifies.
@@ -131,8 +152,8 @@ pub(crate) enum Parent<P: Problem> {
     /// A special task's waiter mailbox.
     Cell(Arc<OutCell<P::Out>>),
     /// An enclosing frame.
-    Frame(Arc<Frame<P>>),
-    /// Scrubbed: a pooled shell, or a completed frame whose link was
+    Frame(FrameRef<P>),
+    /// Scrubbed: an idle slab slot, or a completed frame whose link was
     /// consumed by the cascade.
     None,
 }
@@ -168,9 +189,9 @@ pub(crate) struct Cont<P: Problem> {
     pub logical: u32,
 }
 
-/// A heap-allocated task continuation.
+/// A task continuation in a slab slot.
 pub(crate) struct Frame<P: Problem> {
-    /// Holder-private; see [`Frame::cont`] for who the holder is.
+    /// Holder-private; see [`FrameRef::cont`] for who the holder is.
     cont: UnsafeCell<Cont<P>>,
     /// The shared half of the join: untouched until a theft.
     pub join: JoinCell<P::Out>,
@@ -181,29 +202,29 @@ pub(crate) struct Frame<P: Problem> {
     /// workspace this frame borrows; a thief that steals the frame before a
     /// workspace was materialised sets `ws_requested` and waits for the
     /// owner to deposit a clone and publish it through `ws_ready`. The
-    /// owner also deposits unconditionally when a pop conflict reveals the
-    /// frame was stolen, so a waiting thief always makes progress.
+    /// owner also deposits when a pop conflict reveals the frame was
+    /// stolen and it had deposited nothing, so a waiting thief always
+    /// makes progress.
     pub owner: AtomicUsize,
     pub ws_requested: AtomicBool,
     pub ws_ready: AtomicBool,
-    /// Generation stamp, bumped every time a pooled frame shell is reused.
-    /// A thief snapshots it when it begins the workspace handshake; the
-    /// stamp changing under the handshake would mean the frame was recycled
-    /// while a steal was in flight (checked in debug builds).
-    pub generation: AtomicU32,
+    /// The slot's incarnation, bumped each time the slot is retired and at
+    /// a slab rewind; a handle made for an earlier one is stale.
+    #[cfg(debug_assertions)]
+    generation: AtomicU32,
     /// Claim epoch for multiplicity deque backends (`fence-free`): each
     /// deque entry snapshots this counter at push time, and every
     /// extraction must CAS it from its snapshot to snapshot+1 before the
     /// frame may run — duplicates of the same entry lose the CAS and are
     /// discarded (`RunStats::dup_extractions`). Strictly monotone over
-    /// the *shell's* whole lifetime, pooled reuse included: never reset,
-    /// so a stale entry from a previous incarnation can never claim a
-    /// recycled shell (ABA guard). Exactly-once backends never touch it.
-    pub claim_seq: AtomicU64,
+    /// the *slot's* whole lifetime, reuse included: never reset, so a
+    /// stale entry from a previous incarnation can never claim a recycled
+    /// frame (ABA guard). Exactly-once backends never touch it.
+    claim_seq: AtomicU64,
 }
 
 // SAFETY: every field but `cont` is an atomic or a lock. `cont` is only
-// reached through `Frame::cont`, whose contract makes the accessing
+// reached through `FrameRef::cont`, whose contract makes the accessing
 // thread the single holder; holdership moves between threads only through
 // a Release/Acquire edge (deque extraction or the join cell's lock), so
 // the values inside merely move between threads and need `Send`, which
@@ -211,56 +232,37 @@ pub(crate) struct Frame<P: Problem> {
 unsafe impl<P: Problem> Sync for Frame<P> {}
 
 impl<P: Problem> Frame<P> {
-    /// Create a frame for a node whose continuation is about to run.
-    pub(crate) fn new(
-        parent: Parent<P>,
-        state: Option<P::State>,
-        choices: Vec<P::Choice>,
-        logical: u32,
-        depth: u32,
-        owner: usize,
-    ) -> Arc<Self> {
-        Arc::new(Frame {
+    /// A slab slot nobody has used yet.
+    fn idle() -> Self {
+        Frame {
             cont: UnsafeCell::new(Cont {
-                parent,
-                state,
-                choices,
+                parent: Parent::None,
+                state: None,
+                choices: Vec::new(),
                 next: 0,
                 acc: P::Out::identity(),
-                depth,
-                logical,
+                depth: 0,
+                logical: 0,
             }),
             join: JoinCell::new(),
             deposit: Mutex::new(None),
-            owner: AtomicUsize::new(owner),
+            owner: AtomicUsize::new(0),
             ws_requested: AtomicBool::new(false),
             ws_ready: AtomicBool::new(false),
+            #[cfg(debug_assertions)]
             generation: AtomicU32::new(0),
             claim_seq: AtomicU64::new(0),
-        })
-    }
-
-    /// The continuation's fields.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the frame's *holder* and must not keep the
-    /// borrow across a point where holdership can move. The holder is the
-    /// worker that made the frame, until a deque extraction hands the
-    /// continuation to a thief (push-Release → steal-Acquire; on the
-    /// fence-free backend the `claim_seq` CAS decides): from its push to
-    /// its successful pop the owner is *not* the holder. After the
-    /// holder's `JoinCell::release`, the holder is whoever the join cell
-    /// returned the completed total to (ordered by the cell's lock).
-    #[allow(clippy::mut_from_ref)] // the point of the cell: see `# Safety`
-    pub(crate) unsafe fn cont(&self) -> &mut Cont<P> {
-        &mut *self.cont.get()
+        }
     }
 
     /// Owner side of the copy-on-steal handshake: store a materialised
-    /// workspace clone and publish it. Idempotent — a deposit racing with a
-    /// pop-conflict backstop deposit keeps the first clone.
+    /// workspace clone and publish it. Idempotent — a second deposit keeps
+    /// the first clone. Nothing of the frame is touched after `ws_ready`
+    /// flips: from then on a thief may run the frame to completion.
     pub(crate) fn deposit_ws(&self, state: P::State) {
+        // Release: the request is lowered before the deposit is published,
+        // so an owner that polls it (Acquire) starts a fresh handshake.
+        self.ws_requested.store(false, Ordering::Release);
         let mut g = self.deposit.lock();
         if g.is_none() {
             *g = Some(state);
@@ -269,17 +271,13 @@ impl<P: Problem> Frame<P> {
             // pairs with the thief's AcqRel swap in `try_take_ws`.
             self.ws_ready.store(true, Ordering::Release);
         }
-        // Release: the request is lowered only after the deposit above, so
-        // an owner that polls it (Acquire) starts a fresh handshake.
-        self.ws_requested.store(false, Ordering::Release);
     }
 
     /// Thief side: take the deposited workspace if the owner published one.
     /// Consuming the deposit lowers `ws_ready` again, keeping the invariant
-    /// `ws_ready ⟺ an untaken deposit is present` — the owner's pop-conflict
-    /// backstop relies on it when the same frame shell is stolen again
-    /// later (a thief that materialised a frame re-pushes it, and *its*
-    /// thief starts a fresh handshake).
+    /// `ws_ready ⟺ an untaken deposit is present` — a thief that
+    /// materialised a frame re-pushes it, and *its* thief starts a fresh
+    /// handshake on the same frame.
     pub(crate) fn try_take_ws(&self) -> Option<P::State> {
         // AcqRel: acquires the deposited workspace, and releases the claim
         // so the owner cannot deposit twice.
@@ -292,28 +290,264 @@ impl<P: Problem> Frame<P> {
         self.deposit.lock().take()
     }
 
-    /// A sealed-but-never-stolen frame retires with its deposit untaken;
-    /// the common case (no deposit) costs one load and no lock. Leaves the
-    /// handshake as a fresh frame has it.
+    /// A completed frame retires with its deposit untaken when a seal
+    /// deposited for an entry the owner then popped back; the common case
+    /// (no deposit) costs one load and no lock. Leaves the handshake as an
+    /// idle slot has it.
     pub(crate) fn take_unclaimed_ws(&self) -> Option<P::State> {
-        // Relaxed: the retiring owner made the deposit itself, and no
-        // thief ever saw the frame (`ws_requested` was never raised).
+        // Relaxed: the caller owns the completed frame. Every deposit was
+        // made by a holder before its release (program order, then the
+        // join cell's lock), and no thief is left to take one.
         if !self.ws_ready.load(Ordering::Relaxed) {
             return None;
         }
         // Relaxed: as above — there is no other thread to order against;
-        // a later deque push's Release republishes the shell.
+        // a later deque push's Release republishes the slot.
         self.ws_ready.store(false, Ordering::Relaxed);
         self.deposit.lock().take()
     }
 }
 
+/// A frame's name: a plain pointer into a [`FrameSlab`], `Copy` and
+/// counted by nobody. What a thread may do through it is the protocol's
+/// business — see [`get`](FrameRef::get) — and every dereference names
+/// its right in a `// SAFETY:` comment. Debug builds also record the
+/// slot's generation and check it at every dereference, so a handle used
+/// after its frame was retired panics instead of reading the slot's next
+/// incarnation.
+pub(crate) struct FrameRef<P: Problem> {
+    ptr: NonNull<Frame<P>>,
+    #[cfg(debug_assertions)]
+    generation: u32,
+}
+
+impl<P: Problem> Clone for FrameRef<P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: Problem> Copy for FrameRef<P> {}
+
+// SAFETY: a handle is a shared reference to a `Frame`, which is `Sync`,
+// into slab memory that outlives every handle of its run; the protocol,
+// not the handle, decides what it may be used for (see `get`).
+unsafe impl<P: Problem> Send for FrameRef<P> {}
+unsafe impl<P: Problem> Sync for FrameRef<P> {}
+
+impl<P: Problem> FrameRef<P> {
+    /// A handle naming `frame`'s current incarnation.
+    pub(crate) fn new(frame: &Frame<P>) -> Self {
+        FrameRef {
+            ptr: NonNull::from(frame),
+            // Relaxed: whoever makes a handle owns the slot or reached it
+            // through the edge that published its current incarnation.
+            #[cfg(debug_assertions)]
+            generation: frame.generation.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The frame.
+    ///
+    /// # Safety
+    ///
+    /// The slab must still be alive, which it is for every handle of a
+    /// run while the run lasts, and the caller must hold a right to the
+    /// frame's current incarnation: it is the continuation's *holder* (it
+    /// made the frame, or popped back the entry it pushed), it won the
+    /// *claimed extraction* of a stolen entry, it carries an *in-flight
+    /// token* of the frame's join cell (a child result still to arrive),
+    /// or it emptied that cell and so owns the completed frame. A holder
+    /// loses its right from its push to its successful pop, and for good
+    /// after a failed pop or its release; a token is gone once delivered.
+    pub(crate) unsafe fn get(&self) -> &Frame<P> {
+        // SAFETY: the slab is alive (caller's contract) and never moves a
+        // frame; `Frame` is `Sync`.
+        let frame = unsafe { self.ptr.as_ref() };
+        // Relaxed: the caller's right orders it after the bump that made
+        // this incarnation; a stale handle reads a later value.
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            frame.generation.load(Ordering::Relaxed),
+            self.generation,
+            "stale frame handle: its slot was retired after the handle was made"
+        );
+        frame
+    }
+
+    /// The continuation's fields.
+    ///
+    /// # Safety
+    ///
+    /// As for [`get`](FrameRef::get), with a stronger right: the caller is
+    /// the holder — or the owner of a completed frame — and must not keep
+    /// the borrow across a point where holdership can move (a push, a
+    /// release, a delivery).
+    #[allow(clippy::mut_from_ref)] // the point of the cell: see `# Safety`
+    pub(crate) unsafe fn cont(&self) -> &mut Cont<P> {
+        // SAFETY: the caller is the single holder (contract above).
+        unsafe { &mut *self.get().cont.get() }
+    }
+
+    /// The claim epoch, through any handle of the run, stale or not: a
+    /// stale entry's epoch simply loses the claim CAS.
+    ///
+    /// # Safety
+    ///
+    /// The slab must still be alive — true for every handle of a run
+    /// while the run lasts.
+    pub(crate) unsafe fn claim_seq(&self) -> &AtomicU64 {
+        // SAFETY: the slab is alive (caller's contract) and `claim_seq` is
+        // an atomic any thread may touch.
+        unsafe { &self.ptr.as_ref().claim_seq }
+    }
+
+    /// Write the continuation of a new incarnation.
+    ///
+    /// # Safety
+    ///
+    /// The slot is free — carved fresh from a slab, or taken from this
+    /// worker's free list — and not yet published to any other thread.
+    pub(crate) unsafe fn start(
+        &self,
+        parent: Parent<P>,
+        state: Option<P::State>,
+        choices: Vec<P::Choice>,
+        logical: u32,
+        depth: u32,
+        owner: usize,
+    ) {
+        // SAFETY: a free slot is its taker's alone (contract above).
+        let frame = unsafe { self.get() };
+        // SAFETY: as above.
+        *unsafe { self.cont() } = Cont {
+            parent,
+            state,
+            choices,
+            next: 0,
+            acc: P::Out::identity(),
+            depth,
+            logical,
+        };
+        // Relaxed: the slot is unpublished; the deque push's Release
+        // publishes the owner with the rest of the frame.
+        frame.owner.store(owner, Ordering::Relaxed);
+    }
+
+    /// End this incarnation. The returned handle names the slot's next
+    /// one; in debug builds every copy of this handle is now stale.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the completed frame — the holder of one that never
+    /// went asynchronous, at its sync, or whoever emptied its join cell —
+    /// and has scrubbed it.
+    pub(crate) unsafe fn recycle(self) -> FrameRef<P> {
+        // SAFETY: the caller owns the frame (contract above).
+        let frame = unsafe { self.get() };
+        // Relaxed: the owner bumps its own slot; the next taker receives
+        // it through its free list (this thread) or a slab rewind (`&mut`).
+        #[cfg(debug_assertions)]
+        frame.generation.fetch_add(1, Ordering::Relaxed);
+        FrameRef::new(frame)
+    }
+}
+
+/// One slot's frame memory on a run's slot board: chunks of frames, each
+/// handed whole to one worker, which carves frames from it alone. A chunk
+/// is never moved or freed while the board can still be reached — a
+/// one-shot run drops its board after its workers joined, a pool worker
+/// rewinds a kept one only once every participant of its job has left —
+/// so a frame outlives every handle and deque entry made for it, stale
+/// fence-free log entries included.
+pub(crate) struct FrameSlab<P: Problem> {
+    chunks: Mutex<Chunks<P>>,
+}
+
+struct Chunks<P: Problem> {
+    /// Every chunk, as `Box::leak` made it: raw, so that growing this
+    /// vector never moves a box whose frames are in use.
+    all: Vec<NonNull<[Frame<P>]>>,
+    /// Chunks `[0, used)` were handed out since the last rewind.
+    used: usize,
+}
+
+// SAFETY: the slab owns its chunks as a `Vec<Box<[Frame]>>` would; the
+// chunk list is only touched under the lock or through `&mut self`, and
+// the frames themselves are `Sync`.
+unsafe impl<P: Problem> Send for FrameSlab<P> {}
+unsafe impl<P: Problem> Sync for FrameSlab<P> {}
+
+impl<P: Problem> FrameSlab<P> {
+    pub(crate) fn new() -> Self {
+        FrameSlab {
+            chunks: Mutex::new(Chunks {
+                all: Vec::new(),
+                used: 0,
+            }),
+        }
+    }
+
+    /// A chunk nobody has carved since the last rewind — a new one if
+    /// every chunk was handed out. Called once per chunk, so its lock is
+    /// off the spawn path.
+    pub(crate) fn chunk(&self) -> &[Frame<P>] {
+        let mut g = self.chunks.lock();
+        if g.used == g.all.len() {
+            let chunk: Box<[Frame<P>]> = (0..CHUNK_FRAMES).map(|_| Frame::idle()).collect();
+            g.all.push(NonNull::from(Box::leak(chunk)));
+        }
+        let chunk = g.all[g.used];
+        g.used += 1;
+        // SAFETY: only `Drop` frees a chunk, and `rewind` — after which it
+        // is handed out again — takes `&mut self`: it stays valid, and this
+        // caller's alone to carve, for as long as `&self` is borrowed.
+        unsafe { chunk.as_ref() }
+    }
+
+    /// Hand every chunk out afresh. `&mut`: no handle into the slab is in
+    /// use, so every frame carved from it has been retired and scrubbed.
+    /// Debug builds check that, and make every handle of the run stale.
+    pub(crate) fn rewind(&mut self) {
+        let chunks = self.chunks.get_mut();
+        #[cfg(debug_assertions)]
+        for chunk in &chunks.all[..chunks.used] {
+            // SAFETY: `&mut self`: nobody else can reach the chunk.
+            for frame in unsafe { chunk.as_ref() } {
+                // SAFETY: as above.
+                let cont = unsafe { &*frame.cont.get() };
+                assert!(
+                    matches!(cont.parent, Parent::None) && cont.state.is_none(),
+                    "frame slab rewound with a frame still in use"
+                );
+                // Relaxed: `&mut self`, as above.
+                frame.generation.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        chunks.used = 0;
+    }
+}
+
+impl<P: Problem> Drop for FrameSlab<P> {
+    fn drop(&mut self) {
+        for chunk in self.chunks.get_mut().all.drain(..) {
+            // SAFETY: made by `Box::leak` in `chunk` and freed once, here,
+            // with nobody left to reach it (`&mut self`).
+            drop(unsafe { Box::from_raw(chunk.as_ptr()) });
+        }
+    }
+}
+
 /// Deliver `out`, produced by a child of `parent`, through the shared join
 /// cells, cascading completions upward: whoever empties a cell owns that
-/// frame and carries its total one level up. Iterative to keep completion
-/// chains off the call stack. Returns the number of frame cells the value
-/// passed through (`RunStats::async_joins`).
-pub(crate) fn deliver<P: Problem>(parent: Parent<P>, out: P::Out) -> u64 {
+/// frame, hands it to `retire` and carries its total one level up.
+/// Iterative to keep completion chains off the call stack. Returns the
+/// number of frame cells the value passed through (`RunStats::async_joins`).
+pub(crate) fn deliver<P: Problem>(
+    parent: Parent<P>,
+    out: P::Out,
+    mut retire: impl FnMut(FrameRef<P>),
+) -> u64 {
     let mut current = parent;
     let mut value = out;
     let mut joins = 0;
@@ -329,13 +563,18 @@ pub(crate) fn deliver<P: Problem>(parent: Parent<P>, out: P::Out) -> u64 {
             }
             Parent::Frame(f) => {
                 joins += 1;
-                match f.join.arrive(value, P::Out::combine) {
+                // SAFETY: in-flight token: `value` is a child result still
+                // to arrive at `f`.
+                match unsafe { f.get() }.join.arrive(value, P::Out::combine) {
                     None => return joins,
                     Some(total) => {
                         value = total;
                         // SAFETY: `arrive` returned the total, so this
-                        // thread emptied the cell and is now the holder.
+                        // thread emptied the cell and owns the frame.
                         current = std::mem::replace(&mut unsafe { f.cont() }.parent, Parent::None);
+                        // Retired before the total moves on: once it lands,
+                        // the run may be over.
+                        retire(f);
                     }
                 }
             }
@@ -362,16 +601,37 @@ mod tests {
         fn undo(&self, _: &mut (), _: u8) {}
     }
 
-    /// A frame as its thief sees it: the continuation taken over, the
-    /// victim's child still to arrive.
-    fn stolen_frame(parent: Parent<Nop>) -> Arc<Frame<Nop>> {
-        let f = Frame::new(parent, Some(()), vec![0], 0, 0, 0);
-        f.join.add_in_flight();
-        f
+    /// The first `n` frames of a fresh chunk, as a worker carves them.
+    fn carve(slab: &FrameSlab<Nop>, n: usize) -> Vec<FrameRef<Nop>> {
+        slab.chunk().iter().take(n).map(FrameRef::new).collect()
     }
 
-    fn release(f: &Arc<Frame<Nop>>, local: u64) -> Option<u64> {
-        f.join.release(local, u64::combine)
+    /// A frame as its thief sees it: the continuation taken over, the
+    /// victim's child still to arrive.
+    fn stolen(frame: FrameRef<Nop>, parent: Parent<Nop>) -> FrameRef<Nop> {
+        // SAFETY: a freshly carved slot, unpublished; then its holder.
+        unsafe {
+            frame.start(parent, Some(()), vec![0], 0, 0, 0);
+            frame.get().join.add_in_flight();
+        }
+        frame
+    }
+
+    fn release(f: FrameRef<Nop>, local: u64) -> Option<u64> {
+        // SAFETY: the test thread holds the continuation.
+        unsafe { f.get() }.join.release(local, u64::combine)
+    }
+
+    /// What a worker does with a frame it emptied: scrub it and recycle.
+    fn retire(into: &mut Vec<FrameRef<Nop>>) -> impl FnMut(FrameRef<Nop>) + '_ {
+        |f| {
+            // SAFETY: `deliver` hands over frames whose cell it emptied.
+            unsafe {
+                f.cont().state = None;
+                f.get().join.rearm();
+                into.push(f.recycle());
+            }
+        }
     }
 
     #[test]
@@ -390,35 +650,106 @@ mod tests {
 
     #[test]
     fn frame_completes_after_children_and_continuation() {
+        let slab = FrameSlab::new();
         let cell = RootCell::new();
-        let f = stolen_frame(Parent::Root(Arc::clone(&cell)));
-        f.join.add_in_flight(); // a second child went asynchronous
-        assert_eq!(deliver(Parent::Frame(Arc::clone(&f)), 10), 1);
+        let f = stolen(carve(&slab, 1)[0], Parent::Root(Arc::clone(&cell)));
+        // SAFETY: the test thread holds the continuation.
+        unsafe { f.get() }.join.add_in_flight(); // a second child went asynchronous
+        let mut retired = Vec::new();
+        assert_eq!(deliver(Parent::Frame(f), 10, retire(&mut retired)), 1);
         assert!(!cell.is_done());
-        assert_eq!(release(&f, 0), None); // holder synced, one child pending
+        assert_eq!(release(f, 0), None); // holder synced, one child pending
         assert!(!cell.is_done());
-        deliver(Parent::Frame(f), 5); // last child completes it
+        deliver(Parent::Frame(f), 5, retire(&mut retired)); // last child completes it
         assert_eq!(cell.take(), 15);
+        assert_eq!(retired.len(), 1, "the emptier retired the frame");
     }
 
     #[test]
     fn completion_cascades_through_nested_frames() {
+        let slab = FrameSlab::new();
         let cell = RootCell::new();
-        let top = stolen_frame(Parent::Root(Arc::clone(&cell)));
-        let mid = stolen_frame(Parent::Frame(Arc::clone(&top)));
-        assert_eq!(release(&top, 1), None);
-        assert_eq!(release(&mid, 2), None);
+        let frames = carve(&slab, 2);
+        let top = stolen(frames[0], Parent::Root(Arc::clone(&cell)));
+        let mid = stolen(frames[1], Parent::Frame(top));
+        assert_eq!(release(top, 1), None);
+        assert_eq!(release(mid, 2), None);
         // Completes mid, cascades into top, lands in the cell: two frame
-        // cells crossed.
-        assert_eq!(deliver(Parent::Frame(mid), 7), 2);
+        // cells crossed, both frames retired on the way, innermost first.
+        let mut retired = Vec::new();
+        assert_eq!(deliver(Parent::Frame(mid), 7, retire(&mut retired)), 2);
         assert_eq!(cell.take(), 10);
+        assert_eq!(retired.len(), 2);
+        assert_eq!(retired[0].ptr, mid.ptr);
+        assert_eq!(retired[1].ptr, top.ptr);
     }
 
     #[test]
     fn holder_releasing_last_receives_the_total() {
-        let f = stolen_frame(Parent::None);
-        assert_eq!(deliver(Parent::Frame(Arc::clone(&f)), 3), 1);
-        assert_eq!(release(&f, 4), Some(7));
+        let slab = FrameSlab::new();
+        let f = stolen(carve(&slab, 1)[0], Parent::None);
+        let mut retired = Vec::new();
+        assert_eq!(deliver(Parent::Frame(f), 3, retire(&mut retired)), 1);
+        assert_eq!(release(f, 4), Some(7));
+        assert!(
+            retired.is_empty(),
+            "the holder emptied the cell, not the child"
+        );
+    }
+
+    #[test]
+    fn a_recycled_frame_starts_its_next_incarnation_fresh() {
+        let slab = FrameSlab::new();
+        let cell = RootCell::new();
+        let f = stolen(carve(&slab, 1)[0], Parent::Root(Arc::clone(&cell)));
+        assert_eq!(release(f, 1), None);
+        let mut retired = Vec::new();
+        deliver(Parent::Frame(f), 2, retire(&mut retired));
+        assert_eq!(cell.take(), 3);
+        // The same slot, through the handle its retirement made: a fresh
+        // join cell, whose holder completes it alone.
+        let again = retired.pop().expect("retired");
+        assert_eq!(again.ptr, f.ptr);
+        // SAFETY: a retired slot, unpublished; then its holder.
+        unsafe { again.start(Parent::None, None, Vec::new(), 0, 0, 0) };
+        assert_eq!(release(again, 5), Some(5));
+    }
+
+    #[test]
+    fn a_slab_hands_each_chunk_out_once_until_rewound() {
+        let mut slab = FrameSlab::<Nop>::new();
+        let first = slab.chunk().as_ptr();
+        let second = slab.chunk().as_ptr();
+        assert_ne!(first, second, "a chunk is one worker's alone");
+        assert_eq!(slab.chunk().len(), CHUNK_FRAMES);
+        slab.rewind();
+        assert_eq!(slab.chunk().as_ptr(), first, "rewound memory is reused");
+        assert_eq!(slab.chunk().as_ptr(), second);
+        assert_eq!(slab.chunks.get_mut().all.len(), 3, "nothing was freed");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale frame handle")]
+    fn a_handle_to_a_recycled_slot_is_caught() {
+        let slab = FrameSlab::new();
+        let old = carve(&slab, 1)[0];
+        // SAFETY: the test thread owns the idle slot.
+        let _next = unsafe { old.recycle() };
+        // SAFETY: deliberately broken — the slot was recycled under `old`;
+        // the debug check must fire before anything is read.
+        let _ = unsafe { old.get() };
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale frame handle")]
+    fn a_rewind_makes_every_handle_of_the_run_stale() {
+        let mut slab = FrameSlab::new();
+        let old = carve(&slab, 1)[0];
+        slab.rewind();
+        // SAFETY: deliberately broken — the slab was rewound under `old`.
+        let _ = unsafe { old.get() };
     }
 
     #[test]

@@ -102,6 +102,15 @@ impl<T> JoinCell<T> {
     pub fn release(&self, local: T, fold: impl FnOnce(&mut T, T)) -> Option<T> {
         self.settle(local, FRESH_TOKENS, fold)
     }
+
+    /// Make an emptied cell fresh for the frame's next incarnation. Only
+    /// its emptier may call this: the total it received made it the
+    /// frame's sole owner.
+    pub fn rearm(&self) {
+        let mut g = self.state.lock();
+        assert!(g.tokens == 0, "join cell rearmed before completion");
+        g.tokens = FRESH_TOKENS;
+    }
 }
 
 impl<T> Default for JoinCell<T> {

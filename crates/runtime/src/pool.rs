@@ -11,11 +11,13 @@
 //! Two pools ride on this type in [`engine`](crate::engine):
 //!
 //! * a **workspace arena** (`Pool<P::State>`) recycling taskprivate
-//!   buffers for every mode that copies (all but the faithful `Cilk`
-//!   baseline, which must keep allocating to reproduce the paper's
-//!   numbers);
-//! * a **frame free list** (`Pool<Arc<Frame<P>>>`) recycling task frames
-//!   whose `Arc` has become unique again after a synchronous completion.
+//!   buffers for every mode that copies except `Cilk`, which does not
+//!   pool — `Cilk-SYNCHED` is the mode that does. (No Table-1 workspace
+//!   allocates when copied, so the arena saves those modes nothing there.)
+//! * the **frame free list** (`Pool<FrameRef<P>>`) of retired frames. It
+//!   holds handles, not allocations: frames live in the slot board's
+//!   slabs, so a frame the list has no room for is kept on a spare list
+//!   rather than freed.
 //!
 //! The bound keeps a worker that momentarily held a huge subtree from
 //! pinning its peak footprint forever; overflow simply drops the object.

@@ -27,19 +27,20 @@
 //! Each job runs in an engine [`Shared`] of its own — its own problem
 //! reference, cancel token and per-slot `RunStats` — built on an engine
 //! *region* it leases from the pool worker that leads it: the slot board
-//! (one deque, one `need_task` signal and one copy-on-steal doorbell per
-//! slot), the root cell, and the lead worker's scratch (trail, spine and
-//! the slot vectors of its two pools). The worker builds a region once and
-//! every job it leads after that runs on it, as long as the key stays the
-//! same: problem and deque type, `deque_capacity`, `max_stolen_num` and
-//! slot count. Any other job drops what is held and builds its own, as a
-//! solo run does.
+//! (one deque, one `need_task` signal, one copy-on-steal doorbell and one
+//! frame slab per slot), the root cell, and the lead worker's scratch
+//! (trail, spine and the slot vectors of its pools). The worker builds a
+//! region once and every job it leads after that runs on it, as long as
+//! the key stays the same: problem and deque type, `deque_capacity`,
+//! `max_stolen_num` and slot count. Any other job drops what is held and
+//! builds its own, as a solo run does.
 //!
 //! What is kept is storage, never content. At a job's terminal, with every
 //! participant gone, the signals and doorbells thieves may have left raised
-//! are lowered, the pools are emptied — their frames and workspaces dropped,
-//! so `frame_reuse`, `state_reuse` and `allocations` of the next job are
-//! those of a cold solo run — and the rest is checked, and asserted, to be
+//! are lowered, the pools are emptied — workspaces dropped, frames left in
+//! their slabs — and the slabs rewound, so a frame carried over counts as
+//! fresh and `frame_reuse`, `state_reuse` and `allocations` of the next job
+//! are those of a cold solo run; the rest is checked, and asserted, to be
 //! what the join implies: every deque empty, trail and spine empty, the
 //! root cell empty and referenced by nobody else. Only then is the region
 //! kept. The "job id tag" on deque entries and signals is therefore still
@@ -71,7 +72,7 @@
 //! the [`OutcomeGate`] says one registered.
 
 use crate::engine::{participate, DequeEntry, FfEntry, ProblemRef, Scratch, Shared, Slots};
-use crate::frame::{Frame, RootCell};
+use crate::frame::{FrameRef, RootCell};
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
 };
@@ -441,13 +442,13 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
             return;
         }
         match self.cfg.backend {
-            DequeBackend::The => run_job::<P, Arc<Frame<P>>, TheDeque<Arc<Frame<P>>>>(
+            DequeBackend::The => run_job::<P, FrameRef<P>, TheDeque<FrameRef<P>>>(
                 &self, problem, ctx, worker, tracer, lease,
             ),
-            DequeBackend::ChaseLev => run_job::<P, Arc<Frame<P>>, ChaseLevDeque<Arc<Frame<P>>>>(
+            DequeBackend::ChaseLev => run_job::<P, FrameRef<P>, ChaseLevDeque<FrameRef<P>>>(
                 &self, problem, ctx, worker, tracer, lease,
             ),
-            DequeBackend::Pool => run_job::<P, Arc<Frame<P>>, PoolDeque<Arc<Frame<P>>>>(
+            DequeBackend::Pool => run_job::<P, FrameRef<P>, PoolDeque<FrameRef<P>>>(
                 &self, problem, ctx, worker, tracer, lease,
             ),
             DequeBackend::FenceFree => run_job::<P, FfEntry<P>, FenceFreeDeque<FfEntry<P>>>(
@@ -469,7 +470,7 @@ struct Region<P: Problem, D> {
     /// joiner still held it, it was not clean, or its deques are
     /// fence-free — leaves the region without one, and the next job builds
     /// afresh.
-    slots: Option<Slots<D>>,
+    slots: Option<Slots<P, D>>,
     root: Arc<RootCell<P::Out>>,
     scratch: Scratch<P>,
 }
@@ -495,19 +496,21 @@ impl<P: Problem, D> Region<P, D> {
             && self.slots.as_ref().is_some_and(|s| s.len() == slots)
     }
 
-    /// Take the board of a finished job back. Whether the region is as a
-    /// fresh one again — which the join implies: every deque empty, trail,
-    /// spine and pools empty, the root cell empty and nobody else's — and
-    /// only then is the board kept, unless its deques are fence-free: their
-    /// log is append-only, so a kept one would grow with every job and keep
-    /// every stale entry extractable. No board (a joiner's snapshot still
-    /// holds it) is nothing to check and nothing to keep.
-    fn hand_back<E>(&mut self, board: Option<Slots<D>>) -> bool
+    /// Take the board of a finished job back — only ever after its lead read
+    /// `participants` at 0, so nobody is on it — and rewind its frame
+    /// slabs. Whether the region is as a fresh one again — which the join
+    /// implies: every deque empty, trail, spine and pools empty, the root
+    /// cell empty and nobody else's — and only then is the board kept,
+    /// unless its deques are fence-free: their log is append-only, so a kept
+    /// one would grow with every job and keep every stale entry
+    /// extractable. No board (a joiner's snapshot still holds it) is nothing
+    /// to check and nothing to keep.
+    fn hand_back<E>(&mut self, board: Option<Slots<P, D>>) -> bool
     where
         E: Send,
         D: WsDeque<E>,
     {
-        let Some(board) = board else {
+        let Some(mut board) = board else {
             return true;
         };
         let clean = board.settle::<E>()
@@ -685,7 +688,7 @@ fn lead_team<P, E, D>(
     worker: usize,
     tracer: TracerRef<'_>,
     scratch: &mut Scratch<P>,
-) -> (P::Out, Option<Slots<D>>, Vec<RunStats>)
+) -> (P::Out, Option<Slots<P, D>>, Vec<RunStats>)
 where
     P: Problem + 'static,
     E: DequeEntry<P> + 'static,
@@ -785,6 +788,10 @@ fn run_job<P, E, D>(
     // region keeps. The join implies it is as a fresh one, and only then is
     // it leased on: anything else is dropped here and reported below, after
     // the client has its outcome.
+    if board.is_some() {
+        // Relaxed: a `ServerStats` counter; the snapshot is advisory.
+        ctx.slab_resets.fetch_add(1, Ordering::Relaxed);
+    }
     let clean = region.hand_back::<E>(board);
     let cancelled = shared.cancel.get();
     shared.lifecycle.finish(cancelled);
@@ -835,6 +842,7 @@ struct ServerCtx {
     wakes: AtomicU64,
     lease_hits: AtomicU64,
     lease_misses: AtomicU64,
+    slab_resets: AtomicU64,
     workers: usize,
     work_sharing: bool,
 }
@@ -873,6 +881,7 @@ impl ServerCtx {
             wakes: self.wakes.load(Ordering::Relaxed),
             lease_hits: self.lease_hits.load(Ordering::Relaxed),
             lease_misses: self.lease_misses.load(Ordering::Relaxed),
+            slab_resets: self.slab_resets.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
             active_jobs: self.active.lock().len(),
             workers: self.workers,
@@ -906,6 +915,11 @@ pub struct ServerStats {
     /// slot count than the one before it, the job after one that did not
     /// hand its region back, and every job on fence-free deques.
     pub lease_misses: u64,
+    /// Job terminals at which the lead got its slot board back and rewound
+    /// the board's frame slabs, so the next job carves their frames afresh.
+    /// A lead gets the board back only after it read every participant
+    /// gone and nobody else holds the job (see the [module docs](self)).
+    pub slab_resets: u64,
     /// Submissions currently waiting in the queue (advisory, summed over
     /// priority lanes).
     pub queue_depth: usize,
@@ -953,6 +967,7 @@ impl JobServer {
             wakes: AtomicU64::new(0),
             lease_hits: AtomicU64::new(0),
             lease_misses: AtomicU64::new(0),
+            slab_resets: AtomicU64::new(0),
             workers,
             work_sharing: cfg.work_sharing,
         });
@@ -1291,7 +1306,7 @@ mod tests {
 
     #[test]
     fn region_lease_hands_back_only_what_matches_its_key() {
-        type E<P> = Arc<Frame<P>>;
+        type E<P> = FrameRef<P>;
         type The<P> = TheDeque<E<P>>;
         fn hit<P: Problem + 'static, D: WsDeque<E<P>> + 'static>(
             lease: &mut RegionLease,

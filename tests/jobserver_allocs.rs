@@ -1,12 +1,12 @@
 //! What a job costs the allocator, as an exact count.
 //!
-//! A pool worker keeps its engine region from job to job, so a warmed-up
-//! single-slot job allocates on the pool side what its tree allocates —
-//! what one `serial::run` of it does — plus the two things a job must have
-//! of its own: the root task's frame and `RunReport::per_worker`. The
-//! submitting side pays three allocations a job beside building the
-//! problem. This binary holds one test, so nothing else allocates while it
-//! counts.
+//! A pool worker keeps its engine region from job to job — its frames too,
+//! in the slot board's slabs — so a warmed-up single-slot job allocates on
+//! the pool side what its tree allocates — what one `serial::run` of it
+//! does — plus the one thing a job must have of its own:
+//! `RunReport::per_worker`. The submitting side pays three allocations a job
+//! beside building the problem. This binary holds one test, so nothing else
+//! allocates while it counts.
 
 use adaptivetc_suite::core::{serial, Config};
 use adaptivetc_suite::runtime::{JobOutcome, JobServer, Mode, Priority, ServerConfig};
@@ -98,7 +98,7 @@ fn flood(
 }
 
 #[test]
-fn a_warm_job_allocates_what_its_tree_does_plus_a_frame_and_a_report() {
+fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
     const WARM_UP: usize = 200;
     const JOBS: usize = 2_000;
     CLIENT.with(|c| c.set(true));
@@ -122,10 +122,11 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_frame_and_a_report() {
 
     let jobs = JOBS as u64;
     let pool_side = other1 - other0;
-    assert!(
-        pool_side <= jobs * (serial + 2),
-        "{pool_side} pool-side allocations for {jobs} jobs = {:.2} a job; \
-         a serial run of the tree makes {serial}, the frame and the report make 2",
+    assert_eq!(
+        pool_side,
+        jobs * (serial + 1),
+        "pool-side allocations for {jobs} jobs = {:.2} a job; a serial run of \
+         the tree makes {serial}, the report 1, and a warm job's frames none",
         pool_side as f64 / jobs as f64
     );
     assert_eq!(

@@ -11,7 +11,7 @@
 //! * **nobody is woken who is not asleep**: a flooded pool issues almost
 //!   no wake-ups, a parked one gets a real wake-up and not the timeout.
 
-use adaptivetc_suite::core::{Config, DequeBackend, Expansion, Problem};
+use adaptivetc_suite::core::{serial, Config, DequeBackend, Expansion, Problem};
 use adaptivetc_suite::runtime::{
     CancelOutcome, JobOutcome, JobServer, Mode, Priority, RejectReason, Scheduler, ServerConfig,
 };
@@ -437,6 +437,70 @@ fn a_two_slot_job_between_leases_leaves_no_trace() {
         let stats = server.shutdown().stats;
         assert_eq!(stats.lease_hits + stats.lease_misses, 18);
     }
+}
+
+/// Two-slot n-queens jobs on a two-worker sharing pool, while single-slot
+/// jobs keep the queue from staying empty: the second worker joins a team
+/// whenever the queue runs dry and abandons it at its next failed steal
+/// once a submission lands — between tasks, with frames carved from its
+/// slot's slab still running on the lead, which may have stolen them. Those
+/// frames live on the job's slot board, not with the joiner, so every
+/// result stays exact with the debug-build stale-handle check on. The
+/// probe is `slab_resets`: a lead rewinds a board's slabs only when it got
+/// the board back, which it does only after reading `participants` at 0.
+#[test]
+fn a_joiner_abandons_while_the_lead_runs_its_frames() {
+    const ROUNDS: u64 = 16;
+    let server = JobServer::new(ServerConfig::new(2).work_sharing(true));
+    let team_want = serial::run(&NqueensArray::new(10)).0;
+    let single_want = serial::run(&NqueensArray::new(6)).0;
+    let single = || {
+        server
+            .submit(
+                NqueensArray::new(6),
+                Config::new(1),
+                Mode::Cilk,
+                Priority::Normal,
+            )
+            .expect("submit a single-slot job")
+    };
+    let (mut helped, mut jobs) = (0, 0);
+    for round in 0..ROUNDS {
+        let mode = if round % 2 == 0 {
+            Mode::Cilk
+        } else {
+            Mode::Adaptive
+        };
+        let team = server
+            .submit(
+                NqueensArray::new(10),
+                Config::new(2).seed(round),
+                mode,
+                Priority::Normal,
+            )
+            .expect("submit a two-slot job");
+        jobs += 1;
+        while !team.status().is_terminal() {
+            // One at a time: the queue runs dry while it runs, and the
+            // next submission lands while the second worker has joined.
+            jobs += 1;
+            assert_eq!(completed(single().wait()).0, single_want, "round {round}");
+        }
+        let (out, report) = completed(team.wait());
+        assert_eq!(out, team_want, "round {round}: {mode:?} team result");
+        assert_eq!(report.threads, 2, "round {round}: two job slots");
+        helped += u64::from(report.per_worker[1].nodes > 0);
+    }
+    let stats = server.shutdown().stats;
+    assert_eq!(stats.completed, jobs);
+    assert!(helped > 0, "no joiner ever ran a node of a two-slot job");
+    // Every job whose lead got its board back rewound it — all of them but
+    // a team some idle worker's snapshot still held at the terminal.
+    assert!(
+        stats.slab_resets > 0 && stats.slab_resets <= jobs,
+        "{} slab resets for {jobs} jobs",
+        stats.slab_resets
+    );
 }
 
 // ---------------------------------------------------------------------------
