@@ -23,8 +23,10 @@
 //! * `jobserver_submit.rs` — the job-server submission kernel
 //!   (`runtime/src/submit.rs`, included below): no lost submission, no
 //!   double claim, and the cancel-vs-complete race resolving to exactly
-//!   one terminal state, exhaustive at 2 workers × 2 jobs, with a pinned
-//!   replayable race-window schedule; and, under the miniature server of
+//!   one terminal state, exhaustive at 2 workers × 2 jobs (or a worker and
+//!   a client leading queued jobs while it waits, which never takes a
+//!   team from the head), with a pinned replayable race-window schedule;
+//!   and, under the miniature server of
 //!   [`park_model`], the two wake hand-shakes — no job stays queued while
 //!   every worker sleeps, a registered waiter is always notified — plus
 //!   the seeded missing-recheck meta-test;

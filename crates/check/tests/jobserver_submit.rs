@@ -12,7 +12,10 @@
 //! * **cancel vs. complete** — a client cancel racing a worker resolves
 //!   to exactly one terminal state, never runs a cancelled-before-claim
 //!   job, and the race window (cancel landing between `claim` and the
-//!   token read at finish) is pinned with a replayable schedule;
+//!   token read at finish) is pinned with a replayable schedule — also
+//!   when the second claimant is the cancelling client itself, leading
+//!   queued jobs while it waits (`JobHandle::wait`), which never takes a
+//!   multi-slot job from the head of the queue;
 //! * **nobody sleeps through an event** — under the miniature server of
 //!   `park_model` (sleeps are flags a waker must clear, and nothing times
 //!   out): no job stays queued while every worker sleeps with no wake
@@ -47,24 +50,50 @@ impl ModelJob {
     }
 }
 
-/// A worker: drain the queue, claim each delivered job, run it (observing
-/// the cancel token exactly like the engine's poll points + lead finish),
-/// and enter the terminal state. Returns the indices it popped.
+/// Lead a delivered job: claim it, run it (observing the cancel token
+/// exactly like the engine's poll points + lead finish), and enter the
+/// terminal state.
+fn lead(j: &ModelJob) {
+    if j.life.claim() {
+        j.ran.store(true, Ordering::Relaxed);
+        let cancelled = j.token.get();
+        assert!(j.life.finish(cancelled), "lead finish must succeed");
+    } else {
+        // A claim can only lose to a client cancel, and the loser job must
+        // never have run.
+        assert_eq!(j.life.status(), JobStatus::Cancelled);
+        assert!(!j.ran.load(Ordering::Relaxed), "cancelled job ran");
+    }
+}
+
+/// A worker: drain the queue and lead each delivered job. Returns the
+/// indices it popped.
 fn drain(q: &SubmitQueue<usize>, jobs: &[ModelJob; 2]) -> Vec<usize> {
     let mut popped = Vec::new();
     while let Some(i) = q.try_pop() {
         popped.push(i);
-        let j = &jobs[i];
-        if j.life.claim() {
-            j.ran.store(true, Ordering::Relaxed);
-            let cancelled = j.token.get();
-            assert!(j.life.finish(cancelled), "lead finish must succeed");
-        } else {
-            // A claim can only lose to a client cancel, and the loser job
-            // must never have run.
-            assert_eq!(j.life.status(), JobStatus::Cancelled);
-            assert!(!j.ran.load(Ordering::Relaxed), "cancelled job ran");
-        }
+        lead(&jobs[i]);
+    }
+    popped
+}
+
+/// A client waiting on job `mine` (`JobHandle::wait`, before it sleeps):
+/// lead what `take` accepts from the head of the queue until its own job is
+/// terminal, the queue is empty or the head is refused. Returns the indices
+/// it popped.
+fn help(
+    q: &SubmitQueue<usize>,
+    jobs: &[ModelJob; 2],
+    mine: usize,
+    take: impl Fn(&usize) -> bool,
+) -> Vec<usize> {
+    let mut popped = Vec::new();
+    while !jobs[mine].life.status().is_terminal() {
+        let Some(i) = q.try_pop_if(&take) else {
+            break;
+        };
+        popped.push(i);
+        lead(&jobs[i]);
     }
     popped
 }
@@ -186,17 +215,31 @@ fn status_name(s: JobStatus) -> &'static str {
     }
 }
 
-/// The full 2 workers × 2 jobs cancel race: two queued jobs, two workers
-/// draining, and the client cancelling job 0 concurrently. Every
-/// interleaving must deliver each job exactly once, complete job 1, and
-/// leave job 0 in exactly one terminal state consistent with the cancel
-/// outcome the client observed.
-fn cancel_scenario(sink: Option<&Mutex<TraceSet>>) {
+/// Who races the pool worker for the queue in [`cancel_scenario`].
+#[derive(Clone, Copy)]
+enum Rival {
+    /// A second pool worker.
+    Worker,
+    /// The cancelling client, which then waits on job 1 and leads queued
+    /// jobs while it does.
+    WaitingClient,
+}
+
+/// The full 2 claimants × 2 jobs cancel race: two queued jobs, a worker
+/// draining, a rival claimant, and the client cancelling job 0
+/// concurrently. Every interleaving must deliver each job exactly once,
+/// complete job 1, and leave job 0 in exactly one terminal state
+/// consistent with the cancel outcome the client observed.
+fn cancel_scenario(rival: Rival, sink: Option<&Mutex<TraceSet>>) {
     let q = Arc::new(SubmitQueue::<usize>::with_capacity(2));
     let jobs = Arc::new([ModelJob::new(), ModelJob::new()]);
     q.try_push(0).unwrap();
     q.try_push(1).unwrap();
-    let workers: Vec<_> = (0..2)
+    let workers = match rival {
+        Rival::Worker => 2,
+        Rival::WaitingClient => 1,
+    };
+    let workers: Vec<_> = (0..workers)
         .map(|_| {
             let q = Arc::clone(&q);
             let jobs = Arc::clone(&jobs);
@@ -205,7 +248,10 @@ fn cancel_scenario(sink: Option<&Mutex<TraceSet>>) {
         .collect();
     // The client: cancel job 0 while the workers drain.
     let outcome = jobs[0].life.cancel(&jobs[0].token);
-    let mut popped = Vec::new();
+    let mut popped = match rival {
+        Rival::Worker => Vec::new(),
+        Rival::WaitingClient => help(&q, &jobs, 1, |_| true),
+    };
     for w in workers {
         popped.extend(w.join().unwrap());
     }
@@ -251,18 +297,74 @@ fn cancel_scenario(sink: Option<&Mutex<TraceSet>>) {
     }
 }
 
+/// The cancel race's reachable resolutions, explored exhaustively.
+fn cancel_outcomes(rival: Rival) -> BTreeSet<Outcome> {
+    let seen: Arc<Mutex<TraceSet>> = Arc::new(Mutex::new(BTreeSet::new()));
+    let sink = Arc::clone(&seen);
+    let report = explore(Config::with_preemption_bound(2), move || {
+        cancel_scenario(rival, Some(&sink));
+    });
+    assert!(report.complete, "cancel space not exhausted: {report:?}");
+    println!("jobserver_submit::cancel_vs_complete: {report:?}");
+    let outcomes = seen.lock().unwrap().iter().map(|(o, _)| *o).collect();
+    outcomes
+}
+
 /// Exhaustively explore the cancel race at 2 workers × 2 jobs and pin the
 /// exact set of reachable resolutions.
 #[test]
 fn cancel_vs_complete_has_exactly_one_terminal_state() {
-    let seen: Arc<Mutex<TraceSet>> = Arc::new(Mutex::new(BTreeSet::new()));
-    let sink = Arc::clone(&seen);
-    let report = explore(Config::with_preemption_bound(2), move || {
-        cancel_scenario(Some(&sink));
+    assert_eq!(
+        cancel_outcomes(Rival::Worker),
+        expected_outcomes(),
+        "reachable cancel-race resolutions changed"
+    );
+}
+
+/// The same race with a waiting client as the second claimant: it cancels
+/// job 0, then leads queued jobs while it waits on job 1. It claims through
+/// the same lifecycle CAS as a worker, so the same four resolutions, and no
+/// other, are reachable.
+#[test]
+fn a_waiting_client_claims_like_a_worker() {
+    assert_eq!(
+        cancel_outcomes(Rival::WaitingClient),
+        expected_outcomes(),
+        "a waiting client changed the reachable resolutions"
+    );
+}
+
+/// A multi-slot job at the head of the queue is refused by a waiting client,
+/// and blocks what is behind it: the client never takes job 0 (the team),
+/// and takes job 1 only once a worker has taken job 0. Each job is still
+/// delivered exactly once and completes.
+#[test]
+fn a_waiting_client_never_takes_a_team() {
+    let report = explore(Config::with_preemption_bound(2), || {
+        let q = Arc::new(SubmitQueue::<usize>::with_capacity(2));
+        let jobs = Arc::new([ModelJob::new(), ModelJob::new()]);
+        q.try_push(0).unwrap();
+        q.try_push(1).unwrap();
+        let worker = {
+            let q = Arc::clone(&q);
+            let jobs = Arc::clone(&jobs);
+            shim_sync::thread::spawn(move || drain(&q, &jobs))
+        };
+        let helped = help(&q, &jobs, 1, |&i| i != 0);
+        assert!(!helped.contains(&0), "the client took the team");
+        let mut popped = helped;
+        popped.extend(worker.join().unwrap());
+        popped.sort_unstable();
+        assert_eq!(popped, vec![0, 1], "each job delivered exactly once");
+        for j in jobs.iter() {
+            assert_eq!(j.life.status(), JobStatus::Completed);
+        }
     });
-    assert!(report.complete, "cancel space not exhausted: {report:?}");
-    let outcomes: BTreeSet<Outcome> = seen.lock().unwrap().iter().map(|(o, _)| *o).collect();
-    let expected: BTreeSet<Outcome> = [
+    assert!(report.complete, "team space not exhausted: {report:?}");
+}
+
+fn expected_outcomes() -> BTreeSet<Outcome> {
+    [
         // Cancel lands before any worker claims: the job never runs.
         ("before_run", "cancelled", false),
         // Cancel lands while the job runs and the finish-time token read
@@ -276,12 +378,7 @@ fn cancel_vs_complete_has_exactly_one_terminal_state() {
         ("already_terminal", "completed", true),
     ]
     .into_iter()
-    .collect();
-    assert_eq!(
-        outcomes, expected,
-        "reachable cancel-race resolutions changed"
-    );
-    println!("jobserver_submit::cancel_vs_complete: {report:?}, outcomes {outcomes:?}");
+    .collect()
 }
 
 /// Regression pin: replay a schedule that drives the cancel into the
@@ -295,7 +392,7 @@ fn cancel_race_window_schedule_replays() {
     let seen: Arc<Mutex<TraceSet>> = Arc::new(Mutex::new(BTreeSet::new()));
     let sink = Arc::clone(&seen);
     let report = explore(Config::with_preemption_bound(2), move || {
-        cancel_scenario(Some(&sink));
+        cancel_scenario(Rival::Worker, Some(&sink));
     });
     assert!(report.complete, "exploration incomplete: {report:?}");
     let window: Vec<usize> = seen
@@ -309,7 +406,7 @@ fn cancel_race_window_schedule_replays() {
     // resolution (cancel_scenario panics on any inconsistent state).
     let replayed: Arc<Mutex<TraceSet>> = Arc::new(Mutex::new(BTreeSet::new()));
     let sink = Arc::clone(&replayed);
-    replay(&window, move || cancel_scenario(Some(&sink)));
+    replay(&window, move || cancel_scenario(Rival::Worker, Some(&sink)));
     let got: Vec<Outcome> = replayed.lock().unwrap().iter().map(|(o, _)| *o).collect();
     assert_eq!(
         got,

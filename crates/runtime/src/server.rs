@@ -70,27 +70,53 @@
 //! who is not asleep: a submission wakes a worker only when the
 //! [`ParkGate`] counts one parked, and a terminal wakes a waiter only when
 //! the [`OutcomeGate`] says one registered.
+//!
+//! # A waiting client is a worker
+//!
+//! A thread blocked in [`JobHandle::wait`] is an idle thread, and an idle
+//! thread takes work (the paper's rule for its workers). Before it sleeps,
+//! a waiter pops the queue in lane order, as a pool worker does, and leads
+//! what it pops on its own thread — claimed through the same lifecycle CAS,
+//! on an engine region the thread keeps for life, as a pool worker keeps
+//! its own — rechecking its own job between jobs. It takes only a job that
+//! runs in one slot: a refused head stays at the head, and a multi-slot job
+//! is always led by a pool worker, which can put up its team. It sleeps
+//! when its job is published, the queue is empty, or the head is a team.
+//! So a client that keeps jobs in flight runs some of them from its own
+//! cache, and a client that is running a job is not asleep: the lead of
+//! the job it waits for publishes without a wake-up.
+//! [`ServerStats::client_leads`] counts the jobs led that way. When the
+//! pool traces, client-led jobs record into one more ring, after the pool
+//! workers' (index [`ServerStats::workers`]), which one client at a time
+//! holds; a client that finds it taken sleeps instead.
 
 use crate::engine::{participate, DequeEntry, FfEntry, ProblemRef, Scratch, Shared, Slots};
 use crate::frame::{FrameRef, RootCell};
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
 };
-use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
 use crate::Mode;
 use adaptivetc_core::{
     Config, ConfigError, DequeBackend, Problem, RunReport, RunStats, XorShift64,
 };
 use adaptivetc_deque::{ChaseLevDeque, FenceFreeDeque, PoolDeque, TheDeque, WsDeque};
-use adaptivetc_trace::EventKind as Ev;
+use adaptivetc_trace::{EventKind as Ev, TraceCollector};
 use std::any::Any;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// The pool-wide trace collector, shared by every worker thread; `None`
 /// unless [`ServerConfig::trace`] is set.
-type SharedCollector = Option<Arc<adaptivetc_trace::TraceCollector>>;
+type SharedCollector = Option<Arc<TraceCollector>>;
+
+thread_local! {
+    /// The engine region a client thread leads jobs on while it waits (see
+    /// the [module docs](self)), kept for the thread's life.
+    static CLIENT_LEASE: RefCell<RegionLease> = const { RefCell::new(RegionLease { held: None }) };
+}
 
 /// Emit a job-epoch marker from pool worker `worker`.
 fn jmark(tracer: TracerRef<'_>, worker: usize, kind: Ev) {
@@ -306,6 +332,8 @@ trait JobView<O>: Send + Sync {
 pub struct JobHandle<O> {
     job: Arc<dyn JobView<O>>,
     _problem: Arc<dyn Any + Send + Sync>,
+    /// The server's queue, for [`wait`](JobHandle::wait) to lead from.
+    ctx: Arc<ServerCtx>,
 }
 
 impl<O> std::fmt::Debug for JobHandle<O> {
@@ -340,13 +368,19 @@ impl<O: Send> JobHandle<O> {
 
     /// Block until the job reaches its terminal state.
     ///
-    /// A job that is already terminal costs a flag and a lock; otherwise
-    /// the caller registers as the job's waiter and sleeps at once (a
-    /// bounded poll before the sleep was measured: spinning bought
-    /// nothing, yielding bought throughput and cost run-to-run steadiness
-    /// — DESIGN.md §13).
+    /// A job that is already terminal costs a flag and a lock. Otherwise
+    /// the caller first leads queued single-slot jobs of this server on
+    /// its own thread — their problem code runs here — until its job is
+    /// published or nothing it may lead is at the head of the queue (see
+    /// the [module docs](self)); then it registers as the job's waiter and
+    /// sleeps (a bounded poll before the sleep was measured: spinning
+    /// bought nothing, yielding bought throughput and cost run-to-run
+    /// steadiness — DESIGN.md §13).
     pub fn wait(self) -> JobOutcome<O> {
         let shared = self.job.shared();
+        if !shared.gate.is_published() {
+            self.ctx.help(&shared.gate);
+        }
         let mut g = shared.outcome.lock();
         if !shared.gate.is_published() && shared.gate.register_waiter() {
             while !shared.gate.is_published() {
@@ -386,6 +420,9 @@ impl<O: Send> JobHandle<O> {
 /// A type-erased queued job: `lead` claims and runs it to a terminal
 /// state on the calling pool worker.
 trait QueuedJob: Send + Sync + 'static {
+    /// Job slots on a pool of `workers`: 1 for a job that asks for no team.
+    fn slots(&self, workers: usize) -> usize;
+
     fn lead(
         self: Arc<Self>,
         ctx: &Arc<ServerCtx>,
@@ -424,6 +461,14 @@ impl<P: Problem + 'static> JobView<P::Out> for Job<P> {
 }
 
 impl<P: Problem + 'static> QueuedJob for Job<P> {
+    fn slots(&self, workers: usize) -> usize {
+        // A job never gets more slots than the pool has workers; the
+        // cut-off still derives from cfg.threads (see Shared::new), so
+        // clamping only bounds parallelism, never changes the
+        // task-creation frontier.
+        self.cfg.threads.min(workers).max(1)
+    }
+
     fn lead(
         self: Arc<Self>,
         ctx: &Arc<ServerCtx>,
@@ -747,10 +792,7 @@ fn run_job<P, E, D>(
     D: WsDeque<E> + 'static,
 {
     let (shared, cfg) = (&job.shared, &job.cfg);
-    // A job never gets more slots than the pool has workers; the cut-off
-    // still derives from cfg.threads (see Shared::new), so clamping only
-    // bounds parallelism, never changes the task-creation frontier.
-    let slots = cfg.threads.min(ctx.workers).max(1);
+    let slots = job.slots(ctx.workers);
     let (region, hit) = lease.region::<P, E, D>(cfg, slots);
     let counter = if hit {
         &ctx.lease_hits
@@ -843,11 +885,76 @@ struct ServerCtx {
     lease_hits: AtomicU64,
     lease_misses: AtomicU64,
     slab_resets: AtomicU64,
+    client_leads: AtomicU64,
+    /// Clients inside [`ServerCtx::help`]; shutdown waits for them.
+    helping: AtomicU32,
+    /// The pool's collector, when it traces. Weak: shutdown takes it back
+    /// by value, after every helping client is gone.
+    collector: Option<Weak<TraceCollector>>,
+    /// A client holds the collector's last ring (index `workers`).
+    client_ring: AtomicBool,
     workers: usize,
     work_sharing: bool,
 }
 
 impl ServerCtx {
+    /// `JobHandle::wait` before it sleeps: lead queued single-slot jobs on
+    /// the calling thread until `done` is published, the queue is empty or
+    /// its head is a team (see the [module docs](self)).
+    fn help(self: &Arc<Self>, done: &OutcomeGate) {
+        // Relaxed: ordered by the fence below.
+        self.helping.fetch_add(1, Ordering::Relaxed);
+        // SeqCst: the count may not pass the shutdown load below; pairs
+        // with the fence in `shutdown_inner`, so either shutdown waits for
+        // this client or this client sees shutdown and leads nothing.
+        fence(Ordering::SeqCst);
+        // Relaxed: ordered by the fence above.
+        if !self.shutdown.load(Ordering::Relaxed) {
+            match &self.collector {
+                None => self.lead_queued(done, None),
+                // One client at a time records into the clients' ring; the
+                // others sleep.
+                Some(weak) => {
+                    // Acquire: the ring's producer state as the client
+                    // before left it. Relaxed: a taken ring is not touched.
+                    if self
+                        .client_ring
+                        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        if let Some(collector) = weak.upgrade() {
+                            self.lead_queued(done, Some(&collector));
+                        }
+                        // Release: hands the ring to the next client.
+                        self.client_ring.store(false, Ordering::Release);
+                    }
+                }
+            }
+        }
+        // Release: the jobs this client led, and their counters, happen
+        // before shutdown's Acquire read of the count.
+        self.helping.fetch_sub(1, Ordering::Release);
+    }
+
+    fn lead_queued(self: &Arc<Self>, done: &OutcomeGate, tracer: TracerRef<'_>) {
+        // A job's own code that waits on another job is already inside
+        // this thread's lease, and sleeps.
+        CLIENT_LEASE.with(|lease| {
+            let Ok(mut lease) = lease.try_borrow_mut() else {
+                return;
+            };
+            let single = |job: &Arc<dyn QueuedJob>| job.slots(self.workers) == 1;
+            while !done.is_published() {
+                let Some((_prio, job)) = self.queue.try_pop_if(single) else {
+                    break;
+                };
+                job.lead(self, self.workers, tracer, &mut lease);
+                // Relaxed: a `ServerStats` counter; the snapshot is advisory.
+                self.client_leads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    }
+
     /// Notify parked workers — one, or all of them — of an event already
     /// written (a push, a registration, the shutdown flag), if the gate
     /// counts any that nobody has notified yet; otherwise nobody sleeps
@@ -882,6 +989,7 @@ impl ServerCtx {
             lease_hits: self.lease_hits.load(Ordering::Relaxed),
             lease_misses: self.lease_misses.load(Ordering::Relaxed),
             slab_resets: self.slab_resets.load(Ordering::Relaxed),
+            client_leads: self.client_leads.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
             active_jobs: self.active.lock().len(),
             workers: self.workers,
@@ -920,6 +1028,11 @@ pub struct ServerStats {
     /// A lead gets the board back only after it read every participant
     /// gone and nobody else holds the job (see the [module docs](self)).
     pub slab_resets: u64,
+    /// Jobs a client led on its own thread while it waited in
+    /// [`JobHandle::wait`], instead of a pool worker (see the
+    /// [module docs](self)). Every other job was led by a pool worker, or
+    /// by `shutdown` draining the queue.
+    pub client_leads: u64,
     /// Submissions currently waiting in the queue (advisory, summed over
     /// priority lanes).
     pub queue_depth: usize,
@@ -950,6 +1063,15 @@ impl JobServer {
     /// Spawn the worker pool (once; workers park between jobs).
     pub fn new(cfg: ServerConfig) -> JobServer {
         let workers = cfg.workers.max(1);
+        // One ring per pool worker, and one for the clients that lead jobs
+        // while they wait.
+        let collector: SharedCollector = cfg.trace.then(|| {
+            Arc::new(TraceCollector::with_sample(
+                workers + 1,
+                cfg.trace_capacity,
+                cfg.trace_sample,
+            ))
+        });
         let ctx = Arc::new(ServerCtx {
             queue: PrioQueue::with_capacity(cfg.queue_capacity.max(1)),
             active: Mutex::new(Vec::new()),
@@ -968,15 +1090,12 @@ impl JobServer {
             lease_hits: AtomicU64::new(0),
             lease_misses: AtomicU64::new(0),
             slab_resets: AtomicU64::new(0),
+            client_leads: AtomicU64::new(0),
+            helping: AtomicU32::new(0),
+            collector: collector.as_ref().map(Arc::downgrade),
+            client_ring: AtomicBool::new(false),
             workers,
             work_sharing: cfg.work_sharing,
-        });
-        let collector: SharedCollector = cfg.trace.then(|| {
-            Arc::new(adaptivetc_trace::TraceCollector::with_sample(
-                workers,
-                cfg.trace_capacity,
-                cfg.trace_sample,
-            ))
         });
         let threads = (0..workers)
             .map(|id| {
@@ -1058,6 +1177,7 @@ impl JobServer {
                 Ok(JobHandle {
                     job,
                     _problem: keep,
+                    ctx: Arc::clone(&self.ctx),
                 })
             }
             Err(rejected) => {
@@ -1099,10 +1219,12 @@ impl JobServer {
     /// Events `worker` has published and not yet drained — a lower bound
     /// (up to one in-flight block) on what the next
     /// [`drain_trace`](JobServer::drain_trace) returns for that ring.
-    /// `None` without tracing or for an out-of-range worker id.
+    /// Ring `workers` is the waiting clients' (see the
+    /// [module docs](self)). `None` without tracing or for an out-of-range
+    /// ring.
     pub fn published_len(&self, worker: usize) -> Option<usize> {
         let c = self.collector.as_deref()?;
-        (worker < self.ctx.workers).then(|| c.published_len(worker))
+        (worker < c.workers()).then(|| c.published_len(worker))
     }
 
     /// Stop accepting submissions, run every already-queued job to its
@@ -1117,6 +1239,9 @@ impl JobServer {
         // to the workers' and joiners' Acquire loads before they exit.
         self.ctx.accepting.store(false, Ordering::Release);
         self.ctx.shutdown.store(true, Ordering::Release);
+        // SeqCst: the flag may not pass the `helping` load below; pairs with
+        // the fence in `ServerCtx::help`.
+        fence(Ordering::SeqCst);
         self.ctx.wake(true);
         for t in std::mem::take(&mut self.threads) {
             let _ = t.join();
@@ -1130,6 +1255,13 @@ impl JobServer {
         let mut lease = RegionLease::default();
         while let Some((_prio, job)) = self.ctx.queue.try_pop() {
             job.lead(&self.ctx, 0, tracer, &mut lease);
+        }
+        // A client that got in before the flag finishes what it is leading;
+        // one that came later saw the flag and leads nothing.
+        // Acquire: pairs with each client's Release decrement, so its jobs
+        // are terminal and counted, and its hold on the collector is gone.
+        while self.ctx.helping.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
         }
         ServerReport {
             // Every worker thread has been joined; the joins supply the
@@ -1158,10 +1290,13 @@ impl Drop for JobServer {
 /// sharing); otherwise park.
 fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
     let mut lease = RegionLease::default();
+    // Whether this idle spell has given the CPU away yet.
+    let mut yielded = false;
     loop {
         let tracer = collector.as_deref();
         if let Some((_prio, job)) = ctx.queue.try_pop() {
             job.lead(ctx, id, tracer, &mut lease);
+            yielded = false;
             continue;
         }
         if ctx.work_sharing {
@@ -1177,6 +1312,7 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
                 }
             };
             if snapshot.iter().any(|j| j.try_join(ctx, id, tracer)) {
+                yielded = false;
                 continue;
             }
         }
@@ -1184,6 +1320,17 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
         // exiting worker also sees every submission that preceded it.
         if ctx.shutdown.load(Ordering::Acquire) {
             break;
+        }
+        // An idle worker yields the CPU once before it announces itself
+        // asleep. A client that shares its core, and was leading jobs while
+        // it waited, then submits its next ones to a worker that is not
+        // asleep, instead of waking it for every one of them (`jobs_cpu`
+        // with both threads pinned to one vCPU of a 2-vCPU VM: 0.36
+        // wake-ups a job without the yield, 0.002 with).
+        if !yielded {
+            yielded = true;
+            std::thread::yield_now();
+            continue;
         }
         // Announce, recheck, sleep — all under the park lock, which a
         // waker passes through before it notifies (see `ServerCtx::wake`).
@@ -1533,32 +1680,164 @@ mod tests {
         }
     }
 
+    /// Wait without leading anything: poll until a pool worker has
+    /// published the outcome.
+    fn wait_on_pool<O: Send>(mut h: JobHandle<O>) -> JobOutcome<O> {
+        loop {
+            match h.try_result() {
+                Ok(outcome) => return outcome,
+                Err(back) => h = back,
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Low, normal and high jobs queued behind a pinned worker.
+    fn three_lanes(server: &JobServer, log: &Arc<Mutex<Vec<u8>>>) -> [JobHandle<u64>; 3] {
+        let order = |tag| LogTern {
+            tag,
+            log: Arc::clone(log),
+        };
+        [
+            (1, Priority::Low),
+            (2, Priority::Normal),
+            (3, Priority::High),
+        ]
+        .map(|(tag, prio)| {
+            server
+                .submit(order(tag), Config::new(1), Mode::Adaptive, prio)
+                .expect("submit")
+        })
+    }
+
     #[test]
     fn high_priority_overtakes_queued_normal_and_low() {
         let server = JobServer::new(ServerConfig::new(1));
         let (gate_job, gate) = occupy_worker(&server);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let order = |tag| LogTern {
-            tag,
-            log: Arc::clone(&log),
-        };
-        let low = server
-            .submit(order(1), Config::new(1), Mode::Adaptive, Priority::Low)
-            .expect("submit low");
-        let normal = server
-            .submit(order(2), Config::new(1), Mode::Adaptive, Priority::Normal)
-            .expect("submit normal");
-        let high = server
-            .submit(order(3), Config::new(1), Mode::Adaptive, Priority::High)
-            .expect("submit high");
+        let [low, normal, high] = three_lanes(&server, &log);
         gate.store(true, Ordering::Release);
-        assert!(matches!(gate_job.wait(), JobOutcome::Completed { .. }));
+        assert!(matches!(
+            wait_on_pool(gate_job),
+            JobOutcome::Completed { .. }
+        ));
         for h in [high, normal, low] {
-            assert!(matches!(h.wait(), JobOutcome::Completed { .. }));
+            assert!(matches!(wait_on_pool(h), JobOutcome::Completed { .. }));
         }
         // All three were queued while the single worker was pinned, so it
         // must drain lanes strictly by priority.
         assert_eq!(*log.lock(), vec![3, 2, 1]);
+        assert_eq!(server.shutdown().stats.client_leads, 0);
+    }
+
+    /// With the pool's only worker pinned, a client waiting on the
+    /// low-priority job leads all three on its own thread, in lane order,
+    /// its own last.
+    #[test]
+    fn a_waiting_client_leads_queued_jobs_in_lane_order() {
+        let server = JobServer::new(ServerConfig::new(1));
+        let (gate_job, gate) = occupy_worker(&server);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let [low, normal, high] = three_lanes(&server, &log);
+        assert!(matches!(low.wait(), JobOutcome::Completed { .. }));
+        assert_eq!(*log.lock(), vec![3, 2, 1]);
+        assert_eq!(server.stats().client_leads, 3);
+        for h in [high, normal] {
+            assert_eq!(h.status(), JobStatus::Completed);
+            assert!(matches!(h.wait(), JobOutcome::Completed { .. }));
+        }
+        gate.store(true, Ordering::Release);
+        assert!(matches!(gate_job.wait(), JobOutcome::Completed { .. }));
+        let stats = server.shutdown().stats;
+        assert_eq!((stats.completed, stats.client_leads), (4, 3));
+    }
+
+    /// Records the thread that expands its root.
+    struct WhoTern {
+        h: u32,
+        led_on: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+    impl Problem for WhoTern {
+        type State = u32;
+        type Choice = u8;
+        type Out = u64;
+        fn root(&self) -> u32 {
+            0
+        }
+        fn expand(&self, _: &u32, d: u32) -> Expansion<u8, u64> {
+            if d == 0 {
+                self.led_on.lock().push(std::thread::current().id());
+            }
+            if d == self.h {
+                Expansion::Leaf(1)
+            } else {
+                Expansion::Children(vec![0, 1, 2])
+            }
+        }
+        fn apply(&self, s: &mut u32, _: u8) {
+            *s += 1;
+        }
+        fn undo(&self, s: &mut u32, _: u8) {
+            *s -= 1;
+        }
+    }
+
+    /// A two-slot job at the head of the queue is refused by a waiting
+    /// client, whichever job it waits on, and so is everything behind it:
+    /// the client sleeps, and pool workers lead both.
+    #[test]
+    fn a_waiting_client_never_leads_a_team() {
+        let server = JobServer::new(ServerConfig::new(2).work_sharing(true));
+        type Roots = Arc<Mutex<Vec<std::thread::ThreadId>>>;
+        let (team_led_on, single_led_on) = (Roots::default(), Roots::default());
+        let who = |h, led_on: &Roots| WhoTern {
+            h,
+            led_on: Arc::clone(led_on),
+        };
+        // Pin both workers.
+        let pinned: Vec<_> = (0..2).map(|_| occupy_worker(&server)).collect();
+        let team = server
+            .submit(
+                who(8, &team_led_on),
+                Config::new(2),
+                Mode::Adaptive,
+                Priority::Normal,
+            )
+            .expect("submit the team");
+        let single = server
+            .submit(
+                who(3, &single_led_on),
+                Config::new(1),
+                Mode::Adaptive,
+                Priority::Normal,
+            )
+            .expect("submit the single");
+        // The gates open from another thread while this one waits: how far
+        // it gets first decides only how often it meets the team at the
+        // head, never whether it may take it.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (_, gate) in &pinned {
+                    gate.store(true, Ordering::Release);
+                }
+            });
+            match team.wait() {
+                JobOutcome::Completed { out, report } => {
+                    assert_eq!(out, 3u64.pow(8));
+                    assert_eq!(report.threads, 2);
+                }
+                JobOutcome::Cancelled { .. } => panic!("spuriously cancelled"),
+            }
+        });
+        assert!(matches!(single.wait(), JobOutcome::Completed { .. }));
+        for (h, _) in pinned {
+            assert!(matches!(h.wait(), JobOutcome::Completed { .. }));
+        }
+        let me = std::thread::current().id();
+        assert_eq!(single_led_on.lock().len(), 1);
+        let team_roots = team_led_on.lock().clone();
+        assert_eq!(team_roots.len(), 1);
+        assert_ne!(team_roots[0], me, "the client led the team");
         server.shutdown();
     }
 
@@ -1732,6 +2011,13 @@ mod tests {
         };
 
         let server = JobServer::new(ServerConfig::new(1).trace(true));
+        // The pool worker's ring and the waiting clients'.
+        let published = || -> usize {
+            (0..=1)
+                .map(|ring| server.published_len(ring).expect("tracing is on"))
+                .sum()
+        };
+        assert_eq!(server.published_len(2), None, "two rings");
         // Three completed jobs, big enough that whole event blocks are
         // published (only full blocks are visible mid-run).
         for _ in 0..3 {
@@ -1749,7 +2035,7 @@ mod tests {
         // demonstrably live (not quiesced) while we read.
         let (gated, gate) = occupy_worker(&server);
 
-        let announced = server.published_len(0).expect("tracing is on");
+        let announced = published();
         assert!(
             announced > 0,
             "three completed jobs must have published whole blocks"
@@ -1760,7 +2046,7 @@ mod tests {
             "drain returned {} events, {announced} were announced published",
             snap.len()
         );
-        let after = server.published_len(0).expect("tracing is on");
+        let after = published();
         assert!(
             after < announced,
             "drain must consume the published events it returned"

@@ -41,9 +41,11 @@
 //! ```
 //!
 //! [`JobLifecycle`] owns the state word. The transitions are all CAS-based
-//! and partition the writers: a *worker* claims `Queued → Running`; a
-//! *client* cancels `Queued → Cancelled` (the job never runs); only the
-//! job's *lead worker* performs the `Running → {Completed, Cancelled}`
+//! and partition the writers: a *worker* claims `Queued → Running` — a pool
+//! worker, or a client that popped the job while it waited on another
+//! ([`PrioQueue::try_pop_if`]); a *client* cancels `Queued → Cancelled`
+//! (the job never runs); only the job's *lead worker* — whoever claimed
+//! it — performs the `Running → {Completed, Cancelled}`
 //! terminal transition, folding in the [`CancelToken`] it observed at
 //! finish time. A cancel that arrives while the job runs therefore only
 //! raises the token — the poll points of the engine prune the remaining
@@ -588,6 +590,20 @@ impl<T> SubmitQueue<T> {
     /// transiently: a producer that has claimed a ticket but not yet
     /// published makes its item invisible until the publish lands).
     pub fn try_pop(&self) -> Option<T> {
+        self.pop(None::<fn(&T) -> bool>)
+    }
+
+    /// As [`try_pop`](SubmitQueue::try_pop), but only if `take` accepts the
+    /// oldest item; a refused item stays where it is, at the head. `take`
+    /// reads the item under its cell's lock before the ticket is claimed,
+    /// so the item it accepted is the one the claim takes. A refusal may be
+    /// of an item another consumer is just taking — as conservative as an
+    /// empty verdict.
+    pub fn try_pop_if(&self, take: impl Fn(&T) -> bool) -> Option<T> {
+        self.pop(Some(take))
+    }
+
+    fn pop(&self, take: Option<impl Fn(&T) -> bool>) -> Option<T> {
         let cap = self.slots.len() as u64;
         loop {
             // Relaxed: the cursor only arbitrates, as in `try_push`.
@@ -600,6 +616,13 @@ impl<T> SubmitQueue<T> {
             // edge alone.
             let seq = slot.seq.load(Ordering::Acquire);
             if seq == pos + 1 {
+                // An empty cell was taken under a claimed ticket: the CAS
+                // below fails and the loop looks again.
+                if let Some(take) = &take {
+                    if !slot.item.lock().as_ref().is_none_or(take) {
+                        return None;
+                    }
+                }
                 // Relaxed: the ticket CAS only arbitrates consumers, as in
                 // `try_push`.
                 if self
@@ -659,6 +682,16 @@ impl<T> PrioQueue<T> {
         None
     }
 
+    /// Dequeue from the highest-priority lane that looks non-empty, if
+    /// `take` accepts its oldest item. A refused item blocks the lanes
+    /// below it, so nothing is claimed out of priority order.
+    pub fn try_pop_if(&self, take: impl Fn(&T) -> bool) -> Option<(Priority, T)> {
+        let p = Priority::ALL
+            .into_iter()
+            .find(|p| !self.lanes[p.lane()].is_empty())?;
+        self.lanes[p.lane()].try_pop_if(take).map(|v| (p, v))
+    }
+
     /// Approximate total occupancy across lanes (advisory).
     pub fn len(&self) -> usize {
         self.lanes.iter().map(SubmitQueue::len).sum()
@@ -714,6 +747,20 @@ mod tests {
         assert_eq!(q.try_pop(), Some((Priority::Normal, 2)));
         assert_eq!(q.try_pop(), Some((Priority::Low, 3)));
         assert_eq!(q.try_pop(), None);
+    }
+
+    #[test]
+    fn a_refused_head_stays_and_blocks_lower_lanes() {
+        let q = PrioQueue::with_capacity(2);
+        q.try_push(Priority::Normal, 2).unwrap();
+        q.try_push(Priority::Normal, 3).unwrap();
+        q.try_push(Priority::Low, 1).unwrap();
+        let odd = |v: &u32| v % 2 == 1;
+        assert_eq!(q.try_pop_if(odd), None, "the head 2 is refused");
+        assert_eq!(q.try_pop(), Some((Priority::Normal, 2)));
+        assert_eq!(q.try_pop_if(odd), Some((Priority::Normal, 3)));
+        assert_eq!(q.try_pop_if(odd), Some((Priority::Low, 1)));
+        assert_eq!(q.try_pop_if(odd), None);
     }
 
     #[test]

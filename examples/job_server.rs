@@ -114,5 +114,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nserver: {} submitted = {} completed + {} cancelled ({} rejected)",
         stats.submitted, stats.completed, stats.cancelled, stats.rejected,
     );
+    // A thread blocked in `wait` leads queued single-slot jobs itself.
+    println!(
+        "        {} of them led by this thread while it waited",
+        stats.client_leads
+    );
     Ok(())
 }

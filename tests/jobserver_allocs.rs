@@ -1,12 +1,14 @@
 //! What a job costs the allocator, as an exact count.
 //!
-//! A pool worker keeps its engine region from job to job — its frames too,
-//! in the slot board's slabs — so a warmed-up single-slot job allocates on
-//! the pool side what its tree allocates — what one `serial::run` of it
-//! does — plus the one thing a job must have of its own:
-//! `RunReport::per_worker`. The submitting side pays three allocations a job
-//! beside building the problem. This binary holds one test, so nothing else
-//! allocates while it counts.
+//! Whoever leads a job keeps its engine region from job to job — its frames
+//! too, in the slot board's slabs: a pool worker, and a client that leads
+//! queued jobs while it waits. So a warmed-up single-slot job allocates, on
+//! the thread that leads it, what its tree allocates — what one
+//! `serial::run` of it does — plus the one thing a job must have of its
+//! own: `RunReport::per_worker`. The submitting side pays three allocations
+//! a job beside building the problem, and the lead's share of every job it
+//! leads itself. This binary holds one test, so nothing else allocates
+//! while it counts.
 
 use adaptivetc_suite::core::{serial, Config};
 use adaptivetc_suite::runtime::{JobOutcome, JobServer, Mode, Priority, ServerConfig};
@@ -113,25 +115,44 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
 
     let server = JobServer::new(ServerConfig::new(1));
     let mut inflight = VecDeque::with_capacity(16);
-    flood(&server, &mut inflight, WARM_UP);
+    // Warm both regions: the pool worker's and this thread's.
+    let mut rounds = 0;
+    loop {
+        flood(&server, &mut inflight, WARM_UP);
+        let s = server.stats();
+        if s.client_leads > 0 && s.completed > s.client_leads {
+            break;
+        }
+        rounds += 1;
+        assert!(rounds < 100, "one side led every warm-up job: {s:?}");
+    }
+    let warm = server.stats();
     let (client0, other0) = calls();
     flood(&server, &mut inflight, JOBS);
     let (client1, other1) = calls();
     let stats = server.shutdown().stats;
-    assert_eq!(stats.lease_misses, 1, "one region served every job");
+    assert_eq!(
+        (warm.lease_misses, stats.lease_misses),
+        (2, 2),
+        "one region for each side served every job"
+    );
 
     let jobs = JOBS as u64;
+    let led_here = stats.client_leads - warm.client_leads;
+    let per_lead = serial + 1;
     let pool_side = other1 - other0;
     assert_eq!(
         pool_side,
-        jobs * (serial + 1),
-        "pool-side allocations for {jobs} jobs = {:.2} a job; a serial run of \
+        (jobs - led_here) * per_lead,
+        "pool-side allocations for {} jobs = {:.2} a job; a serial run of \
          the tree makes {serial}, the report 1, and a warm job's frames none",
-        pool_side as f64 / jobs as f64
+        jobs - led_here,
+        pool_side as f64 / (jobs - led_here).max(1) as f64
     );
     assert_eq!(
         client1 - client0,
-        jobs * (build + 3),
-        "client-side allocations a job: the tree's {build} + problem, job and cancel token"
+        jobs * (build + 3) + led_here * per_lead,
+        "client-side allocations: a job's tree ({build}), problem, job and cancel \
+         token, and {per_lead} for each of the {led_here} jobs led here"
     );
 }

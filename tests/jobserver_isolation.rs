@@ -16,6 +16,8 @@ use adaptivetc_suite::core::{
 };
 use adaptivetc_suite::runtime::{JobServer, Mode, Priority, Scheduler, ServerConfig};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 mod common;
 use common::{assert_bit_identical, completed};
@@ -132,6 +134,90 @@ fn concurrent_jobs_match_solo_runs_on_every_backend() {
             assert_eq!(stats.cancelled, 0);
         }
     }
+}
+
+/// Holds a pool worker: its root raises `reached` and spins until `open`.
+struct Held {
+    reached: Arc<AtomicBool>,
+    open: Arc<AtomicBool>,
+}
+
+impl Problem for Held {
+    type State = ();
+    type Choice = u8;
+    type Out = u64;
+    fn root(&self) {}
+    fn expand(&self, _: &(), _d: u32) -> Expansion<u8, u64> {
+        self.reached.store(true, Ordering::Release);
+        while !self.open.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        Expansion::Leaf(0)
+    }
+    fn apply(&self, _: &mut (), _: u8) {}
+    fn undo(&self, _: &mut (), _: u8) {}
+}
+
+/// Raises its flag when dropped.
+struct OpenOnDrop(Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Jobs a waiting client leads on its own thread, on every backend and in
+/// both modes, while the pool's only worker is held: each is bit-identical
+/// to its solo run, as a pool worker's would be.
+#[test]
+fn client_led_jobs_match_solo_runs_on_every_backend() {
+    let trees: Vec<PathHashTree> = (0..3)
+        .map(|i| fixed_tree(120 + 40 * i, 23 + i as u64))
+        .collect();
+    let server = JobServer::new(ServerConfig::new(1));
+    let (reached, open) = (Arc::default(), Arc::<AtomicBool>::default());
+    // Dropped before the server, so a failed assertion below ends the test
+    // instead of holding the worker through the server's shutdown.
+    let _open_on_exit = OpenOnDrop(Arc::clone(&open));
+    let held = server
+        .submit(
+            Held {
+                reached: Arc::clone(&reached),
+                open: Arc::clone(&open),
+            },
+            Config::new(1),
+            Mode::Adaptive,
+            Priority::Normal,
+        )
+        .expect("submission accepted");
+    while !reached.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let mut led = 0;
+    for backend in DequeBackend::ALL {
+        for (mode, scheduler) in [
+            (Mode::Adaptive, Scheduler::AdaptiveTc),
+            (Mode::Cilk, Scheduler::Cilk),
+        ] {
+            for (i, t) in trees.iter().enumerate() {
+                let cfg = Config::new(1).backend(backend).seed(i as u64);
+                let ctx = format!("{} {mode:?} job={i}", backend.name());
+                let (solo_out, solo) = scheduler.run(t, &cfg).expect("solo run");
+                let h = server
+                    .submit(t.clone(), cfg, mode, Priority::Normal)
+                    .expect("submission accepted");
+                let (out, report) = completed(h.wait());
+                led += 1;
+                assert_eq!(out, solo_out, "{ctx}: result diverged");
+                assert_bit_identical(&ctx, &report, &solo);
+                assert_eq!(server.stats().client_leads, led, "{ctx}: led here");
+            }
+        }
+    }
+    open.store(true, Ordering::Release);
+    completed(held.wait());
+    server.shutdown();
 }
 
 /// Work-sharing jobs (multiple slots) have nondeterministic steal splits,

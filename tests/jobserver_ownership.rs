@@ -3,17 +3,19 @@
 //!
 //! * the **problem** is freed by the thread that holds the handle, exactly
 //!   once, whatever becomes of the submission;
-//! * a pool worker's **leased engine region** carries nothing from one job
-//!   into the next — through a cancellation, an overflowing capacity and a
-//!   change of problem type, signal threshold or backend, every completed
-//!   job stays bit-identical to its solo run, and the region is kept
-//!   exactly when its key says so;
+//! * a **leased engine region** — a pool worker's, or the one a client
+//!   leads jobs on while it waits — carries nothing from one job into the
+//!   next: through a cancellation, an overflowing capacity and a change of
+//!   problem type, signal threshold or backend, every completed job stays
+//!   bit-identical to its solo run, and the region is kept exactly when
+//!   its key says so;
 //! * **nobody is woken who is not asleep**: a flooded pool issues almost
 //!   no wake-ups, a parked one gets a real wake-up and not the timeout.
 
 use adaptivetc_suite::core::{serial, Config, DequeBackend, Expansion, Problem};
 use adaptivetc_suite::runtime::{
-    CancelOutcome, JobOutcome, JobServer, Mode, Priority, RejectReason, Scheduler, ServerConfig,
+    CancelOutcome, JobHandle, JobOutcome, JobServer, Mode, Priority, RejectReason, Scheduler,
+    ServerConfig,
 };
 use adaptivetc_suite::workloads::fig1::Fig1Tree;
 use adaptivetc_suite::workloads::nqueens::NqueensArray;
@@ -128,8 +130,20 @@ impl Problem for Bush {
     }
 }
 
+/// Wait without leading anything: poll until a pool worker has published
+/// the outcome.
+fn wait_on_pool(mut h: JobHandle<u64>) -> JobOutcome<u64> {
+    loop {
+        match h.try_result() {
+            Ok(outcome) => return outcome,
+            Err(back) => h = back,
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Hold the single worker of `server` inside a gated job.
-fn occupy(server: &JobServer) -> (adaptivetc_suite::runtime::JobHandle<u64>, Arc<Gate>) {
+fn occupy(server: &JobServer) -> (JobHandle<u64>, Arc<Gate>) {
     let gate = Arc::new(Gate::default());
     let h = server
         .submit(
@@ -258,10 +272,13 @@ fn rejected_problem_comes_back_undropped() {
 
 /// The lease walk on one backend: every job runs solo and on `server`,
 /// the two must be bit-identical, and the job must have met the lease as
-/// its step says.
+/// its step says. `client`: this thread leads every job, on its own lease,
+/// while the pool's only worker is held; otherwise the pool worker leads
+/// them and this thread waits without leading.
 struct Walk<'a> {
     server: &'a JobServer,
     backend: DequeBackend,
+    client: bool,
 }
 
 impl Walk<'_> {
@@ -287,14 +304,17 @@ impl Walk<'_> {
             .server
             .submit(make(), cfg, mode, Priority::Normal)
             .expect("submit");
-        let (out, report) = completed(h.wait());
+        let (leads, (out, report)) = if self.client {
+            let leads = self.server.stats().client_leads;
+            (leads + 1, completed(h.wait()))
+        } else {
+            (0, completed(wait_on_pool(h)))
+        };
         assert_eq!(out, solo_out, "{ctx}: result diverged");
         assert_bit_identical(&ctx, &report, &solo);
-        assert_eq!(
-            self.server.stats().lease_hits - hits,
-            u64::from(hit),
-            "{ctx}: lease hits"
-        );
+        let stats = self.server.stats();
+        assert_eq!(stats.client_leads, leads, "{ctx}: who led the job");
+        assert_eq!(stats.lease_hits - hits, u64::from(hit), "{ctx}: lease hits");
         report
     }
 }
@@ -305,42 +325,62 @@ impl Walk<'_> {
 /// overflowing deques; another problem type, signal threshold, deque
 /// capacity or backend misses and builds afresh (as every job on
 /// fence-free deques does). Whatever the lease did, every completed job's
-/// report is bit-identical to its solo run.
+/// report is bit-identical to its solo run. Then the same walk, but led by
+/// a waiting client on the region it keeps, with the pool's only worker
+/// held in a gated job throughout — all but the cancellation, which would
+/// hold the client itself.
 #[test]
 fn leased_deques_carry_nothing_from_job_to_job() {
-    for backend in DequeBackend::ALL {
-        let other = DequeBackend::ALL
-            .into_iter()
-            .find(|b| *b != backend)
-            .expect("there are four backends");
-        let server = JobServer::new(ServerConfig::new(1));
-        let w = Walk {
-            server: &server,
-            backend,
-        };
-        let base = || Config::new(1).backend(backend);
-        let bush = |tag| move || Bush::new(7, tag);
-        let adaptive = Mode::Adaptive;
+    for client in [false, true] {
+        for backend in DequeBackend::ALL {
+            lease_walk(backend, client);
+        }
+    }
+}
 
-        w.job("first", bush(1), base().seed(1), adaptive, false);
-        w.job("same type", bush(2), base().seed(2), adaptive, true);
+fn lease_walk(backend: DequeBackend, client: bool) {
+    let other = DequeBackend::ALL
+        .into_iter()
+        .find(|b| *b != backend)
+        .expect("there are four backends");
+    let server = JobServer::new(ServerConfig::new(1));
+    let held = client.then(|| occupy(&server));
+    let w = Walk {
+        server: &server,
+        backend,
+        client,
+    };
+    let base = || Config::new(1).backend(backend);
+    let bush = |tag| move || Bush::new(7, tag);
+    let adaptive = Mode::Adaptive;
 
-        // Another problem type on the same backend is another region.
-        w.job("fig1", Fig1Tree::new, base(), adaptive, false);
-        w.job("fig1 again", Fig1Tree::new, base(), adaptive, true);
-        w.job("nqueens", || NqueensArray::new(6), base(), adaptive, false);
-        w.job("fig1 after nqueens", Fig1Tree::new, base(), adaptive, false);
-        w.job("back to bush", bush(3), base().seed(3), adaptive, false);
+    // This thread's region outlives the server; start it on another type.
+    if client {
+        let reset = server
+            .submit(Fig1Tree::new(), base(), adaptive, Priority::Normal)
+            .expect("submit");
+        completed(reset.wait());
+    }
+    w.job("first", bush(1), base().seed(1), adaptive, false);
+    w.job("same type", bush(2), base().seed(2), adaptive, true);
 
-        // The signals are built at `max_stolen_num`.
-        let eager = || base().max_stolen_num(3);
-        w.job("max_stolen_num 3", bush(4), eager(), adaptive, false);
-        w.job("max_stolen_num 3 again", bush(5), eager(), adaptive, true);
-        w.job("max_stolen_num back", bush(6), base(), adaptive, false);
+    // Another problem type on the same backend is another region.
+    w.job("fig1", Fig1Tree::new, base(), adaptive, false);
+    w.job("fig1 again", Fig1Tree::new, base(), adaptive, true);
+    w.job("nqueens", || NqueensArray::new(6), base(), adaptive, false);
+    w.job("fig1 after nqueens", Fig1Tree::new, base(), adaptive, false);
+    w.job("back to bush", bush(3), base().seed(3), adaptive, false);
 
-        // Cancelled mid-flight: pruned, partial counters, and whatever it
-        // had pushed is popped again before its terminal — the region it
-        // ran on serves the next job.
+    // The signals are built at `max_stolen_num`.
+    let eager = || base().max_stolen_num(3);
+    w.job("max_stolen_num 3", bush(4), eager(), adaptive, false);
+    w.job("max_stolen_num 3 again", bush(5), eager(), adaptive, true);
+    w.job("max_stolen_num back", bush(6), base(), adaptive, false);
+
+    // Cancelled mid-flight: pruned, partial counters, and whatever it had
+    // pushed is popped again before its terminal — the region it ran on
+    // serves the next job.
+    if !client {
         let gate = Arc::new(Gate::default());
         let h = server
             .submit(
@@ -357,35 +397,46 @@ fn leased_deques_carry_nothing_from_job_to_job() {
             JobOutcome::Cancelled { report } => assert!(report.is_some(), "it had started"),
             JobOutcome::Completed { .. } => panic!("{}: cancel lost", backend.name()),
         }
-        w.job("after a cancel", bush(8), base().seed(8), adaptive, true);
-
-        // Two slots of capacity: Cilk pushes at every level, so the
-        // fixed-size backend overflows and runs the children inline.
-        let tiny = || base().deque_capacity(2);
-        let report = w.job("capacity 2", bush(9), tiny(), Mode::Cilk, false);
-        if backend == DequeBackend::The {
-            assert!(
-                report.stats.deque_overflows > 0,
-                "capacity 2 never overflowed"
-            );
-        }
-        w.job("capacity 2 again", bush(10), tiny(), Mode::Cilk, true);
-
-        let elsewhere = Config::new(1).backend(other);
-        w.job("other backend", bush(13), elsewhere, adaptive, false);
-        w.job(
-            "first type again",
-            bush(14),
-            base().seed(14),
-            adaptive,
-            false,
-        );
-        w.job("and again", bush(15), base().seed(15), adaptive, true);
-
-        let stats = server.shutdown().stats;
-        assert_eq!((stats.completed, stats.cancelled), (16, 1));
-        assert_eq!(stats.lease_hits + stats.lease_misses, 17);
     }
+    w.job("after a cancel", bush(8), base().seed(8), adaptive, true);
+
+    // Two slots of capacity: Cilk pushes at every level, so the fixed-size
+    // backend overflows and runs the children inline.
+    let tiny = || base().deque_capacity(2);
+    let report = w.job("capacity 2", bush(9), tiny(), Mode::Cilk, false);
+    if backend == DequeBackend::The {
+        assert!(
+            report.stats.deque_overflows > 0,
+            "capacity 2 never overflowed"
+        );
+    }
+    w.job("capacity 2 again", bush(10), tiny(), Mode::Cilk, true);
+
+    let elsewhere = Config::new(1).backend(other);
+    w.job("other backend", bush(13), elsewhere, adaptive, false);
+    w.job(
+        "first type again",
+        bush(14),
+        base().seed(14),
+        adaptive,
+        false,
+    );
+    w.job("and again", bush(15), base().seed(15), adaptive, true);
+
+    if let Some((h, gate)) = held {
+        gate.open();
+        completed(h.wait());
+    }
+    let stats = server.shutdown().stats;
+    // The client walk adds the held job and the reset, and drops the cancel.
+    let (ended, leads) = if client { ((18, 0), 18) } else { ((16, 1), 17) };
+    assert_eq!(
+        (stats.completed, stats.cancelled),
+        ended,
+        "{}",
+        backend.name()
+    );
+    assert_eq!(stats.lease_hits + stats.lease_misses, leads);
 }
 
 /// The same with teams in the mix: on a two-worker work-sharing pool two
@@ -540,11 +591,14 @@ fn a_flooded_pool_is_hardly_ever_woken() {
         done += 1;
     }
     let stats = server.shutdown().stats;
-    assert_eq!(stats.submitted, JOBS as u64);
+    let jobs = JOBS as u64;
+    assert_eq!(stats.submitted, jobs);
+    // The pool worker and this thread each lead on a region of their own.
+    let sides = u64::from(stats.client_leads > 0) + u64::from(stats.client_leads < jobs);
     assert_eq!(
         (stats.lease_hits, stats.lease_misses),
-        (JOBS as u64 - 1, 1),
-        "one region serves a stream of jobs of one type"
+        (jobs - sides, sides),
+        "one region for each side serves a stream of jobs of one type"
     );
     assert!(
         stats.wakes * 8 <= stats.submitted,

@@ -9,7 +9,7 @@
 
 use adaptivetc_suite::core::{Config, CutoffPolicy, Expansion, Problem};
 use adaptivetc_suite::runtime::{run_traced, JobOutcome, JobServer, Mode, Priority, ServerConfig};
-use adaptivetc_suite::trace::{validate_concurrent, TraceCounts, TraceDiff};
+use adaptivetc_suite::trace::{validate_concurrent, EventKind, TraceCounts, TraceDiff};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -189,4 +189,71 @@ fn overlapping_jobs_split_and_validate_per_epoch() {
         out_a,
         adaptivetc_suite::core::serial::run(&Tern { height: 3 }).0
     );
+}
+
+/// A job a waiting client leads on its own thread records into the
+/// clients' ring, after the pool workers' — never silently missing from
+/// the trace: it splits out, validates against its report and matches its
+/// solo traced run event for event.
+#[test]
+fn a_client_led_job_is_traced_in_the_clients_ring() {
+    let started = Arc::new(AtomicBool::new(false));
+    let gate = Arc::new(AtomicBool::new(false));
+    let server = JobServer::new(ServerConfig::new(1).trace(true).trace_sample(1));
+    // The pool's only worker is held, so the client leads job B itself.
+    let a = server
+        .submit(
+            GatedTern {
+                height: 2,
+                started: Arc::clone(&started),
+                gate: Arc::clone(&gate),
+            },
+            Config::new(1),
+            Mode::Adaptive,
+            Priority::Normal,
+        )
+        .expect("submit job A");
+    wait_started(&started);
+    let cfg_b = Config::new(1).cutoff(CutoffPolicy::Auto).seed(3);
+    let b = server
+        .submit(
+            Tern { height: 4 },
+            cfg_b.clone(),
+            Mode::Adaptive,
+            Priority::Normal,
+        )
+        .expect("submit job B");
+    let id_b = b.id() as u32;
+    let report_b = match b.wait() {
+        JobOutcome::Completed { report, .. } => report,
+        other => panic!("job B did not complete: {other:?}"),
+    };
+    assert_eq!(server.stats().client_leads, 1, "the client led job B");
+    gate.store(true, Ordering::Release);
+    assert!(matches!(a.wait(), JobOutcome::Completed { .. }));
+
+    let trace = server.shutdown().trace.expect("tracing was enabled");
+    assert_eq!(trace.workers.len(), 2, "one pool ring and the clients'");
+    let begins_b = |ring: usize| {
+        trace.workers[ring]
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::JobBegin { job: id_b, slot: 0 })
+            .count()
+    };
+    assert_eq!((begins_b(0), begins_b(1)), (0, 1), "job B's ring");
+    let mismatches = validate_concurrent(&trace, &[(id_b, &report_b)]);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+    let (_, solo_report, solo_trace) = run_traced(
+        &Tern { height: 4 },
+        &cfg_b.trace(true).trace_sample(1),
+        Mode::Adaptive,
+    )
+    .expect("solo run");
+    assert_eq!(report_b.stats, solo_report.stats);
+    let diff = TraceDiff::compare(
+        &trace.split_jobs()[&id_b],
+        &solo_trace.expect("solo tracing enabled"),
+    );
+    assert!(diff.is_exact(), "client-led trace vs solo: {diff:?}");
 }
