@@ -80,8 +80,13 @@
 //! on an engine region the thread keeps for life, as a pool worker keeps
 //! its own — rechecking its own job between jobs. It takes only a job that
 //! runs in one slot: a refused head stays at the head, and a multi-slot job
-//! is always led by a pool worker, which can put up its team. It sleeps
-//! when its job is published, the queue is empty, or the head is a team.
+//! is always led by a pool worker, which can put up its team. And it takes
+//! another thread's job only while its own is still queued: once a pool
+//! worker runs its job, a foreign job could hold it past its own terminal
+//! without bound. It sleeps when its job is published, the queue is empty,
+//! or it refuses the head. A job it leads that unwinds out of `wait` still
+//! takes the client out of the count shutdown waits on, and frees the
+//! clients' ring.
 //! So a client that keeps jobs in flight runs some of them from its own
 //! cache, and a client that is running a job is not asleep: the lead of
 //! the job it waits for publishes without a wake-up.
@@ -106,6 +111,7 @@ use adaptivetc_trace::{EventKind as Ev, TraceCollector};
 use std::any::Any;
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// The pool-wide trace collector, shared by every worker thread; `None`
@@ -370,7 +376,8 @@ impl<O: Send> JobHandle<O> {
     ///
     /// A job that is already terminal costs a flag and a lock. Otherwise
     /// the caller first leads queued single-slot jobs of this server on
-    /// its own thread — their problem code runs here — until its job is
+    /// its own thread — their problem code runs here; another thread's
+    /// only while the caller's job is still queued — until its job is
     /// published or nothing it may lead is at the head of the queue (see
     /// the [module docs](self)); then it registers as the job's waiter and
     /// sleeps (a bounded poll before the sleep was measured: spinning
@@ -379,7 +386,7 @@ impl<O: Send> JobHandle<O> {
     pub fn wait(self) -> JobOutcome<O> {
         let shared = self.job.shared();
         if !shared.gate.is_published() {
-            self.ctx.help(&shared.gate);
+            self.ctx.help(&shared.lifecycle, &shared.gate);
         }
         let mut g = shared.outcome.lock();
         if !shared.gate.is_published() && shared.gate.register_waiter() {
@@ -423,6 +430,9 @@ trait QueuedJob: Send + Sync + 'static {
     /// Job slots on a pool of `workers`: 1 for a job that asks for no team.
     fn slots(&self, workers: usize) -> usize;
 
+    /// The thread that submitted the job.
+    fn submitter(&self) -> ThreadId;
+
     fn lead(
         self: Arc<Self>,
         ctx: &Arc<ServerCtx>,
@@ -452,6 +462,7 @@ struct Job<P: Problem> {
     /// The lead moves it into the engine region and drops it with the
     /// region, before it publishes; a rejected submission takes it back.
     problem: Mutex<Option<Arc<P>>>,
+    submitter: ThreadId,
 }
 
 impl<P: Problem + 'static> JobView<P::Out> for Job<P> {
@@ -467,6 +478,10 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
         // clamping only bounds parallelism, never changes the
         // task-creation frontier.
         self.cfg.threads.min(workers).max(1)
+    }
+
+    fn submitter(&self) -> ThreadId {
+        self.submitter
     }
 
     fn lead(
@@ -899,53 +914,68 @@ struct ServerCtx {
 
 impl ServerCtx {
     /// `JobHandle::wait` before it sleeps: lead queued single-slot jobs on
-    /// the calling thread until `done` is published, the queue is empty or
-    /// its head is a team (see the [module docs](self)).
-    fn help(self: &Arc<Self>, done: &OutcomeGate) {
+    /// the calling thread until `done` is published, the queue is empty,
+    /// or its head is a team or, once `own` has left the queue, another
+    /// thread's job (see the [module docs](self)).
+    fn help(self: &Arc<Self>, own: &JobLifecycle, done: &OutcomeGate) {
         // Relaxed: ordered by the fence below.
         self.helping.fetch_add(1, Ordering::Relaxed);
+        // Leaves the count, and hands the ring on, also when a led job
+        // unwinds out of `wait`.
+        let mut guard = Helping {
+            ctx: self,
+            ring: false,
+        };
         // SeqCst: the count may not pass the shutdown load below; pairs
         // with the fence in `shutdown_inner`, so either shutdown waits for
         // this client or this client sees shutdown and leads nothing.
         fence(Ordering::SeqCst);
         // Relaxed: ordered by the fence above.
-        if !self.shutdown.load(Ordering::Relaxed) {
-            match &self.collector {
-                None => self.lead_queued(done, None),
-                // One client at a time records into the clients' ring; the
-                // others sleep.
-                Some(weak) => {
-                    // Acquire: the ring's producer state as the client
-                    // before left it. Relaxed: a taken ring is not touched.
-                    if self
-                        .client_ring
-                        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        if let Some(collector) = weak.upgrade() {
-                            self.lead_queued(done, Some(&collector));
-                        }
-                        // Release: hands the ring to the next client.
-                        self.client_ring.store(false, Ordering::Release);
+        if self.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match &self.collector {
+            None => self.lead_queued(own, done, None),
+            // One client at a time records into the clients' ring; the
+            // others sleep.
+            Some(weak) => {
+                // Acquire: the ring's producer state as the client before
+                // left it. Relaxed: a taken ring is not touched.
+                guard.ring = self
+                    .client_ring
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok();
+                if guard.ring {
+                    if let Some(collector) = weak.upgrade() {
+                        self.lead_queued(own, done, Some(&collector));
                     }
                 }
             }
         }
-        // Release: the jobs this client led, and their counters, happen
-        // before shutdown's Acquire read of the count.
-        self.helping.fetch_sub(1, Ordering::Release);
     }
 
-    fn lead_queued(self: &Arc<Self>, done: &OutcomeGate, tracer: TracerRef<'_>) {
+    fn lead_queued(
+        self: &Arc<Self>,
+        own: &JobLifecycle,
+        done: &OutcomeGate,
+        tracer: TracerRef<'_>,
+    ) {
         // A job's own code that waits on another job is already inside
         // this thread's lease, and sleeps.
         CLIENT_LEASE.with(|lease| {
             let Ok(mut lease) = lease.try_borrow_mut() else {
                 return;
             };
-            let single = |job: &Arc<dyn QueuedJob>| job.slots(self.workers) == 1;
+            let me = std::thread::current().id();
+            // Another thread's job only while this one is still queued: a
+            // foreign job led once a pool worker runs ours would hold this
+            // thread past its own terminal, without bound.
+            let take = |job: &Arc<dyn QueuedJob>| {
+                job.slots(self.workers) == 1
+                    && (job.submitter() == me || own.status() == JobStatus::Queued)
+            };
             while !done.is_published() {
-                let Some((_prio, job)) = self.queue.try_pop_if(single) else {
+                let Some((_prio, job)) = self.queue.try_pop_if(take) else {
                     break;
                 };
                 job.lead(self, self.workers, tracer, &mut lease);
@@ -994,6 +1024,25 @@ impl ServerCtx {
             active_jobs: self.active.lock().len(),
             workers: self.workers,
         }
+    }
+}
+
+/// A client inside [`ServerCtx::help`], and whether it holds the clients'
+/// ring. Dropped on the way out of `help`, by return or by unwind.
+struct Helping<'a> {
+    ctx: &'a ServerCtx,
+    ring: bool,
+}
+
+impl Drop for Helping<'_> {
+    fn drop(&mut self) {
+        if self.ring {
+            // Release: hands the ring to the next client.
+            self.ctx.client_ring.store(false, Ordering::Release);
+        }
+        // Release: the jobs this client led, and their counters, happen
+        // before shutdown's Acquire read of the count.
+        self.ctx.helping.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -1163,6 +1212,7 @@ impl JobServer {
             cfg,
             mode,
             problem: Mutex::new(Some(problem)),
+            submitter: std::thread::current().id(),
         });
         match self
             .ctx

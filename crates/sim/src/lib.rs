@@ -37,6 +37,7 @@
 
 mod cost;
 mod engine;
+mod events;
 mod tascell;
 mod trace;
 mod tree;

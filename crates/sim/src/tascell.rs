@@ -11,11 +11,10 @@
 //! (`wait_children`, the overhead of the paper's Figure 7).
 
 use crate::cost::CostModel;
+use crate::events::Events;
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::{tascell_give, uniform_victim};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One level of a victim's traversal stack. `end` is normally the child
 /// count, but a handed-over range task starts with a narrowed window, and a
@@ -66,15 +65,13 @@ struct TWorker {
     assigned: Option<(u32, usize, usize, TOut)>,
     idle_since: Option<u64>,
     wait_since: u64,
-    epoch: u64,
 }
 
 pub(crate) struct TascellSim<'t> {
     tree: &'t SimTree,
     cost: CostModel,
     workers: Vec<TWorker>,
-    heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
-    seq: u64,
+    events: Events,
     root_value: u64,
     root_done: Option<u64>,
     now: u64,
@@ -97,25 +94,17 @@ impl<'t> TascellSim<'t> {
                 assigned: None,
                 idle_since: None,
                 wait_since: 0,
-                epoch: 0,
             })
             .collect();
         TascellSim {
             tree,
             cost,
             workers,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: Events::new(cfg.threads),
             root_value: 0,
             root_done: None,
             now: 0,
         }
-    }
-
-    fn schedule(&mut self, wid: usize, at: u64) {
-        self.seq += 1;
-        let epoch = self.workers[wid].epoch;
-        self.heap.push(Reverse((at, self.seq, wid, epoch)));
     }
 
     /// Begin a task over children `[from, to)` of `node` (the root task uses
@@ -181,8 +170,7 @@ impl<'t> TascellSim<'t> {
                 w.extra += value;
                 if w.pending_children == 0 && w.state == TState::WaitingChildren {
                     // Wake the victim: its task can now complete.
-                    w.epoch += 1;
-                    self.schedule(v, at);
+                    self.events.schedule(v, at);
                 }
             }
         }
@@ -206,8 +194,7 @@ impl<'t> TascellSim<'t> {
             let t = &mut self.workers[thief];
             t.state = TState::Idle;
             t.stats.steals_failed += 1;
-            t.epoch += 1;
-            self.schedule(thief, at);
+            self.events.reschedule(thief, at);
             return 0;
         };
         let depth = self.workers[wid].stack.len();
@@ -238,8 +225,7 @@ impl<'t> TascellSim<'t> {
         t.assigned = Some((node, from, to, TOut::Victim(wid)));
         t.state = TState::Idle; // will pick the assignment up on wake
         t.stats.steals_ok += 1;
-        t.epoch += 1;
-        self.schedule(thief, at);
+        self.events.reschedule(thief, at);
         cost
     }
 
@@ -294,8 +280,7 @@ impl<'t> TascellSim<'t> {
                         let t = &mut self.workers[thief];
                         t.state = TState::Idle;
                         t.stats.steals_failed += 1;
-                        t.epoch += 1;
-                        self.schedule(thief, at);
+                        self.events.reschedule(thief, at);
                     }
                 }
                 let n = self.workers.len();
@@ -312,9 +297,8 @@ impl<'t> TascellSim<'t> {
                     let w = &mut self.workers[wid];
                     w.state = TState::Requesting(victim);
                     w.stats.steal_requests += 1;
-                    w.epoch += 1;
                     let at = self.now + self.cost.request_timeout_ns;
-                    self.schedule(wid, at);
+                    self.events.schedule(wid, at);
                     None // sleeping until response or timeout
                 } else {
                     self.workers[wid].stats.steals_failed += 1;
@@ -324,51 +308,46 @@ impl<'t> TascellSim<'t> {
             TState::Busy => {
                 // Answer any pending request first (the per-node poll).
                 let respond_cost = self.respond(wid);
-                let Some(top) = self.workers[wid].stack.last() else {
+                let (tree, cost) = (self.tree, &self.cost);
+                let w = &mut self.workers[wid];
+                let Some(top) = w.stack.last_mut() else {
                     // Leaf-only task: traversal finished at start_task.
                     return self.finish_traversal(wid).map(|c| respond_cost + c);
                 };
-                let (node, kid, end) = (top.node, top.kid, top.end);
-                let kids = self.tree.children(node);
-                if kid >= end {
+                if top.kid >= top.end {
                     // Close this frame.
-                    let f = self.workers[wid].stack.pop().expect("just peeked");
-                    match self.workers[wid].stack.last_mut() {
-                        Some(parent) => parent.acc += f.acc,
-                        None => self.workers[wid].own_total = f.acc,
-                    }
-                    if self.workers[wid].stack.is_empty() {
+                    let acc = top.acc;
+                    w.stack.pop();
+                    let Some(parent) = w.stack.last_mut() else {
+                        w.own_total = acc;
                         return self.finish_traversal(wid).map(|c| respond_cost + c);
-                    }
+                    };
+                    parent.acc += acc;
                     // Free bookkeeping plus any respond cost.
                     return Some(respond_cost.max(1));
                 }
-                let child = kids[kid];
-                self.workers[wid].stack.last_mut().expect("non-empty").kid += 1;
-                let mut cost =
-                    respond_cost + self.cost.work_ns(self.tree.work(child)) + self.cost.poll_ns;
-                {
-                    let w = &mut self.workers[wid];
-                    w.stats.nodes += 1;
-                    w.stats.polls += 1;
-                    w.stats.time.busy_ns += self.cost.work_ns(self.tree.work(child));
-                    w.stats.time.poll_ns += self.cost.poll_ns;
-                }
-                if self.tree.is_leaf(child) {
-                    self.workers[wid].stack.last_mut().expect("non-empty").acc += 1;
+                let child = tree.children(top.node)[top.kid];
+                top.kid += 1;
+                let work = cost.work_ns(tree.work(child));
+                w.stats.nodes += 1;
+                w.stats.polls += 1;
+                w.stats.time.busy_ns += work;
+                w.stats.time.poll_ns += cost.poll_ns;
+                let mut paid = respond_cost + work + cost.poll_ns;
+                if tree.is_leaf(child) {
+                    top.acc += 1;
                 } else {
-                    let child_end = self.tree.children(child).len();
-                    self.workers[wid].stats.fake_tasks += 1;
-                    self.workers[wid].stack.push(TFrame {
+                    w.stats.fake_tasks += 1;
+                    w.stack.push(TFrame {
                         node: child,
                         kid: 0,
-                        end: child_end,
+                        end: tree.children(child).len(),
                         acc: 0,
                     });
-                    cost += self.cost.backtrack_level_ns / 4; // nested-function bookkeeping
-                    self.workers[wid].stats.time.deque_ns += self.cost.backtrack_level_ns / 4;
+                    paid += cost.backtrack_level_ns / 4; // nested-function bookkeeping
+                    w.stats.time.deque_ns += cost.backtrack_level_ns / 4;
                 }
-                Some(cost)
+                Some(paid)
             }
         }
     }
@@ -381,7 +360,6 @@ impl<'t> TascellSim<'t> {
             w.state = TState::WaitingChildren;
             w.wait_since = self.now;
             w.stats.suspensions += 1;
-            w.epoch += 1;
             None
         } else {
             let total = w.own_total + w.extra;
@@ -397,18 +375,14 @@ impl<'t> TascellSim<'t> {
         self.workers[0].stats.tasks_created += 1;
         let root_kids = self.tree.children(0).len();
         let first_cost = self.start_task(0, 0, 0, root_kids, TOut::Root, true);
-        self.schedule(0, first_cost);
+        self.events.schedule(0, first_cost);
         for wid in 1..n {
-            self.schedule(wid, 0);
+            self.events.schedule(wid, 0);
         }
-        while let Some(Reverse((t, _, wid, epoch))) = self.heap.pop() {
-            if self.workers[wid].epoch != epoch {
-                continue;
-            }
+        while let Some((t, wid)) = self.events.pop() {
             self.now = t;
             if let Some(cost) = self.step(wid) {
-                let at = t + cost.max(1);
-                self.schedule(wid, at);
+                self.events.schedule(wid, t + cost.max(1));
             }
         }
         let wall = self.root_done.expect("simulation must complete the root");

@@ -10,18 +10,25 @@
 //!   bit-identical to its solo run, and the region is kept exactly when
 //!   its key says so;
 //! * **nobody is woken who is not asleep**: a flooded pool issues almost
-//!   no wake-ups, a parked one gets a real wake-up and not the timeout.
+//!   no wake-ups, a parked one gets a real wake-up and not the timeout;
+//! * a **waiting client** leads another thread's job only while its own is
+//!   queued, and a job it leads that unwinds out of `wait` does not hold
+//!   up shutdown.
 
 use adaptivetc_suite::core::{serial, Config, DequeBackend, Expansion, Problem};
 use adaptivetc_suite::runtime::{
     CancelOutcome, JobHandle, JobOutcome, JobServer, Mode, Priority, RejectReason, Scheduler,
     ServerConfig,
 };
+use adaptivetc_suite::trace::EventKind;
 use adaptivetc_suite::workloads::fig1::Fig1Tree;
 use adaptivetc_suite::workloads::nqueens::NqueensArray;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 mod common;
 use common::{assert_bit_identical, completed};
@@ -56,12 +63,14 @@ struct Drops {
 /// An irregular tree — a node at depth `d` on a path whose hash is `k` has
 /// `(k + d) % 3 + 1` children — whose leaves reduce a hash of their whole
 /// root path, so a frame run in another job's workspace, twice, or not at
-/// all shifts the result. Optionally gated, optionally drop-tracked.
+/// all shifts the result. Optionally gated, optionally drop-tracked,
+/// optionally panicking at its first leaf.
 struct Bush {
     height: u32,
     tag: u32,
     gate: Option<Arc<Gate>>,
     drops: Option<Arc<Drops>>,
+    panics: bool,
 }
 
 impl Bush {
@@ -71,6 +80,7 @@ impl Bush {
             tag,
             gate: None,
             drops: None,
+            panics: false,
         }
     }
 
@@ -81,6 +91,11 @@ impl Bush {
 
     fn tracked(mut self, drops: &Arc<Drops>) -> Bush {
         self.drops = Some(Arc::clone(drops));
+        self
+    }
+
+    fn panicking(mut self) -> Bush {
+        self.panics = true;
         self
     }
 
@@ -110,6 +125,7 @@ impl Problem for Bush {
     fn expand(&self, path: &Vec<u8>, depth: u32) -> Expansion<u8, u64> {
         let k = self.hash(path);
         if depth == self.height {
+            assert!(!self.panics, "a panicking problem reached a leaf");
             if let Some(g) = &self.gate {
                 if !g.reached.swap(true, Ordering::AcqRel) {
                     while !g.open.load(Ordering::Acquire) {
@@ -496,13 +512,20 @@ fn a_two_slot_job_between_leases_leaves_no_trace() {
 /// once a submission lands — between tasks, with frames carved from its
 /// slot's slab still running on the lead, which may have stolen them. Those
 /// frames live on the job's slot board, not with the joiner, so every
-/// result stays exact with the debug-build stale-handle check on. The
-/// probe is `slab_resets`: a lead rewinds a board's slabs only when it got
-/// the board back, which it does only after reading `participants` at 0.
+/// result stays exact with the debug-build stale-handle check on. This
+/// thread waits on the single-slot jobs without leading them, so only a
+/// pool worker runs them, and while the team runs that is a joiner that
+/// left it. The trace shows it did: a joiner's `JobEnd` for a team, then
+/// its `JobBegin` of another job, both before the team's lead ends the
+/// team. The probe of the board is `slab_resets`: a lead rewinds a board's
+/// slabs only when it got the board back, which it does only after reading
+/// `participants` at 0.
 #[test]
 fn a_joiner_abandons_while_the_lead_runs_its_frames() {
     const ROUNDS: u64 = 16;
-    let server = JobServer::new(ServerConfig::new(2).work_sharing(true));
+    let mut cfg = ServerConfig::new(2).work_sharing(true).trace(true);
+    cfg.trace_capacity = 1 << 18;
+    let server = JobServer::new(cfg);
     let team_want = serial::run(&NqueensArray::new(10)).0;
     let single_want = serial::run(&NqueensArray::new(6)).0;
     let single = || {
@@ -535,15 +558,18 @@ fn a_joiner_abandons_while_the_lead_runs_its_frames() {
             // One at a time: the queue runs dry while it runs, and the
             // next submission lands while the second worker has joined.
             jobs += 1;
-            assert_eq!(completed(single().wait()).0, single_want, "round {round}");
+            let (out, _) = completed(wait_on_pool(single()));
+            assert_eq!(out, single_want, "round {round}");
         }
         let (out, report) = completed(team.wait());
         assert_eq!(out, team_want, "round {round}: {mode:?} team result");
         assert_eq!(report.threads, 2, "round {round}: two job slots");
         helped += u64::from(report.per_worker[1].nodes > 0);
     }
-    let stats = server.shutdown().stats;
+    let report = server.shutdown();
+    let stats = report.stats;
     assert_eq!(stats.completed, jobs);
+    assert_eq!(stats.client_leads, 0, "this thread led nothing");
     assert!(helped > 0, "no joiner ever ran a node of a two-slot job");
     // Every job whose lead got its board back rewound it — all of them but
     // a team some idle worker's snapshot still held at the terminal.
@@ -551,6 +577,152 @@ fn a_joiner_abandons_while_the_lead_runs_its_frames() {
         stats.slab_resets > 0 && stats.slab_resets <= jobs,
         "{} slab resets for {jobs} jobs",
         stats.slab_resets
+    );
+    // Each worker's job markers: (time, job, slot of a begin or None).
+    let trace = report.trace.expect("the pool traces");
+    let marks: Vec<Vec<(u64, u32, Option<u16>)>> = trace
+        .workers
+        .iter()
+        .map(|w| {
+            w.events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::JobBegin { job, slot } => Some((e.ts, job, Some(slot))),
+                    EventKind::JobEnd { job } => Some((e.ts, job, None)),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    let lead_end: HashMap<u32, u64> = marks
+        .iter()
+        .flat_map(|m| m.windows(2))
+        .filter_map(|w| match (w[0], w[1]) {
+            ((_, a, Some(0)), (t, b, None)) if a == b => Some((a, t)),
+            _ => None,
+        })
+        .collect();
+    let abandons = marks
+        .iter()
+        .flat_map(|m| m.windows(3))
+        .filter(|w| match (w[0], w[1], w[2]) {
+            ((_, a, Some(slot)), (_, b, None), (next, _, Some(_))) => {
+                slot > 0 && a == b && lead_end.get(&a).is_some_and(|&end| next < end)
+            }
+            _ => false,
+        })
+        .count();
+    assert!(abandons > 0, "no joiner left a team before the team ended");
+}
+
+// ---------------------------------------------------------------------------
+// The waiting client
+// ---------------------------------------------------------------------------
+
+/// Once a pool worker runs the job a client waits for, the client leaves
+/// another thread's queued job to the pool: it sleeps rather than lead a
+/// job that could hold it past its own terminal.
+#[test]
+fn a_waiting_client_leaves_foreign_jobs_once_its_own_runs() {
+    let server = JobServer::new(ServerConfig::new(1));
+    // Running on the pool's only worker, held at its first leaf.
+    let (own, gate) = occupy(&server);
+    let foreign = std::thread::scope(|s| {
+        s.spawn(|| {
+            server
+                .submit(
+                    Bush::new(3, 7),
+                    Config::new(1),
+                    Mode::Adaptive,
+                    Priority::Normal,
+                )
+                .expect("submit the foreign job")
+        })
+        .join()
+        .expect("the submitting thread")
+    });
+    // Opens once this thread is inside `wait`, where the foreign job has
+    // been at the head of the queue all along. The pause only lets a
+    // client that would lead the foreign job do so before its own job
+    // ends; no timing makes a correct client fail the check.
+    let opener = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            gate.open();
+        })
+    };
+    completed(own.wait());
+    opener.join().expect("the opener");
+    assert_eq!(
+        server.stats().client_leads,
+        0,
+        "the client led another thread's job while its own ran"
+    );
+    completed(wait_on_pool(foreign));
+    server.shutdown();
+}
+
+/// A job this thread leads panics, and the panic unwinds out of `wait`.
+/// The client still leaves the count shutdown waits on, and hands the
+/// clients' trace ring on: another client leads into it, and shutdown
+/// returns.
+#[test]
+fn shutdown_survives_a_client_that_unwinds_out_of_wait() {
+    let server = JobServer::new(ServerConfig::new(1).trace(true));
+    let (held, gate) = occupy(&server);
+    let boom = server
+        .submit(
+            Bush::new(3, 9).panicking(),
+            Config::new(1),
+            Mode::Adaptive,
+            Priority::Normal,
+        )
+        .expect("submit the panicking job");
+    let unwound = catch_unwind(AssertUnwindSafe(|| boom.wait()));
+    assert!(unwound.is_err(), "the job's panic reached this thread");
+    // Another client, while the pool's worker is still held, leads its
+    // job into the clients' ring. (Should the ring still be taken, that
+    // client sleeps instead, and the gate opens after a bound.)
+    let want = serial::run(&Bush::new(3, 10)).0;
+    let out = std::thread::scope(|s| {
+        let second = s.spawn(|| {
+            let h = server
+                .submit(
+                    Bush::new(3, 10),
+                    Config::new(1),
+                    Mode::Adaptive,
+                    Priority::Normal,
+                )
+                .expect("submit");
+            completed(h.wait()).0
+        });
+        let t0 = Instant::now();
+        while server.stats().client_leads == 0 && t0.elapsed() < Duration::from_secs(20) {
+            std::thread::yield_now();
+        }
+        gate.open();
+        second.join().expect("the second client")
+    });
+    // The server leaves this thread, so that a failed check below cannot
+    // hang the test in the server's drop.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        completed(held.wait());
+        tx.send(server.shutdown()).expect("the test waits");
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("shutdown returns after a client unwound out of wait");
+    assert_eq!(out, want);
+    assert_eq!(report.stats.client_leads, 1, "the second client led");
+    let client_ring = &report.trace.expect("the pool traces").workers[1];
+    assert!(
+        client_ring
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::JobEnd { .. })),
+        "the second client's job is in the clients' ring"
     );
 }
 
