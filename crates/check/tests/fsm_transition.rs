@@ -1,7 +1,7 @@
 //! Bounded model checking of the fast→check→fast_2 transition: a
 //! miniature adaptive worker — driven by the FSM kernel the threaded
 //! engine uses (`adaptivetc_strategy::fsm`) and the task rule both engines
-//! execute (`CutoffController::real_task`) — walks fake tasks, reacts to a
+//! execute (`Kernel::real_task`) — walks fake tasks, reacts to a
 //! concurrent starving thief via the real `NeedTask` signal, and hands a
 //! child over through the real THE deque's special-task protocol. Every
 //! interleaving at preemption bound 3 is explored.
@@ -9,8 +9,9 @@
 use adaptivetc_check::signal::NeedTask;
 use adaptivetc_check::the::{PopSpecial, StealOutcome, TheDeque};
 use adaptivetc_check::{explore, Config};
+use adaptivetc_core::XorShift64;
 use adaptivetc_strategy::fsm::{self, Version};
-use adaptivetc_strategy::CutoffController;
+use adaptivetc_strategy::{Kernel, Mode, Regime};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -57,8 +58,8 @@ fn fast_check_fast2_walk_under_thief() {
 
         // The owner starts past the cut-off: fast has fallen through to
         // the check version (fake tasks polling need_task per node).
-        let cutoff = CutoffController::new(BASE_CUTOFF);
-        assert!(!cutoff.real_task(BASE_CUTOFF, false));
+        let kernel = Kernel::new(Mode::Adaptive, BASE_CUTOFF, XorShift64::new(1));
+        assert!(!kernel.real_task(BASE_CUTOFF, Regime::Fast));
         assert_eq!(fsm::fallthrough(false), Version::Check);
         let mut version = Version::Check;
         let mut fake_tasks = 0u32;
@@ -74,12 +75,12 @@ fn fast_check_fast2_walk_under_thief() {
                 let (reentry, depth) = fsm::special_reentry();
                 assert_eq!(reentry, Version::Fast2);
                 assert!(
-                    cutoff.real_task(depth, true),
+                    kernel.real_task(depth, Regime::Fast2),
                     "fast_2 must create tasks again at the reset depth"
                 );
-                // At rest the rule is `depth < base`, doubled in fast_2.
-                assert!(cutoff.real_task(2 * BASE_CUTOFF - 1, true));
-                assert!(!cutoff.real_task(2 * BASE_CUTOFF, true));
+                // The rule is `depth < cutoff`, doubled in fast_2.
+                assert!(kernel.real_task(2 * BASE_CUTOFF - 1, Regime::Fast2));
+                assert!(!kernel.real_task(2 * BASE_CUTOFF, Regime::Fast2));
                 deque.push_special(SPECIAL).unwrap();
                 deque.push(CHILD).unwrap();
                 // The child's subtree runs; its continuation entry may be

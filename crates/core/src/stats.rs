@@ -140,9 +140,9 @@ pub struct RunStats {
     /// count is zero on one thread and bounded by steals times tree height
     /// (DESIGN.md §6), never by nodes.
     pub async_joins: u64,
-    /// Online retunes of a worker's effective task-creation cut-off
-    /// (AdaptiveTC's cut-off controller; zero in every other mode and
-    /// whenever the cut-off never moved).
+    /// Always 0: the task-creation cut-off is the paper's static one and
+    /// nothing retunes it. The field remains only because the repo
+    /// benchmark (`benchmark/src/common.rs`) reads it (ROADMAP item 3(e)).
     pub cutoff_adjustments: u64,
     /// Always 0: the `need_task` threshold is fixed at
     /// `Config::max_stolen_num` and nothing retunes it. The field remains

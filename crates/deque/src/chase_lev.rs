@@ -190,7 +190,7 @@ impl<T> ChaseLevDeque<T> {
     /// Entries currently present (racy; for statistics).
     pub fn len(&self) -> usize {
         // Relaxed: a racy size estimate for statistics and the owner's
-        // cut-off controller; staleness is benign.
+        // `deque_peak` gauge; staleness is benign.
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Relaxed);
         (b - t).max(0) as usize

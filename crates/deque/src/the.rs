@@ -151,7 +151,7 @@ impl<T> TheDeque<T> {
     /// Entries currently in `[H, T)`. Racy by nature; for statistics only.
     pub fn len(&self) -> usize {
         // Relaxed: a racy size estimate for statistics and the owner's
-        // cut-off controller; a torn H/T pair is benign.
+        // `deque_peak` gauge; a torn H/T pair is benign.
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Relaxed);
         t.saturating_sub(h) as usize

@@ -114,8 +114,8 @@ use adaptivetc_core::{
 use adaptivetc_deque::{
     ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
 };
-use adaptivetc_strategy::fsm::Version;
-use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, Tune};
+use adaptivetc_strategy::fsm::{self, Version};
+use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::marker::PhantomData;
@@ -1244,14 +1244,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         acc
     }
 
-    /// Record a cut-off move the kernel reports.
-    fn note_tune(&mut self, tune: Option<Tune>) {
-        if let Some(Tune { eff, up }) = tune {
-            self.stats.cutoff_adjustments += 1;
-            tev!(self, Strategy, Ev::CutoffTune { eff, up });
-        }
-    }
-
     /// The check version: fake tasks that poll `need_task` once per node and
     /// transition through a special task when another thread is starving
     /// (Appendix C: the `!need_task` branch recurses into the check version
@@ -1264,14 +1256,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             // The need_task poll doubles as the cancellation poll.
             return P::Out::identity();
         }
-        let slots = &self.shared.slots;
-        let (next, tune) = self
-            .kernel
-            .check_poll(slots.signals[self.id].needs_task(), || {
-                slots.deques[self.id].len()
-            });
-        self.note_tune(tune);
-        if next == Version::Check {
+        if fsm::after_poll(self.my_signal().needs_task()) == Version::Check {
             self.stats.fake_tasks += 1;
             tev!(self, Fake, Ev::FakeTask { depth: logical });
             let mut acc = P::Out::identity();
@@ -1482,8 +1467,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         // signal should react — just retry.
                         continue;
                     };
-                    let tune = self.kernel.on_steal();
-                    self.note_tune(tune);
+                    self.kernel.on_steal();
                     backoff = 0;
                     lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
                     // The slow version: resume the stolen continuation under

@@ -20,8 +20,8 @@ use crate::events::Events;
 use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, DequeBackend, RunReport, RunStats, XorShift64};
-use adaptivetc_strategy::fsm::Version;
-use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, Tune};
+use adaptivetc_strategy::fsm::{self, Version};
+use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
 use adaptivetc_trace::EventKind as Ev;
 use std::collections::VecDeque;
 
@@ -439,14 +439,6 @@ impl WorkerSim {
         }
     }
 
-    /// Record a cut-off move the kernel reports.
-    fn note_tune(&mut self, env: &Env, tune: Option<Tune>) {
-        if let Some(Tune { eff, up }) = tune {
-            self.stats.cutoff_adjustments += 1;
-            sev!(env, self.id as usize, Ev::CutoffTune { eff, up });
-        }
-    }
-
     /// Enter an interior node that is not a real task, as `kind`: the
     /// check version polls `need_task` first and may divert into a
     /// special task; otherwise the node is a fake task whose children a
@@ -465,9 +457,7 @@ impl WorkerSim {
             cost = env.cost.poll_ns;
             self.stats.polls += 1;
             self.stats.time.poll_ns += cost;
-            let (next, tune) = self.kernel.check_poll(self.need_task, || self.deque.len());
-            self.note_tune(env, tune);
-            if next == Version::Special {
+            if fsm::after_poll(self.need_task) == Version::Special {
                 return cost + self.start_special(env, frames, node, tdepth, out);
             }
         }
@@ -644,8 +634,7 @@ impl<'t> Sim<'t> {
                 victim: victim as u32
             }
         );
-        let tune = w.kernel.on_steal();
-        w.note_tune(&self.env, tune);
+        w.kernel.on_steal();
         let mut paid = cost.steal_ns;
         if !w.kernel.copies_per_spawn() {
             // Copy-on-steal: the deferred workspace clone is

@@ -5,9 +5,10 @@
 //! — and a worker's control flow is the walk between them. This module
 //! names the *edges* of that walk (what a node falls through to past the
 //! cut-off, what the check version does after a poll, what the special
-//! section re-enters with) as pure functions. [`crate::Kernel`] takes its
-//! decisions through them; the trace validator's legal-edge table and the
-//! `crates/check` miniature worker are built from all three.
+//! section re-enters with) as pure functions. [`crate::Kernel`] and both
+//! engines take their decisions through them; the trace validator's
+//! legal-edge table and the `crates/check` miniature worker are built from
+//! all three.
 
 /// The five compiled versions of a task-creating function. `Fast` also
 /// stands for the slow version: a stolen frame re-enters the same code

@@ -2,7 +2,6 @@
 
 use crate::fsm::{self, Version};
 use crate::policy::Mode;
-use crate::{CutoffController, HARD_STEAL_STREAK};
 use adaptivetc_core::XorShift64;
 
 /// The code-version regime a frame's children are spawned under.
@@ -28,27 +27,15 @@ pub enum Fallthrough {
     SequenceCopy,
 }
 
-/// A move of the effective cut-off, for the caller's counter and trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tune {
-    /// The new effective cut-off.
-    pub eff: u32,
-    /// Whether it rose.
-    pub up: bool,
-}
-
 /// One worker's scheduling decisions: each engine keeps one per worker
 /// and feeds it what its own mechanism observed.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     mode: Mode,
-    /// Rests at the static cut-off depth; fed under [`Mode::Adaptive`]
-    /// only, so in the cut-off modes it stays there.
-    ctl: CutoffController,
+    /// The static cut-off depth.
+    cutoff: u32,
     /// Victim-choice stream.
     rng: XorShift64,
-    /// Consecutive failed steal probes since the last success.
-    fail_streak: u32,
     /// The victim that last came up empty, until a steal lands.
     last_empty: Option<usize>,
 }
@@ -60,9 +47,8 @@ impl Kernel {
     pub fn new(mode: Mode, cutoff_depth: u32, rng: XorShift64) -> Kernel {
         Kernel {
             mode,
-            ctl: CutoffController::new(cutoff_depth.max(1)),
+            cutoff: cutoff_depth.max(1),
             rng,
-            fail_streak: 0,
             last_empty: None,
         }
     }
@@ -81,10 +67,10 @@ impl Kernel {
     pub fn real_task(&self, tdepth: u32, regime: Regime) -> bool {
         match self.mode {
             Mode::Cilk | Mode::CilkSynched => true,
-            Mode::CutoffSequence | Mode::CutoffCopy => self.ctl.real_task(tdepth, false),
-            // At rest `tdepth < cutoff`, doubled in fast_2; under pressure
-            // the controller may have raised the cut-off.
-            Mode::Adaptive => self.ctl.real_task(tdepth, regime == Regime::Fast2),
+            Mode::CutoffSequence | Mode::CutoffCopy => tdepth < self.cutoff,
+            // The cut-off is doubled in fast_2.
+            Mode::Adaptive if regime == Regime::Fast2 => tdepth < 2 * self.cutoff,
+            Mode::Adaptive => tdepth < self.cutoff,
         }
     }
 
@@ -101,29 +87,6 @@ impl Kernel {
             }
             _ => Fallthrough::Sequence,
         }
-    }
-
-    /// One `need_task` poll of the check version: feed the controller —
-    /// a raised flag is pressure; a calm poll may decay a raised cut-off,
-    /// judged on the worker's own deque length, which `occupancy` reads
-    /// only while the cut-off is raised (at rest a calm poll cannot move
-    /// the controller). Returns where the fake task goes next (check, or
-    /// special when `need_task` is up) and any cut-off move.
-    #[inline]
-    pub fn check_poll(
-        &mut self,
-        need_task: bool,
-        occupancy: impl FnOnce() -> usize,
-    ) -> (Version, Option<Tune>) {
-        let eff = if need_task {
-            self.ctl.on_pressure()
-        } else if self.ctl.boosted() {
-            self.ctl.on_calm_poll(occupancy())
-        } else {
-            None
-        };
-        let tune = eff.map(|eff| Tune { eff, up: need_task });
-        (fsm::after_poll(need_task), tune)
     }
 
     /// A victim among `n ≥ 2` workers for worker `me`: uniform, never
@@ -149,22 +112,15 @@ impl Kernel {
         }
     }
 
-    /// A steal landed. If it came only after [`HARD_STEAL_STREAK`] failed
-    /// probes, tasks are scarce: under AdaptiveTC — the one mode that
-    /// reads the controller — that is a pressure edge.
+    /// A steal landed: every victim is worth probing again.
     #[inline]
-    pub fn on_steal(&mut self) -> Option<Tune> {
-        let hard = self.fail_streak >= HARD_STEAL_STREAK && self.mode == Mode::Adaptive;
-        self.fail_streak = 0;
+    pub fn on_steal(&mut self) {
         self.last_empty = None;
-        let eff = if hard { self.ctl.on_pressure() } else { None };
-        eff.map(|eff| Tune { eff, up: true })
     }
 
     /// A probe of `victim` found its deque empty.
     #[inline]
     pub fn on_steal_empty(&mut self, victim: usize) {
-        self.fail_streak = self.fail_streak.saturating_add(1);
         self.last_empty = Some(victim);
     }
 }
@@ -192,7 +148,6 @@ pub fn tascell_give(untried: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::COMFORT_OCCUPANCY;
 
     #[test]
     fn a_victim_is_never_the_thief_itself() {
@@ -238,47 +193,13 @@ mod tests {
     }
 
     #[test]
-    fn a_calm_poll_at_rest_leaves_the_controller_unchanged() {
-        // Whatever the history, a controller back at its base has nothing
-        // to decay: the occupancy a calm poll would read cannot matter,
-        // which is what lets `check_poll` skip reading it.
-        let mut c = CutoffController::new(3);
-        for _ in 0..2 {
-            c.on_pressure();
-        }
-        for occ in (0..4000).map(|i| i % 5) {
-            c.on_calm_poll(occ + COMFORT_OCCUPANCY);
-        }
-        assert!(!c.boosted(), "decayed back to base");
-        for occ in [0, 1, COMFORT_OCCUPANCY, 100, usize::MAX] {
-            let before = c.clone();
-            assert_eq!(c.on_calm_poll(occ), None);
-            assert_eq!(c, before, "occupancy {occ}");
-        }
-        let mut k = Kernel::new(Mode::Adaptive, 3, XorShift64::new(1));
-        let (next, tune) = k.check_poll(false, || unreachable!("not read at rest"));
-        assert_eq!((next, tune), (Version::Check, None));
-    }
-
-    #[test]
-    fn only_adaptivetc_counts_a_hard_steal_as_pressure() {
-        for mode in [Mode::Cilk, Mode::CutoffCopy, Mode::Adaptive] {
-            let mut k = Kernel::new(mode, 2, XorShift64::new(3));
-            for v in 0..HARD_STEAL_STREAK as usize {
-                k.on_steal_empty(v % 2);
-            }
-            let expected = (mode == Mode::Adaptive).then_some(Tune { eff: 3, up: true });
-            assert_eq!(k.on_steal(), expected, "{mode:?}");
-            assert_eq!(k.on_steal(), None, "the streak was reset");
-        }
-    }
-
-    #[test]
     fn the_task_rule_and_fallthrough_follow_the_mode() {
         let k = |mode| Kernel::new(mode, 2, XorShift64::new(1));
         assert!(k(Mode::Cilk).real_task(100, Regime::Fast));
         assert!(k(Mode::CutoffCopy).real_task(1, Regime::Fast));
         assert!(!k(Mode::CutoffCopy).real_task(2, Regime::Fast));
+        assert!(k(Mode::Adaptive).real_task(1, Regime::Fast));
+        assert!(!k(Mode::Adaptive).real_task(2, Regime::Fast));
         assert!(k(Mode::Adaptive).real_task(3, Regime::Fast2));
         assert!(!k(Mode::Adaptive).real_task(4, Regime::Fast2));
         assert_eq!(

@@ -58,8 +58,6 @@ pub struct TraceCounts {
     pub suspends: u64,
     /// `SyncResume` events.
     pub resumes: u64,
-    /// `CutoffTune` events (== `cutoff_adjustments`).
-    pub cutoff_tunes: u64,
 }
 
 impl TraceCounts {
@@ -94,7 +92,6 @@ impl TraceCounts {
                 // Job markers delimit epochs; they mirror no RunStats
                 // counter, so the tally ignores them.
                 EventKind::JobBegin { .. } | EventKind::JobEnd { .. } => {}
-                EventKind::CutoffTune { .. } => c.cutoff_tunes += 1,
             }
         }
         c

@@ -199,18 +199,11 @@ pub enum EventKind {
         /// The server-assigned job id.
         job: u32,
     },
-    /// The online controller retuned this worker's effective cutoff
-    /// (`RunStats::cutoff_adjustments`).
-    CutoffTune {
-        /// The new effective cutoff after the adjustment.
-        eff: u32,
-        /// `true` for an increase (pressure), `false` for decay.
-        up: bool,
-    },
 }
 
 /// Event codes of the compact binary encoding, one per [`EventKind`]
-/// variant. Code 25 (a retired threshold-retune event) is not reused.
+/// variant. Codes 24 and 25 (retired cut-off and threshold retune events)
+/// are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
@@ -239,7 +232,6 @@ pub enum Code {
     StealDup = 21,
     JobBegin = 22,
     JobEnd = 23,
-    CutoffTune = 24,
 }
 
 /// The 16-byte wire format: one timestamp, one code, two small arguments.
@@ -307,7 +299,6 @@ impl RawEvent {
             EventKind::SyncResume => (Code::SyncResume, 0, 0, 0),
             EventKind::JobBegin { job, slot } => (Code::JobBegin, 0, slot, job),
             EventKind::JobEnd { job } => (Code::JobEnd, 0, 0, job),
-            EventKind::CutoffTune { eff, up } => (Code::CutoffTune, up as u8, 0, eff),
         };
         RawEvent {
             ts,
@@ -363,10 +354,6 @@ impl RawEvent {
                 slot: self.b,
             },
             23 => EventKind::JobEnd { job: self.c },
-            24 => EventKind::CutoffTune {
-                eff: self.c,
-                up: self.a != 0,
-            },
             _ => EventKind::StealDup {
                 victim: self.b as u32,
             },
@@ -411,7 +398,6 @@ impl EventKind {
             EventKind::SyncResume => "sync_resume",
             EventKind::JobBegin { .. } => "job_begin",
             EventKind::JobEnd { .. } => "job_end",
-            EventKind::CutoffTune { .. } => "cutoff_tune",
         }
     }
 }
@@ -449,8 +435,6 @@ mod tests {
                 slot: 65535,
             },
             EventKind::JobEnd { job: u32::MAX },
-            EventKind::CutoffTune { eff: 12, up: true },
-            EventKind::CutoffTune { eff: 4, up: false },
         ];
         for from in FsmState::ALL {
             for to in FsmState::ALL {
@@ -499,8 +483,8 @@ mod tests {
         let mut names: Vec<_> = all_kinds().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 24 non-FSM variants + the single "fsm" name.
-        assert_eq!(names.len(), 25);
+        // 23 non-FSM variants + the single "fsm" name.
+        assert_eq!(names.len(), 24);
         let mut state_names: Vec<_> = FsmState::ALL.iter().map(|s| s.name()).collect();
         state_names.sort_unstable();
         state_names.dedup();

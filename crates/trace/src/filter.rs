@@ -6,8 +6,7 @@
 //! exactly one category, so 1-in-N sampling of a category turns exactly
 //! its counters into bounds and leaves the rest exact.
 //!
-//! Categories in [`Category::SAMPLED_MASK`] (the hot trio plus strategy
-//! tunes) are subject to 1-in-N sampling when `Config::trace_sample` is
+//! Categories in [`Category::SAMPLED_MASK`] (the hot trio) are subject to 1-in-N sampling when `Config::trace_sample` is
 //! above 1; see [`crate::collector`]. Sampling is the one volume
 //! control: a traced run records every category.
 
@@ -41,14 +40,11 @@ pub enum Category {
     /// Job-server participation brackets, which
     /// [`crate::Trace::split_jobs`] uses to attribute every other event.
     Job = 9,
-    /// Cut-off tunes from the online controller. Sampled like the hot
-    /// trio so a pathological oscillation cannot flood the rings.
-    Strategy = 10,
 }
 
 impl Category {
     /// All categories, indexable by discriminant.
-    pub const ALL: [Category; 11] = [
+    pub const ALL: [Category; 10] = [
         Category::Spawn,
         Category::Deque,
         Category::Steal,
@@ -59,18 +55,13 @@ impl Category {
         Category::Workspace,
         Category::Sync,
         Category::Job,
-        Category::Strategy,
     ];
 
     /// The categories subject to 1-in-N sampling when
     /// `Config::trace_sample > 1`: the high-frequency trio whose events
-    /// scale with the task tree rather than with scheduling decisions,
-    /// plus strategy tunes (which an oscillating controller could emit
-    /// at poll frequency).
-    pub const SAMPLED_MASK: u64 = Category::Deque.bit()
-        | Category::Fake.bit()
-        | Category::Spawn.bit()
-        | Category::Strategy.bit();
+    /// scale with the task tree rather than with scheduling decisions.
+    pub const SAMPLED_MASK: u64 =
+        Category::Deque.bit() | Category::Fake.bit() | Category::Spawn.bit();
 
     /// This category's mask bit.
     #[inline]
@@ -103,7 +94,6 @@ impl EventKind {
             | EventKind::CopySaved => Category::Workspace,
             EventKind::SyncSuspend | EventKind::SyncResume => Category::Sync,
             EventKind::JobBegin { .. } | EventKind::JobEnd { .. } => Category::Job,
-            EventKind::CutoffTune { .. } => Category::Strategy,
         }
     }
 }
@@ -122,13 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mask_is_the_hot_trio_plus_strategy() {
+    fn sampled_mask_is_the_hot_trio() {
         assert_eq!(
             Category::SAMPLED_MASK,
-            Category::Deque.bit()
-                | Category::Fake.bit()
-                | Category::Spawn.bit()
-                | Category::Strategy.bit()
+            Category::Deque.bit() | Category::Fake.bit() | Category::Spawn.bit()
         );
     }
 

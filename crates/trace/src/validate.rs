@@ -135,13 +135,6 @@ impl Checker<'_> {
             s.workspace_copies_saved,
         );
         self.check(worker, "suspensions", Cat::Sync, c.suspends, s.suspensions);
-        self.check(
-            worker,
-            "cutoff_adjustments",
-            Cat::Strategy,
-            c.cutoff_tunes,
-            s.cutoff_adjustments,
-        );
     }
 }
 

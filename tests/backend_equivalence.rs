@@ -20,7 +20,7 @@ where
     let (expected, serial_report) = serial::run(problem);
     for backend in DequeBackend::ALL {
         for scheduler in [Scheduler::Cilk, Scheduler::AdaptiveTc] {
-            for threads in [1, 4] {
+            for threads in [1, 2, 4] {
                 // A small max_stolen_num keeps the special-task path hot on
                 // every workload, exercising pop_special vs steal races on
                 // the lock-free backend too.
@@ -41,6 +41,11 @@ where
                     report.stats.nodes,
                     serial_report.nodes,
                     "{label}: {scheduler} on {} with {threads} threads visited a different tree",
+                    backend.name()
+                );
+                assert!(
+                    report.stats.steals_ok <= report.stats.tasks_created,
+                    "{label}: {scheduler} on {} with {threads} threads stole more tasks than it created",
                     backend.name()
                 );
                 // Duplicate offers are the fence-free backend's private
