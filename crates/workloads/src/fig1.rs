@@ -12,10 +12,11 @@ use adaptivetc_core::{Expansion, Problem};
 
 /// A 49-node reconstruction of the Figure 1 call tree. Leaves return 1,
 /// so the answer is the leaf count: [`Fig1Tree::LEAVES`].
-#[derive(Debug)]
-pub struct Fig1Tree {
-    children: Vec<Vec<u32>>,
-}
+///
+/// The tree is a constant, so the problem holds nothing: building,
+/// sending or dropping one touches no memory.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Fig1Tree;
 
 impl Fig1Tree {
     /// Number of nodes in the reconstruction (as in the figure).
@@ -23,46 +24,24 @@ impl Fig1Tree {
     /// Number of leaves, i.e. the search's answer.
     pub const LEAVES: u64 = 25;
 
-    /// Build the reconstruction.
-    pub fn new() -> Self {
-        // 0→{1,40}, 1→{2,7}, 40→{41,44}; 2, 41, 44 root small subtrees;
-        // 7 roots the large one (the figure's nodes 8–39).
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); Self::NODES];
-        children[0] = vec![1, 40];
-        children[1] = vec![2, 7];
-        children[40] = vec![41, 44];
-        children[2] = vec![3, 4];
-        children[3] = vec![5, 6];
-        children[41] = vec![42, 43];
-        children[44] = vec![45, 46];
-        children[45] = vec![47, 48];
-        // The big subtree under 7: a 3-wide, then binary, bushy shape over
-        // nodes 8..=39.
-        children[7] = vec![8, 9, 10];
-        children[8] = vec![11, 12];
-        children[9] = vec![13, 14];
-        children[10] = vec![15, 16];
-        children[11] = vec![17, 18];
-        children[12] = vec![19, 20];
-        children[13] = vec![21, 22];
-        children[14] = vec![23, 24];
-        children[15] = vec![25, 26];
-        children[16] = vec![27, 28];
-        children[17] = vec![29, 30];
-        children[18] = vec![31, 32];
-        children[19] = vec![33, 34];
-        children[20] = vec![35, 36];
-        children[21] = vec![37, 38];
-        children[22] = vec![39];
-        Fig1Tree { children }
+    /// The reconstruction.
+    pub const fn new() -> Self {
+        Fig1Tree
     }
 }
 
-impl Default for Fig1Tree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Each node's children, in expansion order. 0→{1,40}, 1→{2,7},
+/// 40→{41,44}; 2, 41, 44 root small subtrees; 7 roots the large one (the
+/// figure's nodes 8–39): 3-wide, then a binary, bushy shape.
+#[rustfmt::skip]
+static CHILDREN: [&[u32]; Fig1Tree::NODES] = [
+    /*  0.. 7 */ &[1, 40], &[2, 7], &[3, 4], &[5, 6], &[], &[], &[], &[8, 9, 10],
+    /*  8..14 */ &[11, 12], &[13, 14], &[15, 16], &[17, 18], &[19, 20], &[21, 22], &[23, 24],
+    /* 15..21 */ &[25, 26], &[27, 28], &[29, 30], &[31, 32], &[33, 34], &[35, 36], &[37, 38],
+    /* 22..31 */ &[39], &[], &[], &[], &[], &[], &[], &[], &[], &[],
+    /* 32..39 */ &[], &[], &[], &[], &[], &[], &[], &[],
+    /* 40..48 */ &[41, 44], &[42, 43], &[], &[], &[45, 46], &[47, 48], &[], &[], &[],
+];
 
 impl Problem for Fig1Tree {
     type State = Vec<u32>; // path of node ids
@@ -73,11 +52,11 @@ impl Problem for Fig1Tree {
     }
     fn expand(&self, path: &Vec<u32>, _d: u32) -> Expansion<u32, u64> {
         let node = *path.last().expect("path never empty") as usize;
-        let kids = &self.children[node];
+        let kids = CHILDREN[node];
         if kids.is_empty() {
             Expansion::Leaf(1)
         } else {
-            Expansion::Children(kids.clone())
+            Expansion::Children(kids.to_vec())
         }
     }
     fn apply(&self, path: &mut Vec<u32>, c: u32) {
@@ -95,20 +74,29 @@ mod tests {
 
     #[test]
     fn shape_matches_the_figure() {
-        let tree = Fig1Tree::new();
+        assert_eq!(std::mem::size_of::<Fig1Tree>(), 0);
+        let mut parents = [0usize; Fig1Tree::NODES];
+        for &kid in CHILDREN.iter().flat_map(|kids| kids.iter()) {
+            parents[kid as usize] += 1;
+        }
+        let edges: usize = parents.iter().sum();
+        assert_eq!(edges, Fig1Tree::NODES - 1, "a tree has NODES - 1 edges");
+        assert_eq!(parents[0], 0, "the root has no parent");
+        assert!(parents[1..].iter().all(|&p| p == 1), "one parent each");
         let reachable: usize = {
             let mut seen = [false; Fig1Tree::NODES];
             let mut stack = vec![0u32];
             while let Some(n) = stack.pop() {
                 if !std::mem::replace(&mut seen[n as usize], true) {
-                    stack.extend(&tree.children[n as usize]);
+                    stack.extend(CHILDREN[n as usize]);
                 }
             }
             seen.iter().filter(|s| **s).count()
         };
         assert_eq!(reachable, Fig1Tree::NODES, "every node is in the tree");
-        let (leaves, report) = serial::run(&tree);
+        let (leaves, report) = serial::run(&Fig1Tree::new());
         assert_eq!(leaves, Fig1Tree::LEAVES);
         assert_eq!(report.nodes, Fig1Tree::NODES as u64);
+        assert_eq!(report.max_depth, 6, "0→1→7→8→11→17→29");
     }
 }
