@@ -282,7 +282,7 @@ impl WorkerSim {
                 tdepth,
                 out,
             } => {
-                let Some(&child) = env.tree.children(node).get(*kid as usize) else {
+                let Some(child) = env.tree.child(node, *kid) else {
                     let acc = *acc;
                     self.stack.pop();
                     self.deliver(frames, out, acc);
@@ -308,7 +308,8 @@ impl WorkerSim {
             Entry::Loop { frame, regime } => {
                 let f = &mut frames.slab[frame as usize];
                 let kids = env.tree.children(f.node);
-                let Some(&child) = kids.get(f.next as usize) else {
+                let child = kids.start + f.next;
+                if child >= kids.end {
                     self.stack.pop();
                     match frames.arrive(frame, 0) {
                         Some((total, parent)) => self.deliver(frames, parent, total),
@@ -318,13 +319,13 @@ impl WorkerSim {
                         }
                     }
                     return Flow::Free;
-                };
+                }
                 f.next += 1;
                 f.outstanding += 1;
                 // The continuation after the last spawn holds nothing
                 // stealable: elide its deque entry (dead continuations
                 // would otherwise satisfy thieves without feeding them).
-                let stealable = (f.next as usize) < kids.len();
+                let stealable = child + 1 < kids.end;
                 let (tdepth, bytes) = (f.tdepth + 1, env.tree.bytes(f.node));
                 let mut cost = env.cost.task_create_ns;
                 self.stats.tasks_created += 1;
@@ -382,7 +383,7 @@ impl WorkerSim {
                 sframe,
                 out,
             } => {
-                if let Some(&child) = env.tree.children(node).get(*kid as usize) {
+                if let Some(child) = env.tree.child(node, *kid) {
                     *kid += 1;
                     frames.slab[sframe as usize].outstanding += 1;
                     let mut cost = env.cost.task_create_ns + 2 * env.cost.deque_op_ns;

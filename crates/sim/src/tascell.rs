@@ -326,7 +326,7 @@ impl<'t> TascellSim<'t> {
                     // Free bookkeeping plus any respond cost.
                     return Some(respond_cost.max(1));
                 }
-                let child = tree.children(top.node)[top.kid];
+                let child = tree.children(top.node).start + top.kid as u32;
                 top.kid += 1;
                 let work = cost.work_ns(tree.work(child));
                 w.stats.nodes += 1;
