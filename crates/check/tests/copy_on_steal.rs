@@ -7,19 +7,21 @@
 //!
 //! * the owner deposits a pristine clone — at a service poll when the
 //!   thief's `ws_requested` flag is up, or unconditionally at the pop
-//!   conflict that reveals the theft — and raises `ws_ready`;
-//! * the thief consumes the deposit with a `ws_ready` swap, so a later
-//!   handshake on the same (re-pushed) frame starts from a lowered flag.
+//!   conflict that reveals the theft — into a mutex-guarded slot, and
+//!   raises `ws_ready` if the slot was empty;
+//! * the thief consumes the deposit with a `ws_ready` swap and empties the
+//!   slot, so a later handshake on the same (re-pushed) frame starts from
+//!   a lowered flag and an empty slot.
 //!
-//! These suites re-run that handshake against the real THE and Chase-Lev
-//! sources under every bounded interleaving. The thief never spins in the
+//! [`WsCell`] follows `Frame::deposit_ws` and `Frame::try_take_ws` step
+//! for step. These suites re-run that handshake against the real THE
+//! source under every bounded interleaving. The thief never spins in the
 //! model: outcomes are verified *post hoc* after both threads join, which
 //! keeps the schedule space finite while still checking the protocol's
 //! safety net — whenever an entry is stolen, a pristine deposit is (or
 //! becomes) available, and it is never the dirty mid-child value.
 
-use adaptivetc_check::chase_lev::{ChaseLevDeque, ClSteal};
-use adaptivetc_check::sync::{AtomicBool, AtomicU32, Ordering};
+use adaptivetc_check::sync::{AtomicBool, Mutex, Ordering};
 use adaptivetc_check::the::{StealOutcome, TheDeque};
 use adaptivetc_check::{explore, Config};
 use std::sync::Arc;
@@ -28,14 +30,13 @@ use std::sync::Arc;
 const PRISTINE: u32 = 7;
 /// The live workspace value while a child executes (never stealable).
 const DIRTY: u32 = 99;
-/// Empty deposit slot.
-const EMPTY: u32 = 0;
 
-/// Model of the `Frame` workspace handshake fields.
+/// Model of the `Frame` workspace handshake fields: `ws_requested`,
+/// `ws_ready` and the `deposit` slot with its mutex.
 struct WsCell {
     requested: AtomicBool,
     ready: AtomicBool,
-    slot: AtomicU32,
+    slot: Mutex<Option<u32>>,
 }
 
 impl WsCell {
@@ -43,25 +44,31 @@ impl WsCell {
         WsCell {
             requested: AtomicBool::new(false),
             ready: AtomicBool::new(false),
-            slot: AtomicU32::new(EMPTY),
+            slot: Mutex::new(None),
         }
     }
 
-    /// Owner side: publish a pristine clone unless one is already up.
+    /// Owner side, as `Frame::deposit_ws`: lower the request, then store
+    /// the clone and publish it only if the slot is empty — a second
+    /// deposit keeps the first clone.
     fn deposit(&self, ws: u32) {
-        if !self.ready.load(Ordering::Acquire) {
-            self.slot.store(ws, Ordering::Release);
+        self.requested.store(false, Ordering::Release);
+        let mut g = self.slot.lock();
+        if g.is_none() {
+            *g = Some(ws);
+            drop(g);
             self.ready.store(true, Ordering::Release);
         }
-        self.requested.store(false, Ordering::Release);
     }
 
-    /// Thief side: consume the deposit if published (`ws_ready` swap).
+    /// Thief side, as `Frame::try_take_ws`: consume `ws_ready` with a
+    /// swap, lower the request, and empty the slot.
     fn try_take(&self) -> Option<u32> {
         if !self.ready.swap(false, Ordering::AcqRel) {
             return None;
         }
-        Some(self.slot.swap(EMPTY, Ordering::AcqRel))
+        self.requested.store(false, Ordering::Release);
+        self.slot.lock().take()
     }
 }
 
@@ -174,13 +181,18 @@ fn the_service_deposit_is_pristine() {
 }
 
 /// Two successive handshakes on the same frame shell (the thief that
-/// materialised a frame re-pushes it and is robbed in turn). The consuming
-/// `ws_ready` *swap* in `try_take` is what keeps round two alive: a plain
-/// load would leave the flag up, the round-two conflict backstop would
-/// skip its deposit, and the second thief would starve.
+/// materialised a frame re-pushes it and is robbed in turn). Round one's
+/// take empties the slot under its mutex, and the deposit tests the slot,
+/// not `ws_ready`: so the round-two conflict backstop publishes afresh
+/// instead of keeping a clone that was already taken, and the second thief
+/// is fed. The take's `ws_ready` swap keeps the flag meaning "an untaken
+/// deposit is present", so no thief reads round one's flag as round two's
+/// deposit. Bound 3: a take that left the slot full starves round two only
+/// when the thief's first steal beats the owner's pop, the owner's deposit
+/// beats the thief's take, and the second steal beats the second pop.
 #[test]
 fn the_second_handshake_not_starved_by_stale_ready() {
-    let report = explore(Config::with_preemption_bound(2), || {
+    let report = explore(Config::with_preemption_bound(3), || {
         let d = Arc::new(TheDeque::<u32>::new(8));
         let ws = Arc::new(WsCell::new());
         let thief = {
@@ -231,42 +243,4 @@ fn the_second_handshake_not_starved_by_stale_ready() {
         "THE two-round space not exhausted: {report:?}"
     );
     println!("copy_on_steal::the_second_handshake_not_starved_by_stale_ready: {report:?}");
-}
-
-/// The same conflict window on the Chase-Lev backend, whose pop/steal race
-/// resolves through CAS rather than the THE lock; `Retry` outcomes are
-/// re-attempted as the engine's backend wrapper does.
-#[test]
-fn chase_lev_conflict_backstop_feeds_thief() {
-    let report = explore(Config::with_preemption_bound(2), || {
-        let d = Arc::new(ChaseLevDeque::<u32>::new());
-        let ws = Arc::new(WsCell::new());
-        let thief = {
-            let (d, ws) = (Arc::clone(&d), Arc::clone(&ws));
-            shim_sync::thread::spawn(move || loop {
-                match d.steal() {
-                    ClSteal::Stolen(_) => break (true, ws.try_take()),
-                    ClSteal::Empty => break (false, None),
-                    ClSteal::Retry => {}
-                }
-            })
-        };
-        d.push(1);
-        let live = PRISTINE; // apply → child → undo, compressed: the pop
-                             // races the steal with the workspace pristine.
-        let popped = match d.pop() {
-            Some(_) => true,
-            None => {
-                ws.deposit(live);
-                false
-            }
-        };
-        let (stolen, taken) = thief.join().unwrap();
-        verify(stolen, taken, popped, &ws);
-    });
-    assert!(
-        report.complete,
-        "Chase-Lev conflict space not exhausted: {report:?}"
-    );
-    println!("copy_on_steal::chase_lev_conflict_backstop_feeds_thief: {report:?}");
 }

@@ -2,8 +2,8 @@
 //!
 //! The deque alone guarantees only *at-least-once* extraction; the
 //! properties checked here are therefore stated through an emulated claim
-//! layer (one `swap(true)` per value, standing in for the runtime's epoch
-//! CAS on the frame — see `engine::FfEntry`): across every interleaving of
+//! layer (one `swap(true)` per value, standing in for the epoch CAS a
+//! scheduler on this deque would run per task): across every interleaving of
 //! an owner and a thief, each pushed value is *claimed exactly once*, the
 //! special entry is never handed to a thief, and `ChildStolen` is reported
 //! whenever the thief's claim of the child won. Two threads, preemption
@@ -17,7 +17,7 @@ use adaptivetc_check::{current_trail, explore, replay, Config};
 use std::sync::{Arc, Mutex};
 
 /// Claim table: slot `v` is taken by the first extractor to swap it true.
-/// `AcqRel` mirrors the runtime's claim CAS ordering.
+/// `AcqRel`, as a claim CAS would order it.
 fn claim(claims: &[AtomicBool], v: u32) -> bool {
     !claims[v as usize].swap(true, Ordering::AcqRel)
 }
@@ -137,7 +137,7 @@ fn special_pair_race_resolves_safely() {
 
 /// One round of the owner/thief claim race over a single entry.
 /// Returns true when the *owner's* claim lost — the benign duplicate
-/// extraction (`RunStats::dup_extractions`) multiplicity permits.
+/// extraction multiplicity permits.
 fn duplicate_round() -> bool {
     let d = Arc::new(FenceFreeDeque::<u32>::with_capacity(8));
     let claims: Arc<[AtomicBool; 2]> = Arc::new(std::array::from_fn(|_| AtomicBool::new(false)));

@@ -40,18 +40,14 @@ impl CutoffPolicy {
     }
 }
 
-/// Which work-stealing deque substrate the threaded runtime uses.
-///
-/// All backends expose the same owner/thief protocol (including the
-/// special-task operations AdaptiveTC needs), so every [`Config`] ×
-/// scheduler combination is valid; they differ in synchronization cost and
-/// overflow behaviour, which the repo benchmark's `deque.<backend>.*` rungs
-/// measure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+/// Names for the four deques of `adaptivetc-deque`. The benchmark's metric
+/// catalogue labels its `deque.<name>.*` rows with them; that is all this
+/// type is for. Nothing selects a deque with it: the threaded runtime runs
+/// on the THE deque only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DequeBackend {
     /// The simplified THE protocol of Frigo et al. (fixed capacity,
-    /// per-deque thief lock) — the paper's substrate and the default.
-    #[default]
+    /// per-deque thief lock): the paper's substrate and the engine's deque.
     The,
     /// The lock-free dynamic circular deque of Chase & Lev (grows on
     /// demand, single-CAS thief synchronization).
@@ -59,10 +55,8 @@ pub enum DequeBackend {
     /// The growable locked buffer-pool deque (overflow-free reference).
     Pool,
     /// The fully read/write fence-free deque with multiplicity of
-    /// Castañeda & Piña: zero fences/RMWs on the owner path; a task may
-    /// be extracted more than once, and the runtime's per-frame epoch
-    /// claim layer restores exactly-once execution (duplicates are
-    /// counted in `RunStats::dup_extractions`).
+    /// Castañeda & Piña: zero fences/RMWs on the owner path; an entry may
+    /// be extracted more than once.
     FenceFree,
 }
 
@@ -77,7 +71,7 @@ impl DequeBackend {
         }
     }
 
-    /// All backends, for ablation sweeps.
+    /// All four, in report order.
     pub const ALL: [DequeBackend; 4] = [
         DequeBackend::The,
         DequeBackend::ChaseLev,
@@ -88,18 +82,18 @@ impl DequeBackend {
 
 /// Configuration shared by all schedulers.
 ///
-/// Use the builder-style setters; [`Config::validate`] is called by the
+/// The threaded runtime runs on the paper's THE deque, sized by
+/// `deque_capacity`. Use the builder-style setters; [`Config::validate`] is called by the
 /// schedulers before running.
 ///
 /// # Examples
 ///
 /// ```
-/// use adaptivetc_core::{Config, CutoffPolicy, DequeBackend};
+/// use adaptivetc_core::{Config, CutoffPolicy};
 ///
 /// let cfg = Config::new(8)
 ///     .cutoff(CutoffPolicy::Auto)
 ///     .max_stolen_num(20)
-///     .backend(DequeBackend::ChaseLev)
 ///     .seed(1);
 /// assert_eq!(cfg.threads, 8);
 /// assert!(cfg.validate().is_ok());
@@ -113,16 +107,12 @@ pub struct Config {
     /// Failed-steal threshold before a victim's `need_task` flag is raised
     /// (the paper's default is 20).
     pub max_stolen_num: u32,
-    /// Capacity of each fixed-size d-e-que (initial capacity for growable
-    /// backends). A solo run allocates its deques at this size; on a
-    /// `JobServer` it is a lease key instead — a pool worker keeps the
-    /// deques of the last job it led and a job allocates only when its
-    /// capacity (or backend, or slot count) differs from theirs.
+    /// Capacity of each worker's fixed-size THE d-e-que. A solo run
+    /// allocates its deques at this size; on a `JobServer` it is a lease
+    /// key instead — a pool worker keeps the deques of the last job it led
+    /// and a job allocates only when its capacity (or slot count) differs
+    /// from theirs.
     pub deque_capacity: usize,
-    /// Which deque substrate the threaded runtime uses (the simulator's
-    /// deques are exact regardless; it reads this for the owner's pop
-    /// cost only).
-    pub backend: DequeBackend,
     /// Seed for all scheduler-internal randomness.
     pub seed: u64,
     /// Measure per-activity times (adds instrumentation overhead to the
@@ -154,7 +144,6 @@ impl Config {
             cutoff: CutoffPolicy::Auto,
             max_stolen_num: 20,
             deque_capacity: 4096,
-            backend: DequeBackend::The,
             seed: 0x5EED,
             timing: false,
             trace: false,
@@ -178,12 +167,6 @@ impl Config {
     /// Set the fixed d-e-que capacity.
     pub fn deque_capacity(mut self, cap: usize) -> Self {
         self.deque_capacity = cap;
-        self
-    }
-
-    /// Set the deque backend.
-    pub fn backend(mut self, backend: DequeBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -297,7 +280,6 @@ mod tests {
             .cutoff(CutoffPolicy::Fixed(9))
             .max_stolen_num(3)
             .deque_capacity(64)
-            .backend(DequeBackend::ChaseLev)
             .seed(77)
             .timing(true)
             .trace(true)
@@ -306,7 +288,6 @@ mod tests {
         assert_eq!(cfg.cutoff_depth(), 9);
         assert_eq!(cfg.max_stolen_num, 3);
         assert_eq!(cfg.deque_capacity, 64);
-        assert_eq!(cfg.backend, DequeBackend::ChaseLev);
         assert_eq!(cfg.seed, 77);
         assert!(cfg.timing);
         assert!(cfg.trace);
@@ -349,7 +330,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), DequeBackend::ALL.len());
-        assert_eq!(DequeBackend::default(), DequeBackend::The);
     }
 
     #[test]

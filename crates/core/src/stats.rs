@@ -97,10 +97,6 @@ pub struct RunStats {
     /// for the child frame's continuation, once for the special — so this
     /// can exceed the thieves' `steals_ok` by the number of lost specials.
     pub pop_conflicts: u64,
-    /// Extractions rejected by the claim layer because another party had
-    /// already claimed the frame's epoch (multiplicity backends only;
-    /// always zero for exactly-once backends).
-    pub dup_extractions: u64,
     /// Successful steals.
     pub steals_ok: u64,
     /// Failed steal attempts.
@@ -168,7 +164,6 @@ impl RunStats {
         self.deque_pushes += other.deque_pushes;
         self.deque_pops += other.deque_pops;
         self.pop_conflicts += other.pop_conflicts;
-        self.dup_extractions += other.dup_extractions;
         self.steals_ok += other.steals_ok;
         self.steals_failed += other.steals_failed;
         self.steal_requests += other.steal_requests;
@@ -322,7 +317,6 @@ mod tests {
             deque_pushes: 1,
             deque_pops: 1,
             pop_conflicts: 1,
-            dup_extractions: 1,
             steals_ok: 1,
             steals_failed: 1,
             steal_requests: 1,
@@ -360,7 +354,6 @@ mod tests {
         expect(merged.deque_pushes, "deque_pushes");
         expect(merged.deque_pops, "deque_pops");
         expect(merged.pop_conflicts, "pop_conflicts");
-        expect(merged.dup_extractions, "dup_extractions");
         expect(merged.steals_ok, "steals_ok");
         expect(merged.steals_failed, "steals_failed");
         expect(merged.steal_requests, "steal_requests");

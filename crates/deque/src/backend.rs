@@ -3,10 +3,10 @@
 //! Every substrate in this crate exposes the same owner/thief protocol —
 //! LIFO push/pop at the tail for the owner, FIFO steal at the head for
 //! thieves, plus AdaptiveTC's special-task operations. [`WsDeque`] captures
-//! that protocol so the runtime engine can be instantiated over any
-//! backend ([`TheDeque`], [`ChaseLevDeque`], [`PoolDeque`],
-//! [`FenceFreeDeque`]) and the repo benchmark can compare them under
-//! identical workloads.
+//! that protocol so the model-checking suites and the repo benchmark can
+//! drive every backend ([`TheDeque`], [`ChaseLevDeque`], [`PoolDeque`],
+//! [`FenceFreeDeque`]) through the same code. The runtime engine itself
+//! runs on [`TheDeque`] only.
 //!
 //! # Protocol contract
 //!
@@ -28,24 +28,20 @@
 //! by the owner first; the runtime treats `ChildStolen` as "do not reuse
 //! the handle", which is safe in both cases.
 //!
-//! Backends that set [`CAN_DUPLICATE`](WsDeque::CAN_DUPLICATE) weaken
-//! property (1) to **at least one** party: the owner's pop may *offer* an
-//! entry a thief already took (and `pop_special` may report `Reclaimed`
-//! while a thief still races for the child). Such backends are only sound
-//! under the engine's claim layer, which gates every execution behind a
-//! per-frame epoch CAS so exactly-once *execution* still holds; the
-//! copy-on-steal deposit handshake then keys off the claim winner instead
-//! of the pop/steal race. See [`FenceFreeDeque`] and DESIGN.md §6.
+//! [`FenceFreeDeque`] weakens property (1) to **at least one** party: the
+//! owner's pop may *offer* an entry a thief already took (and
+//! `pop_special` may report `Reclaimed` while a thief still races for the
+//! child). It is sound only under a caller that gates every execution
+//! behind a claim of its own; see its module documentation.
 //!
 //! Backends carry opaque entries and know nothing about taskprivate
 //! workspaces. Under the runtime's copy-on-steal policy a stolen entry
 //! may reference a workspace the owner is still mutating in place; the
 //! *engine's* steal path materialises an isolated clone via the frame's
-//! deposit handshake before the stolen frame runs, so the same protocol
-//! holds on every backend with no per-backend code (property (1) is what
+//! deposit handshake before the stolen frame runs. Property (1) is what
 //! makes the handshake sound: exactly one of {owner pop, thief steal}
 //! claims the entry, and the loser's side of the pop/steal race is the
-//! deposit trigger).
+//! deposit trigger.
 
 use crate::{
     ChaseLevDeque, ClSteal, FenceFreeDeque, Overflow, PoolDeque, PopSpecial, StealOutcome, TheDeque,
@@ -76,13 +72,6 @@ use crate::{
 pub trait WsDeque<T: Send>: Send + Sync {
     /// Short name for reports and benchmark labels.
     const NAME: &'static str;
-
-    /// Whether an entry may be extracted more than once (multiplicity).
-    ///
-    /// `false` for exactly-once backends. When `true`, the engine must
-    /// run its claim layer (per-frame epoch CAS) over every extraction;
-    /// see the [module documentation](self).
-    const CAN_DUPLICATE: bool = false;
 
     /// Create a deque able to hold at least `capacity` entries before a
     /// push can fail (growable backends never fail and treat `capacity`
@@ -235,7 +224,6 @@ impl<T: Send> WsDeque<T> for PoolDeque<T> {
 
 impl<T: Send + Sync + Clone> WsDeque<T> for FenceFreeDeque<T> {
     const NAME: &'static str = "fence-free";
-    const CAN_DUPLICATE: bool = true;
 
     fn with_capacity(capacity: usize) -> Self {
         FenceFreeDeque::with_capacity(capacity)
@@ -321,12 +309,11 @@ mod tests {
 
     /// The fence-free backend's multiplicity-adjusted smoke test: same
     /// protocol shape as [`protocol_smoke`], but property (1) is
-    /// at-least-once — pops *offer* stolen entries (the claim layer's
-    /// job to reject) — and `len` is a racy over-estimate after steals.
+    /// at-least-once — pops *offer* stolen entries (a caller's claim
+    /// must reject them) — and `len` is a racy over-estimate after steals.
     #[test]
     fn fence_free_satisfies_relaxed_protocol() {
         type D = FenceFreeDeque<u32>;
-        const { assert!(<D as WsDeque<u32>>::CAN_DUPLICATE) };
         let d = <D as WsDeque<u32>>::with_capacity(16);
         WsDeque::push(&d, 1).unwrap();
         WsDeque::push(&d, 2).unwrap();
@@ -370,10 +357,5 @@ mod tests {
             <FenceFreeDeque<u32> as WsDeque<u32>>::NAME,
         ];
         assert_eq!(names, ["the", "chase-lev", "pool", "fence-free"]);
-        const {
-            assert!(!<TheDeque<u32> as WsDeque<u32>>::CAN_DUPLICATE);
-            assert!(!<ChaseLevDeque<u32> as WsDeque<u32>>::CAN_DUPLICATE);
-            assert!(!<PoolDeque<u32> as WsDeque<u32>>::CAN_DUPLICATE);
-        }
     }
 }

@@ -6,9 +6,8 @@
 //! cost the paper's Table 2 charges to every serialised task. This
 //! backend removes it by **relaxing exactness to multiplicity**: a task
 //! may be *extracted* more than once (at most once per thief, at most
-//! twice overall in practice), and a claim layer above the deque —
-//! `adaptivetc-runtime`'s epoch CAS on the frame, see
-//! `RunStats::dup_extractions` — arbitrates which extraction gets to
+//! twice overall in practice), and a claim layer above the deque — an
+//! epoch CAS per entry, say — must arbitrate which extraction gets to
 //! *execute*. The owner's push and pop then perform **zero fences, zero
 //! SeqCst operations and zero RMWs**:
 //!
@@ -33,11 +32,10 @@
 //! a `Relaxed` read of the cursor: it may report `Reclaimed` while a
 //! thief is still racing for the child. Both are sound **only** under a
 //! claim layer that (a) gates every execution behind an epoch CAS and
-//! (b) runs the owner's claim *before* acting on `Reclaimed` — which the
-//! engine does; see DESIGN.md §6. The raw deque is not a drop-in
-//! exactly-once substrate, which is why
-//! [`WsDeque::CAN_DUPLICATE`](crate::WsDeque::CAN_DUPLICATE) is `true`
-//! here and the engine only enables the claim path for such backends.
+//! (b) runs the owner's claim *before* acting on `Reclaimed`. The raw
+//! deque is not a drop-in exactly-once substrate, which is why the
+//! runtime engine does not run on it; the check crate's model suite and
+//! the benchmark's `deque.fence-free.*` rungs still measure it.
 //!
 //! # Space
 //!
@@ -110,8 +108,8 @@ struct OwnerState {
 /// thread, like every backend in this crate; any thread may call
 /// [`steal`](FenceFreeDeque::steal). Entries must be `Clone` because
 /// extraction never moves a value out of the log (a duplicate extraction
-/// of a moved-out slot would be a use-after-move) — the engine stores
-/// `Copy` frame-handle entries.
+/// of a moved-out slot would be a use-after-move) — a scheduler would
+/// store `Copy` handles.
 ///
 /// # Examples
 ///
@@ -124,7 +122,7 @@ struct OwnerState {
 /// assert_eq!(dq.steal(), StealOutcome::Stolen(1)); // thieves take the oldest
 /// assert_eq!(dq.pop(), Some(2));                   // the owner the newest
 /// // Multiplicity: the owner still *offers* the entry the thief took —
-/// // the runtime's claim layer is what rejects the duplicate.
+/// // a claim layer above the deque is what must reject the duplicate.
 /// assert_eq!(dq.pop(), Some(1));
 /// assert_eq!(dq.pop(), None);
 /// ```
@@ -615,7 +613,7 @@ mod tests {
 
     /// The multiplicity stress test: raw extractions may duplicate, but
     /// with the claim layer emulated on top (one CAS-guarded claim per
-    /// value, as the engine does per frame epoch) every value is claimed
+    /// value, as a scheduler would per task) every value is claimed
     /// exactly once and duplicates are observable as claim rejections.
     #[test]
     fn concurrent_extractions_claim_each_value_exactly_once() {
@@ -656,7 +654,7 @@ mod tests {
                 });
             }
             // Owner: push one, sometimes pop one — every offer goes
-            // through the claim table, exactly like the engine.
+            // through the claim table, as a scheduler's would.
             for i in 1..=ROUNDS {
                 d.push(i);
                 if i % 2 == 0 {

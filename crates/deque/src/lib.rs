@@ -14,7 +14,7 @@
 //! * [`FenceFreeDeque`] — the fully read/write fence-free deque with
 //!   multiplicity of Castañeda & Piña: zero fences/RMWs on the owner
 //!   path, at the price that an entry may be *extracted* more than once
-//!   (the runtime's claim layer restores exactly-once *execution*);
+//!   (a claim layer above it must restore exactly-once *execution*);
 //! * [`NeedTask`] — the `stolen_num` / `need_task` back-pressure signal a
 //!   thief raises on its victim after repeated failed steals.
 //!

@@ -25,11 +25,9 @@
 //! node, passed to [`Problem::expand`]) and the *task* depth (the paper's
 //! cut-off counter, reset to 0 under a special task).
 //!
-//! The engine uses continuation stealing over any
-//! [`WsDeque`] backend (selected by
-//! [`Config::backend`](adaptivetc_core::Config)): a spawn pushes the parent
-//! frame, the worker dives into the child, and the matched pop detects theft
-//! (the THE race, or the Chase-Lev bottom CAS).
+//! The engine uses continuation stealing over the paper's THE deque
+//! ([`Deque`]): a spawn pushes the parent frame, the worker dives into the
+//! child, and the matched pop detects theft (the THE race).
 //!
 //! # Work-first joins
 //!
@@ -107,18 +105,13 @@ use crate::frame::{deliver, Frame, FrameRef, FrameSlab, OutCell, Outcome, Parent
 use crate::pool::Pool;
 use crate::submit::CancelToken;
 use crate::sync::{AtomicBool, Ordering};
-use crate::trace::{tev, worker_tracer, TracerRef, WorkerTracer};
-use adaptivetc_core::{
-    Config, DequeBackend, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64,
-};
-use adaptivetc_deque::{
-    ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
-};
+use crate::trace::{tev, worker_tracer, WorkerTracer};
+use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
+use adaptivetc_deque::{NeedTask, PopSpecial, StealOutcome, TheDeque};
 use adaptivetc_strategy::fsm::{self, Version};
 use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,90 +128,10 @@ const BACKOFF_SPIN_LIMIT: u32 = 6;
 /// pending copy-on-steal workspace requests.
 const WS_SERVICE_WAIT: Duration = Duration::from_micros(50);
 
-/// How a frame travels through a deque backend.
-///
-/// Exactly-once backends carry bare [`FrameRef`]s and a claim is
-/// infallible: the pop/steal race itself decides who runs the frame.
-/// Multiplicity backends ([`WsDeque::CAN_DUPLICATE`]) may hand the *same*
-/// logical entry to both the owner's pop and a thief's steal, so their
-/// entries are stamped with the frame's claim epoch, and [`claim`]
-/// performs the dedup-at-extraction CAS: exactly one extraction of an
-/// entry wins the right to run the frame, every duplicate gets `None`
-/// (counted in `RunStats::dup_extractions`).
-///
-/// [`claim`]: DequeEntry::claim
-pub(crate) trait DequeEntry<P: Problem>: Send + Sync + Sized {
-    /// Build the entry pushed for `frame`, which the caller holds.
-    fn make(frame: FrameRef<P>) -> Self;
-
-    /// Claim the right to run the referenced frame; `None` means another
-    /// extraction already claimed this entry (a duplicate).
-    fn claim(self) -> Option<FrameRef<P>>;
-}
-
-impl<P: Problem> DequeEntry<P> for FrameRef<P> {
-    #[inline]
-    fn make(frame: FrameRef<P>) -> Self {
-        frame
-    }
-
-    #[inline]
-    fn claim(self) -> Option<FrameRef<P>> {
-        Some(self)
-    }
-}
-
-/// Entry type for the fence-free (multiplicity) backend: a frame handle
-/// plus the claim epoch snapshotted at push time. The log keeps every
-/// entry for the whole run, so a duplicate may be extracted long after its
-/// frame was retired and its slot reused; slab memory outlives the log,
-/// and `claim_seq` is never reset, so such a stale entry simply loses the
-/// epoch CAS.
-pub(crate) struct FfEntry<P: Problem> {
-    frame: FrameRef<P>,
-    epoch: u64,
-}
-
-impl<P: Problem> Clone for FfEntry<P> {
-    fn clone(&self) -> Self {
-        FfEntry { ..*self }
-    }
-}
-
-impl<P: Problem> DequeEntry<P> for FfEntry<P> {
-    fn make(frame: FrameRef<P>) -> Self {
-        FfEntry {
-            frame,
-            // SAFETY: the slab outlives the run's handles.
-            // Relaxed: the owner is the only writer of its frames' epochs
-            // between push and claim, and the push's Release publication
-            // orders the snapshot for thieves.
-            epoch: unsafe { frame.claim_seq() }.load(Ordering::Relaxed),
-        }
-    }
-
-    fn claim(self) -> Option<FrameRef<P>> {
-        // SAFETY: the slab outlives every log entry of its run, stale ones
-        // included; a stale epoch loses the CAS below.
-        let claim_seq = unsafe { self.frame.claim_seq() };
-        // AcqRel: the claim-layer epoch CAS — Acquire orders the winner
-        // after the extraction it claims, Release publishes the claim to
-        // whatever the loser does next.
-        // Acquire: on *failure*, and load-bearing — a losing owner pop must
-        // observe the winning thief's prior deque cursor CAS, so the
-        // owner's subsequent `pop_special` reliably reports `ChildStolen`
-        // for the special the thief passed.
-        claim_seq
-            .compare_exchange(
-                self.epoch,
-                self.epoch + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .ok()?;
-        Some(self.frame)
-    }
-}
+/// The engine's one deque: the simplified THE protocol of the paper's
+/// Fig. 3, carrying bare frame handles. The pop/steal race itself decides
+/// who runs a frame, so an extraction needs no further claim.
+pub(crate) type Deque<P> = TheDeque<FrameRef<P>>;
 
 /// How the engine's shared state holds the problem: borrowed for the
 /// one-shot [`run_traced`] entry point (the problem outlives the scoped
@@ -243,8 +156,8 @@ impl<P> ProblemRef<'_, P> {
 
 /// A region's slot board: per worker slot, its deque, its `need_task`
 /// signal, its copy-on-steal doorbell and the slab its frames come from.
-pub(crate) struct Slots<P: Problem, D> {
-    deques: Vec<D>,
+pub(crate) struct Slots<P: Problem> {
+    deques: Vec<Deque<P>>,
     /// Padded: a thief hammering one worker's signal must not invalidate
     /// its neighbours' lines.
     signals: Vec<CachePadded<NeedTask>>,
@@ -256,18 +169,12 @@ pub(crate) struct Slots<P: Problem, D> {
     slabs: Vec<FrameSlab<P>>,
 }
 
-impl<P: Problem, D> Slots<P, D> {
+impl<P: Problem> Slots<P> {
     /// A fresh board of `slots` slots: deques at `cfg.deque_capacity`,
     /// signals at `cfg.max_stolen_num`, slabs empty.
-    pub(crate) fn new<E>(cfg: &Config, slots: usize) -> Self
-    where
-        E: Send,
-        D: WsDeque<E>,
-    {
+    pub(crate) fn new(cfg: &Config, slots: usize) -> Self {
         Slots {
-            deques: (0..slots)
-                .map(|_| D::with_capacity(cfg.deque_capacity))
-                .collect(),
+            deques: (0..slots).map(|_| Deque::new(cfg.deque_capacity)).collect(),
             signals: (0..slots)
                 .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
                 .collect(),
@@ -287,11 +194,7 @@ impl<P: Problem, D> Slots<P, D> {
     /// doorbell rung after the deposit it asked for — rewind the slabs so
     /// the next run carves their frames afresh, and report whether every
     /// deque is empty, as the join implies.
-    pub(crate) fn settle<E>(&mut self) -> bool
-    where
-        E: Send,
-        D: WsDeque<E>,
-    {
+    pub(crate) fn settle(&mut self) -> bool {
         for signal in &self.signals {
             signal.acknowledge();
         }
@@ -303,13 +206,13 @@ impl<P: Problem, D> Slots<P, D> {
         for slab in &mut self.slabs {
             slab.rewind();
         }
-        self.deques.iter().all(WsDeque::is_empty)
+        self.deques.iter().all(Deque::is_empty)
     }
 }
 
-pub(crate) struct Shared<'p, P: Problem, D> {
+pub(crate) struct Shared<'p, P: Problem> {
     pub(crate) problem: ProblemRef<'p, P>,
-    slots: Slots<P, D>,
+    slots: Slots<P>,
     pub(crate) root: Arc<RootCell<P::Out>>,
     mode: Mode,
     cutoff: u32,
@@ -321,7 +224,7 @@ pub(crate) struct Shared<'p, P: Problem, D> {
     cancel: Option<CancelToken>,
 }
 
-impl<'p, P: Problem, D> Shared<'p, P, D> {
+impl<'p, P: Problem> Shared<'p, P> {
     /// Build the engine's shared state on a slot board and a root cell —
     /// fresh ones, or those a pool worker keeps from job to job (see
     /// `crate::server`), which must be as a fresh one is: deques empty,
@@ -335,7 +238,7 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         problem: ProblemRef<'p, P>,
         cfg: &Config,
         mode: Mode,
-        slots: Slots<P, D>,
+        slots: Slots<P>,
         root: Arc<RootCell<P::Out>>,
         cancel: Option<CancelToken>,
     ) -> Self {
@@ -352,12 +255,12 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
 
     /// Release the region — the problem reference, the root cell — and
     /// hand back its slot board (for a pool worker's lease).
-    pub(crate) fn into_slots(self) -> Slots<P, D> {
+    pub(crate) fn into_slots(self) -> Slots<P> {
         self.slots
     }
 
     /// The per-slot deterministic RNG streams `cfg.seed` expands to, slot
-    /// 0 first — shared by [`run_on`] and the job server so a job's slot
+    /// 0 first — shared by [`run_traced`] and the job server so a job's slot
     /// `i` sees exactly the stream worker `i` of a solo run would.
     pub(crate) fn seeds(cfg: &Config) -> impl Iterator<Item = XorShift64> {
         let mut seeder = XorShift64::new(cfg.seed);
@@ -433,8 +336,8 @@ impl<P: Problem> Scratch<P> {
     }
 }
 
-pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
-    shared: &'s Shared<'p, P, D>,
+pub(crate) struct Worker<'s, 'p, P: Problem> {
+    shared: &'s Shared<'p, P>,
     id: usize,
     stats: RunStats,
     /// This worker's scheduling decisions; private, so taking one never
@@ -465,14 +368,12 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     /// Event-trace recording endpoint (`None` when `Config::trace` is
     /// off).
     tr: WorkerTracer<'s>,
-    /// The deque-entry representation this engine instantiation uses.
-    _entry: PhantomData<E>,
 }
 
-impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D> {
+impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// A worker on `scratch`'s vectors; [`Worker::retire`] puts them back.
     fn new(
-        shared: &'s Shared<'p, P, D>,
+        shared: &'s Shared<'p, P>,
         id: usize,
         rng: XorShift64,
         tr: WorkerTracer<'s>,
@@ -498,7 +399,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             spine,
             region_base: 0,
             tr,
-            _entry: PhantomData,
         }
     }
 
@@ -550,7 +450,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     }
 
     #[inline]
-    fn my_deque(&self) -> &D {
+    fn my_deque(&self) -> &Deque<P> {
         &self.shared.slots.deques[self.id]
     }
 
@@ -704,11 +604,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// Push a continuation entry, tolerating overflow by leaving the child
     /// unstealable (executed inline); returns whether the entry was pushed.
     fn push_entry(&mut self, frame: FrameRef<P>, special: bool) -> bool {
-        let entry = E::make(frame);
         let result = if special {
-            self.my_deque().push_special(entry)
+            self.my_deque().push_special(frame)
         } else {
-            self.my_deque().push(entry)
+            self.my_deque().push(frame)
         };
         match result {
             Ok(()) => {
@@ -728,22 +627,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Pop back the entry the owner pushed for the child it just ran and
-    /// claim it. Returns whether the owner still owns the continuation:
-    /// `false` means the frame was stolen — either the pop itself lost
-    /// the race (exact backends) or the popped entry lost the claim CAS
-    /// to a thief (multiplicity backends, a duplicate extraction).
+    /// Pop back the entry the owner pushed for the child it just ran.
+    /// Returns whether the owner still owns the continuation: `false`
+    /// means the pop lost the THE race, so a thief stole the frame.
     fn pop_back(&mut self) -> bool {
-        let claimed = match self.my_deque().pop() {
-            Some(entry) => match entry.claim() {
-                Some(_frame) => true,
-                None => {
-                    self.stats.dup_extractions += 1;
-                    false
-                }
-            },
-            None => false,
-        };
+        let claimed = self.my_deque().pop().is_some();
         if claimed {
             self.stats.deque_pops += 1;
             tev!(self, Deque, Ev::Pop);
@@ -1398,34 +1286,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         out
     }
 
-    /// Claim an entry just extracted from `victim`'s deque and record the
-    /// outcome: a successful steal, or — multiplicity backends only — a
-    /// duplicate of an entry some other extraction already claimed.
-    fn claim_stolen(&mut self, victim: usize, entry: E) -> Option<FrameRef<P>> {
-        let frame = entry.claim();
-        if frame.is_some() {
-            self.shared.slots.signals[victim].record_steal_success();
-            self.stats.steals_ok += 1;
-            tev!(
-                self,
-                Steal,
-                Ev::StealOk {
-                    victim: victim as u32
-                }
-            );
-        } else {
-            self.stats.dup_extractions += 1;
-            tev!(
-                self,
-                Steal,
-                Ev::StealDup {
-                    victim: victim as u32
-                }
-            );
-        }
-        frame
-    }
-
     /// Steal until the root result is ready, from the victims the kernel
     /// picks.
     ///
@@ -1460,13 +1320,16 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 }
             );
             match self.shared.slots.deques[victim].steal() {
-                StealOutcome::Stolen(entry) => {
-                    let Some(frame) = self.claim_stolen(victim, entry) else {
-                        // Not a failed steal: the victim's deque was not
-                        // empty, so neither the back-off nor the victim
-                        // signal should react — just retry.
-                        continue;
-                    };
+                StealOutcome::Stolen(frame) => {
+                    self.shared.slots.signals[victim].record_steal_success();
+                    self.stats.steals_ok += 1;
+                    tev!(
+                        self,
+                        Steal,
+                        Ev::StealOk {
+                            victim: victim as u32
+                        }
+                    );
                     self.kernel.on_steal();
                     backoff = 0;
                     lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
@@ -1518,26 +1381,21 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
 
 /// One worker's whole participation in a run: execute the root task when
 /// `lead` (slot 0), then steal until the root completes (or `abandon`
-/// fires, see [`Worker::steal_loop`]). This is the body both [`run_on`]
+/// fires, see [`Worker::steal_loop`]). This is the body both [`run_traced`]
 /// workers and `JobServer` participants execute — keeping them the same
 /// code path is what makes a single-slot server job bit-identical in
 /// counters to a solo single-thread run. `scratch` is the worker's to use
 /// for the run and comes back empty (see [`Scratch`]).
-pub(crate) fn participate<'s, 'p, P, E, D>(
-    shared: &'s Shared<'p, P, D>,
+pub(crate) fn participate<'s, 'p, P: Problem>(
+    shared: &'s Shared<'p, P>,
     slot: usize,
     rng: XorShift64,
     tr: WorkerTracer<'s>,
     lead: bool,
     abandon: Option<&dyn Fn() -> bool>,
     scratch: &mut Scratch<P>,
-) -> RunStats
-where
-    P: Problem,
-    E: DequeEntry<P>,
-    D: WsDeque<E>,
-{
-    let mut w = Worker::<P, E, D>::new(shared, slot, rng, tr, scratch);
+) -> RunStats {
+    let mut w = Worker::new(shared, slot, rng, tr, scratch);
     if lead {
         let root_state = shared.problem.get().root();
         w.stats.tasks_created += 1; // the root task
@@ -1557,10 +1415,6 @@ where
 }
 
 /// Run `problem` under `mode` with the given configuration.
-///
-/// The deque substrate is chosen by [`Config::backend`]; every mode runs on
-/// every backend (the Chase-Lev and pool deques support the special-task
-/// protocol `Mode::Adaptive` needs).
 ///
 /// Returns the reduced result, a [`RunReport`] with per-worker statistics,
 /// and the drained event trace when `cfg.trace` is set (`None` when it is
@@ -1585,50 +1439,12 @@ pub fn run_traced<P: Problem>(
             cfg.trace_sample,
         )
     });
-    let (out, report) = dispatch(problem, cfg, mode, collector.as_ref())?;
-    Ok((out, report, collector.map(|c| c.finish())))
-}
-
-/// Select the deque backend and run.
-fn dispatch<'a, P: Problem>(
-    problem: &'a P,
-    cfg: &Config,
-    mode: Mode,
-    tracer: TracerRef<'a>,
-) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
-    match cfg.backend {
-        DequeBackend::The => {
-            run_on::<P, FrameRef<P>, TheDeque<FrameRef<P>>>(problem, cfg, mode, tracer)
-        }
-        DequeBackend::ChaseLev => {
-            run_on::<P, FrameRef<P>, ChaseLevDeque<FrameRef<P>>>(problem, cfg, mode, tracer)
-        }
-        DequeBackend::Pool => {
-            run_on::<P, FrameRef<P>, PoolDeque<FrameRef<P>>>(problem, cfg, mode, tracer)
-        }
-        // The multiplicity backend stores (handle, epoch) entries so that
-        // duplicate extractions can be rejected by the claim layer instead
-        // of running a task twice.
-        DequeBackend::FenceFree => {
-            run_on::<P, FfEntry<P>, FenceFreeDeque<FfEntry<P>>>(problem, cfg, mode, tracer)
-        }
-    }
-}
-
-/// The engine, monomorphized over one deque backend and its entry type.
-fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
-    problem: &'a P,
-    cfg: &Config,
-    mode: Mode,
-    tracer: TracerRef<'a>,
-) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
-    cfg.validate()?;
     let threads = cfg.threads;
     let shared = Shared::new(
         ProblemRef::Borrowed(problem),
         cfg,
         mode,
-        Slots::<P, D>::new::<E>(cfg, threads),
+        Slots::new(cfg, threads),
         RootCell::new(),
         None,
     );
@@ -1636,12 +1452,12 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
     let start = Instant::now();
     let per_worker = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
-        for (id, rng) in Shared::<P, D>::seeds(cfg).take(threads).enumerate() {
+        for (id, rng) in Shared::<P>::seeds(cfg).take(threads).enumerate() {
             let shared = &shared;
-            let tr = worker_tracer(tracer, id);
+            let tr = worker_tracer(collector.as_ref(), id);
             handles.push(s.spawn(move || {
                 let scratch = &mut Scratch::default();
-                participate::<P, E, D>(shared, id, rng, tr, id == 0, None, scratch)
+                participate(shared, id, rng, tr, id == 0, None, scratch)
             }));
         }
         handles
@@ -1655,7 +1471,8 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
     })?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     let out = shared.root.take();
-    Ok((out, RunReport::from_workers(per_worker, wall_ns)))
+    let report = RunReport::from_workers(per_worker, wall_ns);
+    Ok((out, report, collector.map(|c| c.finish())))
 }
 
 #[cfg(test)]
@@ -1679,20 +1496,21 @@ mod tests {
     #[test]
     fn settling_a_board_lowers_what_thieves_left_raised() {
         let cfg = Config::new(2).max_stolen_num(1).deque_capacity(4);
-        let mut board = Slots::<Leaf, TheDeque<u32>>::new::<u32>(&cfg, 2);
+        let mut board = Slots::<Leaf>::new(&cfg, 2);
         assert_eq!(board.len(), 2);
         board.signals[1].record_steal_failure();
         assert!(board.signals[1].record_steal_failure(), "raised");
         // Relaxed: a single-threaded test.
         board.ws_hints[0].store(true, Ordering::Relaxed);
         let carved = board.slabs[1].chunk().as_ptr();
-        assert!(board.settle::<u32>(), "both deques are empty");
+        assert!(board.settle(), "both deques are empty");
         assert!(!board.signals[1].needs_task());
         assert_eq!(board.signals[1].stolen_num(), 0);
         assert!(!board.ws_hints[0].load(Ordering::Relaxed));
         assert_eq!(board.slabs[1].chunk().as_ptr(), carved, "slabs rewound");
 
-        board.deques[1].push(7).expect("room for one");
-        assert!(!board.settle::<u32>(), "an entry is left in a deque");
+        let frame = FrameRef::new(&board.slabs[0].chunk()[0]);
+        board.deques[1].push(frame).expect("room for one");
+        assert!(!board.settle(), "an entry is left in a deque");
     }
 }

@@ -43,7 +43,7 @@
 use crate::join::JoinCell;
 #[cfg(debug_assertions)]
 use crate::sync::AtomicU32;
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
 use adaptivetc_core::{Problem, Reduce};
 use std::cell::UnsafeCell;
@@ -212,15 +212,6 @@ pub(crate) struct Frame<P: Problem> {
     /// a slab rewind; a handle made for an earlier one is stale.
     #[cfg(debug_assertions)]
     generation: AtomicU32,
-    /// Claim epoch for multiplicity deque backends (`fence-free`): each
-    /// deque entry snapshots this counter at push time, and every
-    /// extraction must CAS it from its snapshot to snapshot+1 before the
-    /// frame may run — duplicates of the same entry lose the CAS and are
-    /// discarded (`RunStats::dup_extractions`). Strictly monotone over
-    /// the *slot's* whole lifetime, reuse included: never reset, so a
-    /// stale entry from a previous incarnation can never claim a recycled
-    /// frame (ABA guard). Exactly-once backends never touch it.
-    claim_seq: AtomicU64,
 }
 
 // SAFETY: every field but `cont` is an atomic or a lock. `cont` is only
@@ -251,7 +242,6 @@ impl<P: Problem> Frame<P> {
             ws_ready: AtomicBool::new(false),
             #[cfg(debug_assertions)]
             generation: AtomicU32::new(0),
-            claim_seq: AtomicU64::new(0),
         }
     }
 
@@ -389,19 +379,6 @@ impl<P: Problem> FrameRef<P> {
         unsafe { &mut *self.get().cont.get() }
     }
 
-    /// The claim epoch, through any handle of the run, stale or not: a
-    /// stale entry's epoch simply loses the claim CAS.
-    ///
-    /// # Safety
-    ///
-    /// The slab must still be alive — true for every handle of a run
-    /// while the run lasts.
-    pub(crate) unsafe fn claim_seq(&self) -> &AtomicU64 {
-        // SAFETY: the slab is alive (caller's contract) and `claim_seq` is
-        // an atomic any thread may touch.
-        unsafe { &self.ptr.as_ref().claim_seq }
-    }
-
     /// Write the continuation of a new incarnation.
     ///
     /// # Safety
@@ -458,8 +435,7 @@ impl<P: Problem> FrameRef<P> {
 /// is never moved or freed while the board can still be reached — a
 /// one-shot run drops its board after its workers joined, a pool worker
 /// rewinds a kept one only once every participant of its job has left —
-/// so a frame outlives every handle and deque entry made for it, stale
-/// fence-free log entries included.
+/// so a frame outlives every handle and deque entry made for it.
 pub(crate) struct FrameSlab<P: Problem> {
     chunks: Mutex<Chunks<P>>,
 }

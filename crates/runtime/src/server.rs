@@ -31,7 +31,7 @@
 //! frame slab per slot), the root cell, and the lead worker's scratch
 //! (trail, spine and the slot vectors of its pools). The worker builds a
 //! region once and every job it leads after that runs on it, as long as
-//! the key stays the same: problem and deque type, `deque_capacity`,
+//! the key stays the same: problem type, `deque_capacity`,
 //! `max_stolen_num` and slot count. Any other job drops what is held and
 //! builds its own, as a solo run does.
 //!
@@ -46,9 +46,7 @@
 //! kept. The "job id tag" on deque entries and signals is therefore still
 //! structural: an entry physically cannot migrate across jobs, because no
 //! other job's workers ever probe these deques *while this job runs*, and
-//! nothing is left in them for the job that leases them next. (A fence-free
-//! board is never kept: its log is append-only, so it would grow with every
-//! job and keep every stale entry extractable.)
+//! nothing is left in them for the job that leases them next.
 //!
 //! By default a job runs entirely on the pool worker that claimed it (lead
 //! at job slot 0) and asks for no team — no slot board, no shared stats —
@@ -95,18 +93,15 @@
 //! workers' (index [`ServerStats::workers`]), which one client at a time
 //! holds; a client that finds it taken sleeps instead.
 
-use crate::engine::{participate, DequeEntry, FfEntry, ProblemRef, Scratch, Shared, Slots};
-use crate::frame::{FrameRef, RootCell};
+use crate::engine::{participate, ProblemRef, Scratch, Shared, Slots};
+use crate::frame::RootCell;
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
 };
 use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
 use crate::Mode;
-use adaptivetc_core::{
-    Config, ConfigError, DequeBackend, Problem, RunReport, RunStats, XorShift64,
-};
-use adaptivetc_deque::{ChaseLevDeque, FenceFreeDeque, PoolDeque, TheDeque, WsDeque};
+use adaptivetc_core::{Config, ConfigError, Problem, RunReport, RunStats, XorShift64};
 use adaptivetc_trace::{EventKind as Ev, TraceCollector};
 use std::any::Any;
 use std::cell::RefCell;
@@ -501,20 +496,7 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
             self.shared.publish(JobOutcome::Cancelled { report: None });
             return;
         }
-        match self.cfg.backend {
-            DequeBackend::The => run_job::<P, FrameRef<P>, TheDeque<FrameRef<P>>>(
-                &self, problem, ctx, worker, tracer, lease,
-            ),
-            DequeBackend::ChaseLev => run_job::<P, FrameRef<P>, ChaseLevDeque<FrameRef<P>>>(
-                &self, problem, ctx, worker, tracer, lease,
-            ),
-            DequeBackend::Pool => run_job::<P, FrameRef<P>, PoolDeque<FrameRef<P>>>(
-                &self, problem, ctx, worker, tracer, lease,
-            ),
-            DequeBackend::FenceFree => run_job::<P, FfEntry<P>, FenceFreeDeque<FfEntry<P>>>(
-                &self, problem, ctx, worker, tracer, lease,
-            ),
-        }
+        run_job(&self, problem, ctx, worker, tracer, lease);
     }
 }
 
@@ -523,28 +505,23 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
 /// worker's scratch, built once and used by every job of the same key —
 /// this type, `Config::deque_capacity`, `Config::max_stolen_num` and the
 /// slot count.
-struct Region<P: Problem, D> {
+struct Region<P: Problem> {
     capacity: usize,
     max_stolen_num: u32,
     /// Out while a job runs on it; a job that does not hand it back — a
-    /// joiner still held it, it was not clean, or its deques are
-    /// fence-free — leaves the region without one, and the next job builds
-    /// afresh.
-    slots: Option<Slots<P, D>>,
+    /// joiner still held it, or it was not clean — leaves the region
+    /// without one, and the next job builds afresh.
+    slots: Option<Slots<P>>,
     root: Arc<RootCell<P::Out>>,
     scratch: Scratch<P>,
 }
 
-impl<P: Problem, D> Region<P, D> {
-    fn new<E>(cfg: &Config, slots: usize) -> Self
-    where
-        E: Send,
-        D: WsDeque<E>,
-    {
+impl<P: Problem> Region<P> {
+    fn new(cfg: &Config, slots: usize) -> Self {
         Region {
             capacity: cfg.deque_capacity,
             max_stolen_num: cfg.max_stolen_num,
-            slots: Some(Slots::new::<E>(cfg, slots)),
+            slots: Some(Slots::new(cfg, slots)),
             root: RootCell::new(),
             scratch: Scratch::default(),
         }
@@ -560,23 +537,17 @@ impl<P: Problem, D> Region<P, D> {
     /// `participants` at 0, so nobody is on it — and rewind its frame
     /// slabs. Whether the region is as a fresh one again — which the join
     /// implies: every deque empty, trail, spine and pools empty, the root
-    /// cell empty and nobody else's — and only then is the board kept,
-    /// unless its deques are fence-free: their log is append-only, so a kept
-    /// one would grow with every job and keep every stale entry
-    /// extractable. No board (a joiner's snapshot still holds it) is nothing
-    /// to check and nothing to keep.
-    fn hand_back<E>(&mut self, board: Option<Slots<P, D>>) -> bool
-    where
-        E: Send,
-        D: WsDeque<E>,
-    {
+    /// cell empty and nobody else's — and only then is the board kept. No
+    /// board (a joiner's snapshot still holds it) is nothing to check and
+    /// nothing to keep.
+    fn hand_back(&mut self, board: Option<Slots<P>>) -> bool {
         let Some(mut board) = board else {
             return true;
         };
-        let clean = board.settle::<E>()
+        let clean = board.settle()
             && self.scratch.is_empty()
             && Arc::get_mut(&mut self.root).is_some_and(RootCell::rearm);
-        if clean && !D::CAN_DUPLICATE {
+        if clean {
             self.slots = Some(board);
         }
         clean
@@ -593,21 +564,20 @@ impl RegionLease {
     /// The held region if it fits `cfg` and `slots` — a hit, `true`;
     /// otherwise whatever is held is dropped and a fresh one built in its
     /// place.
-    fn region<P, E, D>(&mut self, cfg: &Config, slots: usize) -> (&mut Region<P, D>, bool)
-    where
-        P: Problem + 'static,
-        E: Send,
-        D: WsDeque<E> + 'static,
-    {
+    fn region<P: Problem + 'static>(
+        &mut self,
+        cfg: &Config,
+        slots: usize,
+    ) -> (&mut Region<P>, bool) {
         let hit = self
             .held
             .as_ref()
-            .and_then(|held| held.downcast_ref::<Region<P, D>>())
+            .and_then(|held| held.downcast_ref::<Region<P>>())
             .is_some_and(|region| region.fits(cfg, slots));
         if !hit {
             // Dropped before its replacement is built, not after.
             self.held = None;
-            self.held = Some(Box::new(Region::<P, D>::new::<E>(cfg, slots)));
+            self.held = Some(Box::new(Region::<P>::new(cfg, slots)));
         }
         let region = self.held.as_mut().and_then(|held| held.downcast_mut());
         (region.expect("just found or built"), hit)
@@ -616,9 +586,9 @@ impl RegionLease {
 
 /// The slot board of a multi-slot job: its engine region plus the
 /// bookkeeping joiners need.
-struct Team<P: Problem + 'static, E: DequeEntry<P>, D: WsDeque<E>> {
+struct Team<P: Problem + 'static> {
     id: u64,
-    eng: Shared<'static, P, D>,
+    eng: Shared<'static, P>,
     /// Slot claim flags; slot 0 is pre-taken by the lead.
     taken: Vec<AtomicBool>,
     /// Live participants (lead + joiners). The lead drains this to zero
@@ -628,15 +598,9 @@ struct Team<P: Problem + 'static, E: DequeEntry<P>, D: WsDeque<E>> {
     stats: Vec<Mutex<RunStats>>,
     /// Per-slot deterministic RNG streams (identical to a solo run's).
     seeds: Vec<XorShift64>,
-    _entry: std::marker::PhantomData<fn() -> E>,
 }
 
-impl<P, E, D> ActiveJob for Team<P, E, D>
-where
-    P: Problem + 'static,
-    E: DequeEntry<P> + 'static,
-    D: WsDeque<E> + 'static,
-{
+impl<P: Problem + 'static> ActiveJob for Team<P> {
     fn id(&self) -> u64 {
         self.id
     }
@@ -688,7 +652,7 @@ where
         // Acquire: pairs with `shutdown_inner`'s Release store, so an
         // abandoning joiner also sees the submissions that preceded it.
         let abandon = || ctx.shutdown.load(Ordering::Acquire) || !ctx.queue.is_empty();
-        let stats = participate::<P, E, D>(
+        let stats = participate(
             &self.eng,
             slot,
             self.seeds[slot].clone(),
@@ -715,23 +679,18 @@ where
 
 /// Run slot 0 of a job on the calling worker: the root task, then steal
 /// until the root completes.
-fn lead_slot<P, E, D>(
-    eng: &Shared<'static, P, D>,
+fn lead_slot<P: Problem + 'static>(
+    eng: &Shared<'static, P>,
     id: u64,
     rng: XorShift64,
     worker: usize,
     tracer: TracerRef<'_>,
     scratch: &mut Scratch<P>,
-) -> RunStats
-where
-    P: Problem + 'static,
-    E: DequeEntry<P>,
-    D: WsDeque<E>,
-{
+) -> RunStats {
     let job = id as u32;
     jmark(tracer, worker, Ev::JobBegin { job, slot: 0 });
     let tr = worker_tracer(tracer, worker);
-    let stats = participate::<P, E, D>(eng, 0, rng, tr, true, None, scratch);
+    let stats = participate(eng, 0, rng, tr, true, None, scratch);
     jmark(tracer, worker, Ev::JobEnd { job });
     stats
 }
@@ -740,22 +699,17 @@ where
 /// under work sharing), run slot 0, and collect every slot's stats. Returns
 /// the result, the region's slot board unless a joiner's snapshot still
 /// holds the team, and the per-slot stats.
-fn lead_team<P, E, D>(
-    eng: Shared<'static, P, D>,
+fn lead_team<P: Problem + 'static>(
+    eng: Shared<'static, P>,
     seeds: Vec<XorShift64>,
     id: u64,
     ctx: &Arc<ServerCtx>,
     worker: usize,
     tracer: TracerRef<'_>,
     scratch: &mut Scratch<P>,
-) -> (P::Out, Option<Slots<P, D>>, Vec<RunStats>)
-where
-    P: Problem + 'static,
-    E: DequeEntry<P> + 'static,
-    D: WsDeque<E> + 'static,
-{
+) -> (P::Out, Option<Slots<P>>, Vec<RunStats>) {
     let slots = seeds.len();
-    let team = Arc::new(Team::<P, E, D> {
+    let team = Arc::new(Team {
         id,
         eng,
         taken: (0..slots).map(|i| AtomicBool::new(i == 0)).collect(),
@@ -764,14 +718,13 @@ where
             .map(|_| Mutex::new(RunStats::default()))
             .collect(),
         seeds,
-        _entry: std::marker::PhantomData,
     });
     if ctx.work_sharing {
         ctx.active.lock().push(team.clone());
         ctx.wake(true);
     }
     let rng = team.seeds[0].clone();
-    let lead_stats = lead_slot::<P, E, D>(&team.eng, id, rng, worker, tracer, scratch);
+    let lead_stats = lead_slot(&team.eng, id, rng, worker, tracer, scratch);
     team.stats[0].lock().merge(&lead_stats);
     if ctx.work_sharing {
         ctx.active.lock().retain(|j| j.id() != id);
@@ -794,21 +747,17 @@ where
 }
 
 /// Lead a claimed job to its terminal state on the calling worker.
-fn run_job<P, E, D>(
+fn run_job<P: Problem + 'static>(
     job: &Job<P>,
     problem: Arc<P>,
     ctx: &Arc<ServerCtx>,
     worker: usize,
     tracer: TracerRef<'_>,
     lease: &mut RegionLease,
-) where
-    P: Problem + 'static,
-    E: DequeEntry<P> + 'static,
-    D: WsDeque<E> + 'static,
-{
+) {
     let (shared, cfg) = (&job.shared, &job.cfg);
     let slots = job.slots(ctx.workers);
-    let (region, hit) = lease.region::<P, E, D>(cfg, slots);
+    let (region, hit) = lease.region::<P>(cfg, slots);
     let counter = if hit {
         &ctx.lease_hits
     } else {
@@ -825,7 +774,7 @@ fn run_job<P, E, D>(
         Arc::clone(&region.root),
         Some(shared.cancel.clone()),
     );
-    let mut seeds = Shared::<P, D>::seeds(cfg);
+    let mut seeds = Shared::<P>::seeds(cfg);
     // The job's clock starts where a solo run's does: the region exists.
     let t0 = Instant::now();
     let scratch = &mut region.scratch;
@@ -833,11 +782,11 @@ fn run_job<P, E, D>(
         // A single-slot job asks for no team, so it gets none: no slot
         // board registered, the lead's stats are the job's.
         let rng = seeds.next().expect("the seed stream is endless");
-        let stats = lead_slot::<P, E, D>(&eng, shared.id, rng, worker, tracer, scratch);
+        let stats = lead_slot(&eng, shared.id, rng, worker, tracer, scratch);
         (eng.root.take(), Some(eng.into_slots()), vec![stats])
     } else {
         let seeds = seeds.take(slots).collect();
-        lead_team::<P, E, D>(eng, seeds, shared.id, ctx, worker, tracer, scratch)
+        lead_team(eng, seeds, shared.id, ctx, worker, tracer, scratch)
     };
     let report = RunReport::from_workers(per_slot, t0.elapsed().as_nanos() as u64);
     // The engine's `Shared` — and with it the pool's reference to the
@@ -849,7 +798,7 @@ fn run_job<P, E, D>(
         // Relaxed: a `ServerStats` counter; the snapshot is advisory.
         ctx.slab_resets.fetch_add(1, Ordering::Relaxed);
     }
-    let clean = region.hand_back::<E>(board);
+    let clean = region.hand_back(board);
     let cancelled = shared.cancel.get();
     shared.lifecycle.finish(cancelled);
     // Count before publishing: `publish` releases the waiter, and callers
@@ -1068,9 +1017,9 @@ pub struct ServerStats {
     /// before (see the [module docs](self)).
     pub lease_hits: u64,
     /// Jobs whose lead built their region: a worker's first job, a job of
-    /// another problem or deque type, deque capacity, `max_stolen_num` or
-    /// slot count than the one before it, the job after one that did not
-    /// hand its region back, and every job on fence-free deques.
+    /// another problem type, deque capacity, `max_stolen_num` or slot count
+    /// than the one before it, and the job after one that did not hand its
+    /// region back.
     pub lease_misses: u64,
     /// Job terminals at which the lead got its slot board back and rewound
     /// the board's frame slabs, so the next job carves their frames afresh.
@@ -1164,7 +1113,7 @@ impl JobServer {
     }
 
     /// Submit `problem` to run under `mode` with the per-job `cfg`
-    /// (backend, threads, seed, cut-off — everything a solo run accepts).
+    /// (threads, seed, cut-off — everything a solo run accepts).
     ///
     /// `cfg.threads` asks for that many job slots, clamped to the pool
     /// size; slots beyond the lead are only filled when
@@ -1503,44 +1452,37 @@ mod tests {
 
     #[test]
     fn region_lease_hands_back_only_what_matches_its_key() {
-        type E<P> = FrameRef<P>;
-        type The<P> = TheDeque<E<P>>;
-        fn hit<P: Problem + 'static, D: WsDeque<E<P>> + 'static>(
-            lease: &mut RegionLease,
-            cfg: &Config,
-            slots: usize,
-        ) -> bool {
-            lease.region::<P, E<P>, D>(cfg, slots).1
+        fn hit<P: Problem + 'static>(lease: &mut RegionLease, cfg: &Config, slots: usize) -> bool {
+            lease.region::<P>(cfg, slots).1
         }
         let cfg = Config::new(2).deque_capacity(8);
         let mut lease = RegionLease::default();
-        assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "nothing held");
-        assert!(hit::<Tern, The<Tern>>(&mut lease, &cfg, 2));
+        assert!(!hit::<Tern>(&mut lease, &cfg, 2), "nothing held");
+        assert!(hit::<Tern>(&mut lease, &cfg, 2));
         // Every part of the key misses on its own, and a miss keeps nothing
         // of what was held: going back to the first key misses again.
-        for part in 0..5 {
+        for part in 0..4 {
             let missed = match part {
-                0 => hit::<Tern, The<Tern>>(&mut lease, &cfg.clone().deque_capacity(16), 2),
-                1 => hit::<Tern, The<Tern>>(&mut lease, &cfg.clone().max_stolen_num(3), 2),
-                2 => hit::<Tern, The<Tern>>(&mut lease, &cfg, 1),
-                3 => hit::<Tern, ChaseLevDeque<E<Tern>>>(&mut lease, &cfg, 2),
-                _ => hit::<LogTern, The<LogTern>>(&mut lease, &cfg, 2),
+                0 => hit::<Tern>(&mut lease, &cfg.clone().deque_capacity(16), 2),
+                1 => hit::<Tern>(&mut lease, &cfg.clone().max_stolen_num(3), 2),
+                2 => hit::<Tern>(&mut lease, &cfg, 1),
+                _ => hit::<LogTern>(&mut lease, &cfg, 2),
             };
             assert!(!missed, "key part {part} did not miss");
-            assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "part {part}");
-            assert!(hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "part {part}");
+            assert!(!hit::<Tern>(&mut lease, &cfg, 2), "part {part}");
+            assert!(hit::<Tern>(&mut lease, &cfg, 2), "part {part}");
         }
 
         // A board that is out, or came back with an entry in a deque, is
         // not leased on; one that came back clean is.
-        let (region, _) = lease.region::<Tern, E<Tern>, The<Tern>>(&cfg, 2);
+        let (region, _) = lease.region::<Tern>(&cfg, 2);
         let board = region.slots.take().expect("held with its board");
-        assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "board is out");
-        let (region, _) = lease.region::<Tern, E<Tern>, The<Tern>>(&cfg, 2);
-        assert!(region.hand_back::<E<Tern>>(Some(board)));
-        assert!(hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "clean board");
+        assert!(!hit::<Tern>(&mut lease, &cfg, 2), "board is out");
+        let (region, _) = lease.region::<Tern>(&cfg, 2);
+        assert!(region.hand_back(Some(board)));
+        assert!(hit::<Tern>(&mut lease, &cfg, 2), "clean board");
 
-        let (region, _) = lease.region::<Tern, E<Tern>, The<Tern>>(&cfg, 2);
+        let (region, _) = lease.region::<Tern>(&cfg, 2);
         let root = Arc::clone(&region.root);
         let board = region.slots.take().expect("held with its board");
         let eng = Shared::new(
@@ -1553,18 +1495,8 @@ mod tests {
         );
         let board = eng.into_slots();
         region.root.deliver(7);
-        assert!(
-            !region.hand_back::<E<Tern>>(Some(board)),
-            "result not taken"
-        );
-        assert!(!hit::<Tern, The<Tern>>(&mut lease, &cfg, 2), "dirty region");
-
-        // Fence-free boards are never kept, clean or not.
-        type Ff = FenceFreeDeque<FfEntry<Tern>>;
-        let (region, _) = lease.region::<Tern, FfEntry<Tern>, Ff>(&cfg, 2);
-        let board = region.slots.take();
-        assert!(region.hand_back::<FfEntry<Tern>>(board));
-        assert!(!lease.region::<Tern, FfEntry<Tern>, Ff>(&cfg, 2).1);
+        assert!(!region.hand_back(Some(board)), "result not taken");
+        assert!(!hit::<Tern>(&mut lease, &cfg, 2), "dirty region");
     }
 
     #[test]

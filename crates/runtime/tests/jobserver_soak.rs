@@ -1,5 +1,5 @@
 //! Job-server soak: a randomized stream of jobs with mixed priorities,
-//! thread counts, backends and mid-flight cancellations, run against a
+//! thread counts and mid-flight cancellations, run against a
 //! single long-lived pool.
 //!
 //! The default run is sized to stay inside the normal test budget (and
@@ -16,7 +16,7 @@
 //! * the server's counters are coherent at shutdown:
 //!   `submitted == completed + cancelled` with nothing left queued.
 
-use adaptivetc_core::{serial, Config, CutoffPolicy, DequeBackend, Expansion, Problem};
+use adaptivetc_core::{serial, Config, CutoffPolicy, Expansion, Problem};
 use adaptivetc_runtime::{JobOutcome, JobServer, Mode, Priority, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -139,16 +139,12 @@ fn randomized_job_stream_with_cancellations() {
             let r = rng.next();
             let height = heights[(r % heights.len() as u64) as usize];
             let threads = 1 + (r >> 8) as usize % 3;
-            let backend = DequeBackend::ALL[(r >> 16) as usize % DequeBackend::ALL.len()];
             let priority = match burst {
                 0 => Priority::Low,
                 1 | 2 => Priority::Normal,
                 _ => Priority::High,
             };
-            let cfg = Config::new(threads)
-                .backend(backend)
-                .cutoff(CutoffPolicy::Auto)
-                .seed(r);
+            let cfg = Config::new(threads).cutoff(CutoffPolicy::Auto).seed(r);
             match server.submit(Tern { height }, cfg, Mode::Adaptive, priority) {
                 Ok(handle) => {
                     // Cancel two thirds of the jobs: half of those

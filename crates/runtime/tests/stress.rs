@@ -1,7 +1,7 @@
 //! Stress and edge-case tests for the threaded runtime.
 
 use adaptivetc_core::treeinfo::TreeInfo;
-use adaptivetc_core::{Config, CutoffPolicy, DequeBackend, Expansion, Problem};
+use adaptivetc_core::{Config, CutoffPolicy, Expansion, Problem};
 use adaptivetc_runtime::Scheduler;
 use adaptivetc_workloads::tree::UnbalancedTree;
 
@@ -106,109 +106,65 @@ fn adaptive_with_deep_cutoff_degenerates_to_cilk_behaviour() {
 }
 
 #[test]
-fn every_scheduler_on_every_backend_matches_serial() {
-    // Mixed-backend sweep: every scheduler × deque backend × {2,4,8}
-    // threads must return the serial answer. This is the cross-product the
-    // pluggable-substrate refactor has to keep correct.
+fn every_scheduler_matches_serial() {
+    // Every scheduler × {2,4,8} threads must return the serial answer.
     let p = Checked {
         height: 8,
         fanout: 3,
     };
     let want = expected(&p);
-    for backend in DequeBackend::ALL {
-        for scheduler in ENGINE_MODES {
-            for threads in [2, 4, 8] {
-                let cfg = Config::new(threads).backend(backend).seed(7);
-                let (got, report) = scheduler.run(&p, &cfg).expect("runs");
-                assert_eq!(
-                    got,
-                    want,
-                    "{scheduler} on {} with {threads} threads",
-                    backend.name()
-                );
-                assert_eq!(report.threads, threads);
-            }
+    for scheduler in ENGINE_MODES {
+        for threads in [2, 4, 8] {
+            let cfg = Config::new(threads).seed(7);
+            let (got, report) = scheduler.run(&p, &cfg).expect("runs");
+            assert_eq!(got, want, "{scheduler} with {threads} threads");
+            assert_eq!(report.threads, threads);
         }
     }
 }
 
 #[test]
-fn adaptive_stress_on_chase_lev_with_aggressive_signalling() {
-    // The special-task path on the lock-free backend, forced hot: a tiny
-    // max_stolen_num raises need_task constantly, so pop_special races
-    // steal_specialtask (including the benign owner-won-the-child race the
-    // Chase-Lev decomposition admits).
-    let p = Checked {
-        height: 9,
-        fanout: 3,
-    };
-    let want = expected(&p);
-    for seed in 0..5 {
-        let cfg = Config::new(4)
-            .backend(DequeBackend::ChaseLev)
-            .max_stolen_num(1)
-            .seed(seed);
-        let (got, report) = Scheduler::AdaptiveTc.run(&p, &cfg).expect("runs");
-        assert_eq!(got, want, "seed {seed}");
-        assert_eq!(report.stats.nodes, adaptivetc_core::serial::run(&p).1.nodes);
-        assert_eq!(report.stats.deque_overflows, 0, "chase-lev never overflows");
-    }
-}
-
-#[test]
-fn pools_report_reuse_on_all_backends() {
+fn pools_report_reuse() {
     let p = Checked {
         height: 8,
         fanout: 3,
     };
     let want = expected(&p);
-    for backend in DequeBackend::ALL {
-        // Cilk-SYNCHED is the scheduler that clones per spawn *and*
-        // recycles: copy-on-steal removes almost every copy the pools
-        // would recycle from AdaptiveTC and the cut-off modes.
-        let cfg = Config::new(2).backend(backend).seed(11);
-        let (got, report) = Scheduler::CilkSynched.run(&p, &cfg).expect("runs");
-        assert_eq!(got, want, "{}", backend.name());
-        // The fence-free log keeps a stale entry per push for the whole
-        // run; its epoch loses the claim against a reused frame, so frames
-        // recycle there too.
-        assert!(
-            report.stats.frame_reuse > 0,
-            "{}: frame-per-node schedulers recycle frames",
-            backend.name()
-        );
-        assert!(
-            report.stats.state_reuse > 0,
-            "{}: Cilk-SYNCHED recycles workspace buffers",
-            backend.name()
-        );
-        // The faithful Cilk baseline must keep allocating.
-        let (_, report) = Scheduler::Cilk.run(&p, &cfg).expect("runs");
-        assert_eq!(report.stats.state_reuse, 0, "{}", backend.name());
-    }
+    // Cilk-SYNCHED is the scheduler that clones per spawn *and* recycles:
+    // copy-on-steal removes almost every copy the pools would recycle from
+    // AdaptiveTC and the cut-off modes.
+    let cfg = Config::new(2).seed(11);
+    let (got, report) = Scheduler::CilkSynched.run(&p, &cfg).expect("runs");
+    assert_eq!(got, want);
+    assert!(
+        report.stats.frame_reuse > 0,
+        "frame-per-node schedulers recycle frames"
+    );
+    assert!(
+        report.stats.state_reuse > 0,
+        "Cilk-SYNCHED recycles workspace buffers"
+    );
+    // The faithful Cilk baseline must keep allocating.
+    let (_, report) = Scheduler::Cilk.run(&p, &cfg).expect("runs");
+    assert_eq!(report.stats.state_reuse, 0);
 }
 
 #[test]
 fn one_thread_joins_every_child_on_the_stack() {
     // The work-first property: without a theft no result ever goes
-    // through a frame's shared join cell, whatever the mode or backend.
+    // through a frame's shared join cell, whatever the mode.
     let p = Checked {
         height: 7,
         fanout: 3,
     };
     let want = expected(&p);
-    for backend in DequeBackend::ALL {
-        for scheduler in ENGINE_MODES {
-            let cfg = Config::new(1).backend(backend);
-            let (got, report) = scheduler.run(&p, &cfg).expect("runs");
-            assert_eq!(got, want, "{scheduler} on {}", backend.name());
-            assert_eq!(
-                report.stats.async_joins,
-                0,
-                "{scheduler} on {}: a never-stolen frame touched its join cell",
-                backend.name()
-            );
-        }
+    for scheduler in ENGINE_MODES {
+        let (got, report) = scheduler.run(&p, &Config::new(1)).expect("runs");
+        assert_eq!(got, want, "{scheduler}");
+        assert_eq!(
+            report.stats.async_joins, 0,
+            "{scheduler}: a never-stolen frame touched its join cell"
+        );
     }
 }
 
@@ -222,19 +178,12 @@ fn async_joins_are_bounded_by_steals_not_nodes() {
         let tree = UnbalancedTree::new(3000, seed).skew(3.0).work(2);
         let want = adaptivetc_core::serial::run(&tree).0;
         let levels = u64::from(TreeInfo::measure(&tree).depth) + 1;
-        let backend = DequeBackend::ALL[(seed % 4) as usize];
         for threads in [2, 4] {
             for scheduler in ENGINE_MODES {
                 // A tiny max_stolen_num keeps AdaptiveTC's special tasks hot.
-                let cfg = Config::new(threads)
-                    .backend(backend)
-                    .max_stolen_num(1)
-                    .seed(seed);
+                let cfg = Config::new(threads).max_stolen_num(1).seed(seed);
                 let (got, report) = scheduler.run(&tree, &cfg).expect("runs");
-                let ctx = format!(
-                    "{scheduler}, {threads} threads, {}, seed {seed}",
-                    backend.name()
-                );
+                let ctx = format!("{scheduler}, {threads} threads, seed {seed}");
                 assert_eq!(got, want, "{ctx}");
                 let s = &report.stats;
                 assert!(

@@ -15,8 +15,6 @@
 //! materialisation). Region seals are not modelled — in the real engine
 //! they are a liveness device, not a steady-state cost.
 
-use adaptivetc_core::DequeBackend;
-
 /// Virtual durations (ns) for each scheduling activity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -26,13 +24,6 @@ pub struct CostModel {
     pub task_create_ns: u64,
     /// One d-e-que operation (push or pop, THE fast path).
     pub deque_op_ns: u64,
-    /// The share of `deque_op_ns` paid to the owner-side pop fence (THE
-    /// and Chase-Lev both order the tail decrement against the thief's
-    /// cursor read with one SeqCst fence per pop). The fence-free backend
-    /// performs no such fence, so its owner pops skip this charge; see
-    /// [`CostModel::pop_ns`]. Calibrated as the measured gap between a
-    /// fenced and an unfenced pop fast path on the development machine.
-    pub pop_fence_ns: u64,
     /// Workspace allocation (skipped by Cilk-SYNCHED's buffer reuse).
     pub alloc_ns: u64,
     /// Copying one byte of taskprivate workspace, in hundredths of a ns
@@ -60,7 +51,6 @@ impl CostModel {
             node_ns: 120,
             task_create_ns: 90,
             deque_op_ns: 25,
-            pop_fence_ns: 15,
             alloc_ns: 40,
             copy_byte_centi_ns: 25,
             steal_ns: 120,
@@ -82,21 +72,6 @@ impl CostModel {
     /// Cost of executing `units` of node work.
     pub fn work_ns(&self, units: u64) -> u64 {
         units * self.node_ns
-    }
-
-    /// Cost of one owner-side pop under `backend`.
-    ///
-    /// `deque_op_ns` was calibrated on THE, whose pop fast path carries a
-    /// SeqCst fence; the fence-free backend's pop is a plain stack pop
-    /// plus two relaxed stores, so it gets the fence share back. Pushes
-    /// are charged the flat `deque_op_ns` on every backend (no backend
-    /// fences its push fast path), and steal traffic is covered by
-    /// `steal_ns` unchanged — the thief-side CAS exists on all backends.
-    pub fn pop_ns(&self, backend: DequeBackend) -> u64 {
-        match backend {
-            DequeBackend::FenceFree => self.deque_op_ns.saturating_sub(self.pop_fence_ns),
-            _ => self.deque_op_ns,
-        }
     }
 }
 
@@ -132,21 +107,5 @@ mod tests {
     fn work_is_linear() {
         let c = CostModel::calibrated();
         assert_eq!(c.work_ns(7), 7 * c.node_ns);
-    }
-
-    #[test]
-    fn fence_free_pops_skip_the_fence_share() {
-        let c = CostModel::calibrated();
-        assert_eq!(
-            c.pop_ns(DequeBackend::FenceFree) + c.pop_fence_ns,
-            c.deque_op_ns
-        );
-        for backend in [
-            DequeBackend::The,
-            DequeBackend::ChaseLev,
-            DequeBackend::Pool,
-        ] {
-            assert_eq!(c.pop_ns(backend), c.deque_op_ns, "{}", backend.name());
-        }
     }
 }

@@ -19,7 +19,7 @@ use crate::cost::CostModel;
 use crate::events::Events;
 use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
-use adaptivetc_core::{Config, DequeBackend, RunReport, RunStats, XorShift64};
+use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::fsm::{self, Version};
 use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
 use adaptivetc_trace::EventKind as Ev;
@@ -157,12 +157,6 @@ struct Env<'t> {
     tree: &'t SimTree,
     cost: CostModel,
     mode: Mode,
-    /// The deque backend being simulated. The sim's deques are exact
-    /// (`VecDeque`) regardless — multiplicity and the claim layer are a
-    /// memory-protocol concern, not a virtual-time one — but the owner's
-    /// pop charge depends on whether the backend fences its pop fast path
-    /// (see [`CostModel::pop_ns`]).
-    backend: DequeBackend,
     /// Event sink stamping the virtual clock (`None` when `Config::trace`
     /// is off).
     tracer: SimTracer<'t>,
@@ -362,7 +356,7 @@ impl WorkerSim {
             }
 
             Entry::PopCheck { frame, regime } => {
-                let cost = env.cost.pop_ns(env.backend);
+                let cost = env.cost.deque_op_ns;
                 self.stats.time.deque_ns += cost;
                 if self.deque.back() == Some(&DqEntry::Task(frame)) {
                     self.deque.pop_back();
@@ -425,7 +419,7 @@ impl WorkerSim {
 
             Entry::SpecialPop { sframe } => {
                 self.stack.pop();
-                let cost = env.cost.pop_ns(env.backend);
+                let cost = env.cost.deque_op_ns;
                 self.stats.time.deque_ns += cost;
                 let reclaimed = self.deque.back() == Some(&DqEntry::Special(sframe));
                 if reclaimed {
@@ -535,7 +529,6 @@ impl<'t> Sim<'t> {
                 tree,
                 cost,
                 mode,
-                backend: cfg.backend,
                 tracer,
                 now: 0,
             },

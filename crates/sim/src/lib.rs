@@ -343,33 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn fence_free_backend_cheapens_owner_pops() {
-        // Same tree, same policy, same seed: switching the simulated
-        // backend to fence-free refunds the pop-fence share on every
-        // owner pop, shrinking deque time (and the single-thread wall,
-        // where deque traffic is pure overhead).
-        use adaptivetc_core::DequeBackend;
-        let tree = binary_tree(10);
-        let cost = CostModel::calibrated();
-        let the = simulate(&tree, Policy::Cilk, &Config::new(1), cost);
-        let ff = simulate(
-            &tree,
-            Policy::Cilk,
-            &Config::new(1).backend(DequeBackend::FenceFree),
-            cost,
-        );
-        assert_eq!(ff.leaves, tree.leaf_count());
-        assert!(
-            ff.report.stats.time.deque_ns < the.report.stats.time.deque_ns,
-            "ff={} the={}",
-            ff.report.stats.time.deque_ns,
-            the.report.stats.time.deque_ns
-        );
-        assert!(ff.wall_ns < the.wall_ns);
-        assert_eq!(ff.report.stats.deque_pops, the.report.stats.deque_pops);
-    }
-
-    #[test]
     fn serial_wall_is_total_work() {
         let tree = binary_tree(5);
         let cost = CostModel::calibrated();

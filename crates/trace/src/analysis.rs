@@ -28,8 +28,6 @@ pub struct TraceCounts {
     pub steals_ok: u64,
     /// `StealEmpty` events (== `steals_failed`).
     pub steals_empty: u64,
-    /// `StealDup` events (the thief's share of `dup_extractions`).
-    pub steals_dup: u64,
     /// `FakeTask` events (== `fake_tasks`).
     pub fake_tasks: u64,
     /// `Fsm` transition events.
@@ -73,7 +71,6 @@ impl TraceCounts {
                 EventKind::StealAttempt { .. } => c.steal_attempts += 1,
                 EventKind::StealOk { .. } => c.steals_ok += 1,
                 EventKind::StealEmpty { .. } => c.steals_empty += 1,
-                EventKind::StealDup { .. } => c.steals_dup += 1,
                 EventKind::FakeTask { .. } => c.fake_tasks += 1,
                 EventKind::Fsm { .. } => c.fsm_transitions += 1,
                 EventKind::SpecialBegin { .. } => c.special_begins += 1,
@@ -357,8 +354,7 @@ pub fn dwell_times(trace: &Trace) -> Vec<Dwell> {
 }
 
 /// Steal latency per worker: time from each `StealAttempt` to the next
-/// steal outcome (`StealOk`/`StealEmpty`/`StealDup`) in the same
-/// worker's stream.
+/// steal outcome (`StealOk`/`StealEmpty`) in the same worker's stream.
 pub fn steal_latency(trace: &Trace) -> Histogram {
     let mut h = Histogram::default();
     for w in &trace.workers {
@@ -366,9 +362,7 @@ pub fn steal_latency(trace: &Trace) -> Histogram {
         for ev in &w.events {
             match ev.kind {
                 EventKind::StealAttempt { .. } => pending = Some(ev.ts),
-                EventKind::StealOk { .. }
-                | EventKind::StealEmpty { .. }
-                | EventKind::StealDup { .. } => {
+                EventKind::StealOk { .. } | EventKind::StealEmpty { .. } => {
                     if let Some(t0) = pending.take() {
                         h.record(ev.ts - t0);
                     }
@@ -478,8 +472,8 @@ impl Cdf {
 }
 
 /// Per-op steal latency as an exact CDF: time from each `StealAttempt`
-/// to the next steal outcome (`StealOk`/`StealEmpty`/`StealDup`) in the
-/// same worker's stream — the same pairing as [`steal_latency`], kept as
+/// to the next steal outcome (`StealOk`/`StealEmpty`) in the same
+/// worker's stream — the same pairing as [`steal_latency`], kept as
 /// individual samples for p50/p90/p99 reporting.
 pub fn steal_latency_cdf(trace: &Trace) -> Cdf {
     let mut samples = Vec::new();
@@ -488,9 +482,7 @@ pub fn steal_latency_cdf(trace: &Trace) -> Cdf {
         for ev in &w.events {
             match ev.kind {
                 EventKind::StealAttempt { .. } => pending = Some(ev.ts),
-                EventKind::StealOk { .. }
-                | EventKind::StealEmpty { .. }
-                | EventKind::StealDup { .. } => {
+                EventKind::StealOk { .. } | EventKind::StealEmpty { .. } => {
                     if let Some(t0) = pending.take() {
                         samples.push(ev.ts - t0);
                     }

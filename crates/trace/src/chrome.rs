@@ -85,7 +85,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 EventKind::StealAttempt { victim }
                 | EventKind::StealOk { victim }
                 | EventKind::StealEmpty { victim }
-                | EventKind::StealDup { victim }
                 | EventKind::NeedTaskSignal { victim } => {
                     push_arg(&mut args, "victim", victim as u64)
                 }

@@ -121,14 +121,6 @@ pub enum EventKind {
         /// The probed worker.
         victim: u32,
     },
-    /// The probe extracted a duplicate some other extraction had already
-    /// claimed (multiplicity backends only; the thief's share of
-    /// `RunStats::dup_extractions`). Not a failed steal: the deque was
-    /// not empty, so neither back-off nor the victim signal reacts.
-    StealDup {
-        /// The probed worker.
-        victim: u32,
-    },
     /// A node ran as a fake task (`RunStats::fake_tasks`).
     FakeTask {
         /// Task depth of the fake task.
@@ -202,8 +194,8 @@ pub enum EventKind {
 }
 
 /// Event codes of the compact binary encoding, one per [`EventKind`]
-/// variant. Codes 24 and 25 (retired cut-off and threshold retune events)
-/// are not reused.
+/// variant. Codes 21 (retired duplicate-steal event), 24 and 25 (retired
+/// cut-off and threshold retune events) are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
@@ -229,7 +221,6 @@ pub enum Code {
     CopySaved = 18,
     SyncSuspend = 19,
     SyncResume = 20,
-    StealDup = 21,
     JobBegin = 22,
     JobEnd = 23,
 }
@@ -278,7 +269,6 @@ impl RawEvent {
             EventKind::StealAttempt { victim } => (Code::StealAttempt, 0, victim as u16, 0),
             EventKind::StealOk { victim } => (Code::StealOk, 0, victim as u16, 0),
             EventKind::StealEmpty { victim } => (Code::StealEmpty, 0, victim as u16, 0),
-            EventKind::StealDup { victim } => (Code::StealDup, 0, victim as u16, 0),
             EventKind::FakeTask { depth } => (Code::FakeTask, 0, 0, depth),
             EventKind::Fsm { from, to, depth } => {
                 (Code::Fsm, (from as u8) << 4 | (to as u8), 0, depth)
@@ -353,10 +343,7 @@ impl RawEvent {
                 job: self.c,
                 slot: self.b,
             },
-            23 => EventKind::JobEnd { job: self.c },
-            _ => EventKind::StealDup {
-                victim: self.b as u32,
-            },
+            _ => EventKind::JobEnd { job: self.c },
         }
     }
 }
@@ -381,7 +368,6 @@ impl EventKind {
             EventKind::StealAttempt { .. } => "steal_attempt",
             EventKind::StealOk { .. } => "steal_ok",
             EventKind::StealEmpty { .. } => "steal_empty",
-            EventKind::StealDup { .. } => "steal_dup",
             EventKind::FakeTask { .. } => "fake_task",
             EventKind::Fsm { .. } => "fsm",
             EventKind::SpecialBegin { .. } => "special_begin",
@@ -415,7 +401,6 @@ mod tests {
             EventKind::StealAttempt { victim: 7 },
             EventKind::StealOk { victim: 1 },
             EventKind::StealEmpty { victim: 65535 },
-            EventKind::StealDup { victim: 4 },
             EventKind::FakeTask { depth: u32::MAX },
             EventKind::SpecialBegin { depth: 9 },
             EventKind::SpecialEnd,
@@ -483,8 +468,8 @@ mod tests {
         let mut names: Vec<_> = all_kinds().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 23 non-FSM variants + the single "fsm" name.
-        assert_eq!(names.len(), 24);
+        // 22 non-FSM variants + the single "fsm" name.
+        assert_eq!(names.len(), 23);
         let mut state_names: Vec<_> = FsmState::ALL.iter().map(|s| s.name()).collect();
         state_names.sort_unstable();
         state_names.dedup();

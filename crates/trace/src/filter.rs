@@ -82,8 +82,7 @@ impl EventKind {
             | EventKind::SpecialConsume { .. } => Category::Deque,
             EventKind::StealAttempt { .. }
             | EventKind::StealOk { .. }
-            | EventKind::StealEmpty { .. }
-            | EventKind::StealDup { .. } => Category::Steal,
+            | EventKind::StealEmpty { .. } => Category::Steal,
             EventKind::FakeTask { .. } => Category::Fake,
             EventKind::Fsm { .. } => Category::Fsm,
             EventKind::SpecialBegin { .. } | EventKind::SpecialEnd => Category::Special,

@@ -11,9 +11,7 @@
 //! counters, so they are checked against the serial reference for results
 //! and node conservation instead.
 
-use adaptivetc_suite::core::{
-    serial, Config, CutoffPolicy, DequeBackend, Expansion, Problem, RunReport,
-};
+use adaptivetc_suite::core::{serial, Config, CutoffPolicy, Expansion, Problem, RunReport};
 use adaptivetc_suite::runtime::{JobServer, Mode, Priority, Scheduler, ServerConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,7 +57,7 @@ impl Problem for PathHashTree {
 }
 
 /// Deterministic pseudo-random tree (xorshift parent choice), so the
-/// exhaustive backend × pool-size matrix below needs no proptest driver.
+/// exhaustive pool-size matrix below needs no proptest driver.
 fn fixed_tree(nodes: usize, mut seed: u64) -> PathHashTree {
     let mut children = vec![Vec::new(); nodes];
     for node in 1..nodes {
@@ -87,52 +85,40 @@ fn tree_strategy(max_nodes: usize) -> impl Strategy<Value = PathHashTree> {
     })
 }
 
-/// The acceptance matrix: every deque backend × pool sizes 1/2/4, three
-/// concurrent single-slot jobs per cell, each bit-identical to its solo
-/// run.
+/// The acceptance matrix: pool sizes 1/2/4, three concurrent single-slot
+/// jobs per cell, each bit-identical to its solo run.
 #[test]
 fn concurrent_jobs_match_solo_runs_on_every_backend() {
     let trees: Vec<PathHashTree> = (0..3)
         .map(|i| fixed_tree(120 + 40 * i, 11 + i as u64))
         .collect();
-    for backend in DequeBackend::ALL {
-        for workers in [1usize, 2, 4] {
-            // Solo references, one per job, run the same seeded config.
-            let solo: Vec<(u64, RunReport)> = trees
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let cfg = Config::new(1)
-                        .backend(backend)
-                        .cutoff(CutoffPolicy::Auto)
-                        .seed(i as u64);
-                    Scheduler::AdaptiveTc.run(t, &cfg).expect("solo run")
-                })
-                .collect();
-            let server = JobServer::new(ServerConfig::new(workers));
-            let handles: Vec<_> = trees
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let cfg = Config::new(1)
-                        .backend(backend)
-                        .cutoff(CutoffPolicy::Auto)
-                        .seed(i as u64);
-                    server
-                        .submit(t.clone(), cfg, Mode::Adaptive, Priority::Normal)
-                        .expect("submission accepted")
-                })
-                .collect();
-            for (i, h) in handles.into_iter().enumerate() {
-                let ctx = format!("{} workers={workers} job={i}", backend.name());
-                let (out, report) = completed(h.wait());
-                assert_eq!(out, solo[i].0, "{ctx}: result diverged");
-                assert_bit_identical(&ctx, &report, &solo[i].1);
-            }
-            let stats = server.shutdown().stats;
-            assert_eq!(stats.completed, trees.len() as u64);
-            assert_eq!(stats.cancelled, 0);
+    let cfg = |i: usize| Config::new(1).cutoff(CutoffPolicy::Auto).seed(i as u64);
+    for workers in [1usize, 2, 4] {
+        // Solo references, one per job, run the same seeded config.
+        let solo: Vec<(u64, RunReport)> = trees
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Scheduler::AdaptiveTc.run(t, &cfg(i)).expect("solo run"))
+            .collect();
+        let server = JobServer::new(ServerConfig::new(workers));
+        let handles: Vec<_> = trees
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                server
+                    .submit(t.clone(), cfg(i), Mode::Adaptive, Priority::Normal)
+                    .expect("submission accepted")
+            })
+            .collect();
+        for (i, h) in handles.into_iter().enumerate() {
+            let ctx = format!("workers={workers} job={i}");
+            let (out, report) = completed(h.wait());
+            assert_eq!(out, solo[i].0, "{ctx}: result diverged");
+            assert_bit_identical(&ctx, &report, &solo[i].1);
         }
+        let stats = server.shutdown().stats;
+        assert_eq!(stats.completed, trees.len() as u64);
+        assert_eq!(stats.cancelled, 0);
     }
 }
 
@@ -167,11 +153,11 @@ impl Drop for OpenOnDrop {
     }
 }
 
-/// Jobs a waiting client leads on its own thread, on every backend and in
-/// both modes, while the pool's only worker is held: each is bit-identical
-/// to its solo run, as a pool worker's would be.
+/// Jobs a waiting client leads on its own thread, in both modes, while
+/// the pool's only worker is held: each is bit-identical to its solo run,
+/// as a pool worker's would be.
 #[test]
-fn client_led_jobs_match_solo_runs_on_every_backend() {
+fn client_led_jobs_match_solo_runs() {
     let trees: Vec<PathHashTree> = (0..3)
         .map(|i| fixed_tree(120 + 40 * i, 23 + i as u64))
         .collect();
@@ -195,24 +181,22 @@ fn client_led_jobs_match_solo_runs_on_every_backend() {
         std::thread::yield_now();
     }
     let mut led = 0;
-    for backend in DequeBackend::ALL {
-        for (mode, scheduler) in [
-            (Mode::Adaptive, Scheduler::AdaptiveTc),
-            (Mode::Cilk, Scheduler::Cilk),
-        ] {
-            for (i, t) in trees.iter().enumerate() {
-                let cfg = Config::new(1).backend(backend).seed(i as u64);
-                let ctx = format!("{} {mode:?} job={i}", backend.name());
-                let (solo_out, solo) = scheduler.run(t, &cfg).expect("solo run");
-                let h = server
-                    .submit(t.clone(), cfg, mode, Priority::Normal)
-                    .expect("submission accepted");
-                let (out, report) = completed(h.wait());
-                led += 1;
-                assert_eq!(out, solo_out, "{ctx}: result diverged");
-                assert_bit_identical(&ctx, &report, &solo);
-                assert_eq!(server.stats().client_leads, led, "{ctx}: led here");
-            }
+    for (mode, scheduler) in [
+        (Mode::Adaptive, Scheduler::AdaptiveTc),
+        (Mode::Cilk, Scheduler::Cilk),
+    ] {
+        for (i, t) in trees.iter().enumerate() {
+            let cfg = Config::new(1).seed(i as u64);
+            let ctx = format!("{mode:?} job={i}");
+            let (solo_out, solo) = scheduler.run(t, &cfg).expect("solo run");
+            let h = server
+                .submit(t.clone(), cfg, mode, Priority::Normal)
+                .expect("submission accepted");
+            let (out, report) = completed(h.wait());
+            led += 1;
+            assert_eq!(out, solo_out, "{ctx}: result diverged");
+            assert_bit_identical(&ctx, &report, &solo);
+            assert_eq!(server.stats().client_leads, led, "{ctx}: led here");
         }
     }
     open.store(true, Ordering::Release);
@@ -221,36 +205,26 @@ fn client_led_jobs_match_solo_runs_on_every_backend() {
 }
 
 /// Work-sharing jobs (multiple slots) have nondeterministic steal splits,
-/// but results and node conservation must still hold on every backend.
+/// but results and node conservation must still hold.
 #[test]
 fn work_sharing_jobs_reduce_correctly_on_every_backend() {
     let tree = fixed_tree(400, 5);
     let (expected, sref) = serial::run(&tree);
-    for backend in DequeBackend::ALL {
-        let server = JobServer::new(ServerConfig::new(4).work_sharing(true));
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let cfg = Config::new(4)
-                    .backend(backend)
-                    .cutoff(CutoffPolicy::Auto)
-                    .seed(i as u64);
-                server
-                    .submit(tree.clone(), cfg, Mode::Adaptive, Priority::Normal)
-                    .expect("submission accepted")
-            })
-            .collect();
-        for h in handles {
-            let (out, report) = completed(h.wait());
-            assert_eq!(out, expected, "{}: result diverged", backend.name());
-            assert_eq!(
-                report.stats.nodes,
-                sref.nodes,
-                "{}: node conservation broken",
-                backend.name()
-            );
-        }
-        server.shutdown();
+    let server = JobServer::new(ServerConfig::new(4).work_sharing(true));
+    let handles: Vec<_> = (0..3)
+        .map(|i| {
+            let cfg = Config::new(4).cutoff(CutoffPolicy::Auto).seed(i as u64);
+            server
+                .submit(tree.clone(), cfg, Mode::Adaptive, Priority::Normal)
+                .expect("submission accepted")
+        })
+        .collect();
+    for h in handles {
+        let (out, report) = completed(h.wait());
+        assert_eq!(out, expected, "result diverged");
+        assert_eq!(report.stats.nodes, sref.nodes, "node conservation broken");
     }
+    server.shutdown();
 }
 
 proptest! {
@@ -262,14 +236,9 @@ proptest! {
     fn random_concurrent_jobs_stay_isolated(
         tree in tree_strategy(250),
         workers in 1usize..5,
-        backend_idx in 0usize..DequeBackend::ALL.len(),
         seed in 0u64..50,
     ) {
-        let backend = DequeBackend::ALL[backend_idx];
-        let cfg = Config::new(1)
-            .backend(backend)
-            .cutoff(CutoffPolicy::Auto)
-            .seed(seed);
+        let cfg = Config::new(1).cutoff(CutoffPolicy::Auto).seed(seed);
         let (expected, _) = serial::run(&tree);
         let (solo_out, solo_report) =
             Scheduler::AdaptiveTc.run(&tree, &cfg).expect("solo run");

@@ -6,7 +6,7 @@
 //! * a **leased engine region** — a pool worker's, or the one a client
 //!   leads jobs on while it waits — carries nothing from one job into the
 //!   next: through a cancellation, an overflowing capacity and a change of
-//!   problem type, signal threshold or backend, every completed job stays
+//!   problem type, signal threshold or capacity, every completed job stays
 //!   bit-identical to its solo run, and the region is kept exactly when
 //!   its key says so;
 //! * **nobody is woken who is not asleep**: a flooded pool issues almost
@@ -15,7 +15,7 @@
 //!   queued, and a job it leads that unwinds out of `wait` does not hold
 //!   up shutdown.
 
-use adaptivetc_suite::core::{serial, Config, DequeBackend, Expansion, Problem};
+use adaptivetc_suite::core::{serial, Config, Expansion, Problem};
 use adaptivetc_suite::runtime::{
     CancelOutcome, JobHandle, JobOutcome, JobServer, Mode, Priority, RejectReason, Scheduler,
     ServerConfig,
@@ -183,26 +183,23 @@ fn occupy(server: &JobServer) -> (JobHandle<u64>, Arc<Gate>) {
 #[test]
 fn waited_problem_is_dropped_once_on_the_waiting_thread() {
     let server = JobServer::new(ServerConfig::new(1));
-    for backend in DequeBackend::ALL {
-        for _ in 0..50 {
-            let drops = Arc::new(Drops::default());
-            let h = server
-                .submit(
-                    Bush::new(4, 1).tracked(&drops),
-                    Config::new(1).backend(backend),
-                    Mode::Adaptive,
-                    Priority::Normal,
-                )
-                .expect("submit");
-            completed(h.wait());
-            assert_eq!(drops.count.load(Ordering::Acquire), 1, "{}", backend.name());
-            assert_eq!(
-                *drops.last_on.lock().unwrap(),
-                Some(std::thread::current().id()),
-                "{}: the problem was freed on a pool worker",
-                backend.name()
-            );
-        }
+    for _ in 0..50 {
+        let drops = Arc::new(Drops::default());
+        let h = server
+            .submit(
+                Bush::new(4, 1).tracked(&drops),
+                Config::new(1),
+                Mode::Adaptive,
+                Priority::Normal,
+            )
+            .expect("submit");
+        completed(h.wait());
+        assert_eq!(drops.count.load(Ordering::Acquire), 1);
+        assert_eq!(
+            *drops.last_on.lock().unwrap(),
+            Some(std::thread::current().id()),
+            "the problem was freed on a pool worker"
+        );
     }
     server.shutdown();
 }
@@ -286,20 +283,18 @@ fn rejected_problem_comes_back_undropped() {
 // The leased region
 // ---------------------------------------------------------------------------
 
-/// The lease walk on one backend: every job runs solo and on `server`,
+/// The lease walk: every job runs solo and on `server`,
 /// the two must be bit-identical, and the job must have met the lease as
 /// its step says. `client`: this thread leads every job, on its own lease,
 /// while the pool's only worker is held; otherwise the pool worker leads
 /// them and this thread waits without leading.
 struct Walk<'a> {
     server: &'a JobServer,
-    backend: DequeBackend,
     client: bool,
 }
 
 impl Walk<'_> {
-    /// `kept`: whether the region of the job before serves this one —
-    /// which it never does on fence-free deques.
+    /// `kept`: whether the region of the job before serves this one.
     fn job<P: Problem<Out = u64> + 'static>(
         &self,
         step: &str,
@@ -308,8 +303,7 @@ impl Walk<'_> {
         mode: Mode,
         kept: bool,
     ) -> adaptivetc_suite::core::RunReport {
-        let ctx = format!("{} / {step}", self.backend.name());
-        let hit = kept && self.backend != DequeBackend::FenceFree;
+        let ctx = format!("client {} / {step}", self.client);
         let scheduler = match mode {
             Mode::Cilk => Scheduler::Cilk,
             _ => Scheduler::AdaptiveTc,
@@ -330,7 +324,11 @@ impl Walk<'_> {
         assert_bit_identical(&ctx, &report, &solo);
         let stats = self.server.stats();
         assert_eq!(stats.client_leads, leads, "{ctx}: who led the job");
-        assert_eq!(stats.lease_hits - hits, u64::from(hit), "{ctx}: lease hits");
+        assert_eq!(
+            stats.lease_hits - hits,
+            u64::from(kept),
+            "{ctx}: lease hits"
+        );
         report
     }
 }
@@ -338,35 +336,27 @@ impl Walk<'_> {
 /// One pool worker leads the whole sequence, so every job but the first
 /// meets the lease. A job of the key of the job before it is served by the
 /// kept region — also after a mid-flight cancellation and after
-/// overflowing deques; another problem type, signal threshold, deque
-/// capacity or backend misses and builds afresh (as every job on
-/// fence-free deques does). Whatever the lease did, every completed job's
-/// report is bit-identical to its solo run. Then the same walk, but led by
-/// a waiting client on the region it keeps, with the pool's only worker
-/// held in a gated job throughout — all but the cancellation, which would
-/// hold the client itself.
+/// overflowing deques; another problem type, signal threshold or deque
+/// capacity misses and builds afresh. Whatever the lease did, every
+/// completed job's report is bit-identical to its solo run. Then the same
+/// walk, but led by a waiting client on the region it keeps, with the
+/// pool's only worker held in a gated job throughout — all but the
+/// cancellation, which would hold the client itself.
 #[test]
 fn leased_deques_carry_nothing_from_job_to_job() {
     for client in [false, true] {
-        for backend in DequeBackend::ALL {
-            lease_walk(backend, client);
-        }
+        lease_walk(client);
     }
 }
 
-fn lease_walk(backend: DequeBackend, client: bool) {
-    let other = DequeBackend::ALL
-        .into_iter()
-        .find(|b| *b != backend)
-        .expect("there are four backends");
+fn lease_walk(client: bool) {
     let server = JobServer::new(ServerConfig::new(1));
     let held = client.then(|| occupy(&server));
     let w = Walk {
         server: &server,
-        backend,
         client,
     };
-    let base = || Config::new(1).backend(backend);
+    let base = || Config::new(1);
     let bush = |tag| move || Bush::new(7, tag);
     let adaptive = Mode::Adaptive;
 
@@ -380,7 +370,7 @@ fn lease_walk(backend: DequeBackend, client: bool) {
     w.job("first", bush(1), base().seed(1), adaptive, false);
     w.job("same type", bush(2), base().seed(2), adaptive, true);
 
-    // Another problem type on the same backend is another region.
+    // Another problem type is another region.
     w.job("fig1", Fig1Tree::new, base(), adaptive, false);
     w.job("fig1 again", Fig1Tree::new, base(), adaptive, true);
     w.job("nqueens", || NqueensArray::new(6), base(), adaptive, false);
@@ -411,25 +401,23 @@ fn lease_walk(backend: DequeBackend, client: bool) {
         gate.open();
         match h.wait() {
             JobOutcome::Cancelled { report } => assert!(report.is_some(), "it had started"),
-            JobOutcome::Completed { .. } => panic!("{}: cancel lost", backend.name()),
+            JobOutcome::Completed { .. } => panic!("cancel lost"),
         }
     }
     w.job("after a cancel", bush(8), base().seed(8), adaptive, true);
 
     // Two slots of capacity: Cilk pushes at every level, so the fixed-size
-    // backend overflows and runs the children inline.
+    // deque overflows and runs the children inline.
     let tiny = || base().deque_capacity(2);
     let report = w.job("capacity 2", bush(9), tiny(), Mode::Cilk, false);
-    if backend == DequeBackend::The {
-        assert!(
-            report.stats.deque_overflows > 0,
-            "capacity 2 never overflowed"
-        );
-    }
+    assert!(
+        report.stats.deque_overflows > 0,
+        "capacity 2 never overflowed"
+    );
     w.job("capacity 2 again", bush(10), tiny(), Mode::Cilk, true);
 
-    let elsewhere = Config::new(1).backend(other);
-    w.job("other backend", bush(13), elsewhere, adaptive, false);
+    let elsewhere = base().deque_capacity(64);
+    w.job("capacity 64", bush(13), elsewhere, adaptive, false);
     w.job(
         "first type again",
         bush(14),
@@ -446,12 +434,7 @@ fn lease_walk(backend: DequeBackend, client: bool) {
     let stats = server.shutdown().stats;
     // The client walk adds the held job and the reset, and drops the cancel.
     let (ended, leads) = if client { ((18, 0), 18) } else { ((16, 1), 17) };
-    assert_eq!(
-        (stats.completed, stats.cancelled),
-        ended,
-        "{}",
-        backend.name()
-    );
+    assert_eq!((stats.completed, stats.cancelled), ended, "client {client}");
     assert_eq!(stats.lease_hits + stats.lease_misses, leads);
 }
 
@@ -463,47 +446,45 @@ fn lease_walk(backend: DequeBackend, client: bool) {
 /// same worker leads both and no joiner's snapshot kept the board.
 #[test]
 fn a_two_slot_job_between_leases_leaves_no_trace() {
-    for backend in DequeBackend::ALL {
-        let server = JobServer::new(ServerConfig::new(2).work_sharing(true));
-        let single = Config::new(1).backend(backend);
-        let (solo_out, solo) = Scheduler::AdaptiveTc
-            .run(&Bush::new(7, 1), &single)
-            .expect("solo run");
-        let (team_out, team_ref) = Scheduler::AdaptiveTc
-            .run(&Bush::new(9, 2), &single)
-            .expect("team reference");
-        for round in 0..6 {
-            let ctx = format!("{} round {round}", backend.name());
+    let server = JobServer::new(ServerConfig::new(2).work_sharing(true));
+    let single = Config::new(1);
+    let (solo_out, solo) = Scheduler::AdaptiveTc
+        .run(&Bush::new(7, 1), &single)
+        .expect("solo run");
+    let (team_out, team_ref) = Scheduler::AdaptiveTc
+        .run(&Bush::new(9, 2), &single)
+        .expect("team reference");
+    for round in 0..6 {
+        let ctx = format!("round {round}");
+        let h = server
+            .submit(
+                Bush::new(7, 1),
+                single.clone(),
+                Mode::Adaptive,
+                Priority::Normal,
+            )
+            .expect("submit");
+        let (out, report) = completed(h.wait());
+        assert_eq!(out, solo_out, "{ctx}: result diverged");
+        assert_bit_identical(&ctx, &report, &solo);
+
+        for _ in 0..2 {
             let h = server
                 .submit(
-                    Bush::new(7, 1),
-                    single.clone(),
+                    Bush::new(9, 2),
+                    Config::new(2),
                     Mode::Adaptive,
                     Priority::Normal,
                 )
                 .expect("submit");
             let (out, report) = completed(h.wait());
-            assert_eq!(out, solo_out, "{ctx}: result diverged");
-            assert_bit_identical(&ctx, &report, &solo);
-
-            for _ in 0..2 {
-                let h = server
-                    .submit(
-                        Bush::new(9, 2),
-                        Config::new(2).backend(backend),
-                        Mode::Adaptive,
-                        Priority::Normal,
-                    )
-                    .expect("submit");
-                let (out, report) = completed(h.wait());
-                assert_eq!(out, team_out, "{ctx}: team result diverged");
-                assert_eq!(report.threads, 2, "{ctx}: two job slots");
-                assert_eq!(report.stats.nodes, team_ref.stats.nodes, "{ctx}: nodes");
-            }
+            assert_eq!(out, team_out, "{ctx}: team result diverged");
+            assert_eq!(report.threads, 2, "{ctx}: two job slots");
+            assert_eq!(report.stats.nodes, team_ref.stats.nodes, "{ctx}: nodes");
         }
-        let stats = server.shutdown().stats;
-        assert_eq!(stats.lease_hits + stats.lease_misses, 18);
     }
+    let stats = server.shutdown().stats;
+    assert_eq!(stats.lease_hits + stats.lease_misses, 18);
 }
 
 /// Two-slot n-queens jobs on a two-worker sharing pool, while single-slot

@@ -125,13 +125,12 @@ fn unbalanced_tree_left_and_right() {
 /// Differential test on Figure 1 and every Table-1 problem: at one
 /// thread the threaded engine is deterministic (no thieves), so its
 /// task-accounting counters — real tasks, fake tasks, special tasks — must
-/// agree *exactly* with the discrete-event simulator's, for every deque
-/// backend. Any drift between the two engines — in what they decide, or
-/// in what they take a node to be (a dead end is interior, not a leaf) —
+/// agree *exactly* with the discrete-event simulator's. Any drift between
+/// the two engines — in what they decide, or in what they take a node to be (a dead end is interior, not a leaf) —
 /// shows up here first.
 #[test]
 fn fig1_engine_matches_simulator_exactly() {
-    use adaptivetc_suite::core::{CutoffPolicy, DequeBackend, Problem};
+    use adaptivetc_suite::core::{CutoffPolicy, Problem};
 
     struct Differential;
     impl table1::Visit for Differential {
@@ -148,37 +147,33 @@ fn fig1_engine_matches_simulator_exactly() {
                 let cfg = Config::new(1).cutoff(CutoffPolicy::Fixed(2)).seed(42);
                 let sim = simulate(&sim_tree, policy, &cfg, CostModel::calibrated());
                 assert_eq!(sim.leaves, sim_tree.leaf_count(), "{label}: sim {policy:?}");
-                for backend in DequeBackend::ALL {
-                    let cfg = cfg.clone().backend(backend);
-                    let (out, report) = scheduler
-                        .run(problem, &cfg)
-                        .unwrap_or_else(|e| panic!("{label}/{scheduler}/{}: {e}", backend.name()));
-                    assert_eq!(out, expected, "{label}/{scheduler}/{}", backend.name());
-                    for (name, engine, simulated) in [
-                        (
-                            "tasks_created",
-                            report.stats.tasks_created,
-                            sim.report.stats.tasks_created,
-                        ),
-                        (
-                            "fake_tasks",
-                            report.stats.fake_tasks,
-                            sim.report.stats.fake_tasks,
-                        ),
-                        (
-                            "special_tasks",
-                            report.stats.special_tasks,
-                            sim.report.stats.special_tasks,
-                        ),
-                    ] {
-                        assert_eq!(
-                            engine,
-                            simulated,
-                            "{label}: {scheduler} ({}) vs simulated {}: {name} diverged",
-                            backend.name(),
-                            policy.name()
-                        );
-                    }
+                let (out, report) = scheduler
+                    .run(problem, &cfg)
+                    .unwrap_or_else(|e| panic!("{label}/{scheduler}: {e}"));
+                assert_eq!(out, expected, "{label}/{scheduler}");
+                for (name, engine, simulated) in [
+                    (
+                        "tasks_created",
+                        report.stats.tasks_created,
+                        sim.report.stats.tasks_created,
+                    ),
+                    (
+                        "fake_tasks",
+                        report.stats.fake_tasks,
+                        sim.report.stats.fake_tasks,
+                    ),
+                    (
+                        "special_tasks",
+                        report.stats.special_tasks,
+                        sim.report.stats.special_tasks,
+                    ),
+                ] {
+                    assert_eq!(
+                        engine,
+                        simulated,
+                        "{label}: {scheduler} vs simulated {}: {name} diverged",
+                        policy.name()
+                    );
                 }
             }
         }

@@ -1,11 +1,11 @@
 //! Differential validation of the event-tracing subsystem: the trace is
 //! an independent witness of the run, so every count it implies must
 //! equal the `RunStats` the engine accumulated — per worker and in
-//! aggregate, for every deque backend and scheduling mode — and the
+//! aggregate, for every scheduling mode — and the
 //! simulator's stream must diff exactly against the threaded engine's
 //! over the shared schema at one thread.
 
-use adaptivetc_suite::core::{serial, Config, CutoffPolicy, DequeBackend, Problem};
+use adaptivetc_suite::core::{serial, Config, CutoffPolicy, Problem};
 use adaptivetc_suite::runtime::Scheduler;
 use adaptivetc_suite::sim::{simulate_traced, CostModel, Policy, SimTree};
 use adaptivetc_suite::trace::{to_chrome_json, validate, EventKind, Trace, TraceDiff};
@@ -14,13 +14,12 @@ use adaptivetc_suite::workloads::nqueens::NqueensArray;
 
 mod table1;
 
-/// The acceptance matrix: fig1 and nqueens across every deque backend,
-/// thread counts with real stealing, and the schedulers that exercise
-/// the distinct engine modes (including plain Cilk — tracing is not an
-/// AdaptiveTC-only facility). Each cell runs twice: exhaustively
-/// (`trace_sample(1)`, everything exact) and at the default
-/// flight-recorder rate (hot categories become lower bounds, everything
-/// unsampled must stay exact).
+/// The acceptance matrix: fig1 and nqueens at thread counts with real
+/// stealing, under the schedulers that exercise the distinct engine modes
+/// (including plain Cilk — tracing is not an AdaptiveTC-only facility).
+/// Each cell runs twice: exhaustively (`trace_sample(1)`, everything
+/// exact) and at the default flight-recorder rate (hot categories become
+/// lower bounds, everything unsampled must stay exact).
 #[test]
 fn trace_counts_equal_runstats() {
     let fig1 = Fig1Tree::new();
@@ -30,45 +29,41 @@ fn trace_counts_equal_runstats() {
         Scheduler::Cilk,
         Scheduler::CutoffLibrary,
     ] {
-        for backend in DequeBackend::ALL {
-            for threads in [1usize, 2, 4] {
-                for sample in [1u32, Config::new(1).trace_sample] {
-                    let cfg = Config::new(threads)
-                        .trace(true)
-                        .trace_sample(sample)
-                        .backend(backend)
-                        .max_stolen_num(2)
-                        .seed(42 + threads as u64);
-                    for (label, trace, report) in [
-                        {
-                            let (out, report, trace) = scheduler
-                                .run_traced(&fig1, &cfg.clone().cutoff(CutoffPolicy::Fixed(2)))
-                                .expect("fig1 run");
-                            assert_eq!(out, Fig1Tree::LEAVES);
-                            ("fig1", trace, report)
-                        },
-                        {
-                            let (out, report, trace) =
-                                scheduler.run_traced(&queens, &cfg).expect("nqueens run");
-                            assert_eq!(out, 40, "nqueens(7) solutions");
-                            ("nqueens", trace, report)
-                        },
-                    ] {
-                        let trace = trace.expect("Config::trace is set");
-                        assert_eq!(trace.workers.len(), threads);
-                        assert_eq!(trace.total_dropped(), 0, "ring sized for the workload");
-                        let mismatches = validate(&trace, &report);
-                        assert!(
-                            mismatches.is_empty(),
-                            "{label}/{scheduler}/{}/{threads}t/sample {sample}:\n{}",
-                            backend.name(),
-                            mismatches
-                                .iter()
-                                .map(ToString::to_string)
-                                .collect::<Vec<_>>()
-                                .join("\n")
-                        );
-                    }
+        for threads in [1usize, 2, 4] {
+            for sample in [1u32, Config::new(1).trace_sample] {
+                let cfg = Config::new(threads)
+                    .trace(true)
+                    .trace_sample(sample)
+                    .max_stolen_num(2)
+                    .seed(42 + threads as u64);
+                for (label, trace, report) in [
+                    {
+                        let (out, report, trace) = scheduler
+                            .run_traced(&fig1, &cfg.clone().cutoff(CutoffPolicy::Fixed(2)))
+                            .expect("fig1 run");
+                        assert_eq!(out, Fig1Tree::LEAVES);
+                        ("fig1", trace, report)
+                    },
+                    {
+                        let (out, report, trace) =
+                            scheduler.run_traced(&queens, &cfg).expect("nqueens run");
+                        assert_eq!(out, 40, "nqueens(7) solutions");
+                        ("nqueens", trace, report)
+                    },
+                ] {
+                    let trace = trace.expect("Config::trace is set");
+                    assert_eq!(trace.workers.len(), threads);
+                    assert_eq!(trace.total_dropped(), 0, "ring sized for the workload");
+                    let mismatches = validate(&trace, &report);
+                    assert!(
+                        mismatches.is_empty(),
+                        "{label}/{scheduler}/{threads}t/sample {sample}:\n{}",
+                        mismatches
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>()
+                            .join("\n")
+                    );
                 }
             }
         }
