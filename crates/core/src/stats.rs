@@ -112,10 +112,9 @@ pub struct RunStats {
     /// Workspace allocations (Cilk-SYNCHED reuses buffers: copies stay,
     /// allocations drop).
     pub allocations: u64,
-    /// Spawns that would have paid an eager workspace clone but did not,
-    /// because copy-on-steal let the owner reuse the in-place workspace.
-    /// Thieves still pay a clone (counted in `copies`) when they actually
-    /// steal such a task.
+    /// Always 0: every real task copies its workspace and nothing elides
+    /// the copy. The field remains only because the repo benchmark
+    /// (`benchmark/src/common.rs`) reads it (ROADMAP item 3(ii)).
     pub workspace_copies_saved: u64,
     /// Frames taken from a worker's free list of retired frames instead of
     /// being carved fresh from its slot's frame slab.

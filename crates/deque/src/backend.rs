@@ -35,13 +35,9 @@
 //! behind a claim of its own; see its module documentation.
 //!
 //! Backends carry opaque entries and know nothing about taskprivate
-//! workspaces. Under the runtime's copy-on-steal policy a stolen entry
-//! may reference a workspace the owner is still mutating in place; the
-//! *engine's* steal path materialises an isolated clone via the frame's
-//! deposit handshake before the stolen frame runs. Property (1) is what
-//! makes the handshake sound: exactly one of {owner pop, thief steal}
-//! claims the entry, and the loser's side of the pop/steal race is the
-//! deposit trigger.
+//! workspaces: the runtime's frame owns its workspace, so whichever of
+//! {owner pop, thief steal} claims an entry — exactly one, by property
+//! (1) — runs the continuation on it.
 
 use crate::{
     ChaseLevDeque, ClSteal, FenceFreeDeque, Overflow, PoolDeque, PopSpecial, StealOutcome, TheDeque,
@@ -49,7 +45,8 @@ use crate::{
 
 /// A work-stealing deque usable as the engine's task substrate.
 ///
-/// See the [module documentation](self) for the protocol contract.
+/// The protocol contract is in the documentation of the crate's `backend`
+/// module.
 ///
 /// # Examples
 ///

@@ -48,11 +48,11 @@
 //! Each worker privately recycles what the hot path would otherwise
 //! allocate per task:
 //!
-//! * **workspace buffers** — every mode that copies except [`Mode::Cilk`]
-//!   draws from a [`Pool`] of dead buffers and overwrites them with
-//!   `clone_from`; `RunStats::state_reuse` counts the hits. Cilk does not
-//!   pool (the paper's `SYNCHED` is the mode that does), and a Table-1
-//!   workspace copy allocates nothing anyway.
+//! * **workspace buffers** — every mode except [`Mode::Cilk`] draws from a
+//!   [`Pool`] of dead buffers and overwrites them with `clone_from`;
+//!   `RunStats::state_reuse` counts the hits. Cilk does not pool (the
+//!   paper's `SYNCHED` is the mode that does), and a Table-1 workspace copy
+//!   allocates nothing anyway.
 //! * **frames** — come from the slot's [`FrameSlab`] on the slot board and
 //!   are named by [`FrameRef`]s, so no spawn touches a reference count. A
 //!   completed frame goes to a bounded LIFO free list of whoever may reuse
@@ -62,40 +62,19 @@
 //!   wait on a spare list and count as fresh when taken, like slots carved
 //!   from the slab.
 //!
-//! # Copy-on-steal workspaces
+//! # Taskprivate workspaces
 //!
-//! In every mode except the `Cilk`/`CilkSynched` baselines — which *are*
-//! the paper's eager clone-per-spawn scheme and keep their own
-//! [`Worker::exec_node`]/[`Worker::frame_loop`] pair — a spawn does **not**
-//! clone the taskprivate workspace. The worker executes children *in
-//! place* — `apply`, recurse, `undo` on one live workspace, exactly like
-//! the sequence version — and the pushed frame merely borrows it: the
-//! frame carries no workspace and the owner records the frame on a
-//! **spine** alongside a mark into a **trail** of every choice currently
-//! applied to the live workspace. An owner pop reuses the workspace
-//! directly (`RunStats::workspace_copies_saved`); only when a thief
-//! actually steals such a frame is an isolated clone **materialised**:
-//!
-//! 1. the thief flags the frame (`ws_requested`) and raises the owner's
-//!    padded `ws_hint`, then spins;
-//! 2. the owner, at its poll points (every spawn iteration, every check
-//!    poll, sequence entry, the special task's sync wait), clones the live
-//!    workspace and unwinds the trail suffix past the frame's mark, which
-//!    reconstructs the frame-pristine workspace, and deposits it
-//!    (`ws_ready`);
-//! 3. as a backstop, a pop conflict — the owner discovering the theft, at
-//!    which point the live workspace *is* frame-pristine — deposits
-//!    unconditionally before unwinding, so a waiting thief never starves.
-//!
-//! The thief then runs the stolen continuation in place on the deposit, so
-//! stolen-task semantics are bit-identical to the eager scheme while the
-//! ~never-stolen majority of spawns pay no copy at all. Special-task
-//! children still clone eagerly (they run detached from the live
-//! workspace), each such clone seeding a fresh in-place region.
-//!
-//! Which of the two disciplines a run uses is a function of its [`Mode`]
-//! alone ([`Kernel::copies_per_spawn`]), read where a worker enters a frame
-//! from outside — the root task and a stolen continuation.
+//! The paper's rule, in every mode: a workspace is cloned only when a
+//! real task is created, never for a fake task. A real task keeps its
+//! node's workspace in its frame (`Cont::state`) and gives every child
+//! it spawns a clone with the child's choice applied, so a thief that
+//! steals the continuation finds the workspace there and owes its victim
+//! nothing. A node that is not a real task runs
+//! its fake-task recursion (check, sequence, Cutoff-library's copying
+//! sequence) in place on the workspace it was handed. Every node enters
+//! through one [`Worker::exec_node`] and every task spawns through one
+//! [`Worker::frame_loop`]: the root task, a stolen continuation and a
+//! special task's children alike.
 //!
 //! Every scheduling decision is the worker's [`Kernel`]'s
 //! (`adaptivetc-strategy`), the same code the simulator runs; this module
@@ -104,7 +83,6 @@
 use crate::frame::{deliver, Frame, FrameRef, FrameSlab, OutCell, Outcome, Parent, RootCell};
 use crate::pool::Pool;
 use crate::submit::CancelToken;
-use crate::sync::{AtomicBool, Ordering};
 use crate::trace::{tev, worker_tracer, WorkerTracer};
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
 use adaptivetc_deque::{NeedTask, PopSpecial, StealOutcome, TheDeque};
@@ -113,7 +91,7 @@ use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Objects each worker's pools retain at most (dead workspace buffers and
 /// retired frames). Bounds the steady-state footprint while covering the
@@ -123,10 +101,6 @@ const POOL_CAP: usize = 128;
 /// Failed steals after which a spinning thief starts yielding the CPU
 /// (2^6 = 64 spin-hint rounds of exponential back-off first).
 const BACKOFF_SPIN_LIMIT: u32 = 6;
-
-/// How long a special task's sync wait sleeps between servicing rounds of
-/// pending copy-on-steal workspace requests.
-const WS_SERVICE_WAIT: Duration = Duration::from_micros(50);
 
 /// The engine's one deque: the simplified THE protocol of the paper's
 /// Fig. 3, carrying bare frame handles. The pop/steal race itself decides
@@ -155,15 +129,12 @@ impl<P> ProblemRef<'_, P> {
 }
 
 /// A region's slot board: per worker slot, its deque, its `need_task`
-/// signal, its copy-on-steal doorbell and the slab its frames come from.
+/// signal and the slab its frames come from.
 pub(crate) struct Slots<P: Problem> {
     deques: Vec<Deque<P>>,
     /// Padded: a thief hammering one worker's signal must not invalidate
     /// its neighbours' lines.
     signals: Vec<CachePadded<NeedTask>>,
-    /// A thief waiting for a workspace deposit raises the owner's hint;
-    /// the owner checks it at poll points.
-    ws_hints: Vec<CachePadded<AtomicBool>>,
     /// Frame memory, on the board rather than with the worker: a joiner
     /// may abandon its slot while its frames still run elsewhere.
     slabs: Vec<FrameSlab<P>>,
@@ -178,9 +149,6 @@ impl<P: Problem> Slots<P> {
             signals: (0..slots)
                 .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
                 .collect(),
-            ws_hints: (0..slots)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
             slabs: (0..slots).map(|_| FrameSlab::new()).collect(),
         }
     }
@@ -190,18 +158,12 @@ impl<P: Problem> Slots<P> {
     }
 
     /// After a run, with every participant gone: lower what thieves may
-    /// rightly have left raised — a `need_task` request nobody answered, a
-    /// doorbell rung after the deposit it asked for — rewind the slabs so
-    /// the next run carves their frames afresh, and report whether every
-    /// deque is empty, as the join implies.
+    /// rightly have left raised — a `need_task` request nobody answered —
+    /// rewind the slabs so the next run carves their frames afresh, and
+    /// report whether every deque is empty, as the join implies.
     pub(crate) fn settle(&mut self) -> bool {
         for signal in &self.signals {
             signal.acknowledge();
-        }
-        for hint in &self.ws_hints {
-            // Relaxed: nobody else is on the board; whoever runs on it
-            // next receives it through the lease's own hand-over.
-            hint.store(false, Ordering::Relaxed);
         }
         for slab in &mut self.slabs {
             slab.rewind();
@@ -228,7 +190,7 @@ impl<'p, P: Problem> Shared<'p, P> {
     /// Build the engine's shared state on a slot board and a root cell —
     /// fresh ones, or those a pool worker keeps from job to job (see
     /// `crate::server`), which must be as a fresh one is: deques empty,
-    /// signals and doorbells down, the cell armed.
+    /// signals down, the cell armed.
     ///
     /// There may be fewer slots than `cfg.threads` (a server job clamped
     /// to the pool size); the cut-off still derives from `cfg.threads`, so
@@ -283,35 +245,15 @@ pub(crate) fn lap(field: &mut u64, start: Option<Instant>) {
     }
 }
 
-/// One in-place frame on a worker's copy-on-steal spine.
-struct SpineSlot<P: Problem> {
-    frame: FrameRef<P>,
-    /// Trail length at frame entry: undoing `trail[mark..]` on a clone of
-    /// the live workspace reconstructs this frame's pristine workspace.
-    mark: usize,
-    /// Whether the frame's deque entry for the child currently executing
-    /// is outstanding (pushed and not yet popped back). Only such frames
-    /// can be stolen, so only they need deposits when the region is sealed.
-    live_entry: bool,
-    /// Whether this worker deposited a workspace for the frame while it
-    /// held it. It deposits at most once: the one thief that can take the
-    /// frame from it takes that deposit, and a second would be a clone
-    /// nobody takes — made, at a pop conflict, into a frame whose child
-    /// came back detached and whose thief may already have completed it.
-    deposited: bool,
-}
-
 /// What a worker allocates for itself and a later run can use again: the
-/// slot vectors of its pools, its trail and its spine. Empty between runs —
-/// the vectors keep their capacity, nothing else is kept — so a run on a
-/// used scratch counts what a run on a fresh one counts. Frames are not
+/// slot vectors of its pools. Empty between runs — the vectors keep their
+/// capacity, nothing else is kept — so a run on a used scratch counts what
+/// a run on a fresh one counts. Frames are not
 /// kept here: they live on the slot board (see [`Slots`]).
 pub(crate) struct Scratch<P: Problem> {
     freelist: Pool<P::State>,
     frames: Pool<FrameRef<P>>,
     spare: Vec<FrameRef<P>>,
-    trail: Vec<P::Choice>,
-    spine: Vec<SpineSlot<P>>,
 }
 
 impl<P: Problem> Default for Scratch<P> {
@@ -320,19 +262,13 @@ impl<P: Problem> Default for Scratch<P> {
             freelist: Pool::new(POOL_CAP),
             frames: Pool::new(POOL_CAP),
             spare: Vec::new(),
-            trail: Vec::new(),
-            spine: Vec::new(),
         }
     }
 }
 
 impl<P: Problem> Scratch<P> {
     pub(crate) fn is_empty(&self) -> bool {
-        self.freelist.is_empty()
-            && self.frames.is_empty()
-            && self.spare.is_empty()
-            && self.trail.is_empty()
-            && self.spine.is_empty()
+        self.freelist.is_empty() && self.frames.is_empty() && self.spare.is_empty()
     }
 }
 
@@ -343,7 +279,7 @@ pub(crate) struct Worker<'s, 'p, P: Problem> {
     /// This worker's scheduling decisions; private, so taking one never
     /// touches shared memory.
     kernel: Kernel,
-    /// Recycled workspace buffers (all copying modes except `Cilk`).
+    /// Recycled workspace buffers (every mode except `Cilk`).
     freelist: Pool<P::State>,
     /// Frames this worker retired — at a sync that never went
     /// asynchronous, or by emptying their join cell — from any slab of
@@ -354,17 +290,6 @@ pub(crate) struct Worker<'s, 'p, P: Problem> {
     spare: Vec<FrameRef<P>>,
     /// What is left to carve of the slab chunk this worker took last.
     fresh: std::slice::Iter<'s, Frame<P>>,
-    /// Copy-on-steal bookkeeping: every choice currently applied to the
-    /// live in-place workspace, in application order.
-    trail: Vec<P::Choice>,
-    /// The in-place frames whose continuations are on this worker's call
-    /// stack, oldest first.
-    spine: Vec<SpineSlot<P>>,
-    /// Start of the *current* in-place region on the spine. Detached
-    /// workspaces (special-task children, materialised thief clones) run
-    /// as nested regions; only current-region frames can be serviced from
-    /// the current live workspace.
-    region_base: usize,
     /// Event-trace recording endpoint (`None` when `Config::trace` is
     /// off).
     tr: WorkerTracer<'s>,
@@ -383,8 +308,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             freelist,
             frames,
             spare,
-            trail,
-            spine,
         } = std::mem::take(scratch);
         Worker {
             kernel: Kernel::new(shared.mode, shared.cutoff, rng),
@@ -395,9 +318,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             frames,
             spare,
             fresh: [].iter(),
-            trail,
-            spine,
-            region_base: 0,
             tr,
         }
     }
@@ -413,8 +333,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             mut freelist,
             mut frames,
             mut spare,
-            trail,
-            spine,
             ..
         } = self;
         freelist.clear();
@@ -424,8 +342,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             freelist,
             frames,
             spare,
-            trail,
-            spine,
         };
         stats
     }
@@ -439,8 +355,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// cooperative: the node that observes the raised token yields an
     /// identity leaf instead of expanding, so every join (and with it
     /// every waiting sync and the root cell) still completes normally —
-    /// cancellation never bypasses the deposit handshake or the join
-    /// cells' token accounting.
+    /// cancellation never bypasses the join cells' token accounting.
     #[inline]
     fn cancelled(&self) -> bool {
         match &self.shared.cancel {
@@ -459,14 +374,9 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         &self.shared.slots.signals[self.id]
     }
 
-    #[inline]
-    fn my_ws_hint(&self) -> &AtomicBool {
-        &self.shared.slots.ws_hints[self.id]
-    }
-
     /// Does this mode recycle workspace buffers? `Cilk` stays
     /// allocate-per-spawn (the paper's work-first baseline); every other
-    /// copying mode draws from the pool.
+    /// mode draws from the pool.
     #[inline]
     fn pools_state(&self) -> bool {
         self.shared.mode != Mode::Cilk
@@ -527,7 +437,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         };
         // SAFETY: a free slot — this worker retired it or carved it — that
         // no other thread can reach before its first push.
-        unsafe { frame.start(parent, state, choices, logical, depth, self.id) };
+        unsafe { frame.start(parent, state, choices, logical, depth) };
         frame
     }
 
@@ -548,12 +458,12 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// Scrub a completed frame this worker owns and put it on its free
     /// list: a frame whose sync never went asynchronous (its join cell is
     /// untouched), or one whose join cell this worker emptied (`rearm`).
-    /// Whatever workspace it still carries — its own under the Cilk modes,
-    /// a deposit no thief took — goes back to the workspace pool.
+    /// The workspace a real task's frame carries goes back to the
+    /// workspace pool.
     fn retire_frame(&mut self, frame: FrameRef<P>, rearm: bool) {
         // SAFETY: the caller owns the completed frame (see above).
         let (f, cont) = unsafe { (frame.get(), frame.cont()) };
-        if let Some(state) = cont.state.take().or_else(|| f.take_unclaimed_ws()) {
+        if let Some(state) = cont.state.take() {
             self.recycle(state);
         }
         // Scrub every live reference so the idle slot keeps nothing
@@ -642,17 +552,18 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         claimed
     }
 
-    /// The Cilk baselines' node execution: every node with children becomes
-    /// a task that owns its workspace. Reached only under
-    /// [`Kernel::copies_per_spawn`]; all other modes run
-    /// [`Worker::exec_node_inplace`]. `parent` is called only if the node
-    /// gets a frame.
+    /// Execute a node on the workspace it owns — the root's, or the clone
+    /// its spawn made. A real task keeps the workspace in its frame and
+    /// spawns through [`Worker::frame_loop`]; any other node runs its
+    /// fake-task recursion in place on it. `parent` is called only if the
+    /// node gets a frame.
     fn exec_node(
         &mut self,
-        state: P::State,
+        mut state: P::State,
         logical: u32,
         tdepth: u32,
         parent: impl FnOnce() -> Parent<P>,
+        regime: Regime,
     ) -> Outcome<P::Out> {
         if self.cancelled() {
             // Prune to an identity leaf so every join still completes.
@@ -660,23 +571,61 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             return Outcome::Done(P::Out::identity());
         }
         self.stats.nodes += 1;
-        match self.problem().expand(&state, logical) {
+        let choices = match self.problem().expand(&state, logical) {
             Expansion::Leaf(out) => {
                 self.recycle(state);
-                Outcome::Done(out)
+                return Outcome::Done(out);
             }
-            Expansion::Children(choices) => {
-                let frame = self.make_frame(parent(), Some(state), choices, logical, tdepth);
-                self.frame_loop(frame, false)
-            }
+            Expansion::Children(choices) => choices,
+        };
+        if self.kernel.real_task(tdepth, regime) {
+            let frame = self.make_frame(parent(), Some(state), choices, logical, tdepth);
+            return self.frame_loop(frame, regime, false);
         }
+        let out = match self.kernel.fallthrough(regime) {
+            Fallthrough::SequenceCopy => self.sequence_copy(&state, logical, choices),
+            Fallthrough::Check => {
+                tev!(
+                    self,
+                    Fsm,
+                    Ev::Fsm {
+                        from: Fs::Fast,
+                        to: Fs::Check,
+                        depth: tdepth,
+                    }
+                );
+                self.check(&mut state, logical, choices)
+            }
+            Fallthrough::Sequence => {
+                // Cutoff-programmer's recursion is no FSM edge.
+                if regime == Regime::Fast2 {
+                    tev!(
+                        self,
+                        Fsm,
+                        Ev::Fsm {
+                            from: Fs::Fast2,
+                            to: Fs::Sequence,
+                            depth: tdepth,
+                        }
+                    );
+                }
+                self.sequence(&mut state, logical, choices)
+            }
+        };
+        self.recycle(state);
+        Outcome::Done(out)
     }
 
-    /// Run a Cilk frame's continuation: spawn each remaining child as a
-    /// task with its own workspace clone. Stolen frames re-enter here (the
-    /// slow version "restores the program counter" — `cont.next` — and
-    /// continues) with `shared` set: their join cell is live.
-    fn frame_loop(&mut self, frame: FrameRef<P>, mut shared: bool) -> Outcome<P::Out> {
+    /// Run a real task's continuation: spawn each remaining child as a task
+    /// with its own workspace clone, under `regime`. Stolen frames re-enter
+    /// here (the slow version "restores the program counter" — `cont.next`
+    /// — and continues) with `shared` set: their join cell is live.
+    fn frame_loop(
+        &mut self,
+        frame: FrameRef<P>,
+        regime: Regime,
+        mut shared: bool,
+    ) -> Outcome<P::Out> {
         // Cancellation poll: stop spawning; already-spawned children
         // still join, completing the frame normally.
         while !self.cancelled() {
@@ -695,13 +644,14 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             let stealable = cont.next < cont.choices.len();
             let (logical, depth) = (cont.logical + 1, cont.depth + 1);
             // Workspace copy for the spawned child (taskprivate).
-            let src = cont.state.as_ref().expect("Cilk frames own a workspace");
+            let src = cont.state.as_ref().expect("a real task owns its workspace");
             let mut child_state = self.clone_state(src);
             self.problem().apply(&mut child_state, choice);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth });
             let pushed = stealable && self.push_entry(frame, false);
-            let child = self.exec_node(child_state, logical, depth, || Parent::Frame(frame));
+            let parent = || Parent::Frame(frame);
+            let child = self.exec_node(child_state, logical, depth, parent, regime);
             if pushed && !self.pop_back() {
                 // Continuation stolen: a thief now runs this frame's
                 // remaining children. A child that finished here spends
@@ -727,259 +677,9 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         self.sync(frame, shared)
     }
 
-    /// Service pending copy-on-steal workspace requests for frames of the
-    /// *current* in-place region. `live` must be exactly the region's live
-    /// workspace, consistent with the trail (called between an apply/undo
-    /// pair, never mid-operation). Requests against frames of outer,
-    /// paused regions stay pending — their thieves keep re-raising the
-    /// hint and are guaranteed a deposit at the owner's pop conflict at
-    /// the latest.
-    fn service_ws(&mut self, live: &P::State) {
-        let hint = self.my_ws_hint();
-        // The hint is raised only by a thief waiting on a deposit, and this
-        // runs at every spawn, check and sequence node: test with a plain
-        // load and pay the locked swap only when it is up.
-        // Relaxed: the hint is only a doorbell (the request itself is
-        // `frame.ws_requested`, read Acquire below) — a stale false is
-        // re-rung by the spinning thief every 64 spins and covered by the
-        // pop-conflict backstop deposit, and a true is confirmed by the
-        // swap, so the pre-test publishes and acquires nothing.
-        // AcqRel: acquires the thief's published request, and releases the
-        // cleared hint so a new request re-arms it.
-        if !hint.load(Ordering::Relaxed) || !hint.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let mut spine = std::mem::take(&mut self.spine);
-        for slot in &mut spine[self.region_base..] {
-            // SAFETY: a spine frame is this worker's to hold, or protected
-            // by the in-flight token of the child it is running under it.
-            let frame = unsafe { slot.frame.get() };
-            // Acquire: pairs with the thief's Release request in
-            // `obtain_ws`, before the owner clones its workspace.
-            if !slot.deposited && frame.ws_requested.load(Ordering::Acquire) {
-                let snap = self.materialise(live, slot.mark);
-                frame.deposit_ws(snap);
-                slot.deposited = true;
-                tev!(self, Workspace, Ev::WsDeposit);
-            }
-        }
-        self.spine = spine;
-    }
-
-    /// Materialise a frame-pristine workspace: clone the live one and
-    /// unwind the trail suffix applied since frame entry.
-    fn materialise(&mut self, live: &P::State, mark: usize) -> P::State {
-        let mut snap = self.clone_state(live);
-        for &c in self.trail[mark..].iter().rev() {
-            self.problem().undo(&mut snap, c);
-        }
-        snap
-    }
-
-    /// Publish deposits for *every* stealable entry of the current region.
-    ///
-    /// Called before the region is paused by a special section: while the
-    /// special children run as nested regions, this region's live workspace
-    /// is unreachable, so a thief stealing one of these entries could not
-    /// be serviced and would spin for the whole pause — long enough to
-    /// close a wait cycle across owners that are themselves blocked at
-    /// special syncs. Sealing up front keeps every possible request
-    /// targeted at a *current* region, which its owner always services.
-    fn seal_region(&mut self, live: &P::State) {
-        let mut spine = std::mem::take(&mut self.spine);
-        for slot in &mut spine[self.region_base..] {
-            if slot.live_entry && !slot.deposited {
-                let snap = self.materialise(live, slot.mark);
-                // SAFETY: a live entry's frame is protected by the
-                // in-flight token of the child running under it.
-                unsafe { slot.frame.get() }.deposit_ws(snap);
-                slot.deposited = true;
-                tev!(self, Workspace, Ev::WsDeposit);
-            }
-        }
-        self.spine = spine;
-    }
-
-    /// Run a node on an *owned* workspace as a fresh in-place region (the
-    /// root task, a special-task child, or any other detached workspace).
-    /// The buffer is recycled when the region completes or unwinds.
-    fn run_region(
-        &mut self,
-        mut state: P::State,
-        logical: u32,
-        tdepth: u32,
-        parent: impl FnOnce() -> Parent<P>,
-        regime: Regime,
-    ) -> Outcome<P::Out> {
-        let saved_base = self.region_base;
-        self.region_base = self.spine.len();
-        let trail_mark = self.trail.len();
-        let out = self.exec_node_inplace(&mut state, logical, tdepth, parent, regime);
-        debug_assert_eq!(
-            self.spine.len(),
-            self.region_base,
-            "region left spine entries"
-        );
-        debug_assert_eq!(self.trail.len(), trail_mark, "region left trail entries");
-        self.region_base = saved_base;
-        self.recycle(state);
-        out
-    }
-
-    /// Execute a node on the borrowed live workspace (choice already
-    /// applied by the caller) under the cut-off and AdaptiveTC modes. On
-    /// return — normal completion *or* theft-driven unwind — the workspace
-    /// is restored to its value at entry.
-    fn exec_node_inplace(
-        &mut self,
-        state: &mut P::State,
-        logical: u32,
-        tdepth: u32,
-        parent: impl FnOnce() -> Parent<P>,
-        regime: Regime,
-    ) -> Outcome<P::Out> {
-        if self.cancelled() {
-            return Outcome::Done(P::Out::identity());
-        }
-        self.stats.nodes += 1;
-        match self.problem().expand(state, logical) {
-            Expansion::Leaf(out) => Outcome::Done(out),
-            Expansion::Children(choices) => {
-                if self.kernel.real_task(tdepth, regime) {
-                    let frame = self.make_frame(parent(), None, choices, logical, tdepth);
-                    return self.frame_loop_inplace(frame, state, regime, false);
-                }
-                Outcome::Done(match self.kernel.fallthrough(regime) {
-                    Fallthrough::SequenceCopy => self.sequence_copy(state, logical, choices),
-                    Fallthrough::Check => {
-                        tev!(
-                            self,
-                            Fsm,
-                            Ev::Fsm {
-                                from: Fs::Fast,
-                                to: Fs::Check,
-                                depth: tdepth,
-                            }
-                        );
-                        self.check(state, logical, choices)
-                    }
-                    Fallthrough::Sequence => {
-                        // Cutoff-programmer's recursion is no FSM edge.
-                        if regime == Regime::Fast2 {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast2,
-                                    to: Fs::Sequence,
-                                    depth: tdepth,
-                                }
-                            );
-                        }
-                        self.sequence(state, logical, choices)
-                    }
-                })
-            }
-        }
-    }
-
-    /// Run an in-place frame's continuation: spawn each remaining child as
-    /// a task *without* cloning the workspace — apply the choice to the
-    /// live workspace, dive in, undo on return. A pop conflict deposits the
-    /// (now frame-pristine) workspace for the thief before unwinding, unless
-    /// this worker already deposited one. `shared` as in
-    /// [`Worker::frame_loop`].
-    fn frame_loop_inplace(
-        &mut self,
-        frame: FrameRef<P>,
-        state: &mut P::State,
-        regime: Regime,
-        mut shared: bool,
-    ) -> Outcome<P::Out> {
-        self.spine.push(SpineSlot {
-            frame,
-            mark: self.trail.len(),
-            live_entry: false,
-            deposited: false,
-        });
-        loop {
-            self.service_ws(state);
-            // Cancellation poll, co-located with the copy-on-steal
-            // service point: no new spawns after the token is raised.
-            if self.cancelled() {
-                break;
-            }
-            // SAFETY: this worker holds the continuation — it made the
-            // frame or claimed it from a deque, and every entry it pushed
-            // since was popped back. The borrow ends before the next push.
-            let cont = unsafe { frame.cont() };
-            let Some(&choice) = cont.choices.get(cont.next) else {
-                break;
-            };
-            cont.next += 1;
-            // Last-spawn elision, as in the Cilk loop.
-            let stealable = cont.next < cont.choices.len();
-            let (logical, depth) = (cont.logical + 1, cont.depth + 1);
-            self.problem().apply(state, choice);
-            self.trail.push(choice);
-            self.stats.tasks_created += 1;
-            tev!(self, Spawn, Ev::Spawn { depth });
-            // The spawn that eager copying would have paid a clone for.
-            self.stats.workspace_copies_saved += 1;
-            tev!(self, Workspace, Ev::CopySaved);
-            let pushed = stealable && self.push_entry(frame, false);
-            if let Some(slot) = self.spine.last_mut() {
-                slot.live_entry = pushed;
-            }
-            let child =
-                self.exec_node_inplace(state, logical, depth, || Parent::Frame(frame), regime);
-            self.problem().undo(state, choice);
-            self.trail.pop();
-            if pushed {
-                if self.pop_back() {
-                    if let Some(slot) = self.spine.last_mut() {
-                        slot.live_entry = false;
-                    }
-                } else {
-                    // Continuation stolen. Its thief takes the deposit a
-                    // seal or service round made; failing that, deposit
-                    // the live workspace, frame-pristine right now (the
-                    // child's choice was just undone).
-                    let slot = self.spine.pop().expect("this frame's spine slot");
-                    if !slot.deposited {
-                        let snap = self.clone_state(state);
-                        // SAFETY: nothing was deposited, so the thief, which
-                        // holds the continuation token, cannot run — let
-                        // alone complete — the frame before this deposit.
-                        unsafe { frame.get() }.deposit_ws(snap);
-                        tev!(self, Workspace, Ev::WsDeposit);
-                    }
-                    // Token handling as in the Cilk loop.
-                    if let Outcome::Done(out) = child {
-                        self.deliver(Parent::Frame(frame), out);
-                    }
-                    return Outcome::Detached;
-                }
-            }
-            match child {
-                // SAFETY: the pop (or the elided push) left the
-                // continuation with this worker.
-                Outcome::Done(out) => unsafe { frame.cont() }.acc.combine(out),
-                Outcome::Detached => {
-                    // SAFETY: holder, as above.
-                    unsafe { frame.get() }.join.add_in_flight();
-                    shared = true;
-                }
-            }
-        }
-        self.spine.pop();
-        self.sync(frame, shared)
-    }
-
-    /// Run a stolen continuation (the slow version). A Cilk frame owns its
-    /// workspace and simply resumes; an in-place frame borrowed its
-    /// owner's, so the thief first obtains an isolated one
-    /// ([`Worker::obtain_ws`]) and runs the continuation in place on that.
+    /// Run a stolen continuation (the slow version): a real task owns its
+    /// workspace, so the thief simply resumes its spawn loop under the
+    /// fast/check rules.
     fn run_stolen(&mut self, frame: FrameRef<P>) {
         // SAFETY: the claimed extraction made this worker the holder; the
         // borrows end before the frame loop below.
@@ -1004,21 +704,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         // The victim's child still owns the in-flight token the frame was
         // pushed under; the children spawned from here need their own.
         f.join.add_in_flight();
-        let outcome = if self.kernel.copies_per_spawn() {
-            self.frame_loop(frame, true)
-        } else {
-            let mut ws = self.obtain_ws(f);
-            // Entries re-pushed from here borrow *this* worker's workspace.
-            // Release: pairs with the next thief's Acquire owner load in
-            // `obtain_ws` (the deque push's Release publishes it as well).
-            f.owner.store(self.id, Ordering::Release);
-            let saved_base = self.region_base;
-            self.region_base = self.spine.len();
-            let outcome = self.frame_loop_inplace(frame, &mut ws, Regime::Fast, true);
-            self.region_base = saved_base;
-            self.recycle(ws);
-            outcome
-        };
+        let outcome = self.frame_loop(frame, Regime::Fast, true);
         if let Outcome::Done(out) = outcome {
             self.deliver(parent, out);
         }
@@ -1033,63 +719,10 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         );
     }
 
-    /// Thief side of the copy-on-steal handshake: take the deposit if one
-    /// is already published, otherwise request one from the owner and spin
-    /// — re-raising the owner's doorbell periodically, since the owner may
-    /// consume a hint while a different region is current.
-    fn obtain_ws(&mut self, frame: &Frame<P>) -> P::State {
-        let state = match frame.try_take_ws() {
-            Some(s) => s,
-            None => {
-                // Release: the request must be visible before the doorbell
-                // below; pairs with the owner's Acquire poll in
-                // `service_ws`.
-                frame.ws_requested.store(true, Ordering::Release);
-                // Acquire: pairs with the Release store in `run_stolen`, so
-                // a re-stolen frame rings its current holder.
-                let owner = frame.owner.load(Ordering::Acquire);
-                // Release: the doorbell; pairs with the owner's AcqRel swap,
-                // which then finds the request above.
-                self.shared.slots.ws_hints[owner].store(true, Ordering::Release);
-                tev!(
-                    self,
-                    Workspace,
-                    Ev::WsRequest {
-                        owner: owner as u32
-                    }
-                );
-                let mut spins: u32 = 0;
-                loop {
-                    if let Some(s) = frame.try_take_ws() {
-                        break s;
-                    }
-                    spins = spins.wrapping_add(1);
-                    if spins & 0x3F == 0 {
-                        // Acquire: the current holder, as above.
-                        // Release: re-rings the doorbell, as above — the
-                        // owner may have consumed a hint while a different
-                        // region was current.
-                        self.shared.slots.ws_hints[frame.owner.load(Ordering::Acquire)]
-                            .store(true, Ordering::Release);
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-        };
-        tev!(self, Workspace, Ev::WsTake);
-        state
-    }
-
     /// The sequence version: plain recursion, no tasks, no copies, no polls
-    /// (it still services workspace requests once per node, so thieves
-    /// waiting on ancestor frames are fed promptly).
+    /// beyond one cancellation poll per node.
     fn sequence(&mut self, state: &mut P::State, logical: u32, choices: Vec<P::Choice>) -> P::Out {
-        self.service_ws(state);
         if self.cancelled() {
-            // One cancellation poll per sequence node, matching the
-            // copy-on-steal service cadence of the recursion.
             return P::Out::identity();
         }
         self.stats.fake_tasks += 1;
@@ -1097,14 +730,12 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         let mut acc = P::Out::identity();
         for c in choices {
             self.problem().apply(state, c);
-            self.trail.push(c);
             self.stats.nodes += 1;
             match self.problem().expand(state, logical + 1) {
                 Expansion::Leaf(out) => acc.combine(out),
                 Expansion::Children(cs) => acc.combine(self.sequence(state, logical + 1, cs)),
             }
             self.problem().undo(state, c);
-            self.trail.pop();
         }
         acc
     }
@@ -1138,8 +769,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// at every depth).
     fn check(&mut self, state: &mut P::State, logical: u32, choices: Vec<P::Choice>) -> P::Out {
         self.stats.polls += 1;
-        // The need_task poll is also the copy-on-steal service point.
-        self.service_ws(state);
         if self.cancelled() {
             // The need_task poll doubles as the cancellation poll.
             return P::Out::identity();
@@ -1150,14 +779,12 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             let mut acc = P::Out::identity();
             for c in choices {
                 self.problem().apply(state, c);
-                self.trail.push(c);
                 self.stats.nodes += 1;
                 match self.problem().expand(state, logical + 1) {
                     Expansion::Leaf(out) => acc.combine(out),
                     Expansion::Children(cs) => acc.combine(self.check(state, logical + 1, cs)),
                 }
                 self.problem().undo(state, c);
-                self.trail.pop();
             }
             acc
         } else {
@@ -1179,7 +806,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// 0, and wait for stolen children at the end (`sync_specialtask`).
     fn special_section(
         &mut self,
-        state: &mut P::State,
+        state: &P::State,
         logical: u32,
         choices: Vec<P::Choice>,
     ) -> P::Out {
@@ -1187,7 +814,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         tev!(self, Special, Ev::SpecialBegin { depth: logical });
         self.my_signal().acknowledge();
         tev!(self, Signal, Ev::NeedTaskAck);
-        self.seal_region(state);
         // The paper's special-task re-entry: the fake task's children run
         // as tasks again in fast_2 with the cut-off doubled and depth 0.
         tev!(
@@ -1218,17 +844,14 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                 // resolves.
                 break;
             }
-            // Special children always clone eagerly: they run detached from
-            // the live workspace while the special loop keeps using it.
-            // The clone seeds a fresh in-place region, so the fast_2
-            // subtree below it is copy-free again.
+            // A special task's child is a real task: it gets its own clone.
             let mut child = self.clone_state(state);
             self.problem().apply(&mut child, c);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth: 0 });
             let pushed = self.push_entry(special, true);
             let parent = || Parent::Frame(special);
-            let outcome = self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
+            let outcome = self.exec_node(child, logical + 1, 0, parent, Regime::Fast2);
             if pushed {
                 match self.my_deque().pop_special() {
                     PopSpecial::Reclaimed(_) => {
@@ -1271,15 +894,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         self.stats.suspensions += 1;
         tev!(self, Sync, Ev::SyncSuspend);
         let t0 = now_if(self.shared.timing);
-        // Keep servicing workspace requests while blocked: a thief that
-        // stole an ancestor frame of this special section must not wait
-        // out the whole sync for its deposit.
-        let out = loop {
-            self.service_ws(state);
-            if let Some(out) = waiter.wait_timeout(WS_SERVICE_WAIT) {
-                break out;
-            }
-        };
+        let out = waiter.wait();
         lap(&mut self.stats.time.wait_children_ns, t0);
         tev!(self, Sync, Ev::SyncResume);
         tev!(self, Special, Ev::SpecialEnd);
@@ -1401,11 +1016,7 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
         let parent = || Parent::Root(Arc::clone(&shared.root));
-        let root = if w.kernel.copies_per_spawn() {
-            w.exec_node(root_state, 0, 0, parent)
-        } else {
-            w.run_region(root_state, 0, 0, parent, Regime::Fast)
-        };
+        let root = w.exec_node(root_state, 0, 0, parent, Regime::Fast);
         if let Outcome::Done(out) = root {
             shared.root.deliver(out);
         }
@@ -1500,13 +1111,10 @@ mod tests {
         assert_eq!(board.len(), 2);
         board.signals[1].record_steal_failure();
         assert!(board.signals[1].record_steal_failure(), "raised");
-        // Relaxed: a single-threaded test.
-        board.ws_hints[0].store(true, Ordering::Relaxed);
         let carved = board.slabs[1].chunk().as_ptr();
         assert!(board.settle(), "both deques are empty");
         assert!(!board.signals[1].needs_task());
         assert_eq!(board.signals[1].stolen_num(), 0);
-        assert!(!board.ws_hints[0].load(Ordering::Relaxed));
         assert_eq!(board.slabs[1].chunk().as_ptr(), carved, "slabs rewound");
 
         let frame = FrameRef::new(&board.slabs[0].chunk()[0]);

@@ -43,19 +43,18 @@
 use crate::join::JoinCell;
 #[cfg(debug_assertions)]
 use crate::sync::AtomicU32;
-use crate::sync::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::{AtomicBool, Ordering};
 use crate::sync::{Condvar, Mutex};
 use adaptivetc_core::{Problem, Reduce};
 use std::cell::UnsafeCell;
 use std::ptr::NonNull;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Frames a slab allocates at a time.
 const CHUNK_FRAMES: usize = 32;
 
-/// The special task's result mailbox: `sync_specialtask` sleeps on it in
-/// bounded naps, so a delivery notifies.
+/// The special task's result mailbox: `sync_specialtask` sleeps on it
+/// until a delivery notifies.
 #[derive(Debug)]
 pub(crate) struct OutCell<O> {
     slot: Mutex<Option<O>>,
@@ -77,15 +76,15 @@ impl<O: Send> OutCell<O> {
         self.cv.notify_all();
     }
 
-    /// Block for at most `timeout`; `Some` if the value arrived. The
-    /// waiter must keep servicing copy-on-steal workspace requests while
-    /// blocked (see `engine::special_section`).
-    pub(crate) fn wait_timeout(&self, timeout: Duration) -> Option<O> {
+    /// Block until the value arrives, and take it.
+    pub(crate) fn wait(&self) -> O {
         let mut g = self.slot.lock();
-        if g.is_none() {
-            let _ = self.cv.wait_for(&mut g, timeout);
+        loop {
+            if let Some(out) = g.take() {
+                return out;
+            }
+            self.cv.wait(&mut g);
         }
-        g.take()
     }
 }
 
@@ -171,9 +170,8 @@ pub(crate) enum Outcome<O> {
 /// worker currently running the continuation — may touch.
 pub(crate) struct Cont<P: Problem> {
     pub parent: Parent<P>,
-    /// The node's taskprivate workspace under the Cilk modes (the
-    /// *parent's* copy; children get clones). `None` for in-place frames,
-    /// which borrow the owner's live workspace, and for special tasks.
+    /// The node's taskprivate workspace (children get clones). `None` for
+    /// special tasks, whose children clone the fake task's workspace.
     pub state: Option<P::State>,
     /// Choices at this node, in order.
     pub choices: Vec<P::Choice>,
@@ -195,19 +193,6 @@ pub(crate) struct Frame<P: Problem> {
     cont: UnsafeCell<Cont<P>>,
     /// The shared half of the join: untouched until a theft.
     pub join: JoinCell<P::Out>,
-    /// Copy-on-steal deposit slot, guarded by `ws_ready`: it is only ever
-    /// locked after a steal or a seal, so its lock stays.
-    deposit: Mutex<Option<P::State>>,
-    /// Copy-on-steal handshake. `owner` is the worker whose in-place
-    /// workspace this frame borrows; a thief that steals the frame before a
-    /// workspace was materialised sets `ws_requested` and waits for the
-    /// owner to deposit a clone and publish it through `ws_ready`. The
-    /// owner also deposits when a pop conflict reveals the frame was
-    /// stolen and it had deposited nothing, so a waiting thief always
-    /// makes progress.
-    pub owner: AtomicUsize,
-    pub ws_requested: AtomicBool,
-    pub ws_ready: AtomicBool,
     /// The slot's incarnation, bumped each time the slot is retired and at
     /// a slab rewind; a handle made for an earlier one is stale.
     #[cfg(debug_assertions)]
@@ -236,65 +221,9 @@ impl<P: Problem> Frame<P> {
                 logical: 0,
             }),
             join: JoinCell::new(),
-            deposit: Mutex::new(None),
-            owner: AtomicUsize::new(0),
-            ws_requested: AtomicBool::new(false),
-            ws_ready: AtomicBool::new(false),
             #[cfg(debug_assertions)]
             generation: AtomicU32::new(0),
         }
-    }
-
-    /// Owner side of the copy-on-steal handshake: store a materialised
-    /// workspace clone and publish it. Idempotent — a second deposit keeps
-    /// the first clone. Nothing of the frame is touched after `ws_ready`
-    /// flips: from then on a thief may run the frame to completion.
-    pub(crate) fn deposit_ws(&self, state: P::State) {
-        // Release: the request is lowered before the deposit is published,
-        // so an owner that polls it (Acquire) starts a fresh handshake.
-        self.ws_requested.store(false, Ordering::Release);
-        let mut g = self.deposit.lock();
-        if g.is_none() {
-            *g = Some(state);
-            drop(g);
-            // Release: publishes the cloned workspace before `ws_ready`;
-            // pairs with the thief's AcqRel swap in `try_take_ws`.
-            self.ws_ready.store(true, Ordering::Release);
-        }
-    }
-
-    /// Thief side: take the deposited workspace if the owner published one.
-    /// Consuming the deposit lowers `ws_ready` again, keeping the invariant
-    /// `ws_ready ⟺ an untaken deposit is present` — a thief that
-    /// materialised a frame re-pushes it, and *its* thief starts a fresh
-    /// handshake on the same frame.
-    pub(crate) fn try_take_ws(&self) -> Option<P::State> {
-        // AcqRel: acquires the deposited workspace, and releases the claim
-        // so the owner cannot deposit twice.
-        if !self.ws_ready.swap(false, Ordering::AcqRel) {
-            return None;
-        }
-        // Release: lowers the request after a successful take, so the
-        // owner's next Acquire poll starts a fresh handshake.
-        self.ws_requested.store(false, Ordering::Release);
-        self.deposit.lock().take()
-    }
-
-    /// A completed frame retires with its deposit untaken when a seal
-    /// deposited for an entry the owner then popped back; the common case
-    /// (no deposit) costs one load and no lock. Leaves the handshake as an
-    /// idle slot has it.
-    pub(crate) fn take_unclaimed_ws(&self) -> Option<P::State> {
-        // Relaxed: the caller owns the completed frame. Every deposit was
-        // made by a holder before its release (program order, then the
-        // join cell's lock), and no thief is left to take one.
-        if !self.ws_ready.load(Ordering::Relaxed) {
-            return None;
-        }
-        // Relaxed: as above — there is no other thread to order against;
-        // a later deque push's Release republishes the slot.
-        self.ws_ready.store(false, Ordering::Relaxed);
-        self.deposit.lock().take()
     }
 }
 
@@ -392,11 +321,8 @@ impl<P: Problem> FrameRef<P> {
         choices: Vec<P::Choice>,
         logical: u32,
         depth: u32,
-        owner: usize,
     ) {
         // SAFETY: a free slot is its taker's alone (contract above).
-        let frame = unsafe { self.get() };
-        // SAFETY: as above.
         *unsafe { self.cont() } = Cont {
             parent,
             state,
@@ -406,9 +332,6 @@ impl<P: Problem> FrameRef<P> {
             depth,
             logical,
         };
-        // Relaxed: the slot is unpublished; the deque push's Release
-        // publishes the owner with the rest of the frame.
-        frame.owner.store(owner, Ordering::Relaxed);
     }
 
     /// End this incarnation. The returned handle names the slot's next
@@ -587,7 +510,7 @@ mod tests {
     fn stolen(frame: FrameRef<Nop>, parent: Parent<Nop>) -> FrameRef<Nop> {
         // SAFETY: a freshly carved slot, unpublished; then its holder.
         unsafe {
-            frame.start(parent, Some(()), vec![0], 0, 0, 0);
+            frame.start(parent, Some(()), vec![0], 0, 0);
             frame.get().join.add_in_flight();
         }
         frame
@@ -687,7 +610,7 @@ mod tests {
         let again = retired.pop().expect("retired");
         assert_eq!(again.ptr, f.ptr);
         // SAFETY: a retired slot, unpublished; then its holder.
-        unsafe { again.start(Parent::None, None, Vec::new(), 0, 0, 0) };
+        unsafe { again.start(Parent::None, None, Vec::new(), 0, 0) };
         assert_eq!(release(again, 5), Some(5));
     }
 
@@ -734,19 +657,11 @@ mod tests {
         let c2 = Arc::clone(&cell);
         std::thread::scope(|s| {
             s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
+                std::thread::sleep(std::time::Duration::from_millis(10));
                 c2.deliver(9);
             });
-            // Naps far longer than the test may take (a spurious wake-up
-            // starts another): only the notification ends one in time.
-            let t0 = std::time::Instant::now();
-            let out = loop {
-                if let Some(out) = cell.wait_timeout(Duration::from_secs(60)) {
-                    break out;
-                }
-            };
-            assert_eq!(out, 9);
-            assert!(t0.elapsed() < Duration::from_secs(30), "not notified");
+            // Only the notification ends the sleep.
+            assert_eq!(cell.wait(), 9);
         });
     }
 }

@@ -8,11 +8,10 @@
 //! into a reusable primitive: a bounded LIFO free list each worker owns
 //! privately, so `take`/`put` are unsynchronized.
 //!
-//! Two pools ride on this type in [`engine`](crate::engine):
+//! Two pools ride on this type in the engine:
 //!
 //! * a **workspace arena** (`Pool<P::State>`) recycling taskprivate
-//!   buffers for every mode that copies except `Cilk`, which does not
-//!   pool — `Cilk-SYNCHED` is the mode that does. (No Table-1 workspace
+//!   buffers for every mode except `Cilk`, which does not pool — `Cilk-SYNCHED` is the mode that does. (No Table-1 workspace
 //!   allocates when copied, so the arena saves those modes nothing there.)
 //! * the **frame free list** (`Pool<FrameRef<P>>`) of retired frames. It
 //!   holds handles, not allocations: frames live in the slot board's

@@ -24,25 +24,24 @@
 //!
 //! # Isolation and work sharing
 //!
-//! Each job runs in an engine [`Shared`] of its own — its own problem
+//! Each job runs in an engine `Shared` of its own — its own problem
 //! reference, cancel token and per-slot `RunStats` — built on an engine
 //! *region* it leases from the pool worker that leads it: the slot board
-//! (one deque, one `need_task` signal, one copy-on-steal doorbell and one
-//! frame slab per slot), the root cell, and the lead worker's scratch
-//! (trail, spine and the slot vectors of its pools). The worker builds a
-//! region once and every job it leads after that runs on it, as long as
-//! the key stays the same: problem type, `deque_capacity`,
-//! `max_stolen_num` and slot count. Any other job drops what is held and
-//! builds its own, as a solo run does.
+//! (one deque, one `need_task` signal and one frame slab per slot), the
+//! root cell, and the lead worker's scratch (the slot vectors of its
+//! pools). The worker builds a region once and every job it leads after
+//! that runs on it, as long as the key stays the same: problem type,
+//! `deque_capacity`, `max_stolen_num` and slot count. Any other job drops
+//! what is held and builds its own, as a solo run does.
 //!
 //! What is kept is storage, never content. At a job's terminal, with every
-//! participant gone, the signals and doorbells thieves may have left raised
-//! are lowered, the pools are emptied — workspaces dropped, frames left in
+//! participant gone, the signals thieves may have left raised are
+//! lowered, the pools are emptied — workspaces dropped, frames left in
 //! their slabs — and the slabs rewound, so a frame carried over counts as
 //! fresh and `frame_reuse`, `state_reuse` and `allocations` of the next job
 //! are those of a cold solo run; the rest is checked, and asserted, to be
-//! what the join implies: every deque empty, trail and spine empty, the
-//! root cell empty and referenced by nobody else. Only then is the region
+//! what the join implies: every deque empty, the pools empty, the root
+//! cell empty and referenced by nobody else. Only then is the region
 //! kept. The "job id tag" on deque entries and signals is therefore still
 //! structural: an entry physically cannot migrate across jobs, because no
 //! other job's workers ever probe these deques *while this job runs*, and
@@ -360,8 +359,7 @@ impl<O: Send> JobHandle<O> {
 
     /// Request cancellation. Queued jobs are cancelled before ever
     /// running; running jobs are pruned cooperatively at the engine's
-    /// poll points (the same points that service the copy-on-steal
-    /// deposit handshake, so cancellation never wedges a thief).
+    /// poll points (every node, and every spawn of a task).
     pub fn cancel(&self) -> CancelOutcome {
         let shared = self.job.shared();
         shared.lifecycle.cancel(&shared.cancel)
@@ -536,8 +534,8 @@ impl<P: Problem> Region<P> {
     /// Take the board of a finished job back — only ever after its lead read
     /// `participants` at 0, so nobody is on it — and rewind its frame
     /// slabs. Whether the region is as a fresh one again — which the join
-    /// implies: every deque empty, trail, spine and pools empty, the root
-    /// cell empty and nobody else's — and only then is the board kept. No
+    /// implies: every deque empty, the pools empty, the root cell empty
+    /// and nobody else's — and only then is the board kept. No
     /// board (a joiner's snapshot still holds it) is nothing to check and
     /// nothing to keep.
     fn hand_back(&mut self, board: Option<Slots<P>>) -> bool {
@@ -818,7 +816,7 @@ fn run_job<P: Problem + 'static>(
     assert!(
         clean,
         "job {} reached its terminal with something left in its region: \
-         a deque entry, a trail or spine entry, or a root cell still in use",
+         a deque entry, a pooled object, or a root cell still in use",
         shared.id
     );
 }

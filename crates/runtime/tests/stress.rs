@@ -130,9 +130,9 @@ fn pools_report_reuse() {
         fanout: 3,
     };
     let want = expected(&p);
-    // Cilk-SYNCHED is the scheduler that clones per spawn *and* recycles:
-    // copy-on-steal removes almost every copy the pools would recycle from
-    // AdaptiveTC and the cut-off modes.
+    // Cilk-SYNCHED is the scheduler that clones at every spawn *and*
+    // recycles: AdaptiveTC and the cut-off modes spawn few real tasks, so
+    // their pools see few copies to recycle.
     let cfg = Config::new(2).seed(11);
     let (got, report) = Scheduler::CilkSynched.run(&p, &cfg).expect("runs");
     assert_eq!(got, want);

@@ -7,13 +7,10 @@
 //! is the ratios — e.g. that a workspace copy of a few hundred bytes costs
 //! a few node-work units, and that a steal round-trip costs tens of them.
 //!
-//! *Where* a copy is charged depends on the policy: under the Cilk
-//! baselines every simulated spawn pays `alloc_ns` + the per-byte copy up
-//! front; under the cut-off and AdaptiveTC policies (copy-on-steal) the
-//! spawn site records a saved copy and the charge moves to the thief at
-//! the moment of a successful steal (matching the threaded engine's
-//! materialisation). Region seals are not modelled — in the real engine
-//! they are a liveness device, not a steady-state cost.
+//! A copy is charged where the threaded engine makes one, under every
+//! policy: at each real-task spawn (`alloc_ns` + the per-byte copy), and
+//! per child in Cutoff-library's copying sequence; never for a fake task
+//! and never at a steal.
 
 /// Virtual durations (ns) for each scheduling activity.
 #[derive(Debug, Clone, Copy, PartialEq)]

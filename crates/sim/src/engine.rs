@@ -325,17 +325,8 @@ impl WorkerSim {
                 self.stats.tasks_created += 1;
                 self.stats.time.deque_ns += env.cost.task_create_ns;
                 sev!(env, wid, Ev::Spawn { depth: tdepth });
-                if self.kernel.copies_per_spawn() {
-                    cost += self.charge_copy(env, bytes);
-                } else {
-                    // Copy-on-steal: the child borrows the live
-                    // workspace; the clone is deferred to a thief, if
-                    // any. (The owner-side region seals around special
-                    // sections are a liveness device, not a steady-state
-                    // cost, and are not modelled.)
-                    self.stats.workspace_copies_saved += 1;
-                    sev!(env, wid, Ev::CopySaved);
-                }
+                // A real task's child gets its own workspace clone.
+                cost += self.charge_copy(env, bytes);
                 // Without a deque entry there is nothing to pop: the loop
                 // stays on top, so the continuation still reaches its sync.
                 if stealable {
@@ -629,13 +620,7 @@ impl<'t> Sim<'t> {
             }
         );
         w.kernel.on_steal();
-        let mut paid = cost.steal_ns;
-        if !w.kernel.copies_per_spawn() {
-            // Copy-on-steal: the deferred workspace clone is
-            // materialised for the thief now.
-            let bytes = self.env.tree.bytes(self.frames.slab[frame as usize].node);
-            paid += w.charge_copy(&self.env, bytes);
-        }
+        let paid = cost.steal_ns;
         // The slow version resumes under fast/check rules.
         w.stack.push(Entry::Loop {
             frame,

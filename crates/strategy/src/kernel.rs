@@ -53,14 +53,6 @@ impl Kernel {
         }
     }
 
-    /// Whether every spawn clones the taskprivate workspace (the paper's
-    /// Cilk baselines); every other mode runs children in place and
-    /// copies on steal.
-    #[inline]
-    pub fn copies_per_spawn(&self) -> bool {
-        matches!(self.mode, Mode::Cilk | Mode::CilkSynched)
-    }
-
     /// Does a child at task depth `tdepth` run as a real task (frame +
     /// stealable continuation) rather than inline?
     #[inline]
@@ -218,8 +210,6 @@ mod tests {
             k(Mode::Adaptive).fallthrough(Regime::Fast2),
             Fallthrough::Sequence
         );
-        assert!(k(Mode::CilkSynched).copies_per_spawn());
-        assert!(!k(Mode::CutoffSequence).copies_per_spawn());
     }
 
     #[test]

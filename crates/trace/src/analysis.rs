@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 // ---------------------------------------------------------------------------
 
 /// Per-kind event totals, aggregated over all workers. The fields mirror
-/// the `RunStats` counters they must equal (see [`crate::validate`]).
+/// the `RunStats` counters they must equal (see [`crate::validate()`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounts {
     /// `Spawn` events (== `tasks_created`).
@@ -44,14 +44,6 @@ pub struct TraceCounts {
     pub need_task_signals: u64,
     /// `NeedTaskAck` events.
     pub need_task_acks: u64,
-    /// `WsRequest` events.
-    pub ws_requests: u64,
-    /// `WsDeposit` events.
-    pub ws_deposits: u64,
-    /// `WsTake` events.
-    pub ws_takes: u64,
-    /// `CopySaved` events (== `workspace_copies_saved`).
-    pub copies_saved: u64,
     /// `SyncSuspend` events (== `suspensions`).
     pub suspends: u64,
     /// `SyncResume` events.
@@ -80,10 +72,6 @@ impl TraceCounts {
                 EventKind::SpecialConsume { reclaimed: false } => c.special_lost += 1,
                 EventKind::NeedTaskSignal { .. } => c.need_task_signals += 1,
                 EventKind::NeedTaskAck => c.need_task_acks += 1,
-                EventKind::WsRequest { .. } => c.ws_requests += 1,
-                EventKind::WsDeposit => c.ws_deposits += 1,
-                EventKind::WsTake => c.ws_takes += 1,
-                EventKind::CopySaved => c.copies_saved += 1,
                 EventKind::SyncSuspend => c.suspends += 1,
                 EventKind::SyncResume => c.resumes += 1,
                 // Job markers delimit epochs; they mirror no RunStats
@@ -631,14 +619,14 @@ mod tests {
         c.emit_at(0, 3, EventKind::SpecialPush);
         c.emit_at(0, 4, EventKind::SpecialConsume { reclaimed: true });
         c.emit_at(0, 5, EventKind::SpecialConsume { reclaimed: false });
-        c.emit_at(0, 6, EventKind::CopySaved);
+        c.emit_at(0, 6, EventKind::SyncSuspend);
         let counts = TraceCounts::from_trace(&c.finish());
         assert_eq!(counts.spawns, 1);
         assert_eq!(counts.pushes, 1);
         assert_eq!(counts.special_pushes, 1);
         assert_eq!(counts.special_reclaimed, 1);
         assert_eq!(counts.special_lost, 1);
-        assert_eq!(counts.copies_saved, 1);
+        assert_eq!(counts.suspends, 1);
     }
 
     #[test]

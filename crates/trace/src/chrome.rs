@@ -88,7 +88,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 | EventKind::NeedTaskSignal { victim } => {
                     push_arg(&mut args, "victim", victim as u64)
                 }
-                EventKind::WsRequest { owner } => push_arg(&mut args, "owner", owner as u64),
                 EventKind::SpecialConsume { reclaimed } => {
                     push_arg(&mut args, "reclaimed", reclaimed as u64)
                 }

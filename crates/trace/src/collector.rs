@@ -194,7 +194,7 @@ pub struct WorkerTrace {
 
 /// A complete drained trace: one stream per worker plus the run epoch
 /// implied by timestamp zero, and the sampling rate it was recorded
-/// under (consumers like [`validate`](crate::validate) use it to know
+/// under (consumers like [`validate`](crate::validate()) use it to know
 /// which counters the trace can be exact about).
 #[derive(Debug, Clone)]
 pub struct Trace {

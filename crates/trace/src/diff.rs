@@ -44,8 +44,6 @@ pub struct SharedCounts {
     pub steals_ok: u64,
     /// Failed steals.
     pub steals_empty: u64,
-    /// Elided workspace clones.
-    pub copies_saved: u64,
     /// Sync suspensions.
     pub suspends: u64,
 }
@@ -65,12 +63,11 @@ impl SharedCounts {
             special_consumes: c.special_reclaimed + c.special_lost,
             steals_ok: c.steals_ok,
             steals_empty: c.steals_empty,
-            copies_saved: c.copies_saved,
             suspends: c.suspends,
         }
     }
 
-    fn rows(&self) -> [(&'static str, u64); 12] {
+    fn rows(&self) -> [(&'static str, u64); 11] {
         [
             ("spawn", self.spawns),
             ("push", self.pushes),
@@ -82,7 +79,6 @@ impl SharedCounts {
             ("special_consume", self.special_consumes),
             ("steal_ok", self.steals_ok),
             ("steal_empty", self.steals_empty),
-            ("copy_saved", self.copies_saved),
             ("sync_suspend", self.suspends),
         ]
     }
@@ -174,7 +170,7 @@ mod tests {
             EventKind::Push,
             EventKind::Pop,
             EventKind::FakeTask { depth: 2 },
-            EventKind::CopySaved,
+            EventKind::SyncSuspend,
         ];
         let diff = TraceDiff::compare(&trace_with(&kinds), &trace_with(&kinds));
         assert!(diff.is_exact(), "{}", diff.render());

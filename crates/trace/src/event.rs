@@ -10,7 +10,7 @@
 //! The schema deliberately mirrors `RunStats`: for every counter the
 //! engine increments there is an event whose occurrence count must equal
 //! it at the end of a run — that identity is what
-//! [`validate`](crate::validate) checks.
+//! [`validate`](crate::validate()) checks.
 
 /// The five compiled code versions of the paper's FSM, plus the two
 /// scheduler-level states a *worker* (rather than a task) can be in:
@@ -158,18 +158,6 @@ pub enum EventKind {
     },
     /// The victim acknowledged its `need_task` flag (special transition).
     NeedTaskAck,
-    /// Copy-on-steal: a thief asked `owner` for a workspace deposit.
-    WsRequest {
-        /// The frame's owning worker.
-        owner: u32,
-    },
-    /// Copy-on-steal: the owner deposited a materialised workspace.
-    WsDeposit,
-    /// Copy-on-steal: the thief took a deposited workspace.
-    WsTake,
-    /// A spawn elided its eager workspace clone
-    /// (`RunStats::workspace_copies_saved`).
-    CopySaved,
     /// A special sync suspended with children outstanding
     /// (`RunStats::suspensions`).
     SyncSuspend,
@@ -194,8 +182,9 @@ pub enum EventKind {
 }
 
 /// Event codes of the compact binary encoding, one per [`EventKind`]
-/// variant. Codes 21 (retired duplicate-steal event), 24 and 25 (retired
-/// cut-off and threshold retune events) are not reused.
+/// variant. Codes 15–18 (retired copy-on-steal workspace events), 21
+/// (retired duplicate-steal event), 24 and 25 (retired cut-off and
+/// threshold retune events) are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
@@ -215,10 +204,6 @@ pub enum Code {
     SpecialConsume = 12,
     NeedTaskSignal = 13,
     NeedTaskAck = 14,
-    WsRequest = 15,
-    WsDeposit = 16,
-    WsTake = 17,
-    CopySaved = 18,
     SyncSuspend = 19,
     SyncResume = 20,
     JobBegin = 22,
@@ -232,7 +217,7 @@ pub enum Code {
 /// | `ts`   | 8 | nanoseconds since the run epoch (virtual ns in the sim) |
 /// | `code` | 1 | [`Code`] discriminant |
 /// | `a`    | 1 | packed small argument (FSM `from`/`to` nibbles, bools) |
-/// | `b`    | 2 | worker id argument (victim / owner) |
+/// | `b`    | 2 | worker id argument (victim, job slot) |
 /// | `c`    | 4 | depth argument |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
@@ -281,10 +266,6 @@ impl RawEvent {
             }
             EventKind::NeedTaskSignal { victim } => (Code::NeedTaskSignal, 0, victim as u16, 0),
             EventKind::NeedTaskAck => (Code::NeedTaskAck, 0, 0, 0),
-            EventKind::WsRequest { owner } => (Code::WsRequest, 0, owner as u16, 0),
-            EventKind::WsDeposit => (Code::WsDeposit, 0, 0, 0),
-            EventKind::WsTake => (Code::WsTake, 0, 0, 0),
-            EventKind::CopySaved => (Code::CopySaved, 0, 0, 0),
             EventKind::SyncSuspend => (Code::SyncSuspend, 0, 0, 0),
             EventKind::SyncResume => (Code::SyncResume, 0, 0, 0),
             EventKind::JobBegin { job, slot } => (Code::JobBegin, 0, slot, job),
@@ -331,18 +312,14 @@ impl RawEvent {
                 victim: self.b as u32,
             },
             14 => EventKind::NeedTaskAck,
-            15 => EventKind::WsRequest {
-                owner: self.b as u32,
-            },
-            16 => EventKind::WsDeposit,
-            17 => EventKind::WsTake,
-            18 => EventKind::CopySaved,
             19 => EventKind::SyncSuspend,
             20 => EventKind::SyncResume,
             22 => EventKind::JobBegin {
                 job: self.c,
                 slot: self.b,
             },
+            // 23, and the fallback for codes no encoder writes: the
+            // retired 15–18, 21, 24 and 25.
             _ => EventKind::JobEnd { job: self.c },
         }
     }
@@ -376,10 +353,6 @@ impl EventKind {
             EventKind::SpecialConsume { .. } => "special_consume",
             EventKind::NeedTaskSignal { .. } => "need_task_signal",
             EventKind::NeedTaskAck => "need_task_ack",
-            EventKind::WsRequest { .. } => "ws_request",
-            EventKind::WsDeposit => "ws_deposit",
-            EventKind::WsTake => "ws_take",
-            EventKind::CopySaved => "copy_saved",
             EventKind::SyncSuspend => "sync_suspend",
             EventKind::SyncResume => "sync_resume",
             EventKind::JobBegin { .. } => "job_begin",
@@ -409,10 +382,6 @@ mod tests {
             EventKind::SpecialConsume { reclaimed: false },
             EventKind::NeedTaskSignal { victim: 2 },
             EventKind::NeedTaskAck,
-            EventKind::WsRequest { owner: 3 },
-            EventKind::WsDeposit,
-            EventKind::WsTake,
-            EventKind::CopySaved,
             EventKind::SyncSuspend,
             EventKind::SyncResume,
             EventKind::JobBegin {
@@ -468,8 +437,8 @@ mod tests {
         let mut names: Vec<_> = all_kinds().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 22 non-FSM variants + the single "fsm" name.
-        assert_eq!(names.len(), 23);
+        // 18 non-FSM variants + the single "fsm" name.
+        assert_eq!(names.len(), 19);
         let mut state_names: Vec<_> = FsmState::ALL.iter().map(|s| s.name()).collect();
         state_names.sort_unstable();
         state_names.dedup();

@@ -2,7 +2,7 @@
 //!
 //! Every [`EventKind`] belongs to exactly one [`Category`], and the
 //! partition deliberately follows the `RunStats` counters: each counter
-//! that [`validate`](crate::validate) checks derives from events of
+//! that [`validate`](crate::validate()) checks derives from events of
 //! exactly one category, so 1-in-N sampling of a category turns exactly
 //! its counters into bounds and leaves the rest exact.
 //!
@@ -33,18 +33,16 @@ pub enum Category {
     Special = 5,
     /// `need_task` signalling (signal + acknowledge).
     Signal = 6,
-    /// Copy-on-steal workspace traffic (request/deposit/take/elision).
-    Workspace = 7,
     /// Suspension brackets of special syncs.
-    Sync = 8,
+    Sync = 7,
     /// Job-server participation brackets, which
     /// [`crate::Trace::split_jobs`] uses to attribute every other event.
-    Job = 9,
+    Job = 8,
 }
 
 impl Category {
     /// All categories, indexable by discriminant.
-    pub const ALL: [Category; 10] = [
+    pub const ALL: [Category; 9] = [
         Category::Spawn,
         Category::Deque,
         Category::Steal,
@@ -52,7 +50,6 @@ impl Category {
         Category::Fsm,
         Category::Special,
         Category::Signal,
-        Category::Workspace,
         Category::Sync,
         Category::Job,
     ];
@@ -87,10 +84,6 @@ impl EventKind {
             EventKind::Fsm { .. } => Category::Fsm,
             EventKind::SpecialBegin { .. } | EventKind::SpecialEnd => Category::Special,
             EventKind::NeedTaskSignal { .. } | EventKind::NeedTaskAck => Category::Signal,
-            EventKind::WsRequest { .. }
-            | EventKind::WsDeposit
-            | EventKind::WsTake
-            | EventKind::CopySaved => Category::Workspace,
             EventKind::SyncSuspend | EventKind::SyncResume => Category::Sync,
             EventKind::JobBegin { .. } | EventKind::JobEnd { .. } => Category::Job,
         }
@@ -130,7 +123,6 @@ mod tests {
             EventKind::SpecialBegin { depth: 0 }.category(),
             Category::Special
         );
-        assert_eq!(EventKind::CopySaved.category(), Category::Workspace);
         assert_eq!(
             EventKind::JobBegin { job: 1, slot: 0 }.category(),
             Category::Job

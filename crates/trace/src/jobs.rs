@@ -1,7 +1,7 @@
 //! Interleaved run-epoch handling for job-server traces.
 //!
 //! A one-shot run drains one buffer per worker and timestamp zero is the
-//! single run epoch, so [`validate`](crate::validate::validate) can compare
+//! single run epoch, so [`validate`] can compare
 //! the whole trace against one `RunReport`. A `JobServer` breaks that
 //! assumption: one collector spans the server's lifetime, every pool worker
 //! interleaves events from many jobs, and a job's "workers" are *job slots*

@@ -23,7 +23,7 @@
 //! * [`analysis`] — steal-provenance tree, per-state dwell times,
 //!   steal-latency and deque-occupancy histograms, steal-latency and
 //!   need_task→delivery response-time CDFs, aggregate counts.
-//! * [`validate`] — the differential oracle: trace-derived counts must
+//! * [`validate`](mod@validate) — the differential oracle: trace-derived counts must
 //!   equal `RunStats` exactly, per worker and in aggregate, for every
 //!   category the trace recorded unsampled (a bound for sampled ones).
 //! * [`diff`] — real-vs-simulated stream comparison over the shared

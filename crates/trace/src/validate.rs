@@ -127,13 +127,6 @@ impl Checker<'_> {
             c.special_begins,
             s.special_tasks,
         );
-        self.check(
-            worker,
-            "workspace_copies_saved",
-            Cat::Workspace,
-            c.copies_saved,
-            s.workspace_copies_saved,
-        );
         self.check(worker, "suspensions", Cat::Sync, c.suspends, s.suspensions);
     }
 }

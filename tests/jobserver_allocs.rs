@@ -5,7 +5,9 @@
 //! queued jobs while it waits. So a warmed-up single-slot job allocates, on
 //! the thread that leads it, what its tree allocates — what one
 //! `serial::run` of it does — plus the one thing a job must have of its
-//! own: `RunReport::per_worker`. The submitting side pays three allocations
+//! own, `RunReport::per_worker`, plus the workspace clones its real tasks
+//! allocate (`RunStats::allocations`: the workspace pool dies with each
+//! run, so a warm job allocates these too). The submitting side pays three allocations
 //! a job — building a `Fig1Tree` allocates nothing — and the lead's share
 //! of every job it leads itself. This binary holds one test, so nothing
 //! else allocates while it counts.
@@ -70,14 +72,16 @@ fn calls() -> (u64, u64) {
     )
 }
 
-/// Keep `WINDOW` jobs in flight until `jobs` have completed.
+/// Keep `WINDOW` jobs in flight until `jobs` have completed. Returns the
+/// workspace allocations each job's report counts, the same for every job.
 fn flood(
     server: &JobServer,
     inflight: &mut VecDeque<adaptivetc_suite::runtime::JobHandle<u64>>,
     jobs: usize,
-) {
+) -> u64 {
     const WINDOW: usize = 8;
     let (mut submitted, mut done) = (0, 0);
+    let mut allocations = None;
     while done < jobs {
         while inflight.len() < WINDOW && submitted < jobs {
             let h = server
@@ -92,11 +96,20 @@ fn flood(
             submitted += 1;
         }
         match inflight.pop_front().expect("a job is in flight").wait() {
-            JobOutcome::Completed { out, .. } => assert_eq!(out, Fig1Tree::LEAVES),
+            JobOutcome::Completed { out, report } => {
+                assert_eq!(out, Fig1Tree::LEAVES);
+                let a = report.stats.allocations;
+                assert_eq!(
+                    *allocations.get_or_insert(a),
+                    a,
+                    "jobs differ in allocations"
+                );
+            }
             JobOutcome::Cancelled { .. } => panic!("nobody cancelled it"),
         }
         done += 1;
     }
+    allocations.expect("a job completed")
 }
 
 #[test]
@@ -129,7 +142,7 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
     }
     let warm = server.stats();
     let (client0, other0) = calls();
-    flood(&server, &mut inflight, JOBS);
+    let allocations = flood(&server, &mut inflight, JOBS);
     let (client1, other1) = calls();
     let stats = server.shutdown().stats;
     assert_eq!(
@@ -140,13 +153,14 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
 
     let jobs = JOBS as u64;
     let led_here = stats.client_leads - warm.client_leads;
-    let per_lead = serial + 1;
+    let per_lead = serial + 1 + allocations;
     let pool_side = other1 - other0;
     assert_eq!(
         pool_side,
         (jobs - led_here) * per_lead,
         "pool-side allocations for {} jobs = {:.2} a job; a serial run of \
-         the tree makes {serial}, the report 1, and a warm job's frames none",
+         the tree makes {serial}, the report 1, its workspace clones \
+         {allocations}, and a warm job's frames none",
         jobs - led_here,
         pool_side as f64 / (jobs - led_here).max(1) as f64
     );

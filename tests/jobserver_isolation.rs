@@ -21,8 +21,8 @@ mod common;
 use common::{assert_bit_identical, completed};
 
 /// A tree defined by explicit child lists whose leaves reduce a hash of
-/// the full root path — the same cross-job leak oracle the copy-on-steal
-/// property tests use: any frame executed in the wrong job's workspace
+/// the full root path — the same cross-job leak oracle the workspace
+/// isolation property tests use: any frame executed in the wrong job's workspace
 /// (or twice, or not at all) shifts the reduced value.
 #[derive(Debug, Clone)]
 struct PathHashTree {

@@ -441,8 +441,7 @@ fn lease_walk(client: bool) {
 /// The same with teams in the mix: on a two-worker work-sharing pool two
 /// two-slot jobs (scheduling-dependent counters: result and node count
 /// only) run between single-slot jobs that must stay bit-identical. A
-/// team is what leaves `need_task` signals and doorbells raised at its
-/// terminal; the second one runs on the first one's board whenever the
+/// team is what leaves `need_task` signals raised at its terminal; the second one runs on the first one's board whenever the
 /// same worker leads both and no joiner's snapshot kept the board.
 #[test]
 fn a_two_slot_job_between_leases_leaves_no_trace() {

@@ -37,9 +37,9 @@ impl Problem for ListTree {
 }
 
 /// As [`ListTree`], but every leaf reduces a hash of the full root path:
-/// a stolen sibling whose "clone" aliased the owner's in-place workspace
-/// (or received it mid-mutation) lands on a wrong node or a wrong path and
-/// changes the reduced value. This is the copy-on-steal isolation oracle.
+/// a stolen sibling whose "clone" aliased the owner's workspace (or
+/// received it mid-mutation) lands on a wrong node or a wrong path and
+/// changes the reduced value. This is the workspace isolation oracle.
 #[derive(Debug, Clone)]
 struct PathHashTree {
     children: Vec<Vec<u32>>,
@@ -134,9 +134,8 @@ proptest! {
         threads in 2usize..6,
         seed in 0u64..50,
     ) {
-        // The tentpole invariant: under copy-on-steal, an owner mutating
-        // its reused in-place workspace must never leak into the isolated
-        // clone a concurrent thief materialised for a stolen sibling. Any
+        // An owner mutating its workspace in place must never leak into
+        // the workspace of a continuation a concurrent thief stole. Any
         // leak shifts a path hash and the reduced value diverges from the
         // serial reference.
         let tree = PathHashTree { children: tree.children };
@@ -149,32 +148,43 @@ proptest! {
         );
         let s = &report.stats;
         prop_assert_eq!(s.nodes, sref.nodes);
-        // Every in-place spawn elided the clone eager copying would pay.
-        prop_assert!(s.workspace_copies_saved > 0, "no spawns elided a clone");
-        // Materialised thief clones and region seals still route through
-        // the pool ledger.
+        // Every clone routes through the pool ledger.
         prop_assert_eq!(s.state_reuse + s.allocations, s.copies);
     }
 
     #[test]
-    fn copy_on_steal_elides_every_clone_single_thread(
+    fn real_tasks_copy_and_fake_tasks_do_not(
         tree in tree_strategy(300),
+        threads in 1usize..5,
         seed in 0u64..50,
     ) {
-        // With one worker there are no thieves, so copy-on-steal must pay
-        // zero copies — every spawn a clone-per-spawn scheme would have
-        // copied for is elided — while visiting exactly the serial tree.
+        // The paper's workspace rule: one clone per real-task spawn, none
+        // for a fake task, under every deque-based scheduler and whatever
+        // the thieves do. Cutoff-library's copying sequence clones for
+        // every node below the cut-off as well: one per node but the root.
         let tree = PathHashTree { children: tree.children };
         let (expected, sref) = serial::run(&tree);
-        let cfg = Config::new(1).cutoff(CutoffPolicy::Auto).seed(seed);
-        let (got, report) = Scheduler::AdaptiveTc.run(&tree, &cfg).expect("runs");
-        prop_assert_eq!(got, expected);
-        let s = &report.stats;
-        prop_assert_eq!(s.nodes, sref.nodes);
-        prop_assert_eq!(s.copies, 0, "copy-on-steal paid a clone with no thief");
-        // `tasks_created` counts the root task, which owns the root
-        // workspace outright: spawns are one fewer.
-        prop_assert_eq!(s.workspace_copies_saved, s.tasks_created - 1);
+        let cfg = Config::new(threads).cutoff(CutoffPolicy::Auto).seed(seed);
+        for scheduler in [
+            Scheduler::Cilk,
+            Scheduler::CilkSynched,
+            Scheduler::CutoffProgrammer(2),
+            Scheduler::CutoffLibrary,
+            Scheduler::AdaptiveTc,
+        ] {
+            let (got, report) = scheduler.run(&tree, &cfg).expect("scheduler runs");
+            prop_assert_eq!(got, expected, "{} with {} threads", scheduler, threads);
+            let s = &report.stats;
+            prop_assert_eq!(s.nodes, sref.nodes, "{}", scheduler);
+            // `tasks_created` counts the root task, which owns the root
+            // workspace outright: spawns are one fewer.
+            let copies = match scheduler {
+                Scheduler::CutoffLibrary => s.nodes - 1,
+                _ => s.tasks_created - 1,
+            };
+            prop_assert_eq!(s.copies, copies, "{} with {} threads", scheduler, threads);
+            prop_assert_eq!(s.workspace_copies_saved, 0, "{}", scheduler);
+        }
     }
 
     #[test]

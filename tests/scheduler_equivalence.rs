@@ -181,10 +181,11 @@ fn fig1_engine_matches_simulator_exactly() {
     table1::each(&mut Differential);
 }
 
-/// Which workspace discipline a scheduler runs is a function of the
-/// scheduler alone, and at one thread (no thieves, so no steal-time
-/// clones) the counters name it exactly. A change that routes a mode down
-/// the other path fails here by name instead of as a timing drift.
+/// The paper's workspace rule, by the counters at one thread: a clone per
+/// real-task spawn and none for a fake task — except Cutoff-library's
+/// copying sequence, which clones for every node but the root. A change
+/// that elides or adds a copy fails here by name instead of as a timing
+/// drift.
 #[test]
 fn one_thread_counters_name_the_workspace_path() {
     use adaptivetc_suite::core::{CutoffPolicy, Problem};
@@ -209,15 +210,12 @@ fn one_thread_counters_name_the_workspace_path() {
             // `tasks_created` counts the root task, which owns the root
             // workspace outright: spawns are one fewer.
             let spawns = s.tasks_created - 1;
-            let (copies, saved) = match scheduler {
-                // Clone per spawn, elide nothing.
-                Scheduler::Cilk | Scheduler::CilkSynched => (spawns, 0),
-                // In place above the cut-off; below it one clone per
-                // sequential node — every node that is not itself a task
-                // — and nowhere else.
-                Scheduler::CutoffLibrary => (s.nodes - s.tasks_created, spawns),
-                // In place throughout; with no thief, no copy at all.
-                _ => (0, spawns),
+            let copies = match scheduler {
+                // One clone per spawn above the cut-off, one per child
+                // below it: one per node but the root.
+                Scheduler::CutoffLibrary => s.nodes - 1,
+                // One clone per real-task spawn; fake tasks run in place.
+                _ => spawns,
             };
             // Non-degenerate: a path that spawned nothing, or a library run
             // with nothing below its cut-off, would match any row above.
@@ -227,7 +225,7 @@ fn one_thread_counters_name_the_workspace_path() {
             }
             assert_eq!(
                 (s.copies, s.workspace_copies_saved),
-                (copies, saved),
+                (copies, 0),
                 "{label}/{scheduler}: (copies, copies saved)"
             );
         }

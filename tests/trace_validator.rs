@@ -70,8 +70,8 @@ fn trace_counts_equal_runstats() {
     }
 }
 
-/// Copy-on-steal emits its own event family (`WsRequest`/`WsDeposit`/
-/// `WsTake`/`CopySaved`); the count identities must survive the handshake.
+/// The count identities hold under steals: four workers and a low
+/// `need_task` threshold make thieves, special tasks and pop conflicts.
 #[test]
 fn trace_counts_equal_runstats_copy_on_steal() {
     let queens = NqueensArray::new(7);
@@ -90,10 +90,6 @@ fn trace_counts_equal_runstats_copy_on_steal() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        report.stats.workspace_copies_saved > 0,
-        "copy-on-steal must elide clones on this workload"
     );
 }
 
