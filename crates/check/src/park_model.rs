@@ -3,9 +3,11 @@
 //! `runtime/src/submit.rs` is `#[path]`-included into this crate, so the
 //! [`ParkGate`] and [`OutcomeGate`] below are the product sources compiled
 //! against the model primitives. Around them this module rebuilds,
-//! statement for statement, what `server.rs` does with a mutex and a
-//! condition variable — `worker_loop`'s park, `ServerCtx::wake`,
-//! `JobShared::publish` and `JobHandle::wait`.
+//! statement for statement, what the runtime does with a mutex and a
+//! condition variable — `server.rs`'s `worker_loop` park and
+//! `ServerCtx::wake`, and `frame.rs`'s `ResultCell::deliver` and
+//! `ResultCell::wait`, the one hand-off a job's outcome, a run's root and
+//! a special task's sync all go through.
 //!
 //! shim-sync has no `Condvar`, so a sleep is a flag. A sleeper raises its
 //! `asleep` flag as the last thing it does under the mutex it would hand
@@ -179,7 +181,7 @@ pub fn pool_never_strands_a_job(workers: usize, submissions: u32, recheck: bool,
     );
 }
 
-/// One job's outcome cell: the lead publishes while the client waits.
+/// One result cell: the lead delivers while the client waits.
 /// A waiter that registered must have been notified, and the outcome must
 /// be there for it, by the time both are done.
 pub fn registered_waiter_is_notified() {
@@ -193,7 +195,7 @@ pub fn registered_waiter_is_notified() {
         gate: OutcomeGate::new(),
         asleep: AtomicBool::new(false),
     });
-    // `JobHandle::wait`.
+    // `ResultCell::wait`.
     let waiter = {
         let cell = Arc::clone(&cell);
         shim_sync::thread::spawn(move || {
@@ -207,7 +209,7 @@ pub fn registered_waiter_is_notified() {
             }
         })
     };
-    // `JobShared::publish`, on the thread that goes on running afterwards
+    // `ResultCell::deliver`, on the thread that goes on running afterwards
     // (the lead returns to its loop): nothing drains its store buffer for
     // it the moment it has published.
     *cell.outcome.lock() = Some(7);

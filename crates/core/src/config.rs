@@ -119,7 +119,7 @@ pub struct Config {
     /// threaded runtime; the simulator always reports exact virtual times).
     pub timing: bool,
     /// Record per-worker event traces (spawns, deque traffic, steals, FSM
-    /// transitions, workspace handshake). Works in every mode, including
+    /// transitions, special tasks). Works in every mode, including
     /// the Cilk baselines. Off by default; this is the one off switch.
     pub trace: bool,
     /// Per-worker event-ring capacity (events, rounded up to a power of

@@ -55,12 +55,11 @@
 //!   allocates nothing anyway.
 //! * **frames** — come from the slot's [`FrameSlab`] on the slot board and
 //!   are named by [`FrameRef`]s, so no spawn touches a reference count. A
-//!   completed frame goes to a bounded LIFO free list of whoever may reuse
-//!   it — the holder of one that never went asynchronous, at its sync;
+//!   completed frame goes to the LIFO free list of whoever may reuse it —
+//!   the holder of one that never went asynchronous, at its sync;
 //!   otherwise whoever emptied its join cell — and the next spawn takes it
-//!   from there (`RunStats::frame_reuse`). Slots the list has no room for
-//!   wait on a spare list and count as fresh when taken, like slots carved
-//!   from the slab.
+//!   from there (`RunStats::frame_reuse`). The list is unbounded: it holds
+//!   handles into the slabs, which own the memory.
 //!
 //! # Taskprivate workspaces
 //!
@@ -80,7 +79,7 @@
 //! (`adaptivetc-strategy`), the same code the simulator runs; this module
 //! is the mechanism around it: deques, frames, atomics and the clock.
 
-use crate::frame::{deliver, Frame, FrameRef, FrameSlab, OutCell, Outcome, Parent, RootCell};
+use crate::frame::{deliver, Frame, FrameRef, FrameSlab, Outcome, Parent, ResultCell};
 use crate::pool::Pool;
 use crate::submit::CancelToken;
 use crate::trace::{tev, worker_tracer, WorkerTracer};
@@ -93,9 +92,9 @@ use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Objects each worker's pools retain at most (dead workspace buffers and
-/// retired frames). Bounds the steady-state footprint while covering the
-/// spawn working set of every paper workload.
+/// Dead workspace buffers each worker's pool retains at most. Bounds the
+/// steady-state footprint while covering the spawn working set of every
+/// paper workload.
 const POOL_CAP: usize = 128;
 
 /// Failed steals after which a spinning thief starts yielding the CPU
@@ -175,7 +174,7 @@ impl<P: Problem> Slots<P> {
 pub(crate) struct Shared<'p, P: Problem> {
     pub(crate) problem: ProblemRef<'p, P>,
     slots: Slots<P>,
-    pub(crate) root: Arc<RootCell<P::Out>>,
+    pub(crate) root: Arc<ResultCell<P::Out>>,
     mode: Mode,
     cutoff: u32,
     timing: bool,
@@ -201,7 +200,7 @@ impl<'p, P: Problem> Shared<'p, P> {
         cfg: &Config,
         mode: Mode,
         slots: Slots<P>,
-        root: Arc<RootCell<P::Out>>,
+        root: Arc<ResultCell<P::Out>>,
         cancel: Option<CancelToken>,
     ) -> Self {
         Shared {
@@ -246,29 +245,27 @@ pub(crate) fn lap(field: &mut u64, start: Option<Instant>) {
 }
 
 /// What a worker allocates for itself and a later run can use again: the
-/// slot vectors of its pools. Empty between runs — the vectors keep their
-/// capacity, nothing else is kept — so a run on a used scratch counts what
-/// a run on a fresh one counts. Frames are not
-/// kept here: they live on the slot board (see [`Slots`]).
+/// vectors of its two free lists. Empty between runs — the vectors keep
+/// their capacity, nothing else is kept — so a run on a used scratch counts
+/// what a run on a fresh one counts. Frames are not kept here: they live on
+/// the slot board (see [`Slots`]).
 pub(crate) struct Scratch<P: Problem> {
     freelist: Pool<P::State>,
-    frames: Pool<FrameRef<P>>,
-    spare: Vec<FrameRef<P>>,
+    frames: Vec<FrameRef<P>>,
 }
 
 impl<P: Problem> Default for Scratch<P> {
     fn default() -> Self {
         Scratch {
             freelist: Pool::new(POOL_CAP),
-            frames: Pool::new(POOL_CAP),
-            spare: Vec::new(),
+            frames: Vec::new(),
         }
     }
 }
 
 impl<P: Problem> Scratch<P> {
     pub(crate) fn is_empty(&self) -> bool {
-        self.freelist.is_empty() && self.frames.is_empty() && self.spare.is_empty()
+        self.freelist.is_empty() && self.frames.is_empty()
     }
 }
 
@@ -284,10 +281,7 @@ pub(crate) struct Worker<'s, 'p, P: Problem> {
     /// Frames this worker retired — at a sync that never went
     /// asynchronous, or by emptying their join cell — from any slab of
     /// the board.
-    frames: Pool<FrameRef<P>>,
-    /// Retired frames `frames` had no room for; taken before carving, and
-    /// counted as fresh.
-    spare: Vec<FrameRef<P>>,
+    frames: Vec<FrameRef<P>>,
     /// What is left to carve of the slab chunk this worker took last.
     fresh: std::slice::Iter<'s, Frame<P>>,
     /// Event-trace recording endpoint (`None` when `Config::trace` is
@@ -304,11 +298,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         tr: WorkerTracer<'s>,
         scratch: &mut Scratch<P>,
     ) -> Self {
-        let Scratch {
-            freelist,
-            frames,
-            spare,
-        } = std::mem::take(scratch);
+        let Scratch { freelist, frames } = std::mem::take(scratch);
         Worker {
             kernel: Kernel::new(shared.mode, shared.cutoff, rng),
             shared,
@@ -316,7 +306,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             stats: RunStats::default(),
             freelist,
             frames,
-            spare,
             fresh: [].iter(),
             tr,
         }
@@ -332,17 +321,11 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             stats,
             mut freelist,
             mut frames,
-            mut spare,
             ..
         } = self;
         freelist.clear();
         frames.clear();
-        spare.clear();
-        *scratch = Scratch {
-            freelist,
-            frames,
-            spare,
-        };
+        *scratch = Scratch { freelist, frames };
         stats
     }
 
@@ -415,8 +398,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     }
 
     /// A frame for a node whose continuation is about to run: the last one
-    /// this worker retired, else a spare, else a fresh one carved from its
-    /// slot's slab.
+    /// this worker retired, else a fresh one carved from its slot's slab.
     fn make_frame(
         &mut self,
         parent: Parent<P>,
@@ -425,15 +407,12 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         logical: u32,
         depth: u32,
     ) -> FrameRef<P> {
-        let frame = match self.frames.take() {
+        let frame = match self.frames.pop() {
             Some(frame) => {
                 self.stats.frame_reuse += 1;
                 frame
             }
-            None => match self.spare.pop() {
-                Some(frame) => frame,
-                None => self.carve(),
-            },
+            None => self.carve(),
         };
         // SAFETY: a free slot — this worker retired it or carved it — that
         // no other thread can reach before its first push.
@@ -474,10 +453,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             f.join.rearm();
         }
         // SAFETY: owned and scrubbed, as above.
-        let frame = unsafe { frame.recycle() };
-        if !self.frames.put(frame) {
-            self.spare.push(frame);
-        }
+        self.frames.push(unsafe { frame.recycle() });
     }
 
     /// The sync of a continuation this worker holds. A frame that never
@@ -687,7 +663,6 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         // Nothing above a stolen continuation is on this stack: if the
         // frame completes at our sync, its total travels by `deliver`.
         let parent = match &cont.parent {
-            Parent::Root(c) => Parent::Root(Arc::clone(c)),
             Parent::Cell(c) => Parent::Cell(Arc::clone(c)),
             Parent::Frame(p) => Parent::Frame(*p),
             Parent::None => unreachable!("stole a scrubbed frame"),
@@ -825,7 +800,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                 depth: logical,
             }
         );
-        let waiter: Arc<OutCell<P::Out>> = OutCell::new();
+        let waiter = Arc::new(ResultCell::new());
         let special = self.make_frame(
             Parent::Cell(Arc::clone(&waiter)),
             None,
@@ -1015,7 +990,7 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
         let root_state = shared.problem.get().root();
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
-        let parent = || Parent::Root(Arc::clone(&shared.root));
+        let parent = || Parent::Cell(Arc::clone(&shared.root));
         let root = w.exec_node(root_state, 0, 0, parent, Regime::Fast);
         if let Outcome::Done(out) = root {
             shared.root.deliver(out);
@@ -1056,7 +1031,7 @@ pub fn run_traced<P: Problem>(
         cfg,
         mode,
         Slots::new(cfg, threads),
-        RootCell::new(),
+        Arc::new(ResultCell::new()),
         None,
     );
 

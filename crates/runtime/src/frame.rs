@@ -20,9 +20,9 @@
 //! rule in [`crate::join`]). The frame completes when its holder has
 //! reached the sync *and* every such child has arrived; whoever brings the
 //! cell to zero carries the total one level up, cascading until a frame
-//! still waiting, the [`RootCell`] or a special task's [`OutCell`] is
-//! reached. Suspension at a `sync` is implicit: the holder releases its
-//! tokens with children outstanding and walks away
+//! still waiting or a [`ResultCell`] — the run's root, or a special
+//! task's — is reached. Suspension at a `sync` is implicit: the holder
+//! releases its tokens with children outstanding and walks away
 //! ([`Outcome::Detached`]), and the last arriving child performs the
 //! completion (the paper's Terminate rule (3)).
 //!
@@ -41,9 +41,9 @@
 //! came from.
 
 use crate::join::JoinCell;
+use crate::submit::OutcomeGate;
 #[cfg(debug_assertions)]
-use crate::sync::AtomicU32;
-use crate::sync::{AtomicBool, Ordering};
+use crate::sync::{AtomicU32, Ordering};
 use crate::sync::{Condvar, Mutex};
 use adaptivetc_core::{Problem, Reduce};
 use std::cell::UnsafeCell;
@@ -53,92 +53,75 @@ use std::sync::Arc;
 /// Frames a slab allocates at a time.
 const CHUNK_FRAMES: usize = 32;
 
-/// The special task's result mailbox: `sync_specialtask` sleeps on it
-/// until a delivery notifies.
+/// A value handed over once to whoever waits for it: a run's root result,
+/// a special task's joined total (`sync_specialtask`), a job's outcome. The
+/// [`OutcomeGate`] says whether the value is there and whether a waiter
+/// sleeps on the condition variable, so a delivery nobody sleeps on makes
+/// no futex call — workers poll [`is_done`](ResultCell::is_done) between
+/// steals, and whoever collects a root result does so after it saw it done
+/// or joined the workers. Reusable: a job-server region keeps one root
+/// cell for all the jobs its pool worker leads.
 #[derive(Debug)]
-pub(crate) struct OutCell<O> {
+pub(crate) struct ResultCell<O> {
     slot: Mutex<Option<O>>,
+    gate: OutcomeGate,
     cv: Condvar,
 }
 
-impl<O: Send> OutCell<O> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(OutCell {
+impl<O: Send> ResultCell<O> {
+    pub(crate) fn new() -> Self {
+        ResultCell {
             slot: Mutex::new(None),
+            gate: OutcomeGate::new(),
             cv: Condvar::new(),
-        })
+        }
     }
 
+    /// Store the value, and wake the waiter if one registered.
     pub(crate) fn deliver(&self, out: O) {
-        let mut g = self.slot.lock();
-        debug_assert!(g.is_none(), "OutCell delivered twice");
-        *g = Some(out);
-        self.cv.notify_all();
+        debug_assert!(!self.gate.is_published(), "result delivered twice");
+        *self.slot.lock() = Some(out);
+        if self.gate.publish() {
+            // The waiter registered holding the slot's mutex and keeps it
+            // until its wait releases it: once through, it is asleep, and
+            // the notification cannot fall before the sleep.
+            drop(self.slot.lock());
+            self.cv.notify_all();
+        }
+    }
+
+    /// Non-blocking readiness check. Stays up once the value is taken: a
+    /// late joiner of a finished job must keep seeing it finished.
+    pub(crate) fn is_done(&self) -> bool {
+        self.gate.is_published()
     }
 
     /// Block until the value arrives, and take it.
     pub(crate) fn wait(&self) -> O {
         let mut g = self.slot.lock();
-        loop {
-            if let Some(out) = g.take() {
-                return out;
+        if !self.gate.is_published() && self.gate.register_waiter() {
+            while !self.gate.is_published() {
+                self.cv.wait(&mut g);
             }
-            self.cv.wait(&mut g);
         }
-    }
-}
-
-/// The root task's result cell. Nobody sleeps on it — workers poll
-/// [`is_done`](RootCell::is_done) between steals, and whoever collects the
-/// result does so after it saw `done` or joined the workers — so a
-/// delivery makes no futex call. Reusable: a job-server region keeps one
-/// cell for all the jobs its pool worker leads.
-#[derive(Debug)]
-pub(crate) struct RootCell<O> {
-    slot: Mutex<Option<O>>,
-    done: AtomicBool,
-}
-
-impl<O: Send> RootCell<O> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(RootCell {
-            slot: Mutex::new(None),
-            done: AtomicBool::new(false),
-        })
+        g.take().expect("a delivered value is taken once")
     }
 
-    pub(crate) fn deliver(&self, out: O) {
-        let mut g = self.slot.lock();
-        debug_assert!(g.is_none(), "root cell delivered twice");
-        *g = Some(out);
-        drop(g);
-        // Release: publishes the output written under the mutex before
-        // `done` flips; pairs with `is_done`'s Acquire.
-        self.done.store(true, Ordering::Release);
-    }
-
-    /// Non-blocking readiness check (workers poll this to terminate).
-    pub(crate) fn is_done(&self) -> bool {
-        // Acquire: pairs with `deliver`'s Release, so a worker that sees
-        // `done` also sees the delivered value.
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// The delivered result. `done` stays up: a late joiner of a finished
-    /// job must keep seeing it finished.
+    /// The delivered value, once [`is_done`](ResultCell::is_done) says it
+    /// is there.
     pub(crate) fn take(&self) -> O {
         self.slot
             .lock()
             .take()
-            .expect("the root result is collected once, after the run")
+            .expect("a delivered value is taken once, after it is done")
     }
 
-    /// Make the cell ready for another run. `false` — and nothing reset —
-    /// if a result is still in it.
+    /// Make the cell ready for another value. `false` — and nothing reset
+    /// — if a value is still in it.
     pub(crate) fn rearm(&mut self) -> bool {
         let empty = self.slot.get_mut().is_none();
         if empty {
-            *self.done.get_mut() = false;
+            self.gate = OutcomeGate::new();
         }
         empty
     }
@@ -146,10 +129,8 @@ impl<O: Send> RootCell<O> {
 
 /// Where a frame delivers its completed result.
 pub(crate) enum Parent<P: Problem> {
-    /// The run's root cell.
-    Root(Arc<RootCell<P::Out>>),
-    /// A special task's waiter mailbox.
-    Cell(Arc<OutCell<P::Out>>),
+    /// The run's root cell, or a special task's.
+    Cell(Arc<ResultCell<P::Out>>),
     /// An enclosing frame.
     Frame(FrameRef<P>),
     /// Scrubbed: an idle slab slot, or a completed frame whose link was
@@ -452,10 +433,6 @@ pub(crate) fn deliver<P: Problem>(
     let mut joins = 0;
     loop {
         match current {
-            Parent::Root(cell) => {
-                cell.deliver(value);
-                return joins;
-            }
             Parent::Cell(cell) => {
                 cell.deliver(value);
                 return joins;
@@ -535,23 +512,31 @@ mod tests {
 
     #[test]
     fn root_cell_roundtrip_and_rearm() {
-        let mut cell: Arc<RootCell<u64>> = RootCell::new();
+        let mut cell = ResultCell::<u64>::new();
         assert!(!cell.is_done());
         cell.deliver(42);
         assert!(cell.is_done());
-        let cell_mut = Arc::get_mut(&mut cell).expect("unshared");
-        assert!(!cell_mut.rearm(), "a result is still in it");
+        assert!(!cell.rearm(), "a result is still in it");
         assert_eq!(cell.take(), 42);
         assert!(cell.is_done(), "taking the result leaves the run finished");
-        assert!(Arc::get_mut(&mut cell).expect("unshared").rearm());
+        assert!(cell.rearm());
         assert!(!cell.is_done());
+    }
+
+    #[test]
+    fn a_value_delivered_before_the_wait_is_taken_without_registering() {
+        let cell = ResultCell::<u64>::new();
+        cell.deliver(5);
+        assert_eq!(cell.wait(), 5);
+        // A second publish reports whether a waiter ever registered.
+        assert!(!cell.gate.publish(), "the wait registered as a waiter");
     }
 
     #[test]
     fn frame_completes_after_children_and_continuation() {
         let slab = FrameSlab::new();
-        let cell = RootCell::new();
-        let f = stolen(carve(&slab, 1)[0], Parent::Root(Arc::clone(&cell)));
+        let cell = Arc::new(ResultCell::new());
+        let f = stolen(carve(&slab, 1)[0], Parent::Cell(Arc::clone(&cell)));
         // SAFETY: the test thread holds the continuation.
         unsafe { f.get() }.join.add_in_flight(); // a second child went asynchronous
         let mut retired = Vec::new();
@@ -567,9 +552,9 @@ mod tests {
     #[test]
     fn completion_cascades_through_nested_frames() {
         let slab = FrameSlab::new();
-        let cell = RootCell::new();
+        let cell = Arc::new(ResultCell::new());
         let frames = carve(&slab, 2);
-        let top = stolen(frames[0], Parent::Root(Arc::clone(&cell)));
+        let top = stolen(frames[0], Parent::Cell(Arc::clone(&cell)));
         let mid = stolen(frames[1], Parent::Frame(top));
         assert_eq!(release(top, 1), None);
         assert_eq!(release(mid, 2), None);
@@ -599,8 +584,8 @@ mod tests {
     #[test]
     fn a_recycled_frame_starts_its_next_incarnation_fresh() {
         let slab = FrameSlab::new();
-        let cell = RootCell::new();
-        let f = stolen(carve(&slab, 1)[0], Parent::Root(Arc::clone(&cell)));
+        let cell = Arc::new(ResultCell::new());
+        let f = stolen(carve(&slab, 1)[0], Parent::Cell(Arc::clone(&cell)));
         assert_eq!(release(f, 1), None);
         let mut retired = Vec::new();
         deliver(Parent::Frame(f), 2, retire(&mut retired));
@@ -653,7 +638,7 @@ mod tests {
 
     #[test]
     fn waiter_nap_is_cut_short_by_a_delivery() {
-        let cell: Arc<OutCell<u64>> = OutCell::new();
+        let cell = Arc::new(ResultCell::<u64>::new());
         let c2 = Arc::clone(&cell);
         std::thread::scope(|s| {
             s.spawn(move || {

@@ -87,17 +87,6 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// All schedulers compared in the paper's figures, in presentation
-    /// order (the two cut-off baselines appear only in Figure 9).
-    pub fn paper_lineup() -> [Scheduler; 4] {
-        [
-            Scheduler::Cilk,
-            Scheduler::CilkSynched,
-            Scheduler::Tascell,
-            Scheduler::AdaptiveTc,
-        ]
-    }
-
     /// The parallel policy this scheduler runs; `None` for the serial
     /// baseline.
     fn policy(&self) -> Option<Policy> {

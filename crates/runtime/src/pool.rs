@@ -8,15 +8,12 @@
 //! into a reusable primitive: a bounded LIFO free list each worker owns
 //! privately, so `take`/`put` are unsynchronized.
 //!
-//! Two pools ride on this type in the engine:
-//!
-//! * a **workspace arena** (`Pool<P::State>`) recycling taskprivate
-//!   buffers for every mode except `Cilk`, which does not pool — `Cilk-SYNCHED` is the mode that does. (No Table-1 workspace
-//!   allocates when copied, so the arena saves those modes nothing there.)
-//! * the **frame free list** (`Pool<FrameRef<P>>`) of retired frames. It
-//!   holds handles, not allocations: frames live in the slot board's
-//!   slabs, so a frame the list has no room for is kept on a spare list
-//!   rather than freed.
+//! The engine's **workspace arena** (`Pool<P::State>`) rides on this type,
+//! recycling taskprivate buffers for every mode except `Cilk`, which does
+//! not pool — `Cilk-SYNCHED` is the mode that does. (No Table-1 workspace
+//! allocates when copied, so the arena saves those modes nothing there.)
+//! Retired frames need no bound: they are handles into the slot board's
+//! slabs, which own the memory, so the frame free list is a plain `Vec`.
 //!
 //! The bound keeps a worker that momentarily held a huge subtree from
 //! pinning its peak footprint forever; overflow simply drops the object.

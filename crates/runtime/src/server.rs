@@ -66,7 +66,9 @@
 //! (a detached handle leaves the free to the worker). Nobody is notified
 //! who is not asleep: a submission wakes a worker only when the
 //! [`ParkGate`] counts one parked, and a terminal wakes a waiter only when
-//! the [`OutcomeGate`] says one registered.
+//! the job's result cell — the same `ResultCell` a run's root and a
+//! special task's sync hand their values over through — says one
+//! registered.
 //!
 //! # A waiting client is a worker
 //!
@@ -76,14 +78,13 @@
 //! what it pops on its own thread — claimed through the same lifecycle CAS,
 //! on an engine region the thread keeps for life, as a pool worker keeps
 //! its own — rechecking its own job between jobs. It takes only a job that
-//! runs in one slot: a refused head stays at the head, and a multi-slot job
-//! is always led by a pool worker, which can put up its team. And it takes
-//! another thread's job only while its own is still queued: once a pool
-//! worker runs its job, a foreign job could hold it past its own terminal
-//! without bound. It sleeps when its job is published, the queue is empty,
-//! or it refuses the head. A job it leads that unwinds out of `wait` still
-//! takes the client out of the count shutdown waits on, and frees the
-//! clients' ring.
+//! its own thread submitted and that runs in one slot: a refused head
+//! stays at the head. A multi-slot job is always led by a pool worker,
+//! which can put up its team; another thread's job is led by a pool worker
+//! too, since it could hold this one past its own terminal without bound.
+//! It sleeps when its job is published, the queue is empty, or it refuses
+//! the head. A job it leads that unwinds out of `wait` still takes the
+//! client out of the count shutdown waits on, and frees the clients' ring.
 //! So a client that keeps jobs in flight runs some of them from its own
 //! cache, and a client that is running a job is not asleep: the lead of
 //! the job it waits for publishes without a wake-up.
@@ -93,9 +94,9 @@
 //! holds; a client that finds it taken sleeps instead.
 
 use crate::engine::{participate, ProblemRef, Scratch, Shared, Slots};
-use crate::frame::RootCell;
+use crate::frame::ResultCell;
 use crate::submit::{
-    CancelOutcome, CancelToken, JobLifecycle, JobStatus, OutcomeGate, ParkGate, PrioQueue, Priority,
+    CancelOutcome, CancelToken, JobLifecycle, JobStatus, ParkGate, PrioQueue, Priority,
 };
 use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
@@ -271,10 +272,7 @@ struct JobShared<O> {
     id: u64,
     lifecycle: JobLifecycle,
     cancel: CancelToken,
-    outcome: Mutex<Option<JobOutcome<O>>>,
-    /// Whether `outcome` is published, and whether a waiter sleeps on `cv`.
-    gate: OutcomeGate,
-    cv: Condvar,
+    outcome: ResultCell<JobOutcome<O>>,
     submitted: Instant,
     /// Submission-to-terminal latency, stored at publication (so `wait`
     /// order does not skew bench percentiles).
@@ -287,30 +285,20 @@ impl<O: Send> JobShared<O> {
             id,
             lifecycle: JobLifecycle::new(),
             cancel: CancelToken::new(),
-            outcome: Mutex::new(None),
-            gate: OutcomeGate::new(),
-            cv: Condvar::new(),
+            outcome: ResultCell::new(),
             submitted: Instant::now(),
             latency_ns: AtomicU64::new(0),
         }
     }
 
     fn publish(&self, outcome: JobOutcome<O>) {
-        debug_assert!(!self.gate.is_published(), "job outcome published twice");
-        // Relaxed: the stamp is written before the gate's Release store
-        // below, which is the edge `latency` reads it across.
+        // Relaxed: the stamp is written before the cell's Release store in
+        // `deliver`, which is the edge `latency` reads it across.
         self.latency_ns.store(
             self.submitted.elapsed().as_nanos() as u64,
             Ordering::Relaxed,
         );
-        *self.outcome.lock() = Some(outcome);
-        if self.gate.publish() {
-            // The waiter registered holding the outcome mutex and keeps it
-            // until its wait releases it: once through, it is asleep, and
-            // the notification cannot fall before the sleep.
-            drop(self.outcome.lock());
-            self.cv.notify_all();
-        }
+        self.outcome.deliver(outcome);
     }
 }
 
@@ -368,47 +356,39 @@ impl<O: Send> JobHandle<O> {
     /// Block until the job reaches its terminal state.
     ///
     /// A job that is already terminal costs a flag and a lock. Otherwise
-    /// the caller first leads queued single-slot jobs of this server on
-    /// its own thread — their problem code runs here; another thread's
-    /// only while the caller's job is still queued — until its job is
-    /// published or nothing it may lead is at the head of the queue (see
-    /// the [module docs](self)); then it registers as the job's waiter and
-    /// sleeps (a bounded poll before the sleep was measured: spinning
+    /// the caller first leads, on its own thread, the queued single-slot
+    /// jobs it submitted itself, until its job is published or the head of
+    /// the queue is a job it may not lead — a team, or another thread's
+    /// (see the [module docs](self)); then it registers as the job's waiter
+    /// and sleeps (a bounded poll before the sleep was measured: spinning
     /// bought nothing, yielding bought throughput and cost run-to-run
     /// steadiness — DESIGN.md §13).
     pub fn wait(self) -> JobOutcome<O> {
-        let shared = self.job.shared();
-        if !shared.gate.is_published() {
-            self.ctx.help(&shared.lifecycle, &shared.gate);
+        let outcome = &self.job.shared().outcome;
+        if !outcome.is_done() {
+            self.ctx.help(outcome);
         }
-        let mut g = shared.outcome.lock();
-        if !shared.gate.is_published() && shared.gate.register_waiter() {
-            while !shared.gate.is_published() {
-                shared.cv.wait(&mut g);
-            }
-        }
-        g.take().expect("published outcomes are taken once")
+        outcome.wait()
     }
 
     /// Non-blocking poll: the outcome if terminal, otherwise the handle
     /// back.
     pub fn try_result(self) -> Result<JobOutcome<O>, JobHandle<O>> {
-        let shared = self.job.shared();
-        if !shared.gate.is_published() {
+        let outcome = &self.job.shared().outcome;
+        if !outcome.is_done() {
             return Err(self);
         }
-        let outcome = shared.outcome.lock().take();
-        Ok(outcome.expect("published outcomes are taken once"))
+        Ok(outcome.take())
     }
 
     /// Submission-to-terminal latency, `None` until the job is terminal.
     pub fn latency(&self) -> Option<Duration> {
         let shared = self.job.shared();
-        // Relaxed: ordered by the gate's Acquire just before — `publish`
-        // stamps before it releases the gate.
+        // Relaxed: ordered by the cell's Acquire just before — `publish`
+        // stamps before it delivers.
         shared
-            .gate
-            .is_published()
+            .outcome
+            .is_done()
             .then(|| Duration::from_nanos(shared.latency_ns.load(Ordering::Relaxed)))
     }
 }
@@ -510,7 +490,7 @@ struct Region<P: Problem> {
     /// joiner still held it, or it was not clean — leaves the region
     /// without one, and the next job builds afresh.
     slots: Option<Slots<P>>,
-    root: Arc<RootCell<P::Out>>,
+    root: Arc<ResultCell<P::Out>>,
     scratch: Scratch<P>,
 }
 
@@ -520,7 +500,7 @@ impl<P: Problem> Region<P> {
             capacity: cfg.deque_capacity,
             max_stolen_num: cfg.max_stolen_num,
             slots: Some(Slots::new(cfg, slots)),
-            root: RootCell::new(),
+            root: Arc::new(ResultCell::new()),
             scratch: Scratch::default(),
         }
     }
@@ -544,7 +524,7 @@ impl<P: Problem> Region<P> {
         };
         let clean = board.settle()
             && self.scratch.is_empty()
-            && Arc::get_mut(&mut self.root).is_some_and(RootCell::rearm);
+            && Arc::get_mut(&mut self.root).is_some_and(ResultCell::rearm);
         if clean {
             self.slots = Some(board);
         }
@@ -860,11 +840,11 @@ struct ServerCtx {
 }
 
 impl ServerCtx {
-    /// `JobHandle::wait` before it sleeps: lead queued single-slot jobs on
-    /// the calling thread until `done` is published, the queue is empty,
-    /// or its head is a team or, once `own` has left the queue, another
-    /// thread's job (see the [module docs](self)).
-    fn help(self: &Arc<Self>, own: &JobLifecycle, done: &OutcomeGate) {
+    /// `JobHandle::wait` before it sleeps: lead queued single-slot jobs the
+    /// calling thread submitted until `done` is delivered, the queue is
+    /// empty, or its head is a team or another thread's job (see the
+    /// [module docs](self)).
+    fn help<O: Send>(self: &Arc<Self>, done: &ResultCell<O>) {
         // Relaxed: ordered by the fence below.
         self.helping.fetch_add(1, Ordering::Relaxed);
         // Leaves the count, and hands the ring on, also when a led job
@@ -882,7 +862,7 @@ impl ServerCtx {
             return;
         }
         match &self.collector {
-            None => self.lead_queued(own, done, None),
+            None => self.lead_queued(done, None),
             // One client at a time records into the clients' ring; the
             // others sleep.
             Some(weak) => {
@@ -894,19 +874,14 @@ impl ServerCtx {
                     .is_ok();
                 if guard.ring {
                     if let Some(collector) = weak.upgrade() {
-                        self.lead_queued(own, done, Some(&collector));
+                        self.lead_queued(done, Some(&collector));
                     }
                 }
             }
         }
     }
 
-    fn lead_queued(
-        self: &Arc<Self>,
-        own: &JobLifecycle,
-        done: &OutcomeGate,
-        tracer: TracerRef<'_>,
-    ) {
+    fn lead_queued<O: Send>(self: &Arc<Self>, done: &ResultCell<O>, tracer: TracerRef<'_>) {
         // A job's own code that waits on another job is already inside
         // this thread's lease, and sleeps.
         CLIENT_LEASE.with(|lease| {
@@ -914,14 +889,12 @@ impl ServerCtx {
                 return;
             };
             let me = std::thread::current().id();
-            // Another thread's job only while this one is still queued: a
-            // foreign job led once a pool worker runs ours would hold this
-            // thread past its own terminal, without bound.
-            let take = |job: &Arc<dyn QueuedJob>| {
-                job.slots(self.workers) == 1
-                    && (job.submitter() == me || own.status() == JobStatus::Queued)
-            };
-            while !done.is_published() {
+            // Only this thread's own jobs: another thread's could hold it
+            // past its own terminal without bound, and run that thread's
+            // problem code here.
+            let take =
+                |job: &Arc<dyn QueuedJob>| job.slots(self.workers) == 1 && job.submitter() == me;
+            while !done.is_done() {
                 let Some((_prio, job)) = self.queue.try_pop_if(take) else {
                     break;
                 };

@@ -16,13 +16,12 @@
 //! Figures 6 and 7.
 
 use crate::engine::{lap, now_if};
-use crate::frame::RootCell;
+use crate::frame::ResultCell;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, Ordering};
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::{tascell_give, uniform_victim};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A packaged half-range of sibling subtrees handed to a requester.
@@ -56,7 +55,7 @@ struct RequestBox<P: Problem> {
 struct Shared<'p, P: Problem> {
     problem: &'p P,
     boxes: Vec<RequestBox<P>>,
-    root: Arc<RootCell<P::Out>>,
+    root: ResultCell<P::Out>,
     timing: bool,
 }
 
@@ -363,7 +362,7 @@ pub fn run<P: Problem>(
                 slot: Mutex::new(None),
             })
             .collect(),
-        root: RootCell::new(),
+        root: ResultCell::new(),
         timing: cfg.timing,
     };
     let mut seeder = XorShift64::new(cfg.seed);

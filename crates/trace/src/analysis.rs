@@ -1,6 +1,6 @@
 //! Derived metrics over a drained [`Trace`]: aggregate event counts, the
 //! steal-provenance tree, per-state dwell-time totals, and steal-latency /
-//! deque-occupancy histograms.
+//! `need_task`-response CDFs.
 
 use crate::collector::Trace;
 use crate::event::EventKind;
@@ -85,56 +85,6 @@ impl TraceCounts {
     /// Tally the whole trace.
     pub fn from_trace(trace: &Trace) -> Self {
         Self::from_events(trace.workers.iter().flat_map(|w| w.events.iter()))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Histograms
-// ---------------------------------------------------------------------------
-
-/// A power-of-two bucketed histogram: bucket `i` counts samples in
-/// `[2^(i-1), 2^i)` (bucket 0 counts zeros and ones).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of recorded samples.
-    pub sum: u64,
-    /// Largest recorded sample.
-    pub max: u64,
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn record(&mut self, sample: u64) {
-        let bucket = (u64::BITS - sample.leading_zeros()) as usize;
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += sample;
-        self.max = self.max.max(sample);
-    }
-
-    /// `(upper_bound_exclusive, count)` for each non-empty bucket.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| (1u64 << i, *n))
-            .collect()
-    }
-
-    /// Mean sample, or 0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 }
 
@@ -341,61 +291,13 @@ pub fn dwell_times(trace: &Trace) -> Vec<Dwell> {
         .collect()
 }
 
-/// Steal latency per worker: time from each `StealAttempt` to the next
-/// steal outcome (`StealOk`/`StealEmpty`) in the same worker's stream.
-pub fn steal_latency(trace: &Trace) -> Histogram {
-    let mut h = Histogram::default();
-    for w in &trace.workers {
-        let mut pending: Option<u64> = None;
-        for ev in &w.events {
-            match ev.kind {
-                EventKind::StealAttempt { .. } => pending = Some(ev.ts),
-                EventKind::StealOk { .. } | EventKind::StealEmpty { .. } => {
-                    if let Some(t0) = pending.take() {
-                        h.record(ev.ts - t0);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    h
-}
-
-/// Deque occupancy seen across the run: replays each worker's deque from
-/// the merged event order (owner pushes/pops plus thieves' `StealOk`s
-/// against that worker) and records the occupancy after every change.
-///
-/// Cross-worker timestamps are taken *after* the underlying atomic op,
-/// so the replayed counter can transiently dip negative when a thief's
-/// stamp lands before the victim's; the replay clamps at zero, which
-/// keeps the histogram a faithful *approximation* (exact at 1 thread).
-pub fn deque_occupancy(trace: &Trace) -> Histogram {
-    let mut h = Histogram::default();
-    let merged = trace.merged();
-    let mut depth: BTreeMap<usize, i64> = BTreeMap::new();
-    for (w, ev) in merged {
-        let (target, delta): (usize, i64) = match ev.kind {
-            EventKind::Push | EventKind::SpecialPush => (w, 1),
-            EventKind::Pop | EventKind::SpecialConsume { reclaimed: true } => (w, -1),
-            EventKind::StealOk { victim } => (victim as usize, -1),
-            _ => continue,
-        };
-        let d = depth.entry(target).or_insert(0);
-        *d = (*d + delta).max(0);
-        h.record(*d as u64);
-    }
-    h
-}
-
 // ---------------------------------------------------------------------------
 // Latency CDFs
 // ---------------------------------------------------------------------------
 
-/// An exact empirical distribution over nanosecond samples, for the
-/// per-op latency reporting the bucketed [`Histogram`] is too coarse
-/// for. Stores every sample (sorted), so use it for per-run analysis,
-/// not on the hot path.
+/// An exact empirical distribution over nanosecond samples, for per-op
+/// latency reporting. Stores every sample (sorted), so use it for per-run
+/// analysis, not on the hot path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cdf {
     samples: Vec<u64>,
@@ -461,8 +363,7 @@ impl Cdf {
 
 /// Per-op steal latency as an exact CDF: time from each `StealAttempt`
 /// to the next steal outcome (`StealOk`/`StealEmpty`) in the same
-/// worker's stream — the same pairing as [`steal_latency`], kept as
-/// individual samples for p50/p90/p99 reporting.
+/// worker's stream, kept as individual samples for p50/p90/p99 reporting.
 pub fn steal_latency_cdf(trace: &Trace) -> Cdf {
     let mut samples = Vec::new();
     for w in &trace.workers {
@@ -516,20 +417,6 @@ mod tests {
     use super::*;
     use crate::collector::TraceCollector;
     use crate::event::{EventKind, FsmState};
-
-    #[test]
-    fn histogram_buckets_and_moments() {
-        let mut h = Histogram::default();
-        for s in [0, 1, 2, 3, 4, 1000] {
-            h.record(s);
-        }
-        assert_eq!(h.count, 6);
-        assert_eq!(h.sum, 1010);
-        assert_eq!(h.max, 1000);
-        // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 4 → bucket 3; 1000 → bucket 10.
-        assert_eq!(h.buckets(), vec![(1, 1), (2, 1), (4, 2), (8, 1), (1024, 1)]);
-        assert!((h.mean() - 1010.0 / 6.0).abs() < 1e-9);
-    }
 
     #[test]
     fn provenance_links_to_latest_prior_steal() {
@@ -591,24 +478,11 @@ mod tests {
         c.emit_at(1, 140, EventKind::StealEmpty { victim: 0 });
         c.emit_at(1, 200, EventKind::StealAttempt { victim: 0 });
         c.emit_at(1, 210, EventKind::StealOk { victim: 0 });
-        let h = steal_latency(&c.finish());
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 50);
-        assert_eq!(h.max, 40);
-    }
-
-    #[test]
-    fn occupancy_replay_counts_all_deque_traffic() {
-        let c = TraceCollector::new(2, 64);
-        c.emit_at(0, 10, EventKind::Push);
-        c.emit_at(0, 20, EventKind::Push);
-        c.emit_at(1, 30, EventKind::StealOk { victim: 0 });
-        c.emit_at(0, 40, EventKind::Pop);
-        let h = deque_occupancy(&c.finish());
-        // Occupancies after each change: 1, 2, 1, 0.
-        assert_eq!(h.count, 4);
-        assert_eq!(h.max, 2);
-        assert_eq!(h.sum, 4);
+        let cdf = steal_latency_cdf(&c.finish());
+        assert_eq!(cdf.count(), 2);
+        assert_eq!(cdf.p50(), 10);
+        assert_eq!(cdf.max(), 40);
+        assert_eq!(cdf.mean(), 25.0);
     }
 
     #[test]
@@ -642,19 +516,6 @@ mod tests {
         let empty = Cdf::default();
         assert!(empty.is_empty());
         assert_eq!(empty.p99(), 0);
-    }
-
-    #[test]
-    fn steal_latency_cdf_matches_the_histogram_pairing() {
-        let c = TraceCollector::new(2, 64);
-        c.emit_at(1, 100, EventKind::StealAttempt { victim: 0 });
-        c.emit_at(1, 140, EventKind::StealEmpty { victim: 0 });
-        c.emit_at(1, 200, EventKind::StealAttempt { victim: 0 });
-        c.emit_at(1, 210, EventKind::StealOk { victim: 0 });
-        let cdf = steal_latency_cdf(&c.finish());
-        assert_eq!(cdf.count(), 2);
-        assert_eq!(cdf.p50(), 10);
-        assert_eq!(cdf.max(), 40);
     }
 
     #[test]

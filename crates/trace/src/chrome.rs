@@ -9,8 +9,8 @@
 //!   execution (`Fsm idle→slow` / `slow→idle`) and sync waits
 //!   (`SyncSuspend`/`SyncResume`) — which render as nested bars,
 //! * `i` instant events (thread scope) for everything point-like: deque
-//!   traffic, steal probes, FSM version switches, `need_task` signalling
-//!   and the workspace handshake.
+//!   traffic, steal probes, FSM version switches and `need_task`
+//!   signalling.
 //!
 //! Timestamps are microseconds (the format's unit) as fractional values,
 //! so nanosecond resolution survives. The writer is hand-rolled — every

@@ -21,8 +21,8 @@
 //!   [`Trace`].
 //! * [`chrome`] — `chrome://tracing` / Perfetto JSON export.
 //! * [`analysis`] — steal-provenance tree, per-state dwell times,
-//!   steal-latency and deque-occupancy histograms, steal-latency and
-//!   need_task→delivery response-time CDFs, aggregate counts.
+//!   steal-latency and need_task→delivery response-time CDFs, aggregate
+//!   counts.
 //! * [`validate`](mod@validate) — the differential oracle: trace-derived counts must
 //!   equal `RunStats` exactly, per worker and in aggregate, for every
 //!   category the trace recorded unsampled (a bound for sampled ones).
@@ -47,8 +47,7 @@ pub(crate) mod sync;
 pub mod validate;
 
 pub use analysis::{
-    deque_occupancy, dwell_times, response_time_cdf, steal_latency, steal_latency_cdf, Cdf, Dwell,
-    Histogram, StealTree, TraceCounts,
+    dwell_times, response_time_cdf, steal_latency_cdf, Cdf, Dwell, StealTree, TraceCounts,
 };
 pub use chrome::to_chrome_json;
 pub use clock::TraceClock;

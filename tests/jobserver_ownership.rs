@@ -11,9 +11,9 @@
 //!   its key says so;
 //! * **nobody is woken who is not asleep**: a flooded pool issues almost
 //!   no wake-ups, a parked one gets a real wake-up and not the timeout;
-//! * a **waiting client** leads another thread's job only while its own is
-//!   queued, and a job it leads that unwinds out of `wait` does not hold
-//!   up shutdown.
+//! * a **waiting client** leads only the jobs its own thread submitted,
+//!   and a job it leads that unwinds out of `wait` does not hold up
+//!   shutdown.
 
 use adaptivetc_suite::core::{serial, Config, Expansion, Problem};
 use adaptivetc_suite::runtime::{
@@ -639,6 +639,56 @@ fn a_waiting_client_leaves_foreign_jobs_once_its_own_runs() {
         0,
         "the client led another thread's job while its own ran"
     );
+    completed(wait_on_pool(foreign));
+    server.shutdown();
+}
+
+/// A client leads only the jobs its own thread submitted. Another thread's
+/// job queued ahead of its own blocks it as a team does: it refuses the
+/// head and sleeps, and the pool's worker leads both, once freed.
+#[test]
+fn a_waiting_client_never_leads_a_foreign_job() {
+    let server = JobServer::new(ServerConfig::new(1));
+    let (held, gate) = occupy(&server);
+    let foreign = std::thread::scope(|s| {
+        s.spawn(|| {
+            server
+                .submit(
+                    Bush::new(3, 7),
+                    Config::new(1),
+                    Mode::Adaptive,
+                    Priority::Normal,
+                )
+                .expect("submit the foreign job")
+        })
+        .join()
+        .expect("the submitting thread")
+    });
+    let own = server
+        .submit(
+            Bush::new(3, 8),
+            Config::new(1),
+            Mode::Adaptive,
+            Priority::Normal,
+        )
+        .expect("submit the client's job");
+    // The pause lets a client that would lead the foreign job do so while
+    // both are still queued.
+    let opener = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            gate.open();
+        })
+    };
+    completed(own.wait());
+    opener.join().expect("the opener");
+    assert_eq!(
+        server.stats().client_leads,
+        0,
+        "the client led a job it did not submit"
+    );
+    completed(held.wait());
     completed(wait_on_pool(foreign));
     server.shutdown();
 }
