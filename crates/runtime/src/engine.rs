@@ -86,7 +86,7 @@ use crate::trace::{tev, worker_tracer, WorkerTracer};
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
 use adaptivetc_deque::{NeedTask, PopSpecial, StealOutcome, TheDeque};
 use adaptivetc_strategy::fsm::{self, Version};
-use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
+use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, SpecialWait};
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
@@ -778,7 +778,8 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
 
     /// Transition from fake tasks back to tasks: create a special task, run
     /// every child through the fast_2 version with its task depth reset to
-    /// 0, and wait for stolen children at the end (`sync_specialtask`).
+    /// 0, and wait for stolen children at the end (`sync_specialtask`) —
+    /// stealing meanwhile, as the kernel's [`SpecialWait`] says.
     fn special_section(
         &mut self,
         state: &P::State,
@@ -849,8 +850,9 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                 }
             }
         }
-        // sync_specialtask: the special task cannot be suspended — wait for
-        // every detached child to arrive before resuming the fake task.
+        // sync_specialtask: the special task cannot be suspended — its
+        // section stays on this stack until every detached child has
+        // arrived, and only then does the fake task resume.
         let joined = if shared {
             // SAFETY: holder, as above, up to this release.
             let total = unsafe { special.get() }.join.release(acc, P::Out::combine);
@@ -866,8 +868,14 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             tev!(self, Special, Ev::SpecialEnd);
             return out;
         }
+        // Meanwhile the worker steals above the section, unless it already
+        // helps at an enclosing special's sync: then it sleeps.
         self.stats.suspensions += 1;
         tev!(self, Sync, Ev::SyncSuspend);
+        if self.kernel.special_wait() == SpecialWait::Help {
+            self.steal_loop(&waiter, None);
+            self.kernel.help_done();
+        }
         let t0 = now_if(self.shared.timing);
         let out = waiter.wait();
         lap(&mut self.stats.time.wait_children_ns, t0);
@@ -876,14 +884,17 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         out
     }
 
-    /// Steal until the root result is ready, from the victims the kernel
-    /// picks.
+    /// Steal, from the victims the kernel picks, until `until` — the
+    /// run's root cell, or the cell of the special task this worker helps
+    /// at — holds its result.
     ///
-    /// Idle thieves back off exponentially: after the k-th consecutive
-    /// failed round a thief spins `2^k` pause hints (capped at
-    /// `2^BACKOFF_SPIN_LIMIT`), then starts yielding the CPU between
-    /// attempts. Any success resets the back-off, so a thief that finds
-    /// work is immediately aggressive again.
+    /// A failed steal backs off only once the victim's `need_task` is up
+    /// (the kernel's rule): the first `max_stolen_num + 1` failures against
+    /// a victim run back to back, so the flag rises at signal speed. Each
+    /// further flagged failure spins `2^k` pause hints after the k-th
+    /// (capped at `2^BACKOFF_SPIN_LIMIT`), then yields the CPU. A steal
+    /// resets the back-off. Idle time is steal wait, or — while helping —
+    /// waiting for children; stolen work is timed as it is anywhere else.
     ///
     /// `abandon` is the job-server joiner hook: a worker that volunteered
     /// into another job's free slot consults it after every *failed* round
@@ -891,16 +902,20 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// queued). Abandoning between tasks is safe — at the loop head the
     /// worker's own deque is empty and it holds no frames — and the job
     /// does not depend on the deserter: the lead worker alone always
-    /// completes the job. One-shot runs pass `None` and exit only on root
-    /// completion.
-    fn steal_loop(&mut self, abandon: Option<&dyn Fn() -> bool>) {
+    /// completes the job. One-shot runs and help loops pass `None` and exit
+    /// only once `until` is done.
+    fn steal_loop(&mut self, until: &ResultCell<P::Out>, abandon: Option<&dyn Fn() -> bool>) {
         let n = self.shared.slots.deques.len();
         if n == 1 {
             return;
         }
+        // A help loop runs exactly while the kernel says the worker helps:
+        // stolen work never opens a second one.
+        let helps = !std::ptr::eq(until, &*self.shared.root);
+        debug_assert_eq!(self.kernel.helping(), helps, "help loops nest");
         let mut idle_since = now_if(self.shared.timing);
         let mut backoff = 0u32;
-        while !self.shared.root.is_done() {
+        while !until.is_done() {
             let victim = self.kernel.victim(self.id, n);
             tev!(
                 self,
@@ -922,14 +937,16 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                     );
                     self.kernel.on_steal();
                     backoff = 0;
-                    lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
+                    self.lap_idle(idle_since.take());
                     // The slow version: resume the stolen continuation under
                     // fast/check rules.
                     self.run_stolen(frame);
+                    debug_assert_eq!(self.kernel.helping(), helps, "help loops nest");
                     idle_since = now_if(self.shared.timing);
                 }
                 StealOutcome::Empty => {
-                    let raised = self.shared.slots.signals[victim].record_steal_failure();
+                    let signal = &self.shared.slots.signals[victim];
+                    let raised = signal.record_steal_failure();
                     if raised {
                         tev!(
                             self,
@@ -947,16 +964,18 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                             victim: victim as u32
                         }
                     );
-                    self.kernel.on_steal_empty(victim);
-                    if backoff < BACKOFF_SPIN_LIMIT {
-                        for _ in 0..(1u32 << backoff) {
-                            std::hint::spin_loop();
+                    let flagged = raised || signal.needs_task();
+                    if self.kernel.on_steal_empty(victim, flagged) {
+                        if backoff < BACKOFF_SPIN_LIMIT {
+                            for _ in 0..(1u32 << backoff) {
+                                std::hint::spin_loop();
+                            }
+                            backoff += 1;
+                        } else {
+                            std::thread::yield_now();
                         }
-                        backoff += 1;
-                    } else {
-                        std::thread::yield_now();
+                        self.stats.steal_backoffs += 1;
                     }
-                    self.stats.steal_backoffs += 1;
                     if let Some(quit) = abandon {
                         if quit() {
                             break;
@@ -965,7 +984,19 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                 }
             }
         }
-        lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
+        self.lap_idle(idle_since.take());
+    }
+
+    /// Add the idle time since `start` to steal wait, or to waiting for
+    /// children while helping at a special task's sync.
+    fn lap_idle(&mut self, start: Option<Instant>) {
+        let time = &mut self.stats.time;
+        let field = if self.kernel.helping() {
+            &mut time.wait_children_ns
+        } else {
+            &mut time.steal_wait_ns
+        };
+        lap(field, start);
     }
 }
 
@@ -996,7 +1027,7 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
             shared.root.deliver(out);
         }
     }
-    w.steal_loop(abandon);
+    w.steal_loop(&shared.root, abandon);
     w.retire(scratch)
 }
 

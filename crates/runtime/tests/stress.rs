@@ -3,6 +3,7 @@
 use adaptivetc_core::treeinfo::TreeInfo;
 use adaptivetc_core::{Config, CutoffPolicy, Expansion, Problem};
 use adaptivetc_runtime::Scheduler;
+use adaptivetc_trace::EventKind;
 use adaptivetc_workloads::tree::UnbalancedTree;
 
 /// A bushy tree with a payload that checks apply/undo pairing at every
@@ -278,6 +279,67 @@ fn timing_instrumentation_does_not_change_results() {
         assert_eq!(got, want, "{s}");
         assert_eq!(report.stats.time.total_ns(), 0, "{s}");
     }
+    // Every timed interval lands in one field: a worker helping at a
+    // special task's sync counts its idle probes as waiting for children
+    // and the work it steals as work, never both. So the timed categories
+    // of all workers together fit in the run's thread time.
+    let tree = UnbalancedTree::tree3(100_000);
+    let want = adaptivetc_core::serial::run(&tree).0;
+    for seed in 0..4 {
+        let cfg = Config::new(2).timing(true).seed(seed);
+        let (got, report) = Scheduler::AdaptiveTc.run(&tree, &cfg).expect("runs");
+        assert_eq!(got, want, "seed {seed}");
+        let timed = report.stats.time.total_ns();
+        assert!(
+            timed <= 2 * report.wall_ns,
+            "seed {seed}: {timed} ns timed in a 2-thread run of {} ns",
+            report.wall_ns
+        );
+    }
+}
+
+#[test]
+fn adaptive_stress_on_deep_unbalanced_trees() {
+    // Four workers on skewed trees deep enough that special tasks nest
+    // inside stolen work: a worker helping at one special sync sleeps at
+    // the next (the engine's debug assertions catch a second help loop),
+    // and every run still equals the serial result. The trace shows it
+    // from outside: no steal lands inside a wait opened inside another.
+    let mut helped = 0;
+    for seed in 0..6u64 {
+        let trees = [
+            UnbalancedTree::tree1(40_000),
+            UnbalancedTree::tree3(40_000),
+            UnbalancedTree::new(40_000, seed).skew(8.0),
+        ];
+        for tree in trees {
+            let want = adaptivetc_core::serial::run(&tree).0;
+            let cfg = Config::new(4)
+                .max_stolen_num(2)
+                .seed(seed)
+                .trace(true)
+                .trace_sample(1)
+                .trace_capacity(1 << 17);
+            let (got, _, trace) = Scheduler::AdaptiveTc.run_traced(&tree, &cfg).expect("runs");
+            assert_eq!(got, want, "seed {seed}");
+            for w in &trace.expect("traced").workers {
+                assert_eq!(w.dropped, 0, "ring sized for the run");
+                let mut open = 0u32;
+                for e in &w.events {
+                    match e.kind {
+                        EventKind::SyncSuspend => open += 1,
+                        EventKind::SyncResume => open -= 1,
+                        EventKind::StealOk { .. } if open > 0 => {
+                            assert_eq!(open, 1, "seed {seed}: a steal inside a nested wait");
+                            helped += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert!(helped > 0, "no worker stole while its special task waited");
 }
 
 #[test]

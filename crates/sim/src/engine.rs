@@ -4,12 +4,15 @@
 //! Each virtual worker owns an explicit continuation stack whose entries
 //! mirror the threaded engine's recursion: `Node` (expand and dispatch),
 //! `Loop`/`PopCheck` (the frame spawn loop and its THE pop), `SeqLoop` (the
-//! sequence/check fake-task recursion) and `SpecialLoop`/`SpecialPop` (the
-//! special-task section). The loops advance in place at the top of the
-//! stack; frames live in an index slab with a free list; one event slot
-//! per worker ([`Events`]) drives the interleaving deterministically. Every
-//! costed activity advances only the acting worker's clock, and a step
-//! allocates nothing once the stacks, deques and slab have grown.
+//! sequence/check fake-task recursion) and `SpecialLoop`/`SpecialPop`/
+//! `SpecialSync` (the special-task section). A worker at a special sync
+//! steals with the section left on its stack, as the threaded engine's
+//! help loop does: what it steals runs on top. The loops advance in place
+//! at the top of the stack; frames live in an index slab with a free list;
+//! one event slot per worker ([`Events`]) drives the interleaving
+//! deterministically. Every costed activity advances only the acting
+//! worker's clock, and a step allocates nothing once the stacks, deques
+//! and slab have grown.
 //!
 //! Every scheduling decision is the virtual worker's [`Kernel`]'s
 //! (`adaptivetc-strategy`), the same code the threaded engine runs; this
@@ -21,7 +24,7 @@ use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::fsm::{self, Version};
-use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime};
+use adaptivetc_strategy::{Fallthrough, Kernel, Mode, Regime, SpecialWait};
 use adaptivetc_trace::EventKind as Ev;
 use std::collections::VecDeque;
 
@@ -48,6 +51,7 @@ struct Frames {
 }
 
 impl Frames {
+    /// A fresh frame; a special task's is the one with a `Wake` parent.
     fn alloc(&mut self, node: u32, tdepth: u32, parent: Deliver) -> FrameRef {
         let frame = Frame {
             node,
@@ -69,8 +73,10 @@ impl Frames {
         }
     }
 
-    /// One expected arrival at `f`, carrying `value`. The last one frees
-    /// the frame and returns its total and where the total goes.
+    /// One expected arrival at `f`, carrying `value`. The last one returns
+    /// the frame's total and where the total goes, and frees the frame —
+    /// unless it is a special task's, which keeps its total for its owner
+    /// to collect ([`Frames::joined`]).
     fn arrive(&mut self, f: FrameRef, value: u64) -> Option<(u64, Deliver)> {
         let frame = &mut self.slab[f as usize];
         frame.acc += value;
@@ -78,8 +84,20 @@ impl Frames {
         if frame.outstanding > 0 {
             return None;
         }
-        self.free.push(f);
+        if !matches!(frame.parent, Deliver::Wake(_)) {
+            self.free.push(f);
+        }
         Some((frame.acc, frame.parent))
+    }
+
+    /// A special task's total, once every arrival is in; frees the frame.
+    fn joined(&mut self, f: FrameRef) -> Option<u64> {
+        let frame = &self.slab[f as usize];
+        if frame.outstanding > 0 {
+            return None;
+        }
+        self.free.push(f);
+        Some(frame.acc)
     }
 }
 
@@ -91,7 +109,8 @@ enum Deliver {
     Frame(FrameRef),
     /// Add to the accumulator of the worker's current top stack entry.
     Below,
-    /// Wake the blocked worker (special-task sync).
+    /// Complete a special task's frame: wake its owner if it sleeps at the
+    /// sync. The total stays in the frame for the owner to collect.
     Wake(u32),
 }
 
@@ -129,6 +148,14 @@ enum Entry {
     SpecialPop {
         sframe: FrameRef,
     },
+    /// `sync_specialtask`, after the owner's own arrival: stays on top
+    /// until the special frame's total is in.
+    SpecialSync {
+        sframe: FrameRef,
+        out: Deliver,
+        /// How the worker waits, once it had to.
+        wait: Option<SpecialWait>,
+    },
 }
 
 /// A deque entry. Every entry names a live frame, and an owner's pop
@@ -148,6 +175,8 @@ enum Flow {
     Free,
     /// The worker blocked (special-task sync): no reschedule.
     Block,
+    /// The worker helps at a special-task sync: try to steal.
+    Help,
     /// The stack is empty: try to steal.
     Idle,
 }
@@ -171,12 +200,12 @@ struct WorkerSim {
     need_task: bool,
     kernel: Kernel,
     stats: RunStats,
-    /// The total a blocked special-task sync was woken with.
-    wake: Option<u64>,
+    /// Asleep at a special-task sync: a `Wake` reschedules it.
+    blocked: bool,
     wait_since: u64,
     idle_since: Option<u64>,
     /// A delivery that left this worker during the current entry — the
-    /// root result or a blocked worker's wake-up — for [`Sim::step`].
+    /// root result or a special task's last arrival — for [`Sim::step`].
     far: Option<(Deliver, u64)>,
 }
 
@@ -388,21 +417,46 @@ impl WorkerSim {
                     });
                     return Flow::Pay(cost);
                 }
-                // sync_specialtask: the total is here once the last child
-                // has woken this worker, or if no child is still out.
-                let total = match self.wake.take() {
-                    Some(total) => {
-                        self.stats.time.wait_children_ns += env.now - self.wait_since;
-                        Some(total)
-                    }
-                    None => frames.arrive(sframe, 0).map(|(total, _)| total),
+                // sync_specialtask: the owner's own arrival.
+                frames.slab[sframe as usize].outstanding -= 1;
+                *self.top() = Entry::SpecialSync {
+                    sframe,
+                    out,
+                    wait: None,
                 };
-                let Some(total) = total else {
-                    sev!(env, wid, Ev::SyncSuspend);
-                    self.stats.suspensions += 1;
-                    self.wait_since = env.now;
+                Flow::Free
+            }
+
+            Entry::SpecialSync {
+                sframe,
+                out,
+                ref mut wait,
+            } => {
+                let Some(total) = frames.joined(sframe) else {
+                    let wait = *wait.get_or_insert_with(|| {
+                        sev!(env, wid, Ev::SyncSuspend);
+                        self.stats.suspensions += 1;
+                        self.wait_since = env.now;
+                        self.kernel.special_wait()
+                    });
+                    if wait == SpecialWait::Help {
+                        return Flow::Help;
+                    }
+                    // Asleep; woken by the last arrival, or by an enclosing
+                    // special's while this one is still out.
+                    self.blocked = true;
                     return Flow::Block;
                 };
+                match *wait {
+                    Some(SpecialWait::Help) => {
+                        self.finish_idle_at(env.now);
+                        self.kernel.help_done();
+                    }
+                    Some(SpecialWait::Sleep) => {
+                        self.stats.time.wait_children_ns += env.now - self.wait_since;
+                    }
+                    None => {}
+                }
                 self.stack.pop();
                 self.deliver(frames, out, total);
                 Flow::Free
@@ -484,9 +538,17 @@ impl WorkerSim {
         env.cost.task_create_ns
     }
 
+    /// Close an idle stretch: steal wait, or — while helping at a special
+    /// sync — waiting for children.
     fn finish_idle_at(&mut self, end: u64) {
         if let Some(since) = self.idle_since.take() {
-            self.stats.time.steal_wait_ns += end.saturating_sub(since);
+            let time = &mut self.stats.time;
+            let field = if self.kernel.helping() {
+                &mut time.wait_children_ns
+            } else {
+                &mut time.steal_wait_ns
+            };
+            *field += end.saturating_sub(since);
         }
     }
 }
@@ -509,7 +571,7 @@ impl<'t> Sim<'t> {
                 need_task: false,
                 kernel: Kernel::new(mode, cfg.cutoff_depth(), seeder.split()),
                 stats: RunStats::default(),
-                wake: None,
+                blocked: false,
                 wait_since: 0,
                 idle_since: None,
                 far: None,
@@ -543,9 +605,14 @@ impl<'t> Sim<'t> {
                     self.root_value = value;
                     self.root_done = Some(self.env.now);
                 }
-                Some((Deliver::Wake(target), value)) => {
-                    self.workers[target as usize].wake = Some(value);
-                    self.events.schedule(target as usize, self.env.now);
+                Some((Deliver::Wake(target), _)) => {
+                    // The total waits in the special frame; a worker that
+                    // is not asleep finds it when it next checks.
+                    let owner = &mut self.workers[target as usize];
+                    if owner.blocked {
+                        owner.blocked = false;
+                        self.events.schedule(target as usize, self.env.now);
+                    }
                 }
                 Some(_) => unreachable!("only the root and a wake-up leave a worker"),
                 None => {}
@@ -554,12 +621,13 @@ impl<'t> Sim<'t> {
                 Flow::Pay(cost) => return Some(cost),
                 Flow::Free => {} // zero-cost bookkeeping: keep going
                 Flow::Block => return None,
-                Flow::Idle => return self.steal_step(wid),
+                Flow::Idle | Flow::Help => return self.steal_step(wid),
             }
         }
     }
 
-    /// One steal attempt (the worker's stack is empty).
+    /// One steal attempt: the worker's stack is empty, or it helps at a
+    /// special sync, which stays below whatever it steals.
     ///
     /// Out of line on purpose: this is the idle path, and folded into
     /// `run` with `step` and `exec` it costs the per-node interpreter loop
@@ -593,11 +661,19 @@ impl<'t> Sim<'t> {
         };
         let Some(frame) = stolen else {
             v.stolen_num += 1;
-            if v.stolen_num > self.max_stolen {
-                v.need_task = true;
+            let raised = v.stolen_num > self.max_stolen && !v.need_task;
+            v.need_task |= raised;
+            let flagged = v.need_task;
+            if raised {
+                sev!(
+                    self.env,
+                    wid,
+                    Ev::NeedTaskSignal {
+                        victim: victim as u32
+                    }
+                );
             }
             let w = &mut self.workers[wid];
-            w.kernel.on_steal_empty(victim);
             w.stats.steals_failed += 1;
             sev!(
                 self.env,
@@ -606,7 +682,12 @@ impl<'t> Sim<'t> {
                     victim: victim as u32
                 }
             );
-            return Some(cost.steal_ns + cost.steal_backoff_ns);
+            // The kernel's rule: back off only once the flag is up.
+            if w.kernel.on_steal_empty(victim, flagged) {
+                w.stats.steal_backoffs += 1;
+                return Some(cost.steal_ns + cost.steal_backoff_ns);
+            }
+            return Some(cost.steal_ns);
         };
         v.stolen_num = 0;
         v.need_task = false;

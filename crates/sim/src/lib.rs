@@ -115,6 +115,7 @@ pub fn serial_wall_ns(tree: &SimTree, cost: &CostModel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptivetc_trace::EventKind;
 
     fn binary_tree(height: u32) -> SimTree {
         let n = (1usize << (height + 1)) - 1;
@@ -282,6 +283,51 @@ mod tests {
                 "{workers} workers: adaptive={adpt} cutoff={cut}"
             );
         }
+    }
+
+    /// The back-off rule, pinned in virtual time. Worker 0 runs a chain,
+    /// so worker 1 never finds work: its first `max_stolen_num + 1`
+    /// failures run back to back at `steal_ns` each, the last of them
+    /// raises `need_task` — the flag is up `(max_stolen_num + 1) ×
+    /// steal_ns` after the first probe — and only that flagged failure
+    /// and later ones pay `steal_backoff_ns`.
+    #[test]
+    fn a_starving_thief_raises_need_task_at_signal_speed() {
+        let len = 400;
+        let children = (0..len)
+            .map(|i| if i + 1 < len { vec![i + 1] } else { Vec::new() })
+            .collect();
+        let tree = SimTree::from_lists(children, 1, 64);
+        let cost = CostModel::calibrated();
+        let cfg = Config::new(2).trace(true).trace_capacity(1 << 12);
+        let max = u64::from(cfg.max_stolen_num);
+        let (out, trace) = simulate_traced(&tree, Policy::AdaptiveTc, &cfg, cost);
+        assert_eq!(out.leaves, 1);
+        let thief = &trace.expect("traced").workers[1];
+        let at = |want: fn(&EventKind) -> bool| -> Vec<u64> {
+            thief
+                .events
+                .iter()
+                .filter(|e| want(&e.kind))
+                .map(|e| e.ts)
+                .collect()
+        };
+        let empties = at(|k| matches!(k, EventKind::StealEmpty { .. }));
+        let signals = at(|k| matches!(k, EventKind::NeedTaskSignal { .. }));
+        assert!(empties.len() as u64 > max + 2, "the thief starves");
+        let back_to_back: Vec<u64> = (0..=max).map(|k| k * cost.steal_ns).collect();
+        assert_eq!(&empties[..=max as usize], &back_to_back[..]);
+        // The (max + 1)-th probe raises the flag; it ends, and the flag
+        // is up, (max + 1) × steal_ns after the first.
+        assert_eq!(signals.first(), Some(&(max * cost.steal_ns)));
+        assert_eq!(
+            empties[max as usize + 1],
+            (max + 1) * cost.steal_ns + cost.steal_backoff_ns,
+            "the flagged failure backs off"
+        );
+        let s = &out.report.per_worker[1];
+        assert!(s.steal_backoffs > 0);
+        assert!(s.steal_backoffs <= s.steals_failed - (max + 1));
     }
 
     #[test]

@@ -27,6 +27,19 @@ pub enum Fallthrough {
     SequenceCopy,
 }
 
+/// What a worker does at a `sync_specialtask` whose stolen children are
+/// still out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecialWait {
+    /// Run the steal loop until the special task's result is in. The
+    /// special task is not suspended: its section stays on the worker's
+    /// stack below whatever the worker steals.
+    Help,
+    /// Sleep until the result is in: the worker is already helping at an
+    /// enclosing special task's sync.
+    Sleep,
+}
+
 /// One worker's scheduling decisions: each engine keeps one per worker
 /// and feeds it what its own mechanism observed.
 #[derive(Debug, Clone)]
@@ -38,6 +51,8 @@ pub struct Kernel {
     rng: XorShift64,
     /// The victim that last came up empty, until a steal lands.
     last_empty: Option<usize>,
+    /// Whether the worker is helping at a special task's sync.
+    helping: bool,
 }
 
 impl Kernel {
@@ -50,6 +65,7 @@ impl Kernel {
             cutoff: cutoff_depth.max(1),
             rng,
             last_empty: None,
+            helping: false,
         }
     }
 
@@ -110,10 +126,43 @@ impl Kernel {
         self.last_empty = None;
     }
 
-    /// A probe of `victim` found its deque empty.
+    /// A probe of `victim` found its deque empty; `need_task` is whether
+    /// the victim's flag is up after this failure (raised by it, or
+    /// earlier). Returns whether the thief backs off before its next
+    /// probe: only once the flag is up. Before that, each failure is a
+    /// step of the paper's count towards `need_task`, and a pause between
+    /// them would only delay the flag.
     #[inline]
-    pub fn on_steal_empty(&mut self, victim: usize) {
+    pub fn on_steal_empty(&mut self, victim: usize, need_task: bool) -> bool {
         self.last_empty = Some(victim);
+        need_task
+    }
+
+    /// A special task reached its sync with stolen children still out.
+    /// The first such wait helps; one reached while helping sleeps, so at
+    /// most one help loop is ever on a worker's stack.
+    #[inline]
+    pub fn special_wait(&mut self) -> SpecialWait {
+        if self.helping {
+            SpecialWait::Sleep
+        } else {
+            self.helping = true;
+            SpecialWait::Help
+        }
+    }
+
+    /// The special task the worker helped at has its result.
+    #[inline]
+    pub fn help_done(&mut self) {
+        debug_assert!(self.helping, "help_done without a help loop");
+        self.helping = false;
+    }
+
+    /// Whether the worker is helping at a special task's sync: its idle
+    /// probes then count as waiting for children, not as stealing.
+    #[inline]
+    pub fn helping(&self) -> bool {
+        self.helping
     }
 }
 
@@ -150,7 +199,7 @@ mod tests {
                     let v = k.victim(me, n);
                     assert!(v < n && v != me, "n={n} me={me} picked {v}");
                     if round % 3 == 0 {
-                        k.on_steal_empty(v);
+                        k.on_steal_empty(v, false);
                     }
                 }
             }
@@ -168,7 +217,7 @@ mod tests {
                     let v = k.victim(me, n);
                     assert_ne!(Some(v), last, "n={n} me={me} re-probed {v}");
                     seen[v] = true;
-                    k.on_steal_empty(v);
+                    k.on_steal_empty(v, false);
                     last = Some(v);
                 }
                 // Still uniform over the rest: every other worker is hit.
@@ -180,8 +229,21 @@ mod tests {
         }
         // Two workers leave no choice: the only other one, every time.
         let mut k = Kernel::new(Mode::Adaptive, 1, XorShift64::new(1));
-        k.on_steal_empty(1);
+        k.on_steal_empty(1, false);
         assert_eq!(k.victim(0, 2), 1);
+    }
+
+    #[test]
+    fn the_first_special_wait_helps_and_a_nested_one_sleeps() {
+        let mut k = Kernel::new(Mode::Adaptive, 1, XorShift64::new(4));
+        assert!(!k.helping());
+        assert_eq!(k.special_wait(), SpecialWait::Help);
+        assert!(k.helping());
+        assert_eq!(k.special_wait(), SpecialWait::Sleep);
+        assert_eq!(k.special_wait(), SpecialWait::Sleep);
+        k.help_done();
+        assert!(!k.helping());
+        assert_eq!(k.special_wait(), SpecialWait::Help);
     }
 
     #[test]

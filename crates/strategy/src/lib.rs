@@ -8,7 +8,10 @@
 //! The task rule is the paper's one static cut-off: a child at task
 //! depth `tdepth` is a real task while `tdepth < ⌈log₂N⌉`, doubled in
 //! fast_2 (DESIGN.md §15). A starving thief gets its answer through
-//! `need_task` → special task → fast_2 alone.
+//! `need_task` → special task → fast_2 alone, and reaches the flag at
+//! signal speed: it backs off only once the flag is up. A worker whose
+//! special task waits for stolen children steals meanwhile, one level
+//! deep ([`SpecialWait`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -17,5 +20,5 @@ pub mod fsm;
 mod kernel;
 mod policy;
 
-pub use kernel::{tascell_give, uniform_victim, Fallthrough, Kernel, Regime};
+pub use kernel::{tascell_give, uniform_victim, Fallthrough, Kernel, Regime, SpecialWait};
 pub use policy::{Mode, Policy};

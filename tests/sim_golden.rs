@@ -60,15 +60,18 @@ fn digest<P: Problem<Out = u64>>(problem: &P) -> u64 {
     h
 }
 
-/// The pinned digest of each tree.
+/// The pinned digest of each tree. Last regenerated when a failed steal
+/// stopped backing off before the victim's `need_task` is up and a
+/// special task's sync started to steal: the five deque policies moved,
+/// Tascell's part of each digest did not.
 const GOLDEN: [(&str, u64); 7] = [
-    ("fig1", 0x375c_be90_1168_7256),
-    ("nqueens-array(11)", 0xd783_57bb_37da_319a),
-    ("nqueens-compute(11)", 0x0858_a01c_b4bf_7c04),
-    ("sudoku(balanced tree)", 0x1e63_456c_627d_3b5f),
-    ("pentomino(8, 5x8)", 0x9906_0b36_2732_ebf9),
-    ("fib(26)", 0xae62_2739_f05d_038b),
-    ("comp(1024)", 0x9fb2_0724_6ee5_7bac),
+    ("fig1", 0x2cdc_51ec_c030_2b58),
+    ("nqueens-array(11)", 0x2f2e_c993_17e4_6624),
+    ("nqueens-compute(11)", 0xf4f4_be96_88ec_9f2c),
+    ("sudoku(balanced tree)", 0x50bb_9f89_d34c_d323),
+    ("pentomino(8, 5x8)", 0xe7e6_d6be_e00f_a073),
+    ("fib(26)", 0xf055_42b0_fcc0_21b3),
+    ("comp(1024)", 0x7a56_1cc5_10cc_e22d),
 ];
 
 #[test]

@@ -11,6 +11,7 @@ use adaptivetc_suite::sim::{simulate_traced, CostModel, Policy, SimTree};
 use adaptivetc_suite::trace::{to_chrome_json, validate, EventKind, Trace, TraceDiff};
 use adaptivetc_suite::workloads::fig1::Fig1Tree;
 use adaptivetc_suite::workloads::nqueens::NqueensArray;
+use adaptivetc_suite::workloads::tree::UnbalancedTree;
 
 mod table1;
 
@@ -203,6 +204,58 @@ fn a_thief_never_reprobes_the_victim_that_came_up_empty() {
     // Two vCPUs may finish a real run before a thief comes up empty; the
     // rule holds for every probe that did.
     empties("real, 4 threads", &real);
+}
+
+/// A special task is never suspended, and its worker does not sleep
+/// while its stolen children run: at `sync_specialtask` it steals, its
+/// section left on its stack. On the most unbalanced of the Table 3 trees
+/// at two threads, some worker lands a steal between its own
+/// `SyncSuspend` and `SyncResume`; every traced run validates against its
+/// counters and equals the serial result.
+#[test]
+fn a_worker_steals_while_its_special_task_waits() {
+    let tree = UnbalancedTree::tree3(200_000);
+    let want = serial::run(&tree).0;
+    let mut helped = 0;
+    for seed in 0..8 {
+        let cfg = Config::new(2)
+            .trace(true)
+            .trace_sample(1)
+            .trace_capacity(1 << 19)
+            .seed(seed);
+        let (out, report, trace) = Scheduler::AdaptiveTc
+            .run_traced(&tree, &cfg)
+            .expect("tree3 run");
+        assert_eq!(out, want, "seed {seed}");
+        let trace = trace.expect("Config::trace is set");
+        assert_eq!(
+            trace.total_dropped(),
+            0,
+            "seed {seed}: ring sized for the run"
+        );
+        let mismatches = validate(&trace, &report);
+        assert!(
+            mismatches.is_empty(),
+            "seed {seed}:\n{}",
+            mismatches
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+        for w in &trace.workers {
+            let mut open = 0u32;
+            for e in &w.events {
+                match e.kind {
+                    EventKind::SyncSuspend => open += 1,
+                    EventKind::SyncResume => open -= 1,
+                    EventKind::StealOk { .. } if open > 0 => helped += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(helped > 0, "no worker stole while its special task waited");
 }
 
 /// The Chrome export of a real multi-threaded run is structurally valid
