@@ -19,6 +19,7 @@
 //! | `pop`: `tail` store, `head` load   | Relaxed     | owner SeqCst fence| `pop_fence: false`    |
 //! | `steal`: `head` store, restores    | Relaxed     | thief SeqCst fence| `steal_fence: false`  |
 //! | `steal`: `tail` re-validation load | SeqCst      | (is the anchor)   | part A would fail     |
+//! | `steal`: unlocked `head`/`tail` peek | Relaxed   | locked re-check   | (none: only a spurious `Empty`) |
 //! | `pop` slow / `pop_special` / locked `head` reads | Relaxed | THE lock | `locked: false` |
 //!
 //! The Chase-Lev backend keeps its seed orderings: its pop fence and the

@@ -3,6 +3,7 @@
 //! extension (`pop_specialtask` / `steal_specialtask`) under an owner vs
 //! thief race. Two threads, preemption bound 2, every schedule explored.
 
+use adaptivetc_check::sync::{AtomicBool, Ordering};
 use adaptivetc_check::the::{PopSpecial, StealOutcome, TheDeque};
 use adaptivetc_check::{explore, linearizable, Config, OwnerOp};
 use std::collections::BTreeSet;
@@ -115,4 +116,64 @@ fn special_task_steal_resolution() {
         "never saw the thief win the child: {seen:?}"
     );
     println!("the_protocol::special_task_steal_resolution: {report:?}, outcomes {seen:?}");
+}
+
+/// Who consumed the last entry: (owner pop, thief steal).
+type Consumed = (Option<u32>, Option<u32>);
+
+/// The thief's unlocked peek of `head` and `tail` races the owner's pop
+/// of the last entry. Each of the peek's two loads is a yield point, so
+/// the explorer interleaves them with the pop's tail store, fence and
+/// head load. In every schedule the entry is consumed exactly once, and
+/// a steal that runs wholly inside the pop is seen to lose (owner keeps
+/// the entry, `Empty`) and to win (owner's pop sees `None`).
+#[test]
+fn a_peek_races_the_pop_of_the_last_entry() {
+    let outcomes: Arc<Mutex<BTreeSet<Consumed>>> = Arc::new(Mutex::new(BTreeSet::new()));
+    let sink = Arc::clone(&outcomes);
+    let report = explore(Config::with_preemption_bound(2), move || {
+        let d = Arc::new(TheDeque::<u32>::new(8));
+        d.push(1).unwrap();
+        let popping = Arc::new(AtomicBool::new(false));
+        let thief = {
+            let (d, popping) = (Arc::clone(&d), Arc::clone(&popping));
+            shim_sync::thread::spawn(move || {
+                // SeqCst: test bookkeeping, outside the deque under test.
+                let before = popping.load(Ordering::SeqCst);
+                let stolen = match d.steal() {
+                    StealOutcome::Stolen(v) => Some(v),
+                    StealOutcome::Empty => None,
+                };
+                // SeqCst: as above.
+                (stolen, before && popping.load(Ordering::SeqCst))
+            })
+        };
+        // SeqCst: as above.
+        popping.store(true, Ordering::SeqCst);
+        let popped = d.pop();
+        // SeqCst: as above.
+        popping.store(false, Ordering::SeqCst);
+        let (stolen, inside) = thief.join().unwrap();
+        assert!(
+            (popped == Some(1)) ^ (stolen == Some(1)),
+            "entry consumed zero or two times: popped {popped:?}, stolen {stolen:?}"
+        );
+        if inside {
+            sink.lock().unwrap().insert((popped, stolen));
+        }
+    });
+    assert!(
+        report.complete,
+        "THE last-pop space not exhausted: {report:?}"
+    );
+    let seen = outcomes.lock().unwrap().clone();
+    assert!(
+        seen.contains(&(Some(1), None)),
+        "never saw a steal inside the pop lose: {seen:?}"
+    );
+    assert!(
+        seen.contains(&(None, Some(1))),
+        "never saw a steal inside the pop win: {seen:?}"
+    );
+    println!("the_protocol::a_peek_races_the_pop_of_the_last_entry: {report:?}, outcomes {seen:?}");
 }

@@ -1,6 +1,7 @@
 //! The `stolen_num` / `need_task` back-pressure signal.
 
 use crate::sync::{AtomicBool, AtomicU32, Ordering};
+use crossbeam_utils::CachePadded;
 
 /// Per-worker signal through which thieves ask a busy victim for tasks.
 ///
@@ -24,9 +25,13 @@ use crate::sync::{AtomicBool, AtomicU32, Ordering};
 /// sig.record_steal_success();
 /// assert!(!sig.needs_task());
 /// ```
+///
+/// `stolen_num` sits on its own cache line: failing thieves count there
+/// without invalidating the line of `need_task`, which the victim polls
+/// at every check-version node.
 #[derive(Debug)]
 pub struct NeedTask {
-    stolen_num: AtomicU32,
+    stolen_num: CachePadded<AtomicU32>,
     need_task: AtomicBool,
     max_stolen_num: u32,
 }
@@ -36,7 +41,7 @@ impl NeedTask {
     /// paper's runtime defaults to 20).
     pub fn new(max_stolen_num: u32) -> Self {
         NeedTask {
-            stolen_num: AtomicU32::new(0),
+            stolen_num: CachePadded::new(AtomicU32::new(0)),
             need_task: AtomicBool::new(false),
             max_stolen_num,
         }
@@ -63,10 +68,17 @@ impl NeedTask {
     }
 
     /// A thief successfully stole from this victim: clear the signal.
+    /// `need_task` is written only when it is up, so a steal leaves the
+    /// line the victim polls alone.
     pub fn record_steal_success(&self) {
         // Relaxed: advisory bookkeeping; observers tolerate staleness.
         self.stolen_num.store(0, Ordering::Relaxed);
-        self.need_task.store(false, Ordering::Relaxed);
+        // Relaxed: a stale `false` leaves a raised flag for the victim's
+        // acknowledgement to lower: one extra special task at worst.
+        if self.need_task.load(Ordering::Relaxed) {
+            // Relaxed: advisory flag, as above.
+            self.need_task.store(false, Ordering::Relaxed);
+        }
     }
 
     /// Polled by the victim's check version.

@@ -110,8 +110,9 @@ pub struct TheDeque<T> {
     /// `check_races` lane (DESIGN.md §16).
     cleaned: CachePadded<AtomicU64>,
     /// The THE lock: serialises thieves against each other and against the
-    /// owner's slow paths.
-    lock: Mutex<()>,
+    /// owner's slow paths. Padded: a thief's lock traffic must not evict
+    /// the `slots` pointer the owner reads on every push and pop.
+    lock: CachePadded<Mutex<()>>,
     slots: Box<[Slot<T>]>,
 }
 
@@ -138,7 +139,7 @@ impl<T> TheDeque<T> {
             head: CachePadded::new(AtomicU64::new(INDEX_BASE)),
             tail: CachePadded::new(AtomicU64::new(INDEX_BASE)),
             cleaned: CachePadded::new(AtomicU64::new(INDEX_BASE)),
-            lock: Mutex::new(()),
+            lock: CachePadded::new(Mutex::new(())),
             slots,
         }
     }
@@ -320,7 +321,17 @@ impl<T> TheDeque<T> {
     /// task's child) is stolen instead and the special entry is retired from
     /// the stealable region (`steal_specialtask`). Special entries are
     /// dropped by the thief in that case.
+    ///
+    /// A deque that looks empty (`H >= T`) is reported `Empty` before the
+    /// lock is taken, so a failed probe writes nothing on the victim.
     pub fn steal(&self) -> StealOutcome<T> {
+        // Relaxed: an unlocked peek. A stale `head` or `tail` only yields
+        // a spurious `Empty` or falls through to the locked re-check.
+        let h = self.head.load(Ordering::Relaxed);
+        // Relaxed: the same peek; the locked path re-reads both.
+        if h >= self.tail.load(Ordering::Relaxed) {
+            return StealOutcome::Empty;
+        }
         let _guard = self.lock.lock();
         // Relaxed: `head` is only written under this lock (mutual
         // exclusion gives the thief the latest value).

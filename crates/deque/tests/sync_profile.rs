@@ -1,15 +1,17 @@
-//! The synchronization profile of the owner path, counted by the
-//! `count-sync` shims: the fence-free backend's reason to exist is that
-//! push and pop perform no fence and no `SeqCst` operation at all, where
-//! THE and Chase-Lev pay a Dekker fence per pop (Table 2's per-spawn
-//! cost).
+//! The synchronization profile of the owner and thief paths, counted by
+//! the `count-sync` shims: the fence-free backend's reason to exist is
+//! that push and pop perform no fence and no `SeqCst` operation at all,
+//! where THE and Chase-Lev pay a Dekker fence per pop (Table 2's
+//! per-spawn cost); and a THE steal that finds the deque empty takes no
+//! lock, fences nothing and performs no `SeqCst` operation, so a failing
+//! thief writes nothing on its victim.
 //!
 //! One `#[test]` only: the counters are process-global, so nothing else
 //! may touch a deque while a profile is being taken.
 #![cfg(feature = "count-sync")]
 
 use adaptivetc_deque::sync_counts::{self, Counts};
-use adaptivetc_deque::{ChaseLevDeque, FenceFreeDeque, TheDeque, WsDeque};
+use adaptivetc_deque::{ChaseLevDeque, FenceFreeDeque, StealOutcome, TheDeque, WsDeque};
 
 /// Ops per phase; the deque is pre-sized so no growth or overflow path
 /// pollutes the counts.
@@ -28,6 +30,16 @@ fn owner_profile<D: WsDeque<u64>>() -> (Counts, Counts) {
     }
     let popped = sync_counts::snapshot();
     (pushed.since(start), popped.since(pushed))
+}
+
+/// Counts of `N` steals on an empty THE deque.
+fn empty_steal_profile() -> Counts {
+    let d = TheDeque::<u64>::new(2 * N as usize);
+    let start = sync_counts::snapshot();
+    for _ in 0..N {
+        assert_eq!(d.steal(), StealOutcome::Empty);
+    }
+    sync_counts::snapshot().since(start)
 }
 
 #[test]
@@ -57,4 +69,15 @@ fn fence_free_owner_path_is_fence_and_seqcst_free() {
             "fence-free RMWs {ff_rmw} exceed {name}: {push:?} {pop:?}"
         );
     }
+
+    let steal = empty_steal_profile();
+    assert_eq!(
+        steal.rmw_ops, 0,
+        "THE empty steal locked or RMWed: {steal:?}"
+    );
+    assert_eq!(steal.fences, 0, "THE empty steal fenced: {steal:?}");
+    assert_eq!(
+        steal.seqcst_ops, 0,
+        "THE empty steal used SeqCst: {steal:?}"
+    );
 }

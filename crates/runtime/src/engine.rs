@@ -1031,18 +1031,56 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
     w.retire(scratch)
 }
 
+/// Run a team of `threads` workers, `body(slot)` each, and collect what
+/// they return in slot order: the one team-running function of both
+/// one-shot engines ([`run_traced`], [`crate::tascell::run`]).
+///
+/// Slot 0 runs on the calling thread, after slots `1..threads` are
+/// spawned on scoped threads, so the root starts on the warm thread (and
+/// allocator cache) that built the problem, and a one-thread run creates
+/// no thread at all.
+///
+/// # Errors
+///
+/// `WorkerPanicked(slot)` for the lowest slot whose body panicked. Slot
+/// 0's panic is caught on the caller's stack and the caller survives it;
+/// the scope still joins the other slots first, which steal until the
+/// root is done, so with `threads >= 2` such a panic leaves them stealing.
+pub(crate) fn run_team<T: Send>(
+    threads: usize,
+    body: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, adaptivetc_core::SchedulerError> {
+    let body = &body;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (1..threads).map(|id| s.spawn(move || body(id))).collect();
+        let lead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(0)));
+        // Join every handle before reporting: a scope panics on a
+        // panicked thread nobody joined.
+        let rest: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        std::iter::once(lead)
+            .chain(rest)
+            .enumerate()
+            .map(|(id, r)| r.map_err(|_| adaptivetc_core::SchedulerError::WorkerPanicked(id)))
+            .collect()
+    })
+}
+
 /// Run `problem` under `mode` with the given configuration.
 ///
 /// Returns the reduced result, a [`RunReport`] with per-worker statistics,
 /// and the drained event trace when `cfg.trace` is set (`None` when it is
-/// not).
+/// not). Slot 0 — the root task, then its steal loop — runs on the
+/// caller's stack; only slots `1..cfg.threads` get threads.
 ///
 /// # Errors
 ///
 /// Returns [`adaptivetc_core::SchedulerError::Config`] for invalid
-/// configurations and `WorkerPanicked` if a worker thread panics. Deque
-/// overflow is tolerated (the child runs inline, unstealable) and surfaced
-/// via `RunStats::deque_overflows`.
+/// configurations and `WorkerPanicked` if a worker panics. A panic in slot
+/// 0 is caught, and at one thread the caller gets `WorkerPanicked(0)`; at
+/// two or more threads the other workers keep stealing for a root that
+/// never completes, so the call does not return. Deque overflow is
+/// tolerated (the child runs inline, unstealable) and surfaced via
+/// `RunStats::deque_overflows`.
 pub fn run_traced<P: Problem>(
     problem: &P,
     cfg: &Config,
@@ -1065,26 +1103,13 @@ pub fn run_traced<P: Problem>(
         Arc::new(ResultCell::new()),
         None,
     );
+    let seeds: Vec<XorShift64> = Shared::<P>::seeds(cfg).take(threads).collect();
 
     let start = Instant::now();
-    let per_worker = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for (id, rng) in Shared::<P>::seeds(cfg).take(threads).enumerate() {
-            let shared = &shared;
-            let tr = worker_tracer(collector.as_ref(), id);
-            handles.push(s.spawn(move || {
-                let scratch = &mut Scratch::default();
-                participate(shared, id, rng, tr, id == 0, None, scratch)
-            }));
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(id, h)| {
-                h.join()
-                    .map_err(|_| adaptivetc_core::SchedulerError::WorkerPanicked(id))
-            })
-            .collect::<Result<Vec<_>, _>>()
+    let per_worker = run_team(threads, |id| {
+        let tr = worker_tracer(collector.as_ref(), id);
+        let scratch = &mut Scratch::default();
+        participate(&shared, id, seeds[id].clone(), tr, id == 0, None, scratch)
     })?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     let out = shared.root.take();

@@ -108,10 +108,18 @@ impl Scheduler {
 
     /// Execute `problem` under this policy.
     ///
+    /// Worker slot 0 — the root task, then its steal loop — runs on the
+    /// caller's stack; only slots `1..cfg.threads` are spawned, so a
+    /// one-thread run creates no thread. `Serial` runs on the caller too.
+    ///
     /// # Errors
     ///
     /// Returns [`SchedulerError::Config`] for invalid configurations and
-    /// [`SchedulerError::WorkerPanicked`] if a worker thread panics.
+    /// [`SchedulerError::WorkerPanicked`] if a worker panics. A panic in
+    /// slot 0 is caught, so the calling thread survives it; at one thread
+    /// the call returns `WorkerPanicked(0)`. At two or more threads a
+    /// worker's panic still leaves the others stealing for a root that
+    /// never completes, and the call does not return.
     pub fn run<P: Problem>(
         &self,
         problem: &P,

@@ -1,9 +1,10 @@
 //! A persistent job server: one long-lived worker pool serving a *stream*
 //! of scheduler runs.
 //!
-//! [`Scheduler::run`](crate::Scheduler::run) spawns and joins a whole
-//! thread pool per root task, which caps the reproduction at one benchmark
-//! at a time. [`JobServer`] amortises that: the pool is spawned once,
+//! [`Scheduler::run`](crate::Scheduler::run) runs worker slot 0 on the
+//! calling thread and spawns and joins the other `threads - 1` per root
+//! task, which caps the reproduction at one benchmark at a time.
+//! [`JobServer`] amortises that: the pool is spawned once,
 //! workers park when idle, and submissions flow through a bounded MPMC
 //! priority queue (see [`crate::submit`] for the model-checked protocol).
 //!

@@ -15,7 +15,7 @@
 //! gave away has delivered its result — the `wait_children` overhead of
 //! Figures 6 and 7.
 
-use crate::engine::{lap, now_if};
+use crate::engine::{lap, now_if, run_team};
 use crate::frame::ResultCell;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, Ordering};
@@ -344,10 +344,16 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
 
 /// Run `problem` under the Tascell policy.
 ///
+/// Slot 0 — the root task, then its steal loop — runs on the caller's
+/// stack; only slots `1..cfg.threads` get threads.
+///
 /// # Errors
 ///
 /// Returns [`adaptivetc_core::SchedulerError::Config`] for invalid
-/// configurations and `WorkerPanicked` if a worker thread panics.
+/// configurations and `WorkerPanicked` if a worker panics. A panic in slot
+/// 0 is caught, and at one thread the caller gets `WorkerPanicked(0)`; at
+/// two or more threads the other workers keep requesting work for a root
+/// that never completes, so the call does not return.
 pub fn run<P: Problem>(
     problem: &P,
     cfg: &Config,
@@ -369,37 +375,23 @@ pub fn run<P: Problem>(
     let seeds: Vec<XorShift64> = (0..threads).map(|_| seeder.split()).collect();
 
     let start = Instant::now();
-    let per_worker = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for (id, rng) in seeds.into_iter().enumerate() {
-            let shared = &shared;
-            handles.push(s.spawn(move || {
-                let mut w = Worker {
-                    shared,
-                    id,
-                    stats: RunStats::default(),
-                    rng,
-                    stack: Vec::new(),
-                    task_children: None,
-                };
-                if id == 0 {
-                    let root_state = shared.problem.root();
-                    w.stats.tasks_created += 1; // the root task
-                    let out = w.run_root_task(root_state, 0);
-                    shared.root.deliver(out);
-                }
-                w.steal_loop();
-                w.stats
-            }));
+    let per_worker = run_team(threads, |id| {
+        let mut w = Worker {
+            shared: &shared,
+            id,
+            stats: RunStats::default(),
+            rng: seeds[id].clone(),
+            stack: Vec::new(),
+            task_children: None,
+        };
+        if id == 0 {
+            let root_state = shared.problem.root();
+            w.stats.tasks_created += 1; // the root task
+            let out = w.run_root_task(root_state, 0);
+            shared.root.deliver(out);
         }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(id, h)| {
-                h.join()
-                    .map_err(|_| adaptivetc_core::SchedulerError::WorkerPanicked(id))
-            })
-            .collect::<Result<Vec<_>, _>>()
+        w.steal_loop();
+        w.stats
     })?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     let out = shared.root.take();
