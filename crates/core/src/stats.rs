@@ -116,11 +116,15 @@ pub struct RunStats {
     /// the copy. The field remains only because the repo benchmark
     /// (`benchmark/src/common.rs`) reads it (ROADMAP item 3(ii)).
     pub workspace_copies_saved: u64,
-    /// Frames taken from a worker's free list of retired frames instead of
-    /// being carved fresh from its slot's frame slab.
+    /// Frames taken from a worker's free list instead of being carved fresh
+    /// from its slot's frame slab. A frame is taken for every spawned child
+    /// — leaves and fake tasks included — and for the root and each
+    /// special task, so this can exceed `tasks_created`.
     pub frame_reuse: u64,
-    /// Workspace buffers recycled from a worker's state pool instead of
-    /// being allocated fresh.
+    /// Workspace copies made with `clone_from` over the buffer the child's
+    /// frame still held from an earlier incarnation, instead of a fresh
+    /// clone (`allocations`). Always 0 under `Mode::Cilk`, which drops a
+    /// freed frame's workspace.
     pub state_reuse: u64,
     /// Times an idle thief escalated its back-off (finished a spin round or
     /// yielded) during the steal loop.

@@ -8,7 +8,7 @@
 //!   pushes the parent continuation and copies the child's taskprivate
 //!   workspace.
 //! * [`Mode::CilkSynched`] — as Cilk, but workspace buffers are recycled
-//!   through a per-worker free list (the `SYNCHED` idiom: allocations drop,
+//!   with the frames that hold them (the `SYNCHED` idiom: allocations drop,
 //!   copies remain).
 //! * [`Mode::CutoffSequence`] / [`Mode::CutoffCopy`] — tasks only above a
 //!   fixed cut-off depth; below it, plain recursion. The *programmer*
@@ -43,44 +43,49 @@
 //! of the continuation's fields across a push: from its push to its
 //! successful pop the owner does not own them.
 //!
-//! # Hot-path object pools
+//! # Frames, the hot path's one pool
 //!
-//! Each worker privately recycles what the hot path would otherwise
-//! allocate per task:
-//!
-//! * **workspace buffers** — every mode except [`Mode::Cilk`] draws from a
-//!   [`Pool`] of dead buffers and overwrites them with `clone_from`;
-//!   `RunStats::state_reuse` counts the hits. Cilk does not pool (the
-//!   paper's `SYNCHED` is the mode that does), and a Table-1 workspace copy
-//!   allocates nothing anyway.
-//! * **frames** — come from the slot's [`FrameSlab`] on the slot board and
-//!   are named by [`FrameRef`]s, so no spawn touches a reference count. A
-//!   completed frame goes to the LIFO free list of whoever may reuse it —
-//!   the holder of one that never went asynchronous, at its sync;
-//!   otherwise whoever emptied its join cell — and the next spawn takes it
-//!   from there (`RunStats::frame_reuse`). The list is unbounded: it holds
-//!   handles into the slabs, which own the memory.
+//! Frames come from the slot's [`FrameSlab`] on the slot board and are
+//! named by [`FrameRef`]s, so no spawn touches a reference count. Every
+//! spawned child takes one — a leaf, a fake task and a special task's
+//! children too — as does the root and each special task. A completed
+//! frame goes to the LIFO free list of whoever may reuse it: the worker
+//! that ran a leaf or a fake task on it; the holder of a real task that
+//! never went asynchronous, at its sync; otherwise whoever emptied its join
+//! cell. The next spawn takes it from there (`RunStats::frame_reuse`). The
+//! list is unbounded: it holds handles into the slabs, which own the
+//! memory.
 //!
 //! # Taskprivate workspaces
 //!
 //! The paper's rule, in every mode: a workspace is cloned only when a
-//! real task is created, never for a fake task. A real task keeps its
-//! node's workspace in its frame (`Cont::state`) and gives every child
-//! it spawns a clone with the child's choice applied, so a thief that
-//! steals the continuation finds the workspace there and owes its victim
-//! nothing. A node that is not a real task runs
-//! its fake-task recursion (check, sequence, Cutoff-library's copying
-//! sequence) in place on the workspace it was handed. Every node enters
-//! through one [`Worker::exec_node`] and every task spawns through one
-//! [`Worker::frame_loop`]: the root task, a stolen continuation and a
-//! special task's children alike.
+//! real task is created, never for a fake task — plus, for
+//! Cutoff-library's copying sequence, once per node. A workspace has one
+//! home, its frame's slot (`Cont::state`), and one function clones it,
+//! [`Worker::spawn_frame`]: it takes the child's frame, clones the
+//! parent's workspace straight into the slot — with `clone_from` over the
+//! buffer a freed frame still holds — and applies the child's choice
+//! there, while the spawner still holds the parent. `Problem::expand`
+//! reads it there; a real task spawns its children from it, so a thief
+//! that steals the continuation finds the workspace in the frame and owes
+//! its victim nothing; a node that is not a real task runs its fake-task
+//! recursion (check, sequence, copying sequence) in place on it. Every
+//! node enters through one [`Worker::exec_node`] and every task spawns
+//! through one [`Worker::frame_loop`]: the root task, a stolen
+//! continuation and a special task's children alike.
+//!
+//! A freed frame keeps its workspace buffer for the next clone
+//! (`RunStats::state_reuse`), except under [`Mode::Cilk`], which drops it
+//! there: the paper's `SYNCHED` is the mode that recycles, so Cilk
+//! allocates every clone (a Table-1 workspace copy allocates nothing
+//! anyway). What the frames still hold dies with the run: each worker
+//! drops it from the frames on its free list as it retires.
 //!
 //! Every scheduling decision is the worker's [`Kernel`]'s
 //! (`adaptivetc-strategy`), the same code the simulator runs; this module
 //! is the mechanism around it: deques, frames, atomics and the clock.
 
 use crate::frame::{deliver, Frame, FrameRef, FrameSlab, Outcome, Parent, ResultCell};
-use crate::pool::Pool;
 use crate::submit::CancelToken;
 use crate::trace::{tev, worker_tracer, WorkerTracer};
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
@@ -91,11 +96,6 @@ use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Dead workspace buffers each worker's pool retains at most. Bounds the
-/// steady-state footprint while covering the spawn working set of every
-/// paper workload.
-const POOL_CAP: usize = 128;
 
 /// Failed steals after which a spinning thief starts yielding the CPU
 /// (2^6 = 64 spin-hint rounds of exponential back-off first).
@@ -245,27 +245,23 @@ pub(crate) fn lap(field: &mut u64, start: Option<Instant>) {
 }
 
 /// What a worker allocates for itself and a later run can use again: the
-/// vectors of its two free lists. Empty between runs — the vectors keep
-/// their capacity, nothing else is kept — so a run on a used scratch counts
-/// what a run on a fresh one counts. Frames are not kept here: they live on
-/// the slot board (see [`Slots`]).
+/// vector of its frame free list. Empty between runs — the vector keeps its
+/// capacity, nothing else is kept — so a run on a used scratch counts what
+/// a run on a fresh one counts. Frames, and the workspaces they hold, are
+/// not kept here: they live on the slot board (see [`Slots`]).
 pub(crate) struct Scratch<P: Problem> {
-    freelist: Pool<P::State>,
     frames: Vec<FrameRef<P>>,
 }
 
 impl<P: Problem> Default for Scratch<P> {
     fn default() -> Self {
-        Scratch {
-            freelist: Pool::new(POOL_CAP),
-            frames: Vec::new(),
-        }
+        Scratch { frames: Vec::new() }
     }
 }
 
 impl<P: Problem> Scratch<P> {
     pub(crate) fn is_empty(&self) -> bool {
-        self.freelist.is_empty() && self.frames.is_empty()
+        self.frames.is_empty()
     }
 }
 
@@ -276,11 +272,9 @@ pub(crate) struct Worker<'s, 'p, P: Problem> {
     /// This worker's scheduling decisions; private, so taking one never
     /// touches shared memory.
     kernel: Kernel,
-    /// Recycled workspace buffers (every mode except `Cilk`).
-    freelist: Pool<P::State>,
-    /// Frames this worker retired — at a sync that never went
-    /// asynchronous, or by emptying their join cell — from any slab of
-    /// the board.
+    /// Frames this worker freed — after a leaf or a fake task, at a sync
+    /// that never went asynchronous, or by emptying their join cell — from
+    /// any slab of the board.
     frames: Vec<FrameRef<P>>,
     /// What is left to carve of the slab chunk this worker took last.
     fresh: std::slice::Iter<'s, Frame<P>>,
@@ -298,34 +292,34 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         tr: WorkerTracer<'s>,
         scratch: &mut Scratch<P>,
     ) -> Self {
-        let Scratch { freelist, frames } = std::mem::take(scratch);
+        let Scratch { frames } = std::mem::take(scratch);
         Worker {
             kernel: Kernel::new(shared.mode, shared.cutoff, rng),
             shared,
             id,
             stats: RunStats::default(),
-            freelist,
             frames,
             fresh: [].iter(),
             tr,
         }
     }
 
-    /// The end of this worker's run: its counters, and its vectors back
-    /// into `scratch`. The pools die with the run — workspaces are dropped
-    /// here, frames stay in their slabs — so that `frame_reuse`,
-    /// `state_reuse` and `allocations` of the next run on this scratch are
-    /// a cold start's.
+    /// The end of this worker's run: its counters, and its vector back
+    /// into `scratch`. The free list dies with the run — its frames stay in
+    /// their slabs, the workspaces they kept are dropped here — so that
+    /// `frame_reuse`, `state_reuse` and `allocations` of the next run on
+    /// this scratch are a cold start's. Every frame of a finished run is on
+    /// the free list of one of its workers, so none keeps a workspace after
+    /// them all.
     fn retire(self, scratch: &mut Scratch<P>) -> RunStats {
         let Worker {
-            stats,
-            mut freelist,
-            mut frames,
-            ..
+            stats, mut frames, ..
         } = self;
-        freelist.clear();
-        frames.clear();
-        *scratch = Scratch { freelist, frames };
+        for frame in frames.drain(..) {
+            // SAFETY: a free frame is the worker's whose list holds it.
+            unsafe { frame.cont() }.state = None;
+        }
+        *scratch = Scratch { frames };
         stats
     }
 
@@ -357,66 +351,45 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         &self.shared.slots.signals[self.id]
     }
 
-    /// Does this mode recycle workspace buffers? `Cilk` stays
-    /// allocate-per-spawn (the paper's work-first baseline); every other
-    /// mode draws from the pool.
+    /// A free frame: the last one this worker freed, else a fresh one
+    /// carved from its slot's slab.
     #[inline]
-    fn pools_state(&self) -> bool {
-        self.shared.mode != Mode::Cilk
-    }
-
-    /// The paper's taskprivate copy: allocate (or recycle) and memcpy.
-    fn clone_state(&mut self, src: &P::State) -> P::State {
-        let t0 = now_if(self.shared.timing);
-        let state = if self.pools_state() {
-            match self.freelist.take() {
-                Some(mut buf) => {
-                    buf.clone_from(src);
-                    self.stats.state_reuse += 1;
-                    buf
-                }
-                None => {
-                    self.stats.allocations += 1;
-                    src.clone()
-                }
-            }
-        } else {
-            self.stats.allocations += 1;
-            src.clone()
-        };
-        self.stats.copies += 1;
-        self.stats.copy_bytes += self.problem().state_bytes(src) as u64;
-        lap(&mut self.stats.time.copy_ns, t0);
-        state
-    }
-
-    /// Return a dead workspace buffer to the free list.
-    fn recycle(&mut self, state: P::State) {
-        if self.pools_state() {
-            self.freelist.put(state);
-        }
-    }
-
-    /// A frame for a node whose continuation is about to run: the last one
-    /// this worker retired, else a fresh one carved from its slot's slab.
-    fn make_frame(
-        &mut self,
-        parent: Parent<P>,
-        state: Option<P::State>,
-        choices: Vec<P::Choice>,
-        logical: u32,
-        depth: u32,
-    ) -> FrameRef<P> {
-        let frame = match self.frames.pop() {
+    fn take_frame(&mut self) -> FrameRef<P> {
+        match self.frames.pop() {
             Some(frame) => {
                 self.stats.frame_reuse += 1;
                 frame
             }
             None => self.carve(),
+        }
+    }
+
+    /// The paper's taskprivate copy, and the engine's only workspace clone:
+    /// take the child's frame, clone `src` straight into its slot — over
+    /// the buffer a freed frame still holds, if any — and apply `choice`
+    /// there. The frame is this worker's, unpublished until its own push.
+    #[inline]
+    fn spawn_frame(&mut self, src: &P::State, choice: P::Choice) -> FrameRef<P> {
+        let frame = self.take_frame();
+        let t0 = now_if(self.shared.timing);
+        // SAFETY: a free slot — this worker freed it or carved it — that no
+        // other thread can reach before its first push.
+        let slot = &mut unsafe { frame.cont() }.state;
+        let state = match slot {
+            Some(buf) => {
+                buf.clone_from(src);
+                self.stats.state_reuse += 1;
+                buf
+            }
+            None => {
+                self.stats.allocations += 1;
+                slot.insert(src.clone())
+            }
         };
-        // SAFETY: a free slot — this worker retired it or carved it — that
-        // no other thread can reach before its first push.
-        unsafe { frame.start(parent, state, choices, logical, depth) };
+        self.stats.copies += 1;
+        self.stats.copy_bytes += self.problem().state_bytes(src) as u64;
+        lap(&mut self.stats.time.copy_ns, t0);
+        self.problem().apply(state, choice);
         frame
     }
 
@@ -434,17 +407,27 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         FrameRef::new(frame)
     }
 
-    /// Scrub a completed frame this worker owns and put it on its free
-    /// list: a frame whose sync never went asynchronous (its join cell is
-    /// untouched), or one whose join cell this worker emptied (`rearm`).
-    /// The workspace a real task's frame carries goes back to the
-    /// workspace pool.
+    /// Put a scrubbed frame this worker owns on its free list: one it ran
+    /// a leaf or a fake task on — never published, so never dirtied — or
+    /// one [`retire_frame`](Worker::retire_frame) scrubbed. Its workspace
+    /// stays in the slot for the next spawn's `clone_from`, except under
+    /// [`Mode::Cilk`], which allocates every clone afresh.
+    #[inline]
+    fn free_frame(&mut self, frame: FrameRef<P>) {
+        if self.shared.mode == Mode::Cilk {
+            // SAFETY: the caller owns the frame (see above).
+            unsafe { frame.cont() }.state = None;
+        }
+        // SAFETY: owned and scrubbed, as above.
+        self.frames.push(unsafe { frame.recycle() });
+    }
+
+    /// Scrub a completed frame this worker owns and free it: a frame whose
+    /// sync never went asynchronous (its join cell is untouched), or one
+    /// whose join cell this worker emptied (`rearm`).
     fn retire_frame(&mut self, frame: FrameRef<P>, rearm: bool) {
         // SAFETY: the caller owns the completed frame (see above).
         let (f, cont) = unsafe { (frame.get(), frame.cont()) };
-        if let Some(state) = cont.state.take() {
-            self.recycle(state);
-        }
         // Scrub every live reference so the idle slot keeps nothing
         // alive: the parent chain, the choices.
         cont.parent = Parent::None;
@@ -452,8 +435,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         if rearm {
             f.join.rearm();
         }
-        // SAFETY: owned and scrubbed, as above.
-        self.frames.push(unsafe { frame.recycle() });
+        self.free_frame(frame);
     }
 
     /// The sync of a continuation this worker holds. A frame that never
@@ -528,14 +510,18 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         claimed
     }
 
-    /// Execute a node on the workspace it owns — the root's, or the clone
-    /// its spawn made. A real task keeps the workspace in its frame and
-    /// spawns through [`Worker::frame_loop`]; any other node runs its
-    /// fake-task recursion in place on it. `parent` is called only if the
-    /// node gets a frame.
+    /// Execute a node on the frame its spawn took for it, whose slot holds
+    /// its workspace — the root's, or the clone the spawn made. A real task
+    /// with children to spawn runs its continuation on the frame through
+    /// [`Worker::frame_loop`]; any other node runs its fake-task recursion
+    /// in place on the slot's workspace, and a leaf or a dead end runs
+    /// nothing: each then frees the frame. `parent` is called only if the
+    /// node becomes a continuation. Always inlined: it is every spawn's
+    /// body, and as a call it cost Cilk a tenth of its time on Fib.
+    #[inline(always)]
     fn exec_node(
         &mut self,
-        mut state: P::State,
+        frame: FrameRef<P>,
         logical: u32,
         tdepth: u32,
         parent: impl FnOnce() -> Parent<P>,
@@ -543,23 +529,33 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     ) -> Outcome<P::Out> {
         if self.cancelled() {
             // Prune to an identity leaf so every join still completes.
-            self.recycle(state);
+            self.free_frame(frame);
             return Outcome::Done(P::Out::identity());
         }
         self.stats.nodes += 1;
-        let choices = match self.problem().expand(&state, logical) {
+        // SAFETY: the spawn took the frame for this node and has not
+        // published it; the borrow ends before the frame becomes a
+        // continuation or is freed.
+        let state = unsafe { frame.state() };
+        let choices = match self.problem().expand(state, logical) {
             Expansion::Leaf(out) => {
-                self.recycle(state);
+                self.free_frame(frame);
                 return Outcome::Done(out);
             }
             Expansion::Children(choices) => choices,
         };
         if self.kernel.real_task(tdepth, regime) {
-            let frame = self.make_frame(parent(), Some(state), choices, logical, tdepth);
+            if choices.is_empty() {
+                // A dead end: nothing to spawn, so no continuation.
+                self.free_frame(frame);
+                return Outcome::Done(P::Out::identity());
+            }
+            // SAFETY: as above; its first push publishes it.
+            unsafe { frame.restart(parent(), choices, logical, tdepth) };
             return self.frame_loop(frame, regime, false);
         }
         let out = match self.kernel.fallthrough(regime) {
-            Fallthrough::SequenceCopy => self.sequence_copy(&state, logical, choices),
+            Fallthrough::SequenceCopy => self.sequence_copy(state, logical, choices),
             Fallthrough::Check => {
                 tev!(
                     self,
@@ -570,7 +566,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                         depth: tdepth,
                     }
                 );
-                self.check(&mut state, logical, choices)
+                self.check(state, logical, choices)
             }
             Fallthrough::Sequence => {
                 // Cutoff-programmer's recursion is no FSM edge.
@@ -585,17 +581,18 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                         }
                     );
                 }
-                self.sequence(&mut state, logical, choices)
+                self.sequence(state, logical, choices)
             }
         };
-        self.recycle(state);
+        self.free_frame(frame);
         Outcome::Done(out)
     }
 
     /// Run a real task's continuation: spawn each remaining child as a task
-    /// with its own workspace clone, under `regime`. Stolen frames re-enter
-    /// here (the slow version "restores the program counter" — `cont.next`
-    /// — and continues) with `shared` set: their join cell is live.
+    /// on a frame of its own holding its workspace clone, under `regime`.
+    /// Stolen frames re-enter here (the slow version "restores the program
+    /// counter" — `cont.next` — and continues) with `shared` set: their
+    /// join cell is live.
     fn frame_loop(
         &mut self,
         frame: FrameRef<P>,
@@ -619,15 +616,15 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             // continuations that satisfy thieves without feeding them.
             let stealable = cont.next < cont.choices.len();
             let (logical, depth) = (cont.logical + 1, cont.depth + 1);
-            // Workspace copy for the spawned child (taskprivate).
+            // The child's taskprivate copy, into its frame, while this
+            // worker still holds the continuation.
             let src = cont.state.as_ref().expect("a real task owns its workspace");
-            let mut child_state = self.clone_state(src);
-            self.problem().apply(&mut child_state, choice);
+            let child = self.spawn_frame(src, choice);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth });
             let pushed = stealable && self.push_entry(frame, false);
             let parent = || Parent::Frame(frame);
-            let child = self.exec_node(child_state, logical, depth, parent, regime);
+            let child = self.exec_node(child, logical, depth, parent, regime);
             if pushed && !self.pop_back() {
                 // Continuation stolen: a thief now runs this frame's
                 // remaining children. A child that finished here spends
@@ -717,7 +714,8 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
 
     /// The Cutoff-library sequential region: recursion that still pays a
     /// workspace copy per child (the library cannot know the subtree is
-    /// sequential, so taskprivate semantics force the copy).
+    /// sequential, so taskprivate semantics force the copy), into a frame
+    /// of the child's own.
     fn sequence_copy(&mut self, state: &P::State, logical: u32, choices: Vec<P::Choice>) -> P::Out {
         if self.cancelled() {
             return P::Out::identity();
@@ -726,14 +724,15 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         tev!(self, Fake, Ev::FakeTask { depth: logical });
         let mut acc = P::Out::identity();
         for c in choices {
-            let mut child = self.clone_state(state);
-            self.problem().apply(&mut child, c);
+            let frame = self.spawn_frame(state, c);
+            // SAFETY: this worker's, never published.
+            let child = unsafe { frame.state() };
             self.stats.nodes += 1;
-            match self.problem().expand(&child, logical + 1) {
+            match self.problem().expand(child, logical + 1) {
                 Expansion::Leaf(out) => acc.combine(out),
-                Expansion::Children(cs) => acc.combine(self.sequence_copy(&child, logical + 1, cs)),
+                Expansion::Children(cs) => acc.combine(self.sequence_copy(child, logical + 1, cs)),
             }
-            self.recycle(child);
+            self.free_frame(frame);
         }
         acc
     }
@@ -779,7 +778,10 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// Transition from fake tasks back to tasks: create a special task, run
     /// every child through the fast_2 version with its task depth reset to
     /// 0, and wait for stolen children at the end (`sync_specialtask`) —
-    /// stealing meanwhile, as the kernel's [`SpecialWait`] says.
+    /// stealing meanwhile, as the kernel's [`SpecialWait`] says. Kept out
+    /// of line: it runs only when `need_task` is up, and inlined it made
+    /// the check version six times larger.
+    #[inline(never)]
     fn special_section(
         &mut self,
         state: &P::State,
@@ -802,13 +804,9 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
             }
         );
         let waiter = Arc::new(ResultCell::new());
-        let special = self.make_frame(
-            Parent::Cell(Arc::clone(&waiter)),
-            None,
-            Vec::new(),
-            logical,
-            0,
-        );
+        let special = self.take_frame();
+        // SAFETY: a free slot, unpublished until the first push below.
+        unsafe { special.restart(Parent::Cell(Arc::clone(&waiter)), Vec::new(), logical, 0) };
         // The special task's continuation never leaves this worker (thieves
         // take the entry above a special one), so it joins on the stack.
         let mut acc = P::Out::identity();
@@ -820,9 +818,9 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
                 // resolves.
                 break;
             }
-            // A special task's child is a real task: it gets its own clone.
-            let mut child = self.clone_state(state);
-            self.problem().apply(&mut child, c);
+            // A special task's child is a real task: it gets its own clone,
+            // from the fake task's workspace.
+            let child = self.spawn_frame(state, c);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth: 0 });
             let pushed = self.push_entry(special, true);
@@ -1018,11 +1016,14 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
 ) -> RunStats {
     let mut w = Worker::new(shared, slot, rng, tr, scratch);
     if lead {
-        let root_state = shared.problem.get().root();
+        // The root workspace enters as a spawned one does: in a frame.
+        let frame = w.take_frame();
+        // SAFETY: a free slot, unpublished.
+        unsafe { frame.cont() }.state = Some(shared.problem.get().root());
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
         let parent = || Parent::Cell(Arc::clone(&shared.root));
-        let root = w.exec_node(root_state, 0, 0, parent, Regime::Fast);
+        let root = w.exec_node(frame, 0, 0, parent, Regime::Fast);
         if let Outcome::Done(out) = root {
             shared.root.deliver(out);
         }

@@ -151,8 +151,13 @@ pub(crate) enum Outcome<O> {
 /// worker currently running the continuation — may touch.
 pub(crate) struct Cont<P: Problem> {
     pub parent: Parent<P>,
-    /// The node's taskprivate workspace (children get clones). `None` for
-    /// special tasks, whose children clone the fake task's workspace.
+    /// The slot's workspace, its one home: a spawn clones the parent's
+    /// straight into the child's frame, the node expands and recurses on
+    /// it there, and a real task's children are cloned from it. A special
+    /// task uses none — its children clone the fake task's. A freed frame
+    /// keeps its buffer for the next spawn's `clone_from`, except under
+    /// `Mode::Cilk`, which drops it; each worker drops what the frames on
+    /// its free list kept as it retires, so no workspace outlives its run.
     pub state: Option<P::State>,
     /// Choices at this node, in order.
     pub choices: Vec<P::Choice>,
@@ -289,30 +294,43 @@ impl<P: Problem> FrameRef<P> {
         unsafe { &mut *self.get().cont.get() }
     }
 
-    /// Write the continuation of a new incarnation.
+    /// The workspace in the frame's slot.
+    ///
+    /// # Safety
+    ///
+    /// As for [`cont`](FrameRef::cont); and the slot holds a workspace:
+    /// the frame was taken for a spawned node, or is a real task's.
+    #[allow(clippy::mut_from_ref)] // as for `cont`
+    pub(crate) unsafe fn state(&self) -> &mut P::State {
+        // SAFETY: the caller's contract, as above.
+        unsafe { self.cont() }
+            .state
+            .as_mut()
+            .expect("a spawned frame holds its workspace")
+    }
+
+    /// Make a spawned node's frame its continuation: every field but the
+    /// workspace, which the spawn already cloned into the slot.
     ///
     /// # Safety
     ///
     /// The slot is free — carved fresh from a slab, or taken from this
     /// worker's free list — and not yet published to any other thread.
-    pub(crate) unsafe fn start(
+    pub(crate) unsafe fn restart(
         &self,
         parent: Parent<P>,
-        state: Option<P::State>,
         choices: Vec<P::Choice>,
         logical: u32,
         depth: u32,
     ) {
         // SAFETY: a free slot is its taker's alone (contract above).
-        *unsafe { self.cont() } = Cont {
-            parent,
-            state,
-            choices,
-            next: 0,
-            acc: P::Out::identity(),
-            depth,
-            logical,
-        };
+        let cont = unsafe { self.cont() };
+        cont.parent = parent;
+        cont.choices = choices;
+        cont.next = 0;
+        cont.acc = P::Out::identity();
+        cont.depth = depth;
+        cont.logical = logical;
     }
 
     /// End this incarnation. The returned handle names the slot's next
@@ -386,7 +404,8 @@ impl<P: Problem> FrameSlab<P> {
     }
 
     /// Hand every chunk out afresh. `&mut`: no handle into the slab is in
-    /// use, so every frame carved from it has been retired and scrubbed.
+    /// use, so every frame carved from it has been retired and scrubbed,
+    /// and the workers that freed them dropped the workspaces they kept.
     /// Debug builds check that, and make every handle of the run stale.
     pub(crate) fn rewind(&mut self) {
         let chunks = self.chunks.get_mut();
@@ -398,7 +417,7 @@ impl<P: Problem> FrameSlab<P> {
                 let cont = unsafe { &*frame.cont.get() };
                 assert!(
                     matches!(cont.parent, Parent::None) && cont.state.is_none(),
-                    "frame slab rewound with a frame still in use"
+                    "frame slab rewound with a frame still in use or a workspace kept"
                 );
                 // Relaxed: `&mut self`, as above.
                 frame.generation.fetch_add(1, Ordering::Relaxed);
@@ -487,7 +506,8 @@ mod tests {
     fn stolen(frame: FrameRef<Nop>, parent: Parent<Nop>) -> FrameRef<Nop> {
         // SAFETY: a freshly carved slot, unpublished; then its holder.
         unsafe {
-            frame.start(parent, Some(()), vec![0], 0, 0);
+            frame.cont().state = Some(());
+            frame.restart(parent, vec![0], 0, 0);
             frame.get().join.add_in_flight();
         }
         frame
@@ -595,7 +615,7 @@ mod tests {
         let again = retired.pop().expect("retired");
         assert_eq!(again.ptr, f.ptr);
         // SAFETY: a retired slot, unpublished; then its holder.
-        unsafe { again.start(Parent::None, None, Vec::new(), 0, 0) };
+        unsafe { again.restart(Parent::None, Vec::new(), 0, 0) };
         assert_eq!(release(again, 5), Some(5));
     }
 

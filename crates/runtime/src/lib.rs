@@ -47,7 +47,6 @@
 mod engine;
 mod frame;
 mod join;
-pub mod pool;
 pub mod server;
 pub mod submit;
 pub(crate) mod sync;

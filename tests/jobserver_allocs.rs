@@ -6,8 +6,8 @@
 //! the thread that leads it, what its tree allocates — what one
 //! `serial::run` of it does — plus the one thing a job must have of its
 //! own, `RunReport::per_worker`, plus the workspace clones its real tasks
-//! allocate (`RunStats::allocations`: the workspace pool dies with each
-//! run, so a warm job allocates these too). The submitting side pays three allocations
+//! allocate (`RunStats::allocations`: the workspaces its frames keep die
+//! with each run, so a warm job allocates these too). The submitting side pays three allocations
 //! a job — building a `Fig1Tree` allocates nothing — and the lead's share
 //! of every job it leads itself. This binary holds one test, so nothing
 //! else allocates while it counts.

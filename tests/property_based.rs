@@ -6,6 +6,8 @@ use adaptivetc_suite::runtime::Scheduler;
 use adaptivetc_suite::sim::{simulate, CostModel, Policy, SimTree};
 use adaptivetc_suite::workloads::tree::UnbalancedTree;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A tree defined by explicit child lists (generated by proptest).
 #[derive(Debug, Clone)]
@@ -71,6 +73,70 @@ impl Problem for PathHashTree {
     }
     fn undo(&self, path: &mut Vec<u32>, _c: u32) {
         path.pop();
+    }
+}
+
+/// `P`, whose workspaces count their clones: `clone` and `clone_from` each
+/// bump `clones`, so a run's count can be held against
+/// `RunStats::copies` — a clone the engine makes without counting it, or
+/// counts without making it, shows.
+struct CountClones<P> {
+    inner: P,
+    clones: Arc<AtomicU64>,
+}
+
+impl<P> CountClones<P> {
+    fn new(inner: P) -> Self {
+        CountClones {
+            inner,
+            clones: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// The clones since the last call.
+    fn take(&self) -> u64 {
+        self.clones.swap(0, Ordering::SeqCst)
+    }
+}
+
+struct Tallied<S> {
+    state: S,
+    clones: Arc<AtomicU64>,
+}
+
+impl<S: Clone> Clone for Tallied<S> {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        Tallied {
+            state: self.state.clone(),
+            clones: Arc::clone(&self.clones),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        self.state.clone_from(&src.state);
+    }
+}
+
+impl<P: Problem> Problem for CountClones<P> {
+    type State = Tallied<P::State>;
+    type Choice = P::Choice;
+    type Out = P::Out;
+    fn root(&self) -> Self::State {
+        Tallied {
+            state: self.inner.root(),
+            clones: Arc::clone(&self.clones),
+        }
+    }
+    fn expand(&self, st: &Self::State, depth: u32) -> Expansion<P::Choice, P::Out> {
+        self.inner.expand(&st.state, depth)
+    }
+    fn apply(&self, st: &mut Self::State, c: P::Choice) {
+        self.inner.apply(&mut st.state, c);
+    }
+    fn undo(&self, st: &mut Self::State, c: P::Choice) {
+        self.inner.undo(&mut st.state, c);
     }
 }
 
@@ -162,8 +228,10 @@ proptest! {
         // for a fake task, under every deque-based scheduler and whatever
         // the thieves do. Cutoff-library's copying sequence clones for
         // every node below the cut-off as well: one per node but the root.
-        let tree = PathHashTree { children: tree.children };
-        let (expected, sref) = serial::run(&tree);
+        // The workspace counts its clones, and the engine must make
+        // exactly the copies it reports: no hidden clone.
+        let tree = CountClones::new(PathHashTree { children: tree.children });
+        let (expected, sref) = serial::run(&tree.inner);
         let cfg = Config::new(threads).cutoff(CutoffPolicy::Auto).seed(seed);
         for scheduler in [
             Scheduler::Cilk,
@@ -175,6 +243,7 @@ proptest! {
             let (got, report) = scheduler.run(&tree, &cfg).expect("scheduler runs");
             prop_assert_eq!(got, expected, "{} with {} threads", scheduler, threads);
             let s = &report.stats;
+            prop_assert_eq!(tree.take(), s.copies, "{} with {} threads", scheduler, threads);
             prop_assert_eq!(s.nodes, sref.nodes, "{}", scheduler);
             // `tasks_created` counts the root task, which owns the root
             // workspace outright: spawns are one fewer.
@@ -227,10 +296,8 @@ proptest! {
         threads in 1usize..4,
         seed in 0u64..100,
     ) {
-        // The hot-path pool and back-off counters obey exact accounting on
-        // any tree, any scheduler, any thread count. The pool's bound
-        // itself is model-checked in crates/runtime/tests/pool_model.rs;
-        // here we pin the engine-side ledger built on top of it.
+        // The hot-path reuse and back-off counters obey exact accounting
+        // on any tree, any scheduler, any thread count.
         for scheduler in [
             Scheduler::Cilk,
             Scheduler::CilkSynched,
@@ -240,8 +307,8 @@ proptest! {
             let cfg = Config::new(threads).cutoff(CutoffPolicy::Auto).seed(seed);
             let (_, report) = scheduler.run(&tree, &cfg).expect("scheduler runs");
             let s = &report.stats;
-            // Every taskprivate copy either recycled a pooled buffer or
-            // allocated a fresh one — reuse can never exceed the copies
+            // Every taskprivate copy either overwrote the buffer its frame
+            // still held or allocated a fresh one — reuse can never exceed the copies
             // (the "never more reuses than spawns" direction), and the
             // two sources partition them exactly.
             prop_assert_eq!(
@@ -249,10 +316,11 @@ proptest! {
                 "{}: state copies not partitioned into reuse + alloc", scheduler
             );
             prop_assert!(s.state_reuse <= s.copies, "{}", scheduler);
-            // A frame is (re)made at most once per expanded node.
+            // A frame is taken once per spawned node, the root included,
+            // and once per special task; the first ones are carved.
             prop_assert!(
-                s.frame_reuse <= s.nodes,
-                "{}: more frame reuses than nodes expanded", scheduler
+                s.frame_reuse <= s.tasks_created + s.special_tasks,
+                "{}: more frame reuses than frames taken", scheduler
             );
             // A back-off step follows a failed steal, and on the deque
             // engines only one that finds the victim's `need_task` up: the
