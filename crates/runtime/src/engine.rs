@@ -53,8 +53,10 @@
 //! that ran a leaf or a fake task on it; the holder of a real task that
 //! never went asynchronous, at its sync; otherwise whoever emptied its join
 //! cell. The next spawn takes it from there (`RunStats::frame_reuse`). The
-//! list is unbounded: it holds handles into the slabs, which own the
-//! memory.
+//! list is a link through the free frames themselves (`Cont::next_free`),
+//! headed by the worker: freeing or taking a frame writes one field of a
+//! frame the spawn touches anyway, and the list allocates nothing and
+//! needs no room of its own that could outlive a run.
 //!
 //! # Taskprivate workspaces
 //!
@@ -127,8 +129,10 @@ impl<P> ProblemRef<'_, P> {
     }
 }
 
-/// A region's slot board: per worker slot, its deque, its `need_task`
-/// signal and the slab its frames come from.
+/// A run's slot board, and all a run leaves behind: per worker slot, its
+/// deque, its `need_task` signal and the slab its frames come from; and
+/// the root cell. A job-server thread keeps one from job to job (see
+/// `crate::server`).
 pub(crate) struct Slots<P: Problem> {
     deques: Vec<Deque<P>>,
     /// Padded: a thief hammering one worker's signal must not invalidate
@@ -137,11 +141,14 @@ pub(crate) struct Slots<P: Problem> {
     /// Frame memory, on the board rather than with the worker: a joiner
     /// may abandon its slot while its frames still run elsewhere.
     slabs: Vec<FrameSlab<P>>,
+    /// Where the root task's total lands, and what every steal loop of
+    /// the run watches.
+    root: Arc<ResultCell<P::Out>>,
 }
 
 impl<P: Problem> Slots<P> {
     /// A fresh board of `slots` slots: deques at `cfg.deque_capacity`,
-    /// signals at `cfg.max_stolen_num`, slabs empty.
+    /// signals at `cfg.max_stolen_num`, slabs empty, the root cell armed.
     pub(crate) fn new(cfg: &Config, slots: usize) -> Self {
         Slots {
             deques: (0..slots).map(|_| Deque::new(cfg.deque_capacity)).collect(),
@@ -149,6 +156,7 @@ impl<P: Problem> Slots<P> {
                 .map(|_| CachePadded::new(NeedTask::new(cfg.max_stolen_num)))
                 .collect(),
             slabs: (0..slots).map(|_| FrameSlab::new()).collect(),
+            root: Arc::new(ResultCell::new()),
         }
     }
 
@@ -156,25 +164,36 @@ impl<P: Problem> Slots<P> {
         self.deques.len()
     }
 
-    /// After a run, with every participant gone: lower what thieves may
-    /// rightly have left raised — a `need_task` request nobody answered —
-    /// rewind the slabs so the next run carves their frames afresh, and
-    /// report whether every deque is empty, as the join implies.
+    /// Whether a job under `cfg` on `slots` slots may run on this board:
+    /// the key a kept board is leased on (with its problem type).
+    pub(crate) fn fits(&self, cfg: &Config, slots: usize) -> bool {
+        self.len() == slots
+            && self.deques[0].capacity() == cfg.deque_capacity
+            && self.signals[0].max_stolen_num() == cfg.max_stolen_num
+    }
+
+    /// After a run, with every participant gone and the root's result
+    /// taken: lower what thieves may rightly have left raised — a
+    /// `need_task` request nobody answered — rewind the slabs so the next
+    /// run carves their frames afresh, rearm the root cell, and report
+    /// whether the board is now as a fresh one, as the join implies: every
+    /// deque empty, the root cell empty and referenced by nobody else, and
+    /// (checked in debug builds) every frame scrubbed.
     pub(crate) fn settle(&mut self) -> bool {
         for signal in &self.signals {
             signal.acknowledge();
         }
+        let mut fresh = Arc::get_mut(&mut self.root).is_some_and(ResultCell::rearm);
         for slab in &mut self.slabs {
-            slab.rewind();
+            fresh &= slab.rewind();
         }
-        self.deques.iter().all(Deque::is_empty)
+        fresh && self.deques.iter().all(Deque::is_empty)
     }
 }
 
 pub(crate) struct Shared<'p, P: Problem> {
     pub(crate) problem: ProblemRef<'p, P>,
     slots: Slots<P>,
-    pub(crate) root: Arc<ResultCell<P::Out>>,
     mode: Mode,
     cutoff: u32,
     timing: bool,
@@ -186,10 +205,10 @@ pub(crate) struct Shared<'p, P: Problem> {
 }
 
 impl<'p, P: Problem> Shared<'p, P> {
-    /// Build the engine's shared state on a slot board and a root cell —
-    /// fresh ones, or those a pool worker keeps from job to job (see
-    /// `crate::server`), which must be as a fresh one is: deques empty,
-    /// signals down, the cell armed.
+    /// Build the engine's shared state on a slot board — a fresh one, or
+    /// one a job-server thread keeps from job to job (see `crate::server`),
+    /// which must be as a fresh one is: deques empty, signals down, the
+    /// root cell armed.
     ///
     /// There may be fewer slots than `cfg.threads` (a server job clamped
     /// to the pool size); the cut-off still derives from `cfg.threads`, so
@@ -200,13 +219,11 @@ impl<'p, P: Problem> Shared<'p, P> {
         cfg: &Config,
         mode: Mode,
         slots: Slots<P>,
-        root: Arc<ResultCell<P::Out>>,
         cancel: Option<CancelToken>,
     ) -> Self {
         Shared {
             problem,
             slots,
-            root,
             mode,
             cutoff: cfg.cutoff_depth(),
             timing: cfg.timing,
@@ -214,15 +231,20 @@ impl<'p, P: Problem> Shared<'p, P> {
         }
     }
 
-    /// Release the region — the problem reference, the root cell — and
-    /// hand back its slot board (for a pool worker's lease).
+    /// The run's root cell, on its board.
+    pub(crate) fn root(&self) -> &ResultCell<P::Out> {
+        &self.slots.root
+    }
+
+    /// Let go of the problem reference and hand back the slot board.
     pub(crate) fn into_slots(self) -> Slots<P> {
         self.slots
     }
 
     /// The per-slot deterministic RNG streams `cfg.seed` expands to, slot
-    /// 0 first — shared by [`run_traced`] and the job server so a job's slot
-    /// `i` sees exactly the stream worker `i` of a solo run would.
+    /// 0 first — shared by [`run_traced`], the job server and
+    /// [`crate::tascell::run`], so a job's slot `i` sees exactly the stream
+    /// worker `i` of a solo run would.
     pub(crate) fn seeds(cfg: &Config) -> impl Iterator<Item = XorShift64> {
         let mut seeder = XorShift64::new(cfg.seed);
         std::iter::repeat_with(move || seeder.split())
@@ -244,27 +266,6 @@ pub(crate) fn lap(field: &mut u64, start: Option<Instant>) {
     }
 }
 
-/// What a worker allocates for itself and a later run can use again: the
-/// vector of its frame free list. Empty between runs — the vector keeps its
-/// capacity, nothing else is kept — so a run on a used scratch counts what
-/// a run on a fresh one counts. Frames, and the workspaces they hold, are
-/// not kept here: they live on the slot board (see [`Slots`]).
-pub(crate) struct Scratch<P: Problem> {
-    frames: Vec<FrameRef<P>>,
-}
-
-impl<P: Problem> Default for Scratch<P> {
-    fn default() -> Self {
-        Scratch { frames: Vec::new() }
-    }
-}
-
-impl<P: Problem> Scratch<P> {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-}
-
 pub(crate) struct Worker<'s, 'p, P: Problem> {
     shared: &'s Shared<'p, P>,
     id: usize,
@@ -272,10 +273,11 @@ pub(crate) struct Worker<'s, 'p, P: Problem> {
     /// This worker's scheduling decisions; private, so taking one never
     /// touches shared memory.
     kernel: Kernel,
-    /// Frames this worker freed — after a leaf or a fake task, at a sync
-    /// that never went asynchronous, or by emptying their join cell — from
-    /// any slab of the board.
-    frames: Vec<FrameRef<P>>,
+    /// The head of this worker's free list, linked through the frames'
+    /// `Cont::next_free`: the frames it freed — after a leaf or a fake
+    /// task, at a sync that never went asynchronous, or by emptying their
+    /// join cell — from any slab of the board, the last one first.
+    free: Option<FrameRef<P>>,
     /// What is left to carve of the slab chunk this worker took last.
     fresh: std::slice::Iter<'s, Frame<P>>,
     /// Event-trace recording endpoint (`None` when `Config::trace` is
@@ -284,43 +286,33 @@ pub(crate) struct Worker<'s, 'p, P: Problem> {
 }
 
 impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
-    /// A worker on `scratch`'s vectors; [`Worker::retire`] puts them back.
-    fn new(
-        shared: &'s Shared<'p, P>,
-        id: usize,
-        rng: XorShift64,
-        tr: WorkerTracer<'s>,
-        scratch: &mut Scratch<P>,
-    ) -> Self {
-        let Scratch { frames } = std::mem::take(scratch);
+    fn new(shared: &'s Shared<'p, P>, id: usize, rng: XorShift64, tr: WorkerTracer<'s>) -> Self {
         Worker {
             kernel: Kernel::new(shared.mode, shared.cutoff, rng),
             shared,
             id,
             stats: RunStats::default(),
-            frames,
+            free: None,
             fresh: [].iter(),
             tr,
         }
     }
 
-    /// The end of this worker's run: its counters, and its vector back
-    /// into `scratch`. The free list dies with the run — its frames stay in
-    /// their slabs, the workspaces they kept are dropped here — so that
-    /// `frame_reuse`, `state_reuse` and `allocations` of the next run on
-    /// this scratch are a cold start's. Every frame of a finished run is on
-    /// the free list of one of its workers, so none keeps a workspace after
-    /// them all.
-    fn retire(self, scratch: &mut Scratch<P>) -> RunStats {
-        let Worker {
-            stats, mut frames, ..
-        } = self;
-        for frame in frames.drain(..) {
+    /// The end of this worker's run: its counters. The free list dies with
+    /// the run — its frames stay in their slabs; the workspaces they kept
+    /// are dropped and the links cut here — so that `frame_reuse`,
+    /// `state_reuse` and `allocations` of the next run on the board are a
+    /// cold start's. Every frame of a finished run is on the free list of
+    /// one of its workers, so none keeps a workspace after them all.
+    fn retire(self) -> RunStats {
+        let mut next = self.free;
+        while let Some(frame) = next {
             // SAFETY: a free frame is the worker's whose list holds it.
-            unsafe { frame.cont() }.state = None;
+            let cont = unsafe { frame.cont() };
+            cont.state = None;
+            next = cont.next_free.take();
         }
-        *scratch = Scratch { frames };
-        stats
+        self.stats
     }
 
     #[inline]
@@ -355,8 +347,10 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// carved from its slot's slab.
     #[inline]
     fn take_frame(&mut self) -> FrameRef<P> {
-        match self.frames.pop() {
+        match self.free {
             Some(frame) => {
+                // SAFETY: a free frame is the worker's whose list holds it.
+                self.free = unsafe { frame.cont() }.next_free.take();
                 self.stats.frame_reuse += 1;
                 frame
             }
@@ -414,12 +408,14 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     /// [`Mode::Cilk`], which allocates every clone afresh.
     #[inline]
     fn free_frame(&mut self, frame: FrameRef<P>) {
+        // SAFETY: the caller owns the frame (see above).
+        let cont = unsafe { frame.cont() };
         if self.shared.mode == Mode::Cilk {
-            // SAFETY: the caller owns the frame (see above).
-            unsafe { frame.cont() }.state = None;
+            cont.state = None;
         }
+        cont.next_free = self.free;
         // SAFETY: owned and scrubbed, as above.
-        self.frames.push(unsafe { frame.recycle() });
+        self.free = Some(unsafe { frame.recycle() });
     }
 
     /// Scrub a completed frame this worker owns and free it: a frame whose
@@ -909,7 +905,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         }
         // A help loop runs exactly while the kernel says the worker helps:
         // stolen work never opens a second one.
-        let helps = !std::ptr::eq(until, &*self.shared.root);
+        let helps = !std::ptr::eq(until, self.shared.root());
         debug_assert_eq!(self.kernel.helping(), helps, "help loops nest");
         let mut idle_since = now_if(self.shared.timing);
         let mut backoff = 0u32;
@@ -1003,8 +999,7 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
 /// fires, see [`Worker::steal_loop`]). This is the body both [`run_traced`]
 /// workers and `JobServer` participants execute — keeping them the same
 /// code path is what makes a single-slot server job bit-identical in
-/// counters to a solo single-thread run. `scratch` is the worker's to use
-/// for the run and comes back empty (see [`Scratch`]).
+/// counters to a solo single-thread run.
 pub(crate) fn participate<'s, 'p, P: Problem>(
     shared: &'s Shared<'p, P>,
     slot: usize,
@@ -1012,9 +1007,8 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
     tr: WorkerTracer<'s>,
     lead: bool,
     abandon: Option<&dyn Fn() -> bool>,
-    scratch: &mut Scratch<P>,
 ) -> RunStats {
-    let mut w = Worker::new(shared, slot, rng, tr, scratch);
+    let mut w = Worker::new(shared, slot, rng, tr);
     if lead {
         // The root workspace enters as a spawned one does: in a frame.
         let frame = w.take_frame();
@@ -1022,14 +1016,14 @@ pub(crate) fn participate<'s, 'p, P: Problem>(
         unsafe { frame.cont() }.state = Some(shared.problem.get().root());
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
-        let parent = || Parent::Cell(Arc::clone(&shared.root));
+        let parent = || Parent::Cell(Arc::clone(&shared.slots.root));
         let root = w.exec_node(frame, 0, 0, parent, Regime::Fast);
         if let Outcome::Done(out) = root {
-            shared.root.deliver(out);
+            shared.root().deliver(out);
         }
     }
-    w.steal_loop(&shared.root, abandon);
-    w.retire(scratch)
+    w.steal_loop(shared.root(), abandon);
+    w.retire()
 }
 
 /// Run a team of `threads` workers, `body(slot)` each, and collect what
@@ -1101,7 +1095,6 @@ pub fn run_traced<P: Problem>(
         cfg,
         mode,
         Slots::new(cfg, threads),
-        Arc::new(ResultCell::new()),
         None,
     );
     let seeds: Vec<XorShift64> = Shared::<P>::seeds(cfg).take(threads).collect();
@@ -1109,11 +1102,16 @@ pub fn run_traced<P: Problem>(
     let start = Instant::now();
     let per_worker = run_team(threads, |id| {
         let tr = worker_tracer(collector.as_ref(), id);
-        let scratch = &mut Scratch::default();
-        participate(&shared, id, seeds[id].clone(), tr, id == 0, None, scratch)
+        participate(&shared, id, seeds[id].clone(), tr, id == 0, None)
     })?;
     let wall_ns = start.elapsed().as_nanos() as u64;
-    let out = shared.root.take();
+    let out = shared.root().take();
+    // Every run is a leak check: nothing it made may outlive it.
+    let mut board = shared.into_slots();
+    debug_assert!(
+        board.settle(),
+        "the run left a deque entry, a frame in use, a kept workspace or its root cell behind"
+    );
     let report = RunReport::from_workers(per_worker, wall_ns);
     Ok((out, report, collector.map(|c| c.finish())))
 }
@@ -1152,5 +1150,63 @@ mod tests {
         let frame = FrameRef::new(&board.slabs[0].chunk()[0]);
         board.deques[1].push(frame).expect("room for one");
         assert!(!board.settle(), "an entry is left in a deque");
+        assert!(board.deques[1].pop().is_some());
+        assert!(board.settle(), "emptied again");
+
+        board.root.deliver(7);
+        assert!(!board.settle(), "a result is left in the root cell");
+        assert_eq!(board.root.take(), 7);
+        let held = Arc::clone(&board.root);
+        assert!(!board.settle(), "the root cell is still referenced");
+        drop(held);
+        assert!(board.settle(), "as a fresh board again");
+        assert!(board.fits(&cfg, 2));
+        assert!(!board.fits(&cfg, 1));
+        assert!(!board.fits(&cfg.clone().deque_capacity(8), 2));
+        assert!(!board.fits(&cfg.clone().max_stolen_num(2), 2));
+    }
+
+    /// A one-thread Cilk run's worker: the frames it frees come back last
+    /// in, first out, linked through themselves, each without the
+    /// workspace it held; then fresh ones are carved. Its retirement cuts
+    /// the links, and the board settles as a fresh one.
+    #[test]
+    fn a_freed_frame_is_taken_back_last_in_first_out() {
+        let cfg = Config::new(1);
+        let shared = Shared::new(
+            ProblemRef::Borrowed(&Leaf),
+            &cfg,
+            Mode::Cilk,
+            Slots::new(&cfg, 1),
+            None,
+        );
+        let mut w = Worker::new(&shared, 0, XorShift64::new(1), None);
+        // SAFETY: the worker's frame, unpublished, named by the handle of
+        // its current incarnation — as at every dereference below.
+        let slot = |frame: FrameRef<Leaf>| unsafe { frame.get() } as *const Frame<Leaf>;
+        let taken: Vec<_> = (0..3).map(|_| w.take_frame()).collect();
+        let slots: Vec<_> = taken.iter().map(|&f| slot(f)).collect();
+        assert_eq!(w.stats.frame_reuse, 0, "all carved");
+        for frame in taken {
+            // SAFETY: as above.
+            unsafe { frame.cont() }.state = Some(());
+            w.free_frame(frame);
+        }
+        let back: Vec<_> = slots.iter().map(|_| w.take_frame()).collect();
+        for (&frame, &want) in back.iter().zip(slots.iter().rev()) {
+            assert_eq!(slot(frame), want);
+            // SAFETY: as above.
+            let cont = unsafe { frame.cont() };
+            assert!(cont.state.is_none(), "Cilk drops a freed workspace");
+            assert!(cont.next_free.is_none(), "taken off the list");
+        }
+        assert_eq!(w.stats.frame_reuse, 3);
+        let fresh = w.take_frame();
+        assert!(!slots.contains(&slot(fresh)), "carved");
+        for frame in back.into_iter().chain([fresh]) {
+            w.free_frame(frame);
+        }
+        assert_eq!(w.retire().frame_reuse, 3);
+        assert!(shared.into_slots().settle());
     }
 }

@@ -59,8 +59,8 @@ const CHUNK_FRAMES: usize = 32;
 /// sleeps on the condition variable, so a delivery nobody sleeps on makes
 /// no futex call — workers poll [`is_done`](ResultCell::is_done) between
 /// steals, and whoever collects a root result does so after it saw it done
-/// or joined the workers. Reusable: a job-server region keeps one root
-/// cell for all the jobs its pool worker leads.
+/// or joined the workers. Reusable: a slot board keeps one root cell for
+/// every run on it, rearmed as the board settles.
 #[derive(Debug)]
 pub(crate) struct ResultCell<O> {
     slot: Mutex<Option<O>>,
@@ -171,6 +171,11 @@ pub(crate) struct Cont<P: Problem> {
     /// Logical depth of the node in the problem tree (always root-relative;
     /// passed to `Problem::expand`).
     pub logical: u32,
+    /// A free frame's link to the next one on its worker's free list, the
+    /// frame that worker freed before it (last in, first out). `None` on a
+    /// frame in use and on the last free one; a worker's retirement cuts
+    /// every link as it walks its list.
+    pub next_free: Option<FrameRef<P>>,
 }
 
 /// A task continuation in a slab slot.
@@ -205,6 +210,7 @@ impl<P: Problem> Frame<P> {
                 acc: P::Out::identity(),
                 depth: 0,
                 logical: 0,
+                next_free: None,
             }),
             join: JoinCell::new(),
             #[cfg(debug_assertions)]
@@ -404,26 +410,30 @@ impl<P: Problem> FrameSlab<P> {
     }
 
     /// Hand every chunk out afresh. `&mut`: no handle into the slab is in
-    /// use, so every frame carved from it has been retired and scrubbed,
-    /// and the workers that freed them dropped the workspaces they kept.
-    /// Debug builds check that, and make every handle of the run stale.
-    pub(crate) fn rewind(&mut self) {
+    /// use, so every frame carved from it should have been retired and
+    /// scrubbed, its workspace dropped and its free-list link cut by the
+    /// worker that freed it. Returns whether it was: debug builds check
+    /// every frame carved since the last rewind, and make every handle of
+    /// the run stale as they go; release builds do not look.
+    pub(crate) fn rewind(&mut self) -> bool {
         let chunks = self.chunks.get_mut();
+        #[cfg_attr(not(debug_assertions), allow(unused_mut))]
+        let mut scrubbed = true;
         #[cfg(debug_assertions)]
         for chunk in &chunks.all[..chunks.used] {
             // SAFETY: `&mut self`: nobody else can reach the chunk.
             for frame in unsafe { chunk.as_ref() } {
                 // SAFETY: as above.
                 let cont = unsafe { &*frame.cont.get() };
-                assert!(
-                    matches!(cont.parent, Parent::None) && cont.state.is_none(),
-                    "frame slab rewound with a frame still in use or a workspace kept"
-                );
+                scrubbed &= matches!(cont.parent, Parent::None)
+                    && cont.state.is_none()
+                    && cont.next_free.is_none();
                 // Relaxed: `&mut self`, as above.
                 frame.generation.fetch_add(1, Ordering::Relaxed);
             }
         }
         chunks.used = 0;
+        scrubbed
     }
 }
 
@@ -626,7 +636,7 @@ mod tests {
         let second = slab.chunk().as_ptr();
         assert_ne!(first, second, "a chunk is one worker's alone");
         assert_eq!(slab.chunk().len(), CHUNK_FRAMES);
-        slab.rewind();
+        assert!(slab.rewind(), "nothing was carved from the chunks");
         assert_eq!(slab.chunk().as_ptr(), first, "rewound memory is reused");
         assert_eq!(slab.chunk().as_ptr(), second);
         assert_eq!(slab.chunks.get_mut().all.len(), 3, "nothing was freed");
@@ -654,6 +664,28 @@ mod tests {
         slab.rewind();
         // SAFETY: deliberately broken — the slab was rewound under `old`.
         let _ = unsafe { old.get() };
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_rewind_over_an_unscrubbed_frame_reports_it_without_panicking() {
+        let mut slab = FrameSlab::<Nop>::new();
+        let frame = carve(&slab, 1)[0];
+        // SAFETY: the test thread owns the idle slot.
+        unsafe { frame.cont() }.state = Some(());
+        assert!(!slab.rewind(), "a frame kept its workspace");
+        // The same slot, through a handle of its incarnation after the
+        // rewind.
+        let frame = FrameRef::new(&slab.chunk()[0]);
+        // SAFETY: as above.
+        let cont = unsafe { frame.cont() };
+        cont.state = None;
+        cont.next_free = Some(frame);
+        assert!(!slab.rewind(), "a frame kept its free-list link");
+        let frame = FrameRef::new(&slab.chunk()[0]);
+        // SAFETY: as above.
+        unsafe { frame.cont() }.next_free = None;
+        assert!(slab.rewind(), "every frame scrubbed");
     }
 
     #[test]

@@ -27,24 +27,29 @@
 //!
 //! Each job runs in an engine `Shared` of its own — its own problem
 //! reference, cancel token and per-slot `RunStats` — built on an engine
-//! *region* it leases from the pool worker that leads it: the slot board
-//! (one deque, one `need_task` signal and one frame slab per slot), the
-//! root cell, and the lead worker's scratch (the vector of its frame
-//! free list). The worker builds a region once and every job it leads after
-//! that runs on it, as long as the key stays the same: problem type,
-//! `deque_capacity`, `max_stolen_num` and slot count. Any other job drops
-//! what is held and builds its own, as a solo run does.
+//! *region* it leases from the thread that leads it. A region is a slot
+//! board, all a run keeps: one deque, one `need_task` signal and one frame
+//! slab per slot, and the root cell. A thread builds a board once and every
+//! job it leads after that runs on it, as long as the key stays the same:
+//! problem type, `deque_capacity`, `max_stolen_num` and slot count. Any
+//! other job drops what is held and builds its own, as a solo run does. A
+//! worker's frame free list is a link through the frames themselves, so
+//! nothing else of a run is kept.
 //!
-//! What is kept is storage, never content. At a job's terminal, with every
-//! participant gone, the signals thieves may have left raised are
-//! lowered, the frame free lists are emptied — the frames stay in their
-//! slabs — and the slabs rewound, dropping the workspaces their frames
-//! held, so a frame carried over counts as fresh and `frame_reuse`,
+//! What is kept is storage, never content. Each worker drops the
+//! workspaces the frames on its free list kept, and cuts the links, as it
+//! leaves the run. The lead lets go of the problem and publishes the
+//! outcome; only then does it settle the board: the signals thieves may
+//! have left raised are lowered, the slabs rewound — their frames stay,
+//! and a frame carried over counts as fresh, so `frame_reuse`,
 //! `state_reuse` and `allocations` of the next job are those of a cold
-//! solo run; the rest is checked, and asserted, to be what the join
-//! implies: every deque empty, the free lists empty, the root cell empty
-//! and referenced by nobody else. Only then is the region
-//! kept. The "job id tag" on deque entries and signals is therefore still
+//! solo run — and the root cell rearmed. The rest is checked to be what
+//! the join implies: every deque empty, the root cell empty and referenced
+//! by nobody else, and (in debug builds) every frame scrubbed. A board that
+//! passes is kept; one that does not is dropped and counted
+//! ([`ServerStats::dirty_regions`]), and the thread goes on with its next
+//! job — nothing on the terminal path can block a waiter or kill the
+//! thread. The "job id tag" on deque entries and signals is therefore still
 //! structural: an entry physically cannot migrate across jobs, because no
 //! other job's workers ever probe these deques *while this job runs*, and
 //! nothing is left in them for the job that leases them next.
@@ -95,7 +100,7 @@
 //! workers' (index [`ServerStats::workers`]), which one client at a time
 //! holds; a client that finds it taken sleeps instead.
 
-use crate::engine::{participate, ProblemRef, Scratch, Shared, Slots};
+use crate::engine::{participate, ProblemRef, Shared, Slots};
 use crate::frame::ResultCell;
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, ParkGate, PrioQueue, Priority,
@@ -116,8 +121,8 @@ use std::time::{Duration, Instant};
 type SharedCollector = Option<Arc<TraceCollector>>;
 
 thread_local! {
-    /// The engine region a client thread leads jobs on while it waits (see
-    /// the [module docs](self)), kept for the thread's life.
+    /// The slot board a client thread leads jobs on while it waits (see the
+    /// [module docs](self)), kept for the thread's life.
     static CLIENT_LEASE: RefCell<RegionLease> = const { RefCell::new(RegionLease { held: None }) };
 }
 
@@ -434,8 +439,8 @@ struct Job<P: Problem> {
     cfg: Config,
     mode: Mode,
     /// The queue's reference to the problem (the handle holds the other).
-    /// The lead moves it into the engine region and drops it with the
-    /// region, before it publishes; a rejected submission takes it back.
+    /// The lead moves it into the job's engine `Shared` and drops it with
+    /// that, before it publishes; a rejected submission takes it back.
     problem: Mutex<Option<Arc<P>>>,
     submitter: ThreadId,
 }
@@ -480,87 +485,50 @@ impl<P: Problem + 'static> QueuedJob for Job<P> {
     }
 }
 
-/// What a pool worker keeps of the engine between the jobs it leads (see
-/// the [module docs](self)): the slot board, the root cell and the lead
-/// worker's scratch, built once and used by every job of the same key —
-/// this type, `Config::deque_capacity`, `Config::max_stolen_num` and the
-/// slot count.
-struct Region<P: Problem> {
-    capacity: usize,
-    max_stolen_num: u32,
-    /// Out while a job runs on it; a job that does not hand it back — a
-    /// joiner still held it, or it was not clean — leaves the region
-    /// without one, and the next job builds afresh.
-    slots: Option<Slots<P>>,
-    root: Arc<ResultCell<P::Out>>,
-    scratch: Scratch<P>,
-}
-
-impl<P: Problem> Region<P> {
-    fn new(cfg: &Config, slots: usize) -> Self {
-        Region {
-            capacity: cfg.deque_capacity,
-            max_stolen_num: cfg.max_stolen_num,
-            slots: Some(Slots::new(cfg, slots)),
-            root: Arc::new(ResultCell::new()),
-            scratch: Scratch::default(),
-        }
-    }
-
-    fn fits(&self, cfg: &Config, slots: usize) -> bool {
-        self.capacity == cfg.deque_capacity
-            && self.max_stolen_num == cfg.max_stolen_num
-            && self.slots.as_ref().is_some_and(|s| s.len() == slots)
-    }
-
-    /// Take the board of a finished job back — only ever after its lead read
-    /// `participants` at 0, so nobody is on it — and rewind its frame
-    /// slabs. Whether the region is as a fresh one again — which the join
-    /// implies: every deque empty, the free list empty, the root cell empty
-    /// and nobody else's — and only then is the board kept. No
-    /// board (a joiner's snapshot still holds it) is nothing to check and
-    /// nothing to keep.
-    fn hand_back(&mut self, board: Option<Slots<P>>) -> bool {
-        let Some(mut board) = board else {
-            return true;
-        };
-        let clean = board.settle()
-            && self.scratch.is_empty()
-            && Arc::get_mut(&mut self.root).is_some_and(ResultCell::rearm);
-        if clean {
-            self.slots = Some(board);
-        }
-        clean
-    }
-}
-
-/// The one region a pool worker holds, whatever its type.
+/// The slot board a thread keeps between the jobs it leads (see the
+/// [module docs](self)), whatever its problem type: a box of
+/// `Option<Slots<P>>`, so a board goes out to a job and comes back without
+/// an allocation. The box is empty while a job has the board out, and after
+/// a job that did not give it back.
 #[derive(Default)]
 struct RegionLease {
     held: Option<Box<dyn Any>>,
 }
 
 impl RegionLease {
-    /// The held region if it fits `cfg` and `slots` — a hit, `true`;
-    /// otherwise whatever is held is dropped and a fresh one built in its
-    /// place.
-    fn region<P: Problem + 'static>(
-        &mut self,
-        cfg: &Config,
-        slots: usize,
-    ) -> (&mut Region<P>, bool) {
-        let hit = self
+    /// A board for a job of `P` on `slots` slots under `cfg`: the held one
+    /// if it fits — a hit, `true` — otherwise a fresh one, built after
+    /// whatever was held is dropped.
+    fn take<P: Problem + 'static>(&mut self, cfg: &Config, slots: usize) -> (Slots<P>, bool) {
+        let held = self
             .held
-            .as_ref()
-            .and_then(|held| held.downcast_ref::<Region<P>>())
-            .is_some_and(|region| region.fits(cfg, slots));
-        if !hit {
-            // Dropped before its replacement is built, not after.
+            .as_mut()
+            .and_then(|held| held.downcast_mut::<Option<Slots<P>>>());
+        let Some(held) = held else {
             self.held = None;
-            self.held = Some(Box::new(Region::<P>::new(cfg, slots)));
+            return (Slots::new(cfg, slots), false);
+        };
+        match held.take() {
+            Some(board) if board.fits(cfg, slots) => (board, true),
+            stale => {
+                drop(stale);
+                (Slots::new(cfg, slots), false)
+            }
         }
-        let region = self.held.as_mut().and_then(|held| held.downcast_mut());
-        (region.expect("just found or built"), hit)
+    }
+
+    /// Settle the board a finished job gave back — only ever after its lead
+    /// read every participant gone — and hold it for the next job if it is
+    /// as a fresh one again. `false`, and the board dropped, if it is not.
+    fn keep<P: Problem + 'static>(&mut self, mut board: Slots<P>) -> bool {
+        if !board.settle() {
+            return false;
+        }
+        match self.held.as_mut().and_then(|held| held.downcast_mut()) {
+            Some(held) => *held = Some(board),
+            None => self.held = Some(Box::new(Some(board))),
+        }
+        true
     }
 }
 
@@ -586,7 +554,7 @@ impl<P: Problem + 'static> ActiveJob for Team<P> {
     }
 
     fn done(&self) -> bool {
-        self.eng.root.is_done()
+        self.eng.root().is_done()
     }
 
     fn try_join(&self, ctx: &ServerCtx, worker: usize, tracer: TracerRef<'_>) -> bool {
@@ -639,7 +607,6 @@ impl<P: Problem + 'static> ActiveJob for Team<P> {
             tr,
             false,
             Some(&abandon),
-            &mut Scratch::default(),
         );
         jmark(
             tracer,
@@ -665,20 +632,19 @@ fn lead_slot<P: Problem + 'static>(
     rng: XorShift64,
     worker: usize,
     tracer: TracerRef<'_>,
-    scratch: &mut Scratch<P>,
 ) -> RunStats {
     let job = id as u32;
     jmark(tracer, worker, Ev::JobBegin { job, slot: 0 });
     let tr = worker_tracer(tracer, worker);
-    let stats = participate(eng, 0, rng, tr, true, None, scratch);
+    let stats = participate(eng, 0, rng, tr, true, None);
     jmark(tracer, worker, Ev::JobEnd { job });
     stats
 }
 
-/// Lead a multi-slot job: put up its slot board (registered for joiners
-/// under work sharing), run slot 0, and collect every slot's stats. Returns
-/// the result, the region's slot board unless a joiner's snapshot still
-/// holds the team, and the per-slot stats.
+/// Lead a multi-slot job: put up its team (registered for joiners under
+/// work sharing), run slot 0, and collect every slot's stats. Returns the
+/// result, the slot board unless a joiner's snapshot still holds the team,
+/// and the per-slot stats.
 fn lead_team<P: Problem + 'static>(
     eng: Shared<'static, P>,
     seeds: Vec<XorShift64>,
@@ -686,7 +652,6 @@ fn lead_team<P: Problem + 'static>(
     ctx: &Arc<ServerCtx>,
     worker: usize,
     tracer: TracerRef<'_>,
-    scratch: &mut Scratch<P>,
 ) -> (P::Out, Option<Slots<P>>, Vec<RunStats>) {
     let slots = seeds.len();
     let team = Arc::new(Team {
@@ -704,7 +669,7 @@ fn lead_team<P: Problem + 'static>(
         ctx.wake(true);
     }
     let rng = team.seeds[0].clone();
-    let lead_stats = lead_slot(&team.eng, id, rng, worker, tracer, scratch);
+    let lead_stats = lead_slot(&team.eng, id, rng, worker, tracer);
     team.stats[0].lock().merge(&lead_stats);
     if ctx.work_sharing {
         ctx.active.lock().retain(|j| j.id() != id);
@@ -719,9 +684,9 @@ fn lead_team<P: Problem + 'static>(
         std::thread::yield_now();
     }
     let per_slot = team.stats.iter().map(|m| m.lock().clone()).collect();
-    let out = team.eng.root.take();
+    let out = team.eng.root().take();
     // A worker that snapshotted `active` may still hold the team; then the
-    // region goes when it lets go, and its board is not leased.
+    // board goes when it lets go, and is not leased.
     let board = Arc::try_unwrap(team).ok().map(|t| t.eng.into_slots());
     (out, board, per_slot)
 }
@@ -737,7 +702,7 @@ fn run_job<P: Problem + 'static>(
 ) {
     let (shared, cfg) = (&job.shared, &job.cfg);
     let slots = job.slots(ctx.workers);
-    let (region, hit) = lease.region::<P>(cfg, slots);
+    let (board, hit) = lease.take::<P>(cfg, slots);
     let counter = if hit {
         &ctx.lease_hits
     } else {
@@ -745,40 +710,29 @@ fn run_job<P: Problem + 'static>(
     };
     // Relaxed: a `ServerStats` counter; the snapshot is advisory.
     counter.fetch_add(1, Ordering::Relaxed);
-    let board = region.slots.take().expect("a fitting region has its board");
     let eng = Shared::new(
         ProblemRef::Owned(problem),
         cfg,
         job.mode,
         board,
-        Arc::clone(&region.root),
         Some(shared.cancel.clone()),
     );
     let mut seeds = Shared::<P>::seeds(cfg);
-    // The job's clock starts where a solo run's does: the region exists.
+    // The job's clock starts where a solo run's does: the board exists.
     let t0 = Instant::now();
-    let scratch = &mut region.scratch;
     let (out, board, per_slot) = if slots == 1 {
         // A single-slot job asks for no team, so it gets none: no slot
         // board registered, the lead's stats are the job's.
         let rng = seeds.next().expect("the seed stream is endless");
-        let stats = lead_slot(&eng, shared.id, rng, worker, tracer, scratch);
-        (eng.root.take(), Some(eng.into_slots()), vec![stats])
+        let stats = lead_slot(&eng, shared.id, rng, worker, tracer);
+        (eng.root().take(), Some(eng.into_slots()), vec![stats])
     } else {
         let seeds = seeds.take(slots).collect();
-        lead_team(eng, seeds, shared.id, ctx, worker, tracer, scratch)
+        lead_team(eng, seeds, shared.id, ctx, worker, tracer)
     };
     let report = RunReport::from_workers(per_slot, t0.elapsed().as_nanos() as u64);
     // The engine's `Shared` — and with it the pool's reference to the
-    // problem — is gone; what is left of the job on this worker is what the
-    // region keeps. The join implies it is as a fresh one, and only then is
-    // it leased on: anything else is dropped here and reported below, after
-    // the client has its outcome.
-    if board.is_some() {
-        // Relaxed: a `ServerStats` counter; the snapshot is advisory.
-        ctx.slab_resets.fetch_add(1, Ordering::Relaxed);
-    }
-    let clean = region.hand_back(board);
+    // problem — is gone.
     let cancelled = shared.cancel.get();
     shared.lifecycle.finish(cancelled);
     // Count before publishing: `publish` releases the waiter, and callers
@@ -795,12 +749,16 @@ fn run_job<P: Problem + 'static>(
         ctx.jobs_completed.fetch_add(1, Ordering::Relaxed);
         shared.publish(JobOutcome::Completed { out, report });
     }
-    assert!(
-        clean,
-        "job {} reached its terminal with something left in its region: \
-         a deque entry, a freed frame, or a root cell still in use",
-        shared.id
-    );
+    // Only with the outcome out is the board settled: kept if the join
+    // left it as a fresh one, dropped and counted otherwise.
+    if let Some(board) = board {
+        // Relaxed: a `ServerStats` counter; the snapshot is advisory.
+        ctx.slab_resets.fetch_add(1, Ordering::Relaxed);
+        if !lease.keep(board) {
+            // Relaxed: as above.
+            ctx.dirty_regions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -829,6 +787,7 @@ struct ServerCtx {
     lease_hits: AtomicU64,
     lease_misses: AtomicU64,
     slab_resets: AtomicU64,
+    dirty_regions: AtomicU64,
     client_leads: AtomicU64,
     /// Clients inside [`ServerCtx::help`]; shutdown waits for them.
     helping: AtomicU32,
@@ -941,6 +900,7 @@ impl ServerCtx {
             lease_hits: self.lease_hits.load(Ordering::Relaxed),
             lease_misses: self.lease_misses.load(Ordering::Relaxed),
             slab_resets: self.slab_resets.load(Ordering::Relaxed),
+            dirty_regions: self.dirty_regions.load(Ordering::Relaxed),
             client_leads: self.client_leads.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
             active_jobs: self.active.lock().len(),
@@ -986,19 +946,29 @@ pub struct ServerStats {
     /// workers parked and notified them — at most once per park. A pool
     /// that keeps up with its clients shows few of either.
     pub wakes: u64,
-    /// Jobs led on the engine region their pool worker kept from the job
-    /// before (see the [module docs](self)).
+    /// Jobs led on the slot board their lead kept from the job before (see
+    /// the [module docs](self)).
     pub lease_hits: u64,
-    /// Jobs whose lead built their region: a worker's first job, a job of
-    /// another problem type, deque capacity, `max_stolen_num` or slot count
-    /// than the one before it, and the job after one that did not hand its
-    /// region back.
+    /// Jobs whose lead built their slot board: a thread's first job, a job
+    /// of another problem type, deque capacity, `max_stolen_num` or slot
+    /// count than the one before it, and the job after one whose board did
+    /// not come back or was dropped dirty.
     pub lease_misses: u64,
-    /// Job terminals at which the lead got its slot board back and rewound
-    /// the board's frame slabs, so the next job carves their frames afresh.
-    /// A lead gets the board back only after it read every participant
-    /// gone and nobody else holds the job (see the [module docs](self)).
+    /// Job terminals at which the lead got its slot board back and settled
+    /// it, rewinding the board's frame slabs so the next job carves their
+    /// frames afresh. A lead gets the board back only after it read every
+    /// participant gone and nobody else holds the job (see the
+    /// [module docs](self)). Counted after the job's outcome is published:
+    /// a snapshot taken as `wait` returns may not show it yet; the one
+    /// `shutdown` returns does.
     pub slab_resets: u64,
+    /// Of those terminals, the ones whose board did not settle as a fresh
+    /// one — a deque entry, a result in the root cell or a reference to it,
+    /// or (checked in debug builds) a frame not scrubbed — and was dropped
+    /// instead of kept. The join rules all of them out, so anything but 0
+    /// is a runtime bug; the job's outcome was published all the same.
+    /// Counted after it, as `slab_resets` is.
+    pub dirty_regions: u64,
     /// Jobs a client led on its own thread while it waited in
     /// [`JobHandle::wait`], instead of a pool worker (see the
     /// [module docs](self)). Every other job was led by a pool worker, or
@@ -1061,6 +1031,7 @@ impl JobServer {
             lease_hits: AtomicU64::new(0),
             lease_misses: AtomicU64::new(0),
             slab_resets: AtomicU64::new(0),
+            dirty_regions: AtomicU64::new(0),
             client_leads: AtomicU64::new(0),
             helping: AtomicU32::new(0),
             collector: collector.as_ref().map(Arc::downgrade),
@@ -1425,8 +1396,11 @@ mod tests {
 
     #[test]
     fn region_lease_hands_back_only_what_matches_its_key() {
+        /// Take a board for a job of `P` and give it back as it came.
         fn hit<P: Problem + 'static>(lease: &mut RegionLease, cfg: &Config, slots: usize) -> bool {
-            lease.region::<P>(cfg, slots).1
+            let (board, hit) = lease.take::<P>(cfg, slots);
+            assert!(lease.keep(board), "a board nothing ran on settles");
+            hit
         }
         let cfg = Config::new(2).deque_capacity(8);
         let mut lease = RegionLease::default();
@@ -1446,30 +1420,19 @@ mod tests {
             assert!(hit::<Tern>(&mut lease, &cfg, 2), "part {part}");
         }
 
-        // A board that is out, or came back with an entry in a deque, is
-        // not leased on; one that came back clean is.
-        let (region, _) = lease.region::<Tern>(&cfg, 2);
-        let board = region.slots.take().expect("held with its board");
+        // A board that is out is not leased on; one that came back clean
+        // is; one left with a result in its root cell is dropped.
+        let (board, _) = lease.take::<Tern>(&cfg, 2);
         assert!(!hit::<Tern>(&mut lease, &cfg, 2), "board is out");
-        let (region, _) = lease.region::<Tern>(&cfg, 2);
-        assert!(region.hand_back(Some(board)));
+        assert!(lease.keep(board));
         assert!(hit::<Tern>(&mut lease, &cfg, 2), "clean board");
 
-        let (region, _) = lease.region::<Tern>(&cfg, 2);
-        let root = Arc::clone(&region.root);
-        let board = region.slots.take().expect("held with its board");
-        let eng = Shared::new(
-            ProblemRef::Owned(Arc::new(Tern { h: 1 })),
-            &cfg,
-            Mode::Cilk,
-            board,
-            root,
-            None,
-        );
-        let board = eng.into_slots();
-        region.root.deliver(7);
-        assert!(!region.hand_back(Some(board)), "result not taken");
-        assert!(!hit::<Tern>(&mut lease, &cfg, 2), "dirty region");
+        let (board, _) = lease.take::<Tern>(&cfg, 2);
+        let problem = ProblemRef::Owned(Arc::new(Tern { h: 1 }));
+        let eng = Shared::new(problem, &cfg, Mode::Cilk, board, None);
+        eng.root().deliver(7);
+        assert!(!lease.keep(eng.into_slots()), "result not taken");
+        assert!(!hit::<Tern>(&mut lease, &cfg, 2), "dirty board dropped");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! gave away has delivered its result — the `wait_children` overhead of
 //! Figures 6 and 7.
 
-use crate::engine::{lap, now_if, run_team};
+use crate::engine::{self, lap, now_if, run_team};
 use crate::frame::ResultCell;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, Ordering};
@@ -371,8 +371,7 @@ pub fn run<P: Problem>(
         root: ResultCell::new(),
         timing: cfg.timing,
     };
-    let mut seeder = XorShift64::new(cfg.seed);
-    let seeds: Vec<XorShift64> = (0..threads).map(|_| seeder.split()).collect();
+    let seeds: Vec<XorShift64> = engine::Shared::<P>::seeds(cfg).take(threads).collect();
 
     let start = Instant::now();
     let per_worker = run_team(threads, |id| {

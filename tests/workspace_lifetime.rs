@@ -5,7 +5,8 @@
 //! them go with the run: a workspace type that counts its live instances
 //! reads 0 once `Scheduler::run` returns, for every scheduler at 1, 2 and 4
 //! threads (steals and special tasks included), and once a job server has
-//! run a batch of pooled and Cilk jobs and shut down.
+//! run a batch of pooled and Cilk jobs and shut down, with no slot board
+//! dropped dirty (`ServerStats::dirty_regions`).
 
 use adaptivetc_suite::core::{Config, Expansion, Problem, RunStats};
 use adaptivetc_suite::runtime::{
@@ -141,8 +142,9 @@ fn a_job_server_leaves_no_workspace_alive() {
         h.unwrap_or_else(|_| panic!("submit rejected"))
     };
     let done = |h: JobHandle<u64>| assert!(matches!(h.wait(), JobOutcome::Completed { .. }));
-    // A single-slot job's lead rewinds the region it keeps before it
-    // publishes the outcome: by then its workspaces are gone.
+    // A single-slot job's workers drop what their frames kept as they
+    // leave the run, before the lead publishes the outcome: by then its
+    // workspaces are gone.
     for seed in 0..6 {
         for mode in [Mode::Cilk, Mode::CilkSynched, Mode::Adaptive] {
             done(submit(seed, mode, 1));
@@ -166,10 +168,13 @@ fn a_job_server_leaves_no_workspace_alive() {
         })
         .collect();
     batch.into_iter().for_each(done);
-    server.shutdown();
+    let stats = server.shutdown().stats;
     assert_eq!(
         live.load(Ordering::SeqCst),
         0,
         "workspaces outlived the server's jobs"
     );
+    // Every board that came back settled as a fresh one, and was kept.
+    assert!(stats.slab_resets > 0, "no board came back");
+    assert_eq!(stats.dirty_regions, 0, "a job left its board dirty");
 }
