@@ -34,7 +34,12 @@
 //!   (`runtime/src/join.rs`, included below) under the miniature engine
 //!   of [`join_model`]: exactly one completion carrying every child's
 //!   result, across steal-before/after-return, re-steal and detached
-//!   children, plus the seeded missing-token meta-test.
+//!   children, plus the seeded missing-token meta-test;
+//! * `request_protocol.rs` — Tascell's steal-request word
+//!   (`runtime/src/request.rs`, included below) under one victim and two
+//!   thieves ([`request_model`]): every installed request answered
+//!   exactly once, none stranded by the victim going idle, plus the
+//!   seeded store-instead-of-swap meta-test.
 //!
 //! Payloads in model-checked scenarios should be `Copy` integers: a
 //! violation tears the execution down by unwinding every model thread, and
@@ -84,6 +89,11 @@ pub mod submit;
 pub mod join;
 
 pub mod join_model;
+
+#[path = "../../runtime/src/request.rs"]
+pub mod request;
+
+pub mod request_model;
 
 pub mod park_model;
 

@@ -22,6 +22,7 @@ use crate::fence_free::FenceFreeDeque;
 use crate::join_model;
 use crate::park_model;
 use crate::pool::PoolDeque;
+use crate::request_model;
 use crate::signal::NeedTask;
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority, SubmitQueue,
@@ -50,6 +51,7 @@ const POOL: &str = "crates/deque/src/pool.rs";
 const SIGNAL: &str = "crates/deque/src/signal.rs";
 const SUBMIT: &str = "crates/runtime/src/submit.rs";
 const JOIN: &str = "crates/runtime/src/join.rs";
+const REQUEST: &str = "crates/runtime/src/request.rs";
 
 /// Every registered scenario. `tests/race_detector.rs` explores each
 /// with race checking on; the `ordering_audit` binary re-runs the ones
@@ -139,6 +141,11 @@ pub const SCENARIOS: &[Scenario] = &[
         name: "join_detached",
         covers: &[JOIN, THE],
         run: join_detached,
+    },
+    Scenario {
+        name: "request_answered",
+        covers: &[REQUEST],
+        run: request_answered,
     },
 ];
 
@@ -606,4 +613,15 @@ fn join_restolen() {
 /// a stolen parent, and a thief reading `tail` from the owner's pop.
 fn join_detached() {
     join_model::owner_vs_thief(&join_model::NESTED_STOLEN, 2, join_model::Mutant::None);
+}
+
+// ---------------------------------------------------------------------------
+// Tascell's request word (runtime/src/request.rs under one victim and two
+// thieves)
+// ---------------------------------------------------------------------------
+
+/// One task of two polls against two thieves asking once each: a request
+/// taken at a poll, and one answered at the close.
+fn request_answered() {
+    request_model::victim_vs_two_thieves(1, 2, 1, request_model::Mutant::None);
 }

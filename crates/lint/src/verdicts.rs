@@ -40,6 +40,7 @@ pub const COVERED_FILES: &[&str] = &[
     "crates/deque/src/signal.rs",
     "crates/deque/src/the.rs",
     "crates/runtime/src/join.rs",
+    "crates/runtime/src/request.rs",
     "crates/runtime/src/submit.rs",
 ];
 

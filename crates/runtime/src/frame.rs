@@ -60,7 +60,9 @@ const CHUNK_FRAMES: usize = 32;
 /// no futex call — workers poll [`is_done`](ResultCell::is_done) between
 /// steals, and whoever collects a root result does so after it saw it done
 /// or joined the workers. Reusable: a slot board keeps one root cell for
-/// every run on it, rearmed as the board settles.
+/// every run on it, rearmed as the board settles. A cell with one waiter
+/// that takes value after value uses [`send`](ResultCell::send) and
+/// [`recv`](ResultCell::recv) instead, and no gate.
 #[derive(Debug)]
 pub(crate) struct ResultCell<O> {
     slot: Mutex<Option<O>>,
@@ -87,6 +89,30 @@ impl<O: Send> ResultCell<O> {
             // the notification cannot fall before the sleep.
             drop(self.slot.lock());
             self.cv.notify_all();
+        }
+    }
+
+    /// Hand `out` to the cell's one waiter, in a cell that passes value
+    /// after value ([`recv`](ResultCell::recv)): a Tascell worker's
+    /// response, or its task's joined total. The gate stays out of it, so
+    /// the notification is unconditional — a no-op when nobody sleeps.
+    pub(crate) fn send(&self, out: O) {
+        let mut g = self.slot.lock();
+        debug_assert!(g.is_none(), "a value sent before the last was taken");
+        *g = Some(out);
+        drop(g);
+        self.cv.notify_one();
+    }
+
+    /// Block until [`send`](ResultCell::send) hands a value over, and take
+    /// it: the cell is ready for the next one.
+    pub(crate) fn recv(&self) -> O {
+        let mut g = self.slot.lock();
+        loop {
+            if let Some(out) = g.take() {
+                return out;
+            }
+            self.cv.wait(&mut g);
         }
     }
 

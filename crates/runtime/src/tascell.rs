@@ -6,30 +6,39 @@
 //! stack), **polling** for steal *requests* at every node. When a request
 //! arrives, the victim *temporarily backtracks*: it undoes the applied
 //! choices down to the **shallowest** frame that still has an untried
-//! choice, takes that choice, copies the workspace once, re-applies the
-//! undone choices, and ships the packaged subtree to the requester.
+//! choice, takes the later half of that frame's untried choices
+//! ([`tascell_split`], the rule the simulator runs too), copies the
+//! workspace once, re-applies the undone choices, and hands the packaged
+//! range to the requester.
+//!
+//! A request is a word per worker (`request.rs`) and is **always
+//! answered**: at the victim's next poll, with a range or with nothing,
+//! or — when the victim's traversal ends first — with nothing as it stops
+//! taking requests. So a thief waits for its answer in its own result
+//! cell with no timeout, and a request to an idle or waiting worker fails
+//! at once. Nothing is allocated per request.
 //!
 //! The crucial limitation the paper exploits: a Tascell task **cannot be
 //! suspended** at a synchronization point (its state lives on the execution
-//! stack), so at the end of a task the victim blocks until every subtree it
+//! stack), so at the end of a task the victim blocks until every range it
 //! gave away has delivered its result — the `wait_children` overhead of
-//! Figures 6 and 7.
+//! Figures 6 and 7. The ranges report through the victim's join cell and
+//! result cell, as a special task's stolen children do at
+//! `sync_specialtask`.
 
 use crate::engine::{self, lap, now_if, run_team};
 use crate::frame::ResultCell;
-use crate::sync::Mutex;
-use crate::sync::{AtomicBool, Ordering};
+use crate::join::JoinCell;
+use crate::request::Request;
 use adaptivetc_core::{Config, Expansion, Problem, Reduce, RunReport, RunStats, XorShift64};
-use adaptivetc_strategy::{tascell_give, uniform_victim};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::time::{Duration, Instant};
+use adaptivetc_strategy::{tascell_split, uniform_victim};
+use crossbeam_utils::CachePadded;
+use std::time::Instant;
 
-/// A packaged half-range of sibling subtrees handed to a requester.
-///
-/// Tascell's parallel-for split: the victim keeps the first half of the
-/// untried choices at the split frame and hands the second half away in one
-/// task (this is what makes it collapse on right-heavy trees — the heavy
-/// late siblings leave early and the victim ends up waiting on them).
+/// A packaged range of sibling subtrees handed to a requester: the later
+/// half of the untried choices at the split frame. This is what makes
+/// Tascell collapse on right-heavy trees — the heavy late siblings leave
+/// early and the victim ends up waiting on them.
 struct Task<P: Problem> {
     /// Workspace at the split frame's node (no choice applied).
     state: P::State,
@@ -37,41 +46,34 @@ struct Task<P: Problem> {
     child_logical: u32,
     /// The handed-away choices, in order.
     choices: Vec<P::Choice>,
-    /// Where the range's total result must be sent (the victim waits on the
-    /// other end).
-    result: Sender<P::Out>,
+    /// The victim, whose hand-off join the range's total arrives at.
+    victim: usize,
 }
 
-/// One outstanding steal request: the requester's id and where to send the
-/// response.
-type Responder<P> = (usize, SyncSender<Option<Task<P>>>);
-
-struct RequestBox<P: Problem> {
-    /// Polled by the victim at every node (cheap).
-    flag: AtomicBool,
-    slot: Mutex<Option<Responder<P>>>,
+/// What the other workers reach of one worker.
+struct Cell<P: Problem> {
+    /// Its steal-request word.
+    request: Request,
+    /// Where a victim answers this worker's request.
+    response: ResultCell<Option<Task<P>>>,
+    /// Its task's hand-off join: a token for each range handed out.
+    join: JoinCell<P::Out>,
+    /// Where the last arriving range delivers the task's total.
+    joined: ResultCell<P::Out>,
 }
 
 struct Shared<'p, P: Problem> {
     problem: &'p P,
-    boxes: Vec<RequestBox<P>>,
+    cells: Vec<CachePadded<Cell<P>>>,
     root: ResultCell<P::Out>,
     timing: bool,
 }
 
-/// One level of the victim's shadow stack.
+/// One level of the victim's shadow stack. While a node below it runs,
+/// the level's applied choice is `choices[next - 1]`.
 struct ShadowFrame<C> {
     choices: Vec<C>,
     next: usize,
-    /// The choice currently applied on the path below this frame.
-    applied: Option<C>,
-}
-
-/// Channels and counter for the subtrees the current task handed away.
-struct TaskChildren<O> {
-    rx: Receiver<O>,
-    tx: Sender<O>,
-    handed: u32,
 }
 
 struct Worker<'s, 'p, P: Problem> {
@@ -80,55 +82,35 @@ struct Worker<'s, 'p, P: Problem> {
     stats: RunStats,
     rng: XorShift64,
     stack: Vec<ShadowFrame<P::Choice>>,
-    /// Present while the worker is running a task.
-    task_children: Option<TaskChildren<P::Out>>,
+    /// Whether the running task handed a range out.
+    handed: bool,
 }
 
 impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
-    fn problem(&self) -> &'p P {
-        self.shared.problem
-    }
-
-    /// Run the root task to completion, including the terminal wait for
-    /// children given away, and return its total result.
-    fn run_root_task(&mut self, mut state: P::State, logical: u32) -> P::Out {
-        let (tx, rx) = channel::<P::Out>();
-        self.task_children = Some(TaskChildren { rx, tx, handed: 0 });
+    /// Run one task — the root, or a range a victim handed over — taking
+    /// requests while `traverse` runs, and return its total once every
+    /// range it handed out has arrived.
+    fn run_task(&mut self, traverse: impl FnOnce(&mut Self) -> P::Out) -> P::Out {
+        let shared = self.shared;
+        let cell = &shared.cells[self.id];
         debug_assert!(self.stack.is_empty());
-        let out = self.node(&mut state, logical);
-        self.await_children(out)
-    }
-
-    /// Run a handed-over sibling range to completion.
-    fn run_range_task(&mut self, task: Task<P>) -> P::Out {
-        let Task {
-            mut state,
-            child_logical,
-            choices,
-            result,
-        } = task;
-        let (tx, rx) = channel::<P::Out>();
-        self.task_children = Some(TaskChildren { rx, tx, handed: 0 });
-        debug_assert!(self.stack.is_empty());
-        let out = self.traverse_set(&mut state, child_logical, choices);
-        let out = self.await_children(out);
-        let _ = result.send(out);
-        P::Out::identity()
-    }
-
-    /// Terminal sync: wait (no stealing possible!) for given-away subtrees.
-    fn await_children(&mut self, mut out: P::Out) -> P::Out {
-        let TaskChildren { rx, tx, handed } =
-            self.task_children.take().expect("installed by run_*_task");
-        drop(tx);
-        if handed > 0 {
-            let t0 = now_if(self.shared.timing);
-            for _ in 0..handed {
-                out.combine(rx.recv().expect("child task panicked or leaked its sender"));
-            }
-            lap(&mut self.stats.time.wait_children_ns, t0);
+        cell.request.open();
+        let own = traverse(self);
+        if let Some(thief) = cell.request.close() {
+            self.answer(thief, None);
         }
-        out
+        if !std::mem::take(&mut self.handed) {
+            return own;
+        }
+        // The terminal wait: no stealing possible.
+        let t0 = now_if(shared.timing);
+        let total = match cell.join.release(own, P::Out::combine) {
+            Some(total) => total,
+            None => cell.joined.recv(),
+        };
+        cell.join.rearm();
+        lap(&mut self.stats.time.wait_children_ns, t0);
+        total
     }
 
     /// Execute a set of sibling subtrees under a stealable shadow frame.
@@ -139,27 +121,20 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         choices: Vec<P::Choice>,
     ) -> P::Out {
         let mut acc = P::Out::identity();
-        self.stack.push(ShadowFrame {
-            choices,
-            next: 0,
-            applied: None,
-        });
+        self.stack.push(ShadowFrame { choices, next: 0 });
         let level = self.stack.len() - 1;
         loop {
             let c = {
                 let f = &mut self.stack[level];
-                if f.next >= f.choices.len() {
+                let Some(&c) = f.choices.get(f.next) else {
                     break;
-                }
-                let c = f.choices[f.next];
+                };
                 f.next += 1;
-                f.applied = Some(c);
                 c
             };
-            self.problem().apply(state, c);
+            self.shared.problem.apply(state, c);
             acc.combine(self.node(state, child_logical));
-            self.problem().undo(state, c);
-            self.stack[level].applied = None;
+            self.shared.problem.undo(state, c);
         }
         self.stack.pop();
         acc
@@ -169,12 +144,10 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
     fn node(&mut self, state: &mut P::State, logical: u32) -> P::Out {
         self.stats.nodes += 1;
         self.stats.polls += 1;
-        // Relaxed: an advisory request-flag poll on the victim's hot path;
-        // the mailbox mutex carries the actual task hand-off.
-        if self.shared.boxes[self.id].flag.load(Ordering::Relaxed) {
-            self.respond(state, logical);
+        if let Some(thief) = self.shared.cells[self.id].request.take() {
+            self.respond(thief, state, logical);
         }
-        match self.problem().expand(state, logical) {
+        match self.shared.problem.expand(state, logical) {
             Expansion::Leaf(out) => out,
             Expansion::Children(choices) => {
                 self.stats.fake_tasks += 1;
@@ -183,158 +156,89 @@ impl<'s, 'p, P: Problem> Worker<'s, 'p, P> {
         }
     }
 
-    /// Answer a pending steal request by backtracking to the shallowest
-    /// frame with an untried choice.
-    fn respond(&mut self, state: &mut P::State, _logical: u32) {
-        let Some((_, responder)) = self.shared.boxes[self.id].slot.lock().take() else {
-            // Raced with a timed-out requester that retracted its request;
-            // clear the flag.
-            // Relaxed: the mailbox lock just taken provides the ordering,
-            // the atomic only the poll.
-            self.shared.boxes[self.id]
-                .flag
-                .store(false, Ordering::Relaxed);
-            return;
+    /// Answer `thief`'s request at the node at `logical`, by backtracking
+    /// to the level [`tascell_split`] picks.
+    fn respond(&mut self, thief: u32, state: &mut P::State, logical: u32) {
+        let split = tascell_split(self.stack.iter().map(|f| f.choices.len() - f.next));
+        let Some((level, give)) = split else {
+            return self.answer(thief, None);
         };
-        // Relaxed: cleared after servicing under the mailbox lock, as above.
-        self.shared.boxes[self.id]
-            .flag
-            .store(false, Ordering::Relaxed);
-
-        // Shallowest splittable frame.
-        let split = self.stack.iter().position(|f| f.next < f.choices.len());
-        let Some(level) = split else {
-            let _ = responder.send(None);
-            return;
-        };
-
         // Temporary backtracking: undo the applied path from the deepest
-        // frame down to (and including) `level`, snapshot the workspace at
-        // the split frame's node, hand away the second half of its untried
-        // choices, then re-apply the path.
-        let path: Vec<P::Choice> = self.stack[level..]
-            .iter()
-            .filter_map(|f| f.applied)
-            .collect();
-        for &c in path.iter().rev() {
-            self.problem().undo(state, c);
+        // level down to `level`, snapshot the workspace at the split
+        // frame's node, then re-apply the path.
+        let p = self.shared.problem;
+        let path = &self.stack[level..];
+        for f in path.iter().rev() {
+            p.undo(state, f.choices[f.next - 1]);
         }
-        // Frame at `level` sits `path.len()` applied choices above the
-        // current node (at `_logical`); its children are one deeper.
-        let child_logical = _logical - path.len() as u32 + 1;
-        let handed_choices: Vec<P::Choice> = {
-            let f = &mut self.stack[level];
-            let give = tascell_give(f.choices.len() - f.next);
-            f.choices.drain(f.choices.len() - give..).collect()
-        };
+        // The split frame sits `path.len()` applied choices above this
+        // node; its children are one deeper.
+        let child_logical = logical + 1 - path.len() as u32;
         let t0 = now_if(self.shared.timing);
         let task_state = state.clone();
         self.stats.copies += 1;
         self.stats.allocations += 1;
-        self.stats.copy_bytes += self.problem().state_bytes(state) as u64;
+        self.stats.copy_bytes += p.state_bytes(state) as u64;
         lap(&mut self.stats.time.copy_ns, t0);
-        for &c in path.iter() {
-            self.problem().apply(state, c);
+        for f in path {
+            p.apply(state, f.choices[f.next - 1]);
         }
+        let f = &mut self.stack[level];
+        let choices = f.choices.split_off(f.choices.len() - give);
 
-        let result_tx = self
-            .task_children
-            .as_ref()
-            .expect("responding only while running a task")
-            .tx
-            .clone();
-        match responder.send(Some(Task {
-            state: task_state,
-            child_logical,
-            choices: handed_choices,
-            result: result_tx,
-        })) {
-            Ok(()) => {
-                self.task_children.as_mut().expect("installed").handed += 1;
-                self.stats.tasks_created += 1;
-                self.stats.steal_responses += 1;
-            }
-            Err(_) => {
-                // The requester timed out and dropped its receiver. The
-                // handed choices were drained with the Task and dropped with
-                // it; this arm is unreachable under the retract-or-block
-                // protocol, which guarantees the receiver stays alive once
-                // the victim holds the responder.
-                unreachable!("requester receivers outlive taken responders");
-            }
-        }
+        self.shared.cells[self.id].join.add_in_flight();
+        self.handed = true;
+        self.stats.tasks_created += 1;
+        self.stats.steal_responses += 1;
+        self.answer(
+            thief,
+            Some(Task {
+                state: task_state,
+                child_logical,
+                choices,
+                victim: self.id,
+            }),
+        );
     }
 
-    /// Idle loop: request tasks from random victims.
+    fn answer(&self, thief: u32, task: Option<Task<P>>) {
+        self.shared.cells[thief as usize].response.send(task);
+    }
+
+    /// Idle loop: request tasks from random victims until the root is done.
     fn steal_loop(&mut self) {
-        let n = self.shared.boxes.len();
+        let shared = self.shared;
+        let n = shared.cells.len();
         if n == 1 {
             return;
         }
-        let mut idle_since = now_if(self.shared.timing);
-        while !self.shared.root.is_done() {
-            // Serve (reject) requests aimed at us while we are idle, so
-            // requesters don't wait out their timeout on an empty worker.
-            // Relaxed: advisory poll, as in `node`.
-            if self.shared.boxes[self.id].flag.load(Ordering::Relaxed) {
-                if let Some((_, r)) = self.shared.boxes[self.id].slot.lock().take() {
-                    let _ = r.send(None);
-                }
-                // Relaxed: cleared after the mailbox lock, as in `respond`.
-                self.shared.boxes[self.id]
-                    .flag
-                    .store(false, Ordering::Relaxed);
-            }
-
+        let mut idle_since = now_if(shared.timing);
+        while !shared.root.is_done() {
             let victim = uniform_victim(&mut self.rng, self.id, n);
-            let vbox = &self.shared.boxes[victim];
-            // Relaxed: the flag CAS only arbitrates requesters (one request
-            // per victim at a time); the request itself is written under
-            // the mailbox mutex, which the victim locks after its poll.
-            if vbox
-                .flag
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-            {
-                // Someone else is already requesting from this victim.
-                self.stats.steals_failed += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            let (tx, rx) = sync_channel::<Option<Task<P>>>(1);
-            *vbox.slot.lock() = Some((self.id, tx));
-            self.stats.steal_requests += 1;
-            let response = match rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(r) => Some(r),
-                Err(_) => {
-                    // Timed out. If our request is still in the slot the
-                    // victim has not seen it: retract it and move on. If the
-                    // victim already took it, a response is imminent — block
-                    // briefly for it so the handed-out task is never lost.
-                    let mut slot = vbox.slot.lock();
-                    let still_ours = matches!(*slot, Some((id, _)) if id == self.id);
-                    if still_ours {
-                        *slot = None;
-                        // Relaxed: retracted under the mailbox lock.
-                        vbox.flag.store(false, Ordering::Relaxed);
-                        drop(slot);
-                        None
-                    } else {
-                        drop(slot);
-                        rx.recv().ok()
-                    }
-                }
+            let task = if shared.cells[victim].request.ask(self.id as u32) {
+                self.stats.steal_requests += 1;
+                shared.cells[self.id].response.recv()
+            } else {
+                None
             };
-            match response {
-                Some(Some(task)) => {
+            match task {
+                Some(task) => {
                     self.stats.steals_ok += 1;
                     lap(&mut self.stats.time.steal_wait_ns, idle_since.take());
-                    self.run_range_task(task);
-                    idle_since = now_if(self.shared.timing);
+                    let Task {
+                        mut state,
+                        child_logical,
+                        choices,
+                        victim,
+                    } = task;
+                    let out = self.run_task(|w| w.traverse_set(&mut state, child_logical, choices));
+                    let to = &shared.cells[victim];
+                    if let Some(total) = to.join.arrive(out, P::Out::combine) {
+                        to.joined.send(total);
+                    }
+                    idle_since = now_if(shared.timing);
                 }
-                Some(None) | None => {
-                    self.stats.steals_failed += 1;
-                }
+                None => self.stats.steals_failed += 1,
             }
             std::thread::yield_now();
         }
@@ -362,10 +266,14 @@ pub fn run<P: Problem>(
     let threads = cfg.threads;
     let shared = Shared {
         problem,
-        boxes: (0..threads)
-            .map(|_| RequestBox {
-                flag: AtomicBool::new(false),
-                slot: Mutex::new(None),
+        cells: (0..threads)
+            .map(|_| {
+                CachePadded::new(Cell {
+                    request: Request::new(),
+                    response: ResultCell::new(),
+                    join: JoinCell::new(),
+                    joined: ResultCell::new(),
+                })
             })
             .collect(),
         root: ResultCell::new(),
@@ -381,12 +289,12 @@ pub fn run<P: Problem>(
             stats: RunStats::default(),
             rng: seeds[id].clone(),
             stack: Vec::new(),
-            task_children: None,
+            handed: false,
         };
         if id == 0 {
-            let root_state = shared.problem.root();
+            let mut root_state = shared.problem.root();
             w.stats.tasks_created += 1; // the root task
-            let out = w.run_root_task(root_state, 0);
+            let out = w.run_task(|w| w.node(&mut root_state, 0));
             shared.root.deliver(out);
         }
         w.steal_loop();

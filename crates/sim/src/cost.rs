@@ -37,8 +37,6 @@ pub struct CostModel {
     pub backtrack_level_ns: u64,
     /// Tascell: request/response messaging latency.
     pub respond_ns: u64,
-    /// Tascell: a thief's request timeout before retrying elsewhere.
-    pub request_timeout_ns: u64,
 }
 
 impl CostModel {
@@ -55,7 +53,6 @@ impl CostModel {
             poll_ns: 3,
             backtrack_level_ns: 30,
             respond_ns: 250,
-            request_timeout_ns: 10_000,
         }
     }
 

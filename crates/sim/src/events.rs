@@ -29,11 +29,6 @@ impl Events {
     /// Schedule `wid`, which has no pending event, at `at`.
     pub(crate) fn schedule(&mut self, wid: usize, at: u64) {
         debug_assert_eq!(self.slots[wid], EMPTY, "worker {wid} has an event");
-        self.reschedule(wid, at);
-    }
-
-    /// Schedule `wid` at `at`, replacing its pending event, if it has one.
-    pub(crate) fn reschedule(&mut self, wid: usize, at: u64) {
         self.seq += 1;
         self.slots[wid] = u128::from(at) << 64 | u128::from(self.seq) << 8 | wid as u128;
     }

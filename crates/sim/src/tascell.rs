@@ -1,24 +1,28 @@
 //! Virtual-time interpreter for the Tascell policy.
 //!
 //! Each virtual worker runs one task as an explicit-stack sequential
-//! traversal, polling its request flag at every node. A thief installs a
-//! request at a random busy victim and sleeps until the victim answers (at
-//! its next poll) or a timeout fires. The victim answers by *temporary
-//! backtracking*: it pays an undo/redo cost proportional to the distance to
-//! the shallowest frame holding an untried choice, one workspace copy, and
-//! a response latency. At the end of a task the victim blocks — it cannot
-//! steal — until every subtree it handed out has delivered its result
-//! (`wait_children`, the overhead of the paper's Figure 7).
+//! traversal, polling for a request at every node. The request protocol is
+//! the threaded runtime's: a thief installs a request only at a victim that
+//! runs a task (`Busy`, whose word is open) and has none pending, and then
+//! sleeps until the victim answers at its next poll — a victim always
+//! answers before it leaves `Busy`, so a thief needs no timeout, and a
+//! request to an idle or waiting worker fails at once. The victim answers
+//! by *temporary backtracking* to the level [`tascell_split`] picks: it
+//! pays an undo/redo cost proportional to the distance to that level, one
+//! workspace copy, and a response latency. At the end of a task the victim
+//! blocks — it cannot steal — until every range it handed out has
+//! delivered its result (`wait_children`, the overhead of the paper's
+//! Figure 7).
 
 use crate::cost::CostModel;
 use crate::events::Events;
 use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
-use adaptivetc_strategy::{tascell_give, uniform_victim};
+use adaptivetc_strategy::{tascell_split, uniform_victim};
 
-/// One level of a victim's traversal stack. `end` is normally the child
-/// count, but a handed-over range task starts with a narrowed window, and a
-/// respond() narrows the victim's own window.
+/// One level of a victim's traversal stack: children `[kid, end)` of
+/// `node` are left. A handed-over range starts with a narrowed window,
+/// and each answer narrows the victim's own.
 struct TFrame {
     node: u32,
     kid: usize,
@@ -26,21 +30,13 @@ struct TFrame {
     acc: u64,
 }
 
-/// Where a completed task's total goes.
-#[derive(Debug, Clone, Copy)]
-enum TOut {
-    Root,
-    /// Into the task currently running (or being waited on) by a victim.
-    Victim(usize),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TState {
-    /// Executing its task (stack non-empty).
+    /// Executing its task; its request word is open.
     Busy,
-    /// Requesting from `victim`; sleeping until response or timeout.
+    /// Requesting from `victim`; sleeping until it answers.
     Requesting(usize),
-    /// Task traversal finished; blocked on handed-out children.
+    /// Task traversal finished; blocked on handed-out ranges.
     WaitingChildren,
     /// No task; between steal attempts.
     Idle,
@@ -49,22 +45,32 @@ enum TState {
 
 struct TWorker {
     stack: Vec<TFrame>,
-    out: TOut,
-    /// Subtrees handed out minus results received for the current task.
+    /// The victim whose task the running task's total joins; `None` for
+    /// the root task.
+    out: Option<usize>,
+    /// Ranges handed out minus results received, for the current task.
     pending_children: u32,
-    /// Results received from handed-out subtrees.
-    extra: u64,
-    /// Accumulated result of the finished traversal (valid while waiting).
-    own_total: u64,
+    /// The current task's total so far: its own traversal's, once done,
+    /// plus each range's that arrived.
+    total: u64,
+    /// The requester whose request this worker must answer.
     request_from: Option<usize>,
     stats: RunStats,
     rng: XorShift64,
     state: TState,
     /// Range assigned by a responding victim: children `[from, to)` of
-    /// `node`.
-    assigned: Option<(u32, usize, usize, TOut)>,
+    /// `node`, for `victim`.
+    assigned: Option<(u32, usize, usize, usize)>,
     idle_since: Option<u64>,
     wait_since: u64,
+}
+
+impl TWorker {
+    fn end_idle(&mut self, now: u64) {
+        if let Some(since) = self.idle_since.take() {
+            self.stats.time.steal_wait_ns += now - since;
+        }
+    }
 }
 
 pub(crate) struct TascellSim<'t> {
@@ -83,10 +89,9 @@ impl<'t> TascellSim<'t> {
         let workers = (0..cfg.threads)
             .map(|_| TWorker {
                 stack: Vec::new(),
-                out: TOut::Root,
+                out: None,
                 pending_children: 0,
-                extra: 0,
-                own_total: 0,
+                total: 0,
                 request_from: None,
                 stats: RunStats::default(),
                 rng: seeder.split(),
@@ -107,42 +112,35 @@ impl<'t> TascellSim<'t> {
         }
     }
 
-    /// Begin a task over children `[from, to)` of `node` (the root task uses
-    /// the full range), delivering its total to `out`. The node itself was
-    /// already executed by whoever handed the range over, except for the
-    /// root task where `from == 0 && to == children` and the root node is
-    /// charged here.
+    /// Begin a task over children `[from, to)` of `node`, whose total joins
+    /// `out`'s task. Whoever handed the range over executed `node`; only
+    /// the root task (`out == None`, the full range) is charged it here.
     fn start_task(
         &mut self,
         wid: usize,
         node: u32,
         from: usize,
         to: usize,
-        out: TOut,
-        root_task: bool,
+        out: Option<usize>,
     ) -> u64 {
-        {
-            let w = &mut self.workers[wid];
-            debug_assert!(w.stack.is_empty());
-            w.out = out;
-            w.pending_children = 0;
-            w.extra = 0;
-            w.own_total = 0;
-            w.state = TState::Busy;
-        }
-        let mut cost = self.cost.poll_ns;
         let w = &mut self.workers[wid];
+        debug_assert!(w.stack.is_empty());
+        w.out = out;
+        w.pending_children = 0;
+        w.total = 0;
+        w.state = TState::Busy;
+        let mut cost = self.cost.poll_ns;
         w.stats.polls += 1;
         w.stats.time.poll_ns += self.cost.poll_ns;
-        if root_task {
+        if out.is_none() {
             let work = self.cost.work_ns(self.tree.work(node));
             cost += work;
             w.stats.nodes += 1;
             w.stats.time.busy_ns += work;
         }
         if self.tree.is_leaf(node) {
-            w.own_total = 1;
             // Task completion handled on the next step.
+            w.total = 1;
         } else {
             w.stats.fake_tasks += 1;
             w.stack.push(TFrame {
@@ -156,23 +154,19 @@ impl<'t> TascellSim<'t> {
     }
 
     /// Deliver a completed task total.
-    fn deliver(&mut self, out: TOut, value: u64) {
-        match out {
-            TOut::Root => {
-                self.root_value = value;
-                self.root_done = Some(self.now);
-            }
-            TOut::Victim(v) => {
-                let at = self.now;
-                let w = &mut self.workers[v];
-                debug_assert!(w.pending_children > 0);
-                w.pending_children -= 1;
-                w.extra += value;
-                if w.pending_children == 0 && w.state == TState::WaitingChildren {
-                    // Wake the victim: its task can now complete.
-                    self.events.schedule(v, at);
-                }
-            }
+    fn deliver(&mut self, out: Option<usize>, value: u64) {
+        let Some(v) = out else {
+            self.root_value = value;
+            self.root_done = Some(self.now);
+            return;
+        };
+        let w = &mut self.workers[v];
+        debug_assert!(w.pending_children > 0);
+        w.pending_children -= 1;
+        w.total += value;
+        if w.pending_children == 0 && w.state == TState::WaitingChildren {
+            // Wake the victim: its task can now complete.
+            self.events.schedule(v, self.now);
         }
     }
 
@@ -182,124 +176,83 @@ impl<'t> TascellSim<'t> {
         let Some(thief) = self.workers[wid].request_from.take() else {
             return 0;
         };
-        // The thief may have timed out and moved on.
-        if self.workers[thief].state != TState::Requesting(wid) {
-            return 0;
-        }
-        // Shallowest frame with an untried choice.
-        let split = self.workers[wid].stack.iter().position(|f| f.kid < f.end);
-        let Some(level) = split else {
+        debug_assert_eq!(self.workers[thief].state, TState::Requesting(wid));
+        let split = tascell_split(self.workers[wid].stack.iter().map(|f| f.end - f.kid));
+        let Some((level, give)) = split else {
             // Nothing to give: fail the thief immediately.
-            let at = self.now;
             let t = &mut self.workers[thief];
             t.state = TState::Idle;
             t.stats.steals_failed += 1;
-            self.events.reschedule(thief, at);
+            self.events.schedule(thief, self.now);
             return 0;
         };
-        let depth = self.workers[wid].stack.len();
-        let (node, from, to, bytes) = {
-            let f = &mut self.workers[wid].stack[level];
-            let from = f.end - tascell_give(f.end - f.kid);
-            let to = f.end;
-            f.end = from;
-            (f.node, from, to, self.tree.bytes(f.node))
-        };
-        let backtrack = self.cost.backtrack_level_ns * 2 * (depth - level) as u64;
+        let w = &mut self.workers[wid];
+        let backtrack = self.cost.backtrack_level_ns * 2 * (w.stack.len() - level) as u64;
+        let f = &mut w.stack[level];
+        let (node, from, to) = (f.node, f.end - give, f.end);
+        f.end = from;
+        let bytes = self.tree.bytes(node);
         let copy = self.cost.copy_ns(bytes, true);
         let cost = backtrack + copy + self.cost.respond_ns;
-        {
-            let w = &mut self.workers[wid];
-            w.pending_children += 1;
-            w.stats.tasks_created += 1;
-            w.stats.steal_responses += 1;
-            w.stats.copies += 1;
-            w.stats.allocations += 1;
-            w.stats.copy_bytes += bytes;
-            w.stats.time.copy_ns += copy;
-            w.stats.time.deque_ns += backtrack + self.cost.respond_ns;
-        }
-        // Hand the range to the thief.
-        let at = self.now + cost;
+        w.pending_children += 1;
+        w.stats.tasks_created += 1;
+        w.stats.steal_responses += 1;
+        w.stats.copies += 1;
+        w.stats.allocations += 1;
+        w.stats.copy_bytes += bytes;
+        w.stats.time.copy_ns += copy;
+        w.stats.time.deque_ns += backtrack + self.cost.respond_ns;
+        // Hand the range to the thief, which picks it up on waking.
         let t = &mut self.workers[thief];
-        t.assigned = Some((node, from, to, TOut::Victim(wid)));
-        t.state = TState::Idle; // will pick the assignment up on wake
+        t.assigned = Some((node, from, to, wid));
+        t.state = TState::Idle;
         t.stats.steals_ok += 1;
-        self.events.reschedule(thief, at);
+        self.events.schedule(thief, self.now + cost);
         cost
     }
 
     /// One event step for a worker; `Some(cost)` reschedules.
     fn step(&mut self, wid: usize) -> Option<u64> {
+        let now = self.now;
         match self.workers[wid].state {
             TState::Done => None,
-            TState::Requesting(victim) => {
-                // Timeout fired: retract and go idle.
-                if self.workers[victim].request_from == Some(wid) {
-                    self.workers[victim].request_from = None;
-                }
-                let w = &mut self.workers[wid];
-                w.state = TState::Idle;
-                w.stats.steals_failed += 1;
-                Some(self.cost.steal_ns)
-            }
+            TState::Requesting(_) => unreachable!("a requesting thief sleeps until it is answered"),
             TState::WaitingChildren => {
-                // Woken: all handed-out children delivered.
+                // Woken: all handed-out ranges delivered.
                 let w = &mut self.workers[wid];
                 debug_assert_eq!(w.pending_children, 0);
-                w.stats.time.wait_children_ns += self.now - w.wait_since;
-                let total = w.own_total + w.extra;
-                let out = w.out;
+                w.stats.time.wait_children_ns += now - w.wait_since;
                 w.state = TState::Idle;
+                let (out, total) = (w.out, w.total);
                 self.deliver(out, total);
                 Some(self.cost.poll_ns.max(1))
             }
             TState::Idle => {
-                if let Some((node, from, to, out)) = self.workers[wid].assigned.take() {
-                    let w = &mut self.workers[wid];
-                    if let Some(since) = w.idle_since.take() {
-                        w.stats.time.steal_wait_ns += self.now - since;
-                    }
-                    return Some(self.start_task(wid, node, from, to, out, false));
+                let w = &mut self.workers[wid];
+                if let Some((node, from, to, victim)) = w.assigned.take() {
+                    w.end_idle(now);
+                    return Some(self.start_task(wid, node, from, to, Some(victim)));
                 }
                 if self.root_done.is_some() {
-                    let w = &mut self.workers[wid];
-                    if let Some(since) = w.idle_since.take() {
-                        w.stats.time.steal_wait_ns += self.now - since;
-                    }
+                    w.end_idle(now);
                     w.state = TState::Done;
                     return None;
                 }
-                if self.workers[wid].idle_since.is_none() {
-                    self.workers[wid].idle_since = Some(self.now);
-                }
-                // Reject requests aimed at us while idle.
-                if let Some(thief) = self.workers[wid].request_from.take() {
-                    if self.workers[thief].state == TState::Requesting(wid) {
-                        let at = self.now;
-                        let t = &mut self.workers[thief];
-                        t.state = TState::Idle;
-                        t.stats.steals_failed += 1;
-                        self.events.reschedule(thief, at);
-                    }
-                }
+                w.idle_since.get_or_insert(now);
                 let n = self.workers.len();
                 if n == 1 {
                     return Some(self.cost.steal_backoff_ns);
                 }
                 let victim = uniform_victim(&mut self.workers[wid].rng, wid, n);
-                let victim_busy = matches!(
-                    self.workers[victim].state,
-                    TState::Busy | TState::WaitingChildren
-                );
-                if victim_busy && self.workers[victim].request_from.is_none() {
-                    self.workers[victim].request_from = Some(wid);
+                // The runtime's CAS: only a running task's open word, with
+                // no request pending, takes one.
+                let v = &mut self.workers[victim];
+                if v.state == TState::Busy && v.request_from.is_none() {
+                    v.request_from = Some(wid);
                     let w = &mut self.workers[wid];
                     w.state = TState::Requesting(victim);
                     w.stats.steal_requests += 1;
-                    let at = self.now + self.cost.request_timeout_ns;
-                    self.events.schedule(wid, at);
-                    None // sleeping until response or timeout
+                    None // sleeping until the victim answers
                 } else {
                     self.workers[wid].stats.steals_failed += 1;
                     Some(self.cost.steal_ns + self.cost.steal_backoff_ns)
@@ -319,7 +272,7 @@ impl<'t> TascellSim<'t> {
                     let acc = top.acc;
                     w.stack.pop();
                     let Some(parent) = w.stack.last_mut() else {
-                        w.own_total = acc;
+                        w.total += acc;
                         return self.finish_traversal(wid).map(|c| respond_cost + c);
                     };
                     parent.acc += acc;
@@ -352,41 +305,95 @@ impl<'t> TascellSim<'t> {
         }
     }
 
-    /// The task's own traversal is done: block on handed-out children
-    /// (`None`, the last delivering child wakes us) or complete immediately.
+    /// The task's own traversal is done: block on handed-out ranges
+    /// (`None`, the last to arrive wakes us) or complete immediately.
     fn finish_traversal(&mut self, wid: usize) -> Option<u64> {
         let w = &mut self.workers[wid];
+        // The poll that opened this step answered any request: a victim
+        // leaves `Busy` owing none.
+        debug_assert_eq!(w.request_from, None);
         if w.pending_children > 0 {
             w.state = TState::WaitingChildren;
             w.wait_since = self.now;
             w.stats.suspensions += 1;
-            None
-        } else {
-            let total = w.own_total + w.extra;
-            let out = w.out;
-            w.state = TState::Idle;
-            self.deliver(out, total);
-            Some(1)
+            return None;
+        }
+        w.state = TState::Idle;
+        let (out, total) = (w.out, w.total);
+        self.deliver(out, total);
+        Some(1)
+    }
+
+    /// Run the next event; `false` once none is left.
+    fn advance(&mut self) -> bool {
+        let Some((t, wid)) = self.events.pop() else {
+            return false;
+        };
+        self.now = t;
+        if let Some(cost) = self.step(wid) {
+            self.events.schedule(wid, t + cost.max(1));
+        }
+        true
+    }
+
+    /// The root task on worker 0, every other worker in its steal loop.
+    fn start(&mut self) {
+        self.workers[0].stats.tasks_created += 1;
+        let root_kids = self.tree.children(0).len();
+        let first_cost = self.start_task(0, 0, 0, root_kids, None);
+        self.events.schedule(0, first_cost);
+        for wid in 1..self.workers.len() {
+            self.events.schedule(wid, 0);
         }
     }
 
     pub(crate) fn run(mut self) -> (u64, RunReport) {
-        let n = self.workers.len();
-        self.workers[0].stats.tasks_created += 1;
-        let root_kids = self.tree.children(0).len();
-        let first_cost = self.start_task(0, 0, 0, root_kids, TOut::Root, true);
-        self.events.schedule(0, first_cost);
-        for wid in 1..n {
-            self.events.schedule(wid, 0);
-        }
-        while let Some((t, wid)) = self.events.pop() {
-            self.now = t;
-            if let Some(cost) = self.step(wid) {
-                self.events.schedule(wid, t + cost.max(1));
-            }
-        }
+        self.start();
+        while self.advance() {}
         let wall = self.root_done.expect("simulation must complete the root");
         let per_worker: Vec<RunStats> = self.workers.into_iter().map(|w| w.stats).collect();
         (self.root_value, RunReport::from_workers(per_worker, wall))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_waiting_worker_never_leaves_a_thief_waiting() {
+        // A complete ternary tree of height 7: enough ranges go out that
+        // victims reach their terminal wait while thieves still probe.
+        let interior = (3usize.pow(7) - 1) / 2;
+        let mut children = vec![Vec::new(); (3usize.pow(8) - 1) / 2];
+        for (i, kids) in children.iter_mut().enumerate().take(interior) {
+            *kids = (1..=3).map(|k| (3 * i + k) as u32).collect();
+        }
+        let tree = SimTree::from_lists(children, 1, 64);
+        let mut waited = 0;
+        for threads in [2, 4, 8] {
+            for seed in 0..8 {
+                let cfg = Config::new(threads).seed(seed);
+                let mut sim = TascellSim::new(&tree, &cfg, CostModel::calibrated());
+                sim.start();
+                while sim.advance() {
+                    for (wid, w) in sim.workers.iter().enumerate() {
+                        if let TState::Requesting(v) = w.state {
+                            assert_eq!(
+                                sim.workers[v].state,
+                                TState::Busy,
+                                "worker {wid} waits on {v}, which no longer takes requests \
+                                 ({threads} workers, seed {seed}, t = {})",
+                                sim.now
+                            );
+                        }
+                        waited += usize::from(w.state == TState::WaitingChildren);
+                    }
+                }
+                assert!(sim.root_done.is_some());
+                assert!(sim.workers.iter().all(|w| w.state == TState::Done));
+            }
+        }
+        assert!(waited > 0, "no victim ever reached its terminal wait");
     }
 }

@@ -178,12 +178,15 @@ pub fn uniform_victim(rng: &mut XorShift64, me: usize, n: usize) -> usize {
     }
 }
 
-/// Tascell's split of a frame with `untried` choices left (`untried ≥ 1`):
-/// the victim keeps the first half and gives the later half away, at
-/// least one choice. Returns how many it gives.
+/// Tascell's split of a victim's traversal, given each level's count of
+/// untried choices from the shallowest level down: the shallowest level
+/// with an untried choice, and how many of its choices the victim gives
+/// away — the later half, at least one. `None` when nothing is left to
+/// split.
 #[inline]
-pub fn tascell_give(untried: usize) -> usize {
-    (untried / 2).max(1)
+pub fn tascell_split(untried: impl IntoIterator<Item = usize>) -> Option<(usize, usize)> {
+    let (level, left) = untried.into_iter().enumerate().find(|&(_, n)| n > 0)?;
+    Some((level, (left / 2).max(1)))
 }
 
 #[cfg(test)]
@@ -276,9 +279,13 @@ mod tests {
 
     #[test]
     fn tascell_gives_the_later_half() {
-        assert_eq!(tascell_give(1), 1);
-        assert_eq!(tascell_give(2), 1);
-        assert_eq!(tascell_give(5), 2);
+        assert_eq!(tascell_split([1]), Some((0, 1)));
+        assert_eq!(tascell_split([2]), Some((0, 1)));
+        assert_eq!(tascell_split([5]), Some((0, 2)));
+        // The shallowest level with an untried choice, whatever lies below.
+        assert_eq!(tascell_split([0, 0, 4, 9]), Some((2, 2)));
+        assert_eq!(tascell_split([0, 0]), None);
+        assert_eq!(tascell_split([]), None);
         let mut rng = XorShift64::new(5);
         assert!((0..100).all(|_| uniform_victim(&mut rng, 1, 3) != 1));
     }

@@ -20,5 +20,5 @@ pub mod fsm;
 mod kernel;
 mod policy;
 
-pub use kernel::{tascell_give, uniform_victim, Fallthrough, Kernel, Regime, SpecialWait};
+pub use kernel::{tascell_split, uniform_victim, Fallthrough, Kernel, Regime, SpecialWait};
 pub use policy::{Mode, Policy};
