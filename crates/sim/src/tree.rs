@@ -7,10 +7,11 @@
 //! exactly that, so one traversal serves every (policy × worker-count)
 //! simulation of a workload.
 //!
-//! A tree is one array of 16-byte [`Node`] records. The children of a node
-//! are a block of consecutive ids, so a node's record is all a step of the
-//! interpreter reads about it, and a walk over its children reads the
-//! array forward.
+//! A tree is one array of 8-byte [`Node`] records. The children of a node
+//! are a block of consecutive ids, so a walk over its children reads the
+//! array forward. Work units and workspace bytes are each stored once when
+//! every node has the same value, as on all eight Table-1 instances, and
+//! per node only when they vary.
 
 use adaptivetc_core::{Expansion, Problem};
 use std::ops::Range;
@@ -26,21 +27,70 @@ struct Node {
     first: u32,
     /// Number of children, or [`LEAF`].
     kids: u32,
-    /// Work units (`Problem::node_work`).
-    work: u32,
-    /// Workspace bytes (`Problem::state_bytes`).
-    bytes: u32,
+}
+
+/// One value per node: a single value while every node shares it, else an
+/// array indexed by node id.
+#[derive(Debug, Clone)]
+enum Column {
+    Uniform(u32),
+    PerNode(Vec<u32>),
+}
+
+impl Column {
+    #[inline]
+    fn get(&self, node: u32) -> u32 {
+        match self {
+            Column::Uniform(v) => *v,
+            Column::PerNode(vs) => vs[node as usize],
+        }
+    }
+
+    /// Record node `id`'s value in a tree of `len` nodes so far. The first
+    /// value that differs turns the column per-node, every node filled
+    /// with the value seen so far (nodes not yet visited are overwritten
+    /// when they are).
+    fn set(&mut self, id: usize, v: u32, len: usize) {
+        match self {
+            Column::Uniform(u) if *u == v => {}
+            Column::Uniform(u) => {
+                let mut vs = vec![*u; len];
+                vs[id] = v;
+                *self = Column::PerNode(vs);
+            }
+            Column::PerNode(vs) => {
+                vs.resize(len, 0);
+                vs[id] = v;
+            }
+        }
+    }
 }
 
 /// A flattened tree: node 0 is the root, and every node's children are
 /// consecutive ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SimTree {
     nodes: Vec<Node>,
+    work: Column,
+    bytes: Column,
     leaves: u64,
     total_work: u64,
     depth: u32,
 }
+
+/// Trees are equal when every accessor answers the same, however their
+/// columns are stored.
+impl PartialEq for SimTree {
+    fn eq(&self, other: &SimTree) -> bool {
+        self.nodes == other.nodes
+            && (self.leaves, self.total_work, self.depth)
+                == (other.leaves, other.total_work, other.depth)
+            && (0..self.len() as u32)
+                .all(|n| self.work(n) == other.work(n) && self.bytes(n) == other.bytes(n))
+    }
+}
+
+impl Eq for SimTree {}
 
 fn saturate(v: u64) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
@@ -60,11 +110,17 @@ impl SimTree {
             t.total_work += work;
             t.depth = t.depth.max(depth);
             let first = t.nodes.len();
+            let (work, bytes) = (saturate(work), saturate(p.state_bytes(st) as u64));
+            if id == 0 {
+                // The root's values seed both columns.
+                (t.work, t.bytes) = (Column::Uniform(work), Column::Uniform(bytes));
+            } else {
+                t.work.set(id, work, first);
+                t.bytes.set(id, bytes, first);
+            }
             t.nodes[id] = Node {
                 first: first as u32,
                 kids: LEAF,
-                work: saturate(work),
-                bytes: saturate(p.state_bytes(st) as u64),
             };
             let Expansion::Children(cs) = p.expand(st, depth) else {
                 t.leaves += 1;
@@ -83,6 +139,8 @@ impl SimTree {
 
         let mut tree = SimTree {
             nodes: vec![Node::default()],
+            work: Column::Uniform(0),
+            bytes: Column::Uniform(0),
             leaves: 0,
             total_work: 0,
             depth: 0,
@@ -128,8 +186,6 @@ impl SimTree {
                 } else {
                     list.len() as u32
                 },
-                work: uniform_work,
-                bytes: uniform_bytes,
             });
         }
         if let Some(id) = seen.iter().position(|&s| !s) {
@@ -137,6 +193,8 @@ impl SimTree {
         }
         SimTree {
             nodes,
+            work: Column::Uniform(uniform_work),
+            bytes: Column::Uniform(uniform_bytes),
             leaves,
             total_work: u64::from(uniform_work) * n as u64,
             depth,
@@ -177,13 +235,13 @@ impl SimTree {
     /// Work units at a node.
     #[inline]
     pub fn work(&self, node: u32) -> u64 {
-        u64::from(self.nodes[node as usize].work)
+        u64::from(self.work.get(node))
     }
 
     /// Workspace bytes at a node.
     #[inline]
     pub fn bytes(&self, node: u32) -> u64 {
-        u64::from(self.nodes[node as usize].bytes)
+        u64::from(self.bytes.get(node))
     }
 
     /// Leaf count (the simulator's correctness check value).
@@ -254,8 +312,97 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Node>(), 16);
+    fn a_node_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 8);
+    }
+
+    /// `Tern` whose values vary: a node at depth `d` does `d + 1` work
+    /// units, and its workspace is 8 bytes above the leaves and 16 at them,
+    /// so the byte column turns per-node only at the first leaf.
+    struct Graded(u32);
+    impl Problem for Graded {
+        type State = u32;
+        type Choice = u8;
+        type Out = u64;
+        fn root(&self) -> u32 {
+            0
+        }
+        fn expand(&self, d: &u32, _: u32) -> Expansion<u8, u64> {
+            Tern(self.0).expand(d, *d)
+        }
+        fn apply(&self, d: &mut u32, _: u8) {
+            *d += 1;
+        }
+        fn undo(&self, d: &mut u32, _: u8) {
+            *d -= 1;
+        }
+        fn node_work(&self, _: &u32, d: u32) -> u64 {
+            u64::from(d) + 1
+        }
+        fn state_bytes(&self, d: &u32) -> usize {
+            if *d == self.0 {
+                16
+            } else {
+                8
+            }
+        }
+    }
+
+    /// Walk `t` beside `p`'s own traversal: every node's work and bytes
+    /// are what the problem reports at that node.
+    fn assert_columns_match<P: Problem>(p: &P, t: &SimTree) {
+        fn walk<P: Problem>(p: &P, st: &mut P::State, t: &SimTree, node: u32, depth: u32) {
+            assert_eq!(t.work(node), p.node_work(st, depth), "work at node {node}");
+            assert_eq!(
+                t.bytes(node),
+                p.state_bytes(st) as u64,
+                "bytes at node {node}"
+            );
+            let cs = match p.expand(st, depth) {
+                Expansion::Children(cs) => cs,
+                Expansion::Leaf(_) => Vec::new(),
+            };
+            assert_eq!(t.children(node).len(), cs.len(), "children of node {node}");
+            for (kid, c) in t.children(node).zip(cs) {
+                p.apply(st, c);
+                walk(p, st, t, kid, depth + 1);
+                p.undo(st, c);
+            }
+        }
+        walk(p, &mut p.root(), t, 0, 0);
+    }
+
+    #[test]
+    fn values_that_vary_per_node_are_kept_per_node() {
+        for p in [Graded(0), Graded(1), Graded(5)] {
+            let t = SimTree::from_problem(&p);
+            let varies = p.0 > 0;
+            assert_eq!(matches!(t.work, Column::PerNode(_)), varies);
+            assert_eq!(matches!(t.bytes, Column::PerNode(_)), varies);
+            assert_columns_match(&p, &t);
+            let (_, r) = serial::run(&p);
+            assert_eq!(t.total_work(), r.work_units);
+            assert_eq!(t.len() as u64, r.nodes);
+        }
+        for p in [Tern(4), Tern(0)] {
+            let t = SimTree::from_problem(&p);
+            assert!(matches!(t.work, Column::Uniform(1)), "{:?}", t.work);
+            assert!(matches!(t.bytes, Column::Uniform(4)), "{:?}", t.bytes);
+            assert_columns_match(&p, &t);
+        }
+    }
+
+    #[test]
+    fn equal_trees_compare_equal_however_stored() {
+        let uniform = SimTree::from_lists(vec![vec![1, 2], vec![], vec![3], vec![]], 5, 64);
+        let mut per_node = uniform.clone();
+        per_node.work = Column::PerNode(vec![5; 4]);
+        per_node.bytes = Column::PerNode(vec![64; 4]);
+        assert_eq!(uniform, per_node);
+        assert_eq!(per_node, uniform);
+        per_node.bytes = Column::PerNode(vec![64, 64, 64, 65]);
+        assert_ne!(uniform, per_node);
+        assert_ne!(per_node, uniform);
     }
 
     /// A left spine of height `h` whose right children are all dead ends.

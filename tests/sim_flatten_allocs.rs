@@ -4,14 +4,17 @@
 //! records and reserves each node's children as a block of it, so the only
 //! allocations beyond the problem's own — what one `serial::run` of the
 //! same problem makes: its root state and every `expand`'s child list —
-//! are that array's growth steps: about ⌈log₂ len⌉. Nothing is allocated
-//! per node. This binary holds one test, and only the test's own thread is
-//! counted.
+//! are that array's growth steps: about ⌈log₂ len⌉. Work units and
+//! workspace bytes take no allocation while every node shares them; a
+//! problem whose values vary adds one array per varying column, with its
+//! own growth steps. Nothing is allocated per node. This binary holds one
+//! test, and only the test's own thread is counted.
 
 use adaptivetc_suite::core::{serial, Problem};
 use adaptivetc_suite::sim::SimTree;
 use adaptivetc_suite::workloads::nqueens::NqueensArray;
 use adaptivetc_suite::workloads::sudoku::Sudoku;
+use adaptivetc_suite::workloads::tree::UnbalancedTree;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -69,17 +72,32 @@ fn flatten_and_serial<P: Problem>(problem: &P) -> (u64, u64, usize) {
 
 #[test]
 fn flattening_allocates_nothing_per_node() {
+    // The third field counts the columns that vary: an unbalanced tree's
+    // workspace grows with depth, its work does not.
     let cases = [
-        ("NqueensArray(8)", flatten_and_serial(&NqueensArray::new(8))),
-        ("Sudoku", flatten_and_serial(&Sudoku::balanced_tree())),
+        (
+            "NqueensArray(8)",
+            flatten_and_serial(&NqueensArray::new(8)),
+            0,
+        ),
+        ("Sudoku", flatten_and_serial(&Sudoku::balanced_tree()), 0),
+        (
+            "UnbalancedTree(3000)",
+            flatten_and_serial(&UnbalancedTree::new(3_000, 7).skew(2.0)),
+            1,
+        ),
     ];
-    for (name, (flatten, serial, len)) in cases {
+    for (name, (flatten, serial, len), columns) in cases {
         assert!(serial > 0, "the counter is not installed");
+        // Each array — the nodes, and one per varying column — grows by
+        // doubling; a column's first allocation is one more.
+        let arrays = 1 + columns;
         let growth = u64::from(len.next_power_of_two().trailing_zeros());
         assert!(
-            flatten <= serial + growth + 2,
+            flatten <= serial + arrays * growth + 2 + columns,
             "{name}: flattening {len} nodes made {flatten} allocations, \
-             serial::run made {serial}: more than {growth} + 2 beyond it"
+             serial::run made {serial}: more than {arrays} × {growth} + 2 + \
+             {columns} beyond it"
         );
     }
 }
