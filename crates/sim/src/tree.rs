@@ -30,8 +30,9 @@ struct Node {
 }
 
 /// One value per node: a single value while every node shares it, else an
-/// array indexed by node id.
-#[derive(Debug, Clone)]
+/// array indexed by node id. A column is `PerNode` only when its values
+/// differ, so equal trees store equal columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Column {
     Uniform(u32),
     PerNode(Vec<u32>),
@@ -68,7 +69,7 @@ impl Column {
 
 /// A flattened tree: node 0 is the root, and every node's children are
 /// consecutive ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimTree {
     nodes: Vec<Node>,
     work: Column,
@@ -77,20 +78,6 @@ pub struct SimTree {
     total_work: u64,
     depth: u32,
 }
-
-/// Trees are equal when every accessor answers the same, however their
-/// columns are stored.
-impl PartialEq for SimTree {
-    fn eq(&self, other: &SimTree) -> bool {
-        self.nodes == other.nodes
-            && (self.leaves, self.total_work, self.depth)
-                == (other.leaves, other.total_work, other.depth)
-            && (0..self.len() as u32)
-                .all(|n| self.work(n) == other.work(n) && self.bytes(n) == other.bytes(n))
-    }
-}
-
-impl Eq for SimTree {}
 
 fn saturate(v: u64) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
@@ -390,19 +377,6 @@ mod tests {
             assert!(matches!(t.bytes, Column::Uniform(4)), "{:?}", t.bytes);
             assert_columns_match(&p, &t);
         }
-    }
-
-    #[test]
-    fn equal_trees_compare_equal_however_stored() {
-        let uniform = SimTree::from_lists(vec![vec![1, 2], vec![], vec![3], vec![]], 5, 64);
-        let mut per_node = uniform.clone();
-        per_node.work = Column::PerNode(vec![5; 4]);
-        per_node.bytes = Column::PerNode(vec![64; 4]);
-        assert_eq!(uniform, per_node);
-        assert_eq!(per_node, uniform);
-        per_node.bytes = Column::PerNode(vec![64, 64, 64, 65]);
-        assert_ne!(uniform, per_node);
-        assert_ne!(per_node, uniform);
     }
 
     /// A left spine of height `h` whose right children are all dead ends.

@@ -9,9 +9,9 @@
 # busy-loop processes (0 <= K <= 4) so the tests compete for the CPU as on
 # a loaded host, and runs every binary N times, one at a time, from its
 # package directory as cargo does. A binary run that takes longer than
-# FLAKE_TIMEOUT seconds (default 900) is killed and counted as a failure of
-# the whole binary. The busy loops are this script's own children and are
-# killed when it exits or is interrupted.
+# 900 seconds is killed and counted as a failure of the whole binary. The
+# busy loops are this script's own children and are killed when it exits
+# or is interrupted.
 #
 # Reports each failure on stderr as it happens, with its round and the
 # test's captured output, then one line per test that failed at least
@@ -30,7 +30,7 @@ if [ "$busy" -gt 4 ]; then
   echo "K is at most 4" >&2
   exit 2
 fi
-limit=${FLAKE_TIMEOUT:-900}
+limit=900
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 pids=()
