@@ -38,6 +38,7 @@ impl XorShift64 {
     }
 
     /// Next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
@@ -52,6 +53,7 @@ impl XorShift64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a nonzero bound");
         // Multiplicative range reduction; bias is negligible for the small
@@ -64,6 +66,7 @@ impl XorShift64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below_usize(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
     }

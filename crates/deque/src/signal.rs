@@ -82,6 +82,7 @@ impl NeedTask {
     }
 
     /// Polled by the victim's check version.
+    #[inline]
     pub fn needs_task(&self) -> bool {
         // Relaxed: an advisory poll on the owner's hot path; a stale read
         // delays adaptation but can never break safety.

@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 struct Frame {
     node: u32,
     tdepth: u32,
-    /// The next child to spawn.
+    /// The next child to spawn: a cursor over `node`'s children.
     next: u32,
     /// Arrivals still expected: one per spawned child, plus the owner's
     /// continuation.
@@ -52,11 +52,11 @@ struct Frames {
 
 impl Frames {
     /// A fresh frame; a special task's is the one with a `Wake` parent.
-    fn alloc(&mut self, node: u32, tdepth: u32, parent: Deliver) -> FrameRef {
+    fn alloc(&mut self, tree: &SimTree, node: u32, tdepth: u32, parent: Deliver) -> FrameRef {
         let frame = Frame {
             node,
             tdepth,
-            next: 0,
+            next: tree.first_child(node),
             outstanding: 1,
             acc: 0,
             parent,
@@ -132,6 +132,7 @@ enum Entry {
     },
     SeqLoop {
         node: u32,
+        /// Cursor: the next child of `node` to run.
         kid: u32,
         acc: u64,
         kind: Fallthrough,
@@ -141,6 +142,7 @@ enum Entry {
     },
     SpecialLoop {
         node: u32,
+        /// Cursor: the next child of `node` to spawn.
         kid: u32,
         sframe: FrameRef,
         out: Deliver,
@@ -289,7 +291,7 @@ impl WorkerSim {
                     return Flow::Pay(cost);
                 }
                 if self.kernel.real_task(tdepth, regime) {
-                    let frame = frames.alloc(node, tdepth, out);
+                    let frame = frames.alloc(env.tree, node, tdepth, out);
                     self.stack.push(Entry::Loop { frame, regime });
                     return Flow::Pay(cost);
                 }
@@ -305,13 +307,14 @@ impl WorkerSim {
                 tdepth,
                 out,
             } => {
-                let Some(child) = env.tree.child(node, *kid) else {
+                let child = *kid;
+                if child >= env.tree.children_end(node) {
                     let acc = *acc;
                     self.stack.pop();
                     self.deliver(frames, out, acc);
                     return Flow::Free;
-                };
-                *kid += 1;
+                }
+                *kid = env.tree.next_sibling(child);
                 let leaf = env.tree.is_leaf(child);
                 if leaf {
                     *acc += 1;
@@ -330,9 +333,8 @@ impl WorkerSim {
 
             Entry::Loop { frame, regime } => {
                 let f = &mut frames.slab[frame as usize];
-                let kids = env.tree.children(f.node);
-                let child = kids.start + f.next;
-                if child >= kids.end {
+                let (child, end) = (f.next, env.tree.children_end(f.node));
+                if child >= end {
                     self.stack.pop();
                     match frames.arrive(frame, 0) {
                         Some((total, parent)) => self.deliver(frames, parent, total),
@@ -343,12 +345,12 @@ impl WorkerSim {
                     }
                     return Flow::Free;
                 }
-                f.next += 1;
+                f.next = env.tree.next_sibling(child);
                 f.outstanding += 1;
                 // The continuation after the last spawn holds nothing
                 // stealable: elide its deque entry (dead continuations
                 // would otherwise satisfy thieves without feeding them).
-                let stealable = child + 1 < kids.end;
+                let stealable = f.next < end;
                 let (tdepth, bytes) = (f.tdepth + 1, env.tree.bytes(f.node));
                 let mut cost = env.cost.task_create_ns;
                 self.stats.tasks_created += 1;
@@ -397,8 +399,9 @@ impl WorkerSim {
                 sframe,
                 out,
             } => {
-                if let Some(child) = env.tree.child(node, *kid) {
-                    *kid += 1;
+                let child = *kid;
+                if child < env.tree.children_end(node) {
+                    *kid = env.tree.next_sibling(child);
                     frames.slab[sframe as usize].outstanding += 1;
                     let mut cost = env.cost.task_create_ns + 2 * env.cost.deque_op_ns;
                     self.stats.tasks_created += 1;
@@ -505,7 +508,7 @@ impl WorkerSim {
         sev!(env, self.id as usize, Ev::FakeTask { depth: tdepth });
         self.stack.push(Entry::SeqLoop {
             node,
-            kid: 0,
+            kid: env.tree.first_child(node),
             acc: 0,
             kind,
             tdepth,
@@ -528,10 +531,10 @@ impl WorkerSim {
         self.stolen_num = 0;
         self.stats.special_tasks += 1;
         sev!(env, self.id as usize, Ev::SpecialBegin { depth });
-        let sframe = frames.alloc(node, 0, Deliver::Wake(self.id));
+        let sframe = frames.alloc(env.tree, node, 0, Deliver::Wake(self.id));
         self.stack.push(Entry::SpecialLoop {
             node,
-            kid: 0,
+            kid: env.tree.first_child(node),
             sframe,
             out,
         });

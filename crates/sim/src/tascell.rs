@@ -20,13 +20,13 @@ use crate::tree::SimTree;
 use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
 use adaptivetc_strategy::{tascell_split, uniform_victim};
 
-/// One level of a victim's traversal stack: children `[kid, end)` of
-/// `node` are left. A handed-over range starts with a narrowed window,
-/// and each answer narrows the victim's own.
+/// One level of a victim's traversal stack: the children of `node` from
+/// cursor `kid` up to cursor `end` are left. A handed-over range starts
+/// with a narrowed window, and each answer narrows the victim's own.
 struct TFrame {
     node: u32,
-    kid: usize,
-    end: usize,
+    kid: u32,
+    end: u32,
     acc: u64,
 }
 
@@ -58,9 +58,9 @@ struct TWorker {
     stats: RunStats,
     rng: XorShift64,
     state: TState,
-    /// Range assigned by a responding victim: children `[from, to)` of
-    /// `node`, for `victim`.
-    assigned: Option<(u32, usize, usize, usize)>,
+    /// Range assigned by a responding victim: the children of `node` from
+    /// cursor `from` up to cursor `to`, for `victim`.
+    assigned: Option<(u32, u32, u32, usize)>,
     idle_since: Option<u64>,
     wait_since: u64,
 }
@@ -112,17 +112,11 @@ impl<'t> TascellSim<'t> {
         }
     }
 
-    /// Begin a task over children `[from, to)` of `node`, whose total joins
-    /// `out`'s task. Whoever handed the range over executed `node`; only
-    /// the root task (`out == None`, the full range) is charged it here.
-    fn start_task(
-        &mut self,
-        wid: usize,
-        node: u32,
-        from: usize,
-        to: usize,
-        out: Option<usize>,
-    ) -> u64 {
+    /// Begin a task over the children of `node` from cursor `from` up to
+    /// cursor `to`, whose total joins `out`'s task. Whoever handed the
+    /// range over executed `node`; only the root task (`out == None`, the
+    /// full range) is charged it here.
+    fn start_task(&mut self, wid: usize, node: u32, from: u32, to: u32, out: Option<usize>) -> u64 {
         let w = &mut self.workers[wid];
         debug_assert!(w.stack.is_empty());
         w.out = out;
@@ -177,7 +171,10 @@ impl<'t> TascellSim<'t> {
             return 0;
         };
         debug_assert_eq!(self.workers[thief].state, TState::Requesting(wid));
-        let split = tascell_split(self.workers[wid].stack.iter().map(|f| f.end - f.kid));
+        let tree = self.tree;
+        // Only the levels up to the first with an untried child are counted.
+        let untried = |f: &TFrame| tree.siblings(f.kid, f.end).count();
+        let split = tascell_split(self.workers[wid].stack.iter().map(untried));
         let Some((level, give)) = split else {
             // Nothing to give: fail the thief immediately.
             let t = &mut self.workers[thief];
@@ -189,9 +186,14 @@ impl<'t> TascellSim<'t> {
         let w = &mut self.workers[wid];
         let backtrack = self.cost.backtrack_level_ns * 2 * (w.stack.len() - level) as u64;
         let f = &mut w.stack[level];
-        let (node, from, to) = (f.node, f.end - give, f.end);
+        let keep = untried(f) - give;
+        let from = tree
+            .siblings(f.kid, f.end)
+            .nth(keep)
+            .expect("give <= untried");
+        let (node, to) = (f.node, f.end);
         f.end = from;
-        let bytes = self.tree.bytes(node);
+        let bytes = tree.bytes(node);
         let copy = self.cost.copy_ns(bytes, true);
         let cost = backtrack + copy + self.cost.respond_ns;
         w.pending_children += 1;
@@ -279,8 +281,8 @@ impl<'t> TascellSim<'t> {
                     // Free bookkeeping plus any respond cost.
                     return Some(respond_cost.max(1));
                 }
-                let child = tree.children(top.node).start + top.kid as u32;
-                top.kid += 1;
+                let child = top.kid;
+                top.kid = tree.next_sibling(child);
                 let work = cost.work_ns(tree.work(child));
                 w.stats.nodes += 1;
                 w.stats.polls += 1;
@@ -293,8 +295,8 @@ impl<'t> TascellSim<'t> {
                     w.stats.fake_tasks += 1;
                     w.stack.push(TFrame {
                         node: child,
-                        kid: 0,
-                        end: tree.children(child).len(),
+                        kid: tree.first_child(child),
+                        end: tree.children_end(child),
                         acc: 0,
                     });
                     paid += cost.backtrack_level_ns / 4; // nested-function bookkeeping
@@ -339,8 +341,8 @@ impl<'t> TascellSim<'t> {
     /// The root task on worker 0, every other worker in its steal loop.
     fn start(&mut self) {
         self.workers[0].stats.tasks_created += 1;
-        let root_kids = self.tree.children(0).len();
-        let first_cost = self.start_task(0, 0, 0, root_kids, None);
+        let (from, to) = (self.tree.first_child(0), self.tree.children_end(0));
+        let first_cost = self.start_task(0, 0, from, to, None);
         self.events.schedule(0, first_cost);
         for wid in 1..self.workers.len() {
             self.events.schedule(wid, 0);

@@ -7,27 +7,21 @@
 //! exactly that, so one traversal serves every (policy × worker-count)
 //! simulation of a workload.
 //!
-//! A tree is one array of 8-byte [`Node`] records. The children of a node
-//! are a block of consecutive ids, so a walk over its children reads the
-//! array forward. Work units and workspace bytes are each stored once when
-//! every node has the same value, as on all eight Table-1 instances, and
-//! per node only when they vary.
+//! A tree is one array of `u32`s, one per node, numbered in depth-first
+//! preorder: a node's entry is its subtree's node count, with one bit that
+//! tells a leaf from a dead end. A node's first child is the next id, each
+//! child's next sibling is one subtree further on, and its children end
+//! where its own subtree does, so a walk over a subtree reads the array
+//! forward. Work units and workspace bytes are each stored once when every
+//! node has the same value, as on all eight Table-1 instances, and per node
+//! only when they vary.
 
 use adaptivetc_core::{Expansion, Problem};
-use std::ops::Range;
 
-/// `Node::kids` of a leaf. An interior node with no children — a dead
-/// end, which the engines run as a task or fake task like any other — has
-/// `kids == 0`.
-const LEAF: u32 = u32::MAX;
-
-/// One node: its children are the ids `first .. first + kids`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Node {
-    first: u32,
-    /// Number of children, or [`LEAF`].
-    kids: u32,
-}
+/// The bit of a node's entry that marks a leaf. The rest is the subtree's
+/// node count: 1 for a leaf, and for an interior node with no children — a
+/// dead end, which the engines run as a task or fake task like any other.
+const LEAF: u32 = 1 << 31;
 
 /// One value per node: a single value while every node shares it, else an
 /// array indexed by node id. A column is `PerNode` only when its values
@@ -47,31 +41,29 @@ impl Column {
         }
     }
 
-    /// Record node `id`'s value in a tree of `len` nodes so far. The first
-    /// value that differs turns the column per-node, every node filled
-    /// with the value seen so far (nodes not yet visited are overwritten
-    /// when they are).
-    fn set(&mut self, id: usize, v: u32, len: usize) {
+    /// Append node `id`'s value, `id` being the number of values so far.
+    /// The root's value seeds the column; the first value that differs
+    /// turns it per-node, every earlier node filled with the value they
+    /// shared.
+    fn push(&mut self, id: usize, v: u32) {
         match self {
-            Column::Uniform(u) if *u == v => {}
+            Column::Uniform(u) if id == 0 || *u == v => *u = v,
             Column::Uniform(u) => {
-                let mut vs = vec![*u; len];
+                let mut vs = vec![*u; id + 1];
                 vs[id] = v;
                 *self = Column::PerNode(vs);
             }
-            Column::PerNode(vs) => {
-                vs.resize(len, 0);
-                vs[id] = v;
-            }
+            Column::PerNode(vs) => vs.push(v),
         }
     }
 }
 
-/// A flattened tree: node 0 is the root, and every node's children are
-/// consecutive ids.
+/// A flattened tree: node 0 is the root, and the nodes are numbered in
+/// depth-first preorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimTree {
-    nodes: Vec<Node>,
+    /// Per node: its subtree's node count, or'ed with [`LEAF`] at a leaf.
+    nodes: Vec<u32>,
     work: Column,
     bytes: Column,
     leaves: u64,
@@ -84,61 +76,68 @@ fn saturate(v: u64) -> u32 {
 }
 
 impl SimTree {
-    /// Flatten a problem in one depth-first pass. Expanding a node reserves
-    /// its children's ids as one block at the end of the array; the pass
-    /// then descends into them in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree reaches `u32::MAX` nodes.
-    pub fn from_problem<P: Problem>(problem: &P) -> SimTree {
-        fn visit<P: Problem>(p: &P, st: &mut P::State, id: usize, depth: u32, t: &mut SimTree) {
-            let work = p.node_work(st, depth);
-            t.total_work += work;
-            t.depth = t.depth.max(depth);
-            let first = t.nodes.len();
-            let (work, bytes) = (saturate(work), saturate(p.state_bytes(st) as u64));
-            if id == 0 {
-                // The root's values seed both columns.
-                (t.work, t.bytes) = (Column::Uniform(work), Column::Uniform(bytes));
-            } else {
-                t.work.set(id, work, first);
-                t.bytes.set(id, bytes, first);
-            }
-            t.nodes[id] = Node {
-                first: first as u32,
-                kids: LEAF,
-            };
-            let Expansion::Children(cs) = p.expand(st, depth) else {
-                t.leaves += 1;
-                return;
-            };
-            let end = first + cs.len();
-            assert!(end < LEAF as usize, "tree exceeds u32 nodes");
-            t.nodes[id].kids = cs.len() as u32;
-            t.nodes.resize(end, Node::default());
-            for (kid, c) in (first..).zip(cs) {
-                p.apply(st, c);
-                visit(p, st, kid, depth + 1, t);
-                p.undo(st, c);
-            }
-        }
-
-        let mut tree = SimTree {
-            nodes: vec![Node::default()],
-            work: Column::Uniform(0),
-            bytes: Column::Uniform(0),
+    fn new(work: u32, bytes: u32) -> SimTree {
+        SimTree {
+            nodes: Vec::new(),
+            work: Column::Uniform(work),
+            bytes: Column::Uniform(bytes),
             leaves: 0,
             total_work: 0,
             depth: 0,
-        };
-        visit(problem, &mut problem.root(), 0, 0, &mut tree);
+        }
+    }
+
+    /// Append a node at `depth`; returns its id. Its entry stays 0 until
+    /// [`SimTree::close`].
+    fn open(&mut self, depth: u32) -> usize {
+        let id = self.nodes.len();
+        assert!(id < LEAF as usize, "tree exceeds 2^31 nodes");
+        self.nodes.push(0);
+        self.depth = self.depth.max(depth);
+        id
+    }
+
+    /// Close node `id`: its subtree is every node appended since it was
+    /// opened.
+    fn close(&mut self, id: usize, leaf: bool) {
+        self.leaves += u64::from(leaf);
+        self.nodes[id] = (self.nodes.len() - id) as u32 | if leaf { LEAF } else { 0 };
+    }
+
+    /// Flatten a problem in one depth-first pass, appending each node as
+    /// it is visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree reaches 2^31 nodes.
+    pub fn from_problem<P: Problem>(problem: &P) -> SimTree {
+        fn visit<P: Problem>(p: &P, st: &mut P::State, depth: u32, t: &mut SimTree) {
+            let work = p.node_work(st, depth);
+            t.total_work += work;
+            let id = t.open(depth);
+            let (work, bytes) = (saturate(work), saturate(p.state_bytes(st) as u64));
+            t.work.push(id, work);
+            t.bytes.push(id, bytes);
+            let Expansion::Children(cs) = p.expand(st, depth) else {
+                return t.close(id, true);
+            };
+            for c in cs {
+                p.apply(st, c);
+                visit(p, st, depth + 1, t);
+                p.undo(st, c);
+            }
+            t.close(id, false);
+        }
+
+        let mut tree = SimTree::new(0, 0);
+        visit(problem, &mut problem.root(), 0, &mut tree);
         tree
     }
 
     /// A synthetic tree built from child lists (tests, examples): node 0 is
-    /// the root and an empty list is a leaf. The nodes are renumbered
-    /// breadth-first, so the result does not depend on the input's ids.
+    /// the root and an empty list is a leaf. The nodes are renumbered in
+    /// depth-first preorder, as [`SimTree::from_problem`] numbers them, so
+    /// the result does not depend on the input's ids.
     ///
     /// # Panics
     ///
@@ -146,46 +145,29 @@ impl SimTree {
     /// someone's child, a node has two parents, or a node is unreachable
     /// from the root.
     pub fn from_lists(children: Vec<Vec<u32>>, uniform_work: u32, uniform_bytes: u32) -> SimTree {
-        let n = children.len();
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        // `order[i]` is the input id of node `i`.
-        let mut order = vec![0u32];
-        let mut nodes = Vec::with_capacity(n);
-        let (mut leaves, mut depth, mut level_end) = (0, 0, 1);
-        while let Some(&id) = order.get(nodes.len()) {
-            if nodes.len() == level_end {
-                (depth, level_end) = (depth + 1, order.len());
-            }
-            let list = &children[id as usize];
+        fn visit(lists: &[Vec<u32>], seen: &mut [bool], id: u32, depth: u32, t: &mut SimTree) {
+            let at = t.open(depth);
+            let list = &lists[id as usize];
             for &k in list {
-                assert!((k as usize) < n, "child id {k} out of range");
+                assert!((k as usize) < lists.len(), "child id {k} out of range");
                 assert!(k != 0, "the root, node 0, is a child of node {id}");
                 assert!(!seen[k as usize], "node {k} has two parents");
                 seen[k as usize] = true;
-                order.push(k);
+                visit(lists, seen, k, depth + 1, t);
             }
-            leaves += u64::from(list.is_empty());
-            nodes.push(Node {
-                first: (order.len() - list.len()) as u32,
-                kids: if list.is_empty() {
-                    LEAF
-                } else {
-                    list.len() as u32
-                },
-            });
+            t.close(at, list.is_empty());
         }
+
+        let n = children.len();
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let mut tree = SimTree::new(uniform_work, uniform_bytes);
+        visit(&children, &mut seen, 0, 0, &mut tree);
         if let Some(id) = seen.iter().position(|&s| !s) {
             panic!("node {id} is unreachable from the root");
         }
-        SimTree {
-            nodes,
-            work: Column::Uniform(uniform_work),
-            bytes: Column::Uniform(uniform_bytes),
-            leaves,
-            total_work: u64::from(uniform_work) * n as u64,
-            depth,
-        }
+        tree.total_work = u64::from(uniform_work) * n as u64;
+        tree
     }
 
     /// Number of nodes.
@@ -198,25 +180,37 @@ impl SimTree {
         self.nodes.is_empty()
     }
 
-    /// The ids of a node's children, in order.
+    /// A node's first child, or [`SimTree::children_end`] when it has none.
     #[inline]
-    pub fn children(&self, node: u32) -> Range<u32> {
-        let n = self.nodes[node as usize];
-        let kids = if n.kids == LEAF { 0 } else { n.kids };
-        n.first..n.first + kids
+    pub fn first_child(&self, node: u32) -> u32 {
+        node + 1
     }
 
-    /// A node's `k`-th child, if it has one.
+    /// The child after `child` among its parent's children; the parent's
+    /// [`SimTree::children_end`] after the last one.
     #[inline]
-    pub fn child(&self, node: u32, k: u32) -> Option<u32> {
-        let n = self.nodes[node as usize];
-        (k < n.kids && n.kids != LEAF).then_some(n.first + k)
+    pub fn next_sibling(&self, child: u32) -> u32 {
+        child + (self.nodes[child as usize] & !LEAF)
+    }
+
+    /// One past a node's last child: a cursor over its children starts at
+    /// [`SimTree::first_child`] and steps by [`SimTree::next_sibling`] until
+    /// it reaches this.
+    #[inline]
+    pub fn children_end(&self, node: u32) -> u32 {
+        self.next_sibling(node)
+    }
+
+    /// The children from cursor `from` up to cursor `end`, in order.
+    pub(crate) fn siblings(&self, from: u32, end: u32) -> impl Iterator<Item = u32> + '_ {
+        let within = move |c: u32| (c < end).then_some(c);
+        std::iter::successors(within(from), move |&c| within(self.next_sibling(c)))
     }
 
     /// Whether a node is a leaf: no children, and not a dead end.
     #[inline]
     pub fn is_leaf(&self, node: u32) -> bool {
-        self.nodes[node as usize].kids == LEAF
+        self.nodes[node as usize] & LEAF != 0
     }
 
     /// Work units at a node.
@@ -287,20 +281,27 @@ mod tests {
         assert_eq!(t.total_work(), r.work_units);
     }
 
-    #[test]
-    fn children_are_in_order() {
-        let t = SimTree::from_problem(&Tern(2));
-        assert_eq!(t.children(0).len(), 3);
-        // The root's children are the first block: its first child is node 1.
-        assert_eq!(t.child(0, 0), Some(1));
-        assert!(t.is_leaf(t.child(1, 0).unwrap()));
-        assert_eq!(t.child(0, 3), None);
-        assert_eq!(t.children(t.child(1, 0).unwrap()), 7..7);
+    /// A node's children, walked with the interpreters' cursor.
+    fn kids(t: &SimTree, node: u32) -> Vec<u32> {
+        t.siblings(t.first_child(node), t.children_end(node))
+            .collect()
     }
 
     #[test]
-    fn a_node_is_eight_bytes() {
-        assert_eq!(std::mem::size_of::<Node>(), 8);
+    fn children_are_in_order() {
+        let t = SimTree::from_problem(&Tern(2));
+        // Each child of the root is followed by its own three leaves.
+        assert_eq!(kids(&t, 0), [1, 5, 9]);
+        assert_eq!(kids(&t, 5), [6, 7, 8]);
+        assert!(t.is_leaf(6) && !t.is_leaf(5));
+        assert_eq!(kids(&t, 6), []);
+        assert_eq!((t.children_end(0), t.children_end(5)), (13, 9));
+    }
+
+    #[test]
+    fn a_node_is_four_bytes() {
+        let t = SimTree::from_problem(&Tern(3));
+        assert_eq!(std::mem::size_of_val(t.nodes.as_slice()), 4 * t.len());
     }
 
     /// `Tern` whose values vary: a node at depth `d` does `d + 1` work
@@ -349,8 +350,8 @@ mod tests {
                 Expansion::Children(cs) => cs,
                 Expansion::Leaf(_) => Vec::new(),
             };
-            assert_eq!(t.children(node).len(), cs.len(), "children of node {node}");
-            for (kid, c) in t.children(node).zip(cs) {
+            assert_eq!(kids(t, node).len(), cs.len(), "children of node {node}");
+            for (kid, c) in kids(t, node).into_iter().zip(cs) {
                 p.apply(st, c);
                 walk(p, st, t, kid, depth + 1);
                 p.undo(st, c);
@@ -413,7 +414,7 @@ mod tests {
         assert_eq!(t.len() as u64, r.nodes);
         assert_eq!((t.leaf_count(), r.leaves), (1, 1));
         let childless: Vec<u32> = (0..t.len() as u32)
-            .filter(|&n| t.children(n).is_empty())
+            .filter(|&n| kids(&t, n).is_empty())
             .collect();
         assert_eq!(childless.len(), 71, "70 dead ends and the one leaf");
         assert_eq!(childless.iter().filter(|&&n| t.is_leaf(n)).count(), 1);
@@ -490,7 +491,7 @@ mod tests {
         fn walk(t: &SimTree, node: u32, lists: &mut Vec<Vec<u32>>) -> u32 {
             let id = lists.len();
             lists.push(Vec::new());
-            for c in t.children(node) {
+            for c in kids(t, node) {
                 let kid = walk(t, c, lists);
                 lists[id].push(kid);
             }
@@ -499,6 +500,16 @@ mod tests {
         let mut lists = Vec::new();
         walk(t, 0, &mut lists);
         lists
+    }
+
+    /// Both constructors number a tree in preorder, so a problem's tree
+    /// and its child lists give equal trees.
+    #[test]
+    fn from_problem_numbers_nodes_as_from_lists_does() {
+        for p in [Ragged(12), Ragged(1)] {
+            let t = SimTree::from_problem(&p);
+            assert_eq!(SimTree::from_lists(preorder_lists(&t), 3, 8), t);
+        }
     }
 
     #[test]
@@ -537,7 +548,7 @@ mod tests {
         }
         let by_preorder = SimTree::from_lists(lists, 3, 8);
         let by_shuffle = SimTree::from_lists(shuffled, 3, 8);
-        assert_eq!(by_preorder, by_shuffle, "breadth-first renumbering");
+        assert_eq!(by_preorder, by_shuffle, "preorder renumbering");
         for t in [&by_preorder, &by_shuffle] {
             assert_eq!(
                 (t.len(), t.leaf_count(), t.total_work(), t.depth()),

@@ -11,8 +11,13 @@
 //! a job — building a `Fig1Tree` allocates nothing — and the lead's share
 //! of every job it leads itself. This binary holds one test, so nothing
 //! else allocates while it counts.
+//!
+//! The pool side is the threads that have led a job. The test harness's own
+//! thread allocates its bookkeeping just after it starts the test, and on a
+//! loaded host that can fall inside the counted window; it leads no job, so
+//! it is not counted.
 
-use adaptivetc_suite::core::{serial, Config};
+use adaptivetc_suite::core::{serial, Config, Expansion, Problem};
 use adaptivetc_suite::runtime::{JobOutcome, JobServer, Mode, Priority, ServerConfig};
 use adaptivetc_suite::workloads::fig1::Fig1Tree;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,23 +26,28 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
-    /// Set on the submitting thread. `const`, so reading it inside the
+    /// Set on the submitting thread. `const`, so reading these inside the
     /// allocator neither allocates nor registers a destructor.
     static CLIENT: Cell<bool> = const { Cell::new(false) };
+    /// Set on a thread once it has started a job's traversal.
+    static LED: Cell<bool> = const { Cell::new(false) };
 }
 
 static CLIENT_CALLS: AtomicU64 = AtomicU64::new(0);
-static OTHER_CALLS: AtomicU64 = AtomicU64::new(0);
+static POOL_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Counts every call that obtains memory — `alloc`, `alloc_zeroed`,
-/// `realloc` — by which side made it.
+/// `realloc` — by which side made it: the client, or a thread that led a
+/// job. Other threads are not counted.
 struct Counting;
 
 fn count() {
     let counter = if CLIENT.with(Cell::get) {
         &CLIENT_CALLS
+    } else if LED.with(Cell::get) {
+        &POOL_CALLS
     } else {
-        &OTHER_CALLS
+        return;
     };
     counter.fetch_add(1, Ordering::Relaxed);
 }
@@ -68,8 +78,31 @@ static ALLOCATOR: Counting = Counting;
 fn calls() -> (u64, u64) {
     (
         CLIENT_CALLS.load(Ordering::Relaxed),
-        OTHER_CALLS.load(Ordering::Relaxed),
+        POOL_CALLS.load(Ordering::Relaxed),
     )
+}
+
+/// A `Fig1Tree` that marks the thread that starts its traversal as one
+/// that led a job.
+struct Marked(Fig1Tree);
+
+impl Problem for Marked {
+    type State = <Fig1Tree as Problem>::State;
+    type Choice = u32;
+    type Out = u64;
+    fn root(&self) -> Self::State {
+        LED.with(|led| led.set(true));
+        self.0.root()
+    }
+    fn expand(&self, st: &Self::State, depth: u32) -> Expansion<u32, u64> {
+        self.0.expand(st, depth)
+    }
+    fn apply(&self, st: &mut Self::State, c: u32) {
+        self.0.apply(st, c)
+    }
+    fn undo(&self, st: &mut Self::State, c: u32) {
+        self.0.undo(st, c)
+    }
 }
 
 /// Keep `WINDOW` jobs in flight until `jobs` have completed. Returns the
@@ -86,7 +119,7 @@ fn flood(
         while inflight.len() < WINDOW && submitted < jobs {
             let h = server
                 .submit(
-                    Fig1Tree::new(),
+                    Marked(Fig1Tree::new()),
                     Config::new(1),
                     Mode::Adaptive,
                     Priority::Normal,
@@ -119,7 +152,7 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
     CLIENT.with(|c| c.set(true));
 
     let before = calls().0;
-    let tree = Fig1Tree::new();
+    let tree = Marked(Fig1Tree::new());
     let build = calls().0 - before;
     let before = calls().0;
     assert_eq!(serial::run(&tree).0, Fig1Tree::LEAVES);
@@ -141,9 +174,9 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
         assert!(rounds < 100, "one side led every warm-up job: {s:?}");
     }
     let warm = server.stats();
-    let (client0, other0) = calls();
+    let (client0, pool0) = calls();
     let allocations = flood(&server, &mut inflight, JOBS);
-    let (client1, other1) = calls();
+    let (client1, pool1) = calls();
     let stats = server.shutdown().stats;
     assert_eq!(
         (warm.lease_misses, stats.lease_misses),
@@ -154,7 +187,7 @@ fn a_warm_job_allocates_what_its_tree_does_plus_a_report() {
     let jobs = JOBS as u64;
     let led_here = stats.client_leads - warm.client_leads;
     let per_lead = serial + 1 + allocations;
-    let pool_side = other1 - other0;
+    let pool_side = pool1 - pool0;
     assert_eq!(
         pool_side,
         (jobs - led_here) * per_lead,

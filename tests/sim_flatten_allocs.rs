@@ -1,10 +1,10 @@
 //! What flattening a problem costs the allocator, as a count.
 //!
 //! `SimTree::from_problem` keeps the whole tree in one array of node
-//! records and reserves each node's children as a block of it, so the only
-//! allocations beyond the problem's own — what one `serial::run` of the
-//! same problem makes: its root state and every `expand`'s child list —
-//! are that array's growth steps: about ⌈log₂ len⌉. Work units and
+//! entries, appending each node as its depth-first pass visits it, so the
+//! only allocations beyond the problem's own — what one `serial::run` of
+//! the same problem makes: its root state and every `expand`'s child list
+//! — are that array's growth steps: about ⌈log₂ len⌉. Work units and
 //! workspace bytes take no allocation while every node shares them; a
 //! problem whose values vary adds one array per varying column, with its
 //! own growth steps. Nothing is allocated per node. This binary holds one
