@@ -591,6 +591,7 @@ fn submit_prio() {
 /// racing the submitter's wake of that sleeper.
 fn submit_park() {
     park_model::pool_never_strands_a_job(1, 1, true, true);
+    park_model::pool_never_sleeps_through_a_registration(true);
 }
 
 /// The lead's publish racing the client's wait over one outcome cell.

@@ -18,10 +18,14 @@
 //!   multi-slot job from the head of the queue;
 //! * **nobody sleeps through an event** — under the miniature server of
 //!   `park_model` (sleeps are flags a waker must clear, and nothing times
-//!   out): no job stays queued while every worker sleeps with no wake
-//!   pending, and a waiter that registered is always notified. A seeded
+//!   out; a sleep may end spuriously): no job stays queued while every
+//!   worker sleeps with no wake pending, no worker sleeps through a team
+//!   registration, a team's lead collects once, after every joiner that
+//!   entered, and a waiter that registered is always notified. A seeded
 //!   worker that sleeps without rechecking the queue is caught, with a
-//!   trail that replays to the same stranded job.
+//!   trail that replays to the same stranded job; so are a recheck that
+//!   ignores the registration count and a team entry that can rise from
+//!   zero.
 
 use adaptivetc_check::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority, SubmitQueue,
@@ -447,19 +451,96 @@ fn no_job_stays_queued_while_every_worker_sleeps() {
     println!("jobserver_submit::park_handshake: {report:?}");
 }
 
-/// A sleep that times out while a submitter takes the sleeper off the
-/// count: the count of parked workers may end high, never low, so the job
-/// is led whichever of the two ends the sleep (one worker, two
-/// submissions, and a timer).
+/// A sleep that ends spuriously — no notification, nothing withdrawn —
+/// while a submitter takes the sleeper off the count: the count of parked
+/// workers may end high, never low, so the job is led whichever of the two
+/// ends the sleep (one worker, two submissions, and a spurious wake-up).
 #[test]
-fn a_timeout_racing_a_wake_strands_nothing() {
+fn a_spurious_wake_racing_a_wake_strands_nothing() {
     let report = explore(Config::with_preemption_bound(2), || {
         park_model::pool_never_strands_a_job(1, 2, true, true);
     });
-    assert!(report.complete, "timeout space not exhausted: {report:?}");
+    assert!(
+        report.complete,
+        "spurious-wake space not exhausted: {report:?}"
+    );
 }
 
-/// One worker, one submission and a timer under the x86-TSO store-buffer
+/// A team registered while the worker scans, announces and parks, under
+/// sequential consistency and under store buffering: the worker sees it.
+#[test]
+fn no_worker_sleeps_through_a_team_registration() {
+    for tso in [false, true] {
+        let report = explore(
+            Config {
+                tso,
+                ..Config::with_preemption_bound(2)
+            },
+            || park_model::pool_never_sleeps_through_a_registration(true),
+        );
+        assert!(
+            report.complete,
+            "registration space not exhausted (tso {tso}): {report:?}"
+        );
+    }
+}
+
+/// A lead leaving its team while two joiners try to enter: it collects
+/// once, after every joiner that entered merged, and is woken if it sleeps.
+#[test]
+fn a_team_drains_once_after_every_joiner() {
+    for tso in [false, true] {
+        let report = explore(
+            Config {
+                tso,
+                ..Config::with_preemption_bound(2)
+            },
+            || park_model::team_drains_once(2, true),
+        );
+        assert!(
+            report.complete,
+            "drain space not exhausted (tso {tso}): {report:?}"
+        );
+    }
+}
+
+/// The panic message of a seeded bug the explorer must find.
+fn refuted(seeded: fn()) -> String {
+    let e = catch_unwind(AssertUnwindSafe(|| {
+        explore(Config::with_preemption_bound(2), seeded);
+    }))
+    .expect_err("the explorer missed a seeded bug");
+    e.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("violation panics carry a message")
+}
+
+/// Meta-test: a recheck that reads the queue but not the registration
+/// count sleeps through a team registered between the worker's scan and
+/// its announcement — the lead saw nobody parked.
+#[test]
+fn seeded_recheck_without_the_registration_count_is_caught() {
+    let found = refuted(|| park_model::pool_never_sleeps_through_a_registration(false));
+    assert!(
+        found.contains("slept through a team registration"),
+        "wrong violation: {found}"
+    );
+}
+
+/// Meta-test: a joiner that enters with a plain increment can raise the
+/// count from zero after the lead read it there, and merge after the lead
+/// collected.
+#[test]
+fn seeded_plain_team_entry_is_caught() {
+    let found = refuted(|| park_model::team_drains_once(1, false));
+    assert!(
+        found.contains("before every joiner that entered had merged"),
+        "wrong violation: {found}"
+    );
+}
+
+/// One worker, one submission and a spurious wake-up under the x86-TSO store-buffer
 /// model, where only fences and locked operations keep both sides of a
 /// hand-shake from reading the other's old value.
 #[test]

@@ -75,7 +75,7 @@
 //! [`ParkGate`] counts one parked, and a terminal wakes a waiter only when
 //! the job's result cell — the same `ResultCell` a run's root and a
 //! special task's sync hand their values over through — says one
-//! registered.
+//! registered. No wait here has a timeout or spins: each ends when notified.
 //!
 //! # A waiting client is a worker
 //!
@@ -539,9 +539,10 @@ struct Team<P: Problem + 'static> {
     eng: Shared<'static, P>,
     /// Slot claim flags; slot 0 is pre-taken by the lead.
     taken: Vec<AtomicBool>,
-    /// Live participants (lead + joiners). The lead drains this to zero
-    /// before collecting per-slot stats.
+    /// Live participants (lead + joiners), entered only while not zero; the
+    /// one who takes it to zero delivers `drained`, and the lead collects.
     participants: AtomicU32,
+    drained: ResultCell<()>,
     /// Per-slot stats, merged by whoever occupied the slot.
     stats: Vec<Mutex<RunStats>>,
     /// Per-slot deterministic RNG streams (identical to a solo run's).
@@ -574,18 +575,15 @@ impl<P: Problem + 'static> ActiveJob for Team<P> {
         }) else {
             return false;
         };
-        // AcqRel: the announcement may neither sink below the slot claim
-        // nor hoist above the `done()` recheck.
-        self.participants.fetch_add(1, Ordering::AcqRel);
-        // Recheck after announcing ourselves: the lead may have observed
-        // participants == 0 and started collecting stats. `done` is
-        // monotone, so if it is still false here the lead is guaranteed
-        // to wait for our decrement.
-        if self.done() {
-            // Release: the bail-out frees the slot and withdraws the
-            // announcement; pairs with the lead's Acquire spin in `lead_team`.
-            self.taken[slot].store(false, Ordering::Release);
-            self.participants.fetch_sub(1, Ordering::Release);
+        // Enter only while the count is not zero (at zero the job is over).
+        // Relaxed: atomicity suffices; the slot claim acquired the engine,
+        // and the exit's AcqRel orders the rest before the lead collects.
+        let entry = self
+            .participants
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n != 0).then_some(n + 1)
+            });
+        if entry.is_err() {
             return false;
         }
         jmark(
@@ -616,10 +614,12 @@ impl<P: Problem + 'static> ActiveJob for Team<P> {
             },
         );
         self.stats[slot].lock().merge(&stats);
-        // Release: frees the slot and publishes the merged `RunStats` to
-        // the lead's Acquire spin in `lead_team`.
+        // Release: frees the slot for the next joiner.
         self.taken[slot].store(false, Ordering::Release);
-        self.participants.fetch_sub(1, Ordering::Release);
+        // AcqRel: publishes this merge; the last one out acquires them all.
+        if self.participants.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.drained.deliver(());
+        }
         true
     }
 }
@@ -659,6 +659,7 @@ fn lead_team<P: Problem + 'static>(
         eng,
         taken: (0..slots).map(|i| AtomicBool::new(i == 0)).collect(),
         participants: AtomicU32::new(1),
+        drained: ResultCell::new(),
         stats: (0..slots)
             .map(|_| Mutex::new(RunStats::default()))
             .collect(),
@@ -666,6 +667,8 @@ fn lead_team<P: Problem + 'static>(
     });
     if ctx.work_sharing {
         ctx.active.lock().push(team.clone());
+        // Relaxed: ordered by the fence in `wake`, as a push is.
+        ctx.registrations.fetch_add(1, Ordering::Relaxed);
         ctx.wake(true);
     }
     let rng = team.seeds[0].clone();
@@ -674,14 +677,11 @@ fn lead_team<P: Problem + 'static>(
     if ctx.work_sharing {
         ctx.active.lock().retain(|j| j.id() != id);
     }
-    // Wait for every joiner to finish merging its slot stats. They exit
-    // promptly: the root is done, so their steal loops terminate.
-    // Release: the lead's own decrement publishes its stats merge above.
-    team.participants.fetch_sub(1, Ordering::Release);
-    // Acquire: pairs with each joiner's Release decrement, so the lead
-    // reads every merged per-slot `RunStats` below.
-    while team.participants.load(Ordering::Acquire) != 0 {
-        std::thread::yield_now();
+    // Wait for every joiner's stats merge (they exit promptly: the root is
+    // done). AcqRel: publishes the lead's merge, and acquires the joiners'
+    // if this takes the count to zero; else `drained` hands them over.
+    if team.participants.fetch_sub(1, Ordering::AcqRel) != 1 {
+        team.drained.wait();
     }
     let per_slot = team.stats.iter().map(|m| m.lock().clone()).collect();
     let out = team.eng.root().take();
@@ -773,6 +773,8 @@ struct ServerCtx {
     /// Counts the workers asleep on `wake` (or about to be) that nobody
     /// has notified yet.
     gate: ParkGate,
+    /// Teams registered in `active` so far, for a parking worker's recheck.
+    registrations: AtomicU32,
     park: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
@@ -922,9 +924,15 @@ impl Drop for Helping<'_> {
             // Release: hands the ring to the next client.
             self.ctx.client_ring.store(false, Ordering::Release);
         }
-        // Release: the jobs this client led, and their counters, happen
-        // before shutdown's Acquire read of the count.
-        self.ctx.helping.fetch_sub(1, Ordering::Release);
+        // SeqCst: a Release for shutdown's Acquire read of the count, and
+        // with the flag load it pairs with the fence in `shutdown_inner`:
+        // shutdown reads the count at zero, or the last one out the flag.
+        if self.ctx.helping.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.ctx.shutdown.load(Ordering::SeqCst)
+        {
+            drop(self.ctx.park.lock());
+            self.ctx.wake.notify_all();
+        }
     }
 }
 
@@ -940,7 +948,8 @@ pub struct ServerStats {
     /// Submissions rejected by admission control (`QueueFull` only;
     /// config and shutdown rejections are the caller's bug, not load).
     pub rejected: u64,
-    /// Times a pool worker found nothing to do and went to sleep.
+    /// Times a pool worker found nothing to do and went to sleep until
+    /// notified: an idle pool parks once per worker.
     pub parks: u64,
     /// Times a submission, a work-sharing registration or shutdown found
     /// workers parked and notified them — at most once per park. A pool
@@ -949,10 +958,10 @@ pub struct ServerStats {
     /// Jobs led on the slot board their lead kept from the job before (see
     /// the [module docs](self)).
     pub lease_hits: u64,
-    /// Jobs whose lead built their slot board: a thread's first job, a job
-    /// of another problem type, deque capacity, `max_stolen_num` or slot
-    /// count than the one before it, and the job after one whose board did
-    /// not come back or was dropped dirty.
+    /// Jobs whose lead built their slot board: a thread's first job; a job
+    /// whose problem type, deque capacity, `max_stolen_num` or slot count
+    /// differs from those of the job its lead led before; and the job after
+    /// one whose board did not come back or was dropped dirty.
     pub lease_misses: u64,
     /// Job terminals at which the lead got its slot board back and settled
     /// it, rewinding the board's frame slabs so the next job carves their
@@ -1017,6 +1026,7 @@ impl JobServer {
             queue: PrioQueue::with_capacity(cfg.queue_capacity.max(1)),
             active: Mutex::new(Vec::new()),
             gate: ParkGate::new(),
+            registrations: AtomicU32::new(0),
             park: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -1200,11 +1210,12 @@ impl JobServer {
             job.lead(&self.ctx, 0, tracer, &mut lease);
         }
         // A client that got in before the flag finishes what it is leading;
-        // one that came later saw the flag and leads nothing.
+        // one that came later saw the flag and leads nothing; the last out notifies.
+        let mut g = self.ctx.park.lock();
         // Acquire: pairs with each client's Release decrement, so its jobs
         // are terminal and counted, and its hold on the collector is gone.
         while self.ctx.helping.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
+            self.ctx.wake.wait(&mut g);
         }
         ServerReport {
             // Every worker thread has been joined; the joins supply the
@@ -1230,7 +1241,7 @@ impl Drop for JobServer {
 }
 
 /// One pool worker: lead queued jobs; otherwise join active jobs (work
-/// sharing); otherwise park.
+/// sharing); otherwise park until a waker notifies it.
 fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
     let mut lease = RegionLease::default();
     // Whether this idle spell has given the CPU away yet.
@@ -1242,6 +1253,8 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
             yielded = false;
             continue;
         }
+        // Relaxed: the scan's lock orders it before any registration it misses.
+        let seen = ctx.registrations.load(Ordering::Relaxed);
         if ctx.work_sharing {
             // Join outside the lock, from a snapshot taken under it — and
             // take none (no allocation, no `Arc` traffic) while nothing is
@@ -1277,26 +1290,20 @@ fn worker_loop(ctx: &Arc<ServerCtx>, id: usize, collector: &SharedCollector) {
         }
         // Announce, recheck, sleep — all under the park lock, which a
         // waker passes through before it notifies (see `ServerCtx::wake`).
-        // The timeout is a backstop for the queue's conservative verdicts
-        // and for a registration that lands between the scan above and
-        // the announcement.
+        // The recheck reads each event a waker announces: a push, the
+        // shutdown flag, a team registered since the scan above.
         let mut g = ctx.park.lock();
-        // Acquire: the same shutdown edge, re-read under the park lock.
-        if ctx
-            .gate
-            .announce(|| ctx.queue.is_empty() && !ctx.shutdown.load(Ordering::Acquire))
-        {
+        let idle = || {
+            // Acquire: the same shutdown edge, re-read under the park lock.
+            // Relaxed: the count is ordered by the gate's fence, as a push is.
+            ctx.queue.is_empty()
+                && !ctx.shutdown.load(Ordering::Acquire)
+                && ctx.registrations.load(Ordering::Relaxed) == seen
+        };
+        if ctx.gate.announce(idle) {
             // Relaxed: a `ServerStats` counter; the snapshot is advisory.
             ctx.parks.fetch_add(1, Ordering::Relaxed);
-            // A notified worker was taken off the count by its waker;
-            // one that timed out withdraws itself.
-            if ctx
-                .wake
-                .wait_for(&mut g, Duration::from_millis(1))
-                .timed_out()
-            {
-                ctx.gate.retract();
-            }
+            ctx.wake.wait(&mut g);
         }
     }
 }

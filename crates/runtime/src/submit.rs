@@ -77,8 +77,9 @@
 //! The sleeper holds the mutex of its condition variable from before the
 //! announcement until the wait releases it, and the waker passes through
 //! that mutex before it notifies, so the notification cannot fall between
-//! the recheck and the sleep. `adaptivetc-check` models the sleep as a flag
-//! the waker must clear (`jobserver_submit.rs`).
+//! the recheck and the sleep; a team registration is an event of the first
+//! pair too. `adaptivetc-check` models the sleep as a flag the waker must
+//! clear (`jobserver_submit.rs`).
 
 use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 use std::sync::Arc;
@@ -336,9 +337,9 @@ impl JobLifecycle {
 /// notified yet — so that a submitter notifies (a system call) only when
 /// the count says someone sleeps, and only once per sleeper.
 ///
-/// The count may run high, never low: a sleeper whose wait ends at the
-/// very moment a waker takes it off stays counted, and the next waker's
-/// notification, finding nobody, takes the surplus away.
+/// The count may run high, never low: a sleeper woken spuriously stays
+/// counted, and the next waker's notification, finding nobody, takes the
+/// surplus away. Nothing else withdraws a sleeper: it sleeps untimed.
 #[derive(Debug)]
 pub struct ParkGate {
     parked: AtomicU32,
@@ -360,14 +361,13 @@ impl ParkGate {
 
     /// Worker side, before sleeping: announce, fence, recheck. `still_idle`
     /// is the recheck (is there really nothing to do?). `true` means sleep
-    /// — the worker stays counted until a waker [`rouse`]s it or, its sleep
-    /// having timed out, it [`retract`]s; `false` means the recheck found
-    /// work and the announcement is already withdrawn. The caller holds
-    /// its condition variable's mutex from before this call until the wait
+    /// — the worker stays counted until a waker [`rouse`]s it (a spurious
+    /// wake-up leaves it counted); `false` means the recheck found work and
+    /// the announcement is already withdrawn. The caller holds its
+    /// condition variable's mutex from before this call until the wait
     /// releases it.
     ///
     /// [`rouse`]: ParkGate::rouse
-    /// [`retract`]: ParkGate::retract
     pub fn announce(&self, still_idle: impl FnOnce() -> bool) -> bool {
         // Relaxed: the fence below orders the announcement.
         self.parked.fetch_add(1, Ordering::Relaxed);
@@ -383,8 +383,8 @@ impl ParkGate {
         idle
     }
 
-    /// Worker side: withdraw an announcement no waker took — the recheck
-    /// found work, or the sleep timed out. If a waker did take it in the
+    /// Worker side, inside `announce`: withdraw an announcement no waker
+    /// took, the recheck having found work. If a waker did take it in the
     /// meantime the count is already gone, and stays where it is.
     pub fn retract(&self) {
         self.take(false);

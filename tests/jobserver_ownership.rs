@@ -9,8 +9,9 @@
 //!   problem type, signal threshold or capacity, every completed job stays
 //!   bit-identical to its solo run, and the region is kept exactly when
 //!   its key says so;
-//! * **nobody is woken who is not asleep**: a flooded pool issues almost
-//!   no wake-ups, a parked one gets a real wake-up and not the timeout;
+//! * **nobody is woken who is not asleep, and nobody sleeps on a timer**:
+//!   a flooded pool issues almost no wake-ups, an idle one parks once per
+//!   worker, and a parked one is woken by the next submission or team;
 //! * a **waiting client** leads only the jobs its own thread submitted,
 //!   and a job it leads that unwinds out of `wait` does not hold up
 //!   shutdown.
@@ -811,37 +812,125 @@ fn a_flooded_pool_is_hardly_ever_woken() {
     );
 }
 
-/// Once the pool has parked, the next submission notifies it — counted,
-/// not timed: the 1 ms backstop would also get the job done, and would
-/// leave `wakes` at zero.
+/// Once the pool has parked, it stays parked, and the next submission
+/// notifies it: a parked worker sleeps until notified, so the first
+/// submission after the park finds it counted.
 #[test]
 fn a_parked_pool_is_woken_by_the_next_submission() {
     let server = JobServer::new(ServerConfig::new(1));
-    // A submission can land in the instant between a worker's timed-out
-    // sleep and its next announcement, and then rightly wakes nobody; so
-    // try until one does not.
-    for attempt in 0..200 {
-        let parks = server.stats().parks;
-        while server.stats().parks == parks {
-            std::thread::yield_now();
-        }
-        let h = server
-            .submit(
-                Bush::new(3, attempt),
-                Config::new(1),
-                Mode::Adaptive,
-                Priority::Normal,
-            )
-            .expect("submit");
-        completed(h.wait());
-        if server.stats().wakes >= 1 {
-            break;
-        }
+    while server.stats().parks == 0 {
+        std::thread::yield_now();
     }
-    let stats = server.shutdown().stats;
-    assert!(stats.parks >= 1);
+    std::thread::sleep(Duration::from_millis(20));
+    let parks = server.stats().parks;
     assert!(
-        stats.wakes >= 1,
-        "200 submissions to a parking pool woke nobody"
+        parks <= 2,
+        "the parked worker went back to sleep {parks} times in 20 ms"
     );
+    let h = server
+        .submit(
+            Bush::new(3, 0),
+            Config::new(1),
+            Mode::Adaptive,
+            Priority::Normal,
+        )
+        .expect("submit");
+    assert!(
+        server.stats().wakes >= 1,
+        "the first submission to a parked pool woke nobody"
+    );
+    completed(h.wait());
+    server.shutdown();
+}
+
+/// An idle pool sleeps: each worker parks once and stays parked, with work
+/// sharing on and off (a spurious wake-up of the condition variable may
+/// add one park).
+#[test]
+fn an_idle_pool_parks_once_per_worker() {
+    for sharing in [false, true] {
+        let server = JobServer::new(ServerConfig::new(2).work_sharing(sharing));
+        std::thread::sleep(Duration::from_millis(50));
+        let settled = server.stats().parks;
+        std::thread::sleep(Duration::from_millis(200));
+        let idle = server.stats().parks - settled;
+        assert!(
+            settled <= 4 && idle <= 4,
+            "sharing {sharing}: {settled} parks to settle, {idle} more in 200 ms idle"
+        );
+        server.shutdown();
+    }
+}
+
+/// Opens its first leaf's gate only once a node has been expanded on a
+/// thread other than the one the gate holds: on a two-slot job, that is a
+/// joiner that stole from the held lead.
+#[derive(Default)]
+struct Meet {
+    held: Mutex<Option<ThreadId>>,
+    met: AtomicBool,
+}
+
+impl Problem for Meet {
+    type State = u32;
+    type Choice = u8;
+    type Out = u64;
+    fn root(&self) -> u32 {
+        0
+    }
+    fn expand(&self, _: &u32, depth: u32) -> Expansion<u8, u64> {
+        let me = std::thread::current().id();
+        let held = *self.held.lock().unwrap();
+        if held.is_some_and(|t| t != me) {
+            self.met.store(true, Ordering::Release);
+        }
+        if depth < 8 {
+            return Expansion::Children(vec![0, 1]);
+        }
+        if held.is_none() && self.held.lock().unwrap().get_or_insert(me) == &me {
+            let t0 = Instant::now();
+            while !self.met.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(20) {
+                std::thread::yield_now();
+            }
+        }
+        Expansion::Leaf(1)
+    }
+    fn apply(&self, s: &mut u32, _: u8) {
+        *s += 1;
+    }
+    fn undo(&self, s: &mut u32, _: u8) {
+        *s -= 1;
+    }
+}
+
+/// Both workers of a sharing pool are parked when a two-slot job arrives:
+/// its submission wakes one, which leads it and registers the team, and
+/// the registration wakes the other, which joins — no later submission
+/// wakes it. The lead holds its first leaf until a joiner has run a node.
+#[test]
+fn a_team_submitted_to_a_parked_pool_is_joined() {
+    let server = JobServer::new(ServerConfig::new(2).work_sharing(true).trace(true));
+    while server.stats().parks < 2 {
+        std::thread::yield_now();
+    }
+    let h = server
+        .submit(
+            Meet::default(),
+            Config::new(2),
+            Mode::Cilk,
+            Priority::Normal,
+        )
+        .expect("submit");
+    let (out, report) = completed(wait_on_pool(h));
+    assert_eq!(out, 1 << 8);
+    assert_eq!(report.threads, 2);
+    let report = server.shutdown();
+    let joined = report
+        .trace
+        .expect("the pool traces")
+        .workers
+        .iter()
+        .flat_map(|w| &w.events)
+        .any(|e| matches!(e.kind, EventKind::JobBegin { slot: 1, .. }));
+    assert!(joined, "no worker joined the team in slot 1");
 }
