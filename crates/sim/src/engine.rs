@@ -9,10 +9,10 @@
 //! steals with the section left on its stack, as the threaded engine's
 //! help loop does: what it steals runs on top. The loops advance in place
 //! at the top of the stack; frames live in an index slab with a free list;
-//! one event slot per worker ([`Events`]) drives the interleaving
-//! deterministically. Every costed activity advances only the acting
-//! worker's clock, and a step allocates nothing once the stacks, deques
-//! and slab have grown.
+//! a sorted queue of every worker's one pending event ([`Events`]) drives
+//! the interleaving deterministically. Every costed activity advances only
+//! the acting worker's clock, and a step allocates nothing once the
+//! stacks, deques and slab have grown.
 //!
 //! Every scheduling decision is the virtual worker's [`Kernel`]'s
 //! (`adaptivetc-strategy`), the same code the threaded engine runs; this
@@ -631,11 +631,6 @@ impl<'t> Sim<'t> {
 
     /// One steal attempt: the worker's stack is empty, or it helps at a
     /// special sync, which stays below whatever it steals.
-    ///
-    /// Out of line on purpose: this is the idle path, and folded into
-    /// `run` with `step` and `exec` it costs the per-node interpreter loop
-    /// about 3 % on the `sim_8w` workload (code layout, measured in PR 17).
-    #[inline(never)]
     fn steal_step(&mut self, wid: usize) -> Option<u64> {
         let (now, cost) = (self.env.now, self.env.cost);
         if self.root_done.is_some() {

@@ -2,11 +2,12 @@
 //! policies.
 //!
 //! The evaluation machine of the AdaptiveTC paper (a dual quad-core Xeon)
-//! is replaced here by *virtual workers under a virtual clock*: the same
-//! seven scheduling policies as `adaptivetc-runtime`, executed over a
+//! is replaced here by *virtual workers under a virtual clock*: the six
+//! parallel [`Policy`] variants of `adaptivetc-runtime`, executed over a
 //! flattened computation tree ([`SimTree`]) with an explicit [`CostModel`]
 //! for node work, task creation, d-e-que operations, workspace copies,
-//! polling and steal traffic. Given `(policy, tree, worker count, seed)`
+//! polling and steal traffic. The runtime's seventh scheduler, `Serial`,
+//! is [`serial_wall_ns`] here. Given `(policy, tree, worker count, seed)`
 //! the simulated trace — and therefore every reported time — is exactly
 //! reproducible.
 //!
